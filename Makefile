@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint lint-json test race smoke sched-gate perf-gate validate-baselines baseline clean
+.PHONY: ci build fmt vet lint lint-json test race bench-host-test smoke perf-gate validate-baselines baseline clean
 
-ci: fmt vet lint build test race smoke sched-gate perf-gate validate-baselines
+ci: fmt vet lint build test race bench-host-test smoke perf-gate validate-baselines
 
 # Experiments the perf gate runs: cheap, deterministic, and together they
 # exercise the journal, allocator, file tables and mapped-access paths.
@@ -42,6 +42,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The host-speed benchmark (bench/host) is a module of its own, so
+# `go test ./...` at the root never builds it; test it separately so a
+# change to the simulator's packages cannot break it unnoticed.
+bench-host-test:
+	cd bench/host && $(GO) test ./...
+
 # End-to-end artifact check: run one quick experiment through the CLI and
 # validate the BENCH_*.json it writes (schema validation runs in-process
 # via TestArtifactSmoke; this exercises the daxbench flag plumbing too).
@@ -52,25 +58,6 @@ smoke:
 	$(GO) test ./internal/bench/ -run TestArtifactSmoke -count=1 >/dev/null && \
 	echo "smoke: BENCH_storage.json written and schema-validated"; \
 	rc=$$?; rm -rf "$$tmp"; exit $$rc
-
-# Scheduler-equivalence gate: run one quick experiment through the CLI
-# under both schedulers and byte-compare the artifacts up to the host
-# block (wall-clock telemetry, serialized last — everything before it is
-# virtual-time payload). The in-process half — all three gate experiments
-# plus a shard-count sweep — runs as TestSchedGate/TestShardSweep in
-# `make test`; this target exercises the -sched/-shards flag plumbing
-# end to end.
-sched-gate:
-	@tmp="$$(mktemp -d)"; rc=0; \
-	DAXVM_GIT_SHA=gate $(GO) run ./cmd/daxbench -quick -metrics-out "$$tmp" ftcost >/dev/null || rc=1; \
-	mv "$$tmp/BENCH_ftcost.json" "$$tmp/seq.json"; \
-	DAXVM_GIT_SHA=gate $(GO) run ./cmd/daxbench -quick -sched shard -shards 4 -metrics-out "$$tmp" ftcost >/dev/null || rc=1; \
-	sed '/"host":/,$$d' "$$tmp/seq.json" > "$$tmp/seq.trim"; \
-	sed '/"host":/,$$d' "$$tmp/BENCH_ftcost.json" > "$$tmp/shard.trim"; \
-	test -s "$$tmp/seq.trim" || rc=1; \
-	cmp "$$tmp/seq.trim" "$$tmp/shard.trim" || rc=1; \
-	rm -rf "$$tmp"; \
-	if [ $$rc -eq 0 ]; then echo "sched-gate: seq and shard artifacts byte-identical"; else echo "sched-gate: FAILED"; fi; exit $$rc
 
 # Perf-regression gate: rerun the gate experiments in quick mode and
 # compare each artifact against the committed baseline. The simulator is

@@ -74,23 +74,3 @@ func exportConflict(compareMode, validateMode bool, firstArg string, exportFlags
 	}
 	return ""
 }
-
-// schedConflict validates the scheduler-selection flags, or returns ""
-// when they are fine. Pure for the same reason exportConflict is: the
-// exit-2 contract is pinned by flags_test.go without exec'ing the binary.
-// The scheduler never changes artifact bytes (enforced by sched-gate), so
-// unlike -nodes/-placement the values are validated but not hashed into
-// config_hash.
-func schedConflict(sched string, shards int, shardsSet bool) string {
-	switch {
-	case sched != "seq" && sched != "shard":
-		return fmt.Sprintf("-sched %q not supported; use seq or shard", sched)
-	case shards < 0:
-		return fmt.Sprintf("-shards must be >= 1 (got %d)", shards)
-	case shardsSet && shards == 0:
-		return "-shards must be >= 1 (got 0)"
-	case shardsSet && sched != "shard":
-		return "-shards only applies with -sched shard"
-	}
-	return ""
-}

@@ -101,35 +101,3 @@ func TestExportConflict(t *testing.T) {
 		})
 	}
 }
-
-func TestSchedConflict(t *testing.T) {
-	cases := []struct {
-		name       string
-		sched      string
-		shards     int
-		shardsSet  bool
-		wantSubstr string
-	}{
-		{name: "seq-default", sched: "seq"},
-		{name: "shard-default-count", sched: "shard"},
-		{name: "shard-explicit-count", sched: "shard", shards: 4, shardsSet: true},
-		{name: "unknown-sched", sched: "parallel", wantSubstr: "not supported"},
-		{name: "negative-shards", sched: "shard", shards: -1, shardsSet: true, wantSubstr: ">= 1"},
-		{name: "zero-shards-explicit", sched: "shard", shards: 0, shardsSet: true, wantSubstr: ">= 1"},
-		{name: "shards-without-shard-sched", sched: "seq", shards: 4, shardsSet: true, wantSubstr: "-sched shard"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			msg := schedConflict(c.sched, c.shards, c.shardsSet)
-			if c.wantSubstr == "" {
-				if msg != "" {
-					t.Fatalf("unexpected conflict: %q", msg)
-				}
-				return
-			}
-			if !strings.Contains(msg, c.wantSubstr) {
-				t.Fatalf("msg %q does not mention %q", msg, c.wantSubstr)
-			}
-		})
-	}
-}

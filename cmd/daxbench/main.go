@@ -87,8 +87,6 @@ func main() {
 	validate := flag.Bool("validate", false, "validate artifact files: daxbench -validate a.json [b.json...]")
 	nodes := flag.Int("nodes", 0, "NUMA node count for topology-aware experiments (0 = experiment default)")
 	placement := flag.String("placement", "", "placement policy for topology-aware experiments: local|remote|interleave|bind:<n>")
-	sched := flag.String("sched", "seq", "virtual-time scheduler: seq (sequential reference) or shard (host-parallel observability; identical artifacts)")
-	shards := flag.Int("shards", 0, "shard count for -sched shard (0 = default)")
 	// Flags may appear before or after experiment ids; flag.CommandLine
 	// exits on parse errors, so the error return is unreachable here.
 	args, _ := parseInterleaved(flag.CommandLine, os.Args[1:])
@@ -139,17 +137,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-placement %q not supported; use local, remote, interleave or bind:<n>\n", *placement)
 		os.Exit(2)
 	}
-	shardsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			shardsSet = true
-		}
-	})
-	if msg := schedConflict(*sched, *shards, shardsSet); msg != "" {
-		fmt.Fprintln(os.Stderr, msg)
-		os.Exit(2)
-	}
-	opts := bench.Options{Quick: *quick, Nodes: *nodes, Placement: *placement, Sched: *sched, Shards: *shards}
+	opts := bench.Options{Quick: *quick, Nodes: *nodes, Placement: *placement}
 	if *verbose {
 		opts.Log = os.Stderr
 	}

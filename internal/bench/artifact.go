@@ -16,21 +16,13 @@ import (
 	"daxvm/internal/obs/timeline"
 )
 
-// ArtifactSchema identifies the current per-experiment JSON artifact
-// format. v2 added provenance (git_sha, config_hash) and the cycle
-// breakdown; v3 added the timeline section and the host telemetry
-// block; v4 added the critical_path and exemplars sections from the
-// span layer; v5 adds the saturation section (per-segment bottleneck
-// reports) and lets an experiment embed sub-segments named
-// "<id>/<suffix>". Older artifacts remain readable (ValidateArtifact
-// accepts v1–v5).
-const (
-	ArtifactSchema   = "daxvm-bench/v5"
-	ArtifactSchemaV4 = "daxvm-bench/v4"
-	ArtifactSchemaV3 = "daxvm-bench/v3"
-	ArtifactSchemaV2 = "daxvm-bench/v2"
-	ArtifactSchemaV1 = "daxvm-bench/v1"
-)
+// ArtifactSchema identifies the per-experiment JSON artifact format:
+// provenance (git_sha, config_hash), the cycle breakdown, the timeline
+// and host telemetry, the span layer's critical_path and exemplars, and
+// the saturation section (per-segment bottleneck reports, with
+// sub-segments named "<id>/<suffix>"). It is the only schema
+// ValidateArtifact accepts; DESIGN.md §6 records how it grew.
+const ArtifactSchema = "daxvm-bench/v5"
 
 // Artifact is the machine-readable outcome of one experiment run, written
 // as BENCH_<id>.json. Metrics mirror Result.Metrics; Snapshot, when
@@ -145,12 +137,6 @@ func gitSHA() string {
 // different machine topologies), so the comparator refuses them.
 // Topology overrides extend the pre-NUMA hash input only when
 // non-default, keeping historical single-node hashes stable.
-//
-// The scheduler selection (-sched/-shards) is deliberately NOT hashed:
-// by construction — and by the sched-gate byte-identity check in CI — it
-// can never change an artifact's numbers, and hashing it would make seq
-// and shard runs incomparable, defeating the very comparison the gate
-// performs. Only inputs that may move numbers belong here.
 func configHash(id string, quick bool, nodes int, placement string) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|quick=%v", id, quick)
@@ -171,10 +157,9 @@ func (a *Artifact) WriteArtifact(w io.Writer) error {
 }
 
 // ValidateArtifact checks raw bytes against the artifact schema:
-// required fields present with the right JSON types, schema id matching
-// (v1–v5), metric values finite numbers, and version-gated sections
-// (timeline/host need v3+, critical_path/exemplars need v4+,
-// saturation needs v5). Hand-rolled — the toolchain has no JSON Schema
+// required fields present with the right JSON types, schema id equal to
+// ArtifactSchema, metric values finite numbers, and each optional
+// section well-formed. Hand-rolled — the toolchain has no JSON Schema
 // validator and the format is small enough not to want one.
 func ValidateArtifact(raw []byte) error {
 	var top map[string]json.RawMessage
@@ -185,10 +170,8 @@ func ValidateArtifact(raw []byte) error {
 	if err := unmarshalField(top, "schema", &schema); err != nil {
 		return err
 	}
-	switch schema {
-	case ArtifactSchema, ArtifactSchemaV4, ArtifactSchemaV3, ArtifactSchemaV2, ArtifactSchemaV1:
-	default:
-		return fmt.Errorf("artifact: schema %q, want one of %q, %q, %q, %q, %q", schema, ArtifactSchema, ArtifactSchemaV4, ArtifactSchemaV3, ArtifactSchemaV2, ArtifactSchemaV1)
+	if schema != ArtifactSchema {
+		return fmt.Errorf("artifact: schema %q, want %q", schema, ArtifactSchema)
 	}
 	var id, title string
 	if err := unmarshalField(top, "id", &id); err != nil {
@@ -208,21 +191,18 @@ func ValidateArtifact(raw []byte) error {
 	if err := unmarshalField(top, "metrics", &metrics); err != nil {
 		return err
 	}
-	if schema != ArtifactSchemaV1 {
-		// v2+ requires provenance.
-		var sha, cfg string
-		if err := unmarshalField(top, "git_sha", &sha); err != nil {
-			return err
-		}
-		if sha == "" {
-			return fmt.Errorf("artifact: empty git_sha")
-		}
-		if err := unmarshalField(top, "config_hash", &cfg); err != nil {
-			return err
-		}
-		if cfg == "" {
-			return fmt.Errorf("artifact: empty config_hash")
-		}
+	var sha, cfg string
+	if err := unmarshalField(top, "git_sha", &sha); err != nil {
+		return err
+	}
+	if sha == "" {
+		return fmt.Errorf("artifact: empty git_sha")
+	}
+	if err := unmarshalField(top, "config_hash", &cfg); err != nil {
+		return err
+	}
+	if cfg == "" {
+		return fmt.Errorf("artifact: empty config_hash")
 	}
 	if snap, ok := top["snapshot"]; ok {
 		var s obs.Snapshot
@@ -236,12 +216,7 @@ func ValidateArtifact(raw []byte) error {
 			return fmt.Errorf("artifact: bad cycle_breakdown: %w", err)
 		}
 	}
-	v3plus := schema == ArtifactSchema || schema == ArtifactSchemaV4 || schema == ArtifactSchemaV3
-	v4plus := schema == ArtifactSchema || schema == ArtifactSchemaV4
 	if tlRaw, ok := top["timeline"]; ok {
-		if !v3plus {
-			return fmt.Errorf("artifact: timeline section requires schema %q or %q, got %q", ArtifactSchema, ArtifactSchemaV3, schema)
-		}
 		var exs []timeline.Export
 		if err := json.Unmarshal(tlRaw, &exs); err != nil {
 			return fmt.Errorf("artifact: bad timeline: %w", err)
@@ -255,9 +230,6 @@ func ValidateArtifact(raw []byte) error {
 		}
 	}
 	if hostRaw, ok := top["host"]; ok {
-		if !v3plus {
-			return fmt.Errorf("artifact: host block requires schema %q or %q, got %q", ArtifactSchema, ArtifactSchemaV3, schema)
-		}
 		var h HostTelemetry
 		if err := json.Unmarshal(hostRaw, &h); err != nil {
 			return fmt.Errorf("artifact: bad host: %w", err)
@@ -267,9 +239,6 @@ func ValidateArtifact(raw []byte) error {
 		}
 	}
 	if cpRaw, ok := top["critical_path"]; ok {
-		if !v4plus {
-			return fmt.Errorf("artifact: critical_path section requires schema %q or %q, got %q", ArtifactSchema, ArtifactSchemaV4, schema)
-		}
 		var classes []span.ClassExport
 		if err := json.Unmarshal(cpRaw, &classes); err != nil {
 			return fmt.Errorf("artifact: bad critical_path: %w", err)
@@ -297,9 +266,6 @@ func ValidateArtifact(raw []byte) error {
 		}
 	}
 	if exRaw, ok := top["exemplars"]; ok {
-		if !v4plus {
-			return fmt.Errorf("artifact: exemplars section requires schema %q or %q, got %q", ArtifactSchema, ArtifactSchemaV4, schema)
-		}
 		var exs map[string][]span.Span
 		if err := json.Unmarshal(exRaw, &exs); err != nil {
 			return fmt.Errorf("artifact: bad exemplars: %w", err)
@@ -316,9 +282,6 @@ func ValidateArtifact(raw []byte) error {
 		}
 	}
 	if satRaw, ok := top["saturation"]; ok {
-		if schema != ArtifactSchema {
-			return fmt.Errorf("artifact: saturation section requires schema %q, got %q", ArtifactSchema, schema)
-		}
 		var reports []bottleneck.Report
 		if err := json.Unmarshal(satRaw, &reports); err != nil {
 			return fmt.Errorf("artifact: bad saturation: %w", err)

@@ -40,14 +40,6 @@ type Options struct {
 	// Placement overrides the default placement policy ("local",
 	// "interleave", "bind:<n>"). Only Topo=true experiments accept it.
 	Placement string
-	// Sched selects the virtual-time scheduler for every kernel the
-	// experiment boots: kernel.SchedSeq (default) or kernel.SchedShard.
-	// Artifact bytes are identical either way — the choice only affects
-	// host-side speed (make sched-gate enforces this).
-	Sched string
-	// Shards is the shard count when Sched is kernel.SchedShard
-	// (0 = kernel default).
-	Shards int
 }
 
 func (o Options) logf(format string, args ...any) {

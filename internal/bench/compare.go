@@ -98,7 +98,7 @@ func CompareArtifacts(oldRaw, newRaw []byte) (*CompareReport, error) {
 	if oa.Quick != na.Quick {
 		return nil, &MismatchError{fmt.Sprintf("quick=%v vs quick=%v", oa.Quick, na.Quick)}
 	}
-	if oa.ConfigHash != "" && na.ConfigHash != "" && oa.ConfigHash != na.ConfigHash {
+	if oa.ConfigHash != na.ConfigHash {
 		return nil, &MismatchError{fmt.Sprintf("config_hash %s vs %s", oa.ConfigHash, na.ConfigHash)}
 	}
 

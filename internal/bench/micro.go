@@ -37,8 +37,6 @@ func boot(o Options, iface wl.Iface, cores int, aged bool, fs kernel.FSKind, mod
 		Obs:         o.Obs,
 		Timeline:    o.Timeline,
 		Spans:       o.Spans,
-		Sched:       o.Sched,
-		Shards:      o.Shards,
 	}
 	if o.Quick {
 		cfg.DeviceBytes = 1 << 30

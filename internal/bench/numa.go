@@ -101,8 +101,6 @@ func runNuma(o Options) *Result {
 				Obs:            o.Obs,
 				Timeline:       o.Timeline,
 				Spans:          o.Spans,
-				Sched:          o.Sched,
-				Shards:         o.Shards,
 			}
 			if o.Quick {
 				cfg.DeviceBytes = 512 << 20

@@ -96,29 +96,6 @@ type Config struct {
 	// the cycle account. Shared across sequentially booted kernels the
 	// same way Obs is.
 	Spans *span.Collector
-	// Sched selects the virtual-time scheduler: SchedSeq (default) is
-	// the sequential reference, SchedShard the sharded scheduler that
-	// offloads observability to host workers. Artifacts are
-	// byte-identical either way (enforced by make sched-gate).
-	Sched string
-	// Shards is the shard count for SchedShard (default min(4, Cores)).
-	Shards int
-}
-
-// Scheduler selector values for Config.Sched.
-const (
-	SchedSeq   = "seq"
-	SchedShard = "shard"
-)
-
-// newEngine builds a virtual-time engine per the config's scheduler
-// selection. Every engine a kernel runs (aging, setup, measured) goes
-// through here so a -sched choice applies to the whole boot.
-func (c Config) newEngine() *sim.Engine {
-	if c.Sched == SchedShard {
-		return sim.NewSharded(c.Shards, c.Cores)
-	}
-	return sim.New()
 }
 
 func (c Config) withDefaults() Config {
@@ -144,19 +121,6 @@ func (c Config) withDefaults() Config {
 		c.CoresPerNode = c.Cores / c.Nodes
 		if c.CoresPerNode == 0 {
 			c.CoresPerNode = 1
-		}
-	}
-	if c.Sched == "" {
-		c.Sched = SchedSeq
-	}
-	if c.Shards == 0 {
-		// Deterministic default — never derived from the host (a
-		// host-core-count default would make artifact bytes depend on
-		// the machine if shard count ever leaked into behaviour; it
-		// must not, but the default should not tempt fate either).
-		c.Shards = 4
-		if c.Cores < 4 {
-			c.Shards = c.Cores
 		}
 	}
 	return c
@@ -202,7 +166,7 @@ func Boot(cfg Config) *Kernel {
 	tp := topo.New(cfg.Nodes, cfg.CoresPerNode)
 	k := &Kernel{
 		Cfg:    cfg,
-		Engine: cfg.newEngine(),
+		Engine: sim.New(),
 		Topo:   tp,
 		Dev:    pmem.New(pmem.Config{Size: cfg.DeviceBytes, TrackPersistence: cfg.TrackPersistence, Topo: tp}),
 		Cpus:   cpu.NewSet(cfg.Cores),
@@ -259,7 +223,7 @@ func Boot(cfg Config) *Kernel {
 		if cfg.AgeConfig != nil {
 			ac = *cfg.AgeConfig
 		}
-		setup := cfg.newEngine()
+		setup := sim.New()
 		k.attachEngine(setup)
 		setup.Go("ager", 0, 0, func(t *sim.Thread) {
 			t.PushAttr("setup.age")
@@ -280,7 +244,7 @@ func Boot(cfg Config) *Kernel {
 // work books under the "setup" attribution root, and the ephemeral engine
 // registers with the hub so attributed cycles still reconcile.
 func (k *Kernel) Setup(fn func(t *sim.Thread)) {
-	e := k.Cfg.newEngine()
+	e := sim.New()
 	k.attachEngine(e)
 	e.Go("setup", 0, 0, func(t *sim.Thread) {
 		t.PushAttr("setup")
@@ -297,15 +261,11 @@ func (k *Kernel) attachEngine(e *sim.Engine) {
 	k.engines = append(k.engines, e)
 	if k.Obs != nil && k.Obs.Cycles != nil {
 		e.SetChargeSink(k.Obs.Cycles.Charge)
-		// Bulk form for the sharded scheduler's workers; the sequential
-		// scheduler ignores it and calls the plain sink per charge.
-		e.SetChargeBulkSink(k.Obs.Cycles.ChargeN)
 		k.Obs.AddEngineTotal(e.TotalCharged)
 		k.Obs.AddEngineEvents(e.Events)
 	}
 	if sp := k.Cfg.Spans; sp != nil {
 		e.SetChargeObserver(sp.Observe)
-		e.SetObsApplier(sp.Apply)
 	}
 	if tl := k.Cfg.Timeline; tl != nil {
 		e.GoSampler("timeline", 0, tl.NextWake, tl.Sample)

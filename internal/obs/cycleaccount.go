@@ -57,29 +57,6 @@ func (a *CycleAccount) Charge(core int, path string, cycles uint64) {
 	a.mu.Unlock()
 }
 
-// ChargeN books a pre-aggregated batch: cycles summed over count charges
-// to the same (core, path). It is the bulk form of Charge used by the
-// sharded scheduler's workers (wire via sim.Engine.SetChargeBulkSink);
-// because the account only ever sums, N single charges and one ChargeN
-// land in the identical state.
-func (a *CycleAccount) ChargeN(core int, path string, cycles, count uint64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	l := a.leaves[path]
-	if l == nil {
-		//lint:ignore hotalloc first charge to a unique path only; steady state hits the map
-		l = &cycleLeaf{byCore: make(map[int]uint64)}
-		a.leaves[path] = l
-	}
-	l.cycles += cycles
-	l.count += count
-	l.byCore[core] += cycles
-	a.total += cycles
-	a.mu.Unlock()
-}
-
 // Total reports all cycles booked so far.
 func (a *CycleAccount) Total() uint64 {
 	if a == nil {
@@ -116,7 +93,7 @@ type CycleLeaf struct {
 }
 
 // CycleSnapshot is a point-in-time reading of the account; it is what the
-// daxvm-bench/v2 artifact embeds as cycle_breakdown.
+// artifact embeds as cycle_breakdown.
 type CycleSnapshot struct {
 	Total  uint64               `json:"total"`
 	Leaves map[string]CycleLeaf `json:"leaves"`

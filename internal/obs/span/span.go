@@ -256,16 +256,6 @@ func (c *Collector) Begin(t *sim.Thread, class string) {
 	if c == nil {
 		return
 	}
-	// On a sharded engine the call is deferred: the scheduler replays it
-	// through Apply in emission order, off the model goroutine. The
-	// timestamp must be captured here — the clock moves on immediately.
-	if t.DeferObs(sim.ObsRecord{Kind: sim.ObsSpanBegin, T: t, Path: class, Now: t.Now()}) {
-		return
-	}
-	c.beginAt(t, class, t.Now())
-}
-
-func (c *Collector) beginAt(t *sim.Thread, class string, now uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ts := c.state(t)
@@ -274,7 +264,7 @@ func (c *Collector) beginAt(t *sim.Thread, class string, now uint64) {
 	n.class = class
 	n.core = t.Core
 	n.seq = c.seq
-	n.start = now
+	n.start = t.Now()
 	//lint:ignore hotalloc span stack: reaches its steady nesting depth after warm-up
 	ts.stack = append(ts.stack, n)
 }
@@ -285,13 +275,6 @@ func (c *Collector) End(t *sim.Thread) {
 	if c == nil {
 		return
 	}
-	if t.DeferObs(sim.ObsRecord{Kind: sim.ObsSpanEnd, T: t, Now: t.Now()}) {
-		return
-	}
-	c.endAt(t, t.Now())
-}
-
-func (c *Collector) endAt(t *sim.Thread, now uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ts := c.state(t)
@@ -300,7 +283,7 @@ func (c *Collector) endAt(t *sim.Thread, now uint64) {
 	}
 	n := ts.stack[len(ts.stack)-1]
 	ts.stack = ts.stack[:len(ts.stack)-1]
-	n.dur = now - n.start
+	n.dur = t.Now() - n.start
 	c.finish(n, ts)
 }
 
@@ -434,13 +417,6 @@ func (c *Collector) Wait(t *sim.Thread, k WaitKind, cycles uint64) {
 	if c == nil || cycles == 0 {
 		return
 	}
-	if t.DeferObs(sim.ObsRecord{Kind: sim.ObsSpanWait, Wait: uint8(k), T: t, Cycles: cycles}) {
-		return
-	}
-	c.waitAt(t, k, cycles)
-}
-
-func (c *Collector) waitAt(t *sim.Thread, k WaitKind, cycles uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cur.waits[k] += cycles
@@ -449,21 +425,6 @@ func (c *Collector) waitAt(t *sim.Thread, k WaitKind, cycles uint64) {
 		return
 	}
 	ts.stack[len(ts.stack)-1].waits[k] += cycles
-}
-
-// Apply consumes one deferred span record from the sharded scheduler's
-// merger (wire via sim.Engine.SetObsApplier). Records arrive in exact
-// emission order, so the collector's internal sequence numbers, exemplar
-// replacements, and segment totals are byte-identical to the inline path.
-func (c *Collector) Apply(rec sim.ObsRecord) {
-	switch rec.Kind {
-	case sim.ObsSpanBegin:
-		c.beginAt(rec.T, rec.Path, rec.Now)
-	case sim.ObsSpanEnd:
-		c.endAt(rec.T, rec.Now)
-	case sim.ObsSpanWait:
-		c.waitAt(rec.T, WaitKind(rec.Wait), rec.Cycles)
-	}
 }
 
 // StartSegment finalizes the current segment (if it saw any spans) and

@@ -11,11 +11,13 @@
 // quantity in the DaxVM paper's scalability experiments — emerge from the
 // model rather than from a formula, while remaining fully deterministic.
 //
-// The ready queue and the observability emission policy live behind the
-// Scheduler interface (sched.go): New builds the sequential reference
-// scheduler, NewSharded the sharded epoch scheduler that offloads
-// charge-sink and span bookkeeping to host worker goroutines (shard.go)
-// while dispatching the model in exactly the same (wakeAt, seq) order.
+// Runnable threads wait in one ready heap ordered by (wakeAt, seq); seq is
+// a unique push stamp, so dispatch order is total. Charge sinks and
+// observers run inline at the charge site, on the running thread. The only
+// host goroutines are the threads themselves, and exactly one runs at a
+// time: usable lookahead between cores is zero (shared PMem token buckets,
+// zero-latency SpinLock handoff), so model execution cannot be spread
+// across host cores (DESIGN.md §4b).
 package sim
 
 import (
@@ -26,7 +28,7 @@ import (
 
 // Engine owns the virtual-time scheduler.
 type Engine struct {
-	sched    Scheduler
+	ready    threadHeap
 	seq      uint64
 	live     int // non-daemon threads still running
 	threads  []*Thread
@@ -44,30 +46,15 @@ type Engine struct {
 	// host-side events/sec speed metric. It never feeds back into
 	// simulated behaviour.
 	events uint64
-	// obsSeq stamps every deferred observability record with its global
-	// emission order. Only the sharded scheduler advances it; the model
-	// side is single-threaded, so no atomics are needed.
-	obsSeq uint64
 	// sink, when set, receives every charge with its attribution path
 	// (see Thread.PushAttr) — the hook the cycle profiler attaches to.
 	sink func(core int, path string, cycles uint64)
-	// bulkSink, when set alongside sink, lets the sharded scheduler
-	// replace per-record sink calls with pre-aggregated (path, core)
-	// partials computed in parallel by the shard workers. The sequential
-	// scheduler ignores it. The aggregate must be addition-commutative
-	// (obs.CycleAccount.ChargeN is), so the final sink state is identical
-	// to per-record application.
-	bulkSink func(core int, path string, cycles, count uint64)
 	// observer, when set, additionally receives every charge together
 	// with the charging thread — the hook the span layer attaches to.
 	// remote marks cycles booked onto this thread by another thread
 	// (AddRemote): they belong to the target's timeline but not to any
 	// operation the target itself is executing.
 	observer func(t *Thread, path string, cycles uint64, remote bool)
-	// applier, when set, receives deferred span records (ObsRecord) in
-	// emission order on sharded engines. Sequential engines never defer,
-	// so Thread.DeferObs reports false and callers take their inline path.
-	applier func(rec ObsRecord)
 	// joined interns parent+"."+label concatenations. Attribution paths
 	// are drawn from a small fixed set, but frames open and charges label
 	// millions of times per run; without interning the resulting garbage
@@ -80,22 +67,9 @@ type Engine struct {
 // stopToken is panicked into parked daemon threads at shutdown.
 type stopToken struct{}
 
-// New creates an empty engine with the sequential reference scheduler.
+// New creates an empty engine.
 func New() *Engine {
-	e := &Engine{done: make(chan struct{})}
-	e.sched = &seqScheduler{e: e}
-	return e
-}
-
-// NewSharded creates an engine whose cores are partitioned into shards
-// (contiguous blocks), each owning its own ready heap and host worker
-// goroutine for observability offload. Model dispatch order — and every
-// artifact byte — is identical to New's sequential scheduler; see
-// shard.go for what does and does not parallelize, and why.
-func NewSharded(shards, cores int) *Engine {
-	e := &Engine{done: make(chan struct{})}
-	e.sched = newShardScheduler(e, shards, cores)
-	return e
+	return &Engine{done: make(chan struct{})}
 }
 
 // Thread is one simulated hardware thread.
@@ -111,12 +85,7 @@ type Thread struct {
 	state   threadState
 	daemon  bool
 	started bool
-	// obsReader marks sampler daemons that read observability state
-	// (cycle-account snapshots): the scheduler forces any deferred
-	// emissions to drain before dispatching one, so a sampled snapshot is
-	// identical to the sequential scheduler's at the same virtual time.
-	obsReader bool
-	fn        func(*Thread)
+	fn      func(*Thread)
 
 	// attr is the attribution-frame stack: each element is the full
 	// dotted path of one open frame ("app.syscall.write", ...). Charges
@@ -175,10 +144,8 @@ func (e *Engine) GoDaemon(name string, core int, start uint64, fn func(*Thread))
 // progress). The sampler charges no cycles and must not touch simulated
 // shared state, so its presence leaves every other thread's timeline
 // bit-identical; it is torn down with the other daemons at shutdown.
-// Samplers are observability readers: on a sharded engine, deferred
-// charge/span records drain before each of their dispatches.
 func (e *Engine) GoSampler(name string, core int, next func(now uint64) uint64, fn func(now uint64)) *Thread {
-	t := e.GoDaemon(name, core, 0, func(t *Thread) {
+	return e.GoDaemon(name, core, 0, func(t *Thread) {
 		for {
 			at := next(t.Now())
 			if at <= t.Now() {
@@ -188,8 +155,6 @@ func (e *Engine) GoSampler(name string, core int, next func(now uint64) uint64, 
 			fn(t.Now())
 		}
 	})
-	t.obsReader = true
-	return t
 }
 
 // Run executes the simulation until every non-daemon thread has exited.
@@ -198,17 +163,13 @@ func (e *Engine) Run() uint64 {
 	if e.live == 0 {
 		return 0
 	}
-	first := e.pop()
+	first := e.ready.pop()
 	if first == nil {
 		panic("sim: no runnable thread")
 	}
 	first.state = stateRunning
 	first.resumeOrStart()
 	<-e.done
-	// Apply every deferred observability record and join the host
-	// workers before the caller reads sinks/observers or reuses them on
-	// another engine.
-	e.sched.stop()
 	if e.panicVal != nil {
 		panic(e.panicVal)
 	}
@@ -285,17 +246,6 @@ func (t *Thread) Now() uint64 { return t.clock }
 // engine (with its attribution path and core) to fn. Pass nil to detach.
 func (e *Engine) SetChargeSink(fn func(core int, path string, cycles uint64)) { e.sink = fn }
 
-// SetChargeBulkSink registers an aggregate form of the charge sink: on a
-// sharded engine, shard workers pre-aggregate deferred charges into
-// (path, core) partials in parallel and fn receives each partial's
-// summed cycles and call count instead of one sink call per charge. fn
-// must be addition-commutative with the plain sink (CycleAccount.ChargeN
-// is), so the final state is identical either way. Sequential engines
-// ignore it. Set it together with SetChargeSink.
-func (e *Engine) SetChargeBulkSink(fn func(core int, path string, cycles, count uint64)) {
-	e.bulkSink = fn
-}
-
 // SetChargeObserver routes every subsequent charge, together with the
 // thread it books onto, to fn (nil detaches). The span layer attaches
 // here: unlike the sink it needs thread identity to resolve the open
@@ -304,16 +254,6 @@ func (e *Engine) SetChargeBulkSink(fn func(core int, path string, cycles, count 
 func (e *Engine) SetChargeObserver(fn func(t *Thread, path string, cycles uint64, remote bool)) {
 	e.observer = fn
 }
-
-// SetObsApplier registers the consumer of deferred span records on a
-// sharded engine (span.Collector.Apply). Records reach fn in exact
-// emission order, merged across shards by their sequence stamps. On a
-// sequential engine fn is never called: Thread.DeferObs reports false
-// and the span layer takes its inline path. A span layer that attaches
-// a charge observer to a sharded engine must register its applier too:
-// observer calls are deferred, so span-stack updates applied inline
-// would otherwise interleave with them out of emission order.
-func (e *Engine) SetObsApplier(fn func(rec ObsRecord)) { e.applier = fn }
 
 // TotalCharged reports the cycles booked through Charge/ChargeAs/AddRemote
 // across all threads so far. Because dispatch clamps idle threads forward
@@ -329,7 +269,7 @@ func (e *Engine) ReadyDepth() int {
 	if e.stopping {
 		return 0
 	}
-	return e.sched.readyDepth()
+	return e.ready.len()
 }
 
 // Events reports the deterministic engine-event count (scheduling pushes
@@ -388,7 +328,7 @@ func (t *Thread) Charge(c uint64) {
 	t.e.charged += c
 	t.e.events++
 	if t.e.sink != nil || t.e.observer != nil {
-		t.e.sched.emitCharge(t, t.AttrPath(), c, false)
+		t.e.emitCharge(t, t.AttrPath(), c, false)
 	}
 }
 
@@ -404,7 +344,7 @@ func (t *Thread) ChargeAs(label string, c uint64) {
 		if n := len(t.attr); n > 0 {
 			p = t.e.join(t.attr[n-1], label)
 		}
-		t.e.sched.emitCharge(t, p, c, false)
+		t.e.emitCharge(t, p, c, false)
 	}
 }
 
@@ -416,17 +356,18 @@ func (t *Thread) AddRemote(path string, c uint64) {
 	t.e.charged += c
 	t.e.events++
 	if t.e.sink != nil || t.e.observer != nil {
-		t.e.sched.emitCharge(t, path, c, true)
+		t.e.emitCharge(t, path, c, true)
 	}
 }
 
-// DeferObs offers an observability record (a span Begin/End/Wait) to the
-// scheduler for deferred in-order application. It reports false on a
-// sequential engine — or when no applier is registered — in which case
-// the caller must apply the record inline itself. Records must capture
-// everything order-sensitive (notably t.Now()) at emission time.
-func (t *Thread) DeferObs(rec ObsRecord) bool {
-	return t.e.sched.deferRecord(rec)
+// emitCharge delivers one charge to the attached sink and observer.
+func (e *Engine) emitCharge(t *Thread, path string, cycles uint64, remote bool) {
+	if e.sink != nil {
+		e.sink(t.Core, path, cycles)
+	}
+	if e.observer != nil {
+		e.observer(t, path, cycles, remote)
+	}
 }
 
 // Yield is a synchronization point: the thread re-enters the ready queue at
@@ -480,7 +421,7 @@ func (e *Engine) Wake(t *Thread, at uint64) {
 // true the calling thread parks until re-dispatched; otherwise the caller
 // is exiting.
 func (e *Engine) dispatchFrom(t *Thread, wait bool) {
-	next := e.pop()
+	next := e.ready.pop()
 	if next == nil {
 		if wait || e.live > 0 {
 			//lint:ignore hotalloc fatal path: the concat only runs when panicking
@@ -489,12 +430,6 @@ func (e *Engine) dispatchFrom(t *Thread, wait bool) {
 		// Exiting last thread with nothing runnable and live==0 was
 		// handled in exit(); reaching here is a bug.
 		panic("sim: scheduler underflow")
-	}
-	if next.obsReader {
-		// An observability reader is about to run: force every deferred
-		// charge/span record to land first so its snapshot reads are
-		// byte-identical to the sequential scheduler's.
-		e.sched.drain()
 	}
 	if next == t {
 		// Fast path: we are still the minimum-clock thread.
@@ -539,8 +474,8 @@ func (t *Thread) resumeOrStart() {
 }
 
 // dump formats the scheduler state for deadlock diagnostics: per thread,
-// its state, its innermost attribution path (what it was doing when it
-// parked) and — on a sharded engine — the shard it dispatches on.
+// its state and its innermost attribution path (what it was doing when it
+// parked).
 func (e *Engine) dump() string {
 	var b strings.Builder
 	ts := append([]*Thread(nil), e.threads...)
@@ -557,11 +492,7 @@ func (e *Engine) dump() string {
 		case stateExited:
 			st = "exited"
 		}
-		fmt.Fprintf(&b, "  %-24s core=%-3d", t.Name, t.Core)
-		if sh := e.sched.shardOf(t.Core); sh >= 0 {
-			fmt.Fprintf(&b, " shard=%-2d", sh)
-		}
-		fmt.Fprintf(&b, " clock=%-12d attr=%-28s %s\n", t.clock, t.AttrPath(), st)
+		fmt.Fprintf(&b, "  %-24s core=%-3d clock=%-12d attr=%-28s %s\n", t.Name, t.Core, t.clock, t.AttrPath(), st)
 	}
 	return b.String()
 }
@@ -584,9 +515,84 @@ func (e *Engine) push(t *Thread) {
 	e.events++
 	t.seq = e.seq
 	t.state = stateReady
-	e.sched.push(t)
+	e.ready.push(t)
 }
 
-func (e *Engine) pop() *Thread {
-	return e.sched.pop()
+// threadHeap is a concrete-typed binary min-heap of threads ordered by
+// (wakeAt, seq). It is concrete-typed because container/heap's Push/Pop
+// box every *Thread through `any` on the hottest scheduler path. seq values are
+// unique (the engine stamps them from a single counter), so the order is
+// total and any correct binary heap pops the identical sequence —
+// swapping the implementation cannot change dispatch order.
+type threadHeap struct {
+	ts []*Thread
+}
+
+func (h *threadHeap) len() int { return len(h.ts) }
+
+func (h *threadHeap) less(i, j int) bool {
+	a, b := h.ts[i], h.ts[j]
+	if a.wakeAt != b.wakeAt {
+		return a.wakeAt < b.wakeAt
+	}
+	return a.seq < b.seq
+}
+
+func (h *threadHeap) swap(i, j int) {
+	h.ts[i], h.ts[j] = h.ts[j], h.ts[i]
+	h.ts[i].index = i
+	h.ts[j].index = j
+}
+
+func (h *threadHeap) push(t *Thread) {
+	t.index = len(h.ts)
+	//lint:ignore hotalloc ready-heap backing array: amortized, reaches steady capacity after warm-up
+	h.ts = append(h.ts, t)
+	h.up(t.index)
+}
+
+func (h *threadHeap) pop() *Thread {
+	n := len(h.ts)
+	if n == 0 {
+		return nil
+	}
+	t := h.ts[0]
+	h.swap(0, n-1)
+	h.ts[n-1] = nil
+	h.ts = h.ts[:n-1]
+	if n > 1 {
+		h.down(0)
+	}
+	t.index = -1
+	return t
+}
+
+func (h *threadHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+func (h *threadHeap) down(i int) {
+	n := len(h.ts)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		m := l
+		if r := l + 1; r < n && h.less(r, l) {
+			m = r
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h.swap(i, m)
+		i = m
+	}
 }

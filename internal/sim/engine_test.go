@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -379,5 +382,105 @@ func TestGoFromRunningThread(t *testing.T) {
 	e.Run()
 	if childClock != 300 {
 		t.Fatalf("child started at %d, want 300", childClock)
+	}
+}
+
+// TestThreadHeapPopOrder pins that the concrete-typed heap pops in
+// ascending (wakeAt, seq) order — seq is unique, so this is a total
+// order and the exact dispatch sequence the engine depends on.
+func TestThreadHeapPopOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var h threadHeap
+	var ts []*Thread
+	for i := 0; i < 500; i++ {
+		th := &Thread{wakeAt: uint64(rng.Intn(50)), seq: uint64(i + 1), index: -1}
+		ts = append(ts, th)
+		h.push(th)
+	}
+	sort.Slice(ts, func(i, j int) bool {
+		if ts[i].wakeAt != ts[j].wakeAt {
+			return ts[i].wakeAt < ts[j].wakeAt
+		}
+		return ts[i].seq < ts[j].seq
+	})
+	for i, want := range ts {
+		got := h.pop()
+		if got != want {
+			t.Fatalf("pop %d: got (wakeAt=%d seq=%d), want (wakeAt=%d seq=%d)",
+				i, got.wakeAt, got.seq, want.wakeAt, want.seq)
+		}
+		if got.index != -1 {
+			t.Fatalf("pop %d: index not reset, got %d", i, got.index)
+		}
+	}
+	if h.pop() != nil {
+		t.Fatal("pop of empty heap should return nil")
+	}
+}
+
+// TestThreadsReturnsCopy pins the aliasing fix: mutating the returned
+// slice must not corrupt the engine's own registry.
+func TestThreadsReturnsCopy(t *testing.T) {
+	e := New()
+	e.Go("a", 0, 0, func(t *Thread) {})
+	e.Go("b", 1, 0, func(t *Thread) {})
+	got := e.Threads()
+	got[0] = nil
+	got = append(got, nil)
+	_ = got
+	again := e.Threads()
+	if len(again) != 2 || again[0] == nil || again[0].Name != "a" {
+		t.Fatalf("engine registry corrupted through Threads(): %+v", again)
+	}
+}
+
+// TestDumpIncludesAttr pins the deadlock dump: each thread line carries
+// its innermost attribution path and what it is blocked on.
+func TestDumpIncludesAttr(t *testing.T) {
+	e := New()
+	e.Go("stuck", 3, 0, func(t *Thread) {
+		t.PushAttr("fs.write")
+		t.Block("nothing")
+	})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected deadlock panic")
+		}
+		msg, _ := r.(string)
+		for _, want := range []string{"attr=fs.write", "blocked on nothing"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("deadlock dump missing %q:\n%v", want, r)
+			}
+		}
+	}()
+	e.Run()
+}
+
+// TestChargeEmitZeroAlloc pins the charge emit path at zero allocations
+// with both a sink and an observer attached: Charge, warm ChargeAs (the
+// joined path is already interned) and AddRemote call them directly.
+func TestChargeEmitZeroAlloc(t *testing.T) {
+	e := New()
+	var sunk, observed uint64
+	e.SetChargeSink(func(core int, path string, cycles uint64) { sunk += cycles })
+	e.SetChargeObserver(func(t *Thread, path string, cycles uint64, remote bool) { observed += cycles })
+	var allocs float64
+	e.Go("t0", 0, 0, func(th *Thread) {
+		th.PushAttr("app")
+		th.ChargeAs("copy", 1) // warm the interned "app.copy" path
+		allocs = testing.AllocsPerRun(100, func() {
+			th.Charge(1)
+			th.ChargeAs("copy", 1)
+			th.AddRemote("shootdown.ipi_handler", 1)
+		})
+		th.PopAttr()
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Fatalf("charge emit path allocates %v times per run, want 0", allocs)
+	}
+	if sunk == 0 || sunk != observed {
+		t.Fatalf("sink saw %d cycles, observer %d: both must see every charge", sunk, observed)
 	}
 }

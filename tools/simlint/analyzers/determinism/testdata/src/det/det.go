@@ -35,28 +35,6 @@ func suppressedGoroutine() {
 	go func() {}()
 }
 
-// shardWorkerPattern mirrors the sharded scheduler's sanctioned host-side
-// concurrency (internal/sim/shard.go): suppressed worker spawns that only
-// drain deferred observability batches over single-channel operations.
-// The model side never spawns; the raw-`go` ban still protects it — an
-// unsuppressed spawn in the same shape is flagged below.
-func shardWorkerPattern(in chan []int, out chan int, done chan struct{}) {
-	//lint:ignore determinism shard host worker: model stays serialized, batches merge in seq order
-	go func() {
-		for b := range in {
-			sum := 0
-			for _, v := range b {
-				sum += v
-			}
-			out <- sum
-		}
-		close(done)
-	}()
-	go func() { // want `raw go statement`
-		<-done
-	}()
-}
-
 func multiSelect(a, b chan int) int {
 	select { // want `select over multiple channels`
 	case v := <-a:
