@@ -1,8 +1,10 @@
 package daxvm
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"daxvm/internal/bench"
@@ -245,6 +247,15 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	sys.Run()
 	if daxCycles == 0 {
 		t.Fatal("no cycles recorded")
+	}
+	var buf bytes.Buffer
+	if err := sys.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, cls := range []string{"syscall.daxvm_mmap", "access"} {
+		if !strings.Contains(buf.String(), `"name":"`+cls+`","cat":"sim","ph":"X"`) {
+			t.Errorf("trace has no %s slice", cls)
+		}
 	}
 }
 

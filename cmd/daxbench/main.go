@@ -11,8 +11,9 @@
 //
 // Observability:
 //
-//	-trace out.json      write a Chrome trace of the run (open in Perfetto;
-//	                     includes timeline counter tracks)
+//	-trace out.json      write a Chrome trace of the run (open in Perfetto):
+//	                     one slice per operation, named by its span class,
+//	                     plus timeline counter tracks
 //	-metrics-out dir     write a BENCH_<id>.json artifact per experiment
 //	-profile-out out.folded  write the cycle profile as folded stacks
 //	                         (feed to flamegraph.pl or speedscope)

@@ -29,6 +29,7 @@ import (
 	"daxvm/internal/mem"
 	"daxvm/internal/mm"
 	"daxvm/internal/obs"
+	"daxvm/internal/obs/span"
 	"daxvm/internal/sim"
 )
 
@@ -127,11 +128,13 @@ type System struct {
 }
 
 // NewSystem boots a machine. Every system carries an observability hub:
-// counters, latency histograms and an event tracer are always wired (the
-// hot-path cost is a few branches), readable via Snapshot and WriteTrace.
+// counters, latency histograms, a span collector and the event tracer it
+// writes every closed span to are always wired (the hot-path cost is a
+// few branches), readable via Snapshot and WriteTrace.
 func NewSystem(cfg Config) *System {
 	k := kernel.Boot(kernel.Config{
 		Obs:         obs.New(cfg.TraceCapacity),
+		Spans:       span.New(0),
 		Cores:       cfg.Cores,
 		DeviceBytes: cfg.DeviceBytes,
 		FS:          cfg.FS,
@@ -171,9 +174,11 @@ func (s *System) Setup(fn func(t *Thread)) { s.K.Setup(fn) }
 func (s *System) Snapshot() Snapshot { return s.K.Obs.Reg.Snapshot() }
 
 // WriteTrace exports the retained event trace as Chrome trace-event JSON,
-// viewable in Perfetto (https://ui.perfetto.dev) or chrome://tracing. One
-// track per simulated core; timestamps are virtual cycles converted to
-// microseconds at the simulated 2.7 GHz clock.
+// viewable in Perfetto (https://ui.perfetto.dev) or chrome://tracing: one
+// slice per operation (syscall, fault, mapped access, shootdown, journal
+// commit, daemon work) named by its span class, one track per simulated
+// core; timestamps are virtual cycles converted to microseconds at the
+// simulated 2.7 GHz clock.
 func (s *System) WriteTrace(w io.Writer) error { return s.K.Obs.Trace.WriteChromeTrace(w) }
 
 // Experiments lists the reproducible experiment ids (tables/figures).

@@ -10,7 +10,7 @@ import (
 	"daxvm/internal/fs/vfs"
 	"daxvm/internal/mem"
 	"daxvm/internal/mm"
-	"daxvm/internal/obs"
+	"daxvm/internal/obs/span"
 	"daxvm/internal/pmem"
 	"daxvm/internal/pt"
 	"daxvm/internal/radix"
@@ -110,9 +110,9 @@ type DaxVM struct {
 	placement topo.Policy
 	ileave    uint64
 
-	// Trace receives DaxVM events (attach/detach, zombie flushes, daemon
-	// batches, monitor migrations); nil = disabled.
-	Trace *obs.Tracer
+	// Spans opens a causal span per zombie flush, pre-zero quantum and
+	// monitor migration; nil = disabled.
+	Spans *span.Collector
 
 	Stats Stats
 }
@@ -360,7 +360,6 @@ func (p *Proc) Mmap(t *sim.Thread, core *cpu.Core, in *vfs.Inode, fileOff, lengt
 	if length == 0 {
 		return 0, fmt.Errorf("daxvm: zero-length mmap")
 	}
-	began := t.Now()
 	d := p.d
 	m := p.MM
 	ft := d.tableFor(t, in, m.FS())
@@ -418,20 +417,7 @@ func (p *Proc) Mmap(t *sim.Thread, core *cpu.Core, in *vfs.Inode, fileOff, lengt
 		//lint:ignore lockdiscipline acquired in the matching branch above
 		m.Sem.Unlock(t, cost.SemReleaseFast)
 	}
-	tag := "attach"
-	if ephemeral {
-		tag = "ephemeral"
-	}
-	d.Trace.Emit(obs.EvDaxvmMmap, coreID(core), began, t.Now()-began, tag, vlen/mem.PageSize)
 	return va + mem.VirtAddr(fileOff-start), nil
-}
-
-// coreID names the trace track for a (possibly nil) core.
-func coreID(c *cpu.Core) int {
-	if c == nil {
-		return 0
-	}
-	return c.ID
 }
 
 // attachPerm strips write when DaxVM dirty tracking (2 MiB-grained)
@@ -472,7 +458,6 @@ func (p *Proc) attachRange(t *sim.Thread, v *mm.VMA, ft *FileTable) {
 // Munmap is daxvm_munmap. Async mappings become zombies; sync mappings
 // detach immediately.
 func (p *Proc) Munmap(t *sim.Thread, core *cpu.Core, va mem.VirtAddr) error {
-	began := t.Now()
 	m := p.MM
 	if v := p.Heap.Lookup(va); v != nil {
 		m.Sem.RLock(t, cost.SemAcquireFast)
@@ -482,7 +467,6 @@ func (p *Proc) Munmap(t *sim.Thread, core *cpu.Core, va mem.VirtAddr) error {
 			p.detachNow(t, core, v)
 		}
 		m.Sem.RUnlock(t, cost.SemReleaseFast)
-		p.d.Trace.Emit(obs.EvDaxvmMunmap, coreID(core), began, t.Now()-began, "ephemeral", 0)
 		return nil
 	}
 	m.Sem.Lock(t, cost.SemAcquireFast)
@@ -502,7 +486,6 @@ func (p *Proc) Munmap(t *sim.Thread, core *cpu.Core, va mem.VirtAddr) error {
 		p.detachEntries(t, core, v, true)
 	}
 	m.Sem.Unlock(t, cost.SemReleaseFast)
-	p.d.Trace.Emit(obs.EvDaxvmMunmap, coreID(core), began, t.Now()-began, "tree", 0)
 	return nil
 }
 
@@ -591,7 +574,6 @@ func (p *Proc) populatedPagesIn(v *mm.VMA) uint64 {
 // flushZombies detaches every zombie with ONE full TLB flush across the
 // process's cores (§IV-C).
 func (p *Proc) flushZombies(t *sim.Thread, core *cpu.Core) {
-	began := t.Now()
 	t.PushAttr("zombie_flush")
 	defer t.PopAttr()
 	p.Heap.lock.Lock(t, cost.SpinLockAcquire)
@@ -603,6 +585,8 @@ func (p *Proc) flushZombies(t *sim.Thread, core *cpu.Core) {
 	if len(zs) == 0 {
 		return
 	}
+	p.d.Spans.Begin(t, "zombie_flush")
+	defer p.d.Spans.End(t)
 	for _, v := range zs {
 		if v.Ephemeral {
 			p.Heap.Unregister(t, v)
@@ -612,7 +596,6 @@ func (p *Proc) flushZombies(t *sim.Thread, core *cpu.Core) {
 	p.d.cpus.Shootdown(t, core, p.MM.Cores(), cpu.ShootFull, nil, 0, 0)
 	p.d.Stats.ZombieBatches++
 	p.d.Stats.ZombiePages += pages
-	p.d.Trace.Emit(obs.EvZombieFlush, coreID(core), began, t.Now()-began, "", pages)
 }
 
 // flushZombiesOf forces zombies of one inode synchronously (truncate

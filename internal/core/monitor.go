@@ -85,11 +85,12 @@ func (m *Monitor) run(t *sim.Thread) {
 // asynchronously volatile tables and walks the process tables to detach
 // the persistent fragments and attach the new volatile").
 func (m *Monitor) migrate(t *sim.Thread) {
-	began := t.Now()
 	t.PushAttr("migrate")
 	defer t.PopAttr()
 	p := m.p
 	d := p.d
+	d.Spans.Begin(t, "daemon.monitor.migrate")
+	defer d.Spans.End(t)
 	migratedAny := false
 	p.MM.Sem.Lock(t, cost.SemAcquireFast)
 	for _, ino := range obs.SortedKeys(d.tables) {
@@ -139,7 +140,6 @@ func (m *Monitor) migrate(t *sim.Thread) {
 		for _, c := range p.MM.Cores() {
 			c.DropPTELines()
 		}
-		d.Trace.Emit(obs.EvMonitorMigrate, t.Core, began, t.Now()-began, "", m.Stats.AvgWalkSample)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"daxvm/internal/cost"
 	"daxvm/internal/fs/vfs"
 	"daxvm/internal/mem"
-	"daxvm/internal/obs"
 	"daxvm/internal/sim"
 )
 
@@ -72,7 +71,7 @@ func (p *Prezeroer) run(t *sim.Thread) {
 	}
 	for {
 		t.Sleep(zeroQuantum)
-		began := t.Now()
+		p.d.Spans.Begin(t, "daemon.prezero")
 		zeroedBefore := p.Stats.Zeroed
 		budget := bytesPerQuantum
 		for c := range p.perCore {
@@ -103,10 +102,10 @@ func (p *Prezeroer) run(t *sim.Thread) {
 			p.perCore[c] = list[done:]
 			p.locks[c].Unlock(t, cost.SpinLockRelease)
 		}
-		if zeroed := p.Stats.Zeroed - zeroedBefore; zeroed > 0 {
+		if p.Stats.Zeroed > zeroedBefore {
 			p.Stats.Batches++
-			p.d.Trace.Emit(obs.EvPrezeroBatch, t.Core, began, t.Now()-began, "", zeroed)
 		}
+		p.d.Spans.End(t)
 	}
 }
 

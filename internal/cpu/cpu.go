@@ -26,9 +26,8 @@ type Set struct {
 	// Topo is the machine's NUMA layout (nil = flat single-node).
 	Topo *topo.Topology
 
-	// Trace receives TLB-shootdown events; Spans opens a causal span
-	// per shootdown with its IPI cost typed as wait. Nil = disabled.
-	Trace *obs.Tracer
+	// Spans opens a causal span per shootdown with its IPI cost typed as
+	// wait. Nil = disabled.
 	Spans *span.Collector
 
 	// In-flight IPI window: ipiInflight remote IPIs have acknowledgement
@@ -315,21 +314,10 @@ const (
 // DaxVM's asynchronous batched unmapping amortizes.
 func (s *Set) Shootdown(t *sim.Thread, initiator *Core, targets []*Core, kind ShootdownKind, pages []mem.VirtAddr, start, end mem.VirtAddr) {
 	t.Yield() // synchronization point: remote clocks are examined
-	began := t.Now()
 	t.PushAttr("shootdown")
 	defer t.PopAttr()
 	s.Spans.Begin(t, "shootdown")
 	defer s.Spans.End(t)
-	var tag string
-	var nPages uint64
-	switch kind {
-	case ShootPages:
-		tag, nPages = "pages", uint64(len(pages))
-	case ShootRange:
-		tag, nPages = "range", uint64((end-start)/mem.PageSize)
-	case ShootFull:
-		tag = "full"
-	}
 	// Local invalidation.
 	applyInval(initiator.TLB, kind, pages, start, end)
 	switch kind {
@@ -341,7 +329,6 @@ func (s *Set) Shootdown(t *sim.Thread, initiator *Core, targets []*Core, kind Sh
 		t.ChargeAs("inval", cost.TLBFlushLocal)
 	}
 	if len(targets) == 0 {
-		s.Trace.Emit(obs.EvShootdown, initiator.ID, began, t.Now()-began, tag, nPages)
 		return
 	}
 	initiator.Stats.IPIsSent++
@@ -386,7 +373,6 @@ func (s *Set) Shootdown(t *sim.Thread, initiator *Core, targets []*Core, kind Sh
 		initiator.Stats.ShootdownWait += cost.IPIAckLatency
 		t.ChargeAs("ipi_wait", cost.IPIAckLatency)
 	}
-	s.Trace.Emit(obs.EvShootdown, initiator.ID, began, t.Now()-began, tag, nPages)
 }
 
 // InflightIPIs reports how many remote shootdown IPIs are still awaiting

@@ -3,7 +3,6 @@ package ext4
 import (
 	"daxvm/internal/cost"
 	"daxvm/internal/mem"
-	"daxvm/internal/obs"
 	"daxvm/internal/obs/span"
 	"daxvm/internal/pmem"
 	"daxvm/internal/sim"
@@ -24,9 +23,8 @@ type Journal struct {
 	pendingBlocks uint64
 	commitHooks   []func(t *sim.Thread)
 
-	// Trace receives journal-commit events; Spans opens a causal span
-	// per commit (see SetSpans). Nil = disabled.
-	Trace *obs.Tracer
+	// Spans opens a causal span per commit (see SetSpans). Nil =
+	// disabled.
 	Spans *span.Collector
 
 	Stats JournalStats
@@ -85,7 +83,6 @@ func (j *Journal) SetSpans(sp *span.Collector) {
 // journal lock, writes the pending metadata blocks to the log with
 // nt-stores and fences.
 func (j *Journal) Commit(t *sim.Thread) {
-	began := t.Now()
 	t.PushAttr("journal.commit")
 	defer t.PopAttr()
 	j.Spans.Begin(t, span.ClassJournalCommit)
@@ -109,7 +106,6 @@ func (j *Journal) Commit(t *sim.Thread) {
 	j.dev.Fence(t)
 	j.Stats.Commits++
 	j.mu.Unlock(t, cost.SemReleaseFast)
-	j.Trace.Emit(obs.EvJournalCommit, t.Core, began, t.Now()-began, "", n)
 }
 
 // Pending reports uncommitted metadata blocks.

@@ -78,10 +78,11 @@ type Config struct {
 	TrackPersistence bool
 	// HugePages toggles baseline DAX huge-page support (default on).
 	HugePagesOff bool
-	// Obs, when set, receives every subsystem's counters, latency
-	// histograms and trace events. May be shared across sequentially
-	// booted kernels (counter readers are re-registered; the trace ring
-	// accumulates).
+	// Obs, when set, receives every subsystem's counters and latency
+	// histograms; its tracer receives one slice per closed span, so
+	// per-operation trace events need Spans too. May be shared across
+	// sequentially booted kernels (counter readers are re-registered; the
+	// trace ring accumulates).
 	Obs *obs.Obs
 	// Timeline, when set, rides a zero-cost sampler daemon on every
 	// engine this kernel runs (aging, setup, measured) and brackets each
@@ -91,9 +92,11 @@ type Config struct {
 	Timeline *timeline.Timeline
 	// Spans, when set, opens a causal span per top-level operation
 	// (syscalls, faults, data-path accesses, journal commits, NOVA log
-	// appends, TLB shootdowns) on every engine this kernel runs, with
-	// typed wait kinds and self-time that reconciles exactly against
-	// the cycle account. Shared across sequentially booted kernels the
+	// appends, TLB shootdowns, DaxVM zombie flushes and daemon work) on
+	// every engine this kernel runs, with typed wait kinds and self-time
+	// that reconciles exactly against the cycle account. Spans are the
+	// only per-operation record: with Obs set, each closed span is also
+	// written to Obs.Trace. Shared across sequentially booted kernels the
 	// same way Obs is.
 	Spans *span.Collector
 }
@@ -196,6 +199,7 @@ func Boot(cfg Config) *Kernel {
 	var hooks *vfs.Hooks
 	if cfg.DaxVM {
 		k.Dax = core.New(cfg.DaxVMConfig, k.Dev, k.Pool, k.Cpus, k.allocator(), k.releaser())
+		k.Dax.Spans = cfg.Spans
 		if tp.Multi() {
 			k.Dax.SetPlacement(topo.MustParsePolicy(cfg.MountPlacement))
 		}
@@ -343,21 +347,11 @@ func (k *Kernel) NewProc() *Proc {
 		}
 	}
 	if k.Obs != nil {
-		p.MM.Trace = k.Obs.Trace
 		p.MM.FaultHist = k.faultHist
 	}
-	p.MM.Spans = k.Cfg.Spans
-	if k.Obs != nil || k.Cfg.Spans != nil {
-		tr := p.MM.Trace
-		sp := k.Cfg.Spans
+	if sp := k.Cfg.Spans; sp != nil {
+		p.MM.Spans = sp
 		p.MM.Sem.OnContended = func(t *sim.Thread, kind string, waitStart, blocked uint64) {
-			// Precomposed tags: this closure runs on the contended fault
-			// path, where a concat would allocate per event.
-			tag := "mmap_sem/read"
-			if kind == "write" {
-				tag = "mmap_sem/write"
-			}
-			tr.Emit(obs.EvLockContention, t.Core, waitStart, t.Now()-waitStart, tag, 0)
 			sp.Wait(t, span.WaitMmapSem, blocked)
 		}
 	}

@@ -10,12 +10,12 @@ import (
 )
 
 // wireObs connects an observability hub to this kernel: the tracer is
-// handed to every event-emitting subsystem and a reader for each legacy
-// Stats counter is registered under a dotted namespace. The hub may be
-// shared across sequentially booted kernels (bench runs many machines):
-// re-registration replaces the readers, so a snapshot always reflects the
-// most recently booted kernel, while the trace ring accumulates events
-// from all of them.
+// attached to the span collector, whose End writes one slice per closed
+// span, and a reader for each legacy Stats counter is registered under a
+// dotted namespace. The hub may be shared across sequentially booted
+// kernels (bench runs many machines): re-registration replaces the
+// readers, so a snapshot always reflects the most recently booted
+// kernel, while the trace ring accumulates events from all of them.
 func (k *Kernel) wireObs(o *obs.Obs) {
 	k.Obs = o
 	// Route every cycle the main engine charges into the hierarchical
@@ -26,13 +26,7 @@ func (k *Kernel) wireObs(o *obs.Obs) {
 	if tr != nil {
 		tr.CyclesPerUsec = float64(cost.CyclesPerUsec)
 	}
-	k.Cpus.Trace = tr
-	if k.Dax != nil {
-		k.Dax.Trace = tr
-	}
-	if f, ok := k.FS.(*ext4FS); ok {
-		f.FS.Journal().Trace = tr
-	}
+	k.Cfg.Spans.SetTracer(tr)
 	if o.Reg == nil {
 		return
 	}

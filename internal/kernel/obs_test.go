@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"testing"
 
+	"daxvm/internal/core"
 	"daxvm/internal/cpu"
 	"daxvm/internal/mem"
 	"daxvm/internal/mm"
 	"daxvm/internal/obs"
+	"daxvm/internal/obs/span"
 	"daxvm/internal/sim"
 )
 
@@ -138,30 +140,50 @@ func TestSnapshotMatchesLegacyStats(t *testing.T) {
 	}
 }
 
-// TestTraceEventsAcrossCores checks the tracer acceptance criteria: the
-// workload must produce several distinct event types spread over more
-// than one core track, and the Chrome export must be valid JSON.
+// TestTraceEventsAcrossCores checks that spans are the tracer's only
+// per-operation source: with the ring unwrapped, every class has exactly
+// as many slices as the collector closed spans, slices land on more than
+// one core track, the instrumented operations all appear, the retired
+// lock-contention events do not, and the Chrome export is valid JSON.
 func TestTraceEventsAcrossCores(t *testing.T) {
 	o := obs.New(0)
-	k := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o})
+	sp := span.New(0)
+	k := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o, Spans: sp})
 	runObsWorkload(t, k)
+	if o.Trace.Dropped() != 0 {
+		t.Fatalf("ring wrapped (%d dropped): counts cannot be compared", o.Trace.Dropped())
+	}
 
-	types := map[string]int{}
+	slices := map[string]uint64{}
 	cores := map[int]bool{}
 	for _, e := range o.Trace.Events() {
-		types[e.Type]++
+		slices[e.Type]++
 		cores[e.Core] = true
 	}
-	if len(types) < 4 {
-		t.Errorf("only %d distinct event types: %v", len(types), types)
+	spans := map[string]uint64{}
+	for _, seg := range sp.Export() {
+		for _, ce := range seg.Classes {
+			spans[ce.Class] += ce.Count
+		}
+	}
+	if len(slices) != len(spans) {
+		t.Errorf("tracer has %d classes, collector %d: %v vs %v", len(slices), len(spans), slices, spans)
+	}
+	for cls, n := range spans {
+		if slices[cls] != n {
+			t.Errorf("class %s: %d slices, %d spans", cls, slices[cls], n)
+		}
 	}
 	if len(cores) < 2 {
-		t.Errorf("events on %d cores, want >= 2", len(cores))
+		t.Errorf("slices on %d cores, want >= 2", len(cores))
 	}
-	for _, want := range []string{obs.EvPageFault, obs.EvMmap, obs.EvShootdown, obs.EvJournalCommit, obs.EvDaxvmMmap} {
-		if types[want] == 0 {
-			t.Errorf("no %s events (have %v)", want, types)
+	for _, want := range []string{"fault.minor", "fault.wp", "syscall.mmap", "syscall.daxvm_mmap", "access", "shootdown", span.ClassJournalCommit} {
+		if slices[want] == 0 {
+			t.Errorf("no %s slices (have %v)", want, slices)
 		}
+	}
+	if slices["lock_contention"] != 0 {
+		t.Errorf("%d lock_contention slices: the contention hook must only book span waits", slices["lock_contention"])
 	}
 
 	var buf bytes.Buffer
@@ -184,7 +206,8 @@ func TestTraceEventsAcrossCores(t *testing.T) {
 // boot while the trace ring keeps accumulating.
 func TestObsSharedAcrossBoots(t *testing.T) {
 	o := obs.New(0)
-	k1 := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o})
+	sp := span.New(0)
+	k1 := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o, Spans: sp})
 	runObsWorkload(t, k1)
 	if o.Reg.Snapshot().Get("mm.mmaps") == 0 {
 		t.Fatal("first kernel registered nothing")
@@ -194,11 +217,99 @@ func TestObsSharedAcrossBoots(t *testing.T) {
 		t.Fatal("first kernel traced nothing")
 	}
 
-	Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o})
+	Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o, Spans: sp})
 	if got := o.Reg.Snapshot().Get("mm.mmaps"); got != 0 {
 		t.Errorf("after reboot mm.mmaps = %d, want 0 (readers must follow the new kernel)", got)
 	}
 	if o.Trace.Len() < eventsAfterFirst {
 		t.Error("reboot discarded trace events")
+	}
+}
+
+// TestDaemonSpans: the DaxVM background work (pre-zero quanta, monitor
+// migrations, batched zombie flushes) opens spans like any foreground
+// operation, so it shows in the critical-path export and as tracer
+// slices, and the span layer still reconciles exactly with the engines.
+func TestDaemonSpans(t *testing.T) {
+	o := obs.New(0)
+	sp := span.New(1)
+	k := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Prezero: true, Monitor: true, Obs: o, Spans: sp})
+	p := k.NewProc()
+	p.Spawn("w", 0, 0, func(th *sim.Thread, c *cpu.Core) {
+		// Freed blocks feed the pre-zero daemon.
+		fd, _ := p.Create(th, "scratch")
+		p.Append(th, fd, make([]byte, 1<<20))
+		p.Close(th, fd)
+		p.Unlink(th, "scratch")
+
+		// One async-unmap batch: 8-page ephemeral mappings until the
+		// zombie pages cross the batch threshold.
+		fd, _ = p.Create(th, "small")
+		p.Append(th, fd, make([]byte, 32<<10))
+		for i := 0; i < 8; i++ {
+			va, err := p.DaxvmMmap(th, c, fd, 0, 32<<10, mem.PermRead, core.FlagEphemeral|core.FlagUnmapAsync)
+			if err != nil {
+				t.Errorf("DaxvmMmap: %v", err)
+				return
+			}
+			p.AccessMapped(th, c, va, 32<<10, KindSum)
+			p.DaxvmMunmap(th, c, va)
+		}
+
+		// Monitor trigger: a file whose 2 MiB chunks are never physically
+		// contiguous (interleaved padding) keeps its tables on PMem, and
+		// random 4 KiB touches make every walk hit them.
+		fd, _ = p.Create(th, "big")
+		pad, _ := p.Create(th, "pad")
+		for i := 0; i < 128; i++ {
+			p.Append(th, fd, make([]byte, 512<<10))
+			p.Append(th, pad, make([]byte, 4096))
+		}
+		size := p.Inode(fd).Size
+		va, err := p.DaxvmMmap(th, c, fd, 0, size, mem.PermRead, core.FlagNoMsync)
+		if err != nil {
+			t.Errorf("DaxvmMmap: %v", err)
+			return
+		}
+		rng := uint64(12345)
+		chunks := size &^ (mem.HugeSize - 1)
+		for i := 0; i < 120_000 && k.Dax.Stats.Migrations == 0; i++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			off := (rng >> 12) % chunks &^ (mem.PageSize - 1)
+			if err := p.MM.Access(th, c, va+mem.VirtAddr(off), 8, false, 0); err != nil {
+				t.Errorf("access: %v", err)
+				return
+			}
+			if i%1000 == 0 {
+				th.Yield() // let the monitor sample
+			}
+		}
+	})
+	k.Run()
+	if k.Dax.Stats.ZombieBatches == 0 || k.Dax.Stats.Migrations == 0 || k.Dax.Prezero().Stats.Zeroed == 0 {
+		t.Fatalf("daemons idle: zombie batches %d, migrations %d, prezeroed %d",
+			k.Dax.Stats.ZombieBatches, k.Dax.Stats.Migrations, k.Dax.Prezero().Stats.Zeroed)
+	}
+
+	spans := map[string]uint64{}
+	for _, seg := range sp.Export() {
+		for _, ce := range seg.Classes {
+			spans[ce.Class] += ce.Count
+		}
+	}
+	slices := map[string]uint64{}
+	for _, e := range o.Trace.Events() {
+		slices[e.Type]++
+	}
+	for _, cls := range []string{"daemon.prezero", "daemon.monitor.migrate", "zombie_flush"} {
+		if spans[cls] == 0 {
+			t.Errorf("no %s spans in the export (have %v)", cls, spans)
+		}
+		if slices[cls] == 0 {
+			t.Errorf("no %s tracer slices (have %v)", cls, slices)
+		}
+	}
+	if got, want := sp.ObservedCycles(), o.EnginesTotal(); got != want {
+		t.Errorf("span layer observed %d cycles, engines charged %d", got, want)
 	}
 }

@@ -91,10 +91,9 @@ type MM struct {
 	// 2 MiB-grained. Set by internal/core.
 	DaxWPFault func(t *sim.Thread, core *cpu.Core, v *VMA, va mem.VirtAddr) error
 
-	// Trace receives VM events (faults, mmap/munmap, msync); FaultHist
-	// records end-to-end fault service latency; Spans opens a causal
-	// span per fault with its wait decomposition. All nil = disabled.
-	Trace     *obs.Tracer
+	// FaultHist records end-to-end fault service latency; Spans opens a
+	// causal span per fault with its wait decomposition. Both nil =
+	// disabled.
 	FaultHist *obs.Histogram
 	Spans     *span.Collector
 
@@ -261,7 +260,6 @@ func (m *MM) Mmap(t *sim.Thread, core *cpu.Core, in *vfs.Inode, fileOff, length 
 	if length == 0 || !mem.IsAligned(fileOff, mem.PageSize) {
 		return 0, fmt.Errorf("mm: bad mmap args off=%d len=%d", fileOff, length)
 	}
-	began := t.Now()
 	t.Charge(cost.MmapFixed)
 	m.Sem.Lock(t, cost.SemAcquireFast)
 	length = mem.AlignedUp(length, mem.PageSize)
@@ -277,16 +275,7 @@ func (m *MM) Mmap(t *sim.Thread, core *cpu.Core, in *vfs.Inode, fileOff, length 
 		m.populateRange(t, core, v, v.Start, v.End)
 	}
 	m.Sem.Unlock(t, cost.SemReleaseFast)
-	m.Trace.Emit(obs.EvMmap, coreID(core), began, t.Now()-began, "", length/mem.PageSize)
 	return va, nil
-}
-
-// coreID names the trace track for a (possibly nil) core.
-func coreID(c *cpu.Core) int {
-	if c == nil {
-		return 0
-	}
-	return c.ID
 }
 
 // populateRange installs clean (write-protected when dirty tracking
@@ -373,13 +362,7 @@ func (m *MM) PageFault(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, write boo
 	err := m.pageFault(t, core, va, write)
 	m.Spans.End(t)
 	t.PopAttr()
-	cycles := t.Now() - began
-	m.FaultHist.Observe(cycles)
-	tag := "read"
-	if write {
-		tag = "write"
-	}
-	m.Trace.Emit(obs.EvPageFault, coreID(core), began, cycles, tag, uint64(va))
+	m.FaultHist.Observe(t.Now() - began)
 	return err
 }
 
@@ -457,9 +440,7 @@ func (m *MM) WPFault(t *sim.Thread, core *cpu.Core, va mem.VirtAddr) error {
 	err := m.wpFault(t, core, va)
 	m.Spans.End(t)
 	t.PopAttr()
-	cycles := t.Now() - began
-	m.FaultHist.Observe(cycles)
-	m.Trace.Emit(obs.EvWPFault, coreID(core), began, cycles, "", uint64(va))
+	m.FaultHist.Observe(t.Now() - began)
 	return err
 }
 
@@ -533,13 +514,11 @@ func (m *MM) makeWritable(t *sim.Thread, va mem.VirtAddr) {
 // POSIX requires (the fine-grained generality DaxVM's ephemeral mappings
 // drop).
 func (m *MM) Munmap(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uint64) error {
-	began := t.Now()
 	t.Charge(cost.MunmapFixed)
 	end := va + mem.VirtAddr(mem.AlignedUp(length, mem.PageSize))
 	m.Sem.Lock(t, cost.SemAcquireFast)
 	err := m.munmapLocked(t, core, va, end)
 	m.Sem.Unlock(t, cost.SemReleaseFast)
-	m.Trace.Emit(obs.EvMunmap, coreID(core), began, t.Now()-began, "", uint64(end-va)/mem.PageSize)
 	return err
 }
 
@@ -702,7 +681,6 @@ func (m *MM) Mprotect(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uin
 // Msync flushes dirty pages of the mapping containing va back to media:
 // walk the radix tags, clwb the data, re-write-protect, commit metadata.
 func (m *MM) Msync(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uint64) error {
-	began := t.Now()
 	t.Charge(cost.FsyncFixed)
 	m.Sem.RLock(t, cost.SemAcquireFast)
 	v := m.FindVMA(t, va)
@@ -750,7 +728,6 @@ func (m *MM) Msync(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uint64
 	m.Stats.MsyncPages += flushed
 	m.Sem.RUnlock(t, cost.SemReleaseFast)
 	m.fs.Fsync(t, in)
-	m.Trace.Emit(obs.EvMsync, coreID(core), began, t.Now()-began, "", flushed)
 	return nil
 }
 

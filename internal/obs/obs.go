@@ -6,11 +6,11 @@
 // event tracer exportable as Chrome trace-event JSON (one track per
 // simulated core, viewable in Perfetto).
 //
-// The package is dependency-free by design: subsystems pass virtual
-// timestamps and core ids explicitly, so every layer of the simulator —
-// sim engine, MMU, TLB, file systems, DaxVM extension — can emit without
-// import cycles. All entry points are nil-receiver safe, so an unwired
-// subsystem pays one branch.
+// The package is dependency-free by design, so every layer of the
+// simulator can import it without cycles. The tracer's writers (the span
+// collector, one slice per closed operation, and the timeline sampler)
+// pass virtual timestamps and core ids explicitly. All entry points are
+// nil-receiver safe, so an unwired subsystem pays one branch.
 package obs
 
 import "sync"

@@ -78,7 +78,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(EvMmap, 0, 0, 0, "", 0) // must not panic
+	tr.Emit("mmap", 0, 0, 0, "", 0) // must not panic
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer not inert")
 	}
@@ -97,7 +97,7 @@ func TestNilSafety(t *testing.T) {
 func TestTracerRing(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 6; i++ {
-		tr.Emit(EvPageFault, i, uint64(i)*10, 1, "", 0)
+		tr.Emit("page_fault", i, uint64(i)*10, 1, "", 0)
 	}
 	if tr.Len() != 4 || tr.Dropped() != 2 {
 		t.Fatalf("len=%d dropped=%d", tr.Len(), tr.Dropped())
@@ -123,8 +123,8 @@ type chromeTrace struct {
 
 func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTracer(16)
-	tr.Emit(EvMmap, 0, 2700, 2700, "", 16)
-	tr.Emit(EvShootdown, 1, 5400, 0, "full", 0)
+	tr.Emit("mmap", 0, 2700, 2700, "", 16)
+	tr.Emit("tlb_shootdown", 1, 5400, 0, "full", 0)
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	for _, e := range ct.TraceEvents {
 		byName[e.Name]++
 	}
-	if byName["thread_name"] != 2 || byName["trace_stats"] != 1 || byName[EvMmap] != 1 || byName[EvShootdown] != 1 {
+	if byName["thread_name"] != 2 || byName["trace_stats"] != 1 || byName["mmap"] != 1 || byName["tlb_shootdown"] != 1 {
 		t.Fatalf("names: %v", byName)
 	}
 	for _, e := range ct.TraceEvents {
@@ -152,12 +152,12 @@ func TestWriteChromeTrace(t *testing.T) {
 		}
 	}
 	for _, e := range ct.TraceEvents {
-		if e.Name == EvMmap {
+		if e.Name == "mmap" {
 			if e.Ph != "X" || e.TS != 1.0 || e.Dur != 1.0 || e.Tid != 0 {
 				t.Fatalf("mmap event wrong: %+v", e)
 			}
 		}
-		if e.Name == EvShootdown {
+		if e.Name == "tlb_shootdown" {
 			if e.Ph != "i" || e.Tid != 1 || e.Args["tag"] != "full" {
 				t.Fatalf("shootdown event wrong: %+v", e)
 			}

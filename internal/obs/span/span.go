@@ -30,6 +30,11 @@
 //   - blocked waits (mmap_sem, journal_flush via lock hooks) are
 //     uncharged park gaps, a subset of Dur − TreeSelf.
 //
+// Spans are the simulator's only per-operation record: with a tracer
+// attached (SetTracer), End writes each closed span to it as one
+// Chrome-trace slice, so the Perfetto timeline and the critical-path
+// tables come from the same Begin/End pair and cannot disagree.
+//
 // Everything here is deterministic: spans live in virtual time, the
 // exemplar reservoir breaks ties by arrival order, and exports sort by
 // class name — two runs of the same binary serialize byte-identically.
@@ -199,6 +204,8 @@ type Collector struct {
 	done []*segment
 
 	free []*node
+
+	tr *obs.Tracer // receives one slice per closed span; nil = none
 }
 
 // New creates a collector keeping at most k exemplar span trees per op
@@ -210,6 +217,19 @@ func New(k int) *Collector {
 		waitCls: map[string]WaitKind{},
 		cur:     &segment{classes: map[string]*classStats{}},
 	}
+}
+
+// SetTracer attaches the Perfetto ring that End writes every closed span
+// to (nil detaches). The slice is named by the span class, sits on the
+// span's core track, spans its virtual-time window, and carries the
+// span's tree self-cycles as its arg.
+func (c *Collector) SetTracer(tr *obs.Tracer) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tr = tr
 }
 
 func (c *Collector) state(t *sim.Thread) *tstate {
@@ -269,8 +289,9 @@ func (c *Collector) Begin(t *sim.Thread, class string) {
 	ts.stack = append(ts.stack, n)
 }
 
-// End closes t's innermost open span. Panics on an unmatched End — an
-// instrumentation bug, like PopAttr without PushAttr.
+// End closes t's innermost open span and emits it to the attached
+// tracer. Panics on an unmatched End — an instrumentation bug, like
+// PopAttr without PushAttr.
 func (c *Collector) End(t *sim.Thread) {
 	if c == nil {
 		return
@@ -284,6 +305,7 @@ func (c *Collector) End(t *sim.Thread) {
 	n := ts.stack[len(ts.stack)-1]
 	ts.stack = ts.stack[:len(ts.stack)-1]
 	n.dur = t.Now() - n.start
+	c.tr.Emit(n.class, n.core, n.start, n.dur, "", n.treeSelf())
 	c.finish(n, ts)
 }
 

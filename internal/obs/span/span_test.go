@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"daxvm/internal/obs"
 	"daxvm/internal/sim"
 )
 
@@ -300,4 +301,68 @@ func TestEndWithoutBegin(t *testing.T) {
 	runOne(c, func(th *sim.Thread) {
 		c.End(th)
 	})
+}
+
+// TestEndEmitsSlice: with a tracer attached, every closed span becomes
+// exactly one slice named by its class, on its core, over its window,
+// carrying its tree self-cycles and no tag.
+func TestEndEmitsSlice(t *testing.T) {
+	c := New(1)
+	tr := obs.NewTracer(16)
+	c.SetTracer(tr)
+	runOne(c, func(th *sim.Thread) {
+		th.Charge(5) // outside any span: no slice
+		c.Begin(th, "outer")
+		th.Charge(10)
+		c.Begin(th, "inner")
+		th.Charge(4)
+		c.End(th)
+		th.Sleep(6)
+		c.End(th)
+	})
+	want := []obs.Event{
+		{TS: 15, Dur: 4, Core: 0, Type: "inner", Arg: 4},
+		{TS: 5, Dur: 20, Core: 0, Type: "outer", Arg: 14},
+	}
+	got := tr.Events()
+	if len(got) != len(want) {
+		t.Fatalf("slices = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("slice %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSpanPathZeroAllocWithTracer pins the warm Begin/Observe/End path at
+// zero allocations with a tracer attached whose ring has wrapped, so the
+// End-to-Emit hand-off is checked at run time, not only by hotalloc.
+func TestSpanPathZeroAllocWithTracer(t *testing.T) {
+	c := New(1)
+	tr := obs.NewTracer(4)
+	c.SetTracer(tr)
+	op := func(th *sim.Thread) {
+		c.Begin(th, "op")
+		th.ChargeAs("bw_stall", 1)
+		c.Begin(th, "inner")
+		th.Charge(1)
+		c.End(th)
+		c.End(th)
+	}
+	var allocs float64
+	runOne(c, func(th *sim.Thread) {
+		th.PushAttr("app")
+		for i := 0; i < 4; i++ {
+			op(th) // warm: class stats, node pool, interned paths, full ring
+		}
+		allocs = testing.AllocsPerRun(100, func() { op(th) })
+		th.PopAttr()
+	})
+	if allocs != 0 {
+		t.Fatalf("span path allocates %v times per run, want 0", allocs)
+	}
+	if tr.Dropped() == 0 {
+		t.Fatal("ring never wrapped: the steady-state emit path went unchecked")
+	}
 }

@@ -9,38 +9,21 @@ import (
 	"sync"
 )
 
-// Event types emitted by the simulator. Kept as strings so the trace and
-// tests read naturally; comparisons are infrequent (export time only).
-const (
-	EvPageFault      = "page_fault"
-	EvWPFault        = "wp_fault"
-	EvMmap           = "mmap"
-	EvMunmap         = "munmap"
-	EvMsync          = "msync"
-	EvDaxvmMmap      = "daxvm_mmap"
-	EvDaxvmMunmap    = "daxvm_munmap"
-	EvShootdown      = "tlb_shootdown"
-	EvJournalCommit  = "journal_commit"
-	EvPrezeroBatch   = "prezero_batch"
-	EvZombieFlush    = "zombie_flush"
-	EvMonitorMigrate = "monitor_migrate"
-	EvLockContention = "lock_contention"
-
-	// EvCounter is a sampled counter value for a Chrome counter track
-	// ("C" phase): Tag names the series, Arg carries the value at TS. The
-	// timeline sampler emits these so Perfetto plots throughput and
-	// contention curves over the same timebase as the event slices.
-	EvCounter = "counter"
-)
+// EvCounter is a sampled counter value for a Chrome counter track ("C"
+// phase): Tag names the series, Arg carries the value at TS. The timeline
+// sampler emits these so Perfetto plots throughput and contention curves
+// over the same timebase as the span slices. Every other event type is a
+// span class, emitted by span.Collector.End.
+const EvCounter = "counter"
 
 // Event is one traced occurrence in virtual time.
 type Event struct {
 	TS   uint64 // virtual start time, cycles
 	Dur  uint64 // duration in cycles (0 = instant)
 	Core int    // simulated core (trace track)
-	Type string // one of the Ev* constants
-	Tag  string // free-form label (lock name, shootdown kind, ...)
-	Arg  uint64 // type-specific payload (pages, blocks, bytes)
+	Type string // a span class ("fault.minor", ...) or EvCounter
+	Tag  string // counter series name; empty on span slices
+	Arg  uint64 // span tree self-cycles, or the counter value
 }
 
 // Tracer is a bounded ring of events. When full it overwrites the oldest,
