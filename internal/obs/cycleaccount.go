@@ -85,6 +85,27 @@ func (a *CycleAccount) Snapshot() CycleSnapshot {
 	return s
 }
 
+// RootCycles returns the cycles booked under each top-level attribution
+// frame: the first dotted component of every leaf path ("app", "setup",
+// "daemon", ...). Roots partition the leaves, so the values sum to Total.
+// Unlike Snapshot it copies no leaf or per-core state.
+func (a *CycleAccount) RootCycles() map[string]uint64 {
+	out := make(map[string]uint64, 8)
+	if a == nil {
+		return out
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for path, l := range a.leaves {
+		root := path
+		if i := strings.IndexByte(path, '.'); i >= 0 {
+			root = path[:i]
+		}
+		out[root] += l.cycles
+	}
+	return out
+}
+
 // CycleLeaf is one attribution path's booked cost.
 type CycleLeaf struct {
 	Cycles uint64         `json:"cycles"`

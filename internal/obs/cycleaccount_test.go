@@ -36,6 +36,11 @@ func TestCycleAccountBooking(t *testing.T) {
 	if got := s.TotalOf("jour"); got != 0 {
 		t.Fatalf("TotalOf must not match partial segments: %d", got)
 	}
+	a.Charge(3, "bare", 4)
+	roots := a.RootCycles()
+	if len(roots) != 3 || roots["app"] != 175 || roots["journal"] != 10 || roots["bare"] != 4 {
+		t.Fatalf("root cycles = %v, want app 175, journal 10, bare 4", roots)
+	}
 }
 
 func TestCycleSnapshotDelta(t *testing.T) {

@@ -128,6 +128,22 @@ func (s HistSnapshot) Quantile(p float64) float64 {
 	return float64(BucketUpper(64)) // unreachable when Buckets sums to Count
 }
 
+// Add sums two readings bucket-wise, joining adjacent window deltas into
+// the delta of the window that covers both; it undoes Delta.
+func (s HistSnapshot) Add(o HistSnapshot) HistSnapshot {
+	out := HistSnapshot{Sum: s.Sum + o.Sum, Count: s.Count + o.Count}
+	if len(s.Buckets)+len(o.Buckets) > 0 {
+		out.Buckets = make(map[int]uint64, len(s.Buckets)+len(o.Buckets))
+		for b, c := range s.Buckets {
+			out.Buckets[b] = c
+		}
+		for b, c := range o.Buckets {
+			out.Buckets[b] += c
+		}
+	}
+	return out
+}
+
 // Delta subtracts prev bucket-wise (the measured window's distribution).
 func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
 	d := HistSnapshot{}

@@ -98,3 +98,27 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		t.Fatalf("buckets sum to %d, count %d", bucketSum, s.Count)
 	}
 }
+
+// Add joins adjacent window deltas: adding a later window back onto the
+// earlier reading gives the later reading, bucket for bucket.
+func TestHistSnapshotAddUndoesDelta(t *testing.T) {
+	h := &Histogram{}
+	h.Observe(0)
+	h.Observe(700)
+	s1 := h.Snapshot()
+	h.Observe(700)
+	h.Observe(5)
+	s2 := h.Snapshot()
+	got := s1.Add(s2.Delta(s1))
+	if got.Count != s2.Count || got.Sum != s2.Sum || len(got.Buckets) != len(s2.Buckets) {
+		t.Fatalf("s1 + (s2 - s1) = %+v, want %+v", got, s2)
+	}
+	for b, c := range s2.Buckets {
+		if got.Buckets[b] != c {
+			t.Fatalf("bucket %d = %d, want %d", b, got.Buckets[b], c)
+		}
+	}
+	if e := (HistSnapshot{}).Add(HistSnapshot{}); e.Buckets != nil || e.Count != 0 {
+		t.Fatalf("empty + empty = %+v", e)
+	}
+}

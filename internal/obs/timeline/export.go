@@ -43,6 +43,13 @@ type HistPoint struct {
 	Count uint64  `json:"count"`
 	P50   float64 `json:"p50"`
 	P99   float64 `json:"p99"`
+	// window is the bucket delta the point summarizes, kept so coalescing
+	// can sum two windows and re-read the quantiles.
+	window obs.HistSnapshot
+}
+
+func histPoint(w obs.HistSnapshot) HistPoint {
+	return HistPoint{Count: w.Count, P50: w.Quantile(0.50), P99: w.Quantile(0.99), window: w}
 }
 
 // GaugePoint accumulates one gauge's instantaneous readings over an
@@ -61,7 +68,8 @@ type RunMark struct {
 }
 
 // Export returns every finished segment plus the in-progress one. It does
-// not end the current segment, so it may be called repeatedly.
+// not end the current segment, so it may be called repeatedly; intervals
+// it has returned never change afterwards.
 func (tl *Timeline) Export() []Export {
 	if tl == nil {
 		return nil
@@ -69,59 +77,13 @@ func (tl *Timeline) Export() []Export {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	out := append([]Export(nil), tl.done...)
-	if s := tl.cur; s != nil && (len(s.intervals) > 0 || len(s.runs) > 0) {
-		out = append(out, exportSegment(s))
+	if s := tl.cur; s != nil && (len(s.Intervals) > 0 || len(s.Runs) > 0) {
+		ex := s.Export
+		ex.Intervals = append(make([]Interval, 0, len(ex.Intervals)), ex.Intervals...)
+		ex.Runs = append([]RunMark(nil), ex.Runs...)
+		out = append(out, ex)
 	}
 	return out
-}
-
-// exportSegment converts in-progress state to artifact form.
-func exportSegment(s *segment) Export {
-	ex := Export{
-		Segment:        s.id,
-		IntervalCycles: s.period,
-		Intervals:      make([]Interval, 0, len(s.intervals)),
-		Runs:           append([]RunMark(nil), s.runs...),
-	}
-	for _, iv := range s.intervals {
-		out := Interval{Start: iv.start, End: iv.end, Cycles: iv.cyc.Total}
-		for name, v := range iv.reg.Counters {
-			if v == 0 {
-				continue
-			}
-			if out.Counters == nil {
-				out.Counters = make(map[string]uint64)
-			}
-			out.Counters[name] = v
-		}
-		for name, h := range iv.reg.Hists {
-			if h.Count == 0 {
-				continue
-			}
-			if out.Hists == nil {
-				out.Hists = make(map[string]HistPoint)
-			}
-			out.Hists[name] = HistPoint{Count: h.Count, P50: h.Quantile(0.50), P99: h.Quantile(0.99)}
-		}
-		for path, l := range iv.cyc.Leaves {
-			if out.Attr == nil {
-				out.Attr = make(map[string]uint64)
-			}
-			out.Attr[attrRoot(path)] += l.Cycles
-		}
-		out.GaugeSamples = iv.gaugeSamples
-		for name, g := range iv.gauges {
-			if g.sum == 0 && g.max == 0 {
-				continue
-			}
-			if out.Gauges == nil {
-				out.Gauges = make(map[string]GaugePoint)
-			}
-			out.Gauges[name] = GaugePoint{Sum: g.sum, Max: g.max}
-		}
-		ex.Intervals = append(ex.Intervals, out)
-	}
-	return ex
 }
 
 // WriteCSV writes the exports in tidy (long) form —

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -39,6 +40,76 @@ func buildGoldenTimeline() *Timeline {
 	cyc.Charge(0, "app.other", 11)
 	tl.FlushRun("run-b", 16)
 	return tl
+}
+
+// buildCoalescingTimeline drives every path that merges windows:
+// adaptive coalescing of an odd interval count (the last window stays
+// unmerged), the zero-width flush fold, empty windows, a second run on
+// the same segment axis,
+// gauges (one always zero), a counter that never moves, three roots
+// charged on four cores and a histogram spread over many buckets.
+func buildCoalescingTimeline() *Timeline {
+	reg := obs.NewRegistry()
+	var ops, idle uint64
+	reg.Counter("test.ops", func() uint64 { return ops })
+	reg.Counter("test.idle", func() uint64 { return idle })
+	h := reg.Histogram("test.lat")
+	cyc := obs.NewCycleAccount()
+	tl := New(reg, cyc, Config{BaseInterval: 16, MaxIntervals: 4})
+	var depth uint64
+	tl.Gauge("test.queue", func(uint64) uint64 { return depth })
+	tl.Gauge("test.zero", func(uint64) uint64 { return 0 })
+
+	tl.StartSegment("coalesce")
+	for run := 0; run < 2; run++ {
+		var now uint64
+		for i := 0; i < 23+run*9; i++ {
+			if i%7 != 6 {
+				cyc.Charge(i%4, "app.work", uint64(7+i))
+				if i%3 == 0 {
+					cyc.Charge(1, "daemon.prezero.zero", 5)
+				}
+				if i%5 == 0 {
+					cyc.Charge(2, "setup.mkfs", 2)
+				}
+				ops += uint64(i % 3)
+				h.Observe(uint64(1) << (i % 13))
+			}
+			depth = uint64(i % 4)
+			now = tl.NextWake(now)
+			tl.Sample(now)
+		}
+		// Booked at the instant of the last sample: folds into the last
+		// interval.
+		cyc.Charge(0, "app.tail", 3)
+		h.Observe(9000)
+		tl.FlushRun("run", now)
+	}
+	return tl
+}
+
+// TestExportJSONGolden pins the exported intervals of the coalescing
+// scenario byte for byte, so a change to how windows are recorded or
+// merged shows up as a diff. Regenerate with
+// `go test ./internal/obs/timeline -run ExportJSONGolden -update-golden`.
+func TestExportJSONGolden(t *testing.T) {
+	got, err := json.MarshalIndent(buildCoalescingTimeline().Export(), "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "coalesce.json.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("export diverges from %s:\n%s", golden, got)
+	}
 }
 
 // TestWriteCSVGolden pins the exact CSV bytes — header, column order,

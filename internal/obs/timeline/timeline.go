@@ -1,7 +1,8 @@
 // Package timeline is the virtual-time interval sampler: a daemon thread
 // (sim.Engine.GoSampler) wakes every period cycles and records the window
 // delta of every registered counter, each latency histogram, and the
-// cycle-attribution profile since the previous sample. Sampling reads
+// cycles booked under each attribution root since the previous sample,
+// stored as the Interval the export carries. Sampling reads
 // snapshots only — it charges zero cycles and mutates no simulated state —
 // so a run with a timeline attached produces bit-identical metrics to one
 // without.
@@ -22,7 +23,6 @@ package timeline
 
 import (
 	"sort"
-	"strings"
 	"sync"
 
 	"daxvm/internal/obs"
@@ -76,32 +76,16 @@ type gaugeEntry struct {
 	fn    func(now uint64) uint64
 }
 
-// segment is one experiment's in-progress timeline.
+// segment is one experiment's in-progress timeline. It is built in its
+// export form: each closed window is stored as the Interval the artifact
+// carries, and its IntervalCycles is the current sampling period.
 type segment struct {
-	id           string
-	period       uint64
+	Export
 	offset       uint64 // absolute segment time of the current run's local zero
 	lastBoundary uint64 // absolute time of the last sample
-	intervals    []interval
-	runs         []RunMark
 	prevReg      obs.Snapshot
-	prevCyc      obs.CycleSnapshot
+	prevRoots    map[string]uint64 // obs.CycleAccount.RootCycles at the last sample
 }
-
-// interval holds one window's deltas (not absolute readings), plus the
-// instantaneous gauge readings taken at sampler wakes that landed inside
-// the window (sum and max across gaugeSamples wakes, so the mean
-// survives coalescing).
-type interval struct {
-	start, end   uint64
-	reg          obs.Snapshot
-	cyc          obs.CycleSnapshot
-	gauges       map[string]gaugeAcc
-	gaugeSamples uint64
-}
-
-// gaugeAcc accumulates one gauge's readings inside one interval.
-type gaugeAcc struct{ sum, max uint64 }
 
 // New creates a timeline sampling reg and cyc. Zero-value Config fields
 // take the package defaults.
@@ -154,21 +138,22 @@ func (tl *Timeline) StartSegment(id string) {
 }
 
 func (tl *Timeline) newSegment(id string) *segment {
+	// Intervals starts non-nil so a segment with runs but no activity
+	// exports "intervals": [], not null.
 	return &segment{
-		id:      id,
-		period:  tl.cfg.BaseInterval,
-		prevReg: tl.reg.Snapshot(),
-		prevCyc: tl.cyc.Snapshot(),
+		Export:    Export{Segment: id, IntervalCycles: tl.cfg.BaseInterval, Intervals: []Interval{}},
+		prevReg:   tl.reg.Snapshot(),
+		prevRoots: tl.cyc.RootCycles(),
 	}
 }
 
 func (tl *Timeline) finishLocked() {
 	s := tl.cur
 	tl.cur = nil
-	if s == nil || (len(s.intervals) == 0 && len(s.runs) == 0) {
+	if s == nil || (len(s.Intervals) == 0 && len(s.Runs) == 0) {
 		return
 	}
-	tl.done = append(tl.done, exportSegment(s))
+	tl.done = append(tl.done, s.Export)
 }
 
 // ensureLocked lazily opens an unnamed segment so a kernel booted without
@@ -190,9 +175,9 @@ func (tl *Timeline) NextWake(now uint64) uint64 {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	s := tl.ensureLocked()
-	next := s.lastBoundary + s.period
+	next := s.lastBoundary + s.IntervalCycles
 	if abs := s.offset + now; next <= abs {
-		next = abs + s.period
+		next = abs + s.IntervalCycles
 	}
 	return next - s.offset
 }
@@ -227,63 +212,67 @@ func (tl *Timeline) FlushRun(label string, localEnd uint64) {
 	abs := s.offset + localEnd
 	tl.recordLocked(s, abs, localEnd, false)
 	if abs > s.offset {
-		s.runs = append(s.runs, RunMark{Label: label, Start: s.offset, End: abs})
+		s.Runs = append(s.Runs, RunMark{Label: label, Start: s.offset, End: abs})
 	}
 	s.offset = abs
 	s.lastBoundary = abs
 }
 
 // recordLocked closes the interval [s.lastBoundary, abs): it diffs the
-// current snapshots against the previous sample, emits counter-track trace
-// events at the engine-local timestamp, and appends the interval. Empty
-// windows advance the boundary without appending; a zero-width flush tail
-// (work booked at the exact sample time after the sampler ran) folds into
-// the previous interval so no cycles are lost. When sample is true (a
-// sampler wake, not a run flush) every registered gauge is read at the
+// registry and the per-root cycle totals against the previous sample,
+// emits counter-track trace events at the engine-local timestamp, and
+// appends the window in export form, zero entries pruned. Empty windows
+// advance the boundary without appending; a zero-width flush tail (work
+// booked at the exact sample time after the sampler ran) folds into the
+// previous interval so no cycles are lost. When sample is true (a sampler
+// wake, not a run flush) every registered gauge is read at the
 // engine-local instant; readings in empty windows are dropped with the
 // window, so per-interval means only average instants where work ran.
 func (tl *Timeline) recordLocked(s *segment, abs, local uint64, sample bool) {
-	curReg := tl.reg.Snapshot()
-	curCyc := tl.cyc.Snapshot()
-	dReg := curReg.Delta(s.prevReg)
-	dCyc := curCyc.Delta(s.prevCyc)
-	s.prevReg = curReg
-	s.prevCyc = curCyc
-	sampledGauges := sample && len(tl.gauges) > 0
-	if sampledGauges {
-		for i := range tl.gauges {
-			tl.gaugeVals[i] = tl.gauges[i].fn(local)
+	reg := tl.reg.Snapshot()
+	roots := tl.cyc.RootCycles()
+	d := reg.Delta(s.prevReg)
+	iv := Interval{Start: s.lastBoundary, End: abs}
+	for root, v := range roots {
+		if p := s.prevRoots[root]; v > p {
+			iv.Attr = put(iv.Attr, root, v-p)
+			iv.Cycles += v - p
 		}
 	}
-	tl.emitTracks(local, dCyc, dReg, sampledGauges)
-	if emptyDelta(dReg, dCyc) {
+	s.prevReg, s.prevRoots = reg, roots
+	for name, v := range d.Counters {
+		if v != 0 {
+			iv.Counters = put(iv.Counters, name, v)
+		}
+	}
+	for name, h := range d.Hists {
+		if h.Count != 0 {
+			iv.Hists = put(iv.Hists, name, histPoint(h))
+		}
+	}
+	sampledGauges := sample && len(tl.gauges) > 0
+	if sampledGauges {
+		iv.GaugeSamples = 1
+		for i, g := range tl.gauges {
+			v := g.fn(local)
+			tl.gaugeVals[i] = v
+			if v != 0 {
+				iv.Gauges = put(iv.Gauges, g.name, GaugePoint{Sum: v, Max: v})
+			}
+		}
+	}
+	tl.emitTracks(local, iv.Cycles, d.Counters, sampledGauges)
+	if iv.Cycles == 0 && len(iv.Counters) == 0 && len(iv.Hists) == 0 {
 		s.lastBoundary = abs
 		return
 	}
-	var g map[string]gaugeAcc
-	var gSamples uint64
-	if sampledGauges {
-		g = make(map[string]gaugeAcc, len(tl.gauges))
-		for i := range tl.gauges {
-			v := tl.gaugeVals[i]
-			g[tl.gauges[i].name] = gaugeAcc{sum: v, max: v}
-		}
-		gSamples = 1
-	}
-	if abs == s.lastBoundary && len(s.intervals) > 0 {
-		last := &s.intervals[len(s.intervals)-1]
-		last.reg = mergeReg(last.reg, dReg)
-		last.cyc = mergeCyc(last.cyc, dCyc)
-		last.gauges = mergeGauges(last.gauges, g)
-		last.gaugeSamples += gSamples
+	if n := len(s.Intervals); abs == s.lastBoundary && n > 0 {
+		s.Intervals[n-1] = s.Intervals[n-1].merge(iv)
 		return
 	}
-	s.intervals = append(s.intervals, interval{
-		start: s.lastBoundary, end: abs, reg: dReg, cyc: dCyc,
-		gauges: g, gaugeSamples: gSamples,
-	})
+	s.Intervals = append(s.Intervals, iv)
 	s.lastBoundary = abs
-	if len(s.intervals) > tl.cfg.MaxIntervals {
+	if len(s.Intervals) > tl.cfg.MaxIntervals {
 		s.coalesce()
 	}
 }
@@ -293,14 +282,14 @@ func (tl *Timeline) recordLocked(s *segment, abs, local uint64, sample bool) {
 // order), never a map range. Gauge tracks carry instantaneous readings,
 // not window deltas, and interleave with the event slices on the same
 // engine-local timebase.
-func (tl *Timeline) emitTracks(local uint64, dCyc obs.CycleSnapshot, dReg obs.Snapshot, sampledGauges bool) {
+func (tl *Timeline) emitTracks(local, cycles uint64, counters map[string]uint64, sampledGauges bool) {
 	tr := tl.cfg.Tracer
 	if tr == nil {
 		return
 	}
-	tr.Emit(obs.EvCounter, 0, local, 0, "cycles", dCyc.Total)
+	tr.Emit(obs.EvCounter, 0, local, 0, "cycles", cycles)
 	for _, name := range tl.cfg.TrackCounters {
-		if v, ok := dReg.Counters[name]; ok {
+		if v, ok := counters[name]; ok {
 			tr.Emit(obs.EvCounter, 0, local, 0, name, v)
 		}
 	}
@@ -313,130 +302,65 @@ func (tl *Timeline) emitTracks(local uint64, dCyc obs.CycleSnapshot, dReg obs.Sn
 
 // coalesce merges adjacent interval pairs and doubles the period.
 func (s *segment) coalesce() {
-	merged := make([]interval, 0, (len(s.intervals)+1)/2)
-	for i := 0; i+1 < len(s.intervals); i += 2 {
-		a, b := s.intervals[i], s.intervals[i+1]
-		merged = append(merged, interval{
-			start:        a.start,
-			end:          b.end,
-			reg:          mergeReg(a.reg, b.reg),
-			cyc:          mergeCyc(a.cyc, b.cyc),
-			gauges:       mergeGauges(a.gauges, b.gauges),
-			gaugeSamples: a.gaugeSamples + b.gaugeSamples,
-		})
+	merged := make([]Interval, 0, (len(s.Intervals)+1)/2)
+	for i := 0; i+1 < len(s.Intervals); i += 2 {
+		merged = append(merged, s.Intervals[i].merge(s.Intervals[i+1]))
 	}
-	if len(s.intervals)%2 == 1 {
-		merged = append(merged, s.intervals[len(s.intervals)-1])
+	if len(s.Intervals)%2 == 1 {
+		merged = append(merged, s.Intervals[len(s.Intervals)-1])
 	}
-	s.intervals = merged
-	s.period *= 2
+	s.Intervals = merged
+	s.IntervalCycles *= 2
 }
 
-// emptyDelta reports whether the window saw no activity at all.
-func emptyDelta(dReg obs.Snapshot, dCyc obs.CycleSnapshot) bool {
-	if dCyc.Total != 0 {
-		return false
+// merge returns the window covering a then b: deltas and gauge sums add,
+// gauge maxima take the larger, and histogram quantiles are re-read from
+// the summed bucket windows. It builds new maps and leaves a and b as they
+// were, so an interval Export has already handed out never changes.
+func (a Interval) merge(b Interval) Interval {
+	return Interval{
+		Start:    a.Start,
+		End:      b.End,
+		Cycles:   a.Cycles + b.Cycles,
+		Counters: mergeMaps(a.Counters, b.Counters, sum),
+		Hists: mergeMaps(a.Hists, b.Hists, func(x, y HistPoint) HistPoint {
+			return histPoint(x.window.Add(y.window))
+		}),
+		Attr: mergeMaps(a.Attr, b.Attr, sum),
+		Gauges: mergeMaps(a.Gauges, b.Gauges, func(x, y GaugePoint) GaugePoint {
+			return GaugePoint{Sum: x.Sum + y.Sum, Max: max(x.Max, y.Max)}
+		}),
+		GaugeSamples: a.GaugeSamples + b.GaugeSamples,
 	}
-	for _, v := range dReg.Counters {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, h := range dReg.Hists {
-		if h.Count != 0 {
-			return false
-		}
-	}
-	return true
 }
 
-// mergeReg sums two window deltas.
-func mergeReg(a, b obs.Snapshot) obs.Snapshot {
-	m := obs.Snapshot{
-		Counters: make(map[string]uint64, len(a.Counters)),
-		Hists:    make(map[string]obs.HistSnapshot, len(a.Hists)),
-	}
-	for k, v := range a.Counters {
-		m.Counters[k] = v
-	}
-	for k, v := range b.Counters {
-		m.Counters[k] += v
-	}
-	for k, h := range a.Hists {
-		m.Hists[k] = h
-	}
-	for k, h := range b.Hists {
-		m.Hists[k] = mergeHist(m.Hists[k], h)
-	}
-	return m
-}
+func sum(x, y uint64) uint64 { return x + y }
 
-// mergeHist sums two histogram window deltas bucket-wise.
-func mergeHist(a, b obs.HistSnapshot) obs.HistSnapshot {
-	out := obs.HistSnapshot{Sum: a.Sum + b.Sum, Count: a.Count + b.Count}
-	if len(a.Buckets)+len(b.Buckets) > 0 {
-		out.Buckets = make(map[int]uint64, len(a.Buckets))
-		for k, v := range a.Buckets {
-			out.Buckets[k] = v
-		}
-		for k, v := range b.Buckets {
-			out.Buckets[k] += v
-		}
+// mergeMaps joins two windows' maps, combining a key present in both
+// with add. Two empty maps join to nil, which the export omits.
+func mergeMaps[V any](a, b map[string]V, add func(x, y V) V) map[string]V {
+	if len(a)+len(b) == 0 {
+		return nil
 	}
-	return out
-}
-
-// mergeGauges combines two intervals' gauge accumulations: sums add
-// (preserving the mean across gaugeSamples) and maxima take the larger.
-func mergeGauges(a, b map[string]gaugeAcc) map[string]gaugeAcc {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make(map[string]gaugeAcc, len(a))
+	out := make(map[string]V, len(a)+len(b))
 	for k, v := range a {
 		out[k] = v
 	}
 	for k, v := range b {
-		acc := out[k]
-		acc.sum += v.sum
-		if v.max > acc.max {
-			acc.max = v.max
+		if x, ok := out[k]; ok {
+			v = add(x, v)
 		}
-		out[k] = acc
+		out[k] = v
 	}
 	return out
 }
 
-// mergeCyc sums two cycle-profile window deltas leaf-wise.
-func mergeCyc(a, b obs.CycleSnapshot) obs.CycleSnapshot {
-	out := obs.CycleSnapshot{Total: a.Total + b.Total, Leaves: make(map[string]obs.CycleLeaf, len(a.Leaves))}
-	for p, l := range a.Leaves {
-		out.Leaves[p] = l
+// put sets m[k] = v, making m on first use so a window without entries
+// keeps a nil map.
+func put[V any](m map[string]V, k string, v V) map[string]V {
+	if m == nil {
+		m = make(map[string]V)
 	}
-	for p, l := range b.Leaves {
-		acc := out.Leaves[p]
-		acc.Cycles += l.Cycles
-		acc.Count += l.Count
-		if len(l.ByCore) > 0 {
-			if acc.ByCore == nil {
-				acc.ByCore = make(map[int]uint64, len(l.ByCore))
-			}
-			for c, v := range l.ByCore {
-				acc.ByCore[c] += v
-			}
-		}
-		out.Leaves[p] = acc
-	}
-	return out
-}
-
-// attrRoot returns the top-level component of a dotted attribution path.
-func attrRoot(path string) string {
-	if i := strings.IndexByte(path, '.'); i >= 0 {
-		return path[:i]
-	}
-	return path
+	m[k] = v
+	return m
 }

@@ -1,6 +1,9 @@
 package timeline
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -49,8 +52,8 @@ func TestIntervalsReconcileAndCoalesce(t *testing.T) {
 		cycles += iv.Cycles
 		opsSum += iv.Counters["test.ops"]
 		hcount += iv.Hists["test.lat"].Count
-		if app := iv.Attr["app"]; iv.Cycles > 0 && app == 0 {
-			t.Fatalf("interval missing app attribution: %+v", iv)
+		if iv.Attr["app"] == 0 || iv.Attr["app"]+iv.Attr["fault"] != iv.Cycles {
+			t.Fatalf("interval attribution does not sum to its cycles: %+v", iv)
 		}
 	}
 	if cycles != cyc.Total() {
@@ -203,5 +206,70 @@ func TestCounterTracks(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `"ph":"C"`) {
 		t.Fatalf("chrome trace missing counter phase:\n%s", sb.String())
+	}
+}
+
+// A sampler wake reads the cycle account by root, so what it allocates
+// does not grow with the number of attribution leaves or the cores they
+// are charged on.
+func TestSampleAllocsIndependentOfLeaves(t *testing.T) {
+	allocs := func(leaves int) float64 {
+		reg := obs.NewRegistry()
+		cyc := obs.NewCycleAccount()
+		for i := 0; i < leaves; i++ {
+			for c := 0; c < 16; c++ {
+				cyc.Charge(c, fmt.Sprintf("app.leaf%d", i), 1)
+			}
+		}
+		tl := New(reg, cyc, Config{BaseInterval: 16, MaxIntervals: 1 << 20})
+		tl.StartSegment("s")
+		var now uint64
+		return testing.AllocsPerRun(100, func() {
+			cyc.Charge(0, "app.leaf0", 1)
+			now += 16
+			tl.Sample(now)
+		})
+	}
+	if few, many := allocs(1), allocs(256); many != few {
+		t.Fatalf("allocs per sample: %v over 1 leaf, %v over 256 leaves on 16 cores", few, many)
+	}
+}
+
+// Intervals Export has returned stay as they were while the segment goes
+// on coalescing and folding flush tails into its last window.
+func TestExportedIntervalsStable(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.Histogram("test.lat")
+	cyc := obs.NewCycleAccount()
+	tl := New(reg, cyc, Config{BaseInterval: 16, MaxIntervals: 4})
+	tl.Gauge("test.queue", func(uint64) uint64 { return 2 })
+	tl.StartSegment("s")
+	var now uint64
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			cyc.Charge(0, "app.x", 3)
+			h.Observe(uint64(10 * (i + 1)))
+			now = tl.NextWake(now)
+			tl.Sample(now)
+		}
+	}
+	step(2)
+	first := tl.Export()
+	before, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cyc.Charge(0, "app.tail", 1)
+	tl.FlushRun("run", now)
+	step(9)
+	after, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("exported intervals changed:\nbefore %s\nafter  %s", before, after)
+	}
+	if now := tl.Export(); len(now[0].Intervals) == 0 || now[0].IntervalCycles == first[0].IntervalCycles {
+		t.Fatalf("segment did not coalesce: %+v", now[0])
 	}
 }
