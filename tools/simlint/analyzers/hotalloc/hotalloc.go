@@ -5,7 +5,7 @@
 // allocation multiplies into millions and caps host events/sec.
 //
 // Roots are the built-in list below (the fault handlers, the page
-// walker, the TLB shootdown broadcast, the charge observer and the span
+// walker, the TLB shootdown broadcast, the charge sink and the span
 // taps) plus any function whose doc comment contains a `hotalloc:root`
 // marker. Reachability follows static, interface and bound call edges;
 // signature-fallback edges are excluded, and the engine's scheduler
@@ -54,7 +54,11 @@ var defaultRoots = []string{
 	"(*daxvm/internal/mm.MM).WPFault",
 	"(*daxvm/internal/cpu.Core).Translate",
 	"(*daxvm/internal/cpu.Set).Shootdown",
+	// The per-engine charge adapters the kernel wires, and the string
+	// entry points that share their booking functions.
+	"(*daxvm/internal/obs.EngineSink).Charge",
 	"(*daxvm/internal/obs.CycleAccount).Charge",
+	"(*daxvm/internal/obs/span.EngineObserver).Observe",
 	"(*daxvm/internal/obs/span.Collector).Observe",
 	"(*daxvm/internal/obs/span.Collector).Wait",
 	// Gauge readers run on every timeline sampler wake and must stay
