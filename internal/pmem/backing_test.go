@@ -1,0 +1,44 @@
+package pmem
+
+import (
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// residentMB reads this process's resident set size from /proc.
+func residentMB(t *testing.T) int {
+	raw, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		t.Skipf("no /proc/self/status: %v", err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "VmRSS:" {
+			kb, err := strconv.Atoi(f[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return kb / 1024
+		}
+	}
+	t.Skip("no VmRSS line")
+	return 0
+}
+
+// TestDeviceBackingStaysSparse pins that a device made after an earlier
+// one was dropped costs only the pages written, not its size: the Go heap
+// would hand it the dropped device's arena and zero all of it.
+func TestDeviceBackingStaysSparse(t *testing.T) {
+	const size = 256 << 20
+	New(Config{Size: size}).Bytes(0, 1)[0] = 1
+	runtime.GC()
+	before := residentMB(t)
+	d := New(Config{Size: size})
+	d.Bytes(0, 1)[0] = 1
+	if grew := residentMB(t) - before; grew > size>>20/4 {
+		t.Fatalf("a new %d MiB device raised resident memory by %d MiB", size>>20, grew)
+	}
+	runtime.KeepAlive(d)
+}

@@ -1,0 +1,28 @@
+//go:build unix
+
+package pmem
+
+import (
+	"runtime"
+	"syscall"
+)
+
+// newBacking returns size zeroed bytes of anonymous memory mapped outside
+// the Go heap, unmapped once owner is garbage. The heap would hand a new
+// device the arena a freed one left behind, and the runtime zeroes reused
+// arenas eagerly, touching every page: a second multi-GiB device in one
+// process would then cost its full size in resident memory. A fresh
+// mapping costs only the pages the simulation writes.
+func newBacking(owner *Device, size uint64) []byte {
+	b, err := syscall.Mmap(-1, 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		// The heap still works, only without the sparseness.
+		return make([]byte, size)
+	}
+	runtime.SetFinalizer(owner, func(d *Device) {
+		// Munmap fails only on a range that is not this mapping, and a
+		// finalizer has no caller to report to.
+		_ = syscall.Munmap(d.data)
+	})
+	return b
+}

@@ -82,7 +82,7 @@ type Config struct {
 
 // New creates a device. Backing memory is allocated lazily by the host OS
 // (untouched pages cost nothing), so multi-GiB devices are cheap until
-// written.
+// written, however many a process creates (see newBacking).
 func New(cfg Config) *Device {
 	if cfg.Size == 0 || !mem.IsAligned(cfg.Size, mem.PageSize) {
 		panic(fmt.Sprintf("pmem: bad device size %d", cfg.Size))
@@ -93,12 +93,12 @@ func New(cfg Config) *Device {
 	}
 	d := &Device{
 		size:             cfg.Size,
-		data:             make([]byte, cfg.Size),
 		trackPersistence: cfg.TrackPersistence,
 		tp:               cfg.Topo,
 		bankSize:         mem.AlignedUp(cfg.Size/uint64(nodes), mem.PageSize),
 		banks:            make([]bank, nodes),
 	}
+	d.data = newBacking(d, cfg.Size)
 	if nodes > 1 {
 		d.attrs = make([]string, nodes)
 		for i := range d.attrs {
@@ -143,7 +143,8 @@ func (d *Device) multi() bool { return len(d.banks) > 1 }
 
 // Bytes returns the raw backing slice for [addr, addr+n). The caller is
 // responsible for charging access costs; use the typed accessors where
-// possible.
+// possible. The slice is valid only while d is reachable: device memory
+// is unmapped once d is garbage (see newBacking).
 func (d *Device) Bytes(addr mem.PhysAddr, n uint64) []byte {
 	d.check(addr, n)
 	return d.data[addr : uint64(addr)+n]
