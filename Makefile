@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint lint-json test race bench-host-test smoke perf-gate validate-baselines baseline clean
+.PHONY: ci build fmt vet lint lint-json test race bench-host-test smoke smoke-all perf-gate validate-baselines baseline clean
 
-ci: fmt vet lint build test race bench-host-test smoke perf-gate validate-baselines
+ci: fmt vet lint build test race bench-host-test smoke smoke-all perf-gate validate-baselines
 
 # Experiments the perf gate runs: cheap, deterministic, and together they
 # exercise the journal, allocator, file tables and mapped-access paths.
@@ -58,6 +58,12 @@ smoke:
 	$(GO) test ./internal/bench/ -run TestArtifactSmoke -count=1 >/dev/null && \
 	echo "smoke: BENCH_storage.json written and schema-validated"; \
 	rc=$$?; rm -rf "$$tmp"; exit $$rc
+
+# Every experiment end to end in one process, the README quick start: a
+# panic, or memory that finished kernels fail to release, fails CI.
+smoke-all:
+	$(GO) run ./cmd/daxbench -quick all >/dev/null
+	@echo "smoke-all: every experiment ran"
 
 # Perf-regression gate: rerun the gate experiments in quick mode and
 # compare each artifact against the committed baseline. The simulator is

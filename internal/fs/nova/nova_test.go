@@ -49,7 +49,7 @@ func TestFallocateZeroes(t *testing.T) {
 		// Every allocated byte must read zero (security).
 		buf := make([]byte, 4096)
 		for _, e := range f.Extents(in) {
-			f.dev.Read(th, mem.PhysAddr(e.Phys*mem.PageSize), buf)
+			f.Device().Read(th, mem.PhysAddr(e.Phys*mem.PageSize), buf)
 			for _, b := range buf {
 				if b != 0 {
 					t.Error("fallocate exposed stale bytes")

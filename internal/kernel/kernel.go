@@ -44,9 +44,6 @@ type Config struct {
 	// flat single-node machine; >1 splits DRAM, PMem DIMMs and cores
 	// evenly across nodes.
 	Nodes int
-	// CoresPerNode overrides the contiguous-block core->node split
-	// (default Cores/Nodes).
-	CoresPerNode int
 	// Placement is the default page/table placement policy for processes:
 	// "", "local", "interleave" or "bind:<n>".
 	Placement string
@@ -72,8 +69,6 @@ type Config struct {
 	Prezero bool
 	// Monitor starts the MMU performance monitor per process.
 	Monitor bool
-	// ICacheCapacity bounds the inode cache (default 64k).
-	ICacheCapacity int
 	// TrackPersistence enables crash simulation.
 	TrackPersistence bool
 	// HugePages toggles baseline DAX huge-page support (default on).
@@ -114,28 +109,25 @@ func (c Config) withDefaults() Config {
 	if c.FS == "" {
 		c.FS = Ext4
 	}
-	if c.ICacheCapacity == 0 {
-		c.ICacheCapacity = 1 << 16
-	}
 	if c.Nodes == 0 {
 		c.Nodes = 1
-	}
-	if c.CoresPerNode == 0 {
-		c.CoresPerNode = c.Cores / c.Nodes
-		if c.CoresPerNode == 0 {
-			c.CoresPerNode = 1
-		}
 	}
 	return c
 }
 
-// MountedFS is the common surface of both FS models.
+// MountedFS is the common surface of both FS models: vfs.FS plus the
+// shared block core's mount-time controls.
 type MountedFS interface {
 	vfs.FS
+	Allocator() *alloc.Allocator
+	ReleaseZeroed(t *sim.Thread, ext []vfs.Extent)
 	SetAgingMode(on bool)
 	SetHooks(h *vfs.Hooks)
 	SetTrustZeroed(on bool)
 }
+
+// iCacheCapacity bounds the inode cache.
+const iCacheCapacity = 1 << 16
 
 // Kernel is the booted machine.
 type Kernel struct {
@@ -166,7 +158,7 @@ type Kernel struct {
 // wires DaxVM.
 func Boot(cfg Config) *Kernel {
 	cfg = cfg.withDefaults()
-	tp := topo.New(cfg.Nodes, cfg.CoresPerNode)
+	tp := topo.New(cfg.Nodes, max(cfg.Cores/cfg.Nodes, 1))
 	k := &Kernel{
 		Cfg:    cfg,
 		Engine: sim.New(),
@@ -183,22 +175,22 @@ func Boot(cfg Config) *Kernel {
 	case Nova:
 		f := nova.Mkfs(nova.Config{Dev: k.Dev})
 		f.Spans = cfg.Spans
-		k.FS = &novaFS{f}
+		k.FS = f
 	default:
 		f := ext4.Mkfs(ext4.Config{Dev: k.Dev, JournalBytes: 128 << 20})
 		f.Journal().SetSpans(cfg.Spans)
-		k.FS = &ext4FS{f}
+		k.FS = f
 	}
 
 	if tp.Multi() {
 		mp := topo.MustParsePolicy(cfg.MountPlacement)
-		a := k.allocator()
+		a := k.FS.Allocator()
 		a.SetPlacement(tp, mp, a.TotalBlocks()/uint64(tp.Nodes()))
 	}
 
 	var hooks *vfs.Hooks
 	if cfg.DaxVM {
-		k.Dax = core.New(cfg.DaxVMConfig, k.Dev, k.Pool, k.Cpus, k.allocator(), k.releaser())
+		k.Dax = core.New(cfg.DaxVMConfig, k.Dev, k.Pool, k.Cpus, k.FS.Allocator(), k.FS)
 		k.Dax.Spans = cfg.Spans
 		if tp.Multi() {
 			k.Dax.SetPlacement(topo.MustParsePolicy(cfg.MountPlacement))
@@ -210,7 +202,7 @@ func Boot(cfg Config) *Kernel {
 			k.FS.SetTrustZeroed(true)
 		}
 	}
-	k.ICache = vfs.NewICache(k.FS, cfg.ICacheCapacity, hooks)
+	k.ICache = vfs.NewICache(k.FS, iCacheCapacity, hooks)
 
 	if cfg.Obs != nil {
 		k.wireObs(cfg.Obs)
@@ -231,7 +223,7 @@ func Boot(cfg Config) *Kernel {
 		k.attachEngine(setup)
 		setup.Go("ager", 0, 0, func(t *sim.Thread) {
 			t.PushAttr("setup.age")
-			rep, err := agefs.Age(t, agingSurface{k.FS}, ac)
+			rep, err := agefs.Age(t, k.FS, ac)
 			if err != nil {
 				panic(err)
 			}
@@ -295,27 +287,6 @@ func (k *Kernel) runEngine(label string, e *sim.Engine) uint64 {
 // Run executes the main engine until all spawned workload threads finish,
 // returning the final virtual time in cycles.
 func (k *Kernel) Run() uint64 { return k.runEngine("run", k.Engine) }
-
-// allocator exposes the data-block allocator for DaxVM metadata.
-func (k *Kernel) allocator() *alloc.Allocator {
-	switch f := k.FS.(type) {
-	case *ext4FS:
-		return f.FS.Allocator()
-	case *novaFS:
-		return f.FS.Allocator()
-	}
-	panic("kernel: unknown FS")
-}
-
-func (k *Kernel) releaser() core.ZeroReleaser {
-	switch f := k.FS.(type) {
-	case *ext4FS:
-		return f.FS
-	case *novaFS:
-		return f.FS
-	}
-	panic("kernel: unknown FS")
-}
 
 // Proc is a simulated process.
 type Proc struct {
@@ -701,16 +672,3 @@ func (p *Proc) AccessMapped(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, n uint6
 func ConsumeBuffer(t *sim.Thread, n uint64) {
 	t.ChargeAs("consume", cost.UserLoadDRAMPerPage*(n+mem.PageSize-1)/mem.PageSize)
 }
-
-// --- FS adapters --------------------------------------------------------------
-
-type ext4FS struct{ *ext4.FS }
-
-func (f *ext4FS) SetHooks(h *vfs.Hooks) { f.FS.SetHooks(h) }
-
-type novaFS struct{ *nova.FS }
-
-func (f *novaFS) SetHooks(h *vfs.Hooks) { f.FS.SetHooks(h) }
-
-// agingSurface adapts MountedFS to agefs.FS.
-type agingSurface struct{ MountedFS }

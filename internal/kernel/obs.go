@@ -5,6 +5,8 @@ import (
 
 	"daxvm/internal/cost"
 	"daxvm/internal/cpu"
+	"daxvm/internal/fs/ext4"
+	"daxvm/internal/fs/nova"
 	"daxvm/internal/obs"
 	"daxvm/internal/obs/timeline"
 )
@@ -107,9 +109,8 @@ func (k *Kernel) registerCounters(r *obs.Registry) {
 	r.Counter("mm.lock.read.hold_cycles", k.sumProcs(func(p *Proc) uint64 { return p.MM.Sem.ReaderStats.HoldCycles }))
 
 	// File systems: only the mounted one registers.
-	switch f := k.FS.(type) {
-	case *ext4FS:
-		fs := f.FS
+	switch fs := k.FS.(type) {
+	case *ext4.FS:
 		r.Counter("ext4.creates", func() uint64 { return fs.Stats.Creates })
 		r.Counter("ext4.unlinks", func() uint64 { return fs.Stats.Unlinks })
 		r.Counter("ext4.appends", func() uint64 { return fs.Stats.Appends })
@@ -120,8 +121,7 @@ func (k *Kernel) registerCounters(r *obs.Registry) {
 		r.Counter("ext4.journal.begins", func() uint64 { return j.Stats.Begins })
 		r.Counter("ext4.journal.commits", func() uint64 { return j.Stats.Commits })
 		r.Counter("ext4.journal.blocks", func() uint64 { return j.Stats.Blocks })
-	case *novaFS:
-		fs := f.FS
+	case *nova.FS:
 		r.Counter("nova.log_appends", func() uint64 { return fs.Stats.LogAppends })
 		r.Counter("nova.zeroed_blocks", func() uint64 { return fs.Stats.ZeroedBlocks })
 		r.Counter("nova.skipped_zero", func() uint64 { return fs.Stats.SkippedZero })
@@ -273,11 +273,11 @@ func (k *Kernel) gaugeDramOccupancy(now uint64) uint64 {
 
 // gaugeJournalQueue reads the ext4 journal commit-lock queue depth.
 func (k *Kernel) gaugeJournalQueue(now uint64) uint64 {
-	f, ok := k.FS.(*ext4FS)
+	f, ok := k.FS.(*ext4.FS)
 	if !ok {
 		return 0
 	}
-	return uint64(f.FS.Journal().WaitQueueDepth())
+	return uint64(f.Journal().WaitQueueDepth())
 }
 
 // nodeGauge binds a per-node gauge reader to its node index; methods on a
@@ -303,7 +303,7 @@ func (k *Kernel) registerGauges(tl *timeline.Timeline) {
 	tl.Gauge("tlb.inflight_ipis", k.gaugeInflightIPIs)
 	tl.Gauge("pmem.bw.backlog", k.gaugePMemBacklog)
 	tl.Gauge("dram.occupancy", k.gaugeDramOccupancy)
-	if _, ok := k.FS.(*ext4FS); ok {
+	if _, ok := k.FS.(*ext4.FS); ok {
 		tl.Gauge("ext4.journal.queue", k.gaugeJournalQueue)
 	}
 	if k.Topo.Multi() {

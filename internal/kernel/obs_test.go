@@ -7,6 +7,7 @@ import (
 
 	"daxvm/internal/core"
 	"daxvm/internal/cpu"
+	"daxvm/internal/fs/ext4"
 	"daxvm/internal/mem"
 	"daxvm/internal/mm"
 	"daxvm/internal/obs"
@@ -115,8 +116,8 @@ func TestSnapshotMatchesLegacyStats(t *testing.T) {
 	}
 	// Journal commits happen during boot-time mkfs too, so compare the
 	// absolute snapshot only.
-	if f, ok := k.FS.(*ext4FS); ok {
-		if got, want := after.Get("ext4.journal.commits"), f.FS.Journal().Stats.Commits; got != want || want == 0 {
+	if f, ok := k.FS.(*ext4.FS); ok {
+		if got, want := after.Get("ext4.journal.commits"), f.Journal().Stats.Commits; got != want || want == 0 {
 			t.Errorf("ext4.journal.commits = %d, legacy %d", got, want)
 		}
 	} else {

@@ -209,6 +209,11 @@ func (e *Engine) Run() uint64 {
 // main is the goroutine body wrapping a thread function.
 func (t *Thread) main() {
 	<-t.resume // wait for first dispatch
+	// Drop the engine's reference to the body: an engine outlives its
+	// run (hubs keep its counters), and a finished thread must not pin
+	// what its body captured — a whole kernel and its device.
+	fn := t.fn
+	t.fn = nil
 	completed := false
 	defer func() {
 		r := recover()
@@ -230,7 +235,7 @@ func (t *Thread) main() {
 		t.state = stateExited
 		t.e.shutdown()
 	}()
-	t.fn(t)
+	fn(t)
 	completed = true
 	t.exit()
 }
@@ -262,7 +267,11 @@ func (e *Engine) shutdown() {
 	e.stopping = true
 	e.flush()
 	for _, t := range e.threads {
-		if t.state == stateExited || !t.started || t.state == stateRunning {
+		if !t.started {
+			t.fn = nil // never dispatched: nothing else drops it
+			continue
+		}
+		if t.state == stateExited || t.state == stateRunning {
 			continue
 		}
 		t.resume <- struct{}{}

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSingleThreadClock(t *testing.T) {
@@ -522,5 +524,44 @@ func TestChargeEmitZeroAlloc(t *testing.T) {
 	}
 	if sunk == 0 || sunk != observed {
 		t.Fatalf("sink saw %d cycles, observer %d: both must see every charge", sunk, observed)
+	}
+}
+
+// TestFinishedThreadsReleaseTheirFunctions pins that an engine kept
+// reachable after its run (observability hubs keep every engine's
+// counters) does not keep what its threads' bodies captured: for a
+// kernel that is the whole machine, PMem device included. Both a thread
+// that ran to completion and a daemon that was never dispatched must let
+// their captures be collected.
+func TestFinishedThreadsReleaseTheirFunctions(t *testing.T) {
+	e := New()
+	collected := make(chan string, 2)
+	spawn := func(name string, start uint64, daemon bool) {
+		captured := new([1 << 10]byte)
+		runtime.SetFinalizer(captured, func(*[1 << 10]byte) { collected <- name })
+		fn := func(th *Thread) { th.Charge(uint64(captured[0]) + 1) }
+		if daemon {
+			e.GoDaemon(name, 0, start, fn)
+		} else {
+			e.Go(name, 0, start, fn)
+		}
+	}
+	spawn("finished", 0, false)
+	spawn("never-started", 1<<40, true)
+	e.Run()
+	got := map[string]bool{}
+	for i := 0; i < 200 && len(got) < 2; i++ {
+		runtime.GC()
+		select {
+		case name := <-collected:
+			got[name] = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(e)
+	for _, name := range []string{"finished", "never-started"} {
+		if !got[name] {
+			t.Errorf("thread %q still pins its function's captures after the run", name)
+		}
 	}
 }
