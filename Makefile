@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint lint-json test race bench-host-test smoke smoke-all perf-gate validate-baselines baseline clean
+.PHONY: ci build fmt vet lint lint-json test race bench-host-test smoke smoke-all perf-gate validate-baselines baseline identical clean
 
 ci: fmt vet lint build test race bench-host-test smoke smoke-all perf-gate validate-baselines
 
@@ -91,6 +91,14 @@ validate-baselines:
 baseline:
 	$(GO) run ./cmd/daxbench -quick -metrics-out bench/baseline $(GATE_IDS) >/dev/null
 	@echo "baseline: refreshed bench/baseline/ for: $(GATE_IDS)"
+
+# Artifact identity against a base revision: every experiment's quick run,
+# all exports on, must match what daxbench built at BASE writes (host
+# timings aside). Not part of ci, because it needs a base revision:
+#   make identical BASE=HEAD~1
+identical:
+	@test -n "$(BASE)" || { echo "usage: make identical BASE=<rev>"; exit 2; }
+	bash tools/identical.sh "$(BASE)"
 
 clean:
 	$(GO) clean ./...

@@ -6,13 +6,16 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"daxvm/internal/sim"
 )
 
 // CycleAccount is the hierarchical cycle-attribution profiler: every cycle
 // the simulator charges is booked against a dotted attribution path
 // ("app.syscall.write.ntstore", "app.access.fault.minor", ...), per
 // simulated core. Each sim engine is wired through its own EngineSink,
-// which indexes leaves by the engine's path ids and books in batches.
+// which indexes leaves by the engine's path ids and books the engine's
+// charge batches.
 // Leaves are exact paths; interior nodes exist implicitly as shared
 // prefixes and are materialized by Snapshot views (WriteTable, TotalOf).
 //
@@ -45,7 +48,7 @@ func NewCycleAccount() *CycleAccount {
 	return &CycleAccount{leaves: make(map[string]*cycleLeaf)}
 }
 
-// Charge books cycles against path on core. Nil-safe. Engines charge
+// Charge books cycles against path on core. Nil-safe. Engines book
 // through an EngineSink instead, which skips the path lookup.
 func (a *CycleAccount) Charge(core int, path string, cycles uint64) {
 	if a == nil {
@@ -81,91 +84,37 @@ func (a *CycleAccount) book(l *cycleLeaf, core int, cycles uint64) {
 	a.total += cycles
 }
 
-// EngineSink is one engine's charge sink into a CycleAccount: it maps the
-// engine's dense path ids to leaves through a slice, so a charge hashes
-// nothing. Path ids are per engine, so every engine needs its own sink.
-//
-// Charges are buffered and booked in batches, one lock per batch instead
-// of one per charge. The buffer belongs to the engine, whose threads run
-// one at a time, so filling it takes no lock. The engine empties it through
-// Flush (wired with sim.Engine.AddChargeFlush) before it hands the token to
+// EngineSink is one engine's charge consumer into a CycleAccount: it maps
+// the engine's dense path ids to leaves through a slice, so a charge
+// hashes nothing, and books each batch the engine delivers under one
+// lock. Path ids are per engine, so every engine needs its own sink;
+// Obs.Attach makes one. The engine delivers before it hands the token to
 // another thread and when it stops, so whatever another thread or Run's
 // caller reads of the account is complete. A reader on another goroutine
-// while an engine runs may miss the running thread's buffered charges.
+// while an engine runs may miss the charges the engine still buffers.
 type EngineSink struct {
 	a      *CycleAccount
 	leaves []*cycleLeaf // by path id; nil until the id is first booked; guarded by mu
-	paths  []string     // by path id; "" until the id is first charged
-	buf    []pendingCharge
 }
 
-// pendingCharge is one buffered EngineSink charge.
-type pendingCharge struct {
-	id, core int32
-	cycles   uint64
-}
-
-// chargeBatch is how many charges an EngineSink buffers before booking
-// them.
-const chargeBatch = 256
-
-// NewEngineSink returns a fresh sink for one engine (nil for a nil
-// account); wire its Charge with sim.Engine.SetChargeSink and its Flush
-// with sim.Engine.AddChargeFlush.
-func (a *CycleAccount) NewEngineSink() *EngineSink {
-	if a == nil {
-		return nil
-	}
-	return &EngineSink{a: a, buf: make([]pendingCharge, 0, chargeBatch)}
-}
-
-// Charge buffers cycles against the engine's path id on core. path is the
-// id's interned path, kept the first time the id is seen.
-func (s *EngineSink) Charge(core, id int, path string, cycles uint64) {
-	if s == nil {
-		return
-	}
-	if id >= len(s.paths) || s.paths[id] == "" {
-		s.learn(id, path)
-	}
-	//lint:ignore hotalloc never grows: the buffer is booked and emptied when full
-	s.buf = append(s.buf, pendingCharge{int32(id), int32(core), cycles})
-	if len(s.buf) == cap(s.buf) {
-		s.Flush()
-	}
-}
-
-// learn records the path of an id seen for the first time.
-func (s *EngineSink) learn(id int, path string) {
-	for id >= len(s.paths) {
-		//lint:ignore hotalloc id table grows once per new path id
-		s.paths = append(s.paths, "")
-	}
-	s.paths[id] = path
-}
-
-// Flush books the buffered charges. Call it on the engine's running
-// thread or once the engine has stopped.
-func (s *EngineSink) Flush() {
-	if s == nil || len(s.buf) == 0 {
-		return
-	}
+// Book books one batch of the engine's charges; paths is the engine's
+// path table, which the batch's ids index.
+func (s *EngineSink) Book(paths []string, batch []sim.Charge) {
 	a := s.a
 	a.mu.Lock()
-	for len(s.leaves) < len(s.paths) {
+	for len(s.leaves) < len(paths) {
 		//lint:ignore hotalloc id table grows once per new path id
 		s.leaves = append(s.leaves, nil)
 	}
-	for _, c := range s.buf {
-		l := s.leaves[c.id]
+	for _, c := range batch {
+		l := s.leaves[c.ID]
 		if l == nil {
-			l = a.leaf(s.paths[c.id])
-			s.leaves[c.id] = l
+			l = a.leaf(paths[c.ID])
+			s.leaves[c.ID] = l
 		}
-		a.book(l, int(c.core), c.cycles)
+		a.book(l, c.T.Core, c.Cycles)
 	}
 	a.mu.Unlock()
-	s.buf = s.buf[:0]
 }
 
 // Total reports all cycles booked so far.

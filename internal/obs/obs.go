@@ -6,14 +6,19 @@
 // event tracer exportable as Chrome trace-event JSON (one track per
 // simulated core, viewable in Perfetto).
 //
-// The package is dependency-free by design, so every layer of the
-// simulator can import it without cycles. The tracer's writers (the span
-// collector, one slice per closed operation, and the timeline sampler)
-// pass virtual timestamps and core ids explicitly. All entry points are
-// nil-receiver safe, so an unwired subsystem pays one branch.
+// The package imports only the sim engine, whose charge batches the cycle
+// account books (Obs.Attach), so every layer above the engine can import
+// it without cycles. The tracer's writers (the span collector, one slice
+// per closed operation, and the timeline sampler) pass virtual timestamps
+// and core ids explicitly. All entry points are nil-receiver safe, so an
+// unwired subsystem pays one branch.
 package obs
 
-import "sync"
+import (
+	"sync"
+
+	"daxvm/internal/sim"
+)
 
 // DefaultTraceCap bounds the event ring when the caller does not choose:
 // large enough to hold the tail of any experiment, small enough that an
@@ -27,9 +32,8 @@ type Obs struct {
 	Trace  *Tracer
 	Cycles *CycleAccount
 
-	mu           sync.Mutex
-	engineTotals []func() uint64
-	engineEvents []func() uint64
+	mu      sync.Mutex
+	engines []*sim.Engine
 }
 
 // New creates an observability hub with a trace ring of traceCap events
@@ -41,20 +45,25 @@ func New(traceCap int) *Obs {
 	return &Obs{Reg: NewRegistry(), Trace: NewTracer(traceCap), Cycles: NewCycleAccount()}
 }
 
-// AddEngineTotal registers a reader for one engine's total charged cycles.
-// Every engine whose charges feed Cycles must register here (the kernel
-// does this when wiring), so EnginesTotal is the reconciliation target for
-// CycleAccount.Total. Kept as func values to stay dependency-free.
-func (o *Obs) AddEngineTotal(fn func() uint64) {
+// Attach wires engine e into the hub: a fresh EngineSink books its
+// charges into Cycles (path ids are per engine), and its charged cycles
+// and events join EnginesTotal and EnginesEvents. Every engine whose
+// charges feed Cycles is attached here (the kernel does this for each
+// engine it runs), so EnginesTotal is the reconciliation target for
+// CycleAccount.Total.
+func (o *Obs) Attach(e *sim.Engine) {
 	if o == nil {
 		return
 	}
+	if o.Cycles != nil {
+		e.AddChargeConsumer((&EngineSink{a: o.Cycles}).Book)
+	}
 	o.mu.Lock()
-	o.engineTotals = append(o.engineTotals, fn)
+	o.engines = append(o.engines, e)
 	o.mu.Unlock()
 }
 
-// EnginesTotal sums the total charged cycles of every registered engine.
+// EnginesTotal sums the total charged cycles of every attached engine.
 func (o *Obs) EnginesTotal() uint64 {
 	if o == nil {
 		return 0
@@ -62,25 +71,15 @@ func (o *Obs) EnginesTotal() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var s uint64
-	for _, fn := range o.engineTotals {
-		s += fn()
+	for _, e := range o.engines {
+		s += e.TotalCharged()
 	}
 	return s
 }
 
-// AddEngineEvents registers a reader for one engine's event count (see
-// sim.Engine.Events). The sum across engines is the deterministic
-// numerator of the host-side events/sec speed metric.
-func (o *Obs) AddEngineEvents(fn func() uint64) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.engineEvents = append(o.engineEvents, fn)
-	o.mu.Unlock()
-}
-
-// EnginesEvents sums the event counts of every registered engine.
+// EnginesEvents sums the event counts (see sim.Engine.Events) of every
+// attached engine: the deterministic numerator of the host-side
+// events/sec speed metric.
 func (o *Obs) EnginesEvents() uint64 {
 	if o == nil {
 		return 0
@@ -88,8 +87,8 @@ func (o *Obs) EnginesEvents() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var s uint64
-	for _, fn := range o.engineEvents {
-		s += fn()
+	for _, e := range o.engines {
+		s += e.Events()
 	}
 	return s
 }

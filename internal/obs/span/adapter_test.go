@@ -12,49 +12,62 @@ import (
 )
 
 // TestAdapterChargeZeroAlloc pins the wired charge path at zero
-// allocations: an engine feeding a real CycleAccount and Collector through
-// their per-engine adapters, with a span open, allocates nothing on warm
-// Charge, ChargeAs, AddRemote and PushAttr/PopAttr.
+// allocations: an engine feeding a real CycleAccount and Collector
+// through their consumers allocates nothing on a warm step of Charge,
+// ChargeAs, AddRemote and PushAttr/PopAttr inside spans, Begin/End pairs
+// (which take the engine's undelivered charges) and a handoff to another
+// thread inside a span (which delivers the rest after a take).
 func TestAdapterChargeZeroAlloc(t *testing.T) {
-	acct := obs.NewCycleAccount()
+	o := &obs.Obs{Cycles: obs.NewCycleAccount()}
 	c := New(3)
 	e := sim.New()
-	sink := acct.NewEngineSink()
-	e.SetChargeSink(sink.Charge)
-	e.AddChargeFlush(sink.Flush)
-	attach(e, c)
+	o.Attach(e)
+	c.Attach(e)
 	var allocs float64
-	e.Go("t0", 5, 0, func(th *sim.Thread) {
+	var t0 *sim.Thread
+	t0 = e.Go("t0", 5, 0, func(th *sim.Thread) {
 		th.PushAttr("app")
-		c.Begin(th, "op")
 		step := func() {
+			c.Begin(th, "op")
 			th.Charge(1)
 			th.ChargeAs("bw_stall", 1)
 			th.AddRemote("shootdown.ipi_handler", 1)
 			th.PushAttr("syscall.read")
+			c.Begin(th, "syscall.read")
 			th.Charge(1)
+			c.End(th)
 			th.PopAttr()
+			th.Charge(1)
+			th.Yield() // hands the token to t1, which hands it back
+			th.Charge(1)
+			c.End(th)
 		}
-		step() // intern the paths, grow the id tables and per-core slices
+		step() // intern the paths, grow the id tables, pools and per-core slices
 		allocs = testing.AllocsPerRun(100, step)
-		c.End(th)
 		th.PopAttr()
+	})
+	// t1 wakes at t0's clock after each of t0's steps and so takes the
+	// token once per step.
+	e.GoDaemon("t1", 6, 0, func(th *sim.Thread) {
+		for {
+			th.SleepUntil(t0.Now())
+		}
 	})
 	e.Run()
 	if allocs != 0 {
 		t.Fatalf("wired charge path allocates %v times per run, want 0", allocs)
 	}
-	if acct.Total() != e.TotalCharged() || c.ObservedCycles() != e.TotalCharged() {
-		t.Fatalf("account %d, collector %d, engine %d cycles", acct.Total(), c.ObservedCycles(), e.TotalCharged())
+	if o.Cycles.Total() != e.TotalCharged() || c.ObservedCycles() != e.TotalCharged() {
+		t.Fatalf("account %d, collector %d, engine %d cycles", o.Cycles.Total(), c.ObservedCycles(), e.TotalCharged())
 	}
 }
 
-// charge is one recorded engine charge: the engine's index, the sink's
-// arguments and the observer's remote flag.
+// charge is one recorded engine charge: the engine's index and what the
+// consumer received.
 type charge struct {
 	engine int
 	core   int
-	id     int
+	id     int32
 	path   string
 	cycles uint64
 	remote bool
@@ -67,6 +80,7 @@ type replayRun struct {
 	charged uint64    // Σ TotalCharged over both engines
 	rec     []charge  // only when replayed through the string entry points
 	segs    []segWait // segment id -> wait totals, in order
+	spans   spanShapes
 }
 
 type segWait struct {
@@ -74,37 +88,91 @@ type segWait struct {
 	waits map[string]uint64
 }
 
+// spanShapes counts the spans of a replay that exercise the collector's
+// take path: ones that open and close between two deliveries with
+// charges already pending at Begin, ones that cross a handoff, and ones
+// holding more than a full batch of charges.
+type spanShapes struct {
+	midBatch, crossHandoff, overBatch int
+}
+
+// openSpan is where the engine's charge stream stood at a Begin.
+type openSpan struct {
+	made, handoffs, pending int
+}
+
 // replay runs progs[i] on engine i, one after the other, both engines
 // sharing one account and collector the way Boot's ager, setup and main
 // engines do. Spans mirror the programs' attribution frames, and each
-// engine's run is a collector segment. With ids, each engine is wired
-// through its own adapters; otherwise through closures that record every
-// charge and forward it to the string Charge and Observe.
+// engine's run is a collector segment. With ids, each engine is attached
+// to the account and the collector. Otherwise a consumer records every
+// charge and forwards it to the string Charge and Observe; at each span
+// boundary it first forwards the charges the engine has not delivered
+// yet, so each charge still meets the span stack it was made under.
 func replay(progs [2][][]simtest.Op, ids bool) replayRun {
 	r := replayRun{acct: obs.NewCycleAccount(), col: New(2)}
-	hooks := simtest.Hooks{
-		Push: func(t *sim.Thread, label string) { r.col.Begin(t, label) },
-		Pop:  func(t *sim.Thread) { r.col.End(t) },
-	}
 	for i, prog := range progs {
 		i := i
 		e := sim.New()
+		var boundary func()
 		if ids {
-			sink := r.acct.NewEngineSink()
-			e.SetChargeSink(sink.Charge)
-			e.AddChargeFlush(sink.Flush)
-			attach(e, r.col)
+			(&obs.Obs{Cycles: r.acct}).Attach(e)
+			r.col.Attach(e)
+			boundary = func() {}
 		} else {
-			e.SetChargeSink(func(core, id int, path string, cycles uint64) {
-				r.rec = append(r.rec, charge{i, core, id, path, cycles, false})
-				r.acct.Charge(core, path, cycles)
+			forwarded := 0 // leading charges of the engine's buffer already forwarded
+			forward := func(paths []string, batch []sim.Charge) {
+				for _, c := range batch[forwarded:] {
+					p := paths[c.ID]
+					r.rec = append(r.rec, charge{i, c.T.Core, c.ID, p, c.Cycles, c.Remote})
+					r.acct.Charge(c.T.Core, p, c.Cycles)
+					r.col.Observe(c.T, p, c.Cycles, c.Remote)
+				}
+			}
+			e.AddChargeConsumer(func(paths []string, batch []sim.Charge) {
+				forward(paths, batch)
+				forwarded = 0
 			})
-			e.SetChargeObserver(func(t *sim.Thread, _ int, path string, cycles uint64, remote bool) {
-				// The engine calls the sink first, so this charge is
-				// the last one recorded.
-				r.rec[len(r.rec)-1].remote = remote
-				r.col.Observe(t, path, cycles, remote)
-			})
+			boundary = func() {
+				paths, pending := e.PendingCharges()
+				forward(paths, pending)
+				forwarded = len(pending)
+			}
+		}
+		// A third consumer tracks the stream's shape for the span premises.
+		var delivered, handoffs int
+		e.AddChargeConsumer(func(_ []string, batch []sim.Charge) {
+			delivered += len(batch)
+			if len(batch) < 256 {
+				handoffs++ // a partial batch: a handoff or the engine's stop
+			}
+		})
+		open := map[*sim.Thread][]openSpan{}
+		now := func() openSpan {
+			_, pending := e.PendingCharges()
+			return openSpan{delivered + len(pending), handoffs, len(pending)}
+		}
+		hooks := simtest.Hooks{
+			Push: func(t *sim.Thread, label string) {
+				boundary()
+				r.col.Begin(t, label)
+				open[t] = append(open[t], now())
+			},
+			Pop: func(t *sim.Thread) {
+				boundary()
+				r.col.End(t)
+				b, n := open[t][len(open[t])-1], now()
+				open[t] = open[t][:len(open[t])-1]
+				switch {
+				case n.handoffs > b.handoffs:
+					r.spans.crossHandoff++
+				case b.pending > 0 && n.pending > b.pending:
+					r.spans.midBatch++
+				}
+				if n.made-b.made > 256 {
+					r.spans.overBatch++
+				}
+			},
 		}
 		r.col.StartSegment(fmt.Sprintf("e%d", i))
 		simtest.Run(e, prog, hooks)
@@ -168,26 +236,42 @@ func referenceOf(rec []charge) reference {
 }
 
 // TestAdapterEquivalence replays seeded random charge programs on two
-// engines sharing one account and collector, once through the per-engine
-// id adapters and once through the string entry points, and requires both
+// engines sharing one account and collector, once through the engines'
+// consumers and once through the string entry points, and requires both
 // to agree with each other and with a reference rebuilt from the recorded
 // charge stream: snapshot (including zero-cycle ByCore entries), root
-// cycles, booked/outside/remote cycles and per-segment wait totals. The
-// two engines' programs differ, so the same path id names different paths
-// in each.
+// cycles, booked/outside/remote cycles, per-segment wait totals and the
+// span export. The two engines' programs differ, so the same path id
+// names different paths in each. Each engine's first thread also opens
+// one span holding more than a full batch of charges.
 func TestAdapterEquivalence(t *testing.T) {
 	const nthreads, nops = 8, 60
+	long := []simtest.Op{{Kind: simtest.OpPush, Label: "copy"}}
+	for i := 0; i < 300; i++ {
+		long = append(long, simtest.Op{Kind: simtest.OpChargeAs, Label: "bw_stall", Cycles: 3})
+	}
+	long = append(long, simtest.Op{Kind: simtest.OpPop})
 	var zeroEntries int
+	var shapes spanShapes
 	for seed := int64(1); seed <= 5; seed++ {
 		progs := [2][][]simtest.Op{
 			simtest.Generate(seed, nthreads, nops),
 			simtest.Generate(seed+100, nthreads, nops),
 		}
+		for i := range progs {
+			progs[i][0] = append(append([]simtest.Op(nil), long...), progs[i][0]...)
+		}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			a, s := replay(progs, true), replay(progs, false)
 			ref := referenceOf(s.rec)
+			if a.spans != s.spans {
+				t.Fatalf("span shapes differ between replays: %+v vs %+v", a.spans, s.spans)
+			}
+			shapes.midBatch += a.spans.midBatch
+			shapes.crossHandoff += a.spans.crossHandoff
+			shapes.overBatch += a.spans.overBatch
 
-			pathOf := [2]map[int]string{{}, {}}
+			pathOf := [2]map[int32]string{{}, {}}
 			shared := false
 			for _, c := range s.rec {
 				pathOf[c.engine][c.id] = c.path
@@ -243,5 +327,8 @@ func TestAdapterEquivalence(t *testing.T) {
 	}
 	if zeroEntries == 0 {
 		t.Fatal("premise: no leaf was charged only zero cycles on some core")
+	}
+	if shapes.midBatch == 0 || shapes.crossHandoff == 0 || shapes.overBatch == 0 {
+		t.Fatalf("premise: spans of every shape, got %+v", shapes)
 	}
 }

@@ -9,8 +9,8 @@
 // phenomena like the paper's mmap_sem collapse.
 //
 // Reconciliation contract (the same zero-unattributed discipline as the
-// cycle profiler): the collector observes every engine charge through
-// sim.Engine's charge observer, so
+// cycle profiler): the collector consumes every engine charge through
+// its per-engine EngineObserver (Attach), so
 //
 //	BookedCycles + OutsideCycles + RemoteCycles == Σ Engine.TotalCharged
 //
@@ -118,6 +118,7 @@ func (n *node) treeWaits() [numWaitKinds]uint64 {
 // whole story.
 type tstate struct {
 	stack []*node
+	obs   *EngineObserver // the thread's engine's observer; nil if unattached
 }
 
 // classStats aggregates finished spans of one class within a segment.
@@ -194,19 +195,15 @@ type Collector struct {
 	outside uint64 // charges with no open span
 	remote  uint64 // AddRemote bookings (never in a span)
 
-	threads map[*sim.Thread]*tstate
-	lastT   *sim.Thread // single-entry state cache: consecutive
-	lastS   *tstate     // charges come from the running thread
+	threads   map[*sim.Thread]*tstate
+	lastT     *sim.Thread // single-entry state cache: consecutive
+	lastS     *tstate     // charges come from the running thread
+	observers map[*sim.Engine]*EngineObserver
 
 	cur  *segment
 	done []*segment
 
 	free []*node
-
-	// pending lists the engine observers holding buffered charges. Only
-	// engine threads touch it: Observe adds, flushPending (under mu)
-	// empties.
-	pending []*EngineObserver
 
 	tr *obs.Tracer // receives one slice per closed span; nil = none
 }
@@ -215,9 +212,10 @@ type Collector struct {
 // class per segment (k <= 0 disables exemplars; stats are still kept).
 func New(k int) *Collector {
 	return &Collector{
-		k:       k,
-		threads: map[*sim.Thread]*tstate{},
-		cur:     &segment{classes: map[string]*classStats{}},
+		k:         k,
+		threads:   map[*sim.Thread]*tstate{},
+		observers: map[*sim.Engine]*EngineObserver{},
+		cur:       &segment{classes: map[string]*classStats{}},
 	}
 }
 
@@ -241,7 +239,7 @@ func (c *Collector) state(t *sim.Thread) *tstate {
 	ts := c.threads[t]
 	if ts == nil {
 		//lint:ignore hotalloc once per thread; steady state hits the one-slot cache or the map
-		ts = &tstate{}
+		ts = &tstate{obs: c.observers[t.Engine()]}
 		c.threads[t] = ts
 	}
 	c.lastT, c.lastS = t, ts
@@ -280,8 +278,7 @@ func (c *Collector) Begin(t *sim.Thread, class string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushPending()
-	ts := c.state(t)
+	ts := c.take(t)
 	c.seq++
 	n := c.newNode()
 	n.class = class
@@ -301,8 +298,7 @@ func (c *Collector) End(t *sim.Thread) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushPending()
-	ts := c.state(t)
+	ts := c.take(t)
 	if len(ts.stack) == 0 {
 		panic("span: End without matching Begin")
 	}
@@ -311,6 +307,19 @@ func (c *Collector) End(t *sim.Thread) {
 	n.dur = t.Now() - n.start
 	c.tr.Emit(n.class, n.core, n.start, n.dur, "", n.treeSelf())
 	c.finish(n, ts)
+}
+
+// OpenSpans reports how many spans t has open.
+func (c *Collector) OpenSpans(t *sim.Thread) int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ts := c.threads[t]; ts != nil {
+		return len(ts.stack)
+	}
+	return 0
 }
 
 // finish folds a closed span into its segment's class stats and either
@@ -378,15 +387,15 @@ func (c *Collector) consider(st *classStats, n *node, tSelf uint64, tw [numWaitK
 // Observe books one charge on path into t's innermost open span,
 // classifying bandwidth/NUMA/IPI labels into wait kinds, and keeps the
 // outside/remote counters that make the layer reconcile exactly against
-// Engine.TotalCharged. Engines charge through an EngineObserver instead,
-// which classifies each path once.
+// Engine.TotalCharged. Attached engines' charges arrive through an
+// EngineObserver instead, which classifies each path once.
 func (c *Collector) Observe(t *sim.Thread, path string, cycles uint64, remote bool) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushPending()
+	c.take(t)
 	if remote {
 		c.remote += cycles
 		return
@@ -416,107 +425,83 @@ func (c *Collector) book(t *sim.Thread, k WaitKind, cycles uint64) {
 	}
 }
 
-// unclassified marks a path id whose wait kind is not yet resolved.
-const unclassified = noKind + 1
-
-// EngineObserver is one engine's charge observer into a Collector: it
+// EngineObserver is one engine's charge consumer into a Collector: it
 // maps the engine's dense path ids to wait kinds through a slice, so a
 // charge hashes no path. Path ids are per engine, so every engine needs
-// its own observer.
+// its own observer; Collector.Attach makes one.
 //
-// Charges are buffered and booked in batches under one lock. The buffer
-// belongs to the engine, whose threads run one at a time, so filling it
-// takes no lock. It is booked before anything that reads or moves a span
-// stack (Begin, End, Wait, StartSegment), when it fills, and through
-// Flush (wired with sim.Engine.AddChargeFlush) before the engine hands the
-// token to another thread and when it stops. Every charge therefore lands
-// in the span it would have landed in unbuffered.
+// The engine delivers its charge batches when its buffer fills, before it
+// hands the token to another thread and when it stops. A span boundary
+// (Begin, End) cannot wait for that: the charges made before it belong to
+// the span stack as it was. So Begin, End, Wait and Observe first take the
+// engine's undelivered charges (sim.Engine.PendingCharges), under the lock
+// they already hold, and count them in taken; Book then skips them. Every
+// charge lands in the span it would have landed in unbuffered, and a
+// batch fully taken at span boundaries is delivered without a lock.
 type EngineObserver struct {
 	c     *Collector
-	kinds []WaitKind // by path id; unclassified until first seen
-	buf   []pendingObs
+	kinds []WaitKind // by path id
+	taken int        // leading charges of the engine's buffer already booked
 }
 
-// pendingObs is one buffered EngineObserver charge.
-type pendingObs struct {
-	t      *sim.Thread
-	cycles uint64
-	kind   WaitKind
-	remote bool
-}
-
-// observeBatch is how many charges an EngineObserver buffers before
-// booking them.
-const observeBatch = 256
-
-// NewEngineObserver returns a fresh observer for one engine (nil for a
-// nil collector); wire its Observe with sim.Engine.SetChargeObserver and
-// its Flush with sim.Engine.AddChargeFlush.
-func (c *Collector) NewEngineObserver() *EngineObserver {
+// Attach wires engine e into the collector through a fresh EngineObserver.
+// Attach before e runs.
+func (c *Collector) Attach(e *sim.Engine) {
 	if c == nil {
-		return nil
-	}
-	return &EngineObserver{c: c, buf: make([]pendingObs, 0, observeBatch)}
-}
-
-// Observe is the engine charge hook: Collector.Observe keyed by the
-// engine's path id. path is the id's interned path, classified only the
-// first time the id is seen.
-func (o *EngineObserver) Observe(t *sim.Thread, id int, path string, cycles uint64, remote bool) {
-	if o == nil {
 		return
 	}
-	if id >= len(o.kinds) || o.kinds[id] == unclassified {
-		o.classify(id, path)
-	}
-	if len(o.buf) == 0 {
-		//lint:ignore hotalloc holds the observers with buffered charges: at most one per engine
-		o.c.pending = append(o.c.pending, o)
-	}
-	//lint:ignore hotalloc never grows: the buffer is booked and emptied when full
-	o.buf = append(o.buf, pendingObs{t, cycles, o.kinds[id], remote})
-	if len(o.buf) == cap(o.buf) {
-		o.Flush()
-	}
+	o := &EngineObserver{c: c}
+	c.mu.Lock()
+	c.observers[e] = o
+	c.mu.Unlock()
+	e.AddChargeConsumer(o.Book)
 }
 
-// classify records the wait kind of an id seen for the first time.
-func (o *EngineObserver) classify(id int, path string) {
-	for id >= len(o.kinds) {
-		//lint:ignore hotalloc id table grows once per new path id
-		o.kinds = append(o.kinds, unclassified)
-	}
-	o.kinds[id] = classify(path)
-}
-
-// Flush books the buffered charges of every engine observer of the
-// collector. Call it on an engine's running thread or once engines have
-// stopped.
-func (o *EngineObserver) Flush() {
-	if o == nil || len(o.buf) == 0 {
+// Book books one batch of the engine's charges, skipping the ones a span
+// boundary already took; paths is the engine's path table, which the
+// batch's ids index.
+func (o *EngineObserver) Book(paths []string, batch []sim.Charge) {
+	if o.taken == len(batch) {
+		o.taken = 0
 		return
 	}
 	c := o.c
 	c.mu.Lock()
-	c.flushPending()
+	o.book(paths, batch[o.taken:])
 	c.mu.Unlock()
+	o.taken = 0
 }
 
-// flushPending books every buffered engine-observer charge, in arrival
-// order per observer. Callers hold mu and run on an engine thread or with
-// no engine running.
-func (c *Collector) flushPending() {
-	for _, o := range c.pending {
-		for _, p := range o.buf {
-			if p.remote {
-				c.remote += p.cycles
-			} else {
-				c.book(p.t, p.kind, p.cycles)
-			}
+// take books t's engine's undelivered charges that are not yet taken, so
+// a span boundary on t sees every charge made before it, and returns t's
+// span state. Callers hold mu and run on t's engine's running thread or
+// once that engine has stopped.
+func (c *Collector) take(t *sim.Thread) *tstate {
+	ts := c.state(t)
+	if o := ts.obs; o != nil {
+		paths, pending := t.Engine().PendingCharges()
+		if len(pending) > o.taken {
+			o.book(paths, pending[o.taken:])
+			o.taken = len(pending)
 		}
-		o.buf = o.buf[:0]
 	}
-	c.pending = c.pending[:0]
+	return ts
+}
+
+// book books charges of the observer's engine. Callers hold mu.
+func (o *EngineObserver) book(paths []string, batch []sim.Charge) {
+	for len(o.kinds) < len(paths) {
+		//lint:ignore hotalloc id table grows once per new path id
+		o.kinds = append(o.kinds, classify(paths[len(o.kinds)]))
+	}
+	c := o.c
+	for _, ch := range batch {
+		if ch.Remote {
+			c.remote += ch.Cycles
+		} else {
+			c.book(ch.T, o.kinds[ch.ID], ch.Cycles)
+		}
+	}
 }
 
 // classify maps a charge path's leaf label to a wait kind. The labels
@@ -551,9 +536,8 @@ func (c *Collector) Wait(t *sim.Thread, k WaitKind, cycles uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushPending()
+	ts := c.take(t)
 	c.cur.waits[k] += cycles
-	ts := c.state(t)
 	if len(ts.stack) == 0 {
 		return
 	}
@@ -561,14 +545,14 @@ func (c *Collector) Wait(t *sim.Thread, k WaitKind, cycles uint64) {
 }
 
 // StartSegment finalizes the current segment (if it saw any spans) and
-// starts a new one named id, mirroring timeline.StartSegment.
+// starts a new one named id, mirroring timeline.StartSegment. Call it
+// between engine runs: a stopped engine has delivered all its charges.
 func (c *Collector) StartSegment(id string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushPending()
 	if !c.cur.empty() {
 		c.done = append(c.done, c.cur)
 	}

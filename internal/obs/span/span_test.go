@@ -9,21 +9,14 @@ import (
 	"daxvm/internal/sim"
 )
 
-// runOne drives a single-thread scenario with the collector attached as
-// the engine's charge observer, the way the kernel wires it.
+// runOne drives a single-thread scenario with the collector attached to
+// the engine, the way the kernel wires it.
 func runOne(c *Collector, body func(t *sim.Thread)) *sim.Engine {
 	e := sim.New()
-	attach(e, c)
+	c.Attach(e)
 	e.Go("t0", 0, 0, body)
 	e.Run()
 	return e
-}
-
-// attach wires a fresh observer of c into e, as kernel.attachEngine does.
-func attach(e *sim.Engine, c *Collector) {
-	o := c.NewEngineObserver()
-	e.SetChargeObserver(o.Observe)
-	e.AddChargeFlush(o.Flush)
 }
 
 // TestSelfTimeReconciliation is the layer's core invariant on a nested
@@ -158,7 +151,7 @@ func TestJournalChildRule(t *testing.T) {
 func TestRemoteChargesStayOutsideSpans(t *testing.T) {
 	c := New(1)
 	e := sim.New()
-	attach(e, c)
+	c.Attach(e)
 	var victim *sim.Thread
 	e.Go("victim", 0, 0, func(th *sim.Thread) {
 		victim = th
@@ -220,7 +213,7 @@ func TestExemplarReservoirDeterminism(t *testing.T) {
 func TestSegments(t *testing.T) {
 	c := New(1)
 	e := sim.New()
-	attach(e, c)
+	c.Attach(e)
 	e.Go("t0", 0, 0, func(th *sim.Thread) {
 		c.Begin(th, "warmup")
 		th.Charge(10)
@@ -229,7 +222,7 @@ func TestSegments(t *testing.T) {
 	e.Run()
 	c.StartSegment("ftcost")
 	e2 := sim.New()
-	attach(e2, c)
+	c.Attach(e2)
 	e2.Go("t0", 0, 0, func(th *sim.Thread) {
 		c.Begin(th, "op")
 		th.Charge(10)

@@ -78,9 +78,7 @@ func TestEngineSamplerReconciles(t *testing.T) {
 		reg := obs.NewRegistry()
 		cyc := obs.NewCycleAccount()
 		e := sim.New()
-		sink := cyc.NewEngineSink()
-		e.SetChargeSink(sink.Charge)
-		e.AddChargeFlush(sink.Flush)
+		(&obs.Obs{Cycles: cyc}).Attach(e)
 		var tl *Timeline
 		if withTimeline {
 			tl = New(reg, cyc, Config{BaseInterval: 64, MaxIntervals: 16})
@@ -116,27 +114,27 @@ func TestEngineSamplerReconciles(t *testing.T) {
 }
 
 // TestBufferedSinkMatchesDirect pins that an engine's buffered charge
-// sink, flushed at every handoff, leaves the timeline identical to booking
-// each charge at once: the sampler runs on its own thread, so the engine
-// flushes the worker's charges before every sample.
+// stream, delivered to the account at every handoff, leaves the timeline
+// identical to booking each charge at once: the sampler runs on its own
+// thread, so the engine delivers the worker's charges before every sample.
 func TestBufferedSinkMatchesDirect(t *testing.T) {
 	run := func(buffered bool) []Export {
 		cyc := obs.NewCycleAccount()
 		e := sim.New()
 		if buffered {
-			sink := cyc.NewEngineSink()
-			e.SetChargeSink(sink.Charge)
-			e.AddChargeFlush(sink.Flush)
-		} else {
-			e.SetChargeSink(func(core, _ int, path string, cycles uint64) { cyc.Charge(core, path, cycles) })
+			(&obs.Obs{Cycles: cyc}).Attach(e)
 		}
 		tl := New(obs.NewRegistry(), cyc, Config{BaseInterval: 64, MaxIntervals: 16})
 		tl.StartSegment("eng")
 		e.GoSampler("timeline", 0, tl.NextWake, tl.Sample)
 		e.Go("worker", 0, 0, func(th *sim.Thread) {
 			for i := 0; i < 300; i++ {
-				th.PushAttr([]string{"app", "setup", "daemon"}[i%3])
+				root := []string{"app", "setup", "daemon"}[i%3]
+				th.PushAttr(root)
 				th.Charge(uint64(5 + i%11))
+				if !buffered {
+					cyc.Charge(th.Core, root, uint64(5+i%11))
+				}
 				th.PopAttr()
 				if i%4 == 0 {
 					th.Yield()

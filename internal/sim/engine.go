@@ -12,9 +12,10 @@
 // model rather than from a formula, while remaining fully deterministic.
 //
 // Runnable threads wait in one ready heap ordered by (wakeAt, seq); seq is
-// a unique push stamp, so dispatch order is total. Charge sinks and
-// observers run at the charge site, on the running thread; one that
-// buffers charges is flushed before every token handoff. The only
+// a unique push stamp, so dispatch order is total. Every charge is
+// appended to one per-engine buffer, which the engine delivers as a batch
+// to each consumer (AddChargeConsumer) when it fills, before every token
+// handoff and when the engine stops. The only
 // host goroutines are the threads themselves, and exactly one runs at a
 // time: usable lookahead between cores is zero (shared PMem token buckets,
 // zero-latency SpinLock handoff), so model execution cannot be spread
@@ -47,21 +48,10 @@ type Engine struct {
 	// host-side events/sec speed metric. It never feeds back into
 	// simulated behaviour.
 	events uint64
-	// sink, when set, receives every charge with its attribution path
-	// (see Thread.PushAttr) — the hook the cycle profiler attaches to. id
-	// is the path's dense per-engine id (see paths), so a sink can index
-	// its per-path state by slice instead of hashing the string.
-	sink func(core, id int, path string, cycles uint64)
-	// observer, when set, additionally receives every charge together
-	// with the charging thread — the hook the span layer attaches to.
-	// remote marks cycles booked onto this thread by another thread
-	// (AddRemote): they belong to the target's timeline but not to any
-	// operation the target itself is executing.
-	observer func(t *Thread, id int, path string, cycles uint64, remote bool)
-	// flushers run before the running thread hands the token to another
-	// thread and when the engine stops: a sink or observer that buffers
-	// charges books them there (see AddChargeFlush).
-	flushers []func()
+	// buf holds the charges not yet delivered to the consumers, in charge
+	// order. It fills only while a consumer is attached.
+	buf       []Charge
+	consumers []func(paths []string, batch []Charge)
 
 	// paths interns attribution paths: id i names paths[i], and each
 	// distinct path has exactly one id. Id 0 is Unattributed. kids[i]
@@ -265,7 +255,7 @@ func (e *Engine) shutdown() {
 		return
 	}
 	e.stopping = true
-	e.flush()
+	e.deliver()
 	for _, t := range e.threads {
 		if !t.started {
 			t.fn = nil // never dispatched: nothing else drops it
@@ -282,33 +272,56 @@ func (e *Engine) shutdown() {
 // Now returns the thread's virtual clock in cycles.
 func (t *Thread) Now() uint64 { return t.clock }
 
-// SetChargeSink routes every subsequent charge on any thread of this
-// engine (with its core, attribution path id and interned path) to fn.
-// Ids are dense and per engine: 0 is Unattributed and each newly seen
-// path takes the next id. Pass nil to detach.
-func (e *Engine) SetChargeSink(fn func(core, id int, path string, cycles uint64)) { e.sink = fn }
+// Engine returns the engine the thread runs on.
+func (t *Thread) Engine() *Engine { return t.e }
 
-// SetChargeObserver routes every subsequent charge, together with the
-// thread it books onto, to fn (nil detaches). The span layer attaches
-// here: unlike the sink it needs thread identity to resolve the open
-// span stack. remote is true for AddRemote bookings, which advance the
-// target thread's clock without being work that thread initiated.
-func (e *Engine) SetChargeObserver(fn func(t *Thread, id int, path string, cycles uint64, remote bool)) {
-	e.observer = fn
+// Charge is one charge as consumers receive it: Cycles booked onto
+// thread T under the attribution path whose id is ID, an index into the
+// path table delivered with the batch. Ids are dense and per engine: 0 is
+// Unattributed and each newly seen path takes the next id. Remote marks
+// AddRemote bookings, which advance T's clock without being work T
+// itself initiated.
+type Charge struct {
+	T      *Thread
+	Cycles uint64
+	ID     int32
+	Remote bool
 }
 
-// AddChargeFlush registers fn to run on the running thread before it hands
-// the token to another thread, and on the last thread when the engine
-// stops. A sink or observer that buffers charges instead of booking each
-// one books its buffer in fn, so anything another thread, or the caller of
-// Run, reads of it is complete.
-func (e *Engine) AddChargeFlush(fn func()) { e.flushers = append(e.flushers, fn) }
+// chargeBatch is how many charges the engine buffers before delivering
+// them.
+const chargeBatch = 256
 
-// flush runs the charge flushers.
-func (e *Engine) flush() {
-	for _, fn := range e.flushers {
-		fn()
+// AddChargeConsumer registers fn to receive every later charge on any
+// thread of this engine, in charge order and in batches: when the buffer
+// fills, on the running thread before it hands the token to another
+// thread, and on the last thread when the engine stops. So whatever
+// another thread, or the caller of Run, reads of a consumer is complete.
+// paths maps every id in batch to its interned path. fn must not keep
+// batch: the engine reuses it.
+func (e *Engine) AddChargeConsumer(fn func(paths []string, batch []Charge)) {
+	if e.buf == nil {
+		e.buf = make([]Charge, 0, chargeBatch)
 	}
+	e.consumers = append(e.consumers, fn)
+}
+
+// PendingCharges returns the charges not yet delivered, in charge order,
+// with the path table their ids index: the pair the next delivery passes.
+// pending aliases the engine's buffer, so read it on the engine's running
+// thread or once the engine has stopped.
+func (e *Engine) PendingCharges() (paths []string, pending []Charge) { return e.paths, e.buf }
+
+// deliver hands the buffered charges to every consumer and empties the
+// buffer.
+func (e *Engine) deliver() {
+	if len(e.buf) == 0 {
+		return
+	}
+	for _, fn := range e.consumers {
+		fn(e.paths, e.buf)
+	}
+	e.buf = e.buf[:0]
 }
 
 // TotalCharged reports the cycles booked through Charge/ChargeAs/AddRemote
@@ -411,24 +424,24 @@ func (t *Thread) Charge(c uint64) {
 	t.clock += c
 	t.e.charged += c
 	t.e.events++
-	if t.e.sink != nil || t.e.observer != nil {
+	if t.e.consumers != nil {
 		id := unattributedID
 		if n := len(t.attr); n > 0 {
 			id = t.attr[n-1]
 		}
-		t.e.emitCharge(t, id, c, false)
+		t.e.emit(t, id, c, false)
 	}
 }
 
 // ChargeAs books c under a one-shot child of the current frame — the cheap
 // way to label leaf costs (walk kinds, nt-stores) without stack churn. The
-// label is only resolved when a sink or observer is attached.
+// label is only resolved when a consumer is attached.
 func (t *Thread) ChargeAs(label string, c uint64) {
 	t.clock += c
 	t.e.charged += c
 	t.e.events++
-	if t.e.sink != nil || t.e.observer != nil {
-		t.e.emitCharge(t, t.e.join(t.attrID(), label), c, false)
+	if t.e.consumers != nil {
+		t.e.emit(t, t.e.join(t.attrID(), label), c, false)
 	}
 }
 
@@ -439,20 +452,18 @@ func (t *Thread) AddRemote(path string, c uint64) {
 	t.clock += c
 	t.e.charged += c
 	t.e.events++
-	if t.e.sink != nil || t.e.observer != nil {
-		t.e.emitCharge(t, t.e.join(noParent, path), c, true)
+	if t.e.consumers != nil {
+		t.e.emit(t, t.e.join(noParent, path), c, true)
 	}
 }
 
-// emitCharge delivers one charge on path id to the attached sink and
-// observer.
-func (e *Engine) emitCharge(t *Thread, id int, cycles uint64, remote bool) {
-	path := e.paths[id]
-	if e.sink != nil {
-		e.sink(t.Core, id, path, cycles)
-	}
-	if e.observer != nil {
-		e.observer(t, id, path, cycles, remote)
+// emit buffers one charge on path id and delivers the buffer once it is
+// full.
+func (e *Engine) emit(t *Thread, id int, cycles uint64, remote bool) {
+	//lint:ignore hotalloc never grows: the buffer is delivered and emptied when full
+	e.buf = append(e.buf, Charge{t, cycles, int32(id), remote})
+	if len(e.buf) == chargeBatch {
+		e.deliver()
 	}
 }
 
@@ -525,7 +536,7 @@ func (e *Engine) dispatchFrom(t *Thread, wait bool) {
 		t.state = stateRunning
 		return
 	}
-	e.flush()
+	e.deliver()
 	next.state = stateRunning
 	if next.clock < next.wakeAt {
 		next.clock = next.wakeAt

@@ -312,21 +312,27 @@ func TestSpinLockNoWakeCost(t *testing.T) {
 	}
 }
 
-// TestChargeSinkAttribution pins the sink contract: each charge arrives
-// with its core, its dense per-engine path id (0 is Unattributed, then one
-// id per newly interned path, frames included) and the interned path.
-func TestChargeSinkAttribution(t *testing.T) {
+// TestChargeConsumerAttribution pins what a consumer receives: each
+// charge exactly once and in order, with the thread it books onto, its
+// cycles, its dense per-engine path id (0 is Unattributed, then one id
+// per newly interned path, frames included), the path table entry for
+// that id, and Remote set only on AddRemote bookings.
+func TestChargeConsumerAttribution(t *testing.T) {
 	e := New()
 	type booked struct {
-		core  int
-		id    int
-		path  string
-		cycle uint64
+		thread string
+		id     int32
+		path   string
+		cycles uint64
+		remote bool
 	}
 	var got []booked
-	e.SetChargeSink(func(core, id int, path string, cycles uint64) {
-		got = append(got, booked{core, id, path, cycles})
+	e.AddChargeConsumer(func(paths []string, batch []Charge) {
+		for _, c := range batch {
+			got = append(got, booked{c.T.Name, c.ID, paths[c.ID], c.Cycles, c.Remote})
+		}
 	})
+	var t1 *Thread
 	e.Go("t0", 3, 0, func(th *Thread) {
 		th.Charge(10) // empty stack -> unattributed
 		th.PushAttr("app")
@@ -334,28 +340,29 @@ func TestChargeSinkAttribution(t *testing.T) {
 		th.PushAttr("syscall.read") // nests -> app.syscall.read
 		th.ChargeAs("copy", 30)     // one-shot child
 		th.PopAttr()
-		th.AddRemote("shootdown.ipi_handler", 40) // absolute, ignores stack
+		t1.AddRemote("shootdown.ipi_handler", 40) // absolute, ignores stack, books onto t1
 		th.PushAttr("syscall")
 		th.ChargeAs("read", 50) // same path as the frame above: same id
 		th.PopAttr()
 		th.PopAttr()
 		th.AddRemote("app", 60) // a root reached from no frame: same id
 	})
+	t1 = e.Go("t1", 4, 1000, func(th *Thread) {})
 	e.Run()
 	want := []booked{
-		{3, 0, Unattributed, 10},
-		{3, 1, "app", 20},
-		{3, 3, "app.syscall.read.copy", 30},
-		{3, 4, "shootdown.ipi_handler", 40},
-		{3, 2, "app.syscall.read", 50},
-		{3, 1, "app", 60},
+		{"t0", 0, Unattributed, 10, false},
+		{"t0", 1, "app", 20, false},
+		{"t0", 3, "app.syscall.read.copy", 30, false},
+		{"t1", 4, "shootdown.ipi_handler", 40, true},
+		{"t0", 2, "app.syscall.read", 50, false},
+		{"t0", 1, "app", 60, true},
 	}
 	if len(got) != len(want) {
-		t.Fatalf("sink calls = %+v", got)
+		t.Fatalf("consumer saw %+v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("sink[%d] = %+v, want %+v", i, got[i], want[i])
+			t.Fatalf("charge %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -469,49 +476,109 @@ func TestDumpIncludesAttr(t *testing.T) {
 	e.Run()
 }
 
-// TestChargeFlushAtHandoff pins the AddChargeFlush contract: a flusher
-// runs before the running thread hands the token to another thread and
-// when the engine stops, so no thread ever resumes to find another
-// thread's charges still buffered, and nothing is buffered after Run.
-func TestChargeFlushAtHandoff(t *testing.T) {
+// TestChargeDelivery pins when the engine delivers its one charge
+// buffer: when it holds chargeBatch charges, before the running thread
+// hands the token to another thread, and when the engine stops. Every
+// consumer receives the identical batches, PendingCharges holds exactly
+// the charges not yet delivered, and nothing is pending after Run.
+func TestChargeDelivery(t *testing.T) {
 	e := New()
-	var buffered int
+	var batches [2][][]Charge
+	for i := range batches {
+		i := i
+		e.AddChargeConsumer(func(paths []string, batch []Charge) {
+			if len(paths) != len(e.paths) {
+				t.Errorf("consumer %d got %d paths, engine has %d", i, len(paths), len(e.paths))
+			}
+			batches[i] = append(batches[i], append([]Charge(nil), batch...))
+		})
+	}
+	delivered := func() (n int) {
+		for _, b := range batches[0] {
+			n += len(b)
+		}
+		return n
+	}
+	var made int
 	var last *Thread
-	e.SetChargeSink(func(int, int, string, uint64) { buffered++ })
-	e.AddChargeFlush(func() { buffered = 0 })
 	body := func(th *Thread) {
 		for i := 0; i < 50; i++ {
-			if last != th && buffered != 0 {
-				t.Errorf("%s resumed with %d charges of %s buffered", th.Name, buffered, last.Name)
+			_, pending := e.PendingCharges()
+			if last != th && len(pending) != 0 {
+				t.Errorf("%s resumed with %d charges of %s undelivered", th.Name, len(pending), last.Name)
 			}
 			last = th
 			th.Charge(uint64(1 + i%3))
 			th.ChargeAs("copy", 1)
+			made += 2
+			if _, pending := e.PendingCharges(); delivered()+len(pending) != made {
+				t.Errorf("%d delivered + %d pending != %d made", delivered(), len(pending), made)
+			}
 			th.Yield()
 		}
-		th.Charge(1) // booked by the flush at stop, if by any
+		// A run of charges with no handoff is delivered in full batches.
+		for i := 0; i < 2*chargeBatch+10; i++ {
+			th.Charge(1)
+			made++
+			if _, pending := e.PendingCharges(); len(pending) != made-delivered() || len(pending) >= chargeBatch {
+				t.Fatalf("%d pending after %d made, %d delivered", len(pending), made, delivered())
+			}
+		}
 	}
 	e.Go("a", 0, 0, body)
 	e.Go("b", 1, 0, body)
 	e.Run()
-	if buffered != 0 {
-		t.Fatalf("%d charges still buffered after Run", buffered)
+	if _, pending := e.PendingCharges(); len(pending) != 0 {
+		t.Fatalf("%d charges still pending after Run", len(pending))
+	}
+	if got := delivered(); got != made {
+		t.Fatalf("delivered %d charges, made %d", got, made)
+	}
+	full := 0
+	for _, b := range batches[0] {
+		if len(b) == chargeBatch {
+			full++
+		}
+	}
+	if full < 4 {
+		t.Fatalf("%d full batches, want at least 4", full)
+	}
+	if len(batches[0]) != len(batches[1]) {
+		t.Fatalf("consumers got %d and %d batches", len(batches[0]), len(batches[1]))
+	}
+	for i := range batches[0] {
+		a, b := batches[0][i], batches[1][i]
+		if len(a) != len(b) {
+			t.Fatalf("batch %d: %d vs %d charges", i, len(a), len(b))
+		}
+		for j := range a {
+			if a[j] != b[j] {
+				t.Fatalf("batch %d charge %d: %+v vs %+v", i, j, a[j], b[j])
+			}
+		}
 	}
 }
 
 // TestChargeEmitZeroAlloc pins the charge emit path at zero allocations
-// with both a sink and an observer attached: Charge, warm ChargeAs (the
-// joined path is already interned) and AddRemote call them directly.
+// with two consumers attached: Charge, warm ChargeAs (the joined path is
+// already interned) and AddRemote append to the engine's buffer, and the
+// deliveries the runs cross pass it on as is.
 func TestChargeEmitZeroAlloc(t *testing.T) {
 	e := New()
-	var sunk, observed uint64
-	e.SetChargeSink(func(core, _ int, path string, cycles uint64) { sunk += cycles })
-	e.SetChargeObserver(func(t *Thread, _ int, path string, cycles uint64, remote bool) { observed += cycles })
+	var seen [2]uint64
+	for i := range seen {
+		i := i
+		e.AddChargeConsumer(func(_ []string, batch []Charge) {
+			for _, c := range batch {
+				seen[i] += c.Cycles
+			}
+		})
+	}
 	var allocs float64
 	e.Go("t0", 0, 0, func(th *Thread) {
 		th.PushAttr("app")
 		th.ChargeAs("copy", 1) // warm the interned "app.copy" path
-		allocs = testing.AllocsPerRun(100, func() {
+		allocs = testing.AllocsPerRun(200, func() {
 			th.Charge(1)
 			th.ChargeAs("copy", 1)
 			th.AddRemote("shootdown.ipi_handler", 1)
@@ -522,8 +589,8 @@ func TestChargeEmitZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("charge emit path allocates %v times per run, want 0", allocs)
 	}
-	if sunk == 0 || sunk != observed {
-		t.Fatalf("sink saw %d cycles, observer %d: both must see every charge", sunk, observed)
+	if seen[0] != e.TotalCharged() || seen[1] != seen[0] {
+		t.Fatalf("consumers saw %v cycles, engine charged %d: both must see every charge", seen, e.TotalCharged())
 	}
 }
 

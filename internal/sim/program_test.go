@@ -12,8 +12,7 @@ import (
 // Whole-engine property tests over seeded random programs (package
 // simtest), run on the sequential engine.
 
-// booking is one sink or observer call. The sink leaves thread empty and
-// remote false; it reports only core, id, path and cycles.
+// booking is one charge as a consumer receives it.
 type booking struct {
 	core   int
 	thread string
@@ -24,15 +23,14 @@ type booking struct {
 }
 
 // progTrace is everything observable about one run: final thread clocks,
-// engine totals, the exact sink/observer call sequences, per-lock
-// acquisition counts and the first exclusion violation seen, if any.
+// engine totals, the exact charge stream, per-lock acquisition counts
+// and the first exclusion violation seen, if any.
 type progTrace struct {
 	clocks   map[string]uint64
 	charged  uint64
 	events   uint64
 	maxClock uint64
-	sink     []booking
-	observer []booking
+	charges  []booking
 	simtest.Result
 }
 
@@ -41,11 +39,10 @@ type progTrace struct {
 func runProgram(progs [][]simtest.Op) progTrace {
 	e := sim.New()
 	var tr progTrace
-	e.SetChargeSink(func(core, id int, path string, cycles uint64) {
-		tr.sink = append(tr.sink, booking{core: core, id: id, path: path, cycles: cycles})
-	})
-	e.SetChargeObserver(func(t *sim.Thread, id int, path string, cycles uint64, remote bool) {
-		tr.observer = append(tr.observer, booking{t.Core, t.Name, id, path, cycles, remote})
+	e.AddChargeConsumer(func(paths []string, batch []sim.Charge) {
+		for _, c := range batch {
+			tr.charges = append(tr.charges, booking{c.T.Core, c.T.Name, int(c.ID), paths[c.ID], c.Cycles, c.Remote})
+		}
 	})
 	tr.Result = simtest.Run(e, progs, simtest.Hooks{})
 	tr.maxClock = e.MaxClock()
@@ -70,8 +67,8 @@ func forSeeds(t *testing.T, check func(t *testing.T, progs [][]simtest.Op)) {
 }
 
 // TestProgramDeterminism pins replay: the same program run twice on fresh
-// engines yields identical final clocks, engine totals and sink/observer
-// call sequences. Every artifact's byte-identity rests on this.
+// engines yields identical final clocks, engine totals and charge
+// streams. Every artifact's byte-identity rests on this.
 func TestProgramDeterminism(t *testing.T) {
 	forSeeds(t, func(t *testing.T, progs [][]simtest.Op) {
 		a, b := runProgram(progs), runProgram(progs)
@@ -82,45 +79,36 @@ func TestProgramDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(a.clocks, b.clocks) {
 			t.Fatalf("final clocks differ:\n%v\n%v", a.clocks, b.clocks)
 		}
-		compareBookings(t, "sink", a.sink, b.sink)
-		compareBookings(t, "observer", a.observer, b.observer)
+		compareBookings(t, a.charges, b.charges)
 	})
 }
 
-// TestProgramChargeStreams pins the direct emit path: the sink and the
-// observer see the same charges in the same order (core, id, path,
-// cycles), only AddRemote bookings are flagged remote, ids and paths are
-// in one-to-one correspondence, and the sink's cycles sum to TotalCharged.
+// TestProgramChargeStreams pins the charge stream on random programs:
+// only AddRemote bookings are flagged remote, ids and paths are in
+// one-to-one correspondence, and the cycles sum to TotalCharged.
 func TestProgramChargeStreams(t *testing.T) {
 	forSeeds(t, func(t *testing.T, progs [][]simtest.Op) {
 		tr := runProgram(progs)
-		if len(tr.sink) != len(tr.observer) {
-			t.Fatalf("sink saw %d charges, observer %d", len(tr.sink), len(tr.observer))
-		}
 		var sum uint64
 		pathOf, idOf := map[int]string{}, map[string]int{}
-		for i, s := range tr.sink {
-			o := tr.observer[i]
-			if s.core != o.core || s.id != o.id || s.path != o.path || s.cycles != o.cycles {
-				t.Fatalf("charge %d: sink %+v, observer %+v", i, s, o)
+		for i, c := range tr.charges {
+			if c.remote != (c.path == simtest.RemotePath) {
+				t.Fatalf("charge %d: remote=%v on path %q", i, c.remote, c.path)
 			}
-			if o.remote != (o.path == simtest.RemotePath) {
-				t.Fatalf("charge %d: remote=%v on path %q", i, o.remote, o.path)
+			if p, ok := pathOf[c.id]; ok && p != c.path {
+				t.Fatalf("charge %d: id %d names %q and %q", i, c.id, p, c.path)
 			}
-			if p, ok := pathOf[s.id]; ok && p != s.path {
-				t.Fatalf("charge %d: id %d names %q and %q", i, s.id, p, s.path)
+			if id, ok := idOf[c.path]; ok && id != c.id {
+				t.Fatalf("charge %d: path %q has ids %d and %d", i, c.path, id, c.id)
 			}
-			if id, ok := idOf[s.path]; ok && id != s.id {
-				t.Fatalf("charge %d: path %q has ids %d and %d", i, s.path, id, s.id)
-			}
-			pathOf[s.id], idOf[s.path] = s.path, s.id
-			sum += s.cycles
+			pathOf[c.id], idOf[c.path] = c.path, c.id
+			sum += c.cycles
 		}
 		if sum != tr.charged {
-			t.Fatalf("sink cycles sum to %d, TotalCharged = %d", sum, tr.charged)
+			t.Fatalf("charges sum to %d cycles, TotalCharged = %d", sum, tr.charged)
 		}
-		if tr.events < uint64(len(tr.sink)) {
-			t.Fatalf("Events() = %d, below the %d charges", tr.events, len(tr.sink))
+		if tr.events < uint64(len(tr.charges)) {
+			t.Fatalf("Events() = %d, below the %d charges", tr.events, len(tr.charges))
 		}
 	})
 }
@@ -148,14 +136,14 @@ func TestProgramLockExclusion(t *testing.T) {
 	})
 }
 
-func compareBookings(t *testing.T, kind string, want, got []booking) {
+func compareBookings(t *testing.T, want, got []booking) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s call count %d, want %d", kind, len(got), len(want))
+		t.Fatalf("charge count %d, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("%s call %d = %+v, want %+v", kind, i, got[i], want[i])
+			t.Fatalf("charge %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -12,7 +12,7 @@ package ana
 //     to that field/type/alias anywhere in the program, including one
 //     level of parameter flow (a func value passed to a function that
 //     stores its parameter into a field binds to that field — the
-//     SetChargeSink / NewAddressSpace wiring idiom);
+//     NewAddressSpace wiring idiom);
 //   - remaining dynamic calls fall back to signature matching, but
 //     those edges are tagged EdgeSig and excluded from analyzer
 //     traversals: the engine's thread trampoline (t.fn(t)) would

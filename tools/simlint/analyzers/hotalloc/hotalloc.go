@@ -54,11 +54,13 @@ var defaultRoots = []string{
 	"(*daxvm/internal/mm.MM).WPFault",
 	"(*daxvm/internal/cpu.Core).Translate",
 	"(*daxvm/internal/cpu.Set).Shootdown",
-	// The per-engine charge adapters the kernel wires, and the string
-	// entry points that share their booking functions.
-	"(*daxvm/internal/obs.EngineSink).Charge",
+	// The per-engine charge consumers the kernel attaches, and the string
+	// entry points that share their booking functions. The engine reaches
+	// its consumers through a slice of funcs, which the call graph does
+	// not follow, so the consumers' Book methods are roots of their own.
+	"(*daxvm/internal/obs.EngineSink).Book",
 	"(*daxvm/internal/obs.CycleAccount).Charge",
-	"(*daxvm/internal/obs/span.EngineObserver).Observe",
+	"(*daxvm/internal/obs/span.EngineObserver).Book",
 	"(*daxvm/internal/obs/span.Collector).Observe",
 	"(*daxvm/internal/obs/span.Collector).Wait",
 	// Gauge readers run on every timeline sampler wake and must stay
