@@ -78,15 +78,20 @@ func TestCycleReconciliation(t *testing.T) {
 // a span outliving its frame — shows up as drift here.
 func TestSpanSelfTimeMatchesAttribution(t *testing.T) {
 	// classMatches reports whether an attribution leaf path contains the
-	// class as a frame segment. Suffix or infix with dots on both sides:
+	// class as a frame segment, anywhere from the root to the leaf:
 	// "app.x.syscall.append" and "app.x.syscall.append.ntstore" both carry
-	// "syscall.append"; the root-absolute remote path "shootdown.ipi_handler"
-	// does not carry class "shootdown" as ".shootdown." or ".shootdown" —
-	// remote work belongs to no span, and the matcher must agree.
+	// "syscall.append", and the root frame "daemon.prezero" carries its
+	// own class. The root-absolute remote path "shootdown.ipi_handler" is
+	// the exception: it does not carry class "shootdown", because remote
+	// work belongs to no span, and the matcher must agree.
 	classMatches := func(path, class string) bool {
-		return strings.Contains(path, "."+class+".") || strings.HasSuffix(path, "."+class)
+		if path == "shootdown.ipi_handler" {
+			return false
+		}
+		return path == class || strings.HasPrefix(path, class+".") ||
+			strings.Contains(path, "."+class+".") || strings.HasSuffix(path, "."+class)
 	}
-	for _, id := range []string{"storage", "ftcost", "numa"} {
+	for _, id := range []string{"storage", "ftcost", "numa", "ablate-throttle"} {
 		t.Run(id, func(t *testing.T) {
 			e, ok := ByID(id)
 			if !ok {

@@ -314,3 +314,57 @@ func TestDaemonSpans(t *testing.T) {
 		t.Errorf("span layer observed %d cycles, engines charged %d", got, want)
 	}
 }
+
+// TestCutSpansEndAtEngineStop pins the teardown of a daemon parked inside
+// its spans when the last workload thread exits: Run ends them, innermost
+// first, at the daemon's clock, so no span stays open and every cycle the
+// daemon charged inside them reaches their classes, matching the account.
+func TestCutSpansEndAtEngineStop(t *testing.T) {
+	o := obs.New(0)
+	sp := span.New(1)
+	k := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, Obs: o, Spans: sp})
+	daemon := k.Engine.GoDaemon("cut", 1, 0, func(th *sim.Thread) {
+		th.PushAttr("daemon.cut")
+		sp.Begin(th, "daemon.cut")
+		th.Charge(300)
+		th.PushAttr("zero")
+		sp.Begin(th, "zero")
+		th.Charge(200)
+		th.Sleep(1 << 40) // parked here when the workload exits
+		sp.End(th)
+		th.PopAttr()
+		sp.End(th)
+		th.PopAttr()
+	})
+	p := k.NewProc()
+	p.Spawn("w", 0, 0, func(th *sim.Thread, _ *cpu.Core) { th.Sleep(1000) })
+	k.Run()
+	if n := sp.OpenSpans(daemon); n != 0 {
+		t.Fatalf("%d spans left open on the torn-down daemon", n)
+	}
+	snap := o.Cycles.Snapshot()
+	want := map[string]struct{ count, self, attributed, dur uint64 }{
+		"daemon.cut": {1, 500, snap.TotalOf("daemon.cut"), daemon.Now()},
+		"zero":       {1, 200, snap.TotalOf("daemon.cut.zero"), daemon.Now() - 300},
+	}
+	seen := 0
+	for _, seg := range sp.Export() {
+		for _, ce := range seg.Classes {
+			w, ok := want[ce.Class]
+			if !ok {
+				continue
+			}
+			seen++
+			if ce.Count != w.count || ce.SelfCycles != w.self || ce.SelfCycles != w.attributed || ce.TotalCycles != w.dur {
+				t.Errorf("class %s: count %d self %d total %d, want count %d self %d (attributed %d) total %d",
+					ce.Class, ce.Count, ce.SelfCycles, ce.TotalCycles, w.count, w.self, w.attributed, w.dur)
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("exported %d of the daemon's %d classes", seen, len(want))
+	}
+	if got, charged := sp.ObservedCycles(), o.EnginesTotal(); got != charged {
+		t.Errorf("span layer observed %d cycles, engines charged %d", got, charged)
+	}
+}
