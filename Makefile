@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci build fmt vet lint lint-json test race bench-host-test smoke smoke-all perf-gate validate-baselines baseline identical clean
+.PHONY: ci build fmt vet lint lint-json test race fuzz bench-host-test smoke smoke-all perf-gate validate-baselines baseline identical clean
 
 ci: fmt vet lint build test race bench-host-test smoke smoke-all perf-gate validate-baselines
 
@@ -41,6 +41,19 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Explore every Fuzz* target beyond its committed corpus for FUZZTIME
+# each. Not part of ci: `go test` (and so `make test`) already replays
+# each target's corpus under testdata/fuzz/. A failing input is written
+# there; commit it so the finding replays on every run.
+FUZZTIME ?= 30s
+fuzz:
+	@set -e; for file in $$(grep -rl --include='*_test.go' --exclude-dir=testdata --exclude-dir=.bench_build '^func Fuzz' .); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$file"); do \
+			echo "fuzz: $$target in ./$$(dirname "$$file") for $(FUZZTIME)"; \
+			$(GO) test "./$$(dirname "$$file")" -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME); \
+		done; \
+	done
 
 # The host-speed benchmark (bench/host) is a module of its own, so
 # `go test ./...` at the root never builds it; test it separately so a

@@ -19,6 +19,10 @@ import (
 // it discriminates sequential from random access, reproducing Table II.
 const pteLineCacheSize = 192
 
+// pteLineSetBits sizes the open-addressed set that finds warm lines: 512
+// slots, so the 192 lines it holds keep probe runs short.
+const pteLineSetBits = 9
+
 // Set is the machine's collection of cores.
 type Set struct {
 	Cores []*Core
@@ -44,11 +48,7 @@ type Set struct {
 func NewSet(n int) *Set {
 	s := &Set{Cores: make([]*Core, n)}
 	for i := range s.Cores {
-		s.Cores[i] = &Core{
-			ID:       i,
-			TLB:      tlb.New(),
-			pteLines: make(map[lineKey]struct{}, pteLineCacheSize),
-		}
+		s.Cores[i] = &Core{ID: i, TLB: tlb.New()}
 	}
 	return s
 }
@@ -77,13 +77,14 @@ type Core struct {
 	// targets are charged through it).
 	bound *sim.Thread
 
-	// PTE-line reuse cache for the walk cost model. The FIFO ring is a
-	// fixed array so the per-walk touch path never allocates.
-	pteLines   map[lineKey]struct{}
-	pteRing    [pteLineCacheSize]lineKey
-	pteHead    int // oldest entry when pteCount == pteLineCacheSize
-	pteCount   int
-	pteLineGen uint64
+	// PTE-line reuse cache for the walk cost model: a FIFO ring of the
+	// warm lines and a linear-probed set over the same lines (empty slot
+	// = nil node, backward-shift deletion). Both are fixed arrays so the
+	// per-walk touch path never allocates.
+	pteLines [1 << pteLineSetBits]lineKey
+	pteRing  [pteLineCacheSize]lineKey
+	pteHead  int // oldest entry when pteCount == pteLineCacheSize
+	pteCount int
 
 	// WalkHist, when set, records the latency of every charged page
 	// walk (registered as the cpu.walk_latency histogram).
@@ -109,7 +110,6 @@ type CoreStats struct {
 type lineKey struct {
 	node *pt.Node
 	line int
-	gen  uint64
 }
 
 // Bind associates a sim thread with the core (the thread "runs on" it).
@@ -136,7 +136,8 @@ const (
 
 // Translate performs the hardware part of an access to va: TLB lookup,
 // page walk on miss (charging medium-dependent cycles), A/D bit updates
-// and TLB fill. The fault paths are the caller's (mm's) job.
+// and TLB fill. The fault paths are the caller's (mm's) job. Each walk
+// descends the page table once.
 func (c *Core) Translate(t *sim.Thread, as *pt.AddressSpace, va mem.VirtAddr, write bool) (pt.Entry, TranslateResult) {
 	if e, ok := c.TLB.Lookup(va); ok {
 		if write && !e.Writable {
@@ -145,45 +146,35 @@ func (c *Core) Translate(t *sim.Thread, as *pt.AddressSpace, va mem.VirtAddr, wr
 		if write && !e.PTE.Dirty() {
 			// Hardware re-walks to set the dirty bit; approximate with
 			// a short walk charge and update the cached entry.
-			c.chargeWalk(t, as, va, true)
+			leaf := as.Resolve(va)
+			c.chargeWalk(t, leaf)
 			e.PTE |= pt.BitDirty
-			c.setLeafBits(t, as, va, true)
+			c.setLeafBits(t, leaf, true)
 		}
 		return e.PTE, TransOK
 	}
 
-	entry, level, writable, present := c.walk(t, as, va)
-	if !present {
+	leaf := as.Resolve(va)
+	c.chargeWalk(t, leaf)
+	if leaf.Node == nil {
 		return 0, TransNotPresent
 	}
-	if write && !writable {
-		return entry, TransNoWrite
+	if write && !leaf.Writable {
+		return leaf.Entry, TransNoWrite
 	}
-	c.setLeafBits(t, as, va, write)
+	c.setLeafBits(t, leaf, write)
+	entry := leaf.Entry
 	if write {
 		entry |= pt.BitDirty
 	}
-	if leaf, _ := as.LeafNode(va); leaf != nil && leaf.NoAD {
+	if leaf.Node.NoAD {
 		// DaxVM file tables drop A/D maintenance entirely: the hardware
 		// never needs the dirty-bit assist walk on these mappings, so
 		// cache the translation as already-dirty.
 		entry |= pt.BitDirty | pt.BitAccessed
 	}
-	c.TLB.Insert(va, entry, writable, level == pt.LevelPMD)
+	c.TLB.Insert(va, entry, leaf.Writable, leaf.Level == pt.LevelPMD)
 	return entry, TransOK
-}
-
-// walk performs a charged page walk.
-func (c *Core) walk(t *sim.Thread, as *pt.AddressSpace, va mem.VirtAddr) (pt.Entry, int, bool, bool) {
-	entry, level, writable, ok := as.Lookup(va)
-	c.chargeWalkCost(t, as, va, level, ok)
-	return entry, level, writable, ok
-}
-
-// chargeWalk charges a walk without resolving (dirty-bit re-walk).
-func (c *Core) chargeWalk(t *sim.Thread, as *pt.AddressSpace, va mem.VirtAddr, _ bool) {
-	_, level, _, ok := as.Lookup(va)
-	c.chargeWalkCost(t, as, va, level, ok)
 }
 
 // Walk attribution labels, precomposed so the per-walk charge path never
@@ -199,38 +190,35 @@ const (
 	walkPTEMissPMemRem = "walk.pte_miss_pmem_remote"
 )
 
-// chargeWalkCost books one walk: the cycles go to the cycle account under
-// "walk.<kind>" (nested below whatever path triggered the translation),
-// the per-core stats, and the walk-latency histogram.
-func (c *Core) chargeWalkCost(t *sim.Thread, as *pt.AddressSpace, va mem.VirtAddr, level int, ok bool) {
-	cycles, label := c.walkCost(as, va, level, ok)
+// chargeWalk books one walk ending at leaf: the cycles go to the cycle
+// account under "walk.<kind>" (nested below whatever path triggered the
+// translation), the per-core stats, and the walk-latency histogram.
+func (c *Core) chargeWalk(t *sim.Thread, leaf pt.Leaf) {
+	cycles, label := c.walkCost(leaf)
 	t.ChargeAs(label, cycles)
 	c.Stats.WalkCycles += cycles
 	c.Stats.Walks++
 	c.WalkHist.Observe(cycles)
 }
 
-// walkCost computes the cycle cost of a walk resolving at the given level,
-// using the leaf node's medium and the PTE-line reuse cache, and names the
-// walk kind for cycle attribution.
-func (c *Core) walkCost(as *pt.AddressSpace, va mem.VirtAddr, level int, ok bool) (uint64, string) {
-	if !ok {
+// walkCost computes the cycle cost of a walk ending at leaf, using the
+// leaf node's medium and the PTE-line reuse cache, and names the walk
+// kind for cycle attribution.
+func (c *Core) walkCost(leaf pt.Leaf) (uint64, string) {
+	if leaf.Node == nil {
 		// Aborted walk; upper levels only.
 		return cost.WalkUpperLevels + cost.WalkPTECachedDRAM, walkAborted
 	}
-	if level >= pt.LevelPMD {
+	if leaf.Level >= pt.LevelPMD {
 		return cost.WalkHuge, walkHugeLabel
 	}
-	leaf, idx := as.LeafNode(va)
-	if leaf == nil {
-		return cost.WalkUpperLevels + cost.WalkPTECachedDRAM, walkPTECachedDRAM
-	}
-	hot := c.touchPTELine(leaf, idx/mem.PTEsPerCacheLine)
+	node := leaf.Node
+	hot := c.touchPTELine(node, leaf.Index/mem.PTEsPerCacheLine)
 	// The leaf fetch reaches across the interconnect when the table node
 	// lives on another socket's DIMMs; the cached cases stay cheap (the
 	// line is already in this core's cache hierarchy).
-	remote := c.multiNode && leaf.Loc.Node != c.Node
-	if leaf.Loc.Medium == mem.PMem {
+	remote := c.multiNode && node.Loc.Node != c.Node
+	if node.Loc.Medium == mem.PMem {
 		c.Stats.PMemWalks++
 		if hot {
 			return cost.WalkUpperLevels + cost.WalkPTECachedPMem, walkPTECachedPMem
@@ -252,44 +240,80 @@ func (c *Core) walkCost(as *pt.AddressSpace, va mem.VirtAddr, level int, ok bool
 // touchPTELine records a PTE cache-line touch, reporting whether it was
 // already warm.
 func (c *Core) touchPTELine(node *pt.Node, line int) bool {
-	k := lineKey{node, line, c.pteLineGen}
-	if _, ok := c.pteLines[k]; ok {
+	k := lineKey{node, line}
+	i, warm := c.findLine(k)
+	if warm {
 		return true
 	}
 	if c.pteCount == pteLineCacheSize {
-		delete(c.pteLines, c.pteRing[c.pteHead])
+		c.dropLine(c.pteRing[c.pteHead])
 		c.pteRing[c.pteHead] = k
 		c.pteHead = (c.pteHead + 1) % pteLineCacheSize
+		i, _ = c.findLine(k) // the deletion may have shortened k's probe run
 	} else {
 		c.pteRing[(c.pteHead+c.pteCount)%pteLineCacheSize] = k
 		c.pteCount++
 	}
-	c.pteLines[k] = struct{}{}
+	c.pteLines[i] = k
 	return false
+}
+
+// findLine returns k's slot in the PTE-line set, or the empty slot where
+// its probe run ends.
+func (c *Core) findLine(k lineKey) (int, bool) {
+	for i := lineHome(k); ; i = (i + 1) & (len(c.pteLines) - 1) {
+		switch c.pteLines[i] {
+		case k:
+			return i, true
+		case lineKey{}:
+			return i, false
+		}
+	}
+}
+
+// lineHome is k's preferred slot in the PTE-line set.
+func lineHome(k lineKey) int {
+	h := (k.node.Serial()<<6 | uint64(k.line)) * 0x9E3779B97F4A7C15
+	return int(h >> (64 - pteLineSetBits))
+}
+
+// dropLine deletes k, which must be present, from the PTE-line set.
+func (c *Core) dropLine(k lineKey) {
+	const mask = len(c.pteLines) - 1
+	i, _ := c.findLine(k)
+	// Backward-shift deletion: pull later slots of the probe run into
+	// the hole unless their home lies cyclically in (hole, j].
+	for j := (i + 1) & mask; c.pteLines[j].node != nil; j = (j + 1) & mask {
+		if h := lineHome(c.pteLines[j]); (j-h)&mask >= (j-i)&mask {
+			c.pteLines[i] = c.pteLines[j]
+			i = j
+		}
+	}
+	c.pteLines[i] = lineKey{}
 }
 
 // DropPTELines invalidates the PTE-line reuse cache (after table
 // migration or teardown the old lines are dead).
 func (c *Core) DropPTELines() {
-	c.pteLineGen++
-	c.pteLines = make(map[lineKey]struct{}, pteLineCacheSize)
+	clear(c.pteLines[:])
+	clear(c.pteRing[:])
 	c.pteHead, c.pteCount = 0, 0
 }
 
 // setLeafBits sets accessed (and dirty on write) bits on the leaf entry
 // unless the owning node opts out (DaxVM file tables drop A/D upkeep).
-func (c *Core) setLeafBits(t *sim.Thread, as *pt.AddressSpace, va mem.VirtAddr, write bool) {
-	leaf, idx := as.LeafNode(va)
-	if leaf == nil || leaf.NoAD {
+func (c *Core) setLeafBits(t *sim.Thread, leaf pt.Leaf, write bool) {
+	n := leaf.Node
+	if n == nil || n.NoAD {
 		return
 	}
-	e := leaf.Entries[idx]
+	e := n.Entries[leaf.Index]
 	ne := e | pt.BitAccessed
 	if write {
 		ne |= pt.BitDirty
 	}
 	if ne != e {
-		leaf.SetEntry(t, idx, ne)
+		n.SetEntry(t, leaf.Index, ne)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"daxvm/internal/mem"
 	"daxvm/internal/pt"
 	"daxvm/internal/sim"
+	"daxvm/internal/tlb"
 )
 
 func newAS() *pt.AddressSpace {
@@ -207,5 +208,84 @@ func TestShootdownFullFlushCheaperThanManyPages(t *testing.T) {
 	fullCost := runOnce(ShootFull, nil)
 	if fullCost >= pageCost {
 		t.Errorf("full flush (%d) should be cheaper than 128 invlpgs (%d)", fullCost, pageCost)
+	}
+}
+
+// TestTranslateZeroAlloc is the run-time check behind hotalloc's static
+// verdict on the Translate root: with the TLB, the PTE-line cache and the
+// charge path warm, none of these steps allocates.
+func TestTranslateZeroAlloc(t *testing.T) {
+	const (
+		lines    = 512 // distinct PTE lines walked: more than the 192 cached
+		tlbSmall = 64
+	)
+	s := NewSet(1)
+	c := s.Cores[0]
+	c.TLB = tlb.NewSized(tlbSmall, 4) // the walk loop cycles through more pages than it holds
+	as := newAS()
+	e := sim.New()
+	e.AddChargeConsumer(func([]string, []sim.Charge) {})
+	allocs := map[string]float64{}
+	var walkMisses, rewalks uint64
+	e.Go("t", 0, 0, func(th *sim.Thread) {
+		page := func(i int) mem.VirtAddr { return mem.VirtAddr(i*mem.PTEsPerCacheLine) * mem.PageSize }
+		for i := 0; i < lines; i++ {
+			as.Map(th, page(i), pt.MakeEntry(mem.PFN(i), mem.PermRead|mem.PermWrite, false, false), pt.LevelPTE)
+		}
+		va := page(0)
+		leaf, idx := as.LeafNode(va)
+		measure := func(name string, step func()) {
+			step() // warm: interned walk labels, first fills
+			allocs[name] = testing.AllocsPerRun(200, step)
+		}
+		reinsert := func() {
+			c.TLB.InvalidatePage(va)
+			c.Translate(th, as, va, false)
+		}
+		// Invalidations leave keys in the TLB's FIFO, which grows by
+		// doubling; grow it past what the steps below add, then let
+		// FlushAll trim the backlog. The buffer keeps its size.
+		for i := 0; i < 4096; i++ {
+			reinsert()
+		}
+		c.TLB.FlushAll()
+
+		measure("hit", func() { c.Translate(th, as, va, false) })
+		next := 0
+		misses := c.TLB.Stats.Misses
+		// 3 × 202 translations cycle through 512 lines: past the 64th
+		// each evicts a TLB entry, past the 192nd a PTE line.
+		measure("miss+walk with TLB and PTE-line eviction", func() {
+			for i := 0; i < 3; i++ {
+				next = (next + 1) % lines
+				c.Translate(th, as, page(next), false)
+			}
+		})
+		walkMisses = c.TLB.Stats.Misses - misses
+		walks := c.Stats.Walks
+		measure("dirty-bit re-walk", func() {
+			leaf.Entries[idx] &^= pt.BitDirty
+			reinsert() // caches the entry clean
+			c.Translate(th, as, va, true)
+		})
+		rewalks = c.Stats.Walks - walks - 202 // less the re-inserts' walks
+		measure("InvalidatePage + re-insert", reinsert)
+		measure("FlushAll + DropPTELines", func() {
+			c.TLB.FlushAll()
+			c.DropPTELines()
+			c.Translate(th, as, va, false)
+		})
+	})
+	e.Run()
+	if want := uint64(3 * 202); walkMisses != want {
+		t.Fatalf("walk step: %d TLB misses in %d translations, want every one to miss", walkMisses, want)
+	}
+	if rewalks != 202 {
+		t.Fatalf("dirty step: %d dirty-bit re-walks in 202 runs", rewalks)
+	}
+	for name, n := range allocs {
+		if n != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", name, n)
+		}
 	}
 }

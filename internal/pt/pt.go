@@ -20,6 +20,7 @@ package pt
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"daxvm/internal/mem"
 	"daxvm/internal/pmem"
@@ -143,14 +144,26 @@ type Node struct {
 
 	// live counts present entries + children, for teardown pruning.
 	live int
+
+	// serial numbers nodes in allocation order (see Serial).
+	serial uint64
 }
+
+// nodeSerials hands out Node serials; atomic because kernels in one
+// process may run on different goroutines.
+var nodeSerials atomic.Uint64
 
 // NewNode allocates a table node at the given level at the given
 // location (medium + NUMA node).
 func NewNode(level int, loc mem.Loc) *Node {
 	//lint:ignore hotalloc the allocation is the modeled work: one table node per simulated page-table page
-	return &Node{Level: level, Loc: loc, Frame: NoFrame}
+	return &Node{Level: level, Loc: loc, Frame: NoFrame, serial: nodeSerials.Add(1)}
 }
+
+// Serial returns the node's allocation serial. It is a hash input for
+// tables keyed by node (the walker's PTE-line cache): identity is still
+// the node pointer, and the serial carries no simulated meaning.
+func (n *Node) Serial() uint64 { return n.serial }
 
 // Child returns the interior child at idx.
 func (n *Node) Child(idx int) *Node { return n.children[idx] }
@@ -251,71 +264,58 @@ func (as *AddressSpace) Map(t *sim.Thread, va mem.VirtAddr, e Entry, level int) 
 	n.SetEntry(t, index(va, level), e)
 }
 
-// Lookup resolves va structurally (no cost charging — the cpu package's
-// walker charges). It returns the leaf entry, its level, and the effective
-// writability honoring the minimum-permission rule across levels.
-func (as *AddressSpace) Lookup(va mem.VirtAddr) (e Entry, level int, writable bool, ok bool) {
+// Leaf is what one descent of the tree finds for a virtual address.
+type Leaf struct {
+	// Node holds the leaf entry at Index; nil when va is not mapped.
+	Node  *Node
+	Index int
+	Entry Entry
+	// Level is the leaf entry's level, or the level where the descent
+	// stopped when va is not mapped.
+	Level int
+	// Writable is the effective write permission, honoring the
+	// minimum-permission rule across levels.
+	Writable bool
+}
+
+// Resolve descends the tree once for va (no cost charging — the cpu
+// package's walker charges).
+func (as *AddressSpace) Resolve(va mem.VirtAddr) Leaf {
 	n := as.Root
-	writable = true
+	writable := true
 	for lvl := LevelPGD; lvl >= LevelPTE; lvl-- {
 		idx := index(va, lvl)
 		ent := n.Entries[idx]
 		if !ent.Present() {
-			return 0, lvl, false, false
+			return Leaf{Level: lvl}
 		}
 		if !ent.Writable() {
 			writable = false
 		}
 		if lvl == LevelPTE || ent.Huge() {
-			return ent, lvl, writable && ent.Writable(), true
+			return Leaf{Node: n, Index: idx, Entry: ent, Level: lvl, Writable: writable}
 		}
 		n = n.children[idx]
 		if n == nil {
-			return 0, lvl, false, false
+			return Leaf{Level: lvl}
 		}
 	}
-	return 0, 0, false, false
+	return Leaf{}
 }
 
-// NodePath returns the chain of nodes visited resolving va, outermost
-// first. Used by the walker for per-level charging.
-func (as *AddressSpace) NodePath(va mem.VirtAddr) []*Node {
-	path := make([]*Node, 0, 4)
-	n := as.Root
-	for lvl := LevelPGD; lvl >= LevelPTE; lvl-- {
-		path = append(path, n)
-		idx := index(va, lvl)
-		ent := n.Entries[idx]
-		if !ent.Present() || lvl == LevelPTE || ent.Huge() {
-			return path
-		}
-		n = n.children[idx]
-		if n == nil {
-			return path
-		}
-	}
-	return path
+// Lookup resolves va structurally. It returns the leaf entry, its level,
+// and the effective writability honoring the minimum-permission rule
+// across levels.
+func (as *AddressSpace) Lookup(va mem.VirtAddr) (e Entry, level int, writable bool, ok bool) {
+	l := as.Resolve(va)
+	return l.Entry, l.Level, l.Writable, l.Node != nil
 }
 
 // LeafNode returns the node holding va's leaf entry and the index within
 // it, or nil if the path is incomplete.
 func (as *AddressSpace) LeafNode(va mem.VirtAddr) (*Node, int) {
-	n := as.Root
-	for lvl := LevelPGD; lvl >= LevelPTE; lvl-- {
-		idx := index(va, lvl)
-		ent := n.Entries[idx]
-		if !ent.Present() {
-			return nil, 0
-		}
-		if lvl == LevelPTE || ent.Huge() {
-			return n, idx
-		}
-		n = n.children[idx]
-		if n == nil {
-			return nil, 0
-		}
-	}
-	return nil, 0
+	l := as.Resolve(va)
+	return l.Node, l.Index
 }
 
 // Attach splices a shared sub-tree (DaxVM file table fragment) at the
