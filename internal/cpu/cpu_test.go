@@ -224,7 +224,7 @@ func TestTranslateZeroAlloc(t *testing.T) {
 	c.TLB = tlb.NewSized(tlbSmall, 4) // the walk loop cycles through more pages than it holds
 	as := newAS()
 	e := sim.New()
-	e.AddChargeConsumer(func([]string, []sim.Charge) {})
+	e.SetChargeConsumer(func([]string, []sim.Charge) {})
 	allocs := map[string]float64{}
 	var walkMisses, rewalks uint64
 	e.Go("t", 0, 0, func(th *sim.Thread) {

@@ -45,8 +45,9 @@ func New(traceCap int) *Obs {
 	return &Obs{Reg: NewRegistry(), Trace: NewTracer(traceCap), Cycles: NewCycleAccount()}
 }
 
-// Attach wires engine e into the hub: a fresh EngineSink books its
-// charges into Cycles (path ids are per engine), and its charged cycles
+// Attach wires engine e into the hub: a fresh EngineSink, the engine's
+// one charge consumer, books its charges into Cycles (path ids are per
+// engine), and its charged cycles
 // and events join EnginesTotal and EnginesEvents. Every engine whose
 // charges feed Cycles is attached here (the kernel does this for each
 // engine it runs), so EnginesTotal is the reconciliation target for
@@ -56,7 +57,7 @@ func (o *Obs) Attach(e *sim.Engine) {
 		return
 	}
 	if o.Cycles != nil {
-		e.AddChargeConsumer((&EngineSink{a: o.Cycles}).Book)
+		e.SetChargeConsumer((&EngineSink{a: o.Cycles}).Book)
 	}
 	o.mu.Lock()
 	o.engines = append(o.engines, e)

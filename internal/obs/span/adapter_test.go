@@ -12,11 +12,12 @@ import (
 )
 
 // TestAdapterChargeZeroAlloc pins the wired charge path at zero
-// allocations: an engine feeding a real CycleAccount and Collector
-// through their consumers allocates nothing on a warm step of Charge,
-// ChargeAs, AddRemote and PushAttr/PopAttr inside spans, Begin/End pairs
-// (which take the engine's undelivered charges) and a handoff to another
-// thread inside a span (which delivers the rest after a take).
+// allocations: an engine feeding a real CycleAccount through its
+// consumer and tallying for a Collector allocates nothing on a warm step
+// of Charge, ChargeAs with classified labels, AddRemote and
+// PushAttr/PopAttr inside nested spans, Begin/End pairs (which book the
+// thread's tally), Wait inside and outside a span, and a handoff to
+// another thread inside a span (which delivers the buffer).
 func TestAdapterChargeZeroAlloc(t *testing.T) {
 	o := &obs.Obs{Cycles: obs.NewCycleAccount()}
 	c := New(3)
@@ -28,18 +29,21 @@ func TestAdapterChargeZeroAlloc(t *testing.T) {
 	t0 = e.Go("t0", 5, 0, func(th *sim.Thread) {
 		th.PushAttr("app")
 		step := func() {
+			c.Wait(th, WaitMmapSem, 1) // outside any span: segment only
 			c.Begin(th, "op")
 			th.Charge(1)
 			th.ChargeAs("bw_stall", 1)
 			th.AddRemote("shootdown.ipi_handler", 1)
 			th.PushAttr("syscall.read")
 			c.Begin(th, "syscall.read")
+			th.ChargeAs("remote_read", 1)
 			th.Charge(1)
+			c.Wait(th, WaitMmapSem, 1)
 			c.End(th)
 			th.PopAttr()
 			th.Charge(1)
 			th.Yield() // hands the token to t1, which hands it back
-			th.Charge(1)
+			th.ChargeAs("ipi_send", 1)
 			c.End(th)
 		}
 		step() // intern the paths, grow the id tables, pools and per-core slices
@@ -62,10 +66,19 @@ func TestAdapterChargeZeroAlloc(t *testing.T) {
 	}
 }
 
-// charge is one recorded engine charge: the engine's index and what the
-// consumer received.
+// Span boundaries show in the charge stream as zero-cycle charges with
+// these leaf labels: the replay hooks make one at every Begin and End on
+// every wiring, so every wiring's stream is the same.
+const (
+	markBegin = "span_begin"
+	markEnd   = "span_end"
+)
+
+// charge is one recorded engine charge: the engine's index, the thread
+// it booked onto and what the consumer received.
 type charge struct {
 	engine int
+	thread string
 	core   int
 	id     int32
 	path   string
@@ -73,115 +86,110 @@ type charge struct {
 	remote bool
 }
 
+// wiring is how a replay connects its engines to its account and
+// collector.
+type wiring int
+
+const (
+	// attached: the account is each engine's consumer and the collector
+	// is attached to each engine, so it reads their tallies.
+	attached wiring = iota
+	// recorded: a consumer records the delivered charge stream and books
+	// it into the account by path.
+	recorded
+	// fed: the collector is fed a recorded stream through Observe. At each
+	// span boundary it first gets the charges up to that boundary's
+	// marker, so each charge meets the span stack it was made under.
+	fed
+)
+
 // replayRun is the observable outcome of one replay.
 type replayRun struct {
 	acct    *obs.CycleAccount
 	col     *Collector
-	charged uint64    // Σ TotalCharged over both engines
-	rec     []charge  // only when replayed through the string entry points
-	segs    []segWait // segment id -> wait totals, in order
-	spans   spanShapes
-}
-
-type segWait struct {
-	id    string
-	waits map[string]uint64
-}
-
-// spanShapes counts the spans of a replay that exercise the collector's
-// take path: ones that open and close between two deliveries with
-// charges already pending at Begin, ones that cross a handoff, and ones
-// holding more than a full batch of charges.
-type spanShapes struct {
-	midBatch, crossHandoff, overBatch int
-}
-
-// openSpan is where the engine's charge stream stood at a Begin.
-type openSpan struct {
-	made, handoffs, pending int
+	charged uint64   // Σ TotalCharged over both engines
+	rec     []charge // the delivered stream, when recorded
 }
 
 // replay runs progs[i] on engine i, one after the other, both engines
 // sharing one account and collector the way Boot's ager, setup and main
 // engines do. Spans mirror the programs' attribution frames, and each
-// engine's run is a collector segment. With ids, each engine is attached
-// to the account and the collector. Otherwise a consumer records every
-// charge and forwards it to the string Charge and Observe; at each span
-// boundary it first forwards the charges the engine has not delivered
-// yet, so each charge still meets the span stack it was made under.
-func replay(progs [2][][]simtest.Op, ids bool) replayRun {
+// engine's run is a collector segment. feed is the recorded stream a fed
+// replay observes.
+func replay(progs [2][][]simtest.Op, w wiring, feed []charge) replayRun {
 	r := replayRun{acct: obs.NewCycleAccount(), col: New(2)}
+	next := 0 // feed[next] is the first charge not yet observed
 	for i, prog := range progs {
 		i := i
 		e := sim.New()
-		var boundary func()
-		if ids {
+		switch w {
+		case attached:
 			(&obs.Obs{Cycles: r.acct}).Attach(e)
 			r.col.Attach(e)
-			boundary = func() {}
-		} else {
-			forwarded := 0 // leading charges of the engine's buffer already forwarded
-			forward := func(paths []string, batch []sim.Charge) {
-				for _, c := range batch[forwarded:] {
+		case recorded:
+			e.SetChargeConsumer(func(paths []string, batch []sim.Charge) {
+				for _, c := range batch {
 					p := paths[c.ID]
-					r.rec = append(r.rec, charge{i, c.T.Core, c.ID, p, c.Cycles, c.Remote})
+					r.rec = append(r.rec, charge{i, c.T.Name, c.T.Core, c.ID, p, c.Cycles, c.Remote})
 					r.acct.Charge(c.T.Core, p, c.Cycles)
-					r.col.Observe(c.T, p, c.Cycles, c.Remote)
 				}
-			}
-			e.AddChargeConsumer(func(paths []string, batch []sim.Charge) {
-				forward(paths, batch)
-				forwarded = 0
 			})
-			boundary = func() {
-				paths, pending := e.PendingCharges()
-				forward(paths, pending)
-				forwarded = len(pending)
+		}
+		// observe feeds engine i's recorded charges to the collector, up
+		// to and including t's marker with leaf label mark, or all of them
+		// when t is nil.
+		threads := map[string]*sim.Thread{}
+		observe := func(t *sim.Thread, mark string) {
+			for next < len(feed) && feed[next].engine == i {
+				c := feed[next]
+				next++
+				if len(threads) == 0 {
+					for _, th := range e.Threads() {
+						threads[th.Name] = th
+					}
+				}
+				r.col.Observe(threads[c.thread], c.path, c.cycles, c.remote)
+				if t == nil || !isMark(c.path) {
+					continue
+				}
+				if c.thread != t.Name || !strings.HasSuffix(c.path, "."+mark) {
+					panic(fmt.Sprintf("%s at %s: the stream's next marker is %s of %s", mark, t.Name, c.path, c.thread))
+				}
+				return
+			}
+			if t != nil {
+				panic(fmt.Sprintf("%s at %s: no marker left in the stream", mark, t.Name))
 			}
 		}
-		// A third consumer tracks the stream's shape for the span premises.
-		var delivered, handoffs int
-		e.AddChargeConsumer(func(_ []string, batch []sim.Charge) {
-			delivered += len(batch)
-			if len(batch) < 256 {
-				handoffs++ // a partial batch: a handoff or the engine's stop
+		boundary := func(t *sim.Thread, mark string) {
+			t.ChargeAs(mark, 0)
+			if w == fed {
+				observe(t, mark)
 			}
-		})
-		open := map[*sim.Thread][]openSpan{}
-		now := func() openSpan {
-			_, pending := e.PendingCharges()
-			return openSpan{delivered + len(pending), handoffs, len(pending)}
 		}
 		hooks := simtest.Hooks{
 			Push: func(t *sim.Thread, label string) {
-				boundary()
+				boundary(t, markBegin)
 				r.col.Begin(t, label)
-				open[t] = append(open[t], now())
 			},
 			Pop: func(t *sim.Thread) {
-				boundary()
+				boundary(t, markEnd)
 				r.col.End(t)
-				b, n := open[t][len(open[t])-1], now()
-				open[t] = open[t][:len(open[t])-1]
-				switch {
-				case n.handoffs > b.handoffs:
-					r.spans.crossHandoff++
-				case b.pending > 0 && n.pending > b.pending:
-					r.spans.midBatch++
-				}
-				if n.made-b.made > 256 {
-					r.spans.overBatch++
-				}
 			},
 		}
 		r.col.StartSegment(fmt.Sprintf("e%d", i))
 		simtest.Run(e, prog, hooks)
+		if w == fed {
+			observe(nil, "")
+		}
 		r.charged += e.TotalCharged()
 	}
-	for _, s := range r.col.Export() {
-		r.segs = append(r.segs, segWait{s.Segment, s.WaitTotals})
-	}
 	return r
+}
+
+// isMark reports whether path is a span-boundary marker.
+func isMark(path string) bool {
+	return strings.HasSuffix(path, "."+markBegin) || strings.HasSuffix(path, "."+markEnd)
 }
 
 // reference rebuilds, from a recorded charge stream alone, what the
@@ -193,6 +201,11 @@ type reference struct {
 	roots         map[string]uint64
 	local, remote uint64
 	segs          []segWait
+}
+
+type segWait struct {
+	id    string
+	waits map[string]uint64
 }
 
 func referenceOf(rec []charge) reference {
@@ -218,8 +231,8 @@ func referenceOf(rec []charge) reference {
 			continue
 		}
 		ref.local += c.cycles
-		if k := classify(c.path); k != noKind {
-			ref.segs[c.engine].waits[k.String()] += c.cycles
+		if k := classify(c.path); k != 0 {
+			ref.segs[c.engine].waits[WaitKind(k).String()] += c.cycles
 		}
 	}
 	for i := range ref.segs {
@@ -235,15 +248,64 @@ func referenceOf(rec []charge) reference {
 	return ref
 }
 
+// streamShapes counts, in a recorded stream, the span windows a
+// tally-reading collector must get right: spans with a child, spans
+// another thread charged cycles inside of, and remote bookings onto a
+// thread with a span open.
+type streamShapes struct {
+	nested, interleaved, remoteInside int
+}
+
+func shapesOf(rec []charge) streamShapes {
+	var sh streamShapes
+	type open struct {
+		at   int  // index of the begin marker
+		kids bool // a child span ended inside
+	}
+	stacks := map[string][]open{} // engine/thread -> open spans
+	for i, c := range rec {
+		key := fmt.Sprint(c.engine, "/", c.thread)
+		st := stacks[key]
+		switch {
+		case c.remote:
+			if len(st) > 0 && c.cycles > 0 {
+				sh.remoteInside++
+			}
+		case strings.HasSuffix(c.path, "."+markBegin):
+			stacks[key] = append(st, open{at: i})
+		case strings.HasSuffix(c.path, "."+markEnd):
+			sp := st[len(st)-1]
+			stacks[key] = st[:len(st)-1]
+			if sp.kids {
+				sh.nested++
+			}
+			if len(st) > 1 {
+				st[len(st)-2].kids = true
+			}
+			for _, o := range rec[sp.at:i] {
+				if o.thread != c.thread && o.cycles > 0 {
+					sh.interleaved++
+					break
+				}
+			}
+		}
+	}
+	return sh
+}
+
 // TestAdapterEquivalence replays seeded random charge programs on two
-// engines sharing one account and collector, once through the engines'
-// consumers and once through the string entry points, and requires both
-// to agree with each other and with a reference rebuilt from the recorded
-// charge stream: snapshot (including zero-cycle ByCore entries), root
-// cycles, booked/outside/remote cycles, per-segment wait totals and the
-// span export. The two engines' programs differ, so the same path id
-// names different paths in each. Each engine's first thread also opens
-// one span holding more than a full batch of charges.
+// engines sharing one account and collector: once with both attached
+// (the account consumes the stream by path id, the collector reads the
+// engines' tallies), once recording the delivered stream into an account
+// by path, and once feeding that recorded stream to a collector through
+// Observe, span boundary by span boundary. The attached collector must
+// match the fed one — the full export, booked/outside/remote cycles —
+// and both accounts and collectors must match a reference rebuilt from
+// the stream: snapshot (including zero-cycle ByCore entries), root
+// cycles, local and remote cycles and per-segment wait totals. The two
+// engines' programs differ, so the same path id names different paths
+// in each. Each engine's first thread also opens one span holding more
+// than a full batch of classified charges.
 func TestAdapterEquivalence(t *testing.T) {
 	const nthreads, nops = 8, 60
 	long := []simtest.Op{{Kind: simtest.OpPush, Label: "copy"}}
@@ -252,7 +314,7 @@ func TestAdapterEquivalence(t *testing.T) {
 	}
 	long = append(long, simtest.Op{Kind: simtest.OpPop})
 	var zeroEntries int
-	var shapes spanShapes
+	var shapes streamShapes
 	for seed := int64(1); seed <= 5; seed++ {
 		progs := [2][][]simtest.Op{
 			simtest.Generate(seed, nthreads, nops),
@@ -262,14 +324,13 @@ func TestAdapterEquivalence(t *testing.T) {
 			progs[i][0] = append(append([]simtest.Op(nil), long...), progs[i][0]...)
 		}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			a, s := replay(progs, true), replay(progs, false)
+			a, s := replay(progs, attached, nil), replay(progs, recorded, nil)
+			f := replay(progs, fed, s.rec)
 			ref := referenceOf(s.rec)
-			if a.spans != s.spans {
-				t.Fatalf("span shapes differ between replays: %+v vs %+v", a.spans, s.spans)
-			}
-			shapes.midBatch += a.spans.midBatch
-			shapes.crossHandoff += a.spans.crossHandoff
-			shapes.overBatch += a.spans.overBatch
+			sh := shapesOf(s.rec)
+			shapes.nested += sh.nested
+			shapes.interleaved += sh.interleaved
+			shapes.remoteInside += sh.remoteInside
 
 			pathOf := [2]map[int32]string{{}, {}}
 			shared := false
@@ -295,7 +356,7 @@ func TestAdapterEquivalence(t *testing.T) {
 			for _, r := range []struct {
 				name string
 				run  replayRun
-			}{{"ids", a}, {"strings", s}} {
+			}{{"attached", a}, {"recorded", s}} {
 				if got := r.run.acct.Snapshot(); !reflect.DeepEqual(got, ref.snap) {
 					t.Errorf("%s: snapshot differs from the reference:\n got %+v\nwant %+v", r.name, got, ref.snap)
 				}
@@ -305,30 +366,40 @@ func TestAdapterEquivalence(t *testing.T) {
 				if got := r.run.acct.Total(); got != r.run.charged {
 					t.Errorf("%s: account total %d, engines charged %d", r.name, got, r.run.charged)
 				}
-				col := r.run.col
+			}
+			for _, r := range []struct {
+				name string
+				col  *Collector
+			}{{"attached", a.col}, {"fed", f.col}} {
+				col := r.col
 				if got := col.BookedCycles() + col.OutsideCycles(); got != ref.local {
 					t.Errorf("%s: booked+outside = %d, want %d", r.name, got, ref.local)
 				}
 				if got := col.RemoteCycles(); got != ref.remote {
 					t.Errorf("%s: remote = %d, want %d", r.name, got, ref.remote)
 				}
-				if !reflect.DeepEqual(r.run.segs, ref.segs) {
-					t.Errorf("%s: segment wait totals %+v, want %+v", r.name, r.run.segs, ref.segs)
+				var segs []segWait
+				for _, s := range col.Export() {
+					segs = append(segs, segWait{s.Segment, s.WaitTotals})
+				}
+				if !reflect.DeepEqual(segs, ref.segs) {
+					t.Errorf("%s: segment wait totals %+v, want %+v", r.name, segs, ref.segs)
 				}
 			}
-			if a.col.BookedCycles() != s.col.BookedCycles() || a.col.OutsideCycles() != s.col.OutsideCycles() {
-				t.Errorf("booked/outside: ids %d/%d, strings %d/%d",
-					a.col.BookedCycles(), a.col.OutsideCycles(), s.col.BookedCycles(), s.col.OutsideCycles())
+			if a.col.BookedCycles() != f.col.BookedCycles() || a.col.OutsideCycles() != f.col.OutsideCycles() {
+				t.Errorf("booked/outside: attached %d/%d, fed %d/%d",
+					a.col.BookedCycles(), a.col.OutsideCycles(), f.col.BookedCycles(), f.col.OutsideCycles())
 			}
-			if !reflect.DeepEqual(a.col.Export(), s.col.Export()) {
-				t.Error("span exports differ between the id and string replays")
+			if ae, fe := a.col.Export(), f.col.Export(); !reflect.DeepEqual(ae, fe) {
+				t.Errorf("span exports differ between the attached and fed collectors:\nattached %+v\n     fed %+v", ae, fe)
 			}
 		})
 	}
 	if zeroEntries == 0 {
 		t.Fatal("premise: no leaf was charged only zero cycles on some core")
 	}
-	if shapes.midBatch == 0 || shapes.crossHandoff == 0 || shapes.overBatch == 0 {
+	t.Logf("span shapes: %+v", shapes)
+	if shapes.nested == 0 || shapes.interleaved == 0 || shapes.remoteInside == 0 {
 		t.Fatalf("premise: spans of every shape, got %+v", shapes)
 	}
 }

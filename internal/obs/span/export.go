@@ -105,13 +105,14 @@ func waitMap(w [numWaitKinds]uint64) map[string]uint64 {
 }
 
 // Export returns every finished segment plus the current one if it saw
-// spans, in run order.
+// spans or waits, in run order.
 func (c *Collector) Export() []SegmentExport {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.fold()
 	var out []SegmentExport
 	for _, s := range c.done {
 		out = append(out, exportSegment(s))

@@ -9,8 +9,8 @@
 // phenomena like the paper's mmap_sem collapse.
 //
 // Reconciliation contract (the same zero-unattributed discipline as the
-// cycle profiler): the collector consumes every engine charge through
-// its per-engine EngineObserver (Attach), so
+// cycle profiler): the collector reads the running tallies of attached
+// engines (Attach) instead of their charge streams, so
 //
 //	BookedCycles + OutsideCycles + RemoteCycles == Σ Engine.TotalCharged
 //
@@ -117,8 +117,9 @@ func (n *node) treeWaits() [numWaitKinds]uint64 {
 // instrumented layers bracket with Begin/defer End), so a stack is the
 // whole story.
 type tstate struct {
-	stack []*node
-	obs   *EngineObserver // the thread's engine's observer; nil if unattached
+	stack    []*node
+	attached bool      // the thread's engine is attached: Begin and End book its tally
+	last     sim.Tally // the thread's tally at its last Begin or End
 }
 
 // classStats aggregates finished spans of one class within a segment.
@@ -179,8 +180,18 @@ func (s *segment) class(name string) *classStats {
 	return st
 }
 
-// noKind marks a charge label that maps to no wait kind.
-const noKind = WaitKind(numWaitKinds)
+// chargedKinds are the wait kinds charges are classified into. Each
+// one's path class is its own value; class 0, WaitMmapSem's value (a kind
+// never charged), is for charges no kind names.
+var chargedKinds = [...]WaitKind{WaitPMemBW, WaitRemoteNUMA, WaitIPI}
+
+// attachedEngine is an engine whose tallies the collector reads, with its
+// totals as last folded in.
+type attachedEngine struct {
+	e       *sim.Engine
+	tally   sim.Tally
+	charged uint64
+}
 
 // Collector owns the per-thread span stacks and the per-segment
 // aggregates. All entry points are nil-receiver safe so unwired
@@ -191,14 +202,14 @@ type Collector struct {
 	k   int    // exemplars kept per class
 	seq uint64 // Begin arrival counter
 
-	booked  uint64 // charges landed in an open span
-	outside uint64 // charges with no open span
-	remote  uint64 // AddRemote bookings (never in a span)
+	booked  uint64 // local charges landed in an open span
+	local   uint64 // local charges folded in or observed, span or not
+	charged uint64 // local plus AddRemote bookings (never in a span)
 
-	threads   map[*sim.Thread]*tstate
-	lastT     *sim.Thread // single-entry state cache: consecutive
-	lastS     *tstate     // charges come from the running thread
-	observers map[*sim.Engine]*EngineObserver
+	threads map[*sim.Thread]*tstate
+	lastT   *sim.Thread // single-entry state cache: consecutive
+	lastS   *tstate     // calls come from the running thread
+	engines []*attachedEngine
 
 	cur  *segment
 	done []*segment
@@ -212,10 +223,9 @@ type Collector struct {
 // class per segment (k <= 0 disables exemplars; stats are still kept).
 func New(k int) *Collector {
 	return &Collector{
-		k:         k,
-		threads:   map[*sim.Thread]*tstate{},
-		observers: map[*sim.Engine]*EngineObserver{},
-		cur:       &segment{classes: map[string]*classStats{}},
+		k:       k,
+		threads: map[*sim.Thread]*tstate{},
+		cur:     &segment{classes: map[string]*classStats{}},
 	}
 }
 
@@ -239,7 +249,12 @@ func (c *Collector) state(t *sim.Thread) *tstate {
 	ts := c.threads[t]
 	if ts == nil {
 		//lint:ignore hotalloc once per thread; steady state hits the one-slot cache or the map
-		ts = &tstate{obs: c.observers[t.Engine()]}
+		ts = &tstate{}
+		for _, a := range c.engines {
+			if a.e == t.Engine() {
+				ts.attached = true
+			}
+		}
 		c.threads[t] = ts
 	}
 	c.lastT, c.lastS = t, ts
@@ -278,7 +293,7 @@ func (c *Collector) Begin(t *sim.Thread, class string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ts := c.take(t)
+	ts := c.sync(t)
 	c.seq++
 	n := c.newNode()
 	n.class = class
@@ -298,7 +313,7 @@ func (c *Collector) End(t *sim.Thread) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ts := c.take(t)
+	ts := c.sync(t)
 	if len(ts.stack) == 0 {
 		panic("span: End without matching Begin")
 	}
@@ -384,159 +399,129 @@ func (c *Collector) consider(st *classStats, n *node, tSelf uint64, tw [numWaitK
 	st.top[i] = ex
 }
 
+// sync books the cycles t charged since its last Begin or End into its
+// innermost open span, with their charged waits; with no span open they
+// stay outside. Only Begin and End move the stack, so every cycle lands
+// in the span that was innermost when it was charged. Callers hold mu
+// and run on t's engine's running thread or once that engine has
+// stopped.
+func (c *Collector) sync(t *sim.Thread) *tstate {
+	ts := c.state(t)
+	if !ts.attached {
+		return ts
+	}
+	now := t.Tally()
+	if n := len(ts.stack); n > 0 {
+		sp := ts.stack[n-1]
+		d := now.Local - ts.last.Local
+		sp.self += d
+		c.booked += d
+		for _, k := range chargedKinds {
+			sp.waits[k] += now.Classes[k] - ts.last.Classes[k]
+		}
+	}
+	ts.last = now
+	return ts
+}
+
 // Observe books one charge on path into t's innermost open span,
-// classifying bandwidth/NUMA/IPI labels into wait kinds, and keeps the
-// outside/remote counters that make the layer reconcile exactly against
-// Engine.TotalCharged. Attached engines' charges arrive through an
-// EngineObserver instead, which classifies each path once.
+// classifying bandwidth/NUMA/IPI labels into wait kinds, and counts it
+// toward the totals that reconcile against Engine.TotalCharged: the
+// entry point for a charge no attached engine tallies.
 func (c *Collector) Observe(t *sim.Thread, path string, cycles uint64, remote bool) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.take(t)
+	c.charged += cycles
 	if remote {
-		c.remote += cycles
 		return
 	}
-	c.book(t, classify(path), cycles)
-}
-
-// book books a local charge of wait kind k (noKind = none) into t's
-// innermost open span, or as outside cycles when none is open. Callers
-// hold mu.
-func (c *Collector) book(t *sim.Thread, k WaitKind, cycles uint64) {
-	ts := c.state(t)
-	if k != noKind {
+	c.local += cycles
+	k := classify(path)
+	if k != 0 {
 		// Segment totals count every classified charge exactly once,
 		// span or no span (a daemon's bw stall is still channel wait).
 		c.cur.waits[k] += cycles
 	}
+	ts := c.state(t)
 	if len(ts.stack) == 0 {
-		c.outside += cycles
 		return
 	}
 	n := ts.stack[len(ts.stack)-1]
 	n.self += cycles
 	c.booked += cycles
-	if k != noKind {
+	if k != 0 {
 		n.waits[k] += cycles
 	}
 }
 
-// EngineObserver is one engine's charge consumer into a Collector: it
-// maps the engine's dense path ids to wait kinds through a slice, so a
-// charge hashes no path. Path ids are per engine, so every engine needs
-// its own observer; Collector.Attach makes one.
-//
-// The engine delivers its charge batches when its buffer fills, before it
-// hands the token to another thread and when it stops. A span boundary
-// (Begin, End) cannot wait for that: the charges made before it belong to
-// the span stack as it was. So Begin, End, Wait and Observe first take the
-// engine's undelivered charges (sim.Engine.PendingCharges), under the lock
-// they already hold, and count them in taken; Book then skips them. Every
-// charge lands in the span it would have landed in unbuffered, and a
-// batch fully taken at span boundaries is delivered without a lock.
-type EngineObserver struct {
-	c     *Collector
-	kinds []WaitKind // by path id
-	taken int        // leading charges of the engine's buffer already booked
-}
-
-// Attach wires engine e into the collector through a fresh EngineObserver.
-// Attach before e runs.
+// Attach makes the collector read engine e's tallies, with e's path
+// classes set to the wait kinds their leaf labels name. Attach before e
+// runs.
 func (c *Collector) Attach(e *sim.Engine) {
 	if c == nil {
 		return
 	}
-	o := &EngineObserver{c: c}
+	e.SetClassifier(classify)
 	c.mu.Lock()
-	c.observers[e] = o
-	c.mu.Unlock()
-	e.AddChargeConsumer(o.Book)
+	defer c.mu.Unlock()
+	c.engines = append(c.engines, &attachedEngine{e: e, tally: e.Tally(), charged: e.TotalCharged()})
 }
 
-// Book books one batch of the engine's charges, skipping the ones a span
-// boundary already took; paths is the engine's path table, which the
-// batch's ids index.
-func (o *EngineObserver) Book(paths []string, batch []sim.Charge) {
-	if o.taken == len(batch) {
-		o.taken = 0
-		return
-	}
-	c := o.c
-	c.mu.Lock()
-	o.book(paths, batch[o.taken:])
-	c.mu.Unlock()
-	o.taken = 0
-}
-
-// take books t's engine's undelivered charges that are not yet taken, so
-// a span boundary on t sees every charge made before it, and returns t's
-// span state. Callers hold mu and run on t's engine's running thread or
-// once that engine has stopped.
-func (c *Collector) take(t *sim.Thread) *tstate {
-	ts := c.state(t)
-	if o := ts.obs; o != nil {
-		paths, pending := t.Engine().PendingCharges()
-		if len(pending) > o.taken {
-			o.book(paths, pending[o.taken:])
-			o.taken = len(pending)
+// fold adds what the attached engines charged since the last fold to the
+// totals and to the current segment's wait totals. Call it before
+// reading either, while no attached engine runs on another goroutine.
+// Callers hold mu.
+func (c *Collector) fold() {
+	for _, a := range c.engines {
+		now, charged := a.e.Tally(), a.e.TotalCharged()
+		c.local += now.Local - a.tally.Local
+		c.charged += charged - a.charged
+		for _, k := range chargedKinds {
+			c.cur.waits[k] += now.Classes[k] - a.tally.Classes[k]
 		}
-	}
-	return ts
-}
-
-// book books charges of the observer's engine. Callers hold mu.
-func (o *EngineObserver) book(paths []string, batch []sim.Charge) {
-	for len(o.kinds) < len(paths) {
-		//lint:ignore hotalloc id table grows once per new path id
-		o.kinds = append(o.kinds, classify(paths[len(o.kinds)]))
-	}
-	c := o.c
-	for _, ch := range batch {
-		if ch.Remote {
-			c.remote += ch.Cycles
-		} else {
-			c.book(ch.T, o.kinds[ch.ID], ch.Cycles)
-		}
+		a.tally, a.charged = now, charged
 	}
 }
 
-// classify maps a charge path's leaf label to a wait kind. The labels
+// classify maps a charge path's leaf label to its class, the value of
+// the charged wait kind it names, or 0 for none; Attach registers it as
+// the engine classifier. The labels
 // are the attribution contract of the instrumented layers: pmem books
 // bandwidth stalls as "bw_stall" and cross-socket surcharges as
 // "remote_read"/"remote_write", the kernel data path books remote
 // accesses as "data_remote", and cpu books shootdown broadcast cost as
 // "ipi_send"/"ipi_wait".
-func classify(path string) WaitKind {
+func classify(path string) uint8 {
 	leaf := path
 	if i := strings.LastIndexByte(path, '.'); i >= 0 {
 		leaf = path[i+1:]
 	}
 	switch leaf {
 	case "bw_stall":
-		return WaitPMemBW
+		return uint8(WaitPMemBW)
 	case "remote_read", "remote_write", "data_remote":
-		return WaitRemoteNUMA
+		return uint8(WaitRemoteNUMA)
 	case "ipi_send", "ipi_wait":
-		return WaitIPI
+		return uint8(WaitIPI)
 	}
-	return noKind
+	return 0
 }
 
 // Wait books an uncharged blocked gap (cycles long) of the given kind
-// onto t's innermost open span. No-op when no span is open — a daemon
-// parked on a lock is not an operation. Wired from lock contention
-// hooks with the pure park gap (ContentionFn's blocked argument).
+// onto the segment's wait totals and t's innermost open span; with no
+// span open only the segment counts it — a daemon parked on a lock is
+// not an operation. Wired from lock contention hooks with the pure park
+// gap (ContentionFn's blocked argument).
 func (c *Collector) Wait(t *sim.Thread, k WaitKind, cycles uint64) {
 	if c == nil || cycles == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ts := c.take(t)
+	ts := c.state(t)
 	c.cur.waits[k] += cycles
 	if len(ts.stack) == 0 {
 		return
@@ -546,13 +531,15 @@ func (c *Collector) Wait(t *sim.Thread, k WaitKind, cycles uint64) {
 
 // StartSegment finalizes the current segment (if it saw any spans) and
 // starts a new one named id, mirroring timeline.StartSegment. Call it
-// between engine runs: a stopped engine has delivered all its charges.
+// between engine runs: the waits the attached engines charged so far
+// fold into the segment it finalizes.
 func (c *Collector) StartSegment(id string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.fold()
 	if !c.cur.empty() {
 		c.done = append(c.done, c.cur)
 	}
@@ -576,7 +563,8 @@ func (c *Collector) OutsideCycles() uint64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.outside
+	c.fold()
+	return c.local - c.booked
 }
 
 // RemoteCycles reports AddRemote bookings, which belong to no span.
@@ -586,16 +574,18 @@ func (c *Collector) RemoteCycles() uint64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.remote
+	c.fold()
+	return c.charged - c.local
 }
 
 // ObservedCycles is the reconciliation total: it must equal the summed
-// TotalCharged of every engine whose observer points here.
+// TotalCharged of every attached engine, plus what Observe booked.
 func (c *Collector) ObservedCycles() uint64 {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.booked + c.outside + c.remote
+	c.fold()
+	return c.charged
 }

@@ -14,8 +14,10 @@
 // Runnable threads wait in one ready heap ordered by (wakeAt, seq); seq is
 // a unique push stamp, so dispatch order is total. Every charge is
 // appended to one per-engine buffer, which the engine delivers as a batch
-// to each consumer (AddChargeConsumer) when it fills, before every token
-// handoff and when the engine stops. The only
+// to its one consumer (SetChargeConsumer) when it fills, before every
+// token handoff and when the engine stops. Each thread also keeps a
+// running tally of its local charges by path class (SetClassifier). The
+// only
 // host goroutines are the threads themselves, and exactly one runs at a
 // time: usable lookahead between cores is zero (shared PMem token buckets,
 // zero-latency SpinLock handoff), so model execution cannot be spread
@@ -48,10 +50,10 @@ type Engine struct {
 	// host-side events/sec speed metric. It never feeds back into
 	// simulated behaviour.
 	events uint64
-	// buf holds the charges not yet delivered to the consumers, in charge
-	// order. It fills only while a consumer is attached.
-	buf       []Charge
-	consumers []func(paths []string, batch []Charge)
+	// buf holds the charges not yet delivered to the consumer.
+	buf      []Charge
+	consumer func(paths []string, batch []Charge)
+	classify func(path string) uint8
 
 	// paths interns attribution paths: id i names paths[i], and each
 	// distinct path has exactly one id. Id 0 is Unattributed. kids[i]
@@ -59,9 +61,10 @@ type Engine struct {
 	// ones, so resolving a frame or leaf label scans a short list whose
 	// literal labels compare pointer-equal instead of hashing anything.
 	// ids maps a path to its id and is consulted only when a list misses,
-	// once per new (parent, label) pair. Safe without a lock: exactly one
-	// thread of an engine runs at a time.
+	// once per new (parent, label) pair. class[i] is path i's class. Safe
+	// without a lock: exactly one thread of an engine runs at a time.
 	paths []string
+	class []uint8
 	kids  [][]child
 	roots []child
 	ids   map[string]int
@@ -75,6 +78,7 @@ func New() *Engine {
 	return &Engine{
 		done:  make(chan struct{}),
 		paths: []string{Unattributed},
+		class: make([]uint8, 1),
 		kids:  make([][]child, 1),
 		ids:   map[string]int{Unattributed: unattributedID},
 	}
@@ -104,7 +108,8 @@ type Thread struct {
 	// attr is the attribution-frame stack: each element is the engine's
 	// path id of one open frame ("app.syscall.write", ...). Charges book
 	// against the innermost frame.
-	attr []int
+	attr  []int
+	tally Tally // the thread's local charges
 
 	// blockedOn is a human-readable tag for deadlock dumps.
 	blockedOn string
@@ -275,7 +280,7 @@ func (t *Thread) Now() uint64 { return t.clock }
 // Engine returns the engine the thread runs on.
 func (t *Thread) Engine() *Engine { return t.e }
 
-// Charge is one charge as consumers receive it: Cycles booked onto
+// Charge is one charge as the consumer receives it: Cycles booked onto
 // thread T under the attribution path whose id is ID, an index into the
 // path table delivered with the batch. Ids are dense and per engine: 0 is
 // Unattributed and each newly seen path takes the next id. Remote marks
@@ -292,36 +297,67 @@ type Charge struct {
 // them.
 const chargeBatch = 256
 
-// AddChargeConsumer registers fn to receive every later charge on any
-// thread of this engine, in charge order and in batches: when the buffer
+// SetChargeConsumer makes fn the engine's one consumer of every later
+// charge on any thread, in charge order and in batches: when the buffer
 // fills, on the running thread before it hands the token to another
 // thread, and on the last thread when the engine stops. So whatever
-// another thread, or the caller of Run, reads of a consumer is complete.
-// paths maps every id in batch to its interned path. fn must not keep
-// batch: the engine reuses it.
-func (e *Engine) AddChargeConsumer(fn func(paths []string, batch []Charge)) {
-	if e.buf == nil {
-		e.buf = make([]Charge, 0, chargeBatch)
+// another thread, or the caller of Run, reads of the consumer is
+// complete. paths maps every id in batch to its interned path. fn must
+// not keep batch: the engine reuses it. A second consumer panics.
+func (e *Engine) SetChargeConsumer(fn func(paths []string, batch []Charge)) {
+	if e.consumer != nil {
+		panic("sim: engine already has a charge consumer")
 	}
-	e.consumers = append(e.consumers, fn)
+	e.buf = make([]Charge, 0, chargeBatch)
+	e.consumer = fn
 }
 
-// PendingCharges returns the charges not yet delivered, in charge order,
-// with the path table their ids index: the pair the next delivery passes.
-// pending aliases the engine's buffer, so read it on the engine's running
-// thread or once the engine has stopped.
-func (e *Engine) PendingCharges() (paths []string, pending []Charge) { return e.paths, e.buf }
-
-// deliver hands the buffered charges to every consumer and empties the
+// deliver hands the buffered charges to the consumer and empties the
 // buffer.
 func (e *Engine) deliver() {
 	if len(e.buf) == 0 {
 		return
 	}
-	for _, fn := range e.consumers {
-		fn(e.paths, e.buf)
-	}
+	e.consumer(e.paths, e.buf)
 	e.buf = e.buf[:0]
+}
+
+// NumClasses bounds the path classes a classifier returns; class 0 is
+// for paths no class names.
+const NumClasses = 4
+
+// Tally is a running total of local charges (Charge and ChargeAs, never
+// AddRemote); Classes splits them by path class. What was charged between
+// two readings is their difference.
+type Tally struct {
+	Local   uint64
+	Classes [NumClasses]uint64
+}
+
+// SetClassifier registers fn to give every path its class in [0,
+// NumClasses), once: now for the paths interned so far, on interning for
+// later ones. Set it before the engine runs.
+func (e *Engine) SetClassifier(fn func(path string) uint8) {
+	e.classify = fn
+	for id, p := range e.paths {
+		e.class[id] = fn(p)
+	}
+}
+
+// Tally returns the thread's running tally. Read it on its engine's
+// running thread or once the engine has stopped.
+func (t *Thread) Tally() Tally { return t.tally }
+
+// Tally returns the sum of the tallies of the engine's threads: what
+// TotalCharged counts, less AddRemote bookings.
+func (e *Engine) Tally() (sum Tally) {
+	for _, t := range e.threads {
+		sum.Local += t.tally.Local
+		for k, v := range t.tally.Classes {
+			sum.Classes[k] += v
+		}
+	}
+	return sum
 }
 
 // TotalCharged reports the cycles booked through Charge/ChargeAs/AddRemote
@@ -378,6 +414,11 @@ func (e *Engine) intern(parent int, label string) int {
 		//lint:ignore hotalloc interning miss: the id table grows once per unique path
 		e.kids = append(e.kids, nil)
 		e.ids[p] = id
+		//lint:ignore hotalloc interning miss: the id table grows once per unique path
+		e.class = append(e.class, 0)
+		if e.classify != nil {
+			e.class[id] = e.classify(p)
+		}
 	}
 	c := child{label, id}
 	if parent == noParent {
@@ -421,39 +462,39 @@ func (t *Thread) AttrPath() string {
 // Charge advances the thread's clock by c cycles of local work, booked
 // against the current attribution frame.
 func (t *Thread) Charge(c uint64) {
-	t.clock += c
-	t.e.charged += c
-	t.e.events++
-	if t.e.consumers != nil {
-		id := unattributedID
-		if n := len(t.attr); n > 0 {
-			id = t.attr[n-1]
-		}
-		t.e.emit(t, id, c, false)
+	id := unattributedID
+	if n := len(t.attr); n > 0 {
+		id = t.attr[n-1]
 	}
+	t.e.book(t, id, c)
 }
 
 // ChargeAs books c under a one-shot child of the current frame — the cheap
-// way to label leaf costs (walk kinds, nt-stores) without stack churn. The
-// label is only resolved when a consumer is attached.
-func (t *Thread) ChargeAs(label string, c uint64) {
-	t.clock += c
-	t.e.charged += c
-	t.e.events++
-	if t.e.consumers != nil {
-		t.e.emit(t, t.e.join(t.attrID(), label), c, false)
-	}
-}
+// way to label leaf costs (walk kinds, nt-stores) without stack churn.
+func (t *Thread) ChargeAs(label string, c uint64) { t.e.book(t, t.e.join(t.attrID(), label), c) }
 
 // AddRemote is used by remote-charge mechanisms (IPIs): the running thread
 // books c onto this (target) thread's timeline, attributed to path on the
-// target's core rather than to the caller's frame.
+// target's core rather than to the caller's frame. It counts in no tally.
 func (t *Thread) AddRemote(path string, c uint64) {
 	t.clock += c
 	t.e.charged += c
 	t.e.events++
-	if t.e.consumers != nil {
+	if t.e.consumer != nil {
 		t.e.emit(t, t.e.join(noParent, path), c, true)
+	}
+}
+
+// book charges t c cycles of local work on path id: its clock, its tally
+// and the consumer's buffer.
+func (e *Engine) book(t *Thread, id int, c uint64) {
+	t.clock += c
+	t.tally.Local += c
+	t.tally.Classes[e.class[id]] += c
+	e.charged += c
+	e.events++
+	if e.consumer != nil {
+		e.emit(t, id, c, false)
 	}
 }
 

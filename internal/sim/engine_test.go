@@ -327,7 +327,7 @@ func TestChargeConsumerAttribution(t *testing.T) {
 		remote bool
 	}
 	var got []booked
-	e.AddChargeConsumer(func(paths []string, batch []Charge) {
+	e.SetChargeConsumer(func(paths []string, batch []Charge) {
 		for _, c := range batch {
 			got = append(got, booked{c.T.Name, c.ID, paths[c.ID], c.Cycles, c.Remote})
 		}
@@ -478,23 +478,23 @@ func TestDumpIncludesAttr(t *testing.T) {
 
 // TestChargeDelivery pins when the engine delivers its one charge
 // buffer: when it holds chargeBatch charges, before the running thread
-// hands the token to another thread, and when the engine stops. Every
-// consumer receives the identical batches, PendingCharges holds exactly
-// the charges not yet delivered, and nothing is pending after Run.
+// hands the token to another thread, and when the engine stops. A
+// thread resumed after another one ran finds every charge delivered,
+// and nothing stays undelivered after Run.
 func TestChargeDelivery(t *testing.T) {
 	e := New()
-	var batches [2][][]Charge
-	for i := range batches {
-		i := i
-		e.AddChargeConsumer(func(paths []string, batch []Charge) {
-			if len(paths) != len(e.paths) {
-				t.Errorf("consumer %d got %d paths, engine has %d", i, len(paths), len(e.paths))
-			}
-			batches[i] = append(batches[i], append([]Charge(nil), batch...))
-		})
-	}
+	var batches [][]Charge
+	e.SetChargeConsumer(func(paths []string, batch []Charge) {
+		if len(paths) != len(e.paths) {
+			t.Errorf("consumer got %d paths, engine has %d", len(paths), len(e.paths))
+		}
+		if len(batch) > chargeBatch {
+			t.Errorf("batch of %d charges, buffer holds %d", len(batch), chargeBatch)
+		}
+		batches = append(batches, append([]Charge(nil), batch...))
+	})
 	delivered := func() (n int) {
-		for _, b := range batches[0] {
+		for _, b := range batches {
 			n += len(b)
 		}
 		return n
@@ -503,39 +503,32 @@ func TestChargeDelivery(t *testing.T) {
 	var last *Thread
 	body := func(th *Thread) {
 		for i := 0; i < 50; i++ {
-			_, pending := e.PendingCharges()
-			if last != th && len(pending) != 0 {
-				t.Errorf("%s resumed with %d charges of %s undelivered", th.Name, len(pending), last.Name)
+			if last != th && delivered() != made {
+				t.Errorf("%s resumed with %d charges of %s undelivered", th.Name, made-delivered(), last.Name)
 			}
 			last = th
 			th.Charge(uint64(1 + i%3))
 			th.ChargeAs("copy", 1)
 			made += 2
-			if _, pending := e.PendingCharges(); delivered()+len(pending) != made {
-				t.Errorf("%d delivered + %d pending != %d made", delivered(), len(pending), made)
-			}
 			th.Yield()
 		}
 		// A run of charges with no handoff is delivered in full batches.
 		for i := 0; i < 2*chargeBatch+10; i++ {
 			th.Charge(1)
 			made++
-			if _, pending := e.PendingCharges(); len(pending) != made-delivered() || len(pending) >= chargeBatch {
-				t.Fatalf("%d pending after %d made, %d delivered", len(pending), made, delivered())
+			if made-delivered() >= chargeBatch {
+				t.Fatalf("%d undelivered after %d made", made-delivered(), made)
 			}
 		}
 	}
 	e.Go("a", 0, 0, body)
 	e.Go("b", 1, 0, body)
 	e.Run()
-	if _, pending := e.PendingCharges(); len(pending) != 0 {
-		t.Fatalf("%d charges still pending after Run", len(pending))
-	}
 	if got := delivered(); got != made {
 		t.Fatalf("delivered %d charges, made %d", got, made)
 	}
 	full := 0
-	for _, b := range batches[0] {
+	for _, b := range batches {
 		if len(b) == chargeBatch {
 			full++
 		}
@@ -543,37 +536,89 @@ func TestChargeDelivery(t *testing.T) {
 	if full < 4 {
 		t.Fatalf("%d full batches, want at least 4", full)
 	}
-	if len(batches[0]) != len(batches[1]) {
-		t.Fatalf("consumers got %d and %d batches", len(batches[0]), len(batches[1]))
+}
+
+// TestOneChargeConsumer pins that an engine delivers to one consumer:
+// setting a second one panics instead of silently dropping the first.
+func TestOneChargeConsumer(t *testing.T) {
+	e := New()
+	e.SetChargeConsumer(func([]string, []Charge) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second SetChargeConsumer did not panic")
+		}
+	}()
+	e.SetChargeConsumer(func([]string, []Charge) {})
+}
+
+// TestTallies pins the running tallies: a thread's Local counts its
+// Charge and ChargeAs cycles and never AddRemote, Classes splits them by
+// the classifier's class of each path (paths interned before
+// SetClassifier included), and the engine's tally sums its threads'.
+func TestTallies(t *testing.T) {
+	e := New()
+	e.join(noParent, "app") // interned before the classifier is set
+	e.Go("a", 0, 0, func(th *Thread) {
+		th.PushAttr("app")
+		th.Sleep(10) // idle: in no tally
+		th.Charge(5)
+		th.ChargeAs("stall", 7)
+		th.PushAttr("stall")
+		th.Charge(11)
+		th.PopAttr()
+		th.PopAttr()
+		th.Charge(2)
+	})
+	b := e.Go("b", 1, 0, func(th *Thread) {
+		th.PushAttr("app")
+		th.Charge(3)
+		th.PopAttr()
+	})
+	e.Go("c", 2, 0, func(th *Thread) {
+		b.AddRemote("app", 100)
+	})
+	e.SetClassifier(func(path string) uint8 {
+		switch {
+		case strings.HasSuffix(path, "stall"):
+			return 2
+		case path == "app":
+			return 1
+		}
+		return 0
+	})
+	e.Run()
+	ths := e.Threads()
+	want := []Tally{
+		{Local: 25, Classes: [NumClasses]uint64{0: 2, 1: 5, 2: 18}},
+		{Local: 3, Classes: [NumClasses]uint64{1: 3}},
+		{},
 	}
-	for i := range batches[0] {
-		a, b := batches[0][i], batches[1][i]
-		if len(a) != len(b) {
-			t.Fatalf("batch %d: %d vs %d charges", i, len(a), len(b))
+	for i, w := range want {
+		if got := ths[i].Tally(); got != w {
+			t.Errorf("%s tally = %+v, want %+v", ths[i].Name, got, w)
 		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("batch %d charge %d: %+v vs %+v", i, j, a[j], b[j])
-			}
-		}
+	}
+	if got, w := e.Tally(), (Tally{Local: 28, Classes: [NumClasses]uint64{0: 2, 1: 8, 2: 18}}); got != w {
+		t.Errorf("engine tally = %+v, want %+v", got, w)
+	}
+	if e.TotalCharged() != 128 {
+		t.Errorf("engine charged %d, want 128 (28 local, 100 remote)", e.TotalCharged())
 	}
 }
 
 // TestChargeEmitZeroAlloc pins the charge emit path at zero allocations
-// with two consumers attached: Charge, warm ChargeAs (the joined path is
-// already interned) and AddRemote append to the engine's buffer, and the
-// deliveries the runs cross pass it on as is.
+// with a consumer and a classifier set: Charge, warm ChargeAs (the
+// joined path is already interned) and AddRemote tally and append to the
+// engine's buffer, and the deliveries the runs cross pass it on as is.
 func TestChargeEmitZeroAlloc(t *testing.T) {
 	e := New()
-	var seen [2]uint64
-	for i := range seen {
-		i := i
-		e.AddChargeConsumer(func(_ []string, batch []Charge) {
-			for _, c := range batch {
-				seen[i] += c.Cycles
-			}
-		})
-	}
+	var seen uint64
+	e.SetChargeConsumer(func(_ []string, batch []Charge) {
+		for _, c := range batch {
+			seen += c.Cycles
+		}
+	})
+	e.SetClassifier(func(path string) uint8 { return uint8(len(path) % NumClasses) })
 	var allocs float64
 	e.Go("t0", 0, 0, func(th *Thread) {
 		th.PushAttr("app")
@@ -589,8 +634,8 @@ func TestChargeEmitZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("charge emit path allocates %v times per run, want 0", allocs)
 	}
-	if seen[0] != e.TotalCharged() || seen[1] != seen[0] {
-		t.Fatalf("consumers saw %v cycles, engine charged %d: both must see every charge", seen, e.TotalCharged())
+	if seen != e.TotalCharged() {
+		t.Fatalf("consumer saw %d cycles, engine charged %d: it must see every charge", seen, e.TotalCharged())
 	}
 }
 

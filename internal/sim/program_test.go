@@ -39,7 +39,7 @@ type progTrace struct {
 func runProgram(progs [][]simtest.Op) progTrace {
 	e := sim.New()
 	var tr progTrace
-	e.AddChargeConsumer(func(paths []string, batch []sim.Charge) {
+	e.SetChargeConsumer(func(paths []string, batch []sim.Charge) {
 		for _, c := range batch {
 			tr.charges = append(tr.charges, booking{c.T.Core, c.T.Name, int(c.ID), paths[c.ID], c.Cycles, c.Remote})
 		}

@@ -41,8 +41,9 @@ const (
 var labels = []string{"walk", "bw_stall", "ipi_send", "copy"}
 
 // RemotePath is the attribution path of every AddRemote booking; no local
-// frame can produce it.
-const RemotePath = "ipi.remote"
+// frame can produce it. Its leaf is a label the span layer classifies as
+// a wait, so a consumer that wrongly classified remote bookings shows it.
+const RemotePath = "shootdown.ipi_wait"
 
 // Generate builds a randomized program for nthreads threads from seed.
 // About one op in eight carries zero cycles. The program is plain data,
@@ -101,7 +102,7 @@ type Result struct {
 
 // Run spawns one thread per program on e (thread i is "t<i>" on core i,
 // starting at cycle 37·i), runs e to completion and reports lock behaviour.
-// Wire any sink or observer before calling it.
+// Set any consumer or classifier before calling it.
 func Run(e *sim.Engine, progs [][]Op, h Hooks) Result {
 	var res Result
 	mu := sim.NewMutex(2200)

@@ -54,13 +54,15 @@ var defaultRoots = []string{
 	"(*daxvm/internal/mm.MM).WPFault",
 	"(*daxvm/internal/cpu.Core).Translate",
 	"(*daxvm/internal/cpu.Set).Shootdown",
-	// The per-engine charge consumers the kernel attaches, and the string
-	// entry points that share their booking functions. The engine reaches
-	// its consumers through a slice of funcs, which the call graph does
-	// not follow, so the consumers' Book methods are roots of their own.
+	// The per-engine charge consumer the kernel attaches and the string
+	// entry point that shares its booking function. The engine reaches
+	// its consumer through a func field set at run time, which the call
+	// graph does not follow, so the consumer's Book method is a root of
+	// its own. The span collector's string entry point and its lock-wait
+	// hook complete the taps; Begin and End are reached from the fault,
+	// walk and shootdown roots.
 	"(*daxvm/internal/obs.EngineSink).Book",
 	"(*daxvm/internal/obs.CycleAccount).Charge",
-	"(*daxvm/internal/obs/span.EngineObserver).Book",
 	"(*daxvm/internal/obs/span.Collector).Observe",
 	"(*daxvm/internal/obs/span.Collector).Wait",
 	// Gauge readers run on every timeline sampler wake and must stay
@@ -92,6 +94,7 @@ const rootMarker = "hotalloc:root"
 
 func run(pass *ana.Pass) error {
 	g := pass.Prog.Graph()
+	reportMissingRoots(pass, g)
 
 	roots := collectRoots(g)
 	if len(roots) == 0 {
@@ -150,6 +153,35 @@ func collectRoots(g *ana.CallGraph) []string {
 		}
 	}
 	return sortedSet(set)
+}
+
+// reportMissingRoots reports each default root whose package is in the
+// analysed program but whose function is not: a deleted or renamed
+// hot-path entry point would otherwise leave a root that checks nothing.
+// The report sits on the package clause of the package's first file.
+// Roots in packages the program does not load (every fixture run) are
+// not checked.
+func reportMissingRoots(pass *ana.Pass, g *ana.CallGraph) {
+	for _, r := range defaultRoots {
+		pkg := pass.Prog.Package(rootPackage(r))
+		if pkg == nil || len(pkg.Syntax) == 0 {
+			continue
+		}
+		if n, ok := g.Nodes[r]; ok && n.Body() != nil {
+			continue
+		}
+		pass.Reportf(pkg.Syntax[0].Name.Pos(), "default hot-path root %s is not in package %s: update hotalloc.defaultRoots", r, pkg.PkgPath)
+	}
+}
+
+// rootPackage returns the import path of a root id: "(*pkg.T).M",
+// "(pkg.T).M" or "pkg.F".
+func rootPackage(id string) string {
+	if strings.HasPrefix(id, "(") {
+		id = strings.TrimPrefix(id[1:strings.Index(id, ")")], "*")
+	}
+	slash := strings.LastIndexByte(id, '/')
+	return id[:slash+1+strings.IndexByte(id[slash+1:], '.')]
 }
 
 // bfs walks traversal edges from root, honoring the stop-list, and
