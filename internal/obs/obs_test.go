@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
@@ -162,5 +163,35 @@ func TestWriteChromeTrace(t *testing.T) {
 				t.Fatalf("shootdown event wrong: %+v", e)
 			}
 		}
+	}
+}
+
+// TestNilTracerWriteChromeTrace: like every tracer entry point, export is
+// nil-safe — a nil tracer writes a valid trace holding only its
+// trace_stats record.
+func TestNilTracerWriteChromeTrace(t *testing.T) {
+	var tr *Tracer
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n" +
+		`{"name":"trace_stats","ph":"M","pid":0,"tid":0,"args":{"dropped":0,"retained":0}}` +
+		"\n]}\n"
+	if buf.String() != want {
+		t.Fatalf("nil tracer wrote %q, want %q", buf.String(), want)
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestChromeWriterError: a failed write surfaces from the export.
+func TestChromeWriterError(t *testing.T) {
+	tr := NewTracer(4)
+	tr.Emit("mmap", 0, 2700, 2700, "", 16)
+	if err := tr.WriteChromeTrace(failWriter{}); err == nil || err.Error() != "disk full" {
+		t.Fatalf("export to a failing writer returned %v, want disk full", err)
 	}
 }

@@ -1,10 +1,8 @@
 package span
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"daxvm/internal/obs"
@@ -19,27 +17,6 @@ import (
 // causal tree when any slice is selected. Output is deterministic:
 // segments in run order, classes sorted, exemplars slowest-first.
 func WriteChromeTrace(w io.Writer, segs []SegmentExport, cyclesPerUsec float64) error {
-	if cyclesPerUsec <= 0 {
-		cyclesPerUsec = 2700
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(s string) error {
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err := bw.WriteString(s)
-		return err
-	}
-	usec := func(cycles uint64) string {
-		return strconv.FormatFloat(float64(cycles)/cyclesPerUsec, 'f', 3, 64)
-	}
 	// Name the core tracks that carry exemplar slices.
 	cores := map[int]bool{}
 	for _, seg := range segs {
@@ -49,32 +26,17 @@ func WriteChromeTrace(w io.Writer, segs []SegmentExport, cyclesPerUsec float64) 
 			}
 		}
 	}
-	ids := make([]int, 0, len(cores))
-	for c := range cores {
-		ids = append(ids, c)
-	}
-	sort.Ints(ids)
-	for _, c := range ids {
-		meta := fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"core %d"}}`, c, c)
-		if err := emit(meta); err != nil {
-			return err
-		}
-	}
+	cw := obs.NewChromeWriter(w, cyclesPerUsec, cores)
 	flowID := 0
 	for _, seg := range segs {
 		for _, class := range obs.SortedKeys(seg.Exemplars) {
 			for rank, tree := range seg.Exemplars[class] {
 				flowID++
-				if err := writeTree(emit, usec, &tree, seg.Segment, rank, flowID); err != nil {
-					return err
-				}
+				writeTree(cw, &tree, seg.Segment, rank, flowID)
 			}
 		}
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return cw.Close()
 }
 
 func collectCores(s *Span, cores map[int]bool) {
@@ -86,7 +48,7 @@ func collectCores(s *Span, cores map[int]bool) {
 
 // writeTree emits one exemplar: its slices in pre-order plus, when the
 // tree has more than one span, a flow chain binding them together.
-func writeTree(emit func(string) error, usec func(uint64) string, root *Span, segment string, rank, flowID int) error {
+func writeTree(cw *obs.ChromeWriter, root *Span, segment string, rank, flowID int) {
 	var nodes []*Span
 	var walk func(*Span)
 	walk = func(s *Span) {
@@ -99,14 +61,11 @@ func writeTree(emit func(string) error, usec func(uint64) string, root *Span, se
 	for _, s := range nodes {
 		args := fmt.Sprintf(`{"segment":%s,"rank":%d,"self_cycles":%d,"tree_self_cycles":%d%s}`,
 			strconv.Quote(segment), rank, s.Self, s.TreeSelf, waitArgs(s.Waits))
-		line := fmt.Sprintf(`{"name":%s,"cat":"exemplar","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d,"args":%s}`,
-			strconv.Quote(s.Class), usec(s.Start), usec(s.Dur), s.Core, args)
-		if err := emit(line); err != nil {
-			return err
-		}
+		cw.Event(fmt.Sprintf(`{"name":%s,"cat":"exemplar","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d,"args":%s}`,
+			strconv.Quote(s.Class), cw.Usec(s.Start), cw.Usec(s.Dur), s.Core, args))
 	}
 	if len(nodes) < 2 {
-		return nil
+		return
 	}
 	for i, s := range nodes {
 		ph := "t"
@@ -120,13 +79,9 @@ func writeTree(emit func(string) error, usec func(uint64) string, root *Span, se
 		if ph == "f" {
 			bp = `,"bp":"e"`
 		}
-		line := fmt.Sprintf(`{"name":%s,"cat":"exemplar_flow","ph":%q,"id":%d,"ts":%s,"pid":0,"tid":%d%s}`,
-			strconv.Quote(root.Class), ph, flowID, usec(s.Start), s.Core, bp)
-		if err := emit(line); err != nil {
-			return err
-		}
+		cw.Event(fmt.Sprintf(`{"name":%s,"cat":"exemplar_flow","ph":%q,"id":%d,"ts":%s,"pid":0,"tid":%d%s}`,
+			strconv.Quote(root.Class), ph, flowID, cw.Usec(s.Start), s.Core, bp))
 	}
-	return nil
 }
 
 // waitArgs renders a span's wait decomposition as deterministic JSON

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -112,83 +110,42 @@ func (tr *Tracer) Dropped() uint64 {
 // (the {"traceEvents": [...]} object form) viewable in Perfetto or
 // chrome://tracing. Each simulated core is one track (tid); events with a
 // duration render as complete ("X") slices, instants as "i" marks.
-// Timestamps are virtual cycles converted to microseconds.
+// Timestamps are virtual cycles converted to microseconds. A nil tracer
+// writes an empty trace.
 func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
+	var cpu float64
+	if tr != nil {
+		cpu = tr.CyclesPerUsec
+	}
 	events := tr.Events()
-	cpu := tr.CyclesPerUsec
-	if cpu <= 0 {
-		cpu = 2700
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
 	// Name the core tracks. Counter samples render as pid-wide counter
 	// tracks keyed by series name, not as core slices, so they do not
 	// claim a tid.
 	cores := map[int]bool{}
 	for _, e := range events {
-		if e.Type == EvCounter {
-			continue
-		}
-		cores[e.Core] = true
-	}
-	ids := make([]int, 0, len(cores))
-	for c := range cores {
-		ids = append(ids, c)
-	}
-	sort.Ints(ids)
-	first := true
-	emit := func(s string) error {
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err := bw.WriteString(s)
-		return err
-	}
-	for _, c := range ids {
-		meta := fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"core %d"}}`, c, c)
-		if err := emit(meta); err != nil {
-			return err
+		if e.Type != EvCounter {
+			cores[e.Core] = true
 		}
 	}
+	cw := NewChromeWriter(w, cpu, cores)
 	// Self-describing truncation record: a ring that wrapped kept only the
 	// tail, and Perfetto should say so rather than show a silent gap.
-	stats := fmt.Sprintf(`{"name":"trace_stats","ph":"M","pid":0,"tid":0,"args":{"dropped":%d,"retained":%d}}`,
-		tr.Dropped(), len(events))
-	if err := emit(stats); err != nil {
-		return err
-	}
-	usec := func(cycles uint64) string {
-		return strconv.FormatFloat(float64(cycles)/cpu, 'f', 3, 64)
-	}
+	cw.Event(fmt.Sprintf(`{"name":"trace_stats","ph":"M","pid":0,"tid":0,"args":{"dropped":%d,"retained":%d}}`,
+		tr.Dropped(), len(events)))
 	for _, e := range events {
-		var line string
 		if e.Type == EvCounter {
-			line = fmt.Sprintf(`{"name":%s,"cat":"timeline","ph":"C","ts":%s,"pid":0,"args":{"value":%d}}`,
-				strconv.Quote(e.Tag), usec(e.TS), e.Arg)
-			if err := emit(line); err != nil {
-				return err
-			}
+			cw.Event(fmt.Sprintf(`{"name":%s,"cat":"timeline","ph":"C","ts":%s,"pid":0,"args":{"value":%d}}`,
+				strconv.Quote(e.Tag), cw.Usec(e.TS), e.Arg))
 			continue
 		}
 		args := fmt.Sprintf(`{"cycles":%d,"arg":%d,"tag":%s}`, e.TS, e.Arg, strconv.Quote(e.Tag))
 		if e.Dur > 0 {
-			line = fmt.Sprintf(`{"name":%s,"cat":"sim","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d,"args":%s}`,
-				strconv.Quote(e.Type), usec(e.TS), usec(e.Dur), e.Core, args)
+			cw.Event(fmt.Sprintf(`{"name":%s,"cat":"sim","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d,"args":%s}`,
+				strconv.Quote(e.Type), cw.Usec(e.TS), cw.Usec(e.Dur), e.Core, args))
 		} else {
-			line = fmt.Sprintf(`{"name":%s,"cat":"sim","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":%s}`,
-				strconv.Quote(e.Type), usec(e.TS), e.Core, args)
-		}
-		if err := emit(line); err != nil {
-			return err
+			cw.Event(fmt.Sprintf(`{"name":%s,"cat":"sim","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":%s}`,
+				strconv.Quote(e.Type), cw.Usec(e.TS), e.Core, args))
 		}
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return cw.Close()
 }
