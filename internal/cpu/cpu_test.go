@@ -5,6 +5,8 @@ import (
 
 	"daxvm/internal/cost"
 	"daxvm/internal/mem"
+	"daxvm/internal/obs"
+	"daxvm/internal/obs/span"
 	"daxvm/internal/pt"
 	"daxvm/internal/sim"
 	"daxvm/internal/tlb"
@@ -208,6 +210,47 @@ func TestShootdownFullFlushCheaperThanManyPages(t *testing.T) {
 	fullCost := runOnce(ShootFull, nil)
 	if fullCost >= pageCost {
 		t.Errorf("full flush (%d) should be cheaper than 128 invlpgs (%d)", fullCost, pageCost)
+	}
+}
+
+// TestShootdownZeroAlloc is the run-time check behind hotalloc's static
+// verdict on the Shootdown root: a full flush to 16 targets, each bound
+// to a parked thread that takes the handler charge, allocates nothing
+// with a span collector tracing into an obs hub's ring and the hub's
+// cycle account consuming the engine's charges.
+func TestShootdownZeroAlloc(t *testing.T) {
+	const cores = 16
+	s := NewSet(cores)
+	o := obs.New(64)
+	spans := span.New(4)
+	spans.SetTracer(o.Trace)
+	s.Spans = spans
+	e := sim.New()
+	o.Attach(e)
+	spans.Attach(e)
+	for i := 1; i < cores; i++ {
+		c := s.Cores[i]
+		e.GoDaemon("target", i, 0, func(th *sim.Thread) {
+			c.Bind(th)
+			th.Block("parked")
+		})
+	}
+	var allocs float64
+	e.Go("initiator", 0, 1, func(th *sim.Thread) {
+		c := s.Cores[0]
+		c.Bind(th)
+		shoot := func() { s.Shootdown(th, c, s.Cores, ShootFull, nil, 0, 0) }
+		for i := 0; i < 100; i++ {
+			shoot() // warm: interned labels, span state, a wrapped trace ring
+		}
+		allocs = testing.AllocsPerRun(1000, shoot)
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Fatalf("Shootdown allocates %v times per run, want 0", allocs)
+	}
+	if got := s.Cores[1].Stats.IPIsReceived; got != 1101 {
+		t.Errorf("target received %d IPIs, want 1101", got)
 	}
 }
 

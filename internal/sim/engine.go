@@ -1,25 +1,25 @@
 // Package sim is a deterministic discrete-event simulation engine for
 // virtual-time multicore execution.
 //
-// Every simulated hardware thread is a goroutine, but exactly one runs at a
-// time: threads cooperatively hand a token to the runnable thread with the
-// smallest virtual clock. Pure-local work just advances the local clock
-// (Charge); only operations that touch shared state (locks, IPIs, wakeups)
-// are synchronization points. Because the scheduler always resumes the
-// minimum-clock runnable thread, shared-state events are processed in
-// virtual-time order, which makes lock-contention behaviour — the central
-// quantity in the DaxVM paper's scalability experiments — emerge from the
-// model rather than from a formula, while remaining fully deterministic.
+// Every simulated hardware thread is a coroutine, and exactly one runs at
+// a time: Run is the driver loop that resumes the runnable thread with the
+// smallest virtual clock, and a thread runs until it picks the next one
+// and yields back to the driver. Pure-local work just advances the local
+// clock (Charge); only operations that touch shared state (locks, IPIs,
+// wakeups) are synchronization points. Because the scheduler always
+// resumes the minimum-clock runnable thread, shared-state events are
+// processed in virtual-time order, which makes lock-contention behaviour —
+// the central quantity in the DaxVM paper's scalability experiments —
+// emerge from the model rather than from a formula, while remaining fully
+// deterministic.
 //
 // Runnable threads wait in one ready heap ordered by (wakeAt, seq); seq is
 // a unique push stamp, so dispatch order is total. Every charge is
 // appended to one per-engine buffer, which the engine delivers as a batch
 // to its one consumer (SetChargeConsumer) when it fills, before every
-// token handoff and when the engine stops. Each thread also keeps a
-// running tally of its local charges by path class (SetClassifier). The
-// only
-// host goroutines are the threads themselves, and exactly one runs at a
-// time: usable lookahead between cores is zero (shared PMem token buckets,
+// handoff and when the engine stops. Each thread also keeps a running
+// tally of its local charges by path class (SetClassifier). Usable
+// lookahead between cores is zero (shared PMem token buckets,
 // zero-latency SpinLock handoff), so model execution cannot be spread
 // across host cores (DESIGN.md §4b).
 package sim
@@ -36,7 +36,7 @@ type Engine struct {
 	seq      uint64
 	live     int // non-daemon threads still running
 	threads  []*Thread
-	done     chan struct{}
+	cur      *Thread // the thread the driver resumes next
 	stopping bool
 	maxClock uint64
 	panicVal any
@@ -70,13 +70,12 @@ type Engine struct {
 	ids   map[string]int
 }
 
-// stopToken is panicked into parked daemon threads at shutdown.
+// stopToken is panicked into parked threads at shutdown.
 type stopToken struct{}
 
 // New creates an empty engine.
 func New() *Engine {
 	return &Engine{
-		done:  make(chan struct{}),
 		paths: []string{Unattributed},
 		class: make([]uint8, 1),
 		kids:  make([][]child, 1),
@@ -92,18 +91,24 @@ type child struct {
 
 // Thread is one simulated hardware thread.
 type Thread struct {
-	e       *Engine
-	Name    string
-	Core    int
-	clock   uint64
-	wakeAt  uint64
-	seq     uint64
-	index   int // heap index, -1 when not queued
-	resume  chan struct{}
-	state   threadState
-	daemon  bool
-	started bool
-	fn      func(*Thread)
+	e      *Engine
+	Name   string
+	Core   int
+	clock  uint64
+	wakeAt uint64
+	seq    uint64
+	index  int // heap index, -1 when not queued
+	state  threadState
+	daemon bool
+	fn     func(*Thread)
+
+	// next runs the thread's coroutine until it yields back to the driver
+	// or returns; stop unwinds it at shutdown. yield, called on the
+	// thread, hands control back to the driver and reports false once the
+	// engine is stopping. All three are nil until the first dispatch.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// attr is the attribution-frame stack: each element is the engine's
 	// path id of one open frame ("app.syscall.write", ...). Charges book
@@ -144,7 +149,6 @@ func (e *Engine) Go(name string, core int, start uint64, fn func(*Thread)) *Thre
 		Core:   core,
 		clock:  start,
 		wakeAt: start,
-		resume: make(chan struct{}),
 		index:  -1,
 		fn:     fn,
 	}
@@ -183,7 +187,11 @@ func (e *Engine) GoSampler(name string, core int, next func(now uint64) uint64, 
 }
 
 // Run executes the simulation until every non-daemon thread has exited.
-// It returns the largest virtual clock reached by any thread.
+// It returns the largest virtual clock reached by any thread. Run is the
+// driver: it resumes the thread the last handoff picked until no
+// non-daemon thread is live, then unwinds the parked ones. A panic in a
+// thread is re-panicked here; a runtime.Goexit in a thread (t.Fatalf)
+// ends Run's goroutine the same way, after the teardown.
 func (e *Engine) Run() uint64 {
 	if e.live == 0 {
 		return 0
@@ -193,45 +201,37 @@ func (e *Engine) Run() uint64 {
 		panic("sim: no runnable thread")
 	}
 	first.state = stateRunning
-	first.resumeOrStart()
-	<-e.done
+	e.cur = first
+	defer e.shutdown() // a Goexit propagated from a thread skips the call below
+	for e.live > 0 && e.panicVal == nil {
+		e.cur.resumeOrStart()
+	}
+	e.shutdown()
 	if e.panicVal != nil {
 		panic(e.panicVal)
 	}
 	return e.maxClock
 }
 
-// main is the goroutine body wrapping a thread function.
+// main is the coroutine body wrapping a thread function.
 func (t *Thread) main() {
-	<-t.resume // wait for first dispatch
 	// Drop the engine's reference to the body: an engine outlives its
 	// run (hubs keep its counters), and a finished thread must not pin
 	// what its body captured — a whole kernel and its device.
 	fn := t.fn
 	t.fn = nil
-	completed := false
 	defer func() {
+		// nil is a normal return or a runtime.Goexit, which the coroutine
+		// passes on to Run's goroutine.
 		r := recover()
-		if _, ok := r.(stopToken); ok {
-			return // engine shutdown
-		}
-		if r == nil && completed {
+		if _, ok := r.(stopToken); ok || r == nil {
 			return
 		}
-		if r == nil {
-			// The goroutine is unwinding via runtime.Goexit (e.g. a
-			// t.Fatalf inside a thread function). Surface it instead of
-			// hanging Run forever.
-			r = "sim: thread " + t.Name + " exited abnormally (runtime.Goexit — t.Fatalf inside a sim thread?)"
-		}
-		// Propagate the failure to Run() and unwind the whole
-		// simulation so tests can observe it.
+		// Propagate the failure to Run, which stops the simulation.
 		t.e.panicVal = r
 		t.state = stateExited
-		t.e.shutdown()
 	}()
 	fn(t)
-	completed = true
 	t.exit()
 }
 
@@ -244,17 +244,15 @@ func (t *Thread) exit() {
 	if !t.daemon {
 		e.live--
 	}
-	if e.live == 0 {
-		e.shutdown()
-		return
+	if e.live > 0 {
+		e.dispatchFrom(t, false)
 	}
-	e.dispatchFrom(t, false)
 }
 
-// shutdown tears down parked daemon goroutines and signals Run. It runs on
-// the goroutine of the last exiting non-daemon thread. Parked threads are
-// resumed; they observe stopping and unwind via a stopToken panic that
-// their main() recovers, so no goroutines leak across engine instances.
+// shutdown delivers the last charges and unwinds every parked thread, in
+// registration order, before Run returns: stop makes a parked thread's
+// yield report false, and dispatchFrom panics a stopToken its main
+// recovers, so no goroutine outlives the run.
 func (e *Engine) shutdown() {
 	if e.stopping {
 		return
@@ -262,16 +260,12 @@ func (e *Engine) shutdown() {
 	e.stopping = true
 	e.deliver()
 	for _, t := range e.threads {
-		if !t.started {
+		if t.stop == nil {
 			t.fn = nil // never dispatched: nothing else drops it
 			continue
 		}
-		if t.state == stateExited || t.state == stateRunning {
-			continue
-		}
-		t.resume <- struct{}{}
+		t.stop()
 	}
-	close(e.done)
 }
 
 // Now returns the thread's virtual clock in cycles.
@@ -561,13 +555,10 @@ func (e *Engine) Wake(t *Thread, at uint64) {
 func (e *Engine) dispatchFrom(t *Thread, wait bool) {
 	next := e.ready.pop()
 	if next == nil {
-		if wait || e.live > 0 {
-			//lint:ignore hotalloc fatal path: the concat only runs when panicking
-			panic("sim: deadlock\n" + e.dump())
-		}
-		// Exiting last thread with nothing runnable and live==0 was
-		// handled in exit(); reaching here is a bug.
-		panic("sim: scheduler underflow")
+		// A parked caller, or an exiting one with live threads left
+		// (exit never dispatches from the last), has nothing to wake.
+		//lint:ignore hotalloc fatal path: the concat only runs when panicking
+		panic("sim: deadlock\n" + e.dump())
 	}
 	if next == t {
 		// Fast path: we are still the minimum-clock thread.
@@ -582,34 +573,22 @@ func (e *Engine) dispatchFrom(t *Thread, wait bool) {
 	if next.clock < next.wakeAt {
 		next.clock = next.wakeAt
 	}
-	next.resumeOrStart()
-	if !wait {
-		return
-	}
-	<-t.resume
-	if e.stopping {
+	e.cur = next
+	if wait && !t.yield(struct{}{}) {
 		panic(stopToken{})
-	}
-	t.state = stateRunning
-	if t.clock < t.wakeAt {
-		t.clock = t.wakeAt
 	}
 }
 
-// resumeOrStart resumes a parked thread, starting its goroutine lazily the
-// first time it is dispatched.
+// resumeOrStart runs the thread until it hands off, making its coroutine
+// the first time it is dispatched.
 func (t *Thread) resumeOrStart() {
 	if t.state == stateExited {
 		panic("sim: resuming exited thread")
 	}
-	if !t.started {
-		t.started = true
-		// The scheduler's own token handoff: exactly one goroutine runs at
-		// a time, so this spawn cannot race.
-		//lint:ignore determinism token-handoff scheduler owns this spawn
-		go t.main()
+	if t.next == nil {
+		t.start()
 	}
-	t.resume <- struct{}{}
+	t.next()
 }
 
 // dump formats the scheduler state for deadlock diagnostics: per thread,

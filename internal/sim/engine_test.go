@@ -677,3 +677,151 @@ func TestFinishedThreadsReleaseTheirFunctions(t *testing.T) {
 		}
 	}
 }
+
+// TestHandoffZeroAlloc pins the token handoff at zero allocations once
+// both threads run: a Yield between equal clocks and a Block/Wake pair
+// each pass the token through the driver and back.
+func TestHandoffZeroAlloc(t *testing.T) {
+	t.Run("yield", func(t *testing.T) {
+		e := New()
+		e.SetChargeConsumer(func([]string, []Charge) {})
+		e.GoDaemon("peer", 1, 0, func(th *Thread) {
+			for {
+				th.Yield()
+			}
+		})
+		var allocs float64
+		e.Go("main", 0, 0, func(th *Thread) {
+			for i := 0; i < 100; i++ {
+				th.Yield()
+			}
+			allocs = testing.AllocsPerRun(1000, th.Yield)
+		})
+		e.Run()
+		if allocs != 0 {
+			t.Fatalf("Yield handoff allocates %v times per run, want 0", allocs)
+		}
+	})
+	t.Run("block/wake", func(t *testing.T) {
+		e := New()
+		e.SetChargeConsumer(func([]string, []Charge) {})
+		var main *Thread
+		peer := e.GoDaemon("peer", 1, 0, func(th *Thread) {
+			for {
+				th.Block("ping")
+				e.Wake(main, th.Now())
+			}
+		})
+		var allocs float64
+		main = e.Go("main", 0, 0, func(th *Thread) {
+			pingPong := func() {
+				e.Wake(peer, th.Now())
+				th.Block("pong")
+			}
+			for i := 0; i < 100; i++ {
+				pingPong()
+			}
+			allocs = testing.AllocsPerRun(1000, pingPong)
+		})
+		e.Run()
+		if allocs != 0 {
+			t.Fatalf("Block/Wake handoff allocates %v times per run, want 0", allocs)
+		}
+	})
+}
+
+// TestRunLeavesNoGoroutines pins that Run returns only once every
+// thread's goroutine is gone, with parked threads unwound synchronously
+// in registration order: on a normal exit, when a thread panics, and
+// when a thread calls runtime.Goexit, which ends Run's goroutine.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	// build registers parked daemons (one blocked, one sleeping, one
+	// never dispatched), a sampler and a thread running body; unwound
+	// records each daemon's unwinding.
+	build := func(body func(*Thread)) (e *Engine, unwound *[]string) {
+		e = New()
+		unwound = new([]string)
+		park := func(name string, wait func(*Thread)) {
+			e.GoDaemon(name, 1, 0, func(th *Thread) {
+				defer func() { *unwound = append(*unwound, name) }()
+				for {
+					wait(th)
+				}
+			})
+		}
+		park("blocked", func(th *Thread) { th.Block("never") })
+		park("sleeper", func(th *Thread) { th.Sleep(10) })
+		e.GoDaemon("late", 2, 1<<40, func(*Thread) {})
+		e.GoSampler("sampler", 3, func(now uint64) uint64 { return now + 7 }, func(uint64) {})
+		e.Go("main", 0, 0, func(th *Thread) {
+			th.Sleep(100)
+			body(th)
+		})
+		return e, unwound
+	}
+	checkUnwound := func(t *testing.T, unwound []string) {
+		t.Helper()
+		if strings.Join(unwound, ",") != "blocked,sleeper" {
+			t.Errorf("daemons unwound as %v, want [blocked sleeper] in registration order", unwound)
+		}
+	}
+
+	t.Run("exit", func(t *testing.T) {
+		e, unwound := build(func(th *Thread) { th.Charge(5) })
+		before := runtime.NumGoroutine()
+		if got := e.Run(); got != 105 {
+			t.Errorf("Run = %d, want 105", got)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("%d goroutines after Run, %d before", after, before)
+		}
+		checkUnwound(t, *unwound)
+	})
+
+	t.Run("panic", func(t *testing.T) {
+		boom := &struct{ msg string }{"boom"}
+		e, unwound := build(func(*Thread) { panic(boom) })
+		before := runtime.NumGoroutine()
+		func() {
+			defer func() {
+				if r := recover(); r != boom {
+					t.Errorf("Run panicked with %v, want the thread's value", r)
+				}
+			}()
+			e.Run()
+		}()
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("%d goroutines after Run, %d before", after, before)
+		}
+		checkUnwound(t, *unwound)
+	})
+
+	t.Run("goexit", func(t *testing.T) {
+		e, unwound := build(func(*Thread) { runtime.Goexit() })
+		var before, after int
+		returned := false
+		done := make(chan struct{})
+		go func() {
+			// Both counts include this goroutine, which Run's Goexit ends.
+			before = runtime.NumGoroutine()
+			defer func() {
+				after = runtime.NumGoroutine()
+				close(done)
+			}()
+			e.Run()
+			returned = true
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Run hangs after a thread's runtime.Goexit")
+		}
+		if returned {
+			t.Error("Run returned normally after a thread's runtime.Goexit")
+		}
+		checkUnwound(t, *unwound)
+		if after != before {
+			t.Errorf("%d goroutines after Run, %d before", after, before)
+		}
+	})
+}
