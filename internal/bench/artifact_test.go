@@ -53,7 +53,7 @@ func TestArtifactSmoke(t *testing.T) {
 		t.Errorf("missing provenance: git_sha=%q config_hash=%q", a.GitSHA, a.ConfigHash)
 	}
 	if cycles.Total == 0 || len(cycles.Leaves) == 0 {
-		t.Error("cycle breakdown empty — charge sink was not wired into boot()")
+		t.Error("cycle breakdown empty — engines were not attached to the account in boot()")
 	}
 
 	// v3: the experiment's timeline segment must land in the artifact.

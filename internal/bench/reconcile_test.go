@@ -28,7 +28,7 @@ func TestCycleReconciliation(t *testing.T) {
 			attributed := o.Cycles.Total()
 			charged := o.EnginesTotal()
 			if attributed == 0 {
-				t.Fatal("no cycles attributed — charge sink not wired")
+				t.Fatal("no cycles attributed — engines not attached to the account")
 			}
 			if attributed != charged {
 				t.Fatalf("attributed %d != engine-charged %d (drift %d)",
@@ -52,8 +52,8 @@ func TestCycleReconciliation(t *testing.T) {
 				t.Fatalf("timeline intervals sum to %d cycles, account holds %d (drift %d)",
 					sampled, attributed, int64(sampled)-int64(attributed))
 			}
-			// The span layer observes the same charge stream through its
-			// own hook: booked (inside an open span) + outside (daemons,
+			// The span layer reads the same charges through the threads'
+			// tallies: booked (inside an open span) + outside (daemons,
 			// setup bootstrap) + remote (AddRemote work, never booked into
 			// the interrupted thread's span) must telescope to the same
 			// engine total.
@@ -74,7 +74,8 @@ func TestCycleReconciliation(t *testing.T) {
 // shootdowns, journal commits), the summed span self-times must equal the
 // cycles the account attributes to frames carrying that class segment.
 // The two sides are computed by independent code paths from the same
-// charge stream, so any instrumentation gap — a charge escaping its span,
+// charges (the account from the threads' tables, the spans from their
+// tallies), so any instrumentation gap — a charge escaping its span,
 // a span outliving its frame — shows up as drift here.
 func TestSpanSelfTimeMatchesAttribution(t *testing.T) {
 	// classMatches reports whether an attribution leaf path contains the

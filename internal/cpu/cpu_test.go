@@ -217,7 +217,7 @@ func TestShootdownFullFlushCheaperThanManyPages(t *testing.T) {
 // verdict on the Shootdown root: a full flush to 16 targets, each bound
 // to a parked thread that takes the handler charge, allocates nothing
 // with a span collector tracing into an obs hub's ring and the hub's
-// cycle account consuming the engine's charges.
+// cycle account reading the engine's charge tables.
 func TestShootdownZeroAlloc(t *testing.T) {
 	const cores = 16
 	s := NewSet(cores)
@@ -255,8 +255,9 @@ func TestShootdownZeroAlloc(t *testing.T) {
 }
 
 // TestTranslateZeroAlloc is the run-time check behind hotalloc's static
-// verdict on the Translate root: with the TLB, the PTE-line cache and the
-// charge path warm, none of these steps allocates.
+// verdict on the Translate root: on an engine attached to a cycle
+// account, with the TLB, the PTE-line cache and the charge tables warm,
+// none of these steps allocates.
 func TestTranslateZeroAlloc(t *testing.T) {
 	const (
 		lines    = 512 // distinct PTE lines walked: more than the 192 cached
@@ -267,7 +268,7 @@ func TestTranslateZeroAlloc(t *testing.T) {
 	c.TLB = tlb.NewSized(tlbSmall, 4) // the walk loop cycles through more pages than it holds
 	as := newAS()
 	e := sim.New()
-	e.SetChargeConsumer(func([]string, []sim.Charge) {})
+	obs.New(64).Attach(e)
 	allocs := map[string]float64{}
 	var walkMisses, rewalks uint64
 	e.Go("t", 0, 0, func(th *sim.Thread) {

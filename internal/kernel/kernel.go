@@ -250,9 +250,10 @@ func (k *Kernel) Setup(fn func(t *sim.Thread)) {
 	k.Dev.ResetTiming()
 }
 
-// attachEngine wires an engine into the hub (the cycle account consumes
-// its charge stream; path ids are per engine) and the span collector
-// (which reads its tallies), and rides the timeline sampler daemon on it.
+// attachEngine wires an engine into the hub (the cycle account reads its
+// threads' charge tables; path ids are per engine) and the span
+// collector (which reads its tallies), and rides the timeline sampler
+// daemon on it.
 func (k *Kernel) attachEngine(e *sim.Engine) {
 	k.engines = append(k.engines, e)
 	k.Obs.Attach(e)

@@ -13,108 +13,95 @@ import (
 // CycleAccount is the hierarchical cycle-attribution profiler: every cycle
 // the simulator charges is booked against a dotted attribution path
 // ("app.syscall.write.ntstore", "app.access.fault.minor", ...), per
-// simulated core. Each sim engine is wired through its own EngineSink,
-// which indexes leaves by the engine's path ids and books the engine's
-// charge batches.
+// simulated core. Engines keep the record themselves: each of their
+// threads charges into its own table by path id (sim.Thread.Rows), and
+// the account reads the tables of the engines attached to it (Attach)
+// beside its own leaves, which Charge books into. The first read after
+// an attached engine stops folds its tables into the leaves and drops
+// the engine, so a read walks only the engines still live.
 // Leaves are exact paths; interior nodes exist implicitly as shared
 // prefixes and are materialized by Snapshot views (WriteTable, TotalOf).
 //
 // Invariant (asserted by bench tests): Total() equals the sum of
-// Engine.TotalCharged() over every engine wired to the account — the
+// Engine.TotalCharged() over every engine attached to the account — the
 // profile cannot silently lose time.
 type CycleAccount struct {
 	mu sync.Mutex
 	// guarded by mu
-	leaves map[string]*cycleLeaf
-	total  uint64 // guarded by mu
-}
-
-type cycleLeaf struct {
-	cycles uint64
-	count  uint64
-	byCore []coreCycles // indexed by core
-}
-
-// coreCycles is one leaf's booking on one core. charged marks a core that
-// saw a charge, so a core charged only zero cycles still appears in
-// CycleLeaf.ByCore.
-type coreCycles struct {
-	cycles  uint64
-	charged bool
+	leaves map[string][]sim.Row // by core; a count > 0 marks a charged core
+	live   []*sim.Engine        // guarded by mu
 }
 
 // NewCycleAccount creates an empty account.
 func NewCycleAccount() *CycleAccount {
-	return &CycleAccount{leaves: make(map[string]*cycleLeaf)}
+	return &CycleAccount{leaves: make(map[string][]sim.Row)}
 }
 
-// Charge books cycles against path on core. Nil-safe. Engines book
-// through an EngineSink instead, which skips the path lookup.
+// Charge books cycles against path on core. Nil-safe.
 func (a *CycleAccount) Charge(core int, path string, cycles uint64) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.book(a.leaf(path), core, cycles)
+	a.add(path, core, sim.Row{Cycles: cycles, Count: 1})
 	a.mu.Unlock()
 }
 
-// leaf returns path's leaf, creating it on first use; the caller holds mu.
-func (a *CycleAccount) leaf(path string) *cycleLeaf {
+// add books row r onto path's leaf on core; the caller holds mu.
+func (a *CycleAccount) add(path string, core int, r sim.Row) {
 	l := a.leaves[path]
-	if l == nil {
-		//lint:ignore hotalloc first charge to a unique path only; steady state hits the map
-		l = &cycleLeaf{}
+	if core >= len(l) {
+		//lint:ignore hotalloc per-core slice grows once per new (leaf, core) pair
+		l = append(l, make([]sim.Row, core+1-len(l))...)
 		a.leaves[path] = l
 	}
-	return l
+	l[core].Cycles += r.Cycles
+	l[core].Count += r.Count
 }
 
-// book adds one charge to leaf l; the caller holds mu.
-func (a *CycleAccount) book(l *cycleLeaf, core int, cycles uint64) {
-	l.cycles += cycles
-	l.count++
-	for core >= len(l.byCore) {
-		//lint:ignore hotalloc per-core slice grows once per new (leaf, core) pair
-		l.byCore = append(l.byCore, coreCycles{})
+// Attach makes the account read engine e's charge tables. Nil-safe.
+func (a *CycleAccount) Attach(e *sim.Engine) {
+	if a == nil {
+		return
 	}
-	c := &l.byCore[core]
-	c.cycles += cycles
-	c.charged = true
-	a.total += cycles
-}
-
-// EngineSink is one engine's charge consumer into a CycleAccount: it maps
-// the engine's dense path ids to leaves through a slice, so a charge
-// hashes nothing, and books each batch the engine delivers under one
-// lock. Path ids are per engine, so every engine needs its own sink;
-// Obs.Attach makes one. The engine delivers before it hands the token to
-// another thread and when it stops, so whatever another thread or Run's
-// caller reads of the account is complete. A reader on another goroutine
-// while an engine runs may miss the charges the engine still buffers.
-type EngineSink struct {
-	a      *CycleAccount
-	leaves []*cycleLeaf // by path id; nil until the id is first booked; guarded by mu
-}
-
-// Book books one batch of the engine's charges; paths is the engine's
-// path table, which the batch's ids index.
-func (s *EngineSink) Book(paths []string, batch []sim.Charge) {
-	a := s.a
 	a.mu.Lock()
-	for len(s.leaves) < len(paths) {
-		//lint:ignore hotalloc id table grows once per new path id
-		s.leaves = append(s.leaves, nil)
-	}
-	for _, c := range batch {
-		l := s.leaves[c.ID]
-		if l == nil {
-			l = a.leaf(paths[c.ID])
-			s.leaves[c.ID] = l
-		}
-		a.book(l, c.T.Core, c.Cycles)
-	}
+	a.live = append(a.live, e)
 	a.mu.Unlock()
+}
+
+// each calls fn for every (path, core) row the account holds: one per
+// charged core of every leaf, then every charged row of the live
+// engines' threads, so a (path, core) can come more than once. A stopped
+// engine's rows are also folded into the leaves, once, and the engine is
+// dropped. The caller holds mu.
+func (a *CycleAccount) each(fn func(path string, core int, r sim.Row)) {
+	for path, l := range a.leaves {
+		for core, r := range l {
+			if r.Count > 0 {
+				fn(path, core, r)
+			}
+		}
+	}
+	live := a.live[:0]
+	for _, e := range a.live {
+		stopped := e.Stopped()
+		if !stopped {
+			live = append(live, e)
+		}
+		for _, t := range e.Threads() {
+			for id, r := range t.Rows() {
+				if r.Count == 0 {
+					continue
+				}
+				fn(e.Path(id), t.Core, r)
+				if stopped {
+					a.add(e.Path(id), t.Core, r)
+				}
+			}
+		}
+	}
+	clear(a.live[len(live):])
+	a.live = live
 }
 
 // Total reports all cycles booked so far.
@@ -122,9 +109,11 @@ func (a *CycleAccount) Total() uint64 {
 	if a == nil {
 		return 0
 	}
+	var sum uint64
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.total
+	a.each(func(_ string, _ int, r sim.Row) { sum += r.Cycles })
+	return sum
 }
 
 // Snapshot copies the account state.
@@ -132,18 +121,20 @@ func (a *CycleAccount) Snapshot() CycleSnapshot {
 	if a == nil {
 		return CycleSnapshot{}
 	}
+	s := CycleSnapshot{Leaves: make(map[string]CycleLeaf)}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s := CycleSnapshot{Total: a.total, Leaves: make(map[string]CycleLeaf, len(a.leaves))}
-	for path, l := range a.leaves {
-		cl := CycleLeaf{Cycles: l.cycles, Count: l.count, ByCore: make(map[int]uint64, len(l.byCore))}
-		for c, v := range l.byCore {
-			if v.charged {
-				cl.ByCore[c] = v.cycles
-			}
+	a.each(func(path string, core int, r sim.Row) {
+		l := s.Leaves[path]
+		if l.ByCore == nil {
+			l.ByCore = make(map[int]uint64)
 		}
-		s.Leaves[path] = cl
-	}
+		l.Cycles += r.Cycles
+		l.Count += r.Count
+		l.ByCore[core] += r.Cycles
+		s.Leaves[path] = l
+		s.Total += r.Cycles
+	})
 	return s
 }
 
@@ -158,13 +149,10 @@ func (a *CycleAccount) RootCycles() map[string]uint64 {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for path, l := range a.leaves {
-		root := path
-		if i := strings.IndexByte(path, '.'); i >= 0 {
-			root = path[:i]
-		}
-		out[root] += l.cycles
-	}
+	a.each(func(path string, _ int, r sim.Row) {
+		root, _, _ := strings.Cut(path, ".")
+		out[root] += r.Cycles
+	})
 	return out
 }
 

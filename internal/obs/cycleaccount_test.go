@@ -2,8 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"daxvm/internal/sim"
 )
 
 func TestCycleAccountBooking(t *testing.T) {
@@ -111,5 +114,132 @@ func TestCycleAccountNilSafety(t *testing.T) {
 	s := a.Snapshot()
 	if s.Total != 0 || len(s.Leaves) != 0 {
 		t.Fatal("nil snapshot not empty")
+	}
+}
+
+// TestAccountReadsEveryCharge pins what a reader on a running engine
+// sees: every charge made before the read, on any thread, however few
+// handoffs came between. A GoSampler reads at each wake, and a thread
+// that charges long runs without a handoff reads after each charge.
+func TestAccountReadsEveryCharge(t *testing.T) {
+	a := NewCycleAccount()
+	e := sim.New()
+	a.Attach(e)
+	check := func(who string) {
+		if got := a.Total(); got != e.TotalCharged() {
+			t.Fatalf("%s read Total %d, engine charged %d", who, got, e.TotalCharged())
+		}
+		var roots uint64
+		for _, v := range a.RootCycles() {
+			roots += v
+		}
+		if roots != e.TotalCharged() {
+			t.Fatalf("%s read root cycles summing to %d, engine charged %d", who, roots, e.TotalCharged())
+		}
+	}
+	wakes := 0
+	e.GoSampler("sampler", 0, func(now uint64) uint64 { return now + 500 }, func(uint64) {
+		wakes++
+		check("sampler")
+	})
+	body := func(th *sim.Thread) {
+		th.PushAttr("app")
+		for i := 0; i < 600; i++ {
+			th.ChargeAs("copy", uint64(i%3)*10)
+			if i%100 == 0 {
+				check(th.Name)
+				th.Sleep(50)
+			}
+		}
+		th.PopAttr()
+	}
+	e.Go("a", 1, 0, body)
+	e.Go("b", 2, 0, body)
+	e.Run()
+	if wakes < 2 {
+		t.Fatalf("premise: the sampler woke %d times, want at least 2", wakes)
+	}
+	check("Run's caller")
+}
+
+// TestAccountFoldsStoppedEngines pins the fold: the first read after an
+// attached engine stops moves its threads' tables into the account's
+// leaves, on the threads' cores with zero-cycle charges counted, and
+// drops the engine. Every reader returns the same before the fold (on
+// the engine's last running thread), at it and after it, and only the
+// engines that have not stopped stay live.
+func TestAccountFoldsStoppedEngines(t *testing.T) {
+	a := NewCycleAccount()
+	a.Charge(1, "app", 4)
+	idle := sim.New() // attached, never run
+	idle.Go("never", 3, 0, func(th *sim.Thread) { th.Charge(1) })
+	a.Attach(idle)
+	want := CycleSnapshot{Total: 4, Leaves: map[string]CycleLeaf{"app": {Cycles: 4, Count: 1, ByCore: map[int]uint64{1: 4}}}}
+	const engines = 3
+	for k := 1; k <= engines; k++ {
+		e := sim.New()
+		a.Attach(e)
+		var before CycleSnapshot
+		var beforeTotal uint64
+		var beforeRoots map[string]uint64
+		var ta *sim.Thread
+		ta = e.Go("a", 2, 0, func(th *sim.Thread) {
+			th.PushAttr("setup")
+			th.Charge(5)
+			th.ChargeAs("zero", 0)
+			th.PopAttr()
+		})
+		e.Go("b", 5, 1, func(th *sim.Thread) {
+			th.PushAttr("setup")
+			th.Charge(7)
+			th.PopAttr()
+			ta.AddRemote("ipi", 3)
+			before, beforeTotal, beforeRoots = a.Snapshot(), a.Total(), a.RootCycles()
+		})
+		e.Run()
+		want.Total += 15
+		want.Leaves["setup"] = CycleLeaf{Cycles: 12 * uint64(k), Count: 2 * uint64(k), ByCore: map[int]uint64{2: 5 * uint64(k), 5: 7 * uint64(k)}}
+		want.Leaves["setup.zero"] = CycleLeaf{Cycles: 0, Count: uint64(k), ByCore: map[int]uint64{2: 0}}
+		want.Leaves["ipi"] = CycleLeaf{Cycles: 3 * uint64(k), Count: uint64(k), ByCore: map[int]uint64{2: 3 * uint64(k)}}
+		wantRoots := map[string]uint64{"app": 4, "setup": 12 * uint64(k), "ipi": 3 * uint64(k)}
+		if !reflect.DeepEqual(before, want) || beforeTotal != want.Total || !reflect.DeepEqual(beforeRoots, wantRoots) {
+			t.Fatalf("engine %d, live: snapshot %+v total %d roots %v, want %+v, %d, %v",
+				k, before, beforeTotal, beforeRoots, want, want.Total, wantRoots)
+		}
+		for _, read := range []string{"folding", "second"} {
+			var snap CycleSnapshot
+			var total uint64
+			var roots map[string]uint64
+			switch k % 3 { // each reader takes a turn at folding
+			case 0:
+				snap, total, roots = a.Snapshot(), a.Total(), a.RootCycles()
+			case 1:
+				total, roots, snap = a.Total(), a.RootCycles(), a.Snapshot()
+			case 2:
+				roots, snap, total = a.RootCycles(), a.Snapshot(), a.Total()
+			}
+			if !reflect.DeepEqual(snap, want) || total != want.Total || !reflect.DeepEqual(roots, wantRoots) {
+				t.Fatalf("engine %d, %s read: snapshot %+v total %d roots %v, want %+v, %d, %v",
+					k, read, snap, total, roots, want, want.Total, wantRoots)
+			}
+		}
+		if len(a.live) != 1 || a.live[0] != idle {
+			t.Fatalf("after %d stopped engines the account reads %d live engines, want only the idle one", k, len(a.live))
+		}
+	}
+}
+
+// TestAccountAttachedIdleEngine pins that an attached engine that never
+// runs reads as empty, its registered threads included.
+func TestAccountAttachedIdleEngine(t *testing.T) {
+	a := NewCycleAccount()
+	e := sim.New()
+	e.Go("never", 0, 0, func(th *sim.Thread) { th.Charge(9) })
+	a.Attach(e)
+	if s := a.Snapshot(); s.Total != 0 || len(s.Leaves) != 0 {
+		t.Fatalf("idle engine reads as %+v", s)
+	}
+	if a.Total() != 0 || len(a.RootCycles()) != 0 {
+		t.Fatalf("idle engine reads Total %d, roots %v", a.Total(), a.RootCycles())
 	}
 }

@@ -6,9 +6,9 @@
 // event tracer exportable as Chrome trace-event JSON (one track per
 // simulated core, viewable in Perfetto).
 //
-// The package imports only the sim engine, whose charge batches the cycle
-// account books (Obs.Attach), so every layer above the engine can import
-// it without cycles. The tracer's writers (the span collector, one slice
+// The package imports only the sim engine, whose threads' charge tables
+// the cycle account reads (Obs.Attach), so every layer above the engine
+// can import it without cycles. The tracer's writers (the span collector, one slice
 // per closed operation, and the timeline sampler) pass virtual timestamps
 // and core ids explicitly. All entry points are nil-receiver safe, so an
 // unwired subsystem pays one branch.
@@ -45,20 +45,16 @@ func New(traceCap int) *Obs {
 	return &Obs{Reg: NewRegistry(), Trace: NewTracer(traceCap), Cycles: NewCycleAccount()}
 }
 
-// Attach wires engine e into the hub: a fresh EngineSink, the engine's
-// one charge consumer, books its charges into Cycles (path ids are per
-// engine), and its charged cycles
-// and events join EnginesTotal and EnginesEvents. Every engine whose
-// charges feed Cycles is attached here (the kernel does this for each
-// engine it runs), so EnginesTotal is the reconciliation target for
-// CycleAccount.Total.
+// Attach wires engine e into the hub: Cycles reads its charge tables,
+// and its charged cycles and events join EnginesTotal and EnginesEvents.
+// Every engine whose charges feed Cycles is attached here (the kernel
+// does this for each engine it runs), so EnginesTotal is the
+// reconciliation target for CycleAccount.Total.
 func (o *Obs) Attach(e *sim.Engine) {
 	if o == nil {
 		return
 	}
-	if o.Cycles != nil {
-		e.SetChargeConsumer((&EngineSink{a: o.Cycles}).Book)
-	}
+	o.Cycles.Attach(e)
 	o.mu.Lock()
 	o.engines = append(o.engines, e)
 	o.mu.Unlock()

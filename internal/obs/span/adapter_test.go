@@ -12,12 +12,12 @@ import (
 )
 
 // TestAdapterChargeZeroAlloc pins the wired charge path at zero
-// allocations: an engine feeding a real CycleAccount through its
-// consumer and tallying for a Collector allocates nothing on a warm step
-// of Charge, ChargeAs with classified labels, AddRemote and
-// PushAttr/PopAttr inside nested spans, Begin/End pairs (which book the
-// thread's tally), Wait inside and outside a span, and a handoff to
-// another thread inside a span (which delivers the buffer).
+// allocations: an engine attached to a real CycleAccount, which reads
+// its threads' charge tables, and to a Collector, which reads their
+// tallies, allocates nothing on a warm step of Charge, ChargeAs with
+// classified labels, AddRemote and PushAttr/PopAttr inside nested spans,
+// Begin/End pairs (which book the thread's tally), Wait inside and
+// outside a span, and a handoff to another thread inside a span.
 func TestAdapterChargeZeroAlloc(t *testing.T) {
 	o := &obs.Obs{Cycles: obs.NewCycleAccount()}
 	c := New(3)
@@ -46,7 +46,7 @@ func TestAdapterChargeZeroAlloc(t *testing.T) {
 			th.ChargeAs("ipi_send", 1)
 			c.End(th)
 		}
-		step() // intern the paths, grow the id tables, pools and per-core slices
+		step() // intern the paths, grow the charge tables and pools
 		allocs = testing.AllocsPerRun(100, step)
 		th.PopAttr()
 	})
@@ -66,40 +66,27 @@ func TestAdapterChargeZeroAlloc(t *testing.T) {
 	}
 }
 
-// Span boundaries show in the charge stream as zero-cycle charges with
-// these leaf labels: the replay hooks make one at every Begin and End on
-// every wiring, so every wiring's stream is the same.
+// Every span boundary charges zero cycles under one of these leaf
+// labels, so the tables hold zero-cycle rows whose counts the program
+// fixes: one per Begin or End hook run.
 const (
 	markBegin = "span_begin"
 	markEnd   = "span_end"
 )
 
-// charge is one recorded engine charge: the engine's index, the thread
-// it booked onto and what the consumer received.
-type charge struct {
-	engine int
-	thread string
-	core   int
-	id     int32
-	path   string
-	cycles uint64
-	remote bool
-}
-
-// wiring is how a replay connects its engines to its account and
-// collector.
+// wiring is how a replay connects its engines to its collector. The
+// account is attached to every engine in both.
 type wiring int
 
 const (
-	// attached: the account is each engine's consumer and the collector
-	// is attached to each engine, so it reads their tallies.
+	// attached: the collector is attached to each engine, so it reads
+	// their tallies.
 	attached wiring = iota
-	// recorded: a consumer records the delivered charge stream and books
-	// it into the account by path.
-	recorded
-	// fed: the collector is fed a recorded stream through Observe. At each
-	// span boundary it first gets the charges up to that boundary's
-	// marker, so each charge meets the span stack it was made under.
+	// fed: the collector is fed through Observe. At each of a thread's
+	// span boundaries it gets the thread's row deltas since its previous
+	// boundary, and after each engine's run the remainder, so each
+	// charge meets the span stack it was made under: a thread's stack
+	// changes only at its own boundaries.
 	fed
 )
 
@@ -107,72 +94,86 @@ const (
 type replayRun struct {
 	acct    *obs.CycleAccount
 	col     *Collector
-	charged uint64   // Σ TotalCharged over both engines
-	rec     []charge // the delivered stream, when recorded
+	engines [2]*sim.Engine
+	charged uint64 // Σ TotalCharged over both engines
+	marks   uint64 // boundary hooks run
+	shapes  spanShapes
+}
+
+// spanShapes counts the span windows a tally-reading collector must get
+// right: spans with a child, spans another thread charged cycles inside
+// of, and spans a remote booking landed inside of.
+type spanShapes struct {
+	nested, interleaved, remoteInside int
+}
+
+// openSpan is one span a replay's hooks have open: what was charged
+// outside and onto its thread when it began, and whether a child ended.
+type openSpan struct {
+	others, remote uint64
+	kids           bool
 }
 
 // replay runs progs[i] on engine i, one after the other, both engines
 // sharing one account and collector the way Boot's ager, setup and main
 // engines do. Spans mirror the programs' attribution frames, and each
-// engine's run is a collector segment. feed is the recorded stream a fed
-// replay observes.
-func replay(progs [2][][]simtest.Op, w wiring, feed []charge) replayRun {
+// engine's run is a collector segment.
+func replay(progs [2][][]simtest.Op, w wiring) replayRun {
 	r := replayRun{acct: obs.NewCycleAccount(), col: New(2)}
-	next := 0 // feed[next] is the first charge not yet observed
 	for i, prog := range progs {
-		i := i
 		e := sim.New()
-		switch w {
-		case attached:
-			(&obs.Obs{Cycles: r.acct}).Attach(e)
+		r.engines[i] = e
+		(&obs.Obs{Cycles: r.acct}).Attach(e)
+		if w == attached {
 			r.col.Attach(e)
-		case recorded:
-			e.SetChargeConsumer(func(paths []string, batch []sim.Charge) {
-				for _, c := range batch {
-					p := paths[c.ID]
-					r.rec = append(r.rec, charge{i, c.T.Name, c.T.Core, c.ID, p, c.Cycles, c.Remote})
-					r.acct.Charge(c.T.Core, p, c.Cycles)
-				}
-			})
 		}
-		// observe feeds engine i's recorded charges to the collector, up
-		// to and including t's marker with leaf label mark, or all of them
-		// when t is nil.
-		threads := map[string]*sim.Thread{}
-		observe := func(t *sim.Thread, mark string) {
-			for next < len(feed) && feed[next].engine == i {
-				c := feed[next]
-				next++
-				if len(threads) == 0 {
-					for _, th := range e.Threads() {
-						threads[th.Name] = th
-					}
+		seen := map[*sim.Thread][]sim.Row{} // each thread's rows as last fed
+		feed := func(t *sim.Thread) {
+			prev := seen[t]
+			for id, row := range t.Rows() {
+				var p sim.Row
+				if id < len(prev) {
+					p = prev[id]
 				}
-				r.col.Observe(threads[c.thread], c.path, c.cycles, c.remote)
-				if t == nil || !isMark(c.path) {
-					continue
+				if row != p {
+					path := e.Path(id)
+					r.col.Observe(t, path, row.Cycles-p.Cycles, path == simtest.RemotePath)
 				}
-				if c.thread != t.Name || !strings.HasSuffix(c.path, "."+mark) {
-					panic(fmt.Sprintf("%s at %s: the stream's next marker is %s of %s", mark, t.Name, c.path, c.thread))
-				}
-				return
 			}
-			if t != nil {
-				panic(fmt.Sprintf("%s at %s: no marker left in the stream", mark, t.Name))
-			}
+			seen[t] = append(prev[:0], t.Rows()...)
 		}
+		stacks := map[*sim.Thread][]openSpan{}
 		boundary := func(t *sim.Thread, mark string) {
 			t.ChargeAs(mark, 0)
+			r.marks++
 			if w == fed {
-				observe(t, mark)
+				feed(t)
 			}
 		}
 		hooks := simtest.Hooks{
 			Push: func(t *sim.Thread, label string) {
 				boundary(t, markBegin)
 				r.col.Begin(t, label)
+				own, remote := ownCycles(e, t)
+				stacks[t] = append(stacks[t], openSpan{others: e.TotalCharged() - own, remote: remote})
 			},
 			Pop: func(t *sim.Thread) {
+				st := stacks[t]
+				sp := st[len(st)-1]
+				stacks[t] = st[:len(st)-1]
+				own, remote := ownCycles(e, t)
+				if sp.kids {
+					r.shapes.nested++
+				}
+				if e.TotalCharged()-own > sp.others {
+					r.shapes.interleaved++
+				}
+				if remote > sp.remote {
+					r.shapes.remoteInside++
+				}
+				if len(st) > 1 {
+					st[len(st)-2].kids = true
+				}
 				boundary(t, markEnd)
 				r.col.End(t)
 			},
@@ -180,27 +181,38 @@ func replay(progs [2][][]simtest.Op, w wiring, feed []charge) replayRun {
 		r.col.StartSegment(fmt.Sprintf("e%d", i))
 		simtest.Run(e, prog, hooks)
 		if w == fed {
-			observe(nil, "")
+			for _, t := range e.Threads() {
+				feed(t)
+			}
 		}
 		r.charged += e.TotalCharged()
 	}
 	return r
 }
 
-// isMark reports whether path is a span-boundary marker.
-func isMark(path string) bool {
-	return strings.HasSuffix(path, "."+markBegin) || strings.HasSuffix(path, "."+markEnd)
+// ownCycles sums what was charged onto t: all its rows, and its
+// simtest.RemotePath row alone.
+func ownCycles(e *sim.Engine, t *sim.Thread) (own, remote uint64) {
+	for id, row := range t.Rows() {
+		own += row.Cycles
+		if e.Path(id) == simtest.RemotePath {
+			remote = row.Cycles
+		}
+	}
+	return own, remote
 }
 
-// reference rebuilds, from a recorded charge stream alone, what the
+// reference rebuilds, from the engines' charge tables alone, what the
 // account and collector must report: the snapshot (a core charged only
 // zero cycles still gets a ByCore entry), the per-root cycles, local
-// versus remote cycles and each engine segment's wait totals.
+// versus remote cycles, each engine segment's wait totals and how many
+// boundary markers were charged.
 type reference struct {
 	snap          obs.CycleSnapshot
 	roots         map[string]uint64
 	local, remote uint64
 	segs          []segWait
+	marks         uint64
 }
 
 type segWait struct {
@@ -208,31 +220,42 @@ type segWait struct {
 	waits map[string]uint64
 }
 
-func referenceOf(rec []charge) reference {
+func referenceOf(engines [2]*sim.Engine) reference {
 	ref := reference{
 		snap:  obs.CycleSnapshot{Leaves: map[string]obs.CycleLeaf{}},
 		roots: map[string]uint64{},
 		segs:  []segWait{{"e0", map[string]uint64{}}, {"e1", map[string]uint64{}}},
 	}
-	for _, c := range rec {
-		l := ref.snap.Leaves[c.path]
-		if l.ByCore == nil {
-			l.ByCore = map[int]uint64{}
-		}
-		l.Cycles += c.cycles
-		l.Count++
-		l.ByCore[c.core] += c.cycles
-		ref.snap.Leaves[c.path] = l
-		ref.snap.Total += c.cycles
-		root, _, _ := strings.Cut(c.path, ".")
-		ref.roots[root] += c.cycles
-		if c.remote {
-			ref.remote += c.cycles
-			continue
-		}
-		ref.local += c.cycles
-		if k := classify(c.path); k != 0 {
-			ref.segs[c.engine].waits[WaitKind(k).String()] += c.cycles
+	for i, e := range engines {
+		for _, t := range e.Threads() {
+			for id, row := range t.Rows() {
+				if row.Count == 0 {
+					continue
+				}
+				path := e.Path(id)
+				l := ref.snap.Leaves[path]
+				if l.ByCore == nil {
+					l.ByCore = map[int]uint64{}
+				}
+				l.Cycles += row.Cycles
+				l.Count += row.Count
+				l.ByCore[t.Core] += row.Cycles
+				ref.snap.Leaves[path] = l
+				ref.snap.Total += row.Cycles
+				root, _, _ := strings.Cut(path, ".")
+				ref.roots[root] += row.Cycles
+				if isMark(path) {
+					ref.marks += row.Count
+				}
+				if path == simtest.RemotePath {
+					ref.remote += row.Cycles
+					continue
+				}
+				ref.local += row.Cycles
+				if k := classify(path); k != 0 {
+					ref.segs[i].waits[WaitKind(k).String()] += row.Cycles
+				}
+			}
 		}
 	}
 	for i := range ref.segs {
@@ -248,64 +271,23 @@ func referenceOf(rec []charge) reference {
 	return ref
 }
 
-// streamShapes counts, in a recorded stream, the span windows a
-// tally-reading collector must get right: spans with a child, spans
-// another thread charged cycles inside of, and remote bookings onto a
-// thread with a span open.
-type streamShapes struct {
-	nested, interleaved, remoteInside int
-}
-
-func shapesOf(rec []charge) streamShapes {
-	var sh streamShapes
-	type open struct {
-		at   int  // index of the begin marker
-		kids bool // a child span ended inside
-	}
-	stacks := map[string][]open{} // engine/thread -> open spans
-	for i, c := range rec {
-		key := fmt.Sprint(c.engine, "/", c.thread)
-		st := stacks[key]
-		switch {
-		case c.remote:
-			if len(st) > 0 && c.cycles > 0 {
-				sh.remoteInside++
-			}
-		case strings.HasSuffix(c.path, "."+markBegin):
-			stacks[key] = append(st, open{at: i})
-		case strings.HasSuffix(c.path, "."+markEnd):
-			sp := st[len(st)-1]
-			stacks[key] = st[:len(st)-1]
-			if sp.kids {
-				sh.nested++
-			}
-			if len(st) > 1 {
-				st[len(st)-2].kids = true
-			}
-			for _, o := range rec[sp.at:i] {
-				if o.thread != c.thread && o.cycles > 0 {
-					sh.interleaved++
-					break
-				}
-			}
-		}
-	}
-	return sh
+// isMark reports whether path is a span-boundary marker.
+func isMark(path string) bool {
+	return strings.HasSuffix(path, "."+markBegin) || strings.HasSuffix(path, "."+markEnd)
 }
 
 // TestAdapterEquivalence replays seeded random charge programs on two
-// engines sharing one account and collector: once with both attached
-// (the account consumes the stream by path id, the collector reads the
-// engines' tallies), once recording the delivered stream into an account
-// by path, and once feeding that recorded stream to a collector through
-// Observe, span boundary by span boundary. The attached collector must
-// match the fed one — the full export, booked/outside/remote cycles —
-// and both accounts and collectors must match a reference rebuilt from
-// the stream: snapshot (including zero-cycle ByCore entries), root
-// cycles, local and remote cycles and per-segment wait totals. The two
-// engines' programs differ, so the same path id names different paths
-// in each. Each engine's first thread also opens one span holding more
-// than a full batch of classified charges.
+// engines sharing one account and collector: once with the collector
+// attached (it reads the engines' tallies) and once feeding it each
+// thread's charge-table deltas through Observe, span boundary by span
+// boundary. The attached collector must match the fed one — the full
+// export, booked/outside/remote cycles — and both accounts and
+// collectors must match a reference rebuilt from the engines' tables:
+// snapshot (including zero-cycle ByCore entries), root cycles, local and
+// remote cycles and per-segment wait totals. The marker rows must count
+// every boundary hook. The two engines' programs differ, so the same
+// path id names different paths in each. Each engine's first thread also
+// opens one span holding 300 classified charges.
 func TestAdapterEquivalence(t *testing.T) {
 	const nthreads, nops = 8, 60
 	long := []simtest.Op{{Kind: simtest.OpPush, Label: "copy"}}
@@ -314,7 +296,7 @@ func TestAdapterEquivalence(t *testing.T) {
 	}
 	long = append(long, simtest.Op{Kind: simtest.OpPop})
 	var zeroEntries int
-	var shapes streamShapes
+	var shapes spanShapes
 	for seed := int64(1); seed <= 5; seed++ {
 		progs := [2][][]simtest.Op{
 			simtest.Generate(seed, nthreads, nops),
@@ -324,25 +306,13 @@ func TestAdapterEquivalence(t *testing.T) {
 			progs[i][0] = append(append([]simtest.Op(nil), long...), progs[i][0]...)
 		}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			a, s := replay(progs, attached, nil), replay(progs, recorded, nil)
-			f := replay(progs, fed, s.rec)
-			ref := referenceOf(s.rec)
-			sh := shapesOf(s.rec)
-			shapes.nested += sh.nested
-			shapes.interleaved += sh.interleaved
-			shapes.remoteInside += sh.remoteInside
+			a, f := replay(progs, attached), replay(progs, fed)
+			ref := referenceOf(a.engines)
+			shapes.nested += a.shapes.nested
+			shapes.interleaved += a.shapes.interleaved
+			shapes.remoteInside += a.shapes.remoteInside
 
-			pathOf := [2]map[int32]string{{}, {}}
-			shared := false
-			for _, c := range s.rec {
-				pathOf[c.engine][c.id] = c.path
-			}
-			for id, p := range pathOf[0] {
-				if q, ok := pathOf[1][id]; ok && q != p {
-					shared = true
-				}
-			}
-			if !shared {
+			if !sharesID(a.engines) {
 				t.Fatal("premise: no path id names different paths in the two engines")
 			}
 			for _, l := range ref.snap.Leaves {
@@ -352,11 +322,14 @@ func TestAdapterEquivalence(t *testing.T) {
 					}
 				}
 			}
+			if ref.marks != a.marks {
+				t.Errorf("marker rows count %d charges, the hooks charged %d", ref.marks, a.marks)
+			}
 
 			for _, r := range []struct {
 				name string
 				run  replayRun
-			}{{"attached", a}, {"recorded", s}} {
+			}{{"attached", a}, {"fed", f}} {
 				if got := r.run.acct.Snapshot(); !reflect.DeepEqual(got, ref.snap) {
 					t.Errorf("%s: snapshot differs from the reference:\n got %+v\nwant %+v", r.name, got, ref.snap)
 				}
@@ -366,12 +339,7 @@ func TestAdapterEquivalence(t *testing.T) {
 				if got := r.run.acct.Total(); got != r.run.charged {
 					t.Errorf("%s: account total %d, engines charged %d", r.name, got, r.run.charged)
 				}
-			}
-			for _, r := range []struct {
-				name string
-				col  *Collector
-			}{{"attached", a.col}, {"fed", f.col}} {
-				col := r.col
+				col := r.run.col
 				if got := col.BookedCycles() + col.OutsideCycles(); got != ref.local {
 					t.Errorf("%s: booked+outside = %d, want %d", r.name, got, ref.local)
 				}
@@ -402,4 +370,22 @@ func TestAdapterEquivalence(t *testing.T) {
 	if shapes.nested == 0 || shapes.interleaved == 0 || shapes.remoteInside == 0 {
 		t.Fatalf("premise: spans of every shape, got %+v", shapes)
 	}
+}
+
+// sharesID reports whether some path id names different paths in the two
+// engines. A table covers ids up to its engine's path count when it last
+// grew, so the longest table bounds the ids an engine has interned.
+func sharesID(engines [2]*sim.Engine) bool {
+	var n [2]int
+	for i, e := range engines {
+		for _, t := range e.Threads() {
+			n[i] = max(n[i], len(t.Rows()))
+		}
+	}
+	for id := 0; id < min(n[0], n[1]); id++ {
+		if engines[0].Path(id) != engines[1].Path(id) {
+			return true
+		}
+	}
+	return false
 }

@@ -10,7 +10,7 @@
 //
 // Reconciliation contract (the same zero-unattributed discipline as the
 // cycle profiler): the collector reads the running tallies of attached
-// engines (Attach) instead of their charge streams, so
+// engines (Attach), so
 //
 //	BookedCycles + OutsideCycles + RemoteCycles == Σ Engine.TotalCharged
 //

@@ -14,11 +14,11 @@
 // deterministic.
 //
 // Runnable threads wait in one ready heap ordered by (wakeAt, seq); seq is
-// a unique push stamp, so dispatch order is total. Every charge is
-// appended to one per-engine buffer, which the engine delivers as a batch
-// to its one consumer (SetChargeConsumer) when it fills, before every
-// handoff and when the engine stops. Each thread also keeps a running
-// tally of its local charges by path class (SetClassifier). Usable
+// a unique push stamp, so dispatch order is total. Every charge is one
+// add into a table the charged thread keeps, a Row of cycles and count
+// per attribution path id (Rows), and the thread's local charges also add
+// to a running tally by path class (SetClassifier). Readers read the
+// tables, so a handoff does no bookkeeping for them. Usable
 // lookahead between cores is zero (shared PMem token buckets,
 // zero-latency SpinLock handoff), so model execution cannot be spread
 // across host cores (DESIGN.md §4b).
@@ -49,10 +49,7 @@ type Engine struct {
 	// proxy for "how much the engine did", used as the numerator of the
 	// host-side events/sec speed metric. It never feeds back into
 	// simulated behaviour.
-	events uint64
-	// buf holds the charges not yet delivered to the consumer.
-	buf      []Charge
-	consumer func(paths []string, batch []Charge)
+	events   uint64
 	classify func(path string) uint8
 
 	// paths interns attribution paths: id i names paths[i], and each
@@ -114,6 +111,7 @@ type Thread struct {
 	// path id of one open frame ("app.syscall.write", ...). Charges book
 	// against the innermost frame.
 	attr  []int
+	rows  []Row // by path id: what was charged onto the thread
 	tally Tally // the thread's local charges
 
 	// blockedOn is a human-readable tag for deadlock dumps.
@@ -249,16 +247,15 @@ func (t *Thread) exit() {
 	}
 }
 
-// shutdown delivers the last charges and unwinds every parked thread, in
-// registration order, before Run returns: stop makes a parked thread's
-// yield report false, and dispatchFrom panics a stopToken its main
-// recovers, so no goroutine outlives the run.
+// shutdown unwinds every parked thread, in registration order, before
+// Run returns: stop makes a parked thread's yield report false, and
+// dispatchFrom panics a stopToken its main recovers, so no goroutine
+// outlives the run.
 func (e *Engine) shutdown() {
 	if e.stopping {
 		return
 	}
 	e.stopping = true
-	e.deliver()
 	for _, t := range e.threads {
 		if t.stop == nil {
 			t.fn = nil // never dispatched: nothing else drops it
@@ -274,47 +271,28 @@ func (t *Thread) Now() uint64 { return t.clock }
 // Engine returns the engine the thread runs on.
 func (t *Thread) Engine() *Engine { return t.e }
 
-// Charge is one charge as the consumer receives it: Cycles booked onto
-// thread T under the attribution path whose id is ID, an index into the
-// path table delivered with the batch. Ids are dense and per engine: 0 is
-// Unattributed and each newly seen path takes the next id. Remote marks
-// AddRemote bookings, which advance T's clock without being work T
-// itself initiated.
-type Charge struct {
-	T      *Thread
+// Row is what was charged onto one thread on one path: the cycles and
+// the number of charges, zero-cycle ones included.
+type Row struct {
 	Cycles uint64
-	ID     int32
-	Remote bool
+	Count  uint64
 }
 
-// chargeBatch is how many charges the engine buffers before delivering
-// them.
-const chargeBatch = 256
+// Rows returns the thread's charge table: row id is what Charge, ChargeAs
+// and AddRemote booked onto the thread under the path whose id is id
+// (Engine.Path). Ids are dense and per engine: 0 is Unattributed and
+// each newly seen path takes the next id; ids past the table's end were
+// never charged to the thread. The table is the thread's own, so do not
+// modify it. Read it on its engine's running thread or once the engine
+// has stopped.
+func (t *Thread) Rows() []Row { return t.rows }
 
-// SetChargeConsumer makes fn the engine's one consumer of every later
-// charge on any thread, in charge order and in batches: when the buffer
-// fills, on the running thread before it hands the token to another
-// thread, and on the last thread when the engine stops. So whatever
-// another thread, or the caller of Run, reads of the consumer is
-// complete. paths maps every id in batch to its interned path. fn must
-// not keep batch: the engine reuses it. A second consumer panics.
-func (e *Engine) SetChargeConsumer(fn func(paths []string, batch []Charge)) {
-	if e.consumer != nil {
-		panic("sim: engine already has a charge consumer")
-	}
-	e.buf = make([]Charge, 0, chargeBatch)
-	e.consumer = fn
-}
+// Path returns the attribution path whose id is id.
+func (e *Engine) Path(id int) string { return e.paths[id] }
 
-// deliver hands the buffered charges to the consumer and empties the
-// buffer.
-func (e *Engine) deliver() {
-	if len(e.buf) == 0 {
-		return
-	}
-	e.consumer(e.paths, e.buf)
-	e.buf = e.buf[:0]
-}
+// Stopped reports whether the engine has stopped: Run has ended its
+// driver loop, and no thread charges anything more.
+func (e *Engine) Stopped() bool { return e.stopping }
 
 // NumClasses bounds the path classes a classifier returns; class 0 is
 // for paths no class names.
@@ -468,38 +446,37 @@ func (t *Thread) Charge(c uint64) {
 func (t *Thread) ChargeAs(label string, c uint64) { t.e.book(t, t.e.join(t.attrID(), label), c) }
 
 // AddRemote is used by remote-charge mechanisms (IPIs): the running thread
-// books c onto this (target) thread's timeline, attributed to path on the
-// target's core rather than to the caller's frame. It counts in no tally.
+// books c onto this (target) thread's timeline and table, attributed to
+// path on the target's core rather than to the caller's frame. It counts
+// in no tally.
 func (t *Thread) AddRemote(path string, c uint64) {
 	t.clock += c
+	t.add(t.e.join(noParent, path), c)
 	t.e.charged += c
 	t.e.events++
-	if t.e.consumer != nil {
-		t.e.emit(t, t.e.join(noParent, path), c, true)
-	}
 }
 
 // book charges t c cycles of local work on path id: its clock, its tally
-// and the consumer's buffer.
+// and its table.
 func (e *Engine) book(t *Thread, id int, c uint64) {
 	t.clock += c
 	t.tally.Local += c
 	t.tally.Classes[e.class[id]] += c
+	t.add(id, c)
 	e.charged += c
 	e.events++
-	if e.consumer != nil {
-		e.emit(t, id, c, false)
-	}
 }
 
-// emit buffers one charge on path id and delivers the buffer once it is
-// full.
-func (e *Engine) emit(t *Thread, id int, cycles uint64, remote bool) {
-	//lint:ignore hotalloc never grows: the buffer is delivered and emptied when full
-	e.buf = append(e.buf, Charge{t, cycles, int32(id), remote})
-	if len(e.buf) == chargeBatch {
-		e.deliver()
+// add books one charge of c cycles into row id of t's table, first
+// growing the table to every path the engine has interned if it is short.
+func (t *Thread) add(id int, c uint64) {
+	if id >= len(t.rows) {
+		//lint:ignore hotalloc amortized: a table grows only when its engine has interned a new path
+		t.rows = append(t.rows, make([]Row, len(t.e.paths)-len(t.rows))...)
 	}
+	r := &t.rows[id]
+	r.Cycles += c
+	r.Count++
 }
 
 // Yield is a synchronization point: the thread re-enters the ready queue at
@@ -568,7 +545,6 @@ func (e *Engine) dispatchFrom(t *Thread, wait bool) {
 		t.state = stateRunning
 		return
 	}
-	e.deliver()
 	next.state = stateRunning
 	if next.clock < next.wakeAt {
 		next.clock = next.wakeAt

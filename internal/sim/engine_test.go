@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -312,28 +313,15 @@ func TestSpinLockNoWakeCost(t *testing.T) {
 	}
 }
 
-// TestChargeConsumerAttribution pins what a consumer receives: each
-// charge exactly once and in order, with the thread it books onto, its
-// cycles, its dense per-engine path id (0 is Unattributed, then one id
-// per newly interned path, frames included), the path table entry for
-// that id, and Remote set only on AddRemote bookings.
-func TestChargeConsumerAttribution(t *testing.T) {
+// TestChargeTables pins what each thread's table holds: every charge
+// booked onto the thread, in the row of its dense per-engine path id (0
+// is Unattributed, then one id per newly interned path, frames
+// included), with its cycles and a count that zero-cycle charges add to
+// too. AddRemote books onto the target's table, and Path names each id.
+func TestChargeTables(t *testing.T) {
 	e := New()
-	type booked struct {
-		thread string
-		id     int32
-		path   string
-		cycles uint64
-		remote bool
-	}
-	var got []booked
-	e.SetChargeConsumer(func(paths []string, batch []Charge) {
-		for _, c := range batch {
-			got = append(got, booked{c.T.Name, c.ID, paths[c.ID], c.Cycles, c.Remote})
-		}
-	})
 	var t1 *Thread
-	e.Go("t0", 3, 0, func(th *Thread) {
+	t0 := e.Go("t0", 3, 0, func(th *Thread) {
 		th.Charge(10) // empty stack -> unattributed
 		th.PushAttr("app")
 		th.Charge(20)
@@ -341,29 +329,34 @@ func TestChargeConsumerAttribution(t *testing.T) {
 		th.ChargeAs("copy", 30)     // one-shot child
 		th.PopAttr()
 		t1.AddRemote("shootdown.ipi_handler", 40) // absolute, ignores stack, books onto t1
-		th.PushAttr("syscall")
-		th.ChargeAs("read", 50) // same path as the frame above: same id
+		th.PushAttr("syscall")                    // app.syscall: a new id, never charged
+		th.ChargeAs("read", 50)                   // same path as the frame above: same id
+		th.ChargeAs("read", 0)                    // zero cycles, still a charge
 		th.PopAttr()
 		th.PopAttr()
 		th.AddRemote("app", 60) // a root reached from no frame: same id
 	})
 	t1 = e.Go("t1", 4, 1000, func(th *Thread) {})
 	e.Run()
-	want := []booked{
-		{"t0", 0, Unattributed, 10, false},
-		{"t0", 1, "app", 20, false},
-		{"t0", 3, "app.syscall.read.copy", 30, false},
-		{"t1", 4, "shootdown.ipi_handler", 40, true},
-		{"t0", 2, "app.syscall.read", 50, false},
-		{"t0", 1, "app", 60, true},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("consumer saw %+v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("charge %d = %+v, want %+v", i, got[i], want[i])
+	paths := []string{Unattributed, "app", "app.syscall.read", "app.syscall.read.copy", "shootdown.ipi_handler", "app.syscall"}
+	for id, p := range paths {
+		if got := e.Path(id); got != p {
+			t.Errorf("Path(%d) = %q, want %q", id, got, p)
 		}
+	}
+	want := map[*Thread][]Row{
+		// A table grows to every path interned so far when it books a
+		// new id: t0's last at id 3, before app.syscall; t1's at id 4.
+		t0: {{10, 1}, {80, 2}, {50, 2}, {30, 1}},
+		t1: {{}, {}, {}, {}, {40, 1}},
+	}
+	for th, w := range want {
+		if got := th.Rows(); !reflect.DeepEqual(got, w) {
+			t.Errorf("%s rows = %v, want %v", th.Name, got, w)
+		}
+	}
+	if e.TotalCharged() != 210 {
+		t.Errorf("engine charged %d, want 210", e.TotalCharged())
 	}
 }
 
@@ -476,81 +469,6 @@ func TestDumpIncludesAttr(t *testing.T) {
 	e.Run()
 }
 
-// TestChargeDelivery pins when the engine delivers its one charge
-// buffer: when it holds chargeBatch charges, before the running thread
-// hands the token to another thread, and when the engine stops. A
-// thread resumed after another one ran finds every charge delivered,
-// and nothing stays undelivered after Run.
-func TestChargeDelivery(t *testing.T) {
-	e := New()
-	var batches [][]Charge
-	e.SetChargeConsumer(func(paths []string, batch []Charge) {
-		if len(paths) != len(e.paths) {
-			t.Errorf("consumer got %d paths, engine has %d", len(paths), len(e.paths))
-		}
-		if len(batch) > chargeBatch {
-			t.Errorf("batch of %d charges, buffer holds %d", len(batch), chargeBatch)
-		}
-		batches = append(batches, append([]Charge(nil), batch...))
-	})
-	delivered := func() (n int) {
-		for _, b := range batches {
-			n += len(b)
-		}
-		return n
-	}
-	var made int
-	var last *Thread
-	body := func(th *Thread) {
-		for i := 0; i < 50; i++ {
-			if last != th && delivered() != made {
-				t.Errorf("%s resumed with %d charges of %s undelivered", th.Name, made-delivered(), last.Name)
-			}
-			last = th
-			th.Charge(uint64(1 + i%3))
-			th.ChargeAs("copy", 1)
-			made += 2
-			th.Yield()
-		}
-		// A run of charges with no handoff is delivered in full batches.
-		for i := 0; i < 2*chargeBatch+10; i++ {
-			th.Charge(1)
-			made++
-			if made-delivered() >= chargeBatch {
-				t.Fatalf("%d undelivered after %d made", made-delivered(), made)
-			}
-		}
-	}
-	e.Go("a", 0, 0, body)
-	e.Go("b", 1, 0, body)
-	e.Run()
-	if got := delivered(); got != made {
-		t.Fatalf("delivered %d charges, made %d", got, made)
-	}
-	full := 0
-	for _, b := range batches {
-		if len(b) == chargeBatch {
-			full++
-		}
-	}
-	if full < 4 {
-		t.Fatalf("%d full batches, want at least 4", full)
-	}
-}
-
-// TestOneChargeConsumer pins that an engine delivers to one consumer:
-// setting a second one panics instead of silently dropping the first.
-func TestOneChargeConsumer(t *testing.T) {
-	e := New()
-	e.SetChargeConsumer(func([]string, []Charge) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second SetChargeConsumer did not panic")
-		}
-	}()
-	e.SetChargeConsumer(func([]string, []Charge) {})
-}
-
 // TestTallies pins the running tallies: a thread's Local counts its
 // Charge and ChargeAs cycles and never AddRemote, Classes splits them by
 // the classifier's class of each path (paths interned before
@@ -606,39 +524,6 @@ func TestTallies(t *testing.T) {
 	}
 }
 
-// TestChargeEmitZeroAlloc pins the charge emit path at zero allocations
-// with a consumer and a classifier set: Charge, warm ChargeAs (the
-// joined path is already interned) and AddRemote tally and append to the
-// engine's buffer, and the deliveries the runs cross pass it on as is.
-func TestChargeEmitZeroAlloc(t *testing.T) {
-	e := New()
-	var seen uint64
-	e.SetChargeConsumer(func(_ []string, batch []Charge) {
-		for _, c := range batch {
-			seen += c.Cycles
-		}
-	})
-	e.SetClassifier(func(path string) uint8 { return uint8(len(path) % NumClasses) })
-	var allocs float64
-	e.Go("t0", 0, 0, func(th *Thread) {
-		th.PushAttr("app")
-		th.ChargeAs("copy", 1) // warm the interned "app.copy" path
-		allocs = testing.AllocsPerRun(200, func() {
-			th.Charge(1)
-			th.ChargeAs("copy", 1)
-			th.AddRemote("shootdown.ipi_handler", 1)
-		})
-		th.PopAttr()
-	})
-	e.Run()
-	if allocs != 0 {
-		t.Fatalf("charge emit path allocates %v times per run, want 0", allocs)
-	}
-	if seen != e.TotalCharged() {
-		t.Fatalf("consumer saw %d cycles, engine charged %d: it must see every charge", seen, e.TotalCharged())
-	}
-}
-
 // TestFinishedThreadsReleaseTheirFunctions pins that an engine kept
 // reachable after its run (observability hubs keep every engine's
 // counters) does not keep what its threads' bodies captured: for a
@@ -676,58 +561,6 @@ func TestFinishedThreadsReleaseTheirFunctions(t *testing.T) {
 			t.Errorf("thread %q still pins its function's captures after the run", name)
 		}
 	}
-}
-
-// TestHandoffZeroAlloc pins the token handoff at zero allocations once
-// both threads run: a Yield between equal clocks and a Block/Wake pair
-// each pass the token through the driver and back.
-func TestHandoffZeroAlloc(t *testing.T) {
-	t.Run("yield", func(t *testing.T) {
-		e := New()
-		e.SetChargeConsumer(func([]string, []Charge) {})
-		e.GoDaemon("peer", 1, 0, func(th *Thread) {
-			for {
-				th.Yield()
-			}
-		})
-		var allocs float64
-		e.Go("main", 0, 0, func(th *Thread) {
-			for i := 0; i < 100; i++ {
-				th.Yield()
-			}
-			allocs = testing.AllocsPerRun(1000, th.Yield)
-		})
-		e.Run()
-		if allocs != 0 {
-			t.Fatalf("Yield handoff allocates %v times per run, want 0", allocs)
-		}
-	})
-	t.Run("block/wake", func(t *testing.T) {
-		e := New()
-		e.SetChargeConsumer(func([]string, []Charge) {})
-		var main *Thread
-		peer := e.GoDaemon("peer", 1, 0, func(th *Thread) {
-			for {
-				th.Block("ping")
-				e.Wake(main, th.Now())
-			}
-		})
-		var allocs float64
-		main = e.Go("main", 0, 0, func(th *Thread) {
-			pingPong := func() {
-				e.Wake(peer, th.Now())
-				th.Block("pong")
-			}
-			for i := 0; i < 100; i++ {
-				pingPong()
-			}
-			allocs = testing.AllocsPerRun(1000, pingPong)
-		})
-		e.Run()
-		if allocs != 0 {
-			t.Fatalf("Block/Wake handoff allocates %v times per run, want 0", allocs)
-		}
-	})
 }
 
 // TestRunLeavesNoGoroutines pins that Run returns only once every

@@ -12,25 +12,18 @@ import (
 // Whole-engine property tests over seeded random programs (package
 // simtest), run on the sequential engine.
 
-// booking is one charge as a consumer receives it.
-type booking struct {
-	core   int
-	thread string
-	id     int
-	path   string
-	cycles uint64
-	remote bool
-}
-
 // progTrace is everything observable about one run: final thread clocks,
-// engine totals, the exact charge stream, per-lock acquisition counts
-// and the first exclusion violation seen, if any.
+// engine totals, each thread's charge table and tally, the paths their
+// ids name, per-lock acquisition counts and the first exclusion
+// violation seen, if any.
 type progTrace struct {
 	clocks   map[string]uint64
 	charged  uint64
 	events   uint64
 	maxClock uint64
-	charges  []booking
+	rows     map[string][]sim.Row
+	local    map[string]uint64 // Tally().Local by thread
+	paths    []string          // by id, up to the longest table
 	simtest.Result
 }
 
@@ -38,19 +31,20 @@ type progTrace struct {
 // its trace.
 func runProgram(progs [][]simtest.Op) progTrace {
 	e := sim.New()
-	var tr progTrace
-	e.SetChargeConsumer(func(paths []string, batch []sim.Charge) {
-		for _, c := range batch {
-			tr.charges = append(tr.charges, booking{c.T.Core, c.T.Name, int(c.ID), paths[c.ID], c.Cycles, c.Remote})
-		}
-	})
-	tr.Result = simtest.Run(e, progs, simtest.Hooks{})
+	tr := progTrace{Result: simtest.Run(e, progs, simtest.Hooks{})}
 	tr.maxClock = e.MaxClock()
 	tr.charged = e.TotalCharged()
 	tr.events = e.Events()
 	tr.clocks = make(map[string]uint64)
+	tr.rows = make(map[string][]sim.Row)
+	tr.local = make(map[string]uint64)
 	for _, t := range e.Threads() {
 		tr.clocks[t.Name] = t.Now()
+		tr.rows[t.Name] = t.Rows()
+		tr.local[t.Name] = t.Tally().Local
+		for id := len(tr.paths); id < len(t.Rows()); id++ {
+			tr.paths = append(tr.paths, e.Path(id))
+		}
 	}
 	return tr
 }
@@ -67,8 +61,8 @@ func forSeeds(t *testing.T, check func(t *testing.T, progs [][]simtest.Op)) {
 }
 
 // TestProgramDeterminism pins replay: the same program run twice on fresh
-// engines yields identical final clocks, engine totals and charge
-// streams. Every artifact's byte-identity rests on this.
+// engines yields identical final clocks, engine totals, charge tables and
+// path ids. Every artifact's byte-identity rests on this.
 func TestProgramDeterminism(t *testing.T) {
 	forSeeds(t, func(t *testing.T, progs [][]simtest.Op) {
 		a, b := runProgram(progs), runProgram(progs)
@@ -79,36 +73,68 @@ func TestProgramDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(a.clocks, b.clocks) {
 			t.Fatalf("final clocks differ:\n%v\n%v", a.clocks, b.clocks)
 		}
-		compareBookings(t, a.charges, b.charges)
+		if !reflect.DeepEqual(a.paths, b.paths) {
+			t.Fatalf("path ids differ:\n%v\n%v", a.paths, b.paths)
+		}
+		if !reflect.DeepEqual(a.rows, b.rows) {
+			t.Fatalf("charge tables differ:\n%v\n%v", a.rows, b.rows)
+		}
 	})
 }
 
-// TestProgramChargeStreams pins the charge stream on random programs:
-// only AddRemote bookings are flagged remote, ids and paths are in
-// one-to-one correspondence, and the cycles sum to TotalCharged.
-func TestProgramChargeStreams(t *testing.T) {
+// TestProgramChargeTables pins the charge tables on random programs
+// against what the program itself says: a thread's simtest.RemotePath row
+// holds exactly the OpRemote bookings aimed at it, zero-cycle ones
+// counted; its other rows sum to its tally's Local; all rows sum to
+// TotalCharged, and their count is within Events. Ids name distinct
+// paths.
+func TestProgramChargeTables(t *testing.T) {
 	forSeeds(t, func(t *testing.T, progs [][]simtest.Op) {
 		tr := runProgram(progs)
-		var sum uint64
-		pathOf, idOf := map[int]string{}, map[string]int{}
-		for i, c := range tr.charges {
-			if c.remote != (c.path == simtest.RemotePath) {
-				t.Fatalf("charge %d: remote=%v on path %q", i, c.remote, c.path)
+		remote := map[string]sim.Row{}
+		for _, prog := range progs {
+			for _, o := range prog {
+				if o.Kind == simtest.OpRemote {
+					name := fmt.Sprintf("t%d", o.Target)
+					r := remote[name]
+					r.Cycles += o.Cycles
+					r.Count++
+					remote[name] = r
+				}
 			}
-			if p, ok := pathOf[c.id]; ok && p != c.path {
-				t.Fatalf("charge %d: id %d names %q and %q", i, c.id, p, c.path)
+		}
+		idOf := map[string]int{}
+		for id, p := range tr.paths {
+			if prev, ok := idOf[p]; ok {
+				t.Fatalf("path %q has ids %d and %d", p, prev, id)
 			}
-			if id, ok := idOf[c.path]; ok && id != c.id {
-				t.Fatalf("charge %d: path %q has ids %d and %d", i, c.path, id, c.id)
+			idOf[p] = id
+		}
+		var sum, count uint64
+		for name, rows := range tr.rows {
+			var local uint64
+			var rem sim.Row
+			for id, r := range rows {
+				sum += r.Cycles
+				count += r.Count
+				if tr.paths[id] == simtest.RemotePath {
+					rem = r
+				} else {
+					local += r.Cycles
+				}
 			}
-			pathOf[c.id], idOf[c.path] = c.path, c.id
-			sum += c.cycles
+			if rem != remote[name] {
+				t.Errorf("%s: %s row %+v, the program aims %+v at it", name, simtest.RemotePath, rem, remote[name])
+			}
+			if local != tr.local[name] {
+				t.Errorf("%s: local rows sum to %d cycles, tally Local = %d", name, local, tr.local[name])
+			}
 		}
 		if sum != tr.charged {
-			t.Fatalf("charges sum to %d cycles, TotalCharged = %d", sum, tr.charged)
+			t.Fatalf("rows sum to %d cycles, TotalCharged = %d", sum, tr.charged)
 		}
-		if tr.events < uint64(len(tr.charges)) {
-			t.Fatalf("Events() = %d, below the %d charges", tr.events, len(tr.charges))
+		if tr.events < count {
+			t.Fatalf("Events() = %d, below the %d charges", tr.events, count)
 		}
 	})
 }
@@ -134,16 +160,4 @@ func TestProgramLockExclusion(t *testing.T) {
 			t.Fatalf("acquisitions by op kind = %v, want %v", tr.Acquired, want)
 		}
 	})
-}
-
-func compareBookings(t *testing.T, want, got []booking) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("charge count %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("charge %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
 }

@@ -1,8 +1,8 @@
 // Package simtest generates seeded random thread programs and replays them
 // on a sim.Engine: charges, sleeps, yields, attribution frames, lock ops
 // (mutex / spin / rwsem), event block/wake and remote IPI bookings. The
-// engine's property tests and the tests of what its charge stream feeds
-// (the cycle account, the span collector) share it.
+// engine's property tests and the tests of what reads its charge tables
+// and tallies (the cycle account, the span collector) share it.
 package simtest
 
 import (
@@ -42,7 +42,7 @@ var labels = []string{"walk", "bw_stall", "ipi_send", "copy"}
 
 // RemotePath is the attribution path of every AddRemote booking; no local
 // frame can produce it. Its leaf is a label the span layer classifies as
-// a wait, so a consumer that wrongly classified remote bookings shows it.
+// a wait, so a reader that wrongly classified remote bookings shows it.
 const RemotePath = "shootdown.ipi_wait"
 
 // Generate builds a randomized program for nthreads threads from seed.
@@ -102,7 +102,7 @@ type Result struct {
 
 // Run spawns one thread per program on e (thread i is "t<i>" on core i,
 // starting at cycle 37·i), runs e to completion and reports lock behaviour.
-// Set any consumer or classifier before calling it.
+// Attach e or set its classifier before calling it.
 func Run(e *sim.Engine, progs [][]Op, h Hooks) Result {
 	var res Result
 	mu := sim.NewMutex(2200)

@@ -1,0 +1,100 @@
+package sim_test
+
+import (
+	"testing"
+
+	"daxvm/internal/obs"
+	"daxvm/internal/obs/span"
+	"daxvm/internal/sim"
+)
+
+// wired returns a fresh engine attached to a cycle account, which it
+// also returns, and to a span collector, the way the kernel attaches
+// every engine it runs.
+func wired() (*sim.Engine, *obs.CycleAccount) {
+	e := sim.New()
+	o := &obs.Obs{Cycles: obs.NewCycleAccount()}
+	o.Attach(e)
+	span.New(2).Attach(e)
+	return e, o.Cycles
+}
+
+// TestChargeZeroAlloc pins the booking path at zero allocations on an
+// engine attached to an account and a collector: Charge, warm ChargeAs
+// (the joined path is already interned) and AddRemote onto another
+// thread each add into a charge table that already has the row, and the
+// account sees every cycle.
+func TestChargeZeroAlloc(t *testing.T) {
+	e, acct := wired()
+	var allocs float64
+	peer := e.GoDaemon("peer", 1, 0, func(th *sim.Thread) { th.Block("never") })
+	e.Go("t0", 0, 0, func(th *sim.Thread) {
+		th.PushAttr("app")
+		th.ChargeAs("copy", 1)                     // warm the interned "app.copy" path
+		peer.AddRemote("shootdown.ipi_handler", 1) // and grow peer's table
+		allocs = testing.AllocsPerRun(200, func() {
+			th.Charge(1)
+			th.ChargeAs("copy", 1)
+			peer.AddRemote("shootdown.ipi_handler", 1)
+		})
+		th.PopAttr()
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Fatalf("charge booking path allocates %v times per run, want 0", allocs)
+	}
+	if got := acct.Total(); got != e.TotalCharged() {
+		t.Fatalf("account holds %d cycles, engine charged %d: it must see every charge", got, e.TotalCharged())
+	}
+}
+
+// TestHandoffZeroAlloc pins the token handoff at zero allocations once
+// both threads run, on an engine attached to an account and a collector:
+// a Yield between equal clocks and a Block/Wake pair each pass the token
+// through the driver and back.
+func TestHandoffZeroAlloc(t *testing.T) {
+	t.Run("yield", func(t *testing.T) {
+		e, _ := wired()
+		e.GoDaemon("peer", 1, 0, func(th *sim.Thread) {
+			for {
+				th.Yield()
+			}
+		})
+		var allocs float64
+		e.Go("main", 0, 0, func(th *sim.Thread) {
+			for i := 0; i < 100; i++ {
+				th.Yield()
+			}
+			allocs = testing.AllocsPerRun(1000, th.Yield)
+		})
+		e.Run()
+		if allocs != 0 {
+			t.Fatalf("Yield handoff allocates %v times per run, want 0", allocs)
+		}
+	})
+	t.Run("block/wake", func(t *testing.T) {
+		e, _ := wired()
+		var main *sim.Thread
+		peer := e.GoDaemon("peer", 1, 0, func(th *sim.Thread) {
+			for {
+				th.Block("ping")
+				e.Wake(main, th.Now())
+			}
+		})
+		var allocs float64
+		main = e.Go("main", 0, 0, func(th *sim.Thread) {
+			pingPong := func() {
+				e.Wake(peer, th.Now())
+				th.Block("pong")
+			}
+			for i := 0; i < 100; i++ {
+				pingPong()
+			}
+			allocs = testing.AllocsPerRun(1000, pingPong)
+		})
+		e.Run()
+		if allocs != 0 {
+			t.Fatalf("Block/Wake handoff allocates %v times per run, want 0", allocs)
+		}
+	})
+}

@@ -5,8 +5,8 @@
 // allocation multiplies into millions and caps host events/sec.
 //
 // Roots are the built-in list below (the fault handlers, the page
-// walker, the TLB shootdown broadcast, the charge sink and the span
-// taps) plus any function whose doc comment contains a `hotalloc:root`
+// walker, the TLB shootdown broadcast, the cycle account's string entry
+// point and the span taps) plus any function whose doc comment contains a `hotalloc:root`
 // marker. Reachability follows static, interface and bound call edges;
 // signature-fallback edges are excluded, and the engine's scheduler
 // handoff internals (dispatchFrom, resumeOrStart) are a traversal
@@ -54,14 +54,11 @@ var defaultRoots = []string{
 	"(*daxvm/internal/mm.MM).WPFault",
 	"(*daxvm/internal/cpu.Core).Translate",
 	"(*daxvm/internal/cpu.Set).Shootdown",
-	// The per-engine charge consumer the kernel attaches and the string
-	// entry point that shares its booking function. The engine reaches
-	// its consumer through a func field set at run time, which the call
-	// graph does not follow, so the consumer's Book method is a root of
-	// its own. The span collector's string entry point and its lock-wait
-	// hook complete the taps; Begin and End are reached from the fault,
-	// walk and shootdown roots.
-	"(*daxvm/internal/obs.EngineSink).Book",
+	// The string entry points of the cycle account and the span
+	// collector, and the collector's lock-wait hook. The engine's own
+	// booking (Charge, ChargeAs, AddRemote into the thread's table) and
+	// the collector's Begin and End are reached from the fault, walk and
+	// shootdown roots.
 	"(*daxvm/internal/obs.CycleAccount).Charge",
 	"(*daxvm/internal/obs/span.Collector).Observe",
 	"(*daxvm/internal/obs/span.Collector).Wait",
