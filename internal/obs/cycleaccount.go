@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"daxvm/internal/sim"
 )
@@ -26,10 +25,8 @@ import (
 // Engine.TotalCharged() over every engine attached to the account — the
 // profile cannot silently lose time.
 type CycleAccount struct {
-	mu sync.Mutex
-	// guarded by mu
 	leaves map[string][]sim.Row // by core; a count > 0 marks a charged core
-	live   []*sim.Engine        // guarded by mu
+	live   []*sim.Engine
 }
 
 // NewCycleAccount creates an empty account.
@@ -42,12 +39,10 @@ func (a *CycleAccount) Charge(core int, path string, cycles uint64) {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
 	a.add(path, core, sim.Row{Cycles: cycles, Count: 1})
-	a.mu.Unlock()
 }
 
-// add books row r onto path's leaf on core; the caller holds mu.
+// add books row r onto path's leaf on core.
 func (a *CycleAccount) add(path string, core int, r sim.Row) {
 	l := a.leaves[path]
 	if core >= len(l) {
@@ -64,16 +59,14 @@ func (a *CycleAccount) Attach(e *sim.Engine) {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
 	a.live = append(a.live, e)
-	a.mu.Unlock()
 }
 
 // each calls fn for every (path, core) row the account holds: one per
 // charged core of every leaf, then every charged row of the live
 // engines' threads, so a (path, core) can come more than once. A stopped
 // engine's rows are also folded into the leaves, once, and the engine is
-// dropped. The caller holds mu.
+// dropped.
 func (a *CycleAccount) each(fn func(path string, core int, r sim.Row)) {
 	for path, l := range a.leaves {
 		for core, r := range l {
@@ -110,8 +103,6 @@ func (a *CycleAccount) Total() uint64 {
 		return 0
 	}
 	var sum uint64
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.each(func(_ string, _ int, r sim.Row) { sum += r.Cycles })
 	return sum
 }
@@ -122,8 +113,6 @@ func (a *CycleAccount) Snapshot() CycleSnapshot {
 		return CycleSnapshot{}
 	}
 	s := CycleSnapshot{Leaves: make(map[string]CycleLeaf)}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.each(func(path string, core int, r sim.Row) {
 		l := s.Leaves[path]
 		if l.ByCore == nil {
@@ -147,8 +136,6 @@ func (a *CycleAccount) RootCycles() map[string]uint64 {
 	if a == nil {
 		return out
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.each(func(path string, _ int, r sim.Row) {
 		root, _, _ := strings.Cut(path, ".")
 		out[root] += r.Cycles

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 )
 
 // histBuckets is one bucket per possible bit length of a uint64, plus
@@ -13,11 +12,8 @@ const histBuckets = 65
 
 // Histogram is a log2-bucket latency histogram: bucket b counts values v
 // with bits.Len64(v) == b, i.e. v in [2^(b-1), 2^b). Observing is three
-// atomic adds — cheap enough for per-walk recording, and race-safe when
-// multiple engines (or a concurrent Snapshot) touch the same histogram.
-// Snapshot is lock-free and therefore only weakly consistent (sum, count
-// and buckets are loaded independently), which is fine for monotonic
-// window deltas.
+// adds, cheap enough for per-walk recording. A histogram has a single
+// owner (see the package doc), so a Snapshot is exact.
 type Histogram struct {
 	counts [histBuckets]uint64
 	sum    uint64
@@ -29,9 +25,9 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	atomic.AddUint64(&h.counts[bits.Len64(v)], 1)
-	atomic.AddUint64(&h.sum, v)
-	atomic.AddUint64(&h.n, 1)
+	h.counts[bits.Len64(v)]++
+	h.sum += v
+	h.n++
 }
 
 // Count reports total observations.
@@ -39,7 +35,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return atomic.LoadUint64(&h.n)
+	return h.n
 }
 
 // Snapshot copies the histogram state.
@@ -47,9 +43,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
 	}
-	s := HistSnapshot{Sum: atomic.LoadUint64(&h.sum), Count: atomic.LoadUint64(&h.n)}
-	for b := range h.counts {
-		if c := atomic.LoadUint64(&h.counts[b]); c != 0 {
+	s := HistSnapshot{Sum: h.sum, Count: h.n}
+	for b, c := range h.counts {
+		if c != 0 {
 			if s.Buckets == nil {
 				s.Buckets = make(map[int]uint64)
 			}

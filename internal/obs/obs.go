@@ -12,13 +12,14 @@
 // per closed operation, and the timeline sampler) pass virtual timestamps
 // and core ids explicitly. All entry points are nil-receiver safe, so an
 // unwired subsystem pays one branch.
+//
+// Every observability object here and in the span and timeline packages
+// has a single owner: it is touched only by the thread the driver is
+// running, or by Run's caller after Run returns. Simulated threads are
+// coroutines that sim.Engine.Run resumes one at a time, so nothing locks.
 package obs
 
-import (
-	"sync"
-
-	"daxvm/internal/sim"
-)
+import "daxvm/internal/sim"
 
 // DefaultTraceCap bounds the event ring when the caller does not choose:
 // large enough to hold the tail of any experiment, small enough that an
@@ -32,7 +33,6 @@ type Obs struct {
 	Trace  *Tracer
 	Cycles *CycleAccount
 
-	mu      sync.Mutex
 	engines []*sim.Engine
 }
 
@@ -55,9 +55,7 @@ func (o *Obs) Attach(e *sim.Engine) {
 		return
 	}
 	o.Cycles.Attach(e)
-	o.mu.Lock()
 	o.engines = append(o.engines, e)
-	o.mu.Unlock()
 }
 
 // EnginesTotal sums the total charged cycles of every attached engine.
@@ -65,8 +63,6 @@ func (o *Obs) EnginesTotal() uint64 {
 	if o == nil {
 		return 0
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	var s uint64
 	for _, e := range o.engines {
 		s += e.TotalCharged()
@@ -81,8 +77,6 @@ func (o *Obs) EnginesEvents() uint64 {
 	if o == nil {
 		return 0
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	var s uint64
 	for _, e := range o.engines {
 		s += e.Events()

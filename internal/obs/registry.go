@@ -1,9 +1,5 @@
 package obs
 
-import (
-	"sync"
-)
-
 // Registry maps dotted metric names to reader closures. Subsystems keep
 // their existing Stats structs; the registry reads them on Snapshot, so
 // registration costs nothing on the hot path.
@@ -13,11 +9,8 @@ import (
 // Re-registering a name replaces the reader — when several machines share
 // one registry (an experiment sweep), the latest boot wins.
 type Registry struct {
-	mu sync.Mutex
-	// guarded by mu
 	counters map[string]func() uint64
-	// guarded by mu
-	hists map[string]*Histogram
+	hists    map[string]*Histogram
 }
 
 // NewRegistry creates an empty registry.
@@ -35,9 +28,7 @@ func (r *Registry) Counter(name string, fn func() uint64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.counters[name] = fn
-	r.mu.Unlock()
 }
 
 // Histogram registers (or returns the existing) named log2 histogram.
@@ -45,8 +36,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
@@ -57,8 +46,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Names lists registered counter names, sorted.
 func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return SortedKeys(r.counters)
 }
 
@@ -69,8 +56,6 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := Snapshot{
 		Counters: make(map[string]uint64, len(r.counters)),
 		Hists:    make(map[string]HistSnapshot, len(r.hists)),

@@ -110,8 +110,6 @@ func (c *Collector) Export() []SegmentExport {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.fold()
 	var out []SegmentExport
 	for _, s := range c.done {

@@ -42,7 +42,6 @@ package span
 
 import (
 	"strings"
-	"sync"
 
 	"daxvm/internal/obs"
 	"daxvm/internal/sim"
@@ -197,8 +196,6 @@ type attachedEngine struct {
 // aggregates. All entry points are nil-receiver safe so unwired
 // subsystems pay one branch, mirroring the tracer and profiler.
 type Collector struct {
-	mu sync.Mutex
-
 	k   int    // exemplars kept per class
 	seq uint64 // Begin arrival counter
 
@@ -237,8 +234,6 @@ func (c *Collector) SetTracer(tr *obs.Tracer) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.tr = tr
 }
 
@@ -291,8 +286,6 @@ func (c *Collector) Begin(t *sim.Thread, class string) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ts := c.sync(t)
 	c.seq++
 	n := c.newNode()
@@ -311,8 +304,6 @@ func (c *Collector) End(t *sim.Thread) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ts := c.sync(t)
 	if len(ts.stack) == 0 {
 		panic("span: End without matching Begin")
@@ -329,8 +320,6 @@ func (c *Collector) OpenSpans(t *sim.Thread) int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if ts := c.threads[t]; ts != nil {
 		return len(ts.stack)
 	}
@@ -402,9 +391,8 @@ func (c *Collector) consider(st *classStats, n *node, tSelf uint64, tw [numWaitK
 // sync books the cycles t charged since its last Begin or End into its
 // innermost open span, with their charged waits; with no span open they
 // stay outside. Only Begin and End move the stack, so every cycle lands
-// in the span that was innermost when it was charged. Callers hold mu
-// and run on t's engine's running thread or once that engine has
-// stopped.
+// in the span that was innermost when it was charged. Callers run on
+// t's engine's running thread or once that engine has stopped.
 func (c *Collector) sync(t *sim.Thread) *tstate {
 	ts := c.state(t)
 	if !ts.attached {
@@ -432,8 +420,6 @@ func (c *Collector) Observe(t *sim.Thread, path string, cycles uint64, remote bo
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.charged += cycles
 	if remote {
 		return
@@ -465,15 +451,12 @@ func (c *Collector) Attach(e *sim.Engine) {
 		return
 	}
 	e.SetClassifier(classify)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.engines = append(c.engines, &attachedEngine{e: e, tally: e.Tally(), charged: e.TotalCharged()})
 }
 
 // fold adds what the attached engines charged since the last fold to the
 // totals and to the current segment's wait totals. Call it before
-// reading either, while no attached engine runs on another goroutine.
-// Callers hold mu.
+// reading either.
 func (c *Collector) fold() {
 	for _, a := range c.engines {
 		now, charged := a.e.Tally(), a.e.TotalCharged()
@@ -519,8 +502,6 @@ func (c *Collector) Wait(t *sim.Thread, k WaitKind, cycles uint64) {
 	if c == nil || cycles == 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ts := c.state(t)
 	c.cur.waits[k] += cycles
 	if len(ts.stack) == 0 {
@@ -537,8 +518,6 @@ func (c *Collector) StartSegment(id string) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.fold()
 	if !c.cur.empty() {
 		c.done = append(c.done, c.cur)
@@ -551,8 +530,6 @@ func (c *Collector) BookedCycles() uint64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.booked
 }
 
@@ -561,8 +538,6 @@ func (c *Collector) OutsideCycles() uint64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.fold()
 	return c.local - c.booked
 }
@@ -572,8 +547,6 @@ func (c *Collector) RemoteCycles() uint64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.fold()
 	return c.charged - c.local
 }
@@ -584,8 +557,6 @@ func (c *Collector) ObservedCycles() uint64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.fold()
 	return c.charged
 }

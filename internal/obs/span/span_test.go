@@ -366,3 +366,29 @@ func TestSpanPathZeroAllocWithTracer(t *testing.T) {
 		t.Fatal("ring never wrapped: the steady-state emit path went unchecked")
 	}
 }
+
+// BenchmarkSpanBeginEnd times one Begin/Charge/End span on a collector
+// attached to an engine, with a wrapped tracer ring receiving the slice:
+// the TestSpanPathZeroAllocWithTracer fixture at steady state.
+func BenchmarkSpanBeginEnd(b *testing.B) {
+	c := New(1)
+	c.SetTracer(obs.NewTracer(4))
+	op := func(th *sim.Thread) {
+		c.Begin(th, "op")
+		th.Charge(1)
+		c.End(th)
+	}
+	runOne(c, func(th *sim.Thread) {
+		th.PushAttr("app")
+		for i := 0; i < 8; i++ {
+			op(th) // warm: class stats, node pool, interned paths, full ring
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op(th)
+		}
+		b.StopTimer()
+		th.PopAttr()
+	})
+}

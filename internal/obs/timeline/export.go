@@ -74,8 +74,6 @@ func (tl *Timeline) Export() []Export {
 	if tl == nil {
 		return nil
 	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
 	out := append([]Export(nil), tl.done...)
 	if s := tl.cur; s != nil && (len(s.Intervals) > 0 || len(s.Runs) > 0) {
 		ex := s.Export

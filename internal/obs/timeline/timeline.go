@@ -23,7 +23,6 @@ package timeline
 
 import (
 	"sort"
-	"sync"
 
 	"daxvm/internal/obs"
 )
@@ -61,7 +60,6 @@ type Timeline struct {
 	cyc *obs.CycleAccount
 	cfg Config
 
-	mu        sync.Mutex
 	done      []Export // finished segments, in StartSegment order
 	cur       *segment
 	gauges    []gaugeEntry // sorted by name
@@ -110,8 +108,6 @@ func (tl *Timeline) Gauge(name string, fn func(now uint64) uint64) {
 	if tl == nil {
 		return
 	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
 	e := gaugeEntry{name: name, track: "gauge." + name, fn: fn}
 	for i := range tl.gauges {
 		if tl.gauges[i].name == name {
@@ -131,9 +127,7 @@ func (tl *Timeline) StartSegment(id string) {
 	if tl == nil {
 		return
 	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	tl.finishLocked()
+	tl.finish()
 	tl.cur = tl.newSegment(id)
 }
 
@@ -147,7 +141,7 @@ func (tl *Timeline) newSegment(id string) *segment {
 	}
 }
 
-func (tl *Timeline) finishLocked() {
+func (tl *Timeline) finish() {
 	s := tl.cur
 	tl.cur = nil
 	if s == nil || (len(s.Intervals) == 0 && len(s.Runs) == 0) {
@@ -156,9 +150,9 @@ func (tl *Timeline) finishLocked() {
 	tl.done = append(tl.done, s.Export)
 }
 
-// ensureLocked lazily opens an unnamed segment so a kernel booted without
+// ensure lazily opens an unnamed segment so a kernel booted without
 // an explicit StartSegment still records.
-func (tl *Timeline) ensureLocked() *segment {
+func (tl *Timeline) ensure() *segment {
 	if tl.cur == nil {
 		tl.cur = tl.newSegment("")
 	}
@@ -172,9 +166,7 @@ func (tl *Timeline) NextWake(now uint64) uint64 {
 	if tl == nil {
 		return now + DefaultBaseInterval
 	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	s := tl.ensureLocked()
+	s := tl.ensure()
 	next := s.lastBoundary + s.IntervalCycles
 	if abs := s.offset + now; next <= abs {
 		next = abs + s.IntervalCycles
@@ -188,10 +180,8 @@ func (tl *Timeline) Sample(now uint64) {
 	if tl == nil {
 		return
 	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	s := tl.ensureLocked()
-	tl.recordLocked(s, s.offset+now, now, true)
+	s := tl.ensure()
+	tl.record(s, s.offset+now, now, true)
 }
 
 // FlushRun closes the tail interval of a finished engine run whose local
@@ -206,11 +196,9 @@ func (tl *Timeline) FlushRun(label string, localEnd uint64) {
 	if tl == nil {
 		return
 	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	s := tl.ensureLocked()
+	s := tl.ensure()
 	abs := s.offset + localEnd
-	tl.recordLocked(s, abs, localEnd, false)
+	tl.record(s, abs, localEnd, false)
 	if abs > s.offset {
 		s.Runs = append(s.Runs, RunMark{Label: label, Start: s.offset, End: abs})
 	}
@@ -218,7 +206,7 @@ func (tl *Timeline) FlushRun(label string, localEnd uint64) {
 	s.lastBoundary = abs
 }
 
-// recordLocked closes the interval [s.lastBoundary, abs): it diffs the
+// record closes the interval [s.lastBoundary, abs): it diffs the
 // registry and the per-root cycle totals against the previous sample,
 // emits counter-track trace events at the engine-local timestamp, and
 // appends the window in export form, zero entries pruned. Empty windows
@@ -228,7 +216,7 @@ func (tl *Timeline) FlushRun(label string, localEnd uint64) {
 // wake, not a run flush) every registered gauge is read at the
 // engine-local instant; readings in empty windows are dropped with the
 // window, so per-interval means only average instants where work ran.
-func (tl *Timeline) recordLocked(s *segment, abs, local uint64, sample bool) {
+func (tl *Timeline) record(s *segment, abs, local uint64, sample bool) {
 	reg := tl.reg.Snapshot()
 	roots := tl.cyc.RootCycles()
 	d := reg.Delta(s.prevReg)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 )
 
 // EvCounter is a sampled counter value for a Chrome counter track ("C"
@@ -26,16 +25,13 @@ type Event struct {
 
 // Tracer is a bounded ring of events. When full it overwrites the oldest,
 // keeping the tail of the run and counting what it dropped; an always-on
-// tracer therefore has fixed memory cost. Safe for concurrent emitters
-// (the sim is single-threaded, but -race and multi-engine setups are not).
+// tracer therefore has fixed memory cost. Like every obs object it has a
+// single owner (see the package doc), so Emit takes no lock.
 type Tracer struct {
-	mu sync.Mutex
-	// guarded by mu
-	buf []Event
-	// guarded by mu
+	buf     []Event
 	next    int
-	wrapped bool   // guarded by mu
-	dropped uint64 // guarded by mu
+	wrapped bool
+	dropped uint64
 
 	// CyclesPerUsec converts virtual cycles to trace microseconds on
 	// export (default 2700, the simulator's 2.7 GHz clock).
@@ -55,7 +51,6 @@ func (tr *Tracer) Emit(typ string, core int, ts, dur uint64, tag string, arg uin
 	if tr == nil {
 		return
 	}
-	tr.mu.Lock()
 	e := Event{TS: ts, Dur: dur, Core: core, Type: typ, Tag: tag, Arg: arg}
 	if len(tr.buf) < cap(tr.buf) {
 		//lint:ignore hotalloc ring fill phase: the append stays within the preallocated cap
@@ -66,7 +61,6 @@ func (tr *Tracer) Emit(typ string, core int, ts, dur uint64, tag string, arg uin
 		tr.wrapped = true
 		tr.dropped++
 	}
-	tr.mu.Unlock()
 }
 
 // Events returns a copy of the retained events in emission order.
@@ -74,8 +68,6 @@ func (tr *Tracer) Events() []Event {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	out := make([]Event, 0, len(tr.buf))
 	if tr.wrapped {
 		out = append(out, tr.buf[tr.next:]...)
@@ -91,8 +83,6 @@ func (tr *Tracer) Len() int {
 	if tr == nil {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return len(tr.buf)
 }
 
@@ -101,8 +91,6 @@ func (tr *Tracer) Dropped() uint64 {
 	if tr == nil {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return tr.dropped
 }
 

@@ -20,7 +20,6 @@ package pt
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"daxvm/internal/mem"
 	"daxvm/internal/pmem"
@@ -149,15 +148,19 @@ type Node struct {
 	serial uint64
 }
 
-// nodeSerials hands out Node serials; atomic because kernels in one
-// process may run on different goroutines.
-var nodeSerials atomic.Uint64
+// nodeSerials hands out Node serials, numbered across every kernel the
+// process boots. A serial is only the PTE-line set's hash input, so the
+// numbering moves probe lengths but never eviction order: that set
+// evicts FIFO from its ring (cpu.touchPTELine), and simulated output
+// cannot depend on it.
+var nodeSerials uint64
 
 // NewNode allocates a table node at the given level at the given
 // location (medium + NUMA node).
 func NewNode(level int, loc mem.Loc) *Node {
+	nodeSerials++
 	//lint:ignore hotalloc the allocation is the modeled work: one table node per simulated page-table page
-	return &Node{Level: level, Loc: loc, Frame: NoFrame, serial: nodeSerials.Add(1)}
+	return &Node{Level: level, Loc: loc, Frame: NoFrame, serial: nodeSerials}
 }
 
 // Serial returns the node's allocation serial. It is a hash input for

@@ -2,12 +2,17 @@
 // math/rand source, raw goroutines, scheduler-nondeterministic selects,
 // and map iteration that charges cycles or emits trace events. The
 // simulator's perf gate compares artifacts byte-for-byte; any of these
-// constructs can silently perturb the numbers between runs.
+// constructs can silently perturb the numbers between runs. It also
+// forbids importing sync and sync/atomic: simulated threads are
+// coroutines the engine's driver resumes one at a time, so simulator
+// state has a single owner and a host lock only hides a broken rule.
+// The loader hands it non-test files only, so tests may still use sync.
 package determinism
 
 import (
 	"go/ast"
 	"go/types"
+	"strconv"
 
 	"daxvm/tools/simlint/ana"
 )
@@ -16,7 +21,8 @@ import (
 var Analyzer = &ana.Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock time, unseeded math/rand, raw go statements, " +
-		"multi-case selects, and map iteration that charges cycles or emits trace events",
+		"multi-case selects, map iteration that charges cycles or emits trace events, " +
+		"and sync or sync/atomic imports",
 	Run: run,
 }
 
@@ -32,8 +38,17 @@ var wallClock = map[string]bool{
 	"After": true, "Tick": true, "NewTicker": true, "NewTimer": true, "AfterFunc": true,
 }
 
+// hostSync lists the packages whose host-side synchronisation has nothing
+// to guard in the simulator.
+var hostSync = map[string]bool{"sync": true, "sync/atomic": true}
+
 func run(pass *ana.Pass) error {
 	for _, f := range pass.Files {
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); hostSync[path] {
+				pass.Reportf(imp.Pos(), "import of %s in simulator code: threads are coroutines the driver resumes one at a time, so there is nothing to lock; keep the state single-owner", path)
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:

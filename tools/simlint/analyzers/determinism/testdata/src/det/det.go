@@ -1,5 +1,6 @@
 // Package det exercises the determinism analyzer: wall clocks, the
-// global rand source, raw goroutines, selects, and charging map ranges.
+// global rand source, raw goroutines, selects, charging map ranges, and
+// sync imports.
 package det
 
 import (
