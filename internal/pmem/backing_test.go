@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"daxvm/internal/sim"
 )
 
 // residentMB reads this process's resident set size from /proc.
@@ -39,6 +41,24 @@ func TestDeviceBackingStaysSparse(t *testing.T) {
 	d.Bytes(0, 1)[0] = 1
 	if grew := residentMB(t) - before; grew > size>>20/4 {
 		t.Fatalf("a new %d MiB device raised resident memory by %d MiB", size>>20, grew)
+	}
+	runtime.KeepAlive(d)
+}
+
+// TestZeroLeavesUnwrittenPagesUntouched pins that zeroing a range nothing
+// wrote (fallocate on a fresh device, the pre-zero daemon on never-used
+// blocks) charges its cost without faulting in host memory.
+func TestZeroLeavesUnwrittenPagesUntouched(t *testing.T) {
+	const size = 256 << 20
+	d := New(Config{Size: size})
+	runtime.GC()
+	before := residentMB(t)
+	run(func(th *sim.Thread) { d.Zero(th, 0, size) })
+	if grew := residentMB(t) - before; grew > size>>20/4 {
+		t.Fatalf("zeroing a fresh %d MiB device raised resident memory by %d MiB", size>>20, grew)
+	}
+	if d.Stats.BytesZeroed != size {
+		t.Fatalf("BytesZeroed = %d, want %d: the charge covers the whole range", d.Stats.BytesZeroed, size)
 	}
 	runtime.KeepAlive(d)
 }

@@ -6,6 +6,11 @@
 // depends on: regular (cached) stores are not durable until flushed with
 // clwb+fence, while non-temporal stores become durable at the next fence.
 //
+// Content is sparse: the backing starts zeroed and a bitmap marks each
+// page that may hold a written byte. Zero clears only marked pages, so
+// zeroing a range nothing wrote (fallocate, the pre-zero daemon) costs
+// its simulated charge but touches no host memory.
+//
 // The physical address space is striped across per-NUMA-node banks (one
 // DIMM set per socket). Each bank has its own bandwidth token bucket, so
 // heavy background writers (DaxVM's pre-zeroing daemon) interfere with
@@ -31,6 +36,10 @@ import (
 type Device struct {
 	size uint64
 	data []byte
+	// written has one bit per page, set when any byte of the page may be
+	// nonzero; an unset page reads zero. Every path that puts bytes in
+	// data sets it; Zero clears it for the whole pages it zeroes.
+	written []uint64
 
 	// Persistence tracking (enabled for crash tests): the set of dirty
 	// cache lines written with cached stores and not yet flushed, and the
@@ -82,7 +91,8 @@ type Config struct {
 
 // New creates a device. Backing memory is allocated lazily by the host OS
 // (untouched pages cost nothing), so multi-GiB devices are cheap until
-// written, however many a process creates (see newBacking).
+// written, however many a process creates (see newBacking). Content is
+// sparse: Zero touches only pages marked as written.
 func New(cfg Config) *Device {
 	if cfg.Size == 0 || !mem.IsAligned(cfg.Size, mem.PageSize) {
 		panic(fmt.Sprintf("pmem: bad device size %d", cfg.Size))
@@ -97,6 +107,7 @@ func New(cfg Config) *Device {
 		tp:               cfg.Topo,
 		bankSize:         mem.AlignedUp(cfg.Size/uint64(nodes), mem.PageSize),
 		banks:            make([]bank, nodes),
+		written:          make([]uint64, (cfg.Size/mem.PageSize+63)/64),
 	}
 	d.data = newBacking(d, cfg.Size)
 	if nodes > 1 {
@@ -141,13 +152,43 @@ func (d *Device) NodeStats(node int) *Stats { return &d.banks[node].stats }
 
 func (d *Device) multi() bool { return len(d.banks) > 1 }
 
-// Bytes returns the raw backing slice for [addr, addr+n). The caller is
-// responsible for charging access costs; use the typed accessors where
-// possible. The slice is valid only while d is reachable: device memory
-// is unmapped once d is garbage (see newBacking).
+// Bytes returns the raw backing slice for [addr, addr+n). The caller may
+// write through it; Bytes marks the range as written, read-only callers
+// included, so a later Zero clears it. The caller is responsible for
+// charging access costs; use the typed accessors where possible. The
+// slice is valid only while d is reachable: device memory is unmapped
+// once d is garbage (see newBacking).
 func (d *Device) Bytes(addr mem.PhysAddr, n uint64) []byte {
 	d.check(addr, n)
+	d.markWritten(uint64(addr), n)
 	return d.data[addr : uint64(addr)+n]
+}
+
+// markWritten sets the written bit of every page [off, off+n) touches.
+func (d *Device) markWritten(off, n uint64) {
+	if n == 0 {
+		return
+	}
+	for p := off / mem.PageSize; p <= (off+n-1)/mem.PageSize; p++ {
+		d.written[p/64] |= 1 << (p % 64)
+	}
+}
+
+// zeroContent clears the bytes of [off, off+n) on pages marked written
+// and unmarks each page it clears whole. An unmarked page already reads
+// zero, so it is skipped without touching its host memory.
+func (d *Device) zeroContent(off, n uint64) {
+	for end := off + n; off < end; {
+		p := off / mem.PageSize
+		next := min((p+1)*mem.PageSize, end)
+		if bit := uint64(1) << (p % 64); d.written[p/64]&bit != 0 {
+			clear(d.data[off:next])
+			if next-off == mem.PageSize {
+				d.written[p/64] &^= bit
+			}
+		}
+		off = next
+	}
 }
 
 func (d *Device) check(addr mem.PhysAddr, n uint64) {
@@ -206,6 +247,7 @@ func (d *Device) WriteNT(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 	n := uint64(len(buf))
 	d.check(addr, n)
 	copy(d.data[addr:uint64(addr)+n], buf)
+	d.markWritten(uint64(addr), n)
 	d.writeNTCommon(t, addr, n)
 }
 
@@ -225,8 +267,7 @@ func (d *Device) writeNTCommon(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 	d.banks[node].stats.NTStores++
 	if d.trackPersistence {
 		// NT stores go to the WC buffer; durable at next fence. Model
-		// them as flushed-awaiting-fence. Explicit loop: a forEachLine
-		// closure would allocate on every hot-path store.
+		// them as flushed-awaiting-fence.
 		first, last := lineSpan(addr, n)
 		for l := first; l <= last; l++ {
 			delete(d.dirtyLines, l)
@@ -256,13 +297,13 @@ func (d *Device) WriteCached(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 	n := uint64(len(buf))
 	d.check(addr, n)
 	copy(d.data[addr:uint64(addr)+n], buf)
+	d.markWritten(uint64(addr), n)
 	node := d.NodeOf(addr)
 	d.Stats.BytesWritten += n
 	d.Stats.CachedStores++
 	d.banks[node].stats.BytesWritten += n
 	d.banks[node].stats.CachedStores++
 	if d.trackPersistence {
-		// Explicit loop: a forEachLine closure would allocate per store.
 		first, last := lineSpan(addr, n)
 		for l := first; l <= last; l++ {
 			d.dirtyLines[l] = struct{}{}
@@ -279,20 +320,23 @@ func (d *Device) WriteCached(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 }
 
 // Zero zeroes [addr, addr+n) with non-temporal stores (security zeroing of
-// freshly allocated blocks, and DaxVM's pre-zero daemon).
+// freshly allocated blocks, and DaxVM's pre-zero daemon). The charge
+// covers the whole range; host memory is touched only on pages marked
+// written.
 func (d *Device) Zero(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 	d.check(addr, n)
-	clear(d.data[addr : uint64(addr)+n])
+	d.zeroContent(uint64(addr), n)
 	node := d.NodeOf(addr)
 	d.Stats.BytesZeroed += n
 	d.Stats.BytesWritten += n
 	d.banks[node].stats.BytesZeroed += n
 	d.banks[node].stats.BytesWritten += n
 	if d.trackPersistence {
-		d.forEachLine(addr, n, func(l uint64) {
+		first, last := lineSpan(addr, n)
+		for l := first; l <= last; l++ {
 			delete(d.dirtyLines, l)
 			d.flushedLines[l] = struct{}{}
-		})
+		}
 	}
 	c := cost.ZeroPMemPerPage * n / mem.PageSize
 	if c == 0 {
@@ -318,12 +362,13 @@ func (d *Device) Flush(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 	d.Stats.Clwbs += lines
 	d.banks[node].stats.Clwbs += lines
 	if d.trackPersistence {
-		d.forEachLine(addr, n, func(l uint64) {
+		first, last := lineSpan(addr, n)
+		for l := first; l <= last; l++ {
 			if _, ok := d.dirtyLines[l]; ok {
 				delete(d.dirtyLines, l)
 				d.flushedLines[l] = struct{}{}
 			}
-		})
+		}
 	}
 	if d.multi() {
 		t.PushAttr(d.attrs[node])
@@ -353,13 +398,6 @@ func lineSpan(addr mem.PhysAddr, n uint64) (first, last uint64) {
 	return uint64(addr) / mem.CacheLineSize, (uint64(addr) + n - 1) / mem.CacheLineSize
 }
 
-func (d *Device) forEachLine(addr mem.PhysAddr, n uint64, fn func(line uint64)) {
-	first, last := lineSpan(addr, n)
-	for l := first; l <= last; l++ {
-		fn(l)
-	}
-}
-
 // Crash simulates a power failure: every line written with cached stores
 // and not flushed+fenced is replaced with garbage (0xCC) so recovery code
 // that depends on unflushed data fails loudly. Requires TrackPersistence.
@@ -368,30 +406,28 @@ func (d *Device) Crash() {
 		panic("pmem: Crash requires TrackPersistence")
 	}
 	for l := range d.dirtyLines {
-		off := l * mem.CacheLineSize
-		end := off + mem.CacheLineSize
-		if end > d.size {
-			end = d.size
-		}
-		for i := off; i < end; i++ {
-			d.data[i] = 0xCC
-		}
+		d.corruptLine(l)
 	}
 	// Lines flushed-but-not-fenced may or may not survive; the paper's
 	// recovery protocols must not depend on them, so corrupt them too
 	// (the adversarial choice).
 	for l := range d.flushedLines {
-		off := l * mem.CacheLineSize
-		end := off + mem.CacheLineSize
-		if end > d.size {
-			end = d.size
-		}
-		for i := off; i < end; i++ {
-			d.data[i] = 0xCC
-		}
+		d.corruptLine(l)
 	}
 	d.dirtyLines = make(map[uint64]struct{})
 	d.flushedLines = make(map[uint64]struct{})
+}
+
+// corruptLine fills cache line l with 0xCC and marks its page written:
+// the line may sit on a page no store marked (StreamNT writes no bytes,
+// and a whole-page Zero unmarks its page before the fence).
+func (d *Device) corruptLine(l uint64) {
+	off := l * mem.CacheLineSize
+	end := min(off+mem.CacheLineSize, d.size)
+	for i := off; i < end; i++ {
+		d.data[i] = 0xCC
+	}
+	d.markWritten(off, end-off)
 }
 
 // DirtyLineCount reports unflushed cached-store lines (crash tests).

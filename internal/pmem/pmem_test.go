@@ -2,10 +2,13 @@ package pmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"daxvm/internal/mem"
+	"daxvm/internal/obs"
 	"daxvm/internal/sim"
+	"daxvm/internal/topo"
 )
 
 // run executes fn on a single sim thread.
@@ -149,4 +152,127 @@ func TestBandwidthInterference(t *testing.T) {
 	if d.Stats.ThrottleStall == 0 {
 		t.Fatal("8 concurrent writers saw no interference on the shared channel")
 	}
+}
+
+// TestZeroAfterCrashClearsCorruption pins that Crash marks the pages it
+// corrupts: a line it fills with 0xCC may sit on a page no store marked
+// (StreamNT writes no bytes; a whole-page Zero unmarks its page before
+// the fence), and a later Zero must still clear it.
+func TestZeroAfterCrashClearsCorruption(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5A}, 256)
+	for _, tc := range []struct {
+		name   string
+		before func(th *sim.Thread, d *Device) // runs on page 1 before the crash
+	}{
+		{"streamnt", func(th *sim.Thread, d *Device) { d.StreamNT(th, mem.PageSize, mem.PageSize) }},
+		{"zero-unwritten", func(th *sim.Thread, d *Device) { d.Zero(th, mem.PageSize, mem.PageSize) }},
+		{"zero-written", func(th *sim.Thread, d *Device) {
+			d.WriteNT(th, mem.PageSize, payload)
+			d.Fence(th)
+			d.Zero(th, mem.PageSize, mem.PageSize)
+		}},
+		{"writecached", func(th *sim.Thread, d *Device) { d.WriteCached(th, mem.PageSize+64, payload) }},
+		{"writecached-zero", func(th *sim.Thread, d *Device) {
+			d.WriteCached(th, mem.PageSize+64, payload)
+			d.Zero(th, mem.PageSize, mem.PageSize)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New(Config{Size: 4 * mem.PageSize, TrackPersistence: true})
+			got := make([]byte, mem.PageSize)
+			run(func(th *sim.Thread) {
+				tc.before(th, d)
+				d.Crash()
+				d.Read(th, mem.PageSize, got)
+				if bytes.IndexByte(got, 0xCC) < 0 {
+					t.Error("crash left the page intact; the case tests nothing")
+				}
+				d.Zero(th, mem.PageSize, mem.PageSize)
+				d.Read(th, mem.PageSize, got)
+			})
+			if i := bytes.IndexFunc(got, func(r rune) bool { return r != 0 }); i >= 0 {
+				t.Fatalf("byte %d reads %#x after crash and Zero, want 0", i, got[i])
+			}
+		})
+	}
+}
+
+// TestDeviceZeroAlloc pins the device's runtime paths at zero
+// allocations with persistence tracking off, on an engine attached to a
+// cycle account, flat and across two nodes: once each charge path is
+// interned, Read, WriteNT, Zero and the bandwidth bucket allocate nothing.
+func TestDeviceZeroAlloc(t *testing.T) {
+	for _, tp := range []*topo.Topology{nil, topo.New(2, 1)} {
+		d := New(Config{Size: 1 << 20, Topo: tp})
+		e := sim.New()
+		obs.New(64).Attach(e)
+		e.Go("t", 1, 0, func(th *sim.Thread) {
+			buf := make([]byte, mem.PageSize)
+			far := mem.PhysAddr(d.Size() - mem.PageSize) // node 1's bank when split
+			for _, s := range []struct {
+				name string
+				step func()
+			}{
+				{"Read", func() { d.Read(th, 0, buf); d.Read(th, far, buf) }},
+				{"WriteNT", func() { d.WriteNT(th, 0, buf); d.WriteNT(th, far, buf) }},
+				{"Zero", func() { d.Zero(th, 0, mem.PageSize); d.Zero(th, far, 100) }},
+				{"BWReadOn", func() { d.BWReadOn(th, d.NodeOf(far), mem.PageSize) }},
+				{"BWWriteOn", func() { d.BWWriteOn(th, d.NodeOf(far), mem.PageSize) }},
+			} {
+				s.step() // warm: interned charge paths
+				if n := testing.AllocsPerRun(200, s.step); n != 0 {
+					t.Errorf("%d-node %s allocates %v times per run, want 0", d.NodeCount(), s.name, n)
+				}
+			}
+		})
+		e.Run()
+	}
+}
+
+// FuzzDeviceMatchesReference drives a small device through random
+// stores, streams, raw-slice writes and unaligned page-spanning zeroes,
+// and checks after every step that its content matches a plain byte
+// slice. Each step is six bytes: kind, address (2), length (2), fill.
+func FuzzDeviceMatchesReference(f *testing.F) {
+	const size = 8 * mem.PageSize
+	f.Add([]byte{0, 0x00, 0x00, 0xFF, 0x0F, 0xAA, 4, 0x00, 0x00, 0x0F, 0x00, 0, 4, 0x00, 0x00, 0xFF, 0x0F, 0})
+	f.Add([]byte{0, 0x10, 0x00, 0x00, 0x20, 0xAB, 4, 0x08, 0x00, 0x00, 0x30, 0})
+	f.Add([]byte{1, 0xF0, 0x0F, 0x40, 0x00, 0x11, 4, 0x00, 0x10, 0x00, 0x10, 0, 4, 0xFF, 0x0F, 0x02, 0x00, 0})
+	f.Add([]byte{3, 0x05, 0x30, 0x00, 0x01, 0x77, 2, 0x00, 0x30, 0x00, 0x10, 0, 4, 0x00, 0x30, 0x00, 0x08, 0, 4, 0x00, 0x30, 0x00, 0x10, 0})
+	f.Add([]byte{0, 0x00, 0x00, 0xFF, 0x7F, 0x01, 4, 0x01, 0x00, 0xFE, 0x7F, 0, 1, 0x00, 0x70, 0x00, 0x10, 0x02, 4, 0x00, 0x00, 0x00, 0x80, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d := New(Config{Size: size})
+		ref := make([]byte, size)
+		got := make([]byte, size)
+		run(func(th *sim.Thread) {
+			for i := 0; i+6 <= len(ops); i += 6 {
+				op := ops[i : i+6]
+				addr := uint64(binary.LittleEndian.Uint16(op[1:])) % size
+				n := 1 + uint64(binary.LittleEndian.Uint16(op[3:]))%(size-addr)
+				fill := bytes.Repeat([]byte{op[5]}, int(n))
+				switch op[0] % 5 {
+				case 0:
+					d.WriteNT(th, mem.PhysAddr(addr), fill)
+					copy(ref[addr:], fill)
+				case 1:
+					d.WriteCached(th, mem.PhysAddr(addr), fill)
+					copy(ref[addr:], fill)
+				case 2:
+					d.StreamNT(th, mem.PhysAddr(addr), n)
+				case 3:
+					copy(d.Bytes(mem.PhysAddr(addr), n), fill)
+					copy(ref[addr:], fill)
+				case 4:
+					d.Zero(th, mem.PhysAddr(addr), n)
+					clear(ref[addr : addr+n])
+				}
+				// Read, not Bytes: Bytes would mark every page written.
+				d.Read(th, 0, got)
+				if !bytes.Equal(got, ref) {
+					t.Errorf("step %d (kind %d, [%#x,+%d)): device content differs from the reference", i/6, op[0]%5, addr, n)
+					return
+				}
+			}
+		})
+	})
 }
