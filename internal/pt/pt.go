@@ -113,8 +113,13 @@ const NoFrame = ^mem.PFN(0)
 
 // Node is one 512-entry table.
 type Node struct {
-	Entries  [mem.PTEsPerTable]Entry
-	children [mem.PTEsPerTable]*Node
+	Entries [mem.PTEsPerTable]Entry
+	// children mirrors interior entries with Go pointers. Only interior
+	// nodes own the array: a PTE-level node holds leaf entries alone,
+	// which halves the host footprint of DaxVM file tables (PTE-level
+	// nodes only) and keeps 4 KiB of nil pointers per node out of GC
+	// scans.
+	children *[mem.PTEsPerTable]*Node
 	Level    int
 	Loc      mem.Loc
 
@@ -160,16 +165,18 @@ var nodeSerials uint64
 func NewNode(level int, loc mem.Loc) *Node {
 	nodeSerials++
 	//lint:ignore hotalloc the allocation is the modeled work: one table node per simulated page-table page
-	return &Node{Level: level, Loc: loc, Frame: NoFrame, serial: nodeSerials}
+	n := &Node{Level: level, Loc: loc, Frame: NoFrame, serial: nodeSerials}
+	if level > LevelPTE {
+		//lint:ignore hotalloc part of the modeled node: an interior table page's child links, allocated with it
+		n.children = new([mem.PTEsPerTable]*Node)
+	}
+	return n
 }
 
 // Serial returns the node's allocation serial. It is a hash input for
 // tables keyed by node (the walker's PTE-line cache): identity is still
 // the node pointer, and the serial carries no simulated meaning.
 func (n *Node) Serial() uint64 { return n.serial }
-
-// Child returns the interior child at idx.
-func (n *Node) Child(idx int) *Node { return n.children[idx] }
 
 // Live returns the number of populated slots.
 func (n *Node) Live() int { return n.live }
