@@ -349,26 +349,31 @@ func (p *Proc) Spawn(name string, coreID int, start uint64, fn func(t *sim.Threa
 
 // --- system calls -----------------------------------------------------------
 
-// sysEnter opens the syscall's attribution frame and span ("syscall.<name>",
-// nested under the thread's current path) and charges the entry crossing;
-// the returned func charges the exit crossing and closes both. Use as
-// `defer p.sysEnter(t, "open")()`.
-func (p *Proc) sysEnter(t *sim.Thread, name string) func() {
-	cls := "syscall." + name
+// sysEnter opens the syscall's attribution frame and span under class
+// cls ("syscall.<name>", nested under the thread's current path) and
+// charges the entry crossing. Every syscall pairs it with a deferred
+// sysExit:
+//
+//	p.sysEnter(t, "syscall.open")
+//	defer p.sysExit(t)
+func (p *Proc) sysEnter(t *sim.Thread, cls string) {
 	t.PushAttr(cls)
-	sp := p.K.Cfg.Spans
-	sp.Begin(t, cls)
+	p.K.Cfg.Spans.Begin(t, cls)
 	t.Charge(cost.UserKernelCrossing + cost.SyscallDispatch)
-	return func() {
-		t.Charge(cost.UserKernelCrossing)
-		sp.End(t)
-		t.PopAttr()
-	}
+}
+
+// sysExit charges the exit crossing and closes the span and frame
+// sysEnter opened.
+func (p *Proc) sysExit(t *sim.Thread) {
+	t.Charge(cost.UserKernelCrossing)
+	p.K.Cfg.Spans.End(t)
+	t.PopAttr()
 }
 
 // Open opens an existing file.
 func (p *Proc) Open(t *sim.Thread, path string) (int, error) {
-	defer p.sysEnter(t, "open")()
+	p.sysEnter(t, "syscall.open")
+	defer p.sysExit(t)
 	t.Charge(cost.OpenPath)
 	in, err := p.K.ICache.Open(t, path)
 	if err != nil {
@@ -383,7 +388,8 @@ func (p *Proc) Open(t *sim.Thread, path string) (int, error) {
 
 // Create makes and opens a new file.
 func (p *Proc) Create(t *sim.Thread, path string) (int, error) {
-	defer p.sysEnter(t, "create")()
+	p.sysEnter(t, "syscall.create")
+	defer p.sysExit(t)
 	t.Charge(cost.OpenPath)
 	in, err := p.K.ICache.Create(t, path)
 	if err != nil {
@@ -398,7 +404,8 @@ func (p *Proc) Create(t *sim.Thread, path string) (int, error) {
 
 // Close drops the descriptor.
 func (p *Proc) Close(t *sim.Thread, fd int) error {
-	defer p.sysEnter(t, "close")()
+	p.sysEnter(t, "syscall.close")
+	defer p.sysExit(t)
 	t.Charge(cost.CloseFixed)
 	f, ok := p.fds[fd]
 	if !ok {
@@ -414,7 +421,8 @@ func (p *Proc) Inode(fd int) *vfs.Inode { return p.fds[fd].In }
 
 // Read reads from the current position.
 func (p *Proc) Read(t *sim.Thread, fd int, buf []byte) (uint64, error) {
-	defer p.sysEnter(t, "read")()
+	p.sysEnter(t, "syscall.read")
+	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
 	f, ok := p.fds[fd]
 	if !ok {
@@ -427,7 +435,8 @@ func (p *Proc) Read(t *sim.Thread, fd int, buf []byte) (uint64, error) {
 
 // ReadAt reads at an absolute offset.
 func (p *Proc) ReadAt(t *sim.Thread, fd int, off uint64, buf []byte) (uint64, error) {
-	defer p.sysEnter(t, "pread")()
+	p.sysEnter(t, "syscall.pread")
+	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
 	f, ok := p.fds[fd]
 	if !ok {
@@ -438,7 +447,8 @@ func (p *Proc) ReadAt(t *sim.Thread, fd int, off uint64, buf []byte) (uint64, er
 
 // Append writes at end of file.
 func (p *Proc) Append(t *sim.Thread, fd int, data []byte) error {
-	defer p.sysEnter(t, "append")()
+	p.sysEnter(t, "syscall.append")
+	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
 	f, ok := p.fds[fd]
 	if !ok {
@@ -449,7 +459,8 @@ func (p *Proc) Append(t *sim.Thread, fd int, data []byte) error {
 
 // WriteAt overwrites existing bytes.
 func (p *Proc) WriteAt(t *sim.Thread, fd int, off uint64, data []byte) error {
-	defer p.sysEnter(t, "pwrite")()
+	p.sysEnter(t, "syscall.pwrite")
+	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
 	f, ok := p.fds[fd]
 	if !ok {
@@ -460,7 +471,8 @@ func (p *Proc) WriteAt(t *sim.Thread, fd int, off uint64, data []byte) error {
 
 // Fallocate reserves blocks.
 func (p *Proc) Fallocate(t *sim.Thread, fd int, off, n uint64) error {
-	defer p.sysEnter(t, "fallocate")()
+	p.sysEnter(t, "syscall.fallocate")
+	defer p.sysExit(t)
 	f, ok := p.fds[fd]
 	if !ok {
 		return fmt.Errorf("kernel: bad fd %d", fd)
@@ -470,7 +482,8 @@ func (p *Proc) Fallocate(t *sim.Thread, fd int, off, n uint64) error {
 
 // Ftruncate resizes.
 func (p *Proc) Ftruncate(t *sim.Thread, fd int, size uint64) error {
-	defer p.sysEnter(t, "ftruncate")()
+	p.sysEnter(t, "syscall.ftruncate")
+	defer p.sysExit(t)
 	f, ok := p.fds[fd]
 	if !ok {
 		return fmt.Errorf("kernel: bad fd %d", fd)
@@ -480,7 +493,8 @@ func (p *Proc) Ftruncate(t *sim.Thread, fd int, size uint64) error {
 
 // Fsync commits the file.
 func (p *Proc) Fsync(t *sim.Thread, fd int) error {
-	defer p.sysEnter(t, "fsync")()
+	p.sysEnter(t, "syscall.fsync")
+	defer p.sysExit(t)
 	f, ok := p.fds[fd]
 	if !ok {
 		return fmt.Errorf("kernel: bad fd %d", fd)
@@ -491,7 +505,8 @@ func (p *Proc) Fsync(t *sim.Thread, fd int) error {
 
 // Unlink removes a file.
 func (p *Proc) Unlink(t *sim.Thread, path string) error {
-	defer p.sysEnter(t, "unlink")()
+	p.sysEnter(t, "syscall.unlink")
+	defer p.sysExit(t)
 	ino, err := p.K.FS.LookupPath(t, path)
 	if err != nil {
 		return err
@@ -512,7 +527,8 @@ func (p *Proc) Unlink(t *sim.Thread, path string) error {
 
 // Mmap is the POSIX mmap(2) path.
 func (p *Proc) Mmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64, perm mem.Perm, flags mm.MapFlags) (mem.VirtAddr, error) {
-	defer p.sysEnter(t, "mmap")()
+	p.sysEnter(t, "syscall.mmap")
+	defer p.sysExit(t)
 	f, ok := p.fds[fd]
 	if !ok {
 		return 0, fmt.Errorf("kernel: bad fd %d", fd)
@@ -527,7 +543,8 @@ func (p *Proc) Mmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64, perm
 
 // Munmap is munmap(2).
 func (p *Proc) Munmap(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64) error {
-	defer p.sysEnter(t, "munmap")()
+	p.sysEnter(t, "syscall.munmap")
+	defer p.sysExit(t)
 	// Identify the inode to drop the mapping reference.
 	p.MM.Sem.RLock(t, 0)
 	v := p.MM.FindVMA(t, va)
@@ -541,13 +558,15 @@ func (p *Proc) Munmap(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64
 
 // Msync is msync(2).
 func (p *Proc) Msync(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64) error {
-	defer p.sysEnter(t, "msync")()
+	p.sysEnter(t, "syscall.msync")
+	defer p.sysExit(t)
 	return p.MM.Msync(t, c, va, length)
 }
 
 // Mprotect is mprotect(2).
 func (p *Proc) Mprotect(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64, perm mem.Perm) error {
-	defer p.sysEnter(t, "mprotect")()
+	p.sysEnter(t, "syscall.mprotect")
+	defer p.sysExit(t)
 	if p.Dax != nil {
 		p.MM.Sem.RLock(t, 0)
 		v := p.MM.FindVMA(t, va)
@@ -561,7 +580,8 @@ func (p *Proc) Mprotect(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint
 
 // DaxvmMmap is daxvm_mmap(2).
 func (p *Proc) DaxvmMmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64, perm mem.Perm, flags core.Flags) (mem.VirtAddr, error) {
-	defer p.sysEnter(t, "daxvm_mmap")()
+	p.sysEnter(t, "syscall.daxvm_mmap")
+	defer p.sysExit(t)
 	if p.Dax == nil {
 		return 0, fmt.Errorf("kernel: DaxVM not enabled")
 	}
@@ -579,7 +599,8 @@ func (p *Proc) DaxvmMmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64,
 
 // DaxvmMunmap is daxvm_munmap(2).
 func (p *Proc) DaxvmMunmap(t *sim.Thread, c *cpu.Core, va mem.VirtAddr) error {
-	defer p.sysEnter(t, "daxvm_munmap")()
+	p.sysEnter(t, "syscall.daxvm_munmap")
+	defer p.sysExit(t)
 	p.MM.Sem.RLock(t, 0)
 	v := p.MM.FindVMA(t, va)
 	p.MM.Sem.RUnlock(t, 0)

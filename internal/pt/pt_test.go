@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"daxvm/internal/mem"
 	"daxvm/internal/pmem"
@@ -243,5 +244,98 @@ func TestClearRangePrunesNodes(t *testing.T) {
 	})
 	if freed == 0 {
 		t.Fatal("no interior nodes pruned")
+	}
+}
+
+// TestNodeFootprint pins the host size of table nodes. A PTE-level node
+// holds its entries and a small header but no child array (DaxVM file
+// tables are PTE-level nodes only); every interior level owns one. A
+// round trip through all four levels checks that the tree still works:
+// Map at PTE and PMD level, Attach at PMD and PUD level, Resolve, Detach
+// and ClearRange.
+func TestNodeFootprint(t *testing.T) {
+	const header = 256
+	var leaf Node
+	if size, entries := unsafe.Sizeof(leaf), unsafe.Sizeof(leaf.Entries); size > entries+header {
+		t.Errorf("PTE-level node is %d B, want at most %d B of entries + %d B", size, entries, header)
+	}
+	if NewNode(LevelPTE, mem.Loc{}).children != nil {
+		t.Error("PTE-level node owns a child array")
+	}
+	for _, lvl := range []int{LevelPMD, LevelPUD, LevelPGD} {
+		if NewNode(lvl, mem.Loc{}).children == nil {
+			t.Errorf("level-%d node has no child array", lvl)
+		}
+	}
+
+	freed := 0
+	as := NewAddressSpace(
+		func(_ *sim.Thread, level int) *Node { return NewNode(level, mem.Loc{Medium: mem.DRAM}) },
+		func(_ *sim.Thread, _ *Node) { freed++ },
+	)
+	rw := mem.PermRead | mem.PermWrite
+	base := mem.VirtAddr(0x7f00_0000_0000) // 512 GiB aligned
+	page := base + 5*mem.PageSize
+	huge := base + mem.HugeSize
+	pmdAt := base + 2*mem.HugeSize
+	pudAt := base + mem.VirtAddr(LevelSpan(LevelPUD))
+	fragPTE := NewNode(LevelPTE, mem.Loc{Medium: mem.PMem})
+	fragPTE.Shared = true
+	fragPMD := NewNode(LevelPMD, mem.Loc{Medium: mem.PMem})
+	fragPMD.Shared = true
+	fragLeaf := NewNode(LevelPTE, mem.Loc{Medium: mem.PMem})
+	fragLeaf.Shared = true
+	run(func(th *sim.Thread) {
+		fragPTE.SetEntry(th, 1, MakeEntry(7, rw, true, false))
+		fragLeaf.SetEntry(th, 2, MakeEntry(8, rw, true, false))
+		fragPMD.SetChild(th, 3, fragLeaf, BitPresent|BitWrite|BitUser)
+
+		as.Map(th, page, MakeEntry(5, rw, false, false), LevelPTE)
+		as.Map(th, huge, MakeEntry(512, rw, true, true), LevelPMD)
+		as.Attach(th, pmdAt, LevelPMD, fragPTE, mem.PermRead)
+		as.Attach(th, pudAt, LevelPUD, fragPMD, rw)
+
+		for _, c := range []struct {
+			va    mem.VirtAddr
+			node  *Node
+			level int
+			pfn   mem.PFN
+			write bool
+		}{
+			{page, nil, LevelPTE, 5, true},
+			{huge + 0x1234, nil, LevelPMD, 512, true},
+			{pmdAt + mem.PageSize, fragPTE, LevelPTE, 7, false},
+			{pudAt + 3*mem.HugeSize + 2*mem.PageSize, fragLeaf, LevelPTE, 8, true},
+		} {
+			l := as.Resolve(c.va)
+			if l.Node == nil || l.Level != c.level || l.Entry.PFN() != c.pfn || l.Writable != c.write {
+				t.Errorf("Resolve(%#x) = %+v, want level %d pfn %d writable %v", c.va, l, c.level, c.pfn, c.write)
+			}
+			if c.node != nil && l.Node != c.node {
+				t.Errorf("Resolve(%#x) did not reach the attached fragment", c.va)
+			}
+		}
+
+		if got := as.Detach(th, pmdAt, LevelPMD); got != fragPTE {
+			t.Errorf("Detach at PMD = %p, want %p", got, fragPTE)
+		}
+		if l := as.Resolve(pmdAt + mem.PageSize); l.Node != nil {
+			t.Error("translation survived Detach")
+		}
+		as.Attach(th, pmdAt, LevelPMD, fragPTE, mem.PermRead)
+
+		cleared := as.ClearRange(th, base, pudAt+mem.VirtAddr(LevelSpan(LevelPUD)))
+		if want := 1 + 2*mem.HugeSize/mem.PageSize + LevelSpan(LevelPUD)/mem.PageSize; cleared != want {
+			t.Errorf("ClearRange cleared %d pages, want %d", cleared, want)
+		}
+	})
+	if as.Root.Live() != 0 {
+		t.Errorf("root keeps %d live slots after ClearRange", as.Root.Live())
+	}
+	if freed != 3 { // the PUD, PMD and PTE nodes Map built
+		t.Errorf("ClearRange freed %d nodes, want 3", freed)
+	}
+	if fragPTE.Entries[1] == 0 || fragLeaf.Entries[2] == 0 || fragPMD.children[3] != fragLeaf {
+		t.Error("ClearRange mutated a shared fragment")
 	}
 }

@@ -1,10 +1,10 @@
 // Package attrbalance verifies that every sim.Thread.PushAttr has a
 // matching PopAttr on all paths out of the function: a dominating
-// `defer t.PopAttr()`, an explicit pop before each return, or a pop
-// inside a closure the function returns (the sysEnter idiom, where the
-// caller defers the closure). An unbalanced frame does not crash — it
-// silently misattributes every later cycle of the thread, corrupting
-// the cycle-accounting invariant the perf gate reconciles.
+// `defer t.PopAttr()` or an explicit pop before each return. A call to
+// a push-only or pop-only helper (the kernel's sysEnter/sysExit) counts
+// as the pushes or pops it performs. An unbalanced frame does not
+// crash — it silently misattributes every later cycle of the thread,
+// corrupting the cycle-accounting invariant the perf gate reconciles.
 //
 // The pairing engine (accepted idioms, branch/loop net-balance rules)
 // lives in the shared balance package; spanbalance applies the same

@@ -78,15 +78,54 @@ func balancedLoop(t *sim.Thread, n int) {
 	}
 }
 
-// sysEnter mirrors the kernel idiom: the frame is closed by the closure
-// the function hands back to its caller, which defers it.
-func sysEnter(t *sim.Thread, name string) func() {
-	t.PushAttr("syscall." + name)
+// sysEnter and sysExit mirror the kernel's helper pair: one only opens,
+// the other only closes, so a call to either counts as that open or
+// close at its call site. The callers are checked, the helpers are not.
+func sysEnter(t *sim.Thread, cls string) {
+	t.PushAttr(cls)
 	t.Charge(1000)
-	return func() {
-		t.Charge(700)
-		t.PopAttr()
+}
+
+func sysExit(t *sim.Thread) {
+	t.Charge(700)
+	t.PopAttr()
+}
+
+func syscallDeferred(t *sim.Thread, err error) error {
+	sysEnter(t, "syscall.open")
+	defer sysExit(t)
+	if err != nil {
+		return err
 	}
+	return nil
+}
+
+func syscallExplicit(t *sim.Thread) {
+	sysEnter(t, "syscall.read")
+	t.Charge(1)
+	sysExit(t)
+}
+
+func syscallLeak(t *sim.Thread) {
+	sysEnter(t, "syscall.close") // want `PushAttr frame is still open when the function returns`
+	t.Charge(1)
+}
+
+func syscallExitWithoutEnter(t *sim.Thread) {
+	sysExit(t) // want `PopAttr without an open PushAttr frame`
+}
+
+func deferredEnter(t *sim.Thread) {
+	defer sysEnter(t, "syscall.late") // want `PushAttr in a defer opens a attribution frame after the function body ran`
+}
+
+// earlyOut may return before it pushes, so it is no helper: its body is
+// checked like any other function's.
+func earlyOut(t *sim.Thread, skip bool) {
+	if skip {
+		return
+	}
+	t.PushAttr("x") // want `PushAttr frame is still open when the function returns`
 }
 
 // threadRoot mirrors Engine.Go(..., func(t){...}): the root frame stays

@@ -3,9 +3,15 @@
 // (span.Collector.Begin/End). Both invariants have the same shape —
 // every open must be matched by a close on all paths out of the
 // function — and the same accepted idioms: a dominating `defer close`,
-// an explicit close before each return, or a close inside a closure the
-// function returns (the sysEnter idiom, where the caller defers the
-// closure).
+// or an explicit close before each return.
+//
+// An unexported function whose body is only straight-line opens (or
+// only straight-line closes), with no return or defer, is a helper when
+// the package calls it and uses it no other way: the kernel's
+// sysEnter/sysExit pair. A call to it counts at the call site as the
+// opens or closes it performs, deferred or not, so its callers are
+// checked and its own body is not. An uncalled function of that shape
+// is checked as usual, so a plain leak is still reported.
 //
 // Two shapes legitimately leave the pair open and are accepted without
 // suppression: a function literal passed directly to Engine.Go /
@@ -59,12 +65,13 @@ func run(pass *ana.Pass, cfg Config) error {
 	if pass.Pkg.Name() == cfg.ImplPkg {
 		return nil
 	}
+	v := &visitor{pass: pass, cfg: cfg, helpers: map[*types.Func]int{}}
+	v.findHelpers()
 	for _, f := range pass.Files {
-		v := &visitor{pass: pass, cfg: cfg}
 		v.classifyLits(f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Body != nil {
+			if ok && fd.Body != nil && v.helpers[v.funcOf(fd)] == 0 {
 				v.checkFunc(fd.Body, false)
 			}
 		}
@@ -77,33 +84,137 @@ type visitor struct {
 	cfg  Config
 	// rootLit marks func literals passed directly to a thread spawner.
 	rootLit map[*ast.FuncLit]bool
-	// returnedLit marks func literals that are return results; their
-	// closes are credited at the return site, not analyzed standalone.
-	returnedLit map[*ast.FuncLit]bool
+	// helpers maps each open or close helper of the package to the net
+	// pairs a call to it opens (positive) or closes (negative).
+	helpers map[*types.Func]int
 }
 
 func (v *visitor) classifyLits(f *ast.File) {
 	v.rootLit = map[*ast.FuncLit]bool{}
-	v.returnedLit = map[*ast.FuncLit]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && threadSpawners[sel.Sel.Name] {
-				for _, arg := range n.Args {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && threadSpawners[sel.Sel.Name] {
+				for _, arg := range call.Args {
 					if lit, ok := arg.(*ast.FuncLit); ok {
 						v.rootLit[lit] = true
 					}
 				}
 			}
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if lit, ok := res.(*ast.FuncLit); ok {
-					v.returnedLit[lit] = true
+		}
+		return true
+	})
+}
+
+func (v *visitor) funcOf(fd *ast.FuncDecl) *types.Func {
+	fn, _ := v.pass.TypesInfo.Defs[fd.Name].(*types.Func)
+	return fn
+}
+
+// findHelpers records the package's helpers (see helperEffect). A
+// candidate stays one only if the package calls it and every use of it
+// is the callee of a call statement or a defer, the only calls counted.
+func (v *visitor) findHelpers() {
+	stmtCallee := map[*ast.Ident]bool{}
+	for _, f := range v.pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if net := v.helperEffect(n); net != 0 {
+					v.helpers[v.funcOf(n)] = net
 				}
+			case *ast.ExprStmt:
+				if call, ok := n.X.(*ast.CallExpr); ok {
+					stmtCallee[calleeIdent(call)] = true
+				}
+			case *ast.DeferStmt:
+				stmtCallee[calleeIdent(n.Call)] = true
+			}
+			return true
+		})
+	}
+	called, otherUse := map[*types.Func]bool{}, map[*types.Func]bool{}
+	for id, obj := range v.pass.TypesInfo.Uses {
+		if fn, ok := obj.(*types.Func); ok && v.helpers[fn] != 0 {
+			called[fn] = called[fn] || stmtCallee[id]
+			otherUse[fn] = otherUse[fn] || !stmtCallee[id]
+		}
+	}
+	for fn := range v.helpers {
+		if !called[fn] || otherUse[fn] {
+			delete(v.helpers, fn)
+		}
+	}
+}
+
+// helperEffect returns the net pairs fd opens (positive) or closes
+// (negative) when it has a helper's shape: unexported, every pair call a
+// top-level statement and all of one kind, no return or defer, and not a
+// daemon body ending in `for { ... }`. Each call then performs all of
+// its pair calls. It returns 0 for any other function.
+func (v *visitor) helperEffect(fd *ast.FuncDecl) int {
+	if fd.Body == nil || fd.Name.IsExported() || ana.EndsWithForever(fd.Body.List) {
+		return 0
+	}
+	top := 0
+	for _, s := range fd.Body.List {
+		if es, ok := s.(*ast.ExprStmt); ok {
+			if call, ok := es.X.(*ast.CallExpr); ok && v.pairDelta(call) != 0 {
+				top++
+			}
+		}
+	}
+	net, calls, exits := 0, 0, false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt, *ast.DeferStmt:
+			exits = true
+		case *ast.CallExpr:
+			if d := v.pairDelta(n); d != 0 {
+				calls++
+				net += d
 			}
 		}
 		return true
 	})
+	if exits || calls != top || (net != calls && net != -calls) {
+		return 0
+	}
+	return net
+}
+
+// calleeIdent returns the name a call invokes (f or x.f), or nil.
+func calleeIdent(call *ast.CallExpr) *ast.Ident {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun
+	case *ast.SelectorExpr:
+		return fun.Sel
+	}
+	return nil
+}
+
+// pairDelta is +1 for a direct Open call, -1 for a direct Close call
+// and 0 for any other call.
+func (v *visitor) pairDelta(call *ast.CallExpr) int {
+	switch {
+	case v.isPairCall(call, v.cfg.Open):
+		return 1
+	case v.isPairCall(call, v.cfg.Close):
+		return -1
+	}
+	return 0
+}
+
+// effect returns the net pairs call opens (positive) or closes
+// (negative): a direct Open or Close, or a helper call.
+func (v *visitor) effect(call *ast.CallExpr) int {
+	if d := v.pairDelta(call); d != 0 {
+		return d
+	}
+	fn, _ := v.pass.TypesInfo.Uses[calleeIdent(call)].(*types.Func)
+	return v.helpers[fn]
 }
 
 // state tracks the open balance along one control-flow prefix.
@@ -124,18 +235,13 @@ func (s *state) clone() state {
 func (v *visitor) checkFunc(body *ast.BlockStmt, allowRoot bool) {
 	st := &state{}
 	v.checkStmts(body.List, st)
-	// Also analyze nested literals this body owns (skipping the ones
-	// credited or rooted elsewhere).
+	// Also analyze nested literals this body owns.
 	ast.Inspect(body, func(n ast.Node) bool {
 		lit, ok := n.(*ast.FuncLit)
 		if !ok {
 			return true
 		}
-		if v.rootLit[lit] {
-			v.checkFunc(lit.Body, true)
-		} else if !v.returnedLit[lit] {
-			v.checkFunc(lit.Body, false)
-		}
+		v.checkFunc(lit.Body, v.rootLit[lit])
 		return false // literals analyze their own nested literals
 	})
 	if allowRoot || ana.Terminates(body.List) || ana.EndsWithForever(body.List) {
@@ -161,34 +267,31 @@ func (v *visitor) checkStmts(stmts []ast.Stmt, st *state) {
 func (v *visitor) checkStmt(s ast.Stmt, st *state) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			switch {
-			case v.isPairCall(call, v.cfg.Open):
-				st.open++
-				st.openPos = append(st.openPos, call.Pos())
-			case v.isPairCall(call, v.cfg.Close):
-				if st.open > 0 {
-					st.open--
-					st.openPos = st.openPos[:len(st.openPos)-1]
-				} else {
-					v.pass.Reportf(call.Pos(), "%s without an open %s frame on this path", v.cfg.Close, v.cfg.Open)
-				}
+		call, ok := s.X.(*ast.CallExpr)
+		if !ok {
+			break
+		}
+		n := v.effect(call)
+		for ; n > 0; n-- {
+			st.open++
+			st.openPos = append(st.openPos, call.Pos())
+		}
+		for ; n < 0; n++ {
+			if st.open == 0 {
+				v.pass.Reportf(call.Pos(), "%s without an open %s frame on this path", v.cfg.Close, v.cfg.Open)
+				break
 			}
+			st.open--
+			st.openPos = st.openPos[:len(st.openPos)-1]
 		}
 	case *ast.DeferStmt:
-		if v.isPairCall(s.Call, v.cfg.Close) {
-			st.deferred++
-		} else if v.isPairCall(s.Call, v.cfg.Open) {
+		if n := v.effect(s.Call); n < 0 {
+			st.deferred -= n
+		} else if n > 0 {
 			v.pass.Reportf(s.Pos(), "%s in a defer opens a %s after the function body ran", v.cfg.Open, v.cfg.Noun)
 		}
 	case *ast.ReturnStmt:
-		credit := 0
-		for _, res := range s.Results {
-			if lit, ok := res.(*ast.FuncLit); ok {
-				credit += v.closeCredit(lit)
-			}
-		}
-		if open := st.open - st.deferred - credit; open > 0 {
+		if open := st.open - st.deferred; open > 0 {
 			v.pass.Reportf(s.Pos(), "return leaves %d %s(s) open (%s without %s on this path)", open, v.cfg.Noun, v.cfg.Open, v.cfg.Close)
 		}
 	case *ast.IfStmt:
@@ -256,28 +359,6 @@ func (v *visitor) loop(stmts []ast.Stmt, st *state, pos token.Pos) {
 		v.pass.Reportf(pos, "loop iteration changes the %s balance", v.cfg.Noun)
 	}
 	*st = saved
-}
-
-// closeCredit counts the net closes a returned closure performs.
-func (v *visitor) closeCredit(lit *ast.FuncLit) int {
-	net := 0
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if inner, ok := n.(*ast.FuncLit); ok && inner != lit {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if v.isPairCall(call, v.cfg.Close) {
-				net++
-			} else if v.isPairCall(call, v.cfg.Open) {
-				net--
-			}
-		}
-		return true
-	})
-	if net < 0 {
-		return 0
-	}
-	return net
 }
 
 // isPairCall reports whether call invokes ImplPkg's name method.

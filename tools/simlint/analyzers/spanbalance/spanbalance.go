@@ -1,11 +1,12 @@
 // Package spanbalance verifies that every span.Collector.Begin has a
 // matching End on all paths out of the function: a dominating
-// `defer sp.End(t)`, an explicit End before each return, or an End
-// inside a closure the function returns (the sysEnter idiom). An
-// unbalanced span is worse than a lost measurement — End pops the
-// thread's span stack, so a leaked Begin re-parents every later span on
-// the thread and breaks the self-time reconciliation the span layer
-// promises (and panics at the next unmatched End).
+// `defer sp.End(t)` or an explicit End before each return. A call to a
+// Begin-only or End-only helper (the kernel's sysEnter/sysExit) counts
+// as the Begins or Ends it performs. An unbalanced span is worse than a
+// lost measurement — End pops the thread's span stack, so a leaked
+// Begin re-parents every later span on the thread and breaks the
+// self-time reconciliation the span layer promises (and panics at the
+// next unmatched End).
 //
 // The pairing engine (accepted idioms, branch/loop net-balance rules)
 // is shared with attrbalance via the balance package. Note that the

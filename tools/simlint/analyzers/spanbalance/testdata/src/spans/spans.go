@@ -71,15 +71,34 @@ func balancedLoop(t *sim.Thread, sp *span.Collector, n int) {
 	}
 }
 
-// opEnter mirrors the kernel's sysEnter idiom: the span is closed by
-// the closure the function hands back, which the caller defers.
-func opEnter(t *sim.Thread, sp *span.Collector, name string) func() {
-	sp.Begin(t, "syscall."+name)
+// proc mirrors the kernel's syscall helpers, which are methods: opEnter
+// only begins a span and opExit only ends one, so their calls count as
+// the Begin and End at the call site.
+type proc struct{ sp *span.Collector }
+
+func (p *proc) opEnter(t *sim.Thread, cls string) {
+	p.sp.Begin(t, cls)
 	t.Charge(1000)
-	return func() {
-		t.Charge(700)
-		sp.End(t)
+}
+
+func (p *proc) opExit(t *sim.Thread) {
+	t.Charge(700)
+	p.sp.End(t)
+}
+
+func (p *proc) syscallDeferred(t *sim.Thread) {
+	p.opEnter(t, "syscall.pread")
+	defer p.opExit(t)
+	t.Charge(1)
+}
+
+func (p *proc) syscallLeak(t *sim.Thread, err error) error {
+	p.opEnter(t, "syscall.pwrite")
+	if err != nil {
+		return err // want `return leaves 1 span\(s\) open`
 	}
+	p.opExit(t)
+	return nil
 }
 
 // threadRoot mirrors Engine.Go(..., func(t){...}): a root span may stay
