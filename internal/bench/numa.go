@@ -105,7 +105,7 @@ func runNuma(o Options) *Result {
 			if o.Quick {
 				cfg.DeviceBytes = 512 << 20
 			}
-			k := kernel.Boot(cfg)
+			k := bootMachine(cfg)
 			proc := k.NewProc()
 			var paths []string
 			k.Setup(func(t *sim.Thread) {

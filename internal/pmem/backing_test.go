@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"daxvm/internal/mem"
 	"daxvm/internal/sim"
 )
 
@@ -61,4 +62,26 @@ func TestZeroLeavesUnwrittenPagesUntouched(t *testing.T) {
 		t.Fatalf("BytesZeroed = %d, want %d: the charge covers the whole range", d.Stats.BytesZeroed, size)
 	}
 	runtime.KeepAlive(d)
+}
+
+// TestReleaseReturnsMemoryAtOnce pins that Release gives a device's
+// written pages back without waiting for a collection to run the
+// finalizer, and that the released device refuses further access.
+func TestReleaseReturnsMemoryAtOnce(t *testing.T) {
+	const size, written = 256 << 20, 64 << 20
+	d := New(Config{Size: size})
+	for off := mem.PhysAddr(0); off < written; off += mem.PageSize {
+		d.Bytes(off, 1)[0] = 1
+	}
+	before := residentMB(t)
+	d.Release()
+	if freed := before - residentMB(t); freed < written>>20*3/4 {
+		t.Fatalf("Release of %d MiB written freed %d MiB", written>>20, freed)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Bytes on a released device did not panic")
+		}
+	}()
+	d.Bytes(0, 1)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // newBacking returns size zeroed bytes of anonymous memory mapped outside
-// the Go heap, unmapped once owner is garbage. The heap would hand a new
+// the Go heap, unmapped by owner's Release or once owner is garbage. The heap would hand a new
 // device the arena a freed one left behind, and the runtime zeroes reused
 // arenas eagerly, touching every page: a second multi-GiB device in one
 // process would then cost its full size in resident memory. A fresh
@@ -19,10 +19,20 @@ func newBacking(owner *Device, size uint64) []byte {
 		// The heap still works, only without the sparseness.
 		return make([]byte, size)
 	}
-	runtime.SetFinalizer(owner, func(d *Device) {
-		// Munmap fails only on a range that is not this mapping, and a
-		// finalizer has no caller to report to.
-		_ = syscall.Munmap(d.data)
-	})
+	owner.mapped = true
+	runtime.SetFinalizer(owner, (*Device).releaseBacking)
 	return b
+}
+
+// releaseBacking unmaps a mapped backing and drops the slice; a heap
+// fallback is left to the collector.
+func (d *Device) releaseBacking() {
+	if d.mapped {
+		runtime.SetFinalizer(d, nil)
+		// Munmap fails only on a range that is not this mapping, and
+		// neither Release nor a finalizer has a caller to report to.
+		_ = syscall.Munmap(d.data)
+		d.mapped = false
+	}
+	d.data = nil
 }

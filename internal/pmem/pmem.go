@@ -34,8 +34,9 @@ import (
 // Device is one simulated PMem module set, possibly spanning several
 // NUMA nodes.
 type Device struct {
-	size uint64
-	data []byte
+	size   uint64
+	data   []byte
+	mapped bool // data is a mapping newBacking made, not heap memory
 	// written has one bit per page, set when any byte of the page may be
 	// nonzero; an unset page reads zero. Every path that puts bytes in
 	// data sets it; Zero clears it for the whole pages it zeroes.
@@ -123,6 +124,14 @@ func New(cfg Config) *Device {
 	return d
 }
 
+// Release returns the device's host memory now rather than when the
+// device is collected. Mapped memory does not count toward the Go heap,
+// so a process that builds one machine after another would otherwise
+// keep each finished device's written pages until some later collection
+// ran its finalizer. The device must not be read or written afterwards;
+// its Stats stay readable.
+func (d *Device) Release() { d.releaseBacking() }
+
 // Size returns the device capacity in bytes.
 func (d *Device) Size() uint64 { return d.size }
 
@@ -156,8 +165,8 @@ func (d *Device) multi() bool { return len(d.banks) > 1 }
 // write through it; Bytes marks the range as written, read-only callers
 // included, so a later Zero clears it. The caller is responsible for
 // charging access costs; use the typed accessors where possible. The
-// slice is valid only while d is reachable: device memory is unmapped
-// once d is garbage (see newBacking).
+// slice is valid only while d is reachable and not released: device
+// memory is unmapped by Release or once d is garbage (see newBacking).
 func (d *Device) Bytes(addr mem.PhysAddr, n uint64) []byte {
 	d.check(addr, n)
 	d.markWritten(uint64(addr), n)
