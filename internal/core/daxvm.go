@@ -13,7 +13,6 @@ import (
 	"daxvm/internal/obs/span"
 	"daxvm/internal/pmem"
 	"daxvm/internal/pt"
-	"daxvm/internal/radix"
 	"daxvm/internal/sim"
 	"daxvm/internal/topo"
 )
@@ -45,8 +44,6 @@ type Config struct {
 	// PrezeroBandwidthMBps throttles the background zeroing daemon
 	// (default 1024 MB/s on an idle core; Fig. 9c also uses 64).
 	PrezeroBandwidthMBps uint64
-	// MonitorEnabled activates the MMU performance monitor (Table III).
-	MonitorEnabled bool
 }
 
 // withDefaults fills zero fields.
@@ -658,11 +655,11 @@ func (p *Proc) wpFault(t *sim.Thread, core *cpu.Core, v *mm.VMA, va mem.VirtAddr
 		if p.MM.FS().SyncMetaIfDirty(t, v.Inode) {
 			p.d.Stats.MetaSyncs++
 		}
-		// Tag the whole 2 MiB region dirty (one radix op per region).
+		// Mark the 2 MiB region dirty by its first page (one radix op
+		// per region).
 		region := (uint64(va.HugeDown()-v.Start) + v.FileOff) / mem.PageSize
 		t.Charge(cost.RadixTreeTag)
-		v.Inode.DirtyPages.Set(region, struct{}{})
-		v.Inode.DirtyPages.SetTag(region, radix.TagDirty)
+		v.Inode.DirtyPages.Mark(region)
 	}
 	// Upgrade the attachment-level entry.
 	hva := va.HugeDown()

@@ -21,7 +21,6 @@ type Journal struct {
 	logOff  uint64
 
 	pendingBlocks uint64
-	commitHooks   []func(t *sim.Thread)
 
 	// Spans opens a causal span per commit (see SetSpans). Nil =
 	// disabled.
@@ -59,12 +58,6 @@ func (j *Journal) AddMeta(t *sim.Thread, n uint64) {
 	t.ChargeAs("journal.add_meta", cost.JournalAddPerBlock*n)
 }
 
-// OnCommit registers fn to run inside every commit while the journal lock
-// is held (DaxVM persistent file tables fence their PTE flushes here).
-func (j *Journal) OnCommit(fn func(t *sim.Thread)) {
-	j.commitHooks = append(j.commitHooks, fn)
-}
-
 // SetSpans attaches the span collector: every commit opens a
 // "journal.commit" span, and time parked on the contended commit lock
 // books as journal_flush wait inside it. Nil detaches cleanly.
@@ -74,7 +67,7 @@ func (j *Journal) SetSpans(sp *span.Collector) {
 		j.mu.OnContended = nil
 		return
 	}
-	j.mu.OnContended = func(t *sim.Thread, kind string, waitStart, blocked uint64) {
+	j.mu.OnContended = func(t *sim.Thread, blocked uint64) {
 		sp.Wait(t, span.WaitJournal, blocked)
 	}
 }
@@ -100,13 +93,7 @@ func (j *Journal) Commit(t *sim.Thread) {
 		j.dev.StreamNT(t, j.logHead+mem.PhysAddr(j.logOff), bytes)
 		j.logOff += bytes
 	}
-	for _, fn := range j.commitHooks {
-		fn(t)
-	}
 	j.dev.Fence(t)
 	j.Stats.Commits++
 	j.mu.Unlock(t, cost.SemReleaseFast)
 }
-
-// Pending reports uncommitted metadata blocks.
-func (j *Journal) Pending() uint64 { return j.pendingBlocks }

@@ -9,7 +9,6 @@ import (
 
 	"daxvm/internal/mem"
 	"daxvm/internal/pmem"
-	"daxvm/internal/radix"
 	"daxvm/internal/sim"
 )
 
@@ -51,9 +50,9 @@ type Inode struct {
 	// it without an import cycle.
 	FileTable any
 
-	// DirtyPages is the page-cache radix tree tracking pages dirtied
-	// through mappings (tagged TagDirty). DAX syncing walks it.
-	DirtyPages radix.Tree[struct{}]
+	// DirtyPages records the pages dirtied through mappings; msync
+	// walks it (the page cache's PAGECACHE_TAG_DIRTY).
+	DirtyPages DirtySet
 
 	// MetaDirty marks uncommitted metadata (extents added but journal
 	// transaction not yet committed). A MAP_SYNC write fault must commit

@@ -328,7 +328,7 @@ func (k *Kernel) NewProc() *Proc {
 	}
 	if sp := k.Cfg.Spans; sp != nil {
 		p.MM.Spans = sp
-		p.MM.Sem.OnContended = func(t *sim.Thread, kind string, waitStart, blocked uint64) {
+		p.MM.Sem.OnContended = func(t *sim.Thread, blocked uint64) {
 			sp.Wait(t, span.WaitMmapSem, blocked)
 		}
 	}

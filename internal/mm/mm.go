@@ -1,8 +1,8 @@
 // Package mm models the Linux virtual-memory manager for one process:
 // the VMA red-black tree guarded by mmap_sem, demand paging of DAX file
 // mappings, MAP_POPULATE, software dirty tracking through write-protect
-// faults feeding the page-cache radix tree, and munmap with the x86
-// batched-invalidation heuristic.
+// faults feeding the inode's dirty-page set (charged as page-cache radix
+// tagging), and munmap with the x86 batched-invalidation heuristic.
 //
 // This is the baseline whose costs DaxVM (internal/core) removes; its code
 // paths mirror the paper's Table IV inventory of mmap_sem users.
@@ -19,7 +19,6 @@ import (
 	"daxvm/internal/obs"
 	"daxvm/internal/obs/span"
 	"daxvm/internal/pt"
-	"daxvm/internal/radix"
 	"daxvm/internal/rbtree"
 	"daxvm/internal/sim"
 	"daxvm/internal/topo"
@@ -408,15 +407,14 @@ func (m *MM) pageFault(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, write boo
 		m.trackDirty(t, v, va)
 		perm = v.Perm
 	}
-	leafParent := m.installPTE(t, va.PageDown(), phys, perm, write)
-	_ = leafParent
+	m.installPTE(t, va.PageDown(), phys, perm, write)
 	m.Stats.PagesMapped++
 	m.Sem.RUnlock(t, cost.SemReleaseFast)
 	return nil
 }
 
 // installPTE installs a 4 KiB translation under the split page-table lock.
-func (m *MM) installPTE(t *sim.Thread, va mem.VirtAddr, phys uint64, perm mem.Perm, dirty bool) *pt.Node {
+func (m *MM) installPTE(t *sim.Thread, va mem.VirtAddr, phys uint64, perm mem.Perm, dirty bool) {
 	e := pt.MakeEntry(mem.PFN(phys), perm, true, false)
 	if dirty {
 		e |= pt.BitDirty | pt.BitAccessed
@@ -427,7 +425,6 @@ func (m *MM) installPTE(t *sim.Thread, va mem.VirtAddr, phys uint64, perm mem.Pe
 		leaf.Ptl.Lock(t, cost.SpinLockAcquire)
 		leaf.Ptl.Unlock(t, cost.SpinLockRelease)
 	}
-	return leaf
 }
 
 // WPFault services a write to a write-protected present page: the
@@ -480,8 +477,8 @@ func (m *MM) wpFault(t *sim.Thread, core *cpu.Core, va mem.VirtAddr) error {
 	return nil
 }
 
-// trackDirty records the dirtied page in the inode's radix tree and runs
-// the MAP_SYNC metadata commit if needed.
+// trackDirty records the dirtied page in the inode's dirty set, charged
+// as a radix tag, and runs the MAP_SYNC metadata commit if needed.
 func (m *MM) trackDirty(t *sim.Thread, v *VMA, va mem.VirtAddr) {
 	if v.NoSync {
 		return
@@ -493,8 +490,7 @@ func (m *MM) trackDirty(t *sim.Thread, v *VMA, va mem.VirtAddr) {
 	}
 	pageIdx := (uint64(va.PageDown()-v.Start) + v.FileOff) / mem.PageSize
 	t.Charge(cost.RadixTreeTag)
-	v.Inode.DirtyPages.Set(pageIdx, struct{}{})
-	v.Inode.DirtyPages.SetTag(pageIdx, radix.TagDirty)
+	v.Inode.DirtyPages.Mark(pageIdx)
 }
 
 // makeWritable upgrades the leaf entry at va to writable+dirty.
@@ -679,7 +675,7 @@ func (m *MM) Mprotect(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uin
 }
 
 // Msync flushes dirty pages of the mapping containing va back to media:
-// walk the radix tags, clwb the data, re-write-protect, commit metadata.
+// walk the dirty set, clwb the data, re-write-protect, commit metadata.
 func (m *MM) Msync(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uint64) error {
 	t.Charge(cost.FsyncFixed)
 	m.Sem.RLock(t, cost.SemAcquireFast)
@@ -699,7 +695,7 @@ func (m *MM) Msync(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uint64
 	idx := firstPage
 	flushed := uint64(0)
 	for {
-		pg, ok := in.DirtyPages.NextTagged(idx, radix.TagDirty)
+		pg, ok := in.DirtyPages.Next(idx)
 		if !ok || pg >= lastPage {
 			break
 		}
@@ -707,7 +703,7 @@ func (m *MM) Msync(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uint64
 		if ok2 {
 			dev.Flush(t, mem.PhysAddr(phys*mem.PageSize), mem.PageSize)
 		}
-		in.DirtyPages.ClearTag(pg, radix.TagDirty)
+		in.DirtyPages.Clear(pg)
 		t.Charge(cost.RadixTreeTag)
 		// Re-write-protect the page for all mappings of this process.
 		pva := v.Start + mem.VirtAddr((pg-v.FileOff/mem.PageSize)*mem.PageSize)

@@ -100,6 +100,15 @@ func TestLazyVsPopulate(t *testing.T) {
 	})
 }
 
+// countDirty counts the pages marked in s.
+func countDirty(s *vfs.DirtySet) int {
+	n := 0
+	for pg, ok := s.Next(0); ok; pg, ok = s.Next(pg + 1) {
+		n++
+	}
+	return n
+}
+
 func TestDirtyTrackingWriteProtectCycle(t *testing.T) {
 	ev := newEnv(64, 1)
 	run(func(th *sim.Thread) {
@@ -109,15 +118,15 @@ func TestDirtyTrackingWriteProtectCycle(t *testing.T) {
 		va, _ := ev.mm.Mmap(th, core, in, 0, 64<<10, mem.PermRead|mem.PermWrite, MapShared|MapPopulate)
 
 		// Populate installs write-protected PTEs; the first store takes a
-		// WP fault per page and tags the radix tree.
+		// WP fault per page and marks it in the inode's dirty set.
 		if err := ev.mm.Access(th, core, va, 16<<10, true, 0); err != nil {
 			t.Fatalf("write access: %v", err)
 		}
 		if ev.mm.Stats.WPFaults != 4 {
 			t.Fatalf("WP faults = %d, want 4", ev.mm.Stats.WPFaults)
 		}
-		if got := in.DirtyPages.CountTagged(0, 1000, 0); got != 4 {
-			t.Fatalf("dirty pages tagged = %d", got)
+		if got := countDirty(&in.DirtyPages); got != 4 {
+			t.Fatalf("dirty pages marked = %d", got)
 		}
 		// Second write to the same pages: no more faults.
 		ev.mm.Access(th, core, va, 16<<10, true, 0)
@@ -129,8 +138,8 @@ func TestDirtyTrackingWriteProtectCycle(t *testing.T) {
 		if err := ev.mm.Msync(th, core, va, 64<<10); err != nil {
 			t.Fatalf("Msync: %v", err)
 		}
-		if in.DirtyPages.CountTagged(0, 1000, 0) != 0 {
-			t.Fatal("msync left dirty tags")
+		if got := countDirty(&in.DirtyPages); got != 0 {
+			t.Fatalf("msync left %d dirty pages", got)
 		}
 		ev.mm.Access(th, core, va, 16<<10, true, 0)
 		if ev.mm.Stats.WPFaults != 8 {

@@ -40,8 +40,8 @@ func TestPageFaultZeroAlloc(t *testing.T) {
 			fault(va, false)
 		})
 		// Each run write-protects the page again and takes the WP fault
-		// that upgrades it; the dirty-page radix slot is warm after the
-		// first.
+		// that upgrades it; after the first, the dirty set's bitset
+		// already covers the page.
 		allocs["wp"] = testing.AllocsPerRun(200, func() {
 			leaf.SetEntry(th, idx, leaf.Entries[idx]&^pt.BitWrite)
 			if err := ev.mm.WPFault(th, core, va); err != nil {

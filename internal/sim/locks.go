@@ -9,24 +9,22 @@ type LockStats struct {
 }
 
 // ContentionFn observes one contended acquisition after the wait ends:
-// kind names the lock flavour ("mutex", "spinlock", "read", "write"), and
-// the wait spanned [waitStart, t.Now()). blocked is the pure uncharged
-// gap the thread spent parked — the wait window minus any wakeup cost
-// charged on resume — which is what the span layer books as lock-wait
-// time. Wired by the kernel to the observability tracer and span
+// blocked is the pure uncharged gap the thread spent parked — the wait
+// window minus any wakeup cost charged on resume — which is what the
+// span layer books as lock-wait time. Wired by the kernel to the span
 // collector; nil costs one branch.
 //
 // Contract (holds for every lock flavour — Mutex, SpinLock, and both
 // RWSem modes — and is asserted by TestContentionCallbackShape):
 //
-//	waitStart < t.Now()
-//	blocked   = (t.Now() - waitStart) - wakeCyclesCharged
+//	blocked = wait - wakeCyclesCharged
 //
-// where wakeCyclesCharged is the lock's wakeup cost (0 for SpinLock,
-// which resumes at the release time with nothing charged). blocked is
-// computed BEFORE the wakeup charge lands so callbacks never have to
+// where wait is what the acquisition adds to the lock's WaitCycles and
+// wakeCyclesCharged is the lock's wakeup cost (0 for SpinLock, which
+// resumes at the release time with nothing charged). blocked is computed
+// BEFORE the wakeup charge lands so callbacks never have to
 // reverse-engineer it from the clock.
-type ContentionFn func(t *Thread, kind string, waitStart, blocked uint64)
+type ContentionFn func(t *Thread, blocked uint64)
 
 // Mutex is a sleeping virtual-time mutex (FIFO). Waiters block and pay a
 // scheduler wakeup cost when resumed, mirroring a kernel sleeping lock.
@@ -67,7 +65,7 @@ func (m *Mutex) Lock(t *Thread, acqCost uint64) {
 	m.Stats.WaitCycles += t.Now() - start
 	m.acquiredAt = t.Now()
 	if m.OnContended != nil {
-		m.OnContended(t, "mutex", start, blocked)
+		m.OnContended(t, blocked)
 	}
 }
 
@@ -125,12 +123,12 @@ func (s *SpinLock) Lock(t *Thread, acqCost uint64) {
 	s.waiters = append(s.waiters, t)
 	t.Block("spinlock")
 	// No wakeup cost for a spinner, so the blocked gap is the whole wait
-	// window — same (waitStart, blocked) shape as Mutex/RWSem.
+	// window — the same blocked contract as Mutex/RWSem.
 	blocked := t.Now() - start
 	s.Stats.WaitCycles += t.Now() - start
 	s.acquiredAt = t.Now()
 	if s.OnContended != nil {
-		s.OnContended(t, "spinlock", start, blocked)
+		s.OnContended(t, blocked)
 	}
 }
 
@@ -171,8 +169,7 @@ type RWSem struct {
 	Stats       LockStats
 	ReaderStats LockStats
 
-	// OnContended, when set, observes each contended acquisition
-	// (kind "read" or "write").
+	// OnContended, when set, observes each contended acquisition.
 	OnContended ContentionFn
 }
 
@@ -220,7 +217,7 @@ func (s *RWSem) RLock(t *Thread, acqCost uint64) {
 	t.Charge(s.wakeCost)
 	s.ReaderStats.WaitCycles += t.Now() - start
 	if s.OnContended != nil {
-		s.OnContended(t, "read", start, blocked)
+		s.OnContended(t, blocked)
 	}
 }
 
@@ -261,7 +258,7 @@ func (s *RWSem) Lock(t *Thread, acqCost uint64) {
 	s.Stats.WaitCycles += t.Now() - start
 	s.acquiredAt = t.Now()
 	if s.OnContended != nil {
-		s.OnContended(t, "write", start, blocked)
+		s.OnContended(t, blocked)
 	}
 }
 
