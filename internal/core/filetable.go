@@ -366,6 +366,9 @@ func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*
 	if count > mem.PageSize/8-2 {
 		return nil, fmt.Errorf("daxvm: corrupt descriptor chunk count %d", count)
 	}
+	// The node pages are copied out with Load: SetEntry below stores to
+	// the page being scanned, which voids a slice Bytes returned.
+	raw := make([]byte, mem.PageSize)
 	for i := 0; i < count; i++ {
 		w := make([]byte, 8)
 		dev.Read(t, addr+mem.PhysAddr(8*(2+i)), w)
@@ -386,7 +389,7 @@ func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*
 			n.NoAD = true
 			n.Backing = dev
 			n.BackAddr = backAddr
-			raw := dev.Bytes(n.BackAddr, mem.PageSize)
+			dev.Load(n.BackAddr, raw)
 			for idx := 0; idx < mem.PTEsPerTable; idx++ {
 				e := pt.Entry(getLE(raw[idx*8:]))
 				if e.Present() {

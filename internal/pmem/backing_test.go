@@ -66,12 +66,17 @@ func TestZeroLeavesUnwrittenPagesUntouched(t *testing.T) {
 
 // TestReleaseReturnsMemoryAtOnce pins that Release gives a device's
 // written pages back without waiting for a collection to run the
-// finalizer, and that the released device refuses further access.
+// finalizer, and that the released device refuses further access. It
+// writes whole pages: a smaller store would sit in a slab line and leave
+// the mapping untouched.
 func TestReleaseReturnsMemoryAtOnce(t *testing.T) {
 	const size, written = 256 << 20, 64 << 20
 	d := New(Config{Size: size})
 	for off := mem.PhysAddr(0); off < written; off += mem.PageSize {
-		d.Bytes(off, 1)[0] = 1
+		page := d.Bytes(off, mem.PageSize)
+		for i := range page {
+			page[i] = byte(i) | 1
+		}
 	}
 	before := residentMB(t)
 	d.Release()

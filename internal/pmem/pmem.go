@@ -6,10 +6,15 @@
 // depends on: regular (cached) stores are not durable until flushed with
 // clwb+fence, while non-temporal stores become durable at the next fence.
 //
-// Content is sparse: the backing starts zeroed and a bitmap marks each
-// page that may hold a written byte. Zero clears only marked pages, so
-// zeroing a range nothing wrote (fallocate, the pre-zero daemon) costs
-// its simulated charge but touches no host memory.
+// Content is sparse, kept per page in one of three states. A zero page
+// reads zero and holds no host memory. A page whose stores all fell in
+// one cache line keeps that line in a slab of 64-byte lines, so a record
+// stamp (an 8-byte key at the head of each record) costs a slab line,
+// not a 4 KiB host page. Any other store makes its pages dense: their
+// content lives in an anonymous mapping, and a sparse page's line moves
+// there. Zero clears only what a page holds, so zeroing a range nothing
+// wrote (fallocate, the pre-zero daemon) costs its simulated charge but
+// touches no host memory.
 //
 // The physical address space is striped across per-NUMA-node banks (one
 // DIMM set per socket). Each bank has its own bandwidth token bucket, so
@@ -24,6 +29,7 @@ package pmem
 
 import (
 	"fmt"
+	"math"
 
 	"daxvm/internal/cost"
 	"daxvm/internal/mem"
@@ -37,10 +43,14 @@ type Device struct {
 	size   uint64
 	data   []byte
 	mapped bool // data is a mapping newBacking made, not heap memory
-	// written has one bit per page, set when any byte of the page may be
-	// nonzero; an unset page reads zero. Every path that puts bytes in
-	// data sets it; Zero clears it for the whole pages it zeroes.
-	written []uint64
+	// page holds each page's state: pageZero, pageDense, or 1 + the
+	// index in lines of the page's one written cache line. data holds
+	// the content of dense pages and reads zero everywhere else.
+	page []uint32
+	// lines is the slab of sparse pages' lines. Free slots form a list
+	// through sparseLine.line; freeLines is 1 + its head, 0 when empty.
+	lines     []sparseLine
+	freeLines uint32
 
 	// Persistence tracking (enabled for crash tests): the set of dirty
 	// cache lines written with cached stores and not yet flushed, and the
@@ -56,6 +66,21 @@ type Device struct {
 	attrs    []string // "pmem.node0", ... attribution frames (multi-node only)
 
 	Stats Stats
+}
+
+// Page states (Device.page). Any other value is 1 + a slab index.
+const (
+	pageZero  = 0
+	pageDense = math.MaxUint32
+)
+
+// sparseLine is the one cache line a sparsely written page holds; every
+// other byte of the page reads zero.
+type sparseLine struct {
+	data [mem.CacheLineSize]byte
+	// line is the line's index within its page; on a free slot, 1 + the
+	// next free slot's index (0 ends the list).
+	line uint32
 }
 
 // bank is the per-node slice of the device: its own channel occupancy
@@ -93,9 +118,10 @@ type Config struct {
 // New creates a device. Backing memory is allocated lazily by the host OS
 // (untouched pages cost nothing), so multi-GiB devices are cheap until
 // written, however many a process creates (see newBacking). Content is
-// sparse: Zero touches only pages marked as written.
+// sparse: a page holding one written cache line costs a slab line, and
+// Zero touches only what a page holds.
 func New(cfg Config) *Device {
-	if cfg.Size == 0 || !mem.IsAligned(cfg.Size, mem.PageSize) {
+	if cfg.Size == 0 || !mem.IsAligned(cfg.Size, mem.PageSize) || cfg.Size/mem.PageSize >= pageDense {
 		panic(fmt.Sprintf("pmem: bad device size %d", cfg.Size))
 	}
 	nodes := 1
@@ -108,7 +134,7 @@ func New(cfg Config) *Device {
 		tp:               cfg.Topo,
 		bankSize:         mem.AlignedUp(cfg.Size/uint64(nodes), mem.PageSize),
 		banks:            make([]bank, nodes),
-		written:          make([]uint64, (cfg.Size/mem.PageSize+63)/64),
+		page:             make([]uint32, cfg.Size/mem.PageSize),
 	}
 	d.data = newBacking(d, cfg.Size)
 	if nodes > 1 {
@@ -128,9 +154,12 @@ func New(cfg Config) *Device {
 // device is collected. Mapped memory does not count toward the Go heap,
 // so a process that builds one machine after another would otherwise
 // keep each finished device's written pages until some later collection
-// ran its finalizer. The device must not be read or written afterwards;
-// its Stats stay readable.
-func (d *Device) Release() { d.releaseBacking() }
+// ran its finalizer. Release drops the sparse-line slab too. The device
+// must not be read or written afterwards; its Stats stay readable.
+func (d *Device) Release() {
+	d.releaseBacking()
+	d.page, d.lines, d.freeLines = nil, nil, 0
+}
 
 // Size returns the device capacity in bytes.
 func (d *Device) Size() uint64 { return d.size }
@@ -161,39 +190,142 @@ func (d *Device) NodeStats(node int) *Stats { return &d.banks[node].stats }
 
 func (d *Device) multi() bool { return len(d.banks) > 1 }
 
-// Bytes returns the raw backing slice for [addr, addr+n). The caller may
-// write through it; Bytes marks the range as written, read-only callers
-// included, so a later Zero clears it. The caller is responsible for
-// charging access costs; use the typed accessors where possible. The
-// slice is valid only while d is reachable and not released: device
-// memory is unmapped by Release or once d is garbage (see newBacking).
+// Bytes returns the bytes that hold [addr, addr+n), for the caller to
+// read or write through. A range within one cache line of a page that is
+// not dense is served from the page's slab line (a zero page gets one);
+// any other range makes the pages it touches dense. The caller is
+// responsible for charging access costs; use the typed accessors where
+// possible, and Load to read without creating device state. The slice is
+// valid only until the next call on d: a later store may move a slab
+// line into the mapping or grow the slab, and Release unmaps the mapping.
 func (d *Device) Bytes(addr mem.PhysAddr, n uint64) []byte {
 	d.check(addr, n)
-	d.markWritten(uint64(addr), n)
-	return d.data[addr : uint64(addr)+n]
+	return d.content(uint64(addr), n)
 }
 
-// markWritten sets the written bit of every page [off, off+n) touches.
-func (d *Device) markWritten(off, n uint64) {
+// Load copies the content at addr into buf, charging nothing and leaving
+// device state as it was: integrity checks read media through it without
+// giving an unwritten page a slab line or a host page.
+func (d *Device) Load(addr mem.PhysAddr, buf []byte) {
+	d.check(addr, uint64(len(buf)))
+	d.load(uint64(addr), buf)
+}
+
+// content returns the bytes that hold [off, off+n) for writing: the page's
+// slab line when the range fits in one cache line of a page that is zero
+// or holds that same line, else the mapping once every page the range
+// touches is dense.
+func (d *Device) content(off, n uint64) []byte {
+	if n > 0 && off/mem.CacheLineSize == (off+n-1)/mem.CacheLineSize {
+		p, line := off/mem.PageSize, uint32(off%mem.PageSize/mem.CacheLineSize)
+		s := d.page[p]
+		if s == pageZero {
+			s = d.newLine(line)
+			d.page[p] = s
+		}
+		if s == pageDense {
+			return d.data[off : off+n]
+		}
+		if d.lines[s-1].line == line {
+			o := off % mem.CacheLineSize
+			return d.lines[s-1].data[o : o+n]
+		}
+	}
+	d.promote(off, n)
+	return d.data[off : off+n]
+}
+
+// newLine takes a zeroed slab slot for a page's line and returns the
+// page state that names it.
+func (d *Device) newLine(line uint32) uint32 {
+	if i := d.freeLines; i != 0 {
+		d.freeLines = d.lines[i-1].line
+		d.lines[i-1] = sparseLine{line: line}
+		return i
+	}
+	//lint:ignore hotalloc amortized slab growth: the slab grows to the most sparse pages held at once, and a warm device stores without allocating (TestDeviceZeroAlloc)
+	d.lines = append(d.lines, sparseLine{line: line})
+	return uint32(len(d.lines))
+}
+
+// freeLine returns page p's slab line to the free list; p reads zero.
+func (d *Device) freeLine(p uint64) {
+	s := d.page[p]
+	d.lines[s-1].line = d.freeLines
+	d.freeLines = s
+	d.page[p] = pageZero
+}
+
+// lineStart returns the device offset of sparse page p's line.
+func (d *Device) lineStart(p uint64, s uint32) uint64 {
+	return p*mem.PageSize + uint64(d.lines[s-1].line)*mem.CacheLineSize
+}
+
+// promote makes every page [off, off+n) touches dense, moving a sparse
+// page's line into the mapping and freeing its slab slot.
+func (d *Device) promote(off, n uint64) {
 	if n == 0 {
 		return
 	}
 	for p := off / mem.PageSize; p <= (off+n-1)/mem.PageSize; p++ {
-		d.written[p/64] |= 1 << (p % 64)
+		switch s := d.page[p]; s {
+		case pageDense:
+			continue
+		case pageZero:
+		default:
+			copy(d.data[d.lineStart(p, s):], d.lines[s-1].data[:])
+			d.freeLine(p)
+		}
+		d.page[p] = pageDense
 	}
 }
 
-// zeroContent clears the bytes of [off, off+n) on pages marked written
-// and unmarks each page it clears whole. An unmarked page already reads
-// zero, so it is skipped without touching its host memory.
+// load copies [off, off+len(buf)) into buf: a dense page from the
+// mapping, any other page as zeroes with its slab line merged in.
+func (d *Device) load(off uint64, buf []byte) {
+	for end := off + uint64(len(buf)); off < end; {
+		p := off / mem.PageSize
+		next := min((p+1)*mem.PageSize, end)
+		switch s := d.page[p]; s {
+		case pageDense:
+			copy(buf, d.data[off:next])
+		default:
+			clear(buf[:next-off])
+			if s != pageZero {
+				lo := d.lineStart(p, s)
+				if a, b := max(off, lo), min(next, lo+mem.CacheLineSize); a < b {
+					copy(buf[a-off:b-off], d.lines[s-1].data[a-lo:b-lo])
+				}
+			}
+		}
+		buf = buf[next-off:]
+		off = next
+	}
+}
+
+// zeroContent clears [off, off+n). A dense page is cleared in the mapping
+// and becomes zero when the range covers it whole; a sparse page frees
+// its line when the range covers the line whole and clears the overlap
+// otherwise; a zero page is skipped without touching host memory.
 func (d *Device) zeroContent(off, n uint64) {
 	for end := off + n; off < end; {
 		p := off / mem.PageSize
 		next := min((p+1)*mem.PageSize, end)
-		if bit := uint64(1) << (p % 64); d.written[p/64]&bit != 0 {
+		switch s := d.page[p]; s {
+		case pageZero:
+		case pageDense:
 			clear(d.data[off:next])
 			if next-off == mem.PageSize {
-				d.written[p/64] &^= bit
+				d.page[p] = pageZero
+			}
+		default:
+			lo := d.lineStart(p, s)
+			a, b := max(off, lo), min(next, lo+mem.CacheLineSize)
+			switch {
+			case a == lo && b == lo+mem.CacheLineSize:
+				d.freeLine(p)
+			case a < b:
+				clear(d.lines[s-1].data[a-lo : b-lo])
 			}
 		}
 		off = next
@@ -229,7 +361,7 @@ func (d *Device) remoteExtra(t *sim.Thread, node mem.NodeID, ratePerPage, n uint
 func (d *Device) Read(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 	n := uint64(len(buf))
 	d.check(addr, n)
-	copy(buf, d.data[addr:uint64(addr)+n])
+	d.load(uint64(addr), buf)
 	node := d.NodeOf(addr)
 	d.Stats.BytesRead += n
 	d.banks[node].stats.BytesRead += n
@@ -255,8 +387,7 @@ func (d *Device) Read(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 func (d *Device) WriteNT(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 	n := uint64(len(buf))
 	d.check(addr, n)
-	copy(d.data[addr:uint64(addr)+n], buf)
-	d.markWritten(uint64(addr), n)
+	copy(d.content(uint64(addr), n), buf)
 	d.writeNTCommon(t, addr, n)
 }
 
@@ -305,8 +436,7 @@ func (d *Device) writeNTCommon(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 func (d *Device) WriteCached(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 	n := uint64(len(buf))
 	d.check(addr, n)
-	copy(d.data[addr:uint64(addr)+n], buf)
-	d.markWritten(uint64(addr), n)
+	copy(d.content(uint64(addr), n), buf)
 	node := d.NodeOf(addr)
 	d.Stats.BytesWritten += n
 	d.Stats.CachedStores++
@@ -330,8 +460,8 @@ func (d *Device) WriteCached(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 
 // Zero zeroes [addr, addr+n) with non-temporal stores (security zeroing of
 // freshly allocated blocks, and DaxVM's pre-zero daemon). The charge
-// covers the whole range; host memory is touched only on pages marked
-// written.
+// covers the whole range; host memory is touched only where a page holds
+// content.
 func (d *Device) Zero(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 	d.check(addr, n)
 	d.zeroContent(uint64(addr), n)
@@ -427,16 +557,14 @@ func (d *Device) Crash() {
 	d.flushedLines = make(map[uint64]struct{})
 }
 
-// corruptLine fills cache line l with 0xCC and marks its page written:
-// the line may sit on a page no store marked (StreamNT writes no bytes,
-// and a whole-page Zero unmarks its page before the fence).
+// corruptLine fills cache line l with 0xCC through the store path: the
+// line may sit on a page that holds nothing (StreamNT writes no bytes,
+// and a whole-page Zero empties its page before the fence).
 func (d *Device) corruptLine(l uint64) {
-	off := l * mem.CacheLineSize
-	end := min(off+mem.CacheLineSize, d.size)
-	for i := off; i < end; i++ {
-		d.data[i] = 0xCC
+	b := d.content(l*mem.CacheLineSize, mem.CacheLineSize)
+	for i := range b {
+		b[i] = 0xCC
 	}
-	d.markWritten(off, end-off)
 }
 
 // DirtyLineCount reports unflushed cached-store lines (crash tests).

@@ -172,6 +172,7 @@ func TestZeroAfterCrashClearsCorruption(t *testing.T) {
 			d.Zero(th, mem.PageSize, mem.PageSize)
 		}},
 		{"writecached", func(th *sim.Thread, d *Device) { d.WriteCached(th, mem.PageSize+64, payload) }},
+		{"writecached-8", func(th *sim.Thread, d *Device) { d.WriteCached(th, mem.PageSize+64, payload[:8]) }},
 		{"writecached-zero", func(th *sim.Thread, d *Device) {
 			d.WriteCached(th, mem.PageSize+64, payload)
 			d.Zero(th, mem.PageSize, mem.PageSize)
@@ -200,7 +201,9 @@ func TestZeroAfterCrashClearsCorruption(t *testing.T) {
 // TestDeviceZeroAlloc pins the device's runtime paths at zero
 // allocations with persistence tracking off, on an engine attached to a
 // cycle account, flat and across two nodes: once each charge path is
-// interned, Read, WriteNT, Zero and the bandwidth bucket allocate nothing.
+// interned, Read, WriteNT, Zero and the bandwidth bucket allocate nothing,
+// and so do an 8-byte cached store to a page that holds one slab line and
+// a Read of that page.
 func TestDeviceZeroAlloc(t *testing.T) {
 	for _, tp := range []*topo.Topology{nil, topo.New(2, 1)} {
 		d := New(Config{Size: 1 << 20, Topo: tp})
@@ -209,6 +212,8 @@ func TestDeviceZeroAlloc(t *testing.T) {
 		e.Go("t", 1, 0, func(th *sim.Thread) {
 			buf := make([]byte, mem.PageSize)
 			far := mem.PhysAddr(d.Size() - mem.PageSize) // node 1's bank when split
+			sparse := mem.PhysAddr(4*mem.PageSize + 72)  // a stamp in line 1 of page 4
+			stamp := buf[:8]
 			for _, s := range []struct {
 				name string
 				step func()
@@ -216,6 +221,8 @@ func TestDeviceZeroAlloc(t *testing.T) {
 				{"Read", func() { d.Read(th, 0, buf); d.Read(th, far, buf) }},
 				{"WriteNT", func() { d.WriteNT(th, 0, buf); d.WriteNT(th, far, buf) }},
 				{"Zero", func() { d.Zero(th, 0, mem.PageSize); d.Zero(th, far, 100) }},
+				{"WriteCached sparse", func() { d.WriteCached(th, sparse, stamp) }},
+				{"Read sparse", func() { d.Read(th, sparse&^(mem.PageSize-1), buf) }},
 				{"BWReadOn", func() { d.BWReadOn(th, d.NodeOf(far), mem.PageSize) }},
 				{"BWWriteOn", func() { d.BWWriteOn(th, d.NodeOf(far), mem.PageSize) }},
 			} {
@@ -230,11 +237,25 @@ func TestDeviceZeroAlloc(t *testing.T) {
 }
 
 // FuzzDeviceMatchesReference drives a small device through random
-// stores, streams, raw-slice writes and unaligned page-spanning zeroes,
-// and checks after every step that its content matches a plain byte
-// slice. Each step is six bytes: kind, address (2), length (2), fill.
+// stores, streams, raw-slice writes, unaligned page-spanning zeroes and
+// uncharged loads, and checks after every step that its content matches
+// a plain byte slice. Each step is six bytes: kind, address (2), length
+// (2), fill. Sub-line stores keep a page's one line in the slab; wider
+// stores and a second line make the page dense.
 func FuzzDeviceMatchesReference(f *testing.F) {
 	const size = 8 * mem.PageSize
+	// A sub-line store, then another in the same line, then a page load.
+	f.Add([]byte{1, 0x10, 0x10, 0x07, 0x00, 0x5A, 0, 0x18, 0x10, 0x07, 0x00, 0x11, 5, 0x00, 0x10, 0xFF, 0x0F, 0})
+	// A store that crosses a line boundary.
+	f.Add([]byte{0, 0x3C, 0x20, 0x07, 0x00, 0x22, 5, 0x30, 0x20, 0x1F, 0x00, 0})
+	// A raw-slice stamp, then a cached store to a second line.
+	f.Add([]byte{3, 0x00, 0x30, 0x07, 0x00, 0x77, 1, 0x80, 0x30, 0x07, 0x00, 0x78, 5, 0x00, 0x30, 0xFF, 0x00, 0})
+	// Partial-line zeroes, one across a page boundary, then the whole line.
+	f.Add([]byte{1, 0x00, 0x40, 0x3F, 0x00, 0x33, 4, 0x10, 0x40, 0x0F, 0x00, 0, 4, 0xF0, 0x3F, 0x2F, 0x00, 0, 4, 0x00, 0x40, 0x3F, 0x00, 0})
+	// Raw slices within one sparse line, then a whole-page slice.
+	f.Add([]byte{3, 0x20, 0x50, 0x03, 0x00, 0x44, 3, 0x24, 0x50, 0x03, 0x00, 0x45, 3, 0x00, 0x50, 0xFF, 0x0F, 0x46})
+	// A freed line's slot reused by another page.
+	f.Add([]byte{1, 0x00, 0x60, 0x07, 0x00, 0x66, 4, 0x00, 0x60, 0xFF, 0x0F, 0, 1, 0x40, 0x70, 0x07, 0x00, 0x67, 5, 0x00, 0x60, 0xFF, 0x1F, 0})
 	f.Add([]byte{0, 0x00, 0x00, 0xFF, 0x0F, 0xAA, 4, 0x00, 0x00, 0x0F, 0x00, 0, 4, 0x00, 0x00, 0xFF, 0x0F, 0})
 	f.Add([]byte{0, 0x10, 0x00, 0x00, 0x20, 0xAB, 4, 0x08, 0x00, 0x00, 0x30, 0})
 	f.Add([]byte{1, 0xF0, 0x0F, 0x40, 0x00, 0x11, 4, 0x00, 0x10, 0x00, 0x10, 0, 4, 0xFF, 0x0F, 0x02, 0x00, 0})
@@ -250,7 +271,7 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 				addr := uint64(binary.LittleEndian.Uint16(op[1:])) % size
 				n := 1 + uint64(binary.LittleEndian.Uint16(op[3:]))%(size-addr)
 				fill := bytes.Repeat([]byte{op[5]}, int(n))
-				switch op[0] % 5 {
+				switch op[0] % 6 {
 				case 0:
 					d.WriteNT(th, mem.PhysAddr(addr), fill)
 					copy(ref[addr:], fill)
@@ -265,11 +286,17 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 				case 4:
 					d.Zero(th, mem.PhysAddr(addr), n)
 					clear(ref[addr : addr+n])
+				case 5:
+					d.Load(mem.PhysAddr(addr), got[:n])
+					if !bytes.Equal(got[:n], ref[addr:addr+n]) {
+						t.Errorf("step %d: Load [%#x,+%d) differs from the reference", i/6, addr, n)
+						return
+					}
 				}
-				// Read, not Bytes: Bytes would mark every page written.
+				// Read, not Bytes: Bytes would make every page dense.
 				d.Read(th, 0, got)
 				if !bytes.Equal(got, ref) {
-					t.Errorf("step %d (kind %d, [%#x,+%d)): device content differs from the reference", i/6, op[0]%5, addr, n)
+					t.Errorf("step %d (kind %d, [%#x,+%d)): device content differs from the reference", i/6, op[0]%6, addr, n)
 					return
 				}
 			}

@@ -232,13 +232,14 @@ func (s *store) stampRecord(t *sim.Thread, sst *sstable, slot, key uint64) {
 	}
 }
 
-// readRecord fetches a key's record from media for verification.
+// checkRecord reads a key's record stamp from media for verification.
 func (s *store) checkRecord(t *sim.Thread, sst *sstable, slot, key uint64) bool {
 	in := s.proc.Inode(sst.fd)
 	off := slot * s.cfg.RecordBytes
 	if blk, ok := s.proc.K.FS.BlockOf(t, in, off/mem.PageSize); ok {
-		raw := s.proc.K.Dev.Bytes(mem.PhysAddr(blk*mem.PageSize+(off%mem.PageSize)), 8)
-		return binary.LittleEndian.Uint64(raw) == key
+		var raw [8]byte
+		s.proc.K.Dev.Load(mem.PhysAddr(blk*mem.PageSize+(off%mem.PageSize)), raw[:])
+		return binary.LittleEndian.Uint64(raw[:]) == key
 	}
 	return false
 }

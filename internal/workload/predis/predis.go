@@ -136,8 +136,9 @@ func Run(k *kernel.Kernel, cfg Config) Result {
 				}
 				// Verify against media (the mapped data is the file).
 				if blk, ok := proc.K.FS.BlockOf(t, cacheIn, off/mem.PageSize); ok {
-					raw := dev.Bytes(mem.PhysAddr(blk*mem.PageSize+(off%mem.PageSize)), 8)
-					if binary.LittleEndian.Uint64(raw) != key {
+					var raw [8]byte
+					dev.Load(mem.PhysAddr(blk*mem.PageSize+(off%mem.PageSize)), raw[:])
+					if binary.LittleEndian.Uint64(raw[:]) != key {
 						verified = false
 					}
 				}
