@@ -5,11 +5,13 @@ import (
 
 	"daxvm/internal/cpu"
 	"daxvm/internal/dram"
+	"daxvm/internal/fs/agefs"
 	"daxvm/internal/fs/ext4"
 	"daxvm/internal/fs/vfs"
 	"daxvm/internal/mem"
 	"daxvm/internal/mm"
 	"daxvm/internal/pmem"
+	"daxvm/internal/pt"
 	"daxvm/internal/sim"
 )
 
@@ -547,7 +549,7 @@ func TestPersistentTableCrashRecovery(t *testing.T) {
 				case c.huge:
 					pfn = c.hugePFN + mem.PFN(idx)
 				case c.node != nil:
-					pfn = c.node.Entries[idx].PFN()
+					pfn = c.node.Entry(idx).PFN()
 				default:
 					t.Errorf("chunk %d missing after recovery", ci)
 					return
@@ -609,4 +611,62 @@ func TestMonitorMigratesHotPMemTables(t *testing.T) {
 			t.Errorf("post-migration access: %v", err)
 		}
 	})
+}
+
+// TestAgedFileTableNodesHoldPopulatedEntries ages a 256 MiB DaxVM image,
+// whose small files each populate a few slots of their tables, and sums
+// the host slots held by every live file-table node (primary nodes and
+// DRAM shadows). Each node may hold twice its populated slots plus one
+// cache line of entries; a node holding the whole 512-entry table
+// whatever it populates breaks the bound.
+func TestAgedFileTableNodesHoldPopulatedEntries(t *testing.T) {
+	ev := newEnv(256, 1, Config{})
+	// Volatile tables hang off the inodes aging creates: note each one.
+	hooks := ev.d.Hooks(false)
+	inodes := map[*vfs.Inode]bool{}
+	onAlloc := hooks.OnAlloc
+	hooks.OnAlloc = func(th *sim.Thread, in *vfs.Inode, ext []vfs.Extent) {
+		inodes[in] = true
+		onAlloc(th, in, ext)
+	}
+	ev.fs.SetHooks(hooks)
+	ev.run(func(th *sim.Thread) {
+		if _, err := agefs.Age(th, ev.fs, agefs.DefaultConfig()); err != nil {
+			t.Errorf("Age: %v", err)
+		}
+	})
+
+	tables := map[*FileTable]bool{}
+	for _, ft := range ev.d.tables {
+		tables[ft] = true
+	}
+	for in := range inodes {
+		if ft := ev.d.lookup(in); ft != nil && !in.Deleted {
+			tables[ft] = true
+		}
+	}
+	var nodes, pages, held, volatile int
+	for ft := range tables {
+		if !ft.Persistent {
+			volatile++
+		}
+		for i := range ft.chunks {
+			c := &ft.chunks[i]
+			for _, n := range []*pt.Node{c.node, c.volatileNode} {
+				if n == nil || (n == c.volatileNode && n == c.node) {
+					continue
+				}
+				nodes++
+				pages += c.pages
+				held += n.Len()
+			}
+		}
+	}
+	if volatile == 0 || volatile == len(tables) {
+		t.Fatalf("aged image has %d volatile of %d live tables, want both kinds", volatile, len(tables))
+	}
+	t.Logf("%d tables, %d volatile, %d nodes, %d pages, %d held", len(tables), volatile, nodes, pages, held)
+	if bound := 2*pages + mem.PTEsPerCacheLine*nodes; held > bound {
+		t.Errorf("%d live file-table nodes populate %d slots and hold %d, want at most %d", nodes, pages, held, bound)
+	}
 }

@@ -112,6 +112,10 @@ type DaxVM struct {
 	Spans *span.Collector
 
 	Stats Stats
+
+	// descBuf stages one file-table descriptor block for writeDescriptor
+	// (the device copies it out before the call returns).
+	descBuf [mem.PageSize]byte
 }
 
 // New creates the DaxVM manager for one file system.
@@ -249,8 +253,8 @@ func (d *DaxVM) upgrade(t *sim.Thread, in *vfs.Inode, ft *FileTable) {
 		}
 		old := c.node
 		n, blk := ft.newNode(t, true)
-		for i := 0; i < mem.PTEsPerTable; i++ {
-			if e := old.Entries[i]; e != 0 {
+		for i := 0; i < old.Len(); i++ {
+			if e := old.Entry(i); e != 0 {
 				n.SetEntry(t, i, e)
 			}
 		}
@@ -670,7 +674,7 @@ func (p *Proc) wpFault(t *sim.Thread, core *cpu.Core, v *mm.VMA, va mem.VirtAddr
 			//lint:ignore hotalloc error path: a fault on an unmapped page ends the workload
 			return fmt.Errorf("daxvm: wp fault on unmapped %#x", va)
 		}
-		leaf.SetEntry(t, idx, leaf.Entries[idx]|pt.BitWrite|pt.BitDirty)
+		leaf.SetEntry(t, idx, leaf.Entry(idx)|pt.BitWrite|pt.BitDirty)
 	}
 	t.Charge(cost.PTESetPerPage)
 	return nil

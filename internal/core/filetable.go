@@ -105,9 +105,7 @@ func (ft *FileTable) DRAMBytes() uint64 {
 // nodes live on the PMem node owning their backing block; volatile nodes
 // follow the mount's placement policy.
 func (ft *FileTable) newNode(t *sim.Thread, persistent bool) (*pt.Node, uint64) {
-	n := pt.NewNode(pt.LevelPTE, mem.Loc{Medium: mem.DRAM})
-	n.Shared = true
-	n.NoAD = true // DaxVM drops A/D maintenance in file tables
+	n := pt.NewFileTableNode(mem.Loc{Medium: mem.DRAM})
 	var blockAddr uint64
 	if persistent {
 		runs := ft.d.metaAlloc.Alloc(t, 1)
@@ -200,13 +198,13 @@ func (ft *FileTable) promoteHugeChunks(t *sim.Thread) {
 		if c.huge || c.node == nil || c.pages != alloc.BlocksPerHuge {
 			continue
 		}
-		base := c.node.Entries[0].PFN()
+		base := c.node.Entry(0).PFN()
 		if !mem.IsAligned(uint64(base), alloc.BlocksPerHuge) {
 			continue
 		}
 		contig := true
 		for i := 1; i < alloc.BlocksPerHuge; i++ {
-			if c.node.Entries[i].PFN() != base+mem.PFN(i) {
+			if c.node.Entry(i).PFN() != base+mem.PFN(i) {
 				contig = false
 				break
 			}
@@ -260,8 +258,8 @@ func (ft *FileTable) Clear(t *sim.Thread, keepBlocks uint64) {
 		c := &ft.chunks[keepChunks-1]
 		firstDead := int(keepBlocks % alloc.BlocksPerHuge)
 		if firstDead != 0 && c.node != nil {
-			for i := firstDead; i < mem.PTEsPerTable; i++ {
-				if c.node.Entries[i].Present() {
+			for i := firstDead; i < c.node.Len(); i++ {
+				if c.node.Entry(i).Present() {
 					c.node.SetEntry(t, i, 0)
 					c.pages--
 					ft.populatedPages--
@@ -314,7 +312,7 @@ func (ft *FileTable) writeDescriptor(t *sim.Thread) {
 	if len(ft.chunks) > mem.PageSize/8-2 {
 		panic("daxvm: descriptor overflow (file > 1 TiB?)")
 	}
-	buf := make([]byte, 8*(2+len(ft.chunks)))
+	buf := ft.d.descBuf[:8*(2+len(ft.chunks))]
 	putLE(buf[0:], descMagic|uint64(ft.Ino)&0xFFFFFF)
 	putLE(buf[8:], uint64(len(ft.chunks)))
 	for i := range ft.chunks {
@@ -354,15 +352,14 @@ func getLE(b []byte) uint64 {
 func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*FileTable, error) {
 	dev := d.dev
 	addr := mem.PhysAddr(descBlock * mem.PageSize)
-	head := make([]byte, 8)
-	dev.Read(t, addr, head)
-	if getLE(head)&^uint64(0xFFFFFF) != descMagic {
+	var word [8]byte
+	dev.Read(t, addr, word[:])
+	if getLE(word[:])&^uint64(0xFFFFFF) != descMagic {
 		return nil, fmt.Errorf("daxvm: bad file-table descriptor at block %d", descBlock)
 	}
 	ft := &FileTable{Ino: ino, Persistent: true, descBlock: descBlock, d: d}
-	cntBuf := make([]byte, 8)
-	dev.Read(t, addr+8, cntBuf)
-	count := int(getLE(cntBuf))
+	dev.Read(t, addr+8, word[:])
+	count := int(getLE(word[:]))
 	if count > mem.PageSize/8-2 {
 		return nil, fmt.Errorf("daxvm: corrupt descriptor chunk count %d", count)
 	}
@@ -370,9 +367,8 @@ func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*
 	// the page being scanned, which voids a slice Bytes returned.
 	raw := make([]byte, mem.PageSize)
 	for i := 0; i < count; i++ {
-		w := make([]byte, 8)
-		dev.Read(t, addr+mem.PhysAddr(8*(2+i)), w)
-		v := getLE(w)
+		dev.Read(t, addr+mem.PhysAddr(8*(2+i)), word[:])
+		v := getLE(word[:])
 		if v == 0 {
 			ft.chunks = append(ft.chunks, chunk{})
 			continue
@@ -384,17 +380,14 @@ func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*
 			c.pages = alloc.BlocksPerHuge
 		} else {
 			backAddr := mem.PhysAddr(v * mem.PageSize)
-			n := pt.NewNode(pt.LevelPTE, mem.Loc{Medium: mem.PMem, Node: dev.NodeOf(backAddr)})
-			n.Shared = true
-			n.NoAD = true
+			n := pt.NewFileTableNode(mem.Loc{Medium: mem.PMem, Node: dev.NodeOf(backAddr)})
 			n.Backing = dev
 			n.BackAddr = backAddr
 			dev.Load(n.BackAddr, raw)
 			for idx := 0; idx < mem.PTEsPerTable; idx++ {
 				e := pt.Entry(getLE(raw[idx*8:]))
 				if e.Present() {
-					n.Entries[idx] = 0 // SetEntry counts live
-					n.SetEntry(nil2(t), idx, e)
+					n.SetEntry(t, idx, e)
 					c.pages++
 				}
 			}
@@ -406,7 +399,3 @@ func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*
 	}
 	return ft, nil
 }
-
-// nil2 passes through the thread (placeholder for charge-free rebuild
-// paths if recovery costing is ever split out).
-func nil2(t *sim.Thread) *sim.Thread { return t }

@@ -105,11 +105,9 @@ func (m *Monitor) migrate(t *sim.Thread) {
 				continue
 			}
 			node := d.pickNode(t)
-			shadow := pt.NewNode(pt.LevelPTE, mem.Loc{Medium: mem.DRAM, Node: node})
-			shadow.Shared = true
-			shadow.NoAD = true
-			for i := 0; i < mem.PTEsPerTable; i++ {
-				if e := c.node.Entries[i]; e != 0 {
+			shadow := pt.NewFileTableNode(mem.Loc{Medium: mem.DRAM, Node: node})
+			for i := 0; i < c.node.Len(); i++ {
+				if e := c.node.Entry(i); e != 0 {
 					shadow.SetEntry(t, i, e)
 				}
 			}

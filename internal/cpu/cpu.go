@@ -307,7 +307,7 @@ func (c *Core) setLeafBits(t *sim.Thread, leaf pt.Leaf, write bool) {
 	if n == nil || n.NoAD {
 		return
 	}
-	e := n.Entries[leaf.Index]
+	e := n.Entry(leaf.Index)
 	ne := e | pt.BitAccessed
 	if write {
 		ne |= pt.BitDirty

@@ -75,7 +75,7 @@ func TestADBitsMaintainedUnlessNoAD(t *testing.T) {
 		as.Map(th, va, pt.MakeEntry(1, mem.PermRead|mem.PermWrite, true, false), pt.LevelPTE)
 		c.Translate(th, as, va, true)
 		leaf, idx := as.LeafNode(va)
-		if !leaf.Entries[idx].Accessed() || !leaf.Entries[idx].Dirty() {
+		if !leaf.Entry(idx).Accessed() || !leaf.Entry(idx).Dirty() {
 			t.Error("A/D bits not set on write")
 		}
 
@@ -86,7 +86,7 @@ func TestADBitsMaintainedUnlessNoAD(t *testing.T) {
 		leaf2.NoAD = true
 		c.Translate(th, as, va2, true)
 		_, idx2 := as.LeafNode(va2)
-		if leaf2.Entries[idx2].Accessed() || leaf2.Entries[idx2].Dirty() {
+		if leaf2.Entry(idx2).Accessed() || leaf2.Entry(idx2).Dirty() {
 			t.Error("NoAD node had A/D bits set")
 		}
 	})
@@ -308,7 +308,7 @@ func TestTranslateZeroAlloc(t *testing.T) {
 		walkMisses = c.TLB.Stats.Misses - misses
 		walks := c.Stats.Walks
 		measure("dirty-bit re-walk", func() {
-			leaf.Entries[idx] &^= pt.BitDirty
+			leaf.SetEntry(th, idx, leaf.Entry(idx)&^pt.BitDirty)
 			reinsert() // caches the entry clean
 			c.Translate(th, as, va, true)
 		})

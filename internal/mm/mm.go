@@ -500,7 +500,7 @@ func (m *MM) makeWritable(t *sim.Thread, va mem.VirtAddr) {
 		return
 	}
 	leaf.Ptl.Lock(t, cost.SpinLockAcquire)
-	e := leaf.Entries[idx]
+	e := leaf.Entry(idx)
 	leaf.SetEntry(t, idx, e|pt.BitWrite|pt.BitDirty|pt.BitAccessed)
 	leaf.Ptl.Unlock(t, cost.SpinLockRelease)
 	t.Charge(cost.PTESetPerPage)
@@ -658,7 +658,7 @@ func (m *MM) Mprotect(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uin
 		if leaf == nil {
 			continue
 		}
-		e := leaf.Entries[idx]
+		e := leaf.Entry(idx)
 		if !e.Present() {
 			continue
 		}
@@ -708,7 +708,7 @@ func (m *MM) Msync(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uint64
 		// Re-write-protect the page for all mappings of this process.
 		pva := v.Start + mem.VirtAddr((pg-v.FileOff/mem.PageSize)*mem.PageSize)
 		if leaf, i := m.AS.LeafNode(pva); leaf != nil {
-			e := leaf.Entries[i]
+			e := leaf.Entry(i)
 			if e.Present() {
 				leaf.SetEntry(t, i, e&^(pt.BitWrite|pt.BitDirty))
 				t.Charge(cost.PTESetPerPage)

@@ -43,12 +43,12 @@ func TestPageFaultZeroAlloc(t *testing.T) {
 		// that upgrades it; after the first, the dirty set's bitset
 		// already covers the page.
 		allocs["wp"] = testing.AllocsPerRun(200, func() {
-			leaf.SetEntry(th, idx, leaf.Entries[idx]&^pt.BitWrite)
+			leaf.SetEntry(th, idx, leaf.Entry(idx)&^pt.BitWrite)
 			if err := ev.mm.WPFault(th, core, va); err != nil {
 				t.Fatalf("WPFault: %v", err)
 			}
 		})
-		if !leaf.Entries[idx].Writable() || ev.mm.Stats.WPFaults == 0 {
+		if !leaf.Entry(idx).Writable() || ev.mm.Stats.WPFaults == 0 {
 			t.Fatal("WP faults did not upgrade the page")
 		}
 

@@ -1,9 +1,14 @@
 // Package pt implements simulated x86-64 four-level page tables.
 //
-// Nodes are 512-entry tables exactly like the hardware's; leaf entries
-// carry PFN + architectural bits (present/write/accessed/dirty/PS). Interior
-// entries are mirrored by Go child pointers so the simulator can descend
-// without a physical address space for DRAM nodes.
+// Every node models one 4 KiB, 512-entry table page, as on the hardware;
+// leaf entries carry PFN + architectural bits (present/write/accessed/
+// dirty/PS). Interior entries are mirrored by Go child pointers so the
+// simulator can descend without a physical address space for DRAM nodes.
+// Host storage is a separate matter from that simulated size: a process
+// node holds all 512 entries, while a DaxVM file-table node holds only
+// the prefix it has populated, grown from one cache line of entries by
+// doubling, and reads zero past it. Charges and table-byte accounting follow the simulated
+// page either way.
 //
 // Two properties matter for DaxVM:
 //
@@ -111,14 +116,17 @@ func index(va mem.VirtAddr, level int) int {
 // pool (PMem-resident nodes, or nodes allocated without a pool).
 const NoFrame = ^mem.PFN(0)
 
-// Node is one 512-entry table.
+// Node is one 512-entry table. Entry reads a slot and SetEntry is the
+// only writer.
 type Node struct {
-	Entries [mem.PTEsPerTable]Entry
+	// entries holds a prefix of the table's slots; slots past its end
+	// read 0. Process nodes hold all 512 (in the node's own allocation);
+	// file-table nodes start empty and grow as SetEntry populates them.
+	entries []Entry
 	// children mirrors interior entries with Go pointers. Only interior
-	// nodes own the array: a PTE-level node holds leaf entries alone,
-	// which halves the host footprint of DaxVM file tables (PTE-level
-	// nodes only) and keeps 4 KiB of nil pointers per node out of GC
-	// scans.
+	// nodes own the array: a PTE-level node (every DaxVM file-table node
+	// is one) holds leaf entries alone, which keeps 4 KiB of nil pointers
+	// per node off the heap and out of GC scans.
 	children *[mem.PTEsPerTable]*Node
 	Level    int
 	Loc      mem.Loc
@@ -160,17 +168,35 @@ type Node struct {
 // cannot depend on it.
 var nodeSerials uint64
 
-// NewNode allocates a table node at the given level at the given
-// location (medium + NUMA node).
+// fullNode is a process table node and its 512 entries in one host
+// allocation.
+type fullNode struct {
+	Node
+	table [mem.PTEsPerTable]Entry
+}
+
+// NewNode allocates a table node holding all 512 entries at the given
+// level at the given location (medium + NUMA node).
 func NewNode(level int, loc mem.Loc) *Node {
 	nodeSerials++
 	//lint:ignore hotalloc the allocation is the modeled work: one table node per simulated page-table page
-	n := &Node{Level: level, Loc: loc, Frame: NoFrame, serial: nodeSerials}
+	f := &fullNode{Node: Node{Level: level, Loc: loc, Frame: NoFrame, serial: nodeSerials}}
+	n := &f.Node
+	n.entries = f.table[:]
 	if level > LevelPTE {
 		//lint:ignore hotalloc part of the modeled node: an interior table page's child links, allocated with it
 		n.children = new([mem.PTEsPerTable]*Node)
 	}
 	return n
+}
+
+// NewFileTableNode allocates a shared PTE-level DaxVM file-table node at
+// loc, with no A/D-bit upkeep (A/D bits only serve volatile-memory
+// reclamation, irrelevant for DAX). It holds no entries until SetEntry
+// stores one: a small file populates a few slots of its table.
+func NewFileTableNode(loc mem.Loc) *Node {
+	nodeSerials++
+	return &Node{Level: LevelPTE, Loc: loc, Frame: NoFrame, Shared: true, NoAD: true, serial: nodeSerials}
 }
 
 // Serial returns the node's allocation serial. It is a hash input for
@@ -181,11 +207,31 @@ func (n *Node) Serial() uint64 { return n.serial }
 // Live returns the number of populated slots.
 func (n *Node) Live() int { return n.live }
 
+// Entry returns the entry in slot idx.
+func (n *Node) Entry(idx int) Entry {
+	if idx < len(n.entries) {
+		return n.entries[idx]
+	}
+	return 0
+}
+
+// Len returns how many slots the node holds on the host; every slot at
+// or past it reads 0.
+func (n *Node) Len() int { return len(n.entries) }
+
 // SetEntry writes a leaf/interior entry value, mirroring to PMem backing
 // if present (cached store; the caller batches Flush via FlushEntries).
+// A nonzero store past the held slots grows them; a zero store there
+// changes nothing held but is still mirrored.
 func (n *Node) SetEntry(t *sim.Thread, idx int, e Entry) {
-	old := n.Entries[idx]
-	n.Entries[idx] = e
+	old := n.Entry(idx)
+	switch {
+	case idx < len(n.entries):
+		n.entries[idx] = e
+	case e != 0:
+		n.grow(idx)
+		n.entries[idx] = e
+	}
 	switch {
 	case old == 0 && e != 0:
 		n.live++
@@ -199,6 +245,19 @@ func (n *Node) SetEntry(t *sim.Thread, idx int, e Entry) {
 	}
 }
 
+// grow extends the held slots past idx: from one cache line of entries,
+// doubling, up to the full table.
+func (n *Node) grow(idx int) {
+	size := max(mem.PTEsPerCacheLine, 2*len(n.entries))
+	for size <= idx {
+		size *= 2
+	}
+	//lint:ignore hotalloc only file-table nodes grow, a few times each as files allocate blocks; fault and A/D stores hit process nodes, which hold every slot
+	grown := make([]Entry, min(size, mem.PTEsPerTable))
+	copy(grown, n.entries)
+	n.entries = grown
+}
+
 // SetChild links an interior entry to a child node.
 func (n *Node) SetChild(t *sim.Thread, idx int, child *Node, e Entry) {
 	if n.Level <= LevelPTE {
@@ -208,9 +267,12 @@ func (n *Node) SetChild(t *sim.Thread, idx int, child *Node, e Entry) {
 	n.SetEntry(t, idx, e)
 }
 
-// ClearSlot removes entry and child link at idx.
+// ClearSlot removes entry and child link at idx (a PTE-level node has
+// the entry only).
 func (n *Node) ClearSlot(t *sim.Thread, idx int) {
-	n.children[idx] = nil
+	if n.children != nil {
+		n.children[idx] = nil
+	}
 	n.SetEntry(t, idx, 0)
 }
 
@@ -295,7 +357,7 @@ func (as *AddressSpace) Resolve(va mem.VirtAddr) Leaf {
 	writable := true
 	for lvl := LevelPGD; lvl >= LevelPTE; lvl-- {
 		idx := index(va, lvl)
-		ent := n.Entries[idx]
+		ent := n.Entry(idx)
 		if !ent.Present() {
 			return Leaf{Level: lvl}
 		}
@@ -357,7 +419,7 @@ func (as *AddressSpace) Detach(t *sim.Thread, va mem.VirtAddr, attachLevel int) 
 		}
 	}
 	idx := index(va, attachLevel)
-	if !n.Entries[idx].Attached() {
+	if !n.Entry(idx).Attached() {
 		return nil
 	}
 	sub := n.children[idx]
@@ -376,7 +438,7 @@ func (as *AddressSpace) AttachedPerm(t *sim.Thread, va mem.VirtAddr, attachLevel
 		}
 	}
 	idx := index(va, attachLevel)
-	e := n.Entries[idx]
+	e := n.Entry(idx)
 	if !e.Attached() {
 		return false
 	}
@@ -408,7 +470,7 @@ func (as *AddressSpace) clearIn(t *sim.Thread, n *Node, base mem.VirtAddr, start
 		hi = int((uint64(end) - 1 - uint64(base)) / span)
 	}
 	for idx := lo; idx <= hi; idx++ {
-		e := n.Entries[idx]
+		e := n.Entry(idx)
 		if !e.Present() {
 			continue
 		}

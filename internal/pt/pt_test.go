@@ -104,7 +104,7 @@ func TestAttachDetachSharedFragment(t *testing.T) {
 		if _, _, _, ok := asRO.Lookup(va + 4096); !ok {
 			t.Error("shared fragment damaged by detach")
 		}
-		if sub.Entries[3].PFN() != 103 {
+		if sub.Entry(3).PFN() != 103 {
 			t.Error("shared PTEs mutated")
 		}
 	})
@@ -165,7 +165,7 @@ func TestClearRangeDetachesFragments(t *testing.T) {
 		if cleared != mem.HugeSize/mem.PageSize {
 			t.Errorf("cleared = %d", cleared)
 		}
-		if sub.Entries[0] == 0 {
+		if sub.Entry(0) == 0 {
 			t.Error("shared fragment zeroed by ClearRange")
 		}
 	})
@@ -247,24 +247,39 @@ func TestClearRangePrunesNodes(t *testing.T) {
 	}
 }
 
-// TestNodeFootprint pins the host size of table nodes. A PTE-level node
-// holds its entries and a small header but no child array (DaxVM file
-// tables are PTE-level nodes only); every interior level owns one. A
-// round trip through all four levels checks that the tree still works:
-// Map at PTE and PMD level, Attach at PMD and PUD level, Resolve, Detach
-// and ClearRange.
+// TestNodeFootprint pins the host size of table nodes. A process leaf
+// is one allocation: a small header and the 4 KiB of entries, with no
+// child array (every interior level owns one). A file-table node starts
+// empty and holds a populated prefix of k entries in at most max(8, 2k)
+// slots, rounded up to a cache line of entries. A round trip through all
+// four levels checks that the tree still works: Map at PTE and PMD level,
+// Attach at PMD and PUD level, Resolve, Detach and ClearRange.
 func TestNodeFootprint(t *testing.T) {
 	const header = 256
-	var leaf Node
-	if size, entries := unsafe.Sizeof(leaf), unsafe.Sizeof(leaf.Entries); size > entries+header {
-		t.Errorf("PTE-level node is %d B, want at most %d B of entries + %d B", size, entries, header)
+	var full fullNode
+	if size, entries := unsafe.Sizeof(full), unsafe.Sizeof(full.table); size > entries+header {
+		t.Errorf("process node is %d B, want at most %d B of entries + %d B", size, entries, header)
 	}
-	if NewNode(LevelPTE, mem.Loc{}).children != nil {
-		t.Error("PTE-level node owns a child array")
+	var sink *Node
+	if allocs := testing.AllocsPerRun(100, func() { sink = NewNode(LevelPTE, mem.Loc{}) }); allocs != 1 {
+		t.Errorf("a process leaf takes %v allocations, want 1", allocs)
+	}
+	if sink.Len() != mem.PTEsPerTable || sink.children != nil {
+		t.Errorf("process leaf holds %d entries (child array %v), want %d and none", sink.Len(), sink.children != nil, mem.PTEsPerTable)
 	}
 	for _, lvl := range []int{LevelPMD, LevelPUD, LevelPGD} {
-		if NewNode(lvl, mem.Loc{}).children == nil {
-			t.Errorf("level-%d node has no child array", lvl)
+		if n := NewNode(lvl, mem.Loc{}); n.children == nil || n.Len() != mem.PTEsPerTable {
+			t.Errorf("level-%d node holds %d entries, child array %v", lvl, n.Len(), n.children != nil)
+		}
+	}
+	ft := NewFileTableNode(mem.Loc{Medium: mem.PMem})
+	if ft.Len() != 0 || ft.Level != LevelPTE || !ft.Shared || !ft.NoAD {
+		t.Errorf("new file-table node: %d entries, level %d, shared %v, noAD %v", ft.Len(), ft.Level, ft.Shared, ft.NoAD)
+	}
+	for k := 1; k <= mem.PTEsPerTable; k++ {
+		ft.SetEntry(nil, k-1, MakeEntry(mem.PFN(k), mem.PermRead, true, false))
+		if got, bound := ft.Len(), heldBound(k); got < k || got > bound {
+			t.Fatalf("file-table node with %d entries holds %d, want %d..%d", k, got, k, bound)
 		}
 	}
 
@@ -279,12 +294,10 @@ func TestNodeFootprint(t *testing.T) {
 	huge := base + mem.HugeSize
 	pmdAt := base + 2*mem.HugeSize
 	pudAt := base + mem.VirtAddr(LevelSpan(LevelPUD))
-	fragPTE := NewNode(LevelPTE, mem.Loc{Medium: mem.PMem})
-	fragPTE.Shared = true
+	fragPTE := NewFileTableNode(mem.Loc{Medium: mem.PMem})
 	fragPMD := NewNode(LevelPMD, mem.Loc{Medium: mem.PMem})
 	fragPMD.Shared = true
-	fragLeaf := NewNode(LevelPTE, mem.Loc{Medium: mem.PMem})
-	fragLeaf.Shared = true
+	fragLeaf := NewFileTableNode(mem.Loc{Medium: mem.PMem})
 	run(func(th *sim.Thread) {
 		fragPTE.SetEntry(th, 1, MakeEntry(7, rw, true, false))
 		fragLeaf.SetEntry(th, 2, MakeEntry(8, rw, true, false))
@@ -335,7 +348,86 @@ func TestNodeFootprint(t *testing.T) {
 	if freed != 3 { // the PUD, PMD and PTE nodes Map built
 		t.Errorf("ClearRange freed %d nodes, want 3", freed)
 	}
-	if fragPTE.Entries[1] == 0 || fragLeaf.Entries[2] == 0 || fragPMD.children[3] != fragLeaf {
+	if fragPTE.Entry(1) == 0 || fragLeaf.Entry(2) == 0 || fragPMD.children[3] != fragLeaf {
 		t.Error("ClearRange mutated a shared fragment")
 	}
+}
+
+// heldBound is the most slots a file-table node may hold once its
+// highest populated slot is k-1: max(8, 2k), rounded up to a cache line
+// of entries, and never more than the table.
+func heldBound(k int) int {
+	if k == 0 {
+		return 0
+	}
+	b := mem.AlignedUp(uint64(max(mem.PTEsPerCacheLine, 2*k)), mem.PTEsPerCacheLine)
+	return min(int(b), mem.PTEsPerTable)
+}
+
+// FuzzNodeEntries applies SetEntry and ClearSlot steps to one node and
+// checks every read against a plain 512-entry table and a live count.
+// The first byte picks the node: a file-table node (grows as slots are
+// stored), a process leaf or a process PMD node (both hold all 512).
+// Each step is three bytes: bit 0 of the first picks ClearSlot, the rest
+// of it is the stored PFN (0 stores a zero entry), and the next two give
+// the slot. A file-table node holds nothing until a nonzero store; only a
+// nonzero store at or past its end grows it, to at most heldBound slots,
+// a whole number of cache lines; a zero store there leaves it as it is.
+func FuzzNodeEntries(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		var n *Node
+		switch data[0] % 3 {
+		case 0:
+			n = NewFileTableNode(mem.Loc{Medium: mem.DRAM})
+		case 1:
+			n = NewNode(LevelPTE, mem.Loc{Medium: mem.DRAM})
+		default:
+			n = NewNode(LevelPMD, mem.Loc{Medium: mem.DRAM})
+		}
+		var ref [mem.PTEsPerTable]Entry
+		live := 0
+		for steps := data[1:]; len(steps) >= 3; steps = steps[3:] {
+			idx := (int(steps[1]) | int(steps[2])<<8) % mem.PTEsPerTable
+			var e Entry
+			if pfn := Entry(steps[0] >> 1); pfn != 0 {
+				e = pfn<<pfnShift | BitPresent
+			}
+			if got := n.Entry(idx); got != ref[idx] {
+				t.Fatalf("slot %d reads %#x before the step, want %#x", idx, got, ref[idx])
+			}
+			held := n.Len()
+			if steps[0]&1 == 1 {
+				n.ClearSlot(nil, idx)
+				e = 0
+			} else {
+				n.SetEntry(nil, idx, e)
+			}
+			switch {
+			case ref[idx] == 0 && e != 0:
+				live++
+			case ref[idx] != 0 && e == 0:
+				live--
+			}
+			ref[idx] = e
+			if n.Live() != live {
+				t.Fatalf("after storing %#x at %d: Live = %d, want %d", e, idx, n.Live(), live)
+			}
+			switch got := n.Len(); {
+			case e != 0 && idx >= held:
+				if got <= idx || got > heldBound(idx+1) || got%mem.PTEsPerCacheLine != 0 {
+					t.Fatalf("storing %#x at %d grew %d slots to %d, want %d..%d whole lines", e, idx, held, got, idx+1, heldBound(idx+1))
+				}
+			case got != held:
+				t.Fatalf("storing %#x at %d changed the held slots from %d to %d", e, idx, held, got)
+			}
+		}
+		for i := range ref {
+			if got := n.Entry(i); got != ref[i] {
+				t.Fatalf("slot %d reads %#x, want %#x", i, got, ref[i])
+			}
+		}
+	})
 }
