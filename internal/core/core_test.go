@@ -223,6 +223,7 @@ func TestVolatilePersistentThresholdAndUpgrade(t *testing.T) {
 		if ev.d.Stats.Upgrades != 1 {
 			t.Errorf("upgrades = %d", ev.d.Stats.Upgrades)
 		}
+		checkChunks(t, ftS2)
 	})
 }
 
@@ -522,7 +523,7 @@ func TestPersistentTableCrashRecovery(t *testing.T) {
 			t.Errorf("expected persistent table")
 			return
 		}
-		descBlock = ft.descBlock
+		descBlock = nodeBlock(ft.desc)
 		wantExtents = fs.Extents(in)
 		ino = in.Ino
 	})
@@ -560,6 +561,7 @@ func TestPersistentTableCrashRecovery(t *testing.T) {
 				}
 			}
 		}
+		checkChunks(t, ft)
 	})
 	e2.Run()
 }
@@ -610,6 +612,7 @@ func TestMonitorMigratesHotPMemTables(t *testing.T) {
 		if err := ev.mm.Access(th, core, va, 1<<20, false, 0); err != nil {
 			t.Errorf("post-migration access: %v", err)
 		}
+		checkChunks(t, ft)
 	})
 }
 
@@ -652,15 +655,16 @@ func TestAgedFileTableNodesHoldPopulatedEntries(t *testing.T) {
 		}
 		for i := range ft.chunks {
 			c := &ft.chunks[i]
-			for _, n := range []*pt.Node{c.node, c.volatileNode} {
-				if n == nil || (n == c.volatileNode && n == c.node) {
+			for _, n := range []*pt.Node{c.node, c.shadow} {
+				if n == nil {
 					continue
 				}
 				nodes++
-				pages += c.pages
+				pages += c.pages()
 				held += n.Len()
 			}
 		}
+		checkChunks(t, ft)
 	}
 	if volatile == 0 || volatile == len(tables) {
 		t.Fatalf("aged image has %d volatile of %d live tables, want both kinds", volatile, len(tables))

@@ -162,9 +162,6 @@ func (d *DaxVM) Hooks(prezero bool) *vfs.Hooks {
 		OnEvict: func(t *sim.Thread, in *vfs.Inode) {
 			d.onEvict(t, in)
 		},
-		OnLoad: func(t *sim.Thread, in *vfs.Inode) {
-			d.onLoad(t, in)
-		},
 	}
 	if prezero {
 		h.OnFree = func(t *sim.Thread, ext []vfs.Extent) bool {
@@ -237,7 +234,7 @@ func (d *DaxVM) onAlloc(t *sim.Thread, in *vfs.Inode, ext []vfs.Extent) {
 	}
 	ft.Populate(t, ext)
 	// Volatile table outgrew the threshold: upgrade to persistent.
-	if !ft.Persistent && ft.populatedPages*mem.PageSize > d.cfg.VolatileThreshold {
+	if !ft.Persistent && ft.populatedPages()*mem.PageSize > d.cfg.VolatileThreshold {
 		d.upgrade(t, in, ft)
 	}
 }
@@ -248,24 +245,12 @@ func (d *DaxVM) upgrade(t *sim.Thread, in *vfs.Inode, ft *FileTable) {
 	ft.Persistent = true
 	for ci := range ft.chunks {
 		c := &ft.chunks[ci]
-		if c.node == nil || c.node.Loc.Medium == mem.PMem {
+		if c.node == nil {
 			continue
 		}
 		old := c.node
-		n, blk := ft.newNode(t, true)
-		for i := 0; i < old.Len(); i++ {
-			if e := old.Entry(i); e != 0 {
-				n.SetEntry(t, i, e)
-			}
-		}
-		n.FlushEntries(t, 0, mem.PTEsPerTable)
-		c.node = n
-		c.nodeBlock = blk
-		if d.dram != nil && old.Frame != pt.NoFrame {
-			d.dram.FreeFrame(t, old.Frame)
-			old.Frame = pt.NoFrame
-		}
-		d.Stats.DRAMTableBytes -= mem.PageSize
+		c.node = d.copyTableNode(t, old, mem.PMem)
+		d.freeTableNode(t, old)
 	}
 	ft.writeDescriptor(t)
 	in.FileTable = nil
@@ -304,14 +289,6 @@ func (d *DaxVM) onEvict(t *sim.Thread, in *vfs.Inode) {
 			ft.Destroy(t)
 			delete(d.tables, in.Ino)
 		}
-	}
-}
-
-// onLoad re-links a persistent table on cold open (volatile ones are
-// rebuilt lazily by tableFor).
-func (d *DaxVM) onLoad(t *sim.Thread, in *vfs.Inode) {
-	if ft, ok := d.tables[in.Ino]; ok {
-		_ = ft // table root lives in the permanent inode; nothing to do
 	}
 }
 
@@ -374,7 +351,7 @@ func (p *Proc) Mmap(t *sim.Thread, core *cpu.Core, in *vfs.Inode, fileOff, lengt
 		end = cov
 	}
 	if end <= start {
-		return 0, fmt.Errorf("daxvm: mmap beyond populated file (off %d, file pages %d)", fileOff, ft.populatedPages)
+		return 0, fmt.Errorf("daxvm: mmap beyond populated file (off %d, file pages %d)", fileOff, ft.populatedPages())
 	}
 	vlen := end - start
 
@@ -446,8 +423,8 @@ func (p *Proc) attachRange(t *sim.Thread, v *mm.VMA, ft *FileTable) {
 		switch {
 		case c.huge:
 			p.MM.AS.Map(t, va, pt.MakeEntry(c.hugePFN, perm, true, true), pt.LevelPMD)
-		case ft.attachNode(ci) != nil:
-			p.MM.AS.Attach(t, va, pt.LevelPMD, ft.attachNode(ci), perm)
+		case c.attached() != nil:
+			p.MM.AS.Attach(t, va, pt.LevelPMD, c.attached(), perm)
 		default:
 			continue // hole
 		}
@@ -545,7 +522,7 @@ func (p *Proc) populatedVAsIn(v *mm.VMA, limit uint64) []mem.VirtAddr {
 			break
 		}
 		base := v.Start + mem.VirtAddr(uint64(i)*mem.HugeSize)
-		cnt := ft.chunks[ci].pages
+		cnt := ft.chunks[ci].pages()
 		for pg := 0; pg < cnt; pg++ {
 			vas = append(vas, base+mem.VirtAddr(pg*mem.PageSize))
 			if uint64(len(vas)) >= limit {
@@ -567,7 +544,7 @@ func (p *Proc) populatedPagesIn(v *mm.VMA) uint64 {
 	c1 := c0 + int(uint64(v.End-v.Start)/mem.HugeSize)
 	var pages uint64
 	for ci := c0; ci < c1 && ci < len(ft.chunks); ci++ {
-		pages += uint64(ft.chunks[ci].pages)
+		pages += uint64(ft.chunks[ci].pages())
 	}
 	return pages
 }

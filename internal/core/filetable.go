@@ -22,22 +22,46 @@ const VolatileThresholdDefault = 32 << 10
 
 // chunk is the file-table state for one 2 MiB span of the file.
 type chunk struct {
-	// node is the shared PTE-level node (nil when the chunk is a huge
-	// leaf). Volatile chunks have a DRAM node; persistent chunks a
-	// PMem-resident node (possibly shadowed by a DRAM copy after
-	// migration).
+	// node is the table's own PTE-level node: in DRAM for a volatile
+	// table, backed by a PMem block for a persistent one. It is nil for
+	// a hole or a huge chunk.
 	node *pt.Node
-	// volatileNode is the DRAM shadow after migration (or the only node
-	// for volatile tables — then node == volatileNode).
-	volatileNode *pt.Node
+	// shadow is the monitor's DRAM copy of node after migration, or nil.
+	// set keeps it equal to node slot for slot.
+	shadow *pt.Node
 	// huge: the chunk's 512 blocks are one aligned run, representable as
 	// a PMD leaf entry.
 	huge    bool
 	hugePFN mem.PFN
-	// pages populated in this chunk.
-	pages int
-	// nodeBlock is the PMem block backing a persistent node.
-	nodeBlock uint64
+}
+
+// set stores e in slot idx of the chunk's node and of its shadow. It is
+// the only entry store to a chunk, so the two nodes cannot disagree.
+func (c *chunk) set(t *sim.Thread, idx int, e pt.Entry) {
+	c.node.SetEntry(t, idx, e)
+	if c.shadow != nil {
+		c.shadow.SetEntry(t, idx, e)
+	}
+}
+
+// attached returns the node a mapping splices for the chunk: the DRAM
+// shadow after migration, else node.
+func (c *chunk) attached() *pt.Node {
+	if c.shadow != nil {
+		return c.shadow
+	}
+	return c.node
+}
+
+// pages reports the chunk's populated pages.
+func (c *chunk) pages() int {
+	switch {
+	case c.huge:
+		return alloc.BlocksPerHuge
+	case c.node == nil:
+		return 0
+	}
+	return c.node.Live()
 }
 
 // FileTable is DaxVM's pre-populated page-table fragment set for one file.
@@ -48,86 +72,88 @@ type FileTable struct {
 
 	chunks []chunk
 
-	// descBlock is the PMem block holding the on-media descriptor
-	// (per-chunk node addresses) for persistent tables.
-	descBlock uint64
-
-	populatedPages uint64
+	// desc is the PMem page holding the on-media descriptor (per-chunk
+	// node addresses) of a persistent table, nil until first written.
+	// writeDescriptor stores its words; it holds no entries.
+	desc *pt.Node
 
 	d *DaxVM
 }
 
-// attachNode returns the node to splice for chunk i, preferring the DRAM
-// shadow after migration.
-func (ft *FileTable) attachNode(i int) *pt.Node {
-	c := &ft.chunks[i]
-	if c.volatileNode != nil {
-		return c.volatileNode
-	}
-	return c.node
-}
-
-// Chunks reports the number of 2 MiB spans covered.
-func (ft *FileTable) Chunks() int { return len(ft.chunks) }
-
-// PopulatedPages reports populated PTEs.
-func (ft *FileTable) PopulatedPages() uint64 { return ft.populatedPages }
-
-// StorageBytes reports PMem consumed by persistent nodes + descriptor.
-func (ft *FileTable) StorageBytes() uint64 {
-	if !ft.Persistent {
-		return 0
-	}
-	n := uint64(mem.PageSize) // descriptor
-	for i := range ft.chunks {
-		if ft.chunks[i].node != nil && ft.chunks[i].node.Loc.Medium == mem.PMem {
-			n += mem.PageSize
-		}
-	}
-	return n
-}
-
-// DRAMBytes reports DRAM consumed by volatile nodes/shadows.
-func (ft *FileTable) DRAMBytes() uint64 {
+// populatedPages sums the table's populated pages.
+func (ft *FileTable) populatedPages() uint64 {
 	var n uint64
 	for i := range ft.chunks {
-		c := &ft.chunks[i]
-		if c.volatileNode != nil {
-			n += mem.PageSize
-		} else if c.node != nil && c.node.Loc.Medium == mem.DRAM {
-			n += mem.PageSize
-		}
+		n += uint64(ft.chunks[i].pages())
 	}
 	return n
 }
 
-// newNode allocates one file-table node in the right medium: persistent
-// nodes live on the PMem node owning their backing block; volatile nodes
-// follow the mount's placement policy.
-func (ft *FileTable) newNode(t *sim.Thread, persistent bool) (*pt.Node, uint64) {
-	n := pt.NewFileTableNode(mem.Loc{Medium: mem.DRAM})
-	var blockAddr uint64
-	if persistent {
-		runs := ft.d.metaAlloc.Alloc(t, 1)
+// nodeBlock returns the PMem block backing a persistent node.
+func nodeBlock(n *pt.Node) uint64 { return uint64(n.BackAddr) / mem.PageSize }
+
+// pmemNode returns a file-table node backed by PMem block blk, on the
+// PMem node that holds the block.
+func (d *DaxVM) pmemNode(blk uint64) *pt.Node {
+	addr := mem.PhysAddr(blk * mem.PageSize)
+	n := pt.NewFileTableNode(mem.Loc{Medium: mem.PMem, Node: d.dev.NodeOf(addr)})
+	n.Backing = d.dev
+	n.BackAddr = addr
+	return n
+}
+
+// allocTableNode takes one file-table page on medium and books it in
+// Stats: a metaAlloc block for PMem, or a pool frame on the node the
+// placement policy picks for DRAM. It and freeTableNode are the only code
+// that takes or returns table storage: nodes, shadows and descriptors.
+func (d *DaxVM) allocTableNode(t *sim.Thread, medium mem.Medium) *pt.Node {
+	if medium == mem.PMem {
+		runs := d.metaAlloc.Alloc(t, 1)
 		if runs == nil {
 			panic("daxvm: out of PMem for file tables")
 		}
-		blockAddr = runs[0].Start
-		n.BackAddr = mem.PhysAddr(blockAddr * mem.PageSize)
-		n.Loc = mem.Loc{Medium: mem.PMem, Node: ft.d.dev.NodeOf(n.BackAddr)}
-		n.Backing = ft.d.dev
-		ft.d.Stats.PMemTableBytes += mem.PageSize
-	} else {
-		if ft.d.dram != nil {
-			node := ft.d.pickNode(t)
-			n.Frame = ft.d.dram.AllocFrameOn(t, node)
-			n.Loc.Node = node
-		} else {
-			t.Charge(cost.TableAlloc)
-		}
-		ft.d.Stats.DRAMTableBytes += mem.PageSize
+		d.Stats.PMemTableBytes += mem.PageSize
+		return d.pmemNode(runs[0].Start)
 	}
-	return n, blockAddr
+	node := d.pickNode(t)
+	n := pt.NewFileTableNode(mem.Loc{Medium: mem.DRAM, Node: node})
+	n.Frame = d.dram.AllocFrameOn(t, node)
+	d.Stats.DRAMTableBytes += mem.PageSize
+	return n
+}
+
+// freeTableNode returns the storage of a node allocTableNode took.
+func (d *DaxVM) freeTableNode(t *sim.Thread, n *pt.Node) {
+	if n.Loc.Medium == mem.PMem {
+		d.metaAlloc.Free(t, []alloc.Run{{Start: nodeBlock(n), Len: 1}})
+		d.Stats.PMemTableBytes -= mem.PageSize
+		return
+	}
+	d.dram.FreeFrame(t, n.Frame)
+	n.Frame = pt.NoFrame
+	d.Stats.DRAMTableBytes -= mem.PageSize
+}
+
+// copyTableNode returns a new node on medium holding src's entries,
+// flushed when the medium is PMem: a volatile table's upgrade and the
+// monitor's DRAM shadow.
+func (d *DaxVM) copyTableNode(t *sim.Thread, src *pt.Node, medium mem.Medium) *pt.Node {
+	n := d.allocTableNode(t, medium)
+	for i := 0; i < src.Len(); i++ {
+		if e := src.Entry(i); e != 0 {
+			n.SetEntry(t, i, e)
+		}
+	}
+	n.FlushEntries(t, 0, mem.PTEsPerTable)
+	return n
+}
+
+// medium is where the table's own nodes live.
+func (ft *FileTable) medium() mem.Medium {
+	if ft.Persistent {
+		return mem.PMem
+	}
+	return mem.DRAM
 }
 
 // Populate extends the table with freshly allocated extents (the FS
@@ -145,27 +171,19 @@ func (ft *FileTable) Populate(t *sim.Thread, ext []vfs.Extent) {
 				ft.chunks = append(ft.chunks, chunk{})
 			}
 			c := &ft.chunks[ci]
-			if c.node == nil && !c.huge {
-				n, blk := ft.newNode(t, ft.Persistent)
-				c.node = n
-				c.nodeBlock = blk
-				if ft.Persistent {
-					ft.writeDescriptor(t)
-				}
-			}
 			if c.huge {
 				// Growth after a chunk went huge cannot happen (huge
 				// means fully populated), but guard anyway.
 				continue
 			}
-			entry := pt.MakeEntry(mem.PFN(phys), mem.PermRead|mem.PermWrite, true, false)
-			c.node.SetEntry(t, idx, entry)
-			t.Charge(cost.PTESetPerPage / 4) // pre-population batches well
-			c.pages++
-			ft.populatedPages++
-			if ft.Migrated && c.volatileNode != nil {
-				c.volatileNode.SetEntry(t, idx, entry)
+			if c.node == nil {
+				c.node = ft.d.allocTableNode(t, ft.medium())
+				if ft.Persistent {
+					ft.writeDescriptor(t)
+				}
 			}
+			c.set(t, idx, pt.MakeEntry(mem.PFN(phys), mem.PermRead|mem.PermWrite, true, false))
+			t.Charge(cost.PTESetPerPage / 4) // pre-population batches well
 		}
 		// Batched cache-line flush of the lines this extent touched.
 		if ft.Persistent {
@@ -195,7 +213,7 @@ func (ft *FileTable) Populate(t *sim.Thread, ext []vfs.Extent) {
 func (ft *FileTable) promoteHugeChunks(t *sim.Thread) {
 	for ci := range ft.chunks {
 		c := &ft.chunks[ci]
-		if c.huge || c.node == nil || c.pages != alloc.BlocksPerHuge {
+		if c.node == nil || c.node.Live() != alloc.BlocksPerHuge {
 			continue
 		}
 		base := c.node.Entry(0).PFN()
@@ -218,27 +236,15 @@ func (ft *FileTable) promoteHugeChunks(t *sim.Thread) {
 	}
 }
 
-// releaseNode frees a chunk's node(s) after huge promotion.
+// releaseNode frees a chunk's node and shadow (huge promotion, truncate,
+// destruction).
 func (ft *FileTable) releaseNode(t *sim.Thread, c *chunk) {
-	if c.node != nil && c.node.Loc.Medium == mem.PMem {
-		ft.d.metaAlloc.Free(t, []alloc.Run{{Start: c.nodeBlock, Len: 1}})
-		ft.d.Stats.PMemTableBytes -= mem.PageSize
-	} else if c.node != nil {
-		if ft.d.dram != nil && c.node.Frame != pt.NoFrame {
-			ft.d.dram.FreeFrame(t, c.node.Frame)
-			c.node.Frame = pt.NoFrame
+	for _, n := range [...]*pt.Node{c.node, c.shadow} {
+		if n != nil {
+			ft.d.freeTableNode(t, n)
 		}
-		ft.d.Stats.DRAMTableBytes -= mem.PageSize
 	}
-	if c.volatileNode != nil && c.volatileNode != c.node {
-		if ft.d.dram != nil && c.volatileNode.Frame != pt.NoFrame {
-			ft.d.dram.FreeFrame(t, c.volatileNode.Frame)
-			c.volatileNode.Frame = pt.NoFrame
-		}
-		ft.d.Stats.DRAMTableBytes -= mem.PageSize
-	}
-	c.node = nil
-	c.volatileNode = nil
+	c.node, c.shadow = nil, nil
 	if ft.Persistent {
 		ft.writeDescriptor(t)
 	}
@@ -249,20 +255,26 @@ func (ft *FileTable) Clear(t *sim.Thread, keepBlocks uint64) {
 	keepChunks := int((keepBlocks + alloc.BlocksPerHuge - 1) / alloc.BlocksPerHuge)
 	for ci := len(ft.chunks) - 1; ci >= keepChunks; ci-- {
 		c := &ft.chunks[ci]
-		ft.populatedPages -= uint64(c.pages)
 		c.huge = false
 		ft.releaseNode(t, c)
 		ft.chunks = ft.chunks[:ci]
 	}
-	if keepChunks > 0 && keepChunks <= len(ft.chunks) {
+	firstDead := int(keepBlocks % alloc.BlocksPerHuge)
+	if firstDead != 0 && keepChunks <= len(ft.chunks) {
 		c := &ft.chunks[keepChunks-1]
-		firstDead := int(keepBlocks % alloc.BlocksPerHuge)
-		if firstDead != 0 && c.node != nil {
+		if c.huge {
+			// A PMD leaf cannot map part of a chunk: the kept blocks go
+			// back into a node, built as if they were just allocated.
+			c.huge = false
+			ft.Populate(t, []vfs.Extent{{
+				File: uint64(keepChunks-1) * alloc.BlocksPerHuge,
+				Phys: uint64(c.hugePFN),
+				Len:  uint64(firstDead),
+			}})
+		} else if c.node != nil {
 			for i := firstDead; i < c.node.Len(); i++ {
 				if c.node.Entry(i).Present() {
-					c.node.SetEntry(t, i, 0)
-					c.pages--
-					ft.populatedPages--
+					c.set(t, i, 0)
 				}
 			}
 			if ft.Persistent {
@@ -282,32 +294,25 @@ func (ft *FileTable) Destroy(t *sim.Thread) {
 		ft.releaseNode(t, &ft.chunks[ci])
 	}
 	ft.chunks = nil
-	ft.populatedPages = 0
-	if ft.Persistent && ft.descBlock != 0 {
-		ft.d.metaAlloc.Free(t, []alloc.Run{{Start: ft.descBlock, Len: 1}})
-		ft.d.Stats.PMemTableBytes -= mem.PageSize
-		ft.descBlock = 0
+	if ft.desc != nil {
+		ft.d.freeTableNode(t, ft.desc)
+		ft.desc = nil
 	}
 }
 
 // --- on-media descriptor (persistent tables) --------------------------------
 
-// Descriptor layout (block ft.descBlock): 8-byte magic+ino, then one
-// 8-byte word per chunk: the physical block of the chunk's PTE node, or
-// hugePFN|hugeBit, or 0 for absent.
+// Descriptor layout (page ft.desc): 8-byte magic+ino, then the chunk
+// count, then one 8-byte word per chunk: the physical block of the
+// chunk's PTE node, or hugePFN|hugeBit, or 0 for absent.
 const (
 	descMagic   = uint64(0xDA4F17AB1E000000)
 	descHugeBit = uint64(1) << 62
 )
 
 func (ft *FileTable) writeDescriptor(t *sim.Thread) {
-	if ft.descBlock == 0 {
-		runs := ft.d.metaAlloc.Alloc(t, 1)
-		if runs == nil {
-			panic("daxvm: out of PMem for descriptor")
-		}
-		ft.descBlock = runs[0].Start
-		ft.d.Stats.PMemTableBytes += mem.PageSize
+	if ft.desc == nil {
+		ft.desc = ft.d.allocTableNode(t, mem.PMem)
 	}
 	if len(ft.chunks) > mem.PageSize/8-2 {
 		panic("daxvm: descriptor overflow (file > 1 TiB?)")
@@ -322,11 +327,11 @@ func (ft *FileTable) writeDescriptor(t *sim.Thread) {
 		case c.huge:
 			w = descHugeBit | uint64(c.hugePFN)
 		case c.node != nil:
-			w = c.nodeBlock
+			w = nodeBlock(c.node)
 		}
 		putLE(buf[8*(2+i):], w)
 	}
-	addr := mem.PhysAddr(ft.descBlock * mem.PageSize)
+	addr := ft.desc.BackAddr
 	ft.d.dev.WriteCached(t, addr, buf)
 	ft.d.dev.Flush(t, addr, uint64(len(buf)))
 	// Fence rides on the FS journal/log commit.
@@ -357,44 +362,32 @@ func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*
 	if getLE(word[:])&^uint64(0xFFFFFF) != descMagic {
 		return nil, fmt.Errorf("daxvm: bad file-table descriptor at block %d", descBlock)
 	}
-	ft := &FileTable{Ino: ino, Persistent: true, descBlock: descBlock, d: d}
+	ft := &FileTable{Ino: ino, Persistent: true, desc: d.pmemNode(descBlock), d: d}
 	dev.Read(t, addr+8, word[:])
 	count := int(getLE(word[:]))
 	if count > mem.PageSize/8-2 {
 		return nil, fmt.Errorf("daxvm: corrupt descriptor chunk count %d", count)
 	}
-	// The node pages are copied out with Load: SetEntry below stores to
-	// the page being scanned, which voids a slice Bytes returned.
+	// The node pages are copied out with Load: set below stores to the
+	// page being scanned, which voids a slice Bytes returned.
 	raw := make([]byte, mem.PageSize)
 	for i := 0; i < count; i++ {
 		dev.Read(t, addr+mem.PhysAddr(8*(2+i)), word[:])
 		v := getLE(word[:])
-		if v == 0 {
-			ft.chunks = append(ft.chunks, chunk{})
-			continue
-		}
 		var c chunk
-		if v&descHugeBit != 0 {
+		switch {
+		case v&descHugeBit != 0:
 			c.huge = true
 			c.hugePFN = mem.PFN(v &^ descHugeBit)
-			c.pages = alloc.BlocksPerHuge
-		} else {
-			backAddr := mem.PhysAddr(v * mem.PageSize)
-			n := pt.NewFileTableNode(mem.Loc{Medium: mem.PMem, Node: dev.NodeOf(backAddr)})
-			n.Backing = dev
-			n.BackAddr = backAddr
-			dev.Load(n.BackAddr, raw)
+		case v != 0:
+			c.node = d.pmemNode(v)
+			dev.Load(c.node.BackAddr, raw)
 			for idx := 0; idx < mem.PTEsPerTable; idx++ {
-				e := pt.Entry(getLE(raw[idx*8:]))
-				if e.Present() {
-					n.SetEntry(t, idx, e)
-					c.pages++
+				if e := pt.Entry(getLE(raw[idx*8:])); e.Present() {
+					c.set(t, idx, e)
 				}
 			}
-			c.node = n
-			c.nodeBlock = v
 		}
-		ft.populatedPages += uint64(c.pages)
 		ft.chunks = append(ft.chunks, c)
 	}
 	return ft, nil

@@ -1,0 +1,312 @@
+package core
+
+import (
+	"testing"
+
+	"daxvm/internal/dram"
+	"daxvm/internal/fs/alloc"
+	"daxvm/internal/fs/vfs"
+	"daxvm/internal/mem"
+	"daxvm/internal/pmem"
+	"daxvm/internal/pt"
+	"daxvm/internal/sim"
+)
+
+// checkChunks checks what each chunk of ft holds: a huge chunk has no
+// node, a table's own nodes live in its medium, and a shadow exists only
+// on a migrated table, in DRAM, holding its node's entries slot for slot.
+func checkChunks(t *testing.T, ft *FileTable) {
+	t.Helper()
+	for ci := range ft.chunks {
+		c := &ft.chunks[ci]
+		if c.huge {
+			if c.node != nil || c.shadow != nil {
+				t.Errorf("ino %d chunk %d: huge chunk keeps a node", ft.Ino, ci)
+			}
+			continue
+		}
+		if c.node == nil {
+			if c.shadow != nil {
+				t.Errorf("ino %d chunk %d: shadow without a node", ft.Ino, ci)
+			}
+			continue
+		}
+		if c.node.Loc.Medium != ft.medium() {
+			t.Errorf("ino %d chunk %d: node on medium %v, table persistent=%v", ft.Ino, ci, c.node.Loc.Medium, ft.Persistent)
+		}
+		if c.pages() != c.node.Live() {
+			t.Errorf("ino %d chunk %d: pages %d, node holds %d", ft.Ino, ci, c.pages(), c.node.Live())
+		}
+		if c.shadow == nil {
+			continue
+		}
+		if !ft.Migrated || c.shadow.Loc.Medium != mem.DRAM {
+			t.Errorf("ino %d chunk %d: shadow on medium %v, table migrated=%v", ft.Ino, ci, c.shadow.Loc.Medium, ft.Migrated)
+		}
+		if c.shadow.Live() != c.node.Live() {
+			t.Errorf("ino %d chunk %d: shadow holds %d entries, node %d", ft.Ino, ci, c.shadow.Live(), c.node.Live())
+		}
+		for i := 0; i < mem.PTEsPerTable; i++ {
+			if s, n := c.shadow.Entry(i), c.node.Entry(i); s != n {
+				t.Errorf("ino %d chunk %d slot %d: shadow %#x, node %#x", ft.Ino, ci, i, uint64(s), uint64(n))
+				return
+			}
+		}
+	}
+}
+
+// TestClearAfterMigrationTrimsShadow truncates a migrated persistent
+// table in the middle of its first chunk. The monitor's DRAM shadow is
+// what a mapping attaches, so it must lose the cut entries with the PMem
+// node: a fresh daxvm_mmap resolves the kept 100 KiB and nothing past it.
+func TestClearAfterMigrationTrimsShadow(t *testing.T) {
+	ev := newEnv(256, 1, Config{})
+	ev.run(func(th *sim.Thread) {
+		// A padding file between appends keeps every chunk fragmented,
+		// so no chunk is promoted huge and all three get PMem nodes.
+		in := ev.mkFile(th, "f", 4096)
+		pad, _ := ev.icache.Create(th, "pad")
+		for i := 0; i < 10; i++ {
+			ev.fs.Append(th, in, make([]byte, 512<<10))
+			ev.fs.Append(th, pad, make([]byte, 4096))
+		}
+		core := ev.cpus.Cores[0]
+		core.Bind(th)
+		va, err := ev.proc.Mmap(th, core, in, 0, in.Size, mem.PermRead, FlagNoMsync)
+		if err != nil {
+			t.Fatalf("Mmap: %v", err)
+		}
+		ft := ev.d.TableOf(in)
+		if !ft.Persistent || len(ft.chunks) != 3 {
+			t.Fatalf("table persistent=%v with %d chunks, want a persistent 3-chunk table", ft.Persistent, len(ft.chunks))
+		}
+		(&Monitor{p: ev.proc}).migrate(th)
+		if !ft.Migrated || ft.chunks[0].shadow == nil {
+			t.Fatal("monitor did not shadow the table")
+		}
+		if err := ev.proc.Munmap(th, core, va); err != nil {
+			t.Fatalf("Munmap: %v", err)
+		}
+
+		const keep = 100 << 10
+		if err := ev.fs.Truncate(th, in, keep); err != nil {
+			t.Fatalf("Truncate: %v", err)
+		}
+		checkChunks(t, ft)
+		if len(ft.chunks) != 1 || ft.chunks[0].shadow.Live() != keep/mem.PageSize {
+			t.Fatalf("after truncate: %d chunks, shadow holds %d entries, want 1 chunk of %d", len(ft.chunks), ft.chunks[0].shadow.Live(), keep/mem.PageSize)
+		}
+
+		va, err = ev.proc.Mmap(th, core, in, 0, keep, mem.PermRead, FlagNoMsync)
+		if err != nil {
+			t.Fatalf("Mmap after truncate: %v", err)
+		}
+		var want []mem.PFN
+		for _, e := range ev.fs.Extents(in) {
+			for b := uint64(0); b < e.Len; b++ {
+				want = append(want, mem.PFN(e.Phys+b))
+			}
+		}
+		for pg := 0; pg < alloc.BlocksPerHuge; pg++ {
+			e, _, _, ok := ev.mm.AS.Lookup(va + mem.VirtAddr(pg*mem.PageSize))
+			switch {
+			case pg < len(want) && (!ok || e.PFN() != want[pg]):
+				t.Errorf("page %d: resolves=%v PFN %d, want PFN %d", pg, ok, e.PFN(), want[pg])
+			case pg >= len(want) && ok:
+				t.Errorf("page %d past the 100 KiB EOF resolves to freed block %d", pg, e.PFN())
+			}
+		}
+	})
+}
+
+// TestTruncateSplitsHugeChunk truncates a file in the middle of a chunk
+// promoted to a PMD leaf. The leaf would keep mapping the freed half, so
+// the kept blocks go back into a PTE node.
+func TestTruncateSplitsHugeChunk(t *testing.T) {
+	ev := newEnv(256, 1, Config{})
+	ev.run(func(th *sim.Thread) {
+		in, _ := ev.icache.Create(th, "big")
+		if err := ev.fs.Fallocate(th, in, 0, 4<<20); err != nil {
+			t.Fatalf("Fallocate: %v", err)
+		}
+		ft := ev.d.TableOf(in)
+		if !ft.chunks[1].huge {
+			t.Fatal("fresh image gave no huge second chunk")
+		}
+		const keep = 3 << 20
+		if err := ev.fs.Truncate(th, in, keep); err != nil {
+			t.Fatalf("Truncate: %v", err)
+		}
+		checkChunks(t, ft)
+		c := &ft.chunks[1]
+		if c.huge || c.node == nil || c.pages() != alloc.BlocksPerHuge/2 {
+			t.Fatalf("cut chunk: huge=%v, %d pages, want a node of %d", c.huge, c.pages(), alloc.BlocksPerHuge/2)
+		}
+		core := ev.cpus.Cores[0]
+		core.Bind(th)
+		va, err := ev.proc.Mmap(th, core, in, 0, keep, mem.PermRead, FlagNoMsync)
+		if err != nil {
+			t.Fatalf("Mmap: %v", err)
+		}
+		if _, _, _, ok := ev.mm.AS.Lookup(va + keep); ok {
+			t.Error("page past EOF in the cut chunk resolves")
+		}
+		if _, _, _, ok := ev.mm.AS.Lookup(va + keep - mem.PageSize); !ok {
+			t.Error("last kept page does not resolve")
+		}
+	})
+}
+
+// fuzzBlocks bounds FuzzFileTable's files: four chunks.
+const fuzzBlocks = 4 * alloc.BlocksPerHuge
+
+// attachedPFN returns the PFN a mapping of ft resolves for file block b:
+// the huge leaf's, or the attached node's entry.
+func attachedPFN(ft *FileTable, b uint64) (mem.PFN, bool) {
+	ci := int(b / alloc.BlocksPerHuge)
+	if ci >= len(ft.chunks) {
+		return 0, false
+	}
+	c := &ft.chunks[ci]
+	idx := int(b % alloc.BlocksPerHuge)
+	switch {
+	case c.huge:
+		return c.hugePFN + mem.PFN(idx), true
+	case c.attached() == nil:
+		return 0, false
+	}
+	e := c.attached().Entry(idx)
+	return e.PFN(), e.Present()
+}
+
+// FuzzFileTable drives one file table through Populate, Clear (as a
+// truncate does), the monitor's migration and the volatile-to-persistent
+// upgrade, and after every step compares what a mapping would attach for
+// each of the first four chunks' blocks against a map from file block to
+// PFN. It also checks each chunk's nodes (checkChunks) and that the
+// table's nodes are exactly the storage booked in Stats.
+//
+// Bit 0 of the first byte makes the table persistent. Each step is four
+// bytes, b0..b3. b0&3 picks the step:
+//
+//   - 0 Populate: the free blocks from block (b1 | b2<<8) % 2048 on, at
+//     most (b3&63)+1 of them, times 8 if b3&64 is set. Block f maps to
+//     PFN f + 4096*(1 + (b0>>2)&3) + b0>>4, so b0 < 16 keeps chunks
+//     aligned and contiguous, and a full one is promoted huge.
+//   - 1 Clear: keep the first (b1 | b2<<8) % 2049 blocks, destroying the
+//     table at 0 (onShrink).
+//   - 2 migrate: shadow a persistent table's nodes (once per table).
+//   - 3 upgrade: make a volatile table persistent.
+//
+// A persistent table is finally recovered from its media descriptor and
+// must resolve every block the same way.
+func FuzzFileTable(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		dev := pmem.New(pmem.Config{Size: 16 << 20})
+		defer dev.Release()
+		pool := dram.New(64 << 20)
+		const metaBlocks = 1024
+		meta := alloc.New(1, metaBlocks, true)
+		d := New(Config{}, dev, pool, nil, meta, nil)
+		in := &vfs.Inode{Ino: 7}
+		ft := &FileTable{Ino: in.Ino, Persistent: data[0]&1 != 0, d: d}
+		want := map[uint64]mem.PFN{}
+
+		resolves := func(step int, ft *FileTable) {
+			t.Helper()
+			for b := uint64(0); b < fuzzBlocks; b++ {
+				got, ok := attachedPFN(ft, b)
+				if w, live := want[b]; ok != live || got != w {
+					t.Fatalf("step %d block %d: attach resolves=%v PFN %d, want resolves=%v PFN %d", step, b, ok, got, live, w)
+				}
+			}
+			checkChunks(t, ft)
+		}
+		check := func(step int) {
+			t.Helper()
+			resolves(step, ft)
+			var dramNodes, pmemNodes uint64
+			for ci := range ft.chunks {
+				for _, n := range [...]*pt.Node{ft.chunks[ci].node, ft.chunks[ci].shadow} {
+					switch {
+					case n == nil:
+					case n.Loc.Medium == mem.PMem:
+						pmemNodes++
+					default:
+						dramNodes++
+					}
+				}
+			}
+			if ft.desc != nil {
+				pmemNodes++
+			}
+			if d.Stats.DRAMTableBytes != dramNodes*mem.PageSize || pool.Used() != dramNodes*mem.PageSize {
+				t.Fatalf("step %d: %d DRAM nodes, DRAMTableBytes %d, pool holds %d", step, dramNodes, d.Stats.DRAMTableBytes, pool.Used())
+			}
+			if d.Stats.PMemTableBytes != pmemNodes*mem.PageSize || meta.FreeBlocks() != metaBlocks-pmemNodes {
+				t.Fatalf("step %d: %d PMem pages, PMemTableBytes %d, %d of %d blocks free", step, pmemNodes, d.Stats.PMemTableBytes, meta.FreeBlocks(), metaBlocks)
+			}
+		}
+
+		e := sim.New()
+		e.Go("fuzz", 0, 0, func(th *sim.Thread) {
+			steps := data[1:]
+			for s := 0; s+4 <= len(steps); s += 4 {
+				b0, from := steps[s], uint64(steps[s+1])|uint64(steps[s+2])<<8
+				switch b0 & 3 {
+				case 0:
+					n := uint64(steps[s+3]&63) + 1
+					if steps[s+3]&64 != 0 {
+						n *= 8
+					}
+					start := from % fuzzBlocks
+					off := 4096*(1+uint64(b0>>2&3)) + uint64(b0>>4)
+					ext := vfs.Extent{File: start, Phys: start + off}
+					for b := start; b < fuzzBlocks && ext.Len < n; b++ {
+						if _, live := want[b]; live {
+							break
+						}
+						want[b] = mem.PFN(b + off)
+						ext.Len++
+					}
+					if ext.Len > 0 {
+						ft.Populate(th, []vfs.Extent{ext})
+					}
+				case 1:
+					keep := from % (fuzzBlocks + 1)
+					for b := range want {
+						if b >= keep {
+							delete(want, b)
+						}
+					}
+					ft.Clear(th, keep)
+					if keep == 0 {
+						ft.Destroy(th)
+					}
+				case 2:
+					if ft.Persistent && !ft.Migrated {
+						ft.shadowNodes(th)
+					}
+				case 3:
+					if !ft.Persistent {
+						d.upgrade(th, in, ft)
+					}
+				}
+				check(s / 4)
+			}
+			if !ft.Persistent || ft.desc == nil {
+				return
+			}
+			got, err := RecoverFileTable(th, d, ft.Ino, nodeBlock(ft.desc))
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			resolves(-1, got)
+		})
+		e.Run()
+	})
+}

@@ -95,33 +95,7 @@ func (m *Monitor) migrate(t *sim.Thread) {
 	p.MM.Sem.Lock(t, cost.SemAcquireFast)
 	for _, ino := range obs.SortedKeys(d.tables) {
 		ft := d.tables[ino]
-		if !ft.Persistent || ft.Migrated {
-			continue
-		}
-		anyChunk := false
-		for ci := range ft.chunks {
-			c := &ft.chunks[ci]
-			if c.node == nil || c.node.Loc.Medium != mem.PMem || c.volatileNode != nil {
-				continue
-			}
-			node := d.pickNode(t)
-			shadow := pt.NewFileTableNode(mem.Loc{Medium: mem.DRAM, Node: node})
-			for i := 0; i < c.node.Len(); i++ {
-				if e := c.node.Entry(i); e != 0 {
-					shadow.SetEntry(t, i, e)
-				}
-			}
-			// Copy cost: streaming read of one PMem page + DRAM stores.
-			t.ChargeAs("table_copy", cost.CopyFromPMemPerPage)
-			if d.dram != nil {
-				shadow.Frame = d.dram.AllocFrameOn(t, node)
-			}
-			d.Stats.DRAMTableBytes += mem.PageSize
-			c.volatileNode = shadow
-			anyChunk = true
-		}
-		if anyChunk {
-			ft.Migrated = true
+		if !ft.Migrated && ft.shadowNodes(t) {
 			migratedAny = true
 			m.reattach(t, ft)
 		}
@@ -141,6 +115,23 @@ func (m *Monitor) migrate(t *sim.Thread) {
 	}
 }
 
+// shadowNodes gives each PMem node of a persistent table a DRAM shadow
+// and marks the table migrated if it had any. A table migrates once:
+// chunks it grows later keep their PMem node alone.
+func (ft *FileTable) shadowNodes(t *sim.Thread) bool {
+	for ci := range ft.chunks {
+		c := &ft.chunks[ci]
+		if c.node == nil {
+			continue
+		}
+		// Copy cost: streaming read of one PMem page + DRAM stores.
+		t.ChargeAs("table_copy", cost.CopyFromPMemPerPage)
+		c.shadow = ft.d.copyTableNode(t, c.node, mem.DRAM)
+		ft.Migrated = true
+	}
+	return ft.Migrated
+}
+
 // reattach walks the process's DaxVM VMAs of this table and swaps the
 // attachment pointers to the DRAM shadows.
 func (m *Monitor) reattach(t *sim.Thread, ft *FileTable) {
@@ -154,12 +145,12 @@ func (m *Monitor) reattach(t *sim.Thread, ft *FileTable) {
 				break
 			}
 			c := &ft.chunks[ci]
-			if c.volatileNode == nil {
+			if c.shadow == nil {
 				continue
 			}
 			va := v.Start + mem.VirtAddr(uint64(i)*mem.HugeSize)
 			if old := p.MM.AS.Detach(t, va, pt.LevelPMD); old != nil {
-				p.MM.AS.Attach(t, va, pt.LevelPMD, c.volatileNode, attachPerm(v))
+				p.MM.AS.Attach(t, va, pt.LevelPMD, c.attached(), attachPerm(v))
 				t.ChargeAs("reattach", cost.AttachEntry*2)
 			}
 		}

@@ -181,6 +181,3 @@ func (p *Pool) OccupancyPerMille() uint64 { return p.used * 1000 / p.capacity }
 func (p *Pool) OccupancyOnPerMille(node int) uint64 {
 	return p.banks[node].used * 1000 / (p.bankPages * mem.PageSize)
 }
-
-// Capacity reports the configured capacity in bytes.
-func (p *Pool) Capacity() uint64 { return p.capacity }

@@ -36,7 +36,7 @@ func NewICache(fs FS, capacity int, hooks *Hooks) *ICache {
 }
 
 // Open resolves path and returns a referenced inode, loading it on a cold
-// miss (which charges media access and triggers the OnLoad hook).
+// miss (which charges media access).
 func (c *ICache) Open(t *sim.Thread, path string) (*Inode, error) {
 	ino, err := c.fs.LookupPath(t, path)
 	if err != nil {
@@ -56,9 +56,6 @@ func (c *ICache) Open(t *sim.Thread, path string) (*Inode, error) {
 	}
 	c.insert(t, in)
 	in.Refs++
-	if c.hooks != nil && c.hooks.OnLoad != nil {
-		c.hooks.OnLoad(t, in)
-	}
 	return in, nil
 }
 
@@ -70,9 +67,6 @@ func (c *ICache) Create(t *sim.Thread, path string) (*Inode, error) {
 	}
 	c.insert(t, in)
 	in.Refs++
-	if c.hooks != nil && c.hooks.OnCreate != nil {
-		c.hooks.OnCreate(t, in)
-	}
 	return in, nil
 }
 

@@ -144,10 +144,6 @@ type Hooks struct {
 	// OnEvict runs when the icache drops an inode (volatile file tables
 	// die here).
 	OnEvict func(t *sim.Thread, ino *Inode)
-	// OnCreate/OnLoad run when an inode becomes live (file-table
-	// construction or recovery point).
-	OnCreate func(t *sim.Thread, ino *Inode)
-	OnLoad   func(t *sim.Thread, ino *Inode)
 }
 
 // ForceUnmapAll invokes every registered mapper callback (truncate race

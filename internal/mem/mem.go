@@ -45,14 +45,8 @@ type VirtAddr uint64
 // PageDown rounds v down to a base-page boundary.
 func (v VirtAddr) PageDown() VirtAddr { return v &^ (PageSize - 1) }
 
-// PageUp rounds v up to a base-page boundary.
-func (v VirtAddr) PageUp() VirtAddr { return (v + PageSize - 1) &^ (PageSize - 1) }
-
 // HugeDown rounds v down to a 2 MiB boundary.
 func (v VirtAddr) HugeDown() VirtAddr { return v &^ (HugeSize - 1) }
-
-// HugeUp rounds v up to a 2 MiB boundary.
-func (v VirtAddr) HugeUp() VirtAddr { return (v + HugeSize - 1) &^ (HugeSize - 1) }
 
 // Medium identifies which memory technology holds a frame. Page-walk and
 // data-access costs depend on it.
@@ -101,9 +95,6 @@ const (
 	PermWrite
 	PermExec
 )
-
-// CanRead reports whether the permission allows loads.
-func (p Perm) CanRead() bool { return p&PermRead != 0 }
 
 // CanWrite reports whether the permission allows stores.
 func (p Perm) CanWrite() bool { return p&PermWrite != 0 }

@@ -170,9 +170,6 @@ func (d *Device) Pages() uint64 { return d.size / mem.PageSize }
 // NodeCount returns how many NUMA-node banks the device spans.
 func (d *Device) NodeCount() int { return len(d.banks) }
 
-// NodePages returns the capacity of one node's bank in base pages.
-func (d *Device) NodePages() uint64 { return d.bankSize / mem.PageSize }
-
 // NodeOf returns the NUMA node whose DIMMs hold addr.
 func (d *Device) NodeOf(addr mem.PhysAddr) mem.NodeID {
 	n := uint64(addr) / d.bankSize

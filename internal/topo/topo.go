@@ -51,9 +51,6 @@ func Single(cores int) *Topology { return New(1, cores) }
 // Nodes returns the number of NUMA nodes.
 func (tp *Topology) Nodes() int { return tp.nodes }
 
-// CoresPerNode returns the number of cores on each node.
-func (tp *Topology) CoresPerNode() int { return tp.coresPerNode }
-
 // Multi reports whether the machine has more than one node; nil
 // receivers stand for the flat single-node machine.
 func (tp *Topology) Multi() bool { return tp != nil && tp.nodes > 1 }
