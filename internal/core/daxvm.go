@@ -116,6 +116,11 @@ type DaxVM struct {
 	// descBuf stages one file-table descriptor block for writeDescriptor
 	// (the device copies it out before the call returns).
 	descBuf [mem.PageSize]byte
+	// runBuf stages a run of file-table entries for one node's
+	// SetEntries (Populate, Clear, copyTableNode, RecoverFileTable). A
+	// run is built and stored with no handoff between, so no other
+	// thread sees it.
+	runBuf [mem.PTEsPerTable]pt.Entry
 }
 
 // New creates the DaxVM manager for one file system.

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"daxvm/internal/cost"
@@ -27,7 +28,7 @@ type chunk struct {
 	// a hole or a huge chunk.
 	node *pt.Node
 	// shadow is the monitor's DRAM copy of node after migration, or nil.
-	// set keeps it equal to node slot for slot.
+	// setRun keeps it equal to node slot for slot.
 	shadow *pt.Node
 	// huge: the chunk's 512 blocks are one aligned run, representable as
 	// a PMD leaf entry.
@@ -35,13 +36,39 @@ type chunk struct {
 	hugePFN mem.PFN
 }
 
-// set stores e in slot idx of the chunk's node and of its shadow. It is
-// the only entry store to a chunk, so the two nodes cannot disagree.
-func (c *chunk) set(t *sim.Thread, idx int, e pt.Entry) {
-	c.node.SetEntry(t, idx, e)
+// setRun stores es in slots lo, lo+1, ... of the chunk's node and of its
+// shadow. It is the only entry store to a chunk, so the two nodes cannot
+// disagree.
+func (c *chunk) setRun(t *sim.Thread, lo int, es []pt.Entry) {
+	c.node.SetEntries(t, lo, es)
 	if c.shadow != nil {
-		c.shadow.SetEntry(t, idx, e)
+		c.shadow.SetEntries(t, lo, es)
 	}
+}
+
+// presentRun returns the first run [lo, hi) of consecutive present
+// entries in es at or past from; lo >= len(es) when none is left. A node's
+// slot holds a present entry or zero, so its runs are its populated
+// slots; on media read back after a crash, other words are skipped.
+func presentRun(es []pt.Entry, from int) (lo, hi int) {
+	lo = from
+	for lo < len(es) && !es[lo].Present() {
+		lo++
+	}
+	hi = lo
+	for hi < len(es) && es[hi].Present() {
+		hi++
+	}
+	return lo, hi
+}
+
+// entries copies n's held slots into the DaxVM's run buffer.
+func (d *DaxVM) entries(n *pt.Node) []pt.Entry {
+	buf := d.runBuf[:n.Len()]
+	for i := range buf {
+		buf[i] = n.Entry(i)
+	}
+	return buf
 }
 
 // attached returns the node a mapping splices for the chunk: the DRAM
@@ -139,10 +166,9 @@ func (d *DaxVM) freeTableNode(t *sim.Thread, n *pt.Node) {
 // monitor's DRAM shadow.
 func (d *DaxVM) copyTableNode(t *sim.Thread, src *pt.Node, medium mem.Medium) *pt.Node {
 	n := d.allocTableNode(t, medium)
-	for i := 0; i < src.Len(); i++ {
-		if e := src.Entry(i); e != 0 {
-			n.SetEntry(t, i, e)
-		}
+	es := d.entries(src)
+	for lo, hi := presentRun(es, 0); lo < len(es); lo, hi = presentRun(es, hi) {
+		n.SetEntries(t, lo, es[lo:hi])
 	}
 	n.FlushEntries(t, 0, mem.PTEsPerTable)
 	return n
@@ -157,33 +183,37 @@ func (ft *FileTable) medium() mem.Medium {
 }
 
 // Populate extends the table with freshly allocated extents (the FS
-// OnAlloc hook). Persistent-node PTE stores are mirrored to media and
-// flushed in cache-line batches; the fence rides on the FS journal/log
-// commit (crash consistency, §IV-A1).
+// OnAlloc hook), one run of entries per extent and chunk. Persistent-node
+// PTE stores are mirrored to media and flushed in cache-line batches; the
+// fence rides on the FS journal/log commit (crash consistency, §IV-A1).
 func (ft *FileTable) Populate(t *sim.Thread, ext []vfs.Extent) {
 	for _, e := range ext {
-		for b := uint64(0); b < e.Len; b++ {
+		for b := uint64(0); b < e.Len; {
 			fileBlock := e.File + b
-			phys := e.Phys + b
 			ci := int(fileBlock / alloc.BlocksPerHuge)
 			idx := int(fileBlock % alloc.BlocksPerHuge)
+			k := min(e.Len-b, uint64(alloc.BlocksPerHuge-idx))
 			for ci >= len(ft.chunks) {
 				ft.chunks = append(ft.chunks, chunk{})
 			}
 			c := &ft.chunks[ci]
-			if c.huge {
-				// Growth after a chunk went huge cannot happen (huge
-				// means fully populated), but guard anyway.
-				continue
-			}
-			if c.node == nil {
-				c.node = ft.d.allocTableNode(t, ft.medium())
-				if ft.Persistent {
-					ft.writeDescriptor(t)
+			// Growth after a chunk went huge cannot happen (huge means
+			// fully populated), but guard anyway.
+			if !c.huge {
+				if c.node == nil {
+					c.node = ft.d.allocTableNode(t, ft.medium())
+					if ft.Persistent {
+						ft.writeDescriptor(t)
+					}
 				}
+				run := ft.d.runBuf[:k]
+				for i := range run {
+					run[i] = pt.MakeEntry(mem.PFN(e.Phys+b+uint64(i)), mem.PermRead|mem.PermWrite, true, false)
+				}
+				c.setRun(t, idx, run)
+				t.ChargeN(cost.PTESetPerPage/4, k) // pre-population batches well
 			}
-			c.set(t, idx, pt.MakeEntry(mem.PFN(phys), mem.PermRead|mem.PermWrite, true, false))
-			t.Charge(cost.PTESetPerPage / 4) // pre-population batches well
+			b += k
 		}
 		// Batched cache-line flush of the lines this extent touched.
 		if ft.Persistent {
@@ -272,10 +302,10 @@ func (ft *FileTable) Clear(t *sim.Thread, keepBlocks uint64) {
 				Len:  uint64(firstDead),
 			}})
 		} else if c.node != nil {
-			for i := firstDead; i < c.node.Len(); i++ {
-				if c.node.Entry(i).Present() {
-					c.set(t, i, 0)
-				}
+			es := ft.d.entries(c.node)
+			for lo, hi := presentRun(es, firstDead); lo < len(es); lo, hi = presentRun(es, hi) {
+				clear(es[lo:hi])
+				c.setRun(t, lo, es[lo:hi])
 			}
 			if ft.Persistent {
 				c.node.FlushEntries(t, firstDead, mem.PTEsPerTable)
@@ -318,8 +348,8 @@ func (ft *FileTable) writeDescriptor(t *sim.Thread) {
 		panic("daxvm: descriptor overflow (file > 1 TiB?)")
 	}
 	buf := ft.d.descBuf[:8*(2+len(ft.chunks))]
-	putLE(buf[0:], descMagic|uint64(ft.Ino)&0xFFFFFF)
-	putLE(buf[8:], uint64(len(ft.chunks)))
+	binary.LittleEndian.PutUint64(buf[0:], descMagic|uint64(ft.Ino)&0xFFFFFF)
+	binary.LittleEndian.PutUint64(buf[8:], uint64(len(ft.chunks)))
 	for i := range ft.chunks {
 		c := &ft.chunks[i]
 		var w uint64
@@ -329,26 +359,12 @@ func (ft *FileTable) writeDescriptor(t *sim.Thread) {
 		case c.node != nil:
 			w = nodeBlock(c.node)
 		}
-		putLE(buf[8*(2+i):], w)
+		binary.LittleEndian.PutUint64(buf[8*(2+i):], w)
 	}
 	addr := ft.desc.BackAddr
 	ft.d.dev.WriteCached(t, addr, buf)
 	ft.d.dev.Flush(t, addr, uint64(len(buf)))
 	// Fence rides on the FS journal/log commit.
-}
-
-func putLE(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getLE(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }
 
 // RecoverFileTable rebuilds a persistent file table from media after a
@@ -359,21 +375,21 @@ func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*
 	addr := mem.PhysAddr(descBlock * mem.PageSize)
 	var word [8]byte
 	dev.Read(t, addr, word[:])
-	if getLE(word[:])&^uint64(0xFFFFFF) != descMagic {
+	if binary.LittleEndian.Uint64(word[:])&^uint64(0xFFFFFF) != descMagic {
 		return nil, fmt.Errorf("daxvm: bad file-table descriptor at block %d", descBlock)
 	}
 	ft := &FileTable{Ino: ino, Persistent: true, desc: d.pmemNode(descBlock), d: d}
 	dev.Read(t, addr+8, word[:])
-	count := int(getLE(word[:]))
+	count := int(binary.LittleEndian.Uint64(word[:]))
 	if count > mem.PageSize/8-2 {
 		return nil, fmt.Errorf("daxvm: corrupt descriptor chunk count %d", count)
 	}
-	// The node pages are copied out with Load: set below stores to the
-	// page being scanned, which voids a slice Bytes returned.
+	// The node pages are copied out with Load: setRun below stores to
+	// the page being scanned, which voids a slice Bytes returned.
 	raw := make([]byte, mem.PageSize)
 	for i := 0; i < count; i++ {
 		dev.Read(t, addr+mem.PhysAddr(8*(2+i)), word[:])
-		v := getLE(word[:])
+		v := binary.LittleEndian.Uint64(word[:])
 		var c chunk
 		switch {
 		case v&descHugeBit != 0:
@@ -382,10 +398,12 @@ func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*
 		case v != 0:
 			c.node = d.pmemNode(v)
 			dev.Load(c.node.BackAddr, raw)
-			for idx := 0; idx < mem.PTEsPerTable; idx++ {
-				if e := pt.Entry(getLE(raw[idx*8:])); e.Present() {
-					c.set(t, idx, e)
-				}
+			es := d.runBuf[:]
+			for i := range es {
+				es[i] = pt.Entry(binary.LittleEndian.Uint64(raw[i*8:]))
+			}
+			for lo, hi := presentRun(es, 0); lo < len(es); lo, hi = presentRun(es, hi) {
+				c.setRun(t, lo, es[lo:hi])
 			}
 		}
 		ft.chunks = append(ft.chunks, c)

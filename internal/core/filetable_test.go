@@ -310,3 +310,52 @@ func FuzzFileTable(f *testing.F) {
 		e.Run()
 	})
 }
+
+// populateFixture returns a persistent file table on a bare device and
+// allocator, and a function that populates file blocks 0..63 from PFN
+// 4096 on: a 64-block extent, one run into one node.
+func populateFixture() (ft *FileTable, populate func(th *sim.Thread), release func()) {
+	dev := pmem.New(pmem.Config{Size: 16 << 20})
+	d := New(Config{}, dev, dram.New(16<<20), nil, alloc.New(1, 1024, true), nil)
+	ft = &FileTable{Ino: 7, Persistent: true, d: d}
+	ext := []vfs.Extent{{File: 0, Phys: 4096, Len: 64}}
+	return ft, func(th *sim.Thread) { ft.Populate(th, ext) }, dev.Release
+}
+
+// BenchmarkPopulate measures a warm Populate of a 64-block extent into a
+// persistent table: the node and descriptor exist, so each op stores 64
+// entries mirrored to PMem and flushes their 8 lines.
+func BenchmarkPopulate(b *testing.B) {
+	_, populate, release := populateFixture()
+	defer release()
+	e := sim.New()
+	e.Go("bench", 0, 0, func(th *sim.Thread) {
+		populate(th)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			populate(th)
+		}
+	})
+	e.Run()
+}
+
+// TestPopulateZeroAlloc pins a warm Populate into an existing node of a
+// persistent table at zero allocations.
+func TestPopulateZeroAlloc(t *testing.T) {
+	ft, populate, release := populateFixture()
+	defer release()
+	var allocs float64
+	e := sim.New()
+	e.Go("t", 0, 0, func(th *sim.Thread) {
+		populate(th)
+		allocs = testing.AllocsPerRun(100, func() { populate(th) })
+	})
+	e.Run()
+	if ft.chunks[0].node.Live() != 64 {
+		t.Fatalf("node holds %d entries, want 64", ft.chunks[0].node.Live())
+	}
+	if allocs != 0 {
+		t.Fatalf("warm Populate allocates %v times per run, want 0", allocs)
+	}
+}

@@ -28,6 +28,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -445,14 +446,53 @@ func (d *Device) WriteCached(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 			d.dirtyLines[l] = struct{}{}
 		}
 	}
-	// Cached stores complete at cache speed; the PMem cost is paid at
-	// flush time.
+	d.chargeCached(t, node, n, 1)
+}
+
+// WriteCachedWords stores ws as consecutive 8-byte little-endian words
+// from addr with regular stores, the run's content written at once. It
+// books, counts and dirties exactly what one 8-byte WriteCached per word
+// would: a page-table node mirrors a run of entries through it.
+func WriteCachedWords[W ~uint64](d *Device, t *sim.Thread, addr mem.PhysAddr, ws []W) {
+	k := uint64(len(ws))
+	if k == 0 {
+		return
+	}
+	n := 8 * k
+	d.check(addr, n)
+	// A run within one bank is what a run of single stores is; a page
+	// (one table node) never straddles banks, which are page-aligned.
+	node := d.NodeOf(addr)
+	if d.NodeOf(addr+mem.PhysAddr(n-1)) != node {
+		panic("pmem: word run straddles a bank boundary")
+	}
+	b := d.content(uint64(addr), n)
+	for i, w := range ws {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(w))
+	}
+	d.Stats.BytesWritten += n
+	d.Stats.CachedStores += k
+	d.banks[node].stats.BytesWritten += n
+	d.banks[node].stats.CachedStores += k
+	if d.trackPersistence {
+		first, last := lineSpan(addr, n)
+		for l := first; l <= last; l++ {
+			d.dirtyLines[l] = struct{}{}
+		}
+	}
+	d.chargeCached(t, node, 8, k)
+}
+
+// chargeCached books k cached stores of n bytes each to node's DIMMs.
+// Cached stores complete at cache speed; the PMem cost is paid at flush
+// time.
+func (d *Device) chargeCached(t *sim.Thread, node mem.NodeID, n, k uint64) {
 	c := cost.CacheHitLatency * ((n + mem.CacheLineSize - 1) / mem.CacheLineSize) / 4
 	if d.multi() {
 		t.PushAttr(d.attrs[node])
 		defer t.PopAttr()
 	}
-	t.ChargeAs("cached_store", c)
+	t.ChargeAsN("cached_store", c, k)
 }
 
 // Zero zeroes [addr, addr+n) with non-temporal stores (security zeroing of

@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"daxvm/internal/mem"
@@ -202,8 +203,8 @@ func TestZeroAfterCrashClearsCorruption(t *testing.T) {
 // allocations with persistence tracking off, on an engine attached to a
 // cycle account, flat and across two nodes: once each charge path is
 // interned, Read, WriteNT, Zero and the bandwidth bucket allocate nothing,
-// and so do an 8-byte cached store to a page that holds one slab line and
-// a Read of that page.
+// and so do an 8-byte cached store to a page that holds one slab line, a
+// Read of that page and a run of 64 cached words.
 func TestDeviceZeroAlloc(t *testing.T) {
 	for _, tp := range []*topo.Topology{nil, topo.New(2, 1)} {
 		d := New(Config{Size: 1 << 20, Topo: tp})
@@ -214,6 +215,7 @@ func TestDeviceZeroAlloc(t *testing.T) {
 			far := mem.PhysAddr(d.Size() - mem.PageSize) // node 1's bank when split
 			sparse := mem.PhysAddr(4*mem.PageSize + 72)  // a stamp in line 1 of page 4
 			stamp := buf[:8]
+			words := make([]uint64, 64)
 			for _, s := range []struct {
 				name string
 				step func()
@@ -223,6 +225,7 @@ func TestDeviceZeroAlloc(t *testing.T) {
 				{"Zero", func() { d.Zero(th, 0, mem.PageSize); d.Zero(th, far, 100) }},
 				{"WriteCached sparse", func() { d.WriteCached(th, sparse, stamp) }},
 				{"Read sparse", func() { d.Read(th, sparse&^(mem.PageSize-1), buf) }},
+				{"WriteCachedWords", func() { WriteCachedWords(d, th, far+64, words) }},
 				{"BWReadOn", func() { d.BWReadOn(th, d.NodeOf(far), mem.PageSize) }},
 				{"BWWriteOn", func() { d.BWWriteOn(th, d.NodeOf(far), mem.PageSize) }},
 			} {
@@ -237,11 +240,16 @@ func TestDeviceZeroAlloc(t *testing.T) {
 }
 
 // FuzzDeviceMatchesReference drives a small device through random
-// stores, streams, raw-slice writes, unaligned page-spanning zeroes and
-// uncharged loads, and checks after every step that its content matches
-// a plain byte slice. Each step is six bytes: kind, address (2), length
-// (2), fill. Sub-line stores keep a page's one line in the slab; wider
-// stores and a second line make the page dense.
+// stores, streams, raw-slice writes, unaligned page-spanning zeroes,
+// uncharged loads and cached word runs, and checks after every step that
+// its content matches a plain byte slice. Each step is six bytes: kind,
+// address (2), length (2), fill. Sub-line stores keep a page's one line in
+// the slab; wider stores and a second line make the page dense. A word
+// run (kind 6) stores the 8-byte words fill*0x0101010101010101 ^ i from
+// the address rounded down to 8, as many as the length covers. A twin
+// device takes each run as one 8-byte WriteCached per word and must end
+// with the same content, Stats, dirty lines (what a crash corrupts) and
+// thread rows and clock.
 func FuzzDeviceMatchesReference(f *testing.F) {
 	const size = 8 * mem.PageSize
 	// A sub-line store, then another in the same line, then a page load.
@@ -261,45 +269,92 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 0xF0, 0x0F, 0x40, 0x00, 0x11, 4, 0x00, 0x10, 0x00, 0x10, 0, 4, 0xFF, 0x0F, 0x02, 0x00, 0})
 	f.Add([]byte{3, 0x05, 0x30, 0x00, 0x01, 0x77, 2, 0x00, 0x30, 0x00, 0x10, 0, 4, 0x00, 0x30, 0x00, 0x08, 0, 4, 0x00, 0x30, 0x00, 0x10, 0})
 	f.Add([]byte{0, 0x00, 0x00, 0xFF, 0x7F, 0x01, 4, 0x01, 0x00, 0xFE, 0x7F, 0, 1, 0x00, 0x70, 0x00, 0x10, 0x02, 4, 0x00, 0x00, 0x00, 0x80, 0})
+	// A word run across a line boundary of a zero page, then one inside
+	// a sparse page's own line, then one that promotes it.
+	f.Add([]byte{6, 0x30, 0x10, 0x1F, 0x00, 0x5B, 1, 0x00, 0x20, 0x07, 0x00, 0x21, 6, 0x08, 0x20, 0x0F, 0x00, 0x22, 6, 0x40, 0x20, 0x0F, 0x00, 0, 5, 0x00, 0x10, 0xFF, 0x1F, 0})
+	// A one-word run, and a whole-page run that ends at the device's end.
+	f.Add([]byte{6, 0x05, 0x50, 0x00, 0x00, 0x01, 6, 0x00, 0x70, 0xFF, 0x0F, 0xEE, 4, 0x00, 0x70, 0x00, 0x08, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		d := New(Config{Size: size})
-		ref := make([]byte, size)
-		got := make([]byte, size)
-		run(func(th *sim.Thread) {
-			for i := 0; i+6 <= len(ops); i += 6 {
-				op := ops[i : i+6]
-				addr := uint64(binary.LittleEndian.Uint16(op[1:])) % size
-				n := 1 + uint64(binary.LittleEndian.Uint16(op[3:]))%(size-addr)
-				fill := bytes.Repeat([]byte{op[5]}, int(n))
-				switch op[0] % 6 {
-				case 0:
-					d.WriteNT(th, mem.PhysAddr(addr), fill)
-					copy(ref[addr:], fill)
-				case 1:
-					d.WriteCached(th, mem.PhysAddr(addr), fill)
-					copy(ref[addr:], fill)
-				case 2:
-					d.StreamNT(th, mem.PhysAddr(addr), n)
-				case 3:
-					copy(d.Bytes(mem.PhysAddr(addr), n), fill)
-					copy(ref[addr:], fill)
-				case 4:
-					d.Zero(th, mem.PhysAddr(addr), n)
-					clear(ref[addr : addr+n])
-				case 5:
-					d.Load(mem.PhysAddr(addr), got[:n])
-					if !bytes.Equal(got[:n], ref[addr:addr+n]) {
-						t.Errorf("step %d: Load [%#x,+%d) differs from the reference", i/6, addr, n)
+		play := func(wordRuns bool) (*Device, *sim.Thread) {
+			d := New(Config{Size: size, TrackPersistence: true})
+			ref := make([]byte, size)
+			got := make([]byte, size)
+			e := sim.New()
+			th := e.Go("t", 0, 0, func(th *sim.Thread) {
+				for i := 0; i+6 <= len(ops); i += 6 {
+					op := ops[i : i+6]
+					addr := uint64(binary.LittleEndian.Uint16(op[1:])) % size
+					n := 1 + uint64(binary.LittleEndian.Uint16(op[3:]))%(size-addr)
+					fill := bytes.Repeat([]byte{op[5]}, int(n))
+					switch op[0] % 7 {
+					case 0:
+						d.WriteNT(th, mem.PhysAddr(addr), fill)
+						copy(ref[addr:], fill)
+					case 1:
+						d.WriteCached(th, mem.PhysAddr(addr), fill)
+						copy(ref[addr:], fill)
+					case 2:
+						d.StreamNT(th, mem.PhysAddr(addr), n)
+					case 3:
+						copy(d.Bytes(mem.PhysAddr(addr), n), fill)
+						copy(ref[addr:], fill)
+					case 4:
+						d.Zero(th, mem.PhysAddr(addr), n)
+						clear(ref[addr : addr+n])
+					case 5:
+						d.Load(mem.PhysAddr(addr), got[:n])
+						if !bytes.Equal(got[:n], ref[addr:addr+n]) {
+							t.Errorf("step %d: Load [%#x,+%d) differs from the reference", i/6, addr, n)
+							return
+						}
+					case 6:
+						addr &^= 7
+						words := make([]uint64, min((n+7)/8, (size-addr)/8))
+						for j := range words {
+							words[j] = uint64(op[5])*0x0101010101010101 ^ uint64(j)
+							binary.LittleEndian.PutUint64(ref[addr+8*uint64(j):], words[j])
+						}
+						if wordRuns {
+							WriteCachedWords(d, th, mem.PhysAddr(addr), words)
+							break
+						}
+						for j, w := range words {
+							d.WriteCached(th, mem.PhysAddr(addr+8*uint64(j)), binary.LittleEndian.AppendUint64(nil, w))
+						}
+					}
+					// Read, not Bytes: Bytes would make every page dense.
+					d.Read(th, 0, got)
+					if !bytes.Equal(got, ref) {
+						t.Errorf("step %d (kind %d, [%#x,+%d)): device content differs from the reference", i/6, op[0]%7, addr, n)
 						return
 					}
 				}
-				// Read, not Bytes: Bytes would make every page dense.
-				d.Read(th, 0, got)
-				if !bytes.Equal(got, ref) {
-					t.Errorf("step %d (kind %d, [%#x,+%d)): device content differs from the reference", i/6, op[0]%6, addr, n)
-					return
-				}
-			}
-		})
+			})
+			e.Run()
+			return d, th
+		}
+		d, th := play(true)
+		tw, tth := play(false)
+		got, want := make([]byte, size), make([]byte, size)
+		d.Load(0, got)
+		tw.Load(0, want)
+		switch {
+		case !bytes.Equal(got, want):
+			t.Error("content differs between word runs and single stores")
+		case d.Stats != tw.Stats || *d.NodeStats(0) != *tw.NodeStats(0):
+			t.Errorf("word runs: stats %+v; single stores: %+v", d.Stats, tw.Stats)
+		case d.DirtyLineCount() != tw.DirtyLineCount():
+			t.Errorf("word runs leave %d dirty lines, single stores %d", d.DirtyLineCount(), tw.DirtyLineCount())
+		case th.Now() != tth.Now() || !reflect.DeepEqual(th.Rows(), tth.Rows()):
+			t.Errorf("word runs: clock %d, rows %v; single stores: clock %d, rows %v", th.Now(), th.Rows(), tth.Now(), tth.Rows())
+		}
+		// A crash corrupts the dirty lines: the same ones on both.
+		d.Crash()
+		tw.Crash()
+		d.Load(0, got)
+		tw.Load(0, want)
+		if !bytes.Equal(got, want) {
+			t.Error("a crash corrupts different lines after word runs and after single stores")
+		}
 	})
 }

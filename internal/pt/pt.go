@@ -116,12 +116,12 @@ func index(va mem.VirtAddr, level int) int {
 // pool (PMem-resident nodes, or nodes allocated without a pool).
 const NoFrame = ^mem.PFN(0)
 
-// Node is one 512-entry table. Entry reads a slot and SetEntry is the
+// Node is one 512-entry table. Entry reads a slot and SetEntries is the
 // only writer.
 type Node struct {
 	// entries holds a prefix of the table's slots; slots past its end
 	// read 0. Process nodes hold all 512 (in the node's own allocation);
-	// file-table nodes start empty and grow as SetEntry populates them.
+	// file-table nodes start empty and grow as SetEntries populates them.
 	entries []Entry
 	// children mirrors interior entries with Go pointers. Only interior
 	// nodes own the array: a PTE-level node (every DaxVM file-table node
@@ -192,7 +192,7 @@ func NewNode(level int, loc mem.Loc) *Node {
 
 // NewFileTableNode allocates a shared PTE-level DaxVM file-table node at
 // loc, with no A/D-bit upkeep (A/D bits only serve volatile-memory
-// reclamation, irrelevant for DAX). It holds no entries until SetEntry
+// reclamation, irrelevant for DAX). It holds no entries until SetEntries
 // stores one: a small file populates a few slots of its table.
 func NewFileTableNode(loc mem.Loc) *Node {
 	nodeSerials++
@@ -219,29 +219,41 @@ func (n *Node) Entry(idx int) Entry {
 // or past it reads 0.
 func (n *Node) Len() int { return len(n.entries) }
 
-// SetEntry writes a leaf/interior entry value, mirroring to PMem backing
-// if present (cached store; the caller batches Flush via FlushEntries).
-// A nonzero store past the held slots grows them; a zero store there
-// changes nothing held but is still mirrored.
+// SetEntry writes a leaf/interior entry value: SetEntries of one entry.
 func (n *Node) SetEntry(t *sim.Thread, idx int, e Entry) {
-	old := n.Entry(idx)
-	switch {
-	case idx < len(n.entries):
-		n.entries[idx] = e
-	case e != 0:
-		n.grow(idx)
-		n.entries[idx] = e
+	one := [1]Entry{e}
+	n.SetEntries(t, idx, one[:])
+}
+
+// SetEntries writes es to slots lo, lo+1, ..., mirroring the run to PMem
+// backing if present (cached stores; the caller batches Flush via
+// FlushEntries). It is the node's only writer, and it books, counts and
+// stores exactly what one SetEntry per slot would. A nonzero store past
+// the held slots grows them, once for the run; a zero store there
+// changes nothing held but is still mirrored.
+func (n *Node) SetEntries(t *sim.Thread, lo int, es []Entry) {
+	for i := len(es) - 1; i >= 0 && lo+i >= len(n.entries); i-- {
+		if es[i] != 0 {
+			n.grow(lo + i)
+			break
+		}
 	}
-	switch {
-	case old == 0 && e != 0:
-		n.live++
-	case old != 0 && e == 0:
-		n.live--
+	for i, e := range es {
+		idx := lo + i
+		if idx >= len(n.entries) {
+			break // the rest are zero stores past the held slots
+		}
+		old := n.entries[idx]
+		n.entries[idx] = e
+		switch {
+		case old == 0 && e != 0:
+			n.live++
+		case old != 0 && e == 0:
+			n.live--
+		}
 	}
 	if n.Backing != nil {
-		var buf [8]byte
-		putLE64(buf[:], uint64(e))
-		n.Backing.WriteCached(t, n.BackAddr+mem.PhysAddr(idx*8), buf[:])
+		pmem.WriteCachedWords(n.Backing, t, n.BackAddr+mem.PhysAddr(lo*8), es)
 	}
 }
 
@@ -285,12 +297,6 @@ func (n *Node) FlushEntries(t *sim.Thread, lo, hi int) {
 	start := mem.AlignedDown(uint64(lo*8), mem.CacheLineSize)
 	end := mem.AlignedUp(uint64(hi*8), mem.CacheLineSize)
 	n.Backing.Flush(t, n.BackAddr+mem.PhysAddr(start), end-start)
-}
-
-func putLE64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // AddressSpace is a process page-table tree rooted at a PGD.

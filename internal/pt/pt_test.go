@@ -1,7 +1,10 @@
 package pt
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -9,6 +12,7 @@ import (
 	"daxvm/internal/mem"
 	"daxvm/internal/pmem"
 	"daxvm/internal/sim"
+	"daxvm/internal/topo"
 )
 
 func newAS() *AddressSpace {
@@ -181,11 +185,7 @@ func TestPMemBackingMirror(t *testing.T) {
 		n.SetEntry(th, 5, e)
 		n.FlushEntries(th, 5, 6)
 		dev.Fence(th)
-		raw := dev.Bytes(0x4000+5*8, 8)
-		var got uint64
-		for i := 7; i >= 0; i-- {
-			got = got<<8 | uint64(raw[i])
-		}
+		got := binary.LittleEndian.Uint64(dev.Bytes(0x4000+5*8, 8))
 		if Entry(got) != e {
 			t.Errorf("mirrored entry = %#x, want %#x", got, uint64(e))
 		}
@@ -364,70 +364,138 @@ func heldBound(k int) int {
 	return min(int(b), mem.PTEsPerTable)
 }
 
-// FuzzNodeEntries applies SetEntry and ClearSlot steps to one node and
-// checks every read against a plain 512-entry table and a live count.
-// The first byte picks the node: a file-table node (grows as slots are
-// stored), a process leaf or a process PMD node (both hold all 512).
-// Each step is three bytes: bit 0 of the first picks ClearSlot, the rest
-// of it is the stored PFN (0 stores a zero entry), and the next two give
-// the slot. A file-table node holds nothing until a nonzero store; only a
-// nonzero store at or past its end grows it, to at most heldBound slots,
-// a whole number of cache lines; a zero store there leaves it as it is.
+// FuzzNodeEntries applies SetEntry, ClearSlot and SetEntries steps to
+// one node and checks every read against a plain 512-entry table and a
+// live count. A twin node takes the same steps with each SetEntries run
+// stored one SetEntry per slot, and must end with the same entries, live
+// count and held slots, the same content and Stats on its PMem backing,
+// and the same rows and clock on its thread.
+//
+// The first byte picks the node: byte%3 gives a file-table node (grows
+// as slots are stored), a process leaf or a process PMD node (both hold
+// all 512). Bit 0 of byte/3 backs both nodes with the second bank of a
+// two-node device instead of a flat one. Each step is three bytes b0, b1,
+// b2; the slot is b1 | (b2&1)<<8. When b2>>1 is 0 the step stores one
+// entry: bit 0 of b0 picks ClearSlot, the rest of it is the stored PFN
+// (0 stores a zero entry). Otherwise it is a SetEntries run of b2>>1
+// slots, cut at the table's end: zero entries if bit 0 of b0 is set, else
+// entry i has PFN (b0>>1 + i) % 128, a zero entry when that is 0. A
+// file-table node holds nothing until a nonzero store; only a nonzero
+// store at or past its end grows it, to at most heldBound slots, a whole
+// number of cache lines; a zero store there leaves it as it is.
 func FuzzNodeEntries(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		var n *Node
-		switch data[0] % 3 {
-		case 0:
-			n = NewFileTableNode(mem.Loc{Medium: mem.DRAM})
-		case 1:
-			n = NewNode(LevelPTE, mem.Loc{Medium: mem.DRAM})
-		default:
-			n = NewNode(LevelPMD, mem.Loc{Medium: mem.DRAM})
+		var tp *topo.Topology
+		if data[0]/3&1 == 1 {
+			tp = topo.New(2, 1)
 		}
+		play := func(perSlot bool, check func(step, idx, held, top int, es []Entry, n *Node)) (*Node, *pmem.Device, *sim.Thread) {
+			var n *Node
+			switch data[0] % 3 {
+			case 0:
+				n = NewFileTableNode(mem.Loc{Medium: mem.PMem})
+			case 1:
+				n = NewNode(LevelPTE, mem.Loc{Medium: mem.PMem})
+			default:
+				n = NewNode(LevelPMD, mem.Loc{Medium: mem.PMem})
+			}
+			dev := pmem.New(pmem.Config{Size: 2 * mem.PageSize, Topo: tp})
+			n.Backing, n.BackAddr = dev, mem.PageSize
+			e := sim.New()
+			th := e.Go("fuzz", 0, 0, func(th *sim.Thread) {
+				var run [mem.PTEsPerTable]Entry
+				for s, steps := 0, data[1:]; len(steps) >= 3; s, steps = s+1, steps[3:] {
+					idx := int(steps[1]) | int(steps[2]&1)<<8
+					pfn := Entry(steps[0] >> 1)
+					es := run[:1]
+					if k := int(steps[2] >> 1); k > 0 {
+						es = run[:min(k, mem.PTEsPerTable-idx)]
+					}
+					top := -1 // the highest slot the step stores nonzero
+					for i := range es {
+						es[i] = 0
+						if p := (pfn + Entry(i)) % 128; steps[0]&1 == 0 && p != 0 {
+							es[i] = p<<pfnShift | BitPresent
+							top = idx + i
+						}
+					}
+					held := n.Len()
+					switch {
+					case steps[2]>>1 == 0 && steps[0]&1 == 1:
+						n.ClearSlot(th, idx)
+					case steps[2]>>1 == 0 || perSlot:
+						for i, e := range es {
+							n.SetEntry(th, idx+i, e)
+						}
+					default:
+						n.SetEntries(th, idx, es)
+					}
+					if check != nil {
+						check(s, idx, held, top, es, n)
+					}
+				}
+			})
+			e.Run()
+			return n, dev, th
+		}
+
 		var ref [mem.PTEsPerTable]Entry
 		live := 0
-		for steps := data[1:]; len(steps) >= 3; steps = steps[3:] {
-			idx := (int(steps[1]) | int(steps[2])<<8) % mem.PTEsPerTable
-			var e Entry
-			if pfn := Entry(steps[0] >> 1); pfn != 0 {
-				e = pfn<<pfnShift | BitPresent
+		n, dev, th := play(false, func(step, idx, held, top int, es []Entry, n *Node) {
+			for i, e := range es {
+				switch {
+				case ref[idx+i] == 0 && e != 0:
+					live++
+				case ref[idx+i] != 0 && e == 0:
+					live--
+				}
+				ref[idx+i] = e
 			}
-			if got := n.Entry(idx); got != ref[idx] {
-				t.Fatalf("slot %d reads %#x before the step, want %#x", idx, got, ref[idx])
-			}
-			held := n.Len()
-			if steps[0]&1 == 1 {
-				n.ClearSlot(nil, idx)
-				e = 0
-			} else {
-				n.SetEntry(nil, idx, e)
-			}
-			switch {
-			case ref[idx] == 0 && e != 0:
-				live++
-			case ref[idx] != 0 && e == 0:
-				live--
-			}
-			ref[idx] = e
 			if n.Live() != live {
-				t.Fatalf("after storing %#x at %d: Live = %d, want %d", e, idx, n.Live(), live)
+				t.Fatalf("step %d: Live = %d, want %d", step, n.Live(), live)
 			}
 			switch got := n.Len(); {
-			case e != 0 && idx >= held:
-				if got <= idx || got > heldBound(idx+1) || got%mem.PTEsPerCacheLine != 0 {
-					t.Fatalf("storing %#x at %d grew %d slots to %d, want %d..%d whole lines", e, idx, held, got, idx+1, heldBound(idx+1))
+			case top >= held:
+				if got <= top || got > heldBound(top+1) || got%mem.PTEsPerCacheLine != 0 {
+					t.Fatalf("step %d: storing up to slot %d grew %d slots to %d, want %d..%d whole lines", step, top, held, got, top+1, heldBound(top+1))
 				}
 			case got != held:
-				t.Fatalf("storing %#x at %d changed the held slots from %d to %d", e, idx, held, got)
+				t.Fatalf("step %d: storing at %d..%d changed the held slots from %d to %d", step, idx, idx+len(es)-1, held, got)
+			}
+			for i := range ref {
+				if got := n.Entry(i); got != ref[i] {
+					t.Fatalf("step %d: slot %d reads %#x, want %#x", step, i, got, ref[i])
+				}
+			}
+		})
+		tn, tdev, tth := play(true, nil)
+		for i := range ref {
+			if n.Entry(i) != tn.Entry(i) {
+				t.Fatalf("slot %d: %#x after runs, %#x after single stores", i, n.Entry(i), tn.Entry(i))
 			}
 		}
-		for i := range ref {
-			if got := n.Entry(i); got != ref[i] {
-				t.Fatalf("slot %d reads %#x, want %#x", i, got, ref[i])
+		if n.Live() != tn.Live() || n.Len() != tn.Len() {
+			t.Fatalf("runs: Live %d, Len %d; single stores: Live %d, Len %d", n.Live(), n.Len(), tn.Live(), tn.Len())
+		}
+		got, want := make([]byte, dev.Size()), make([]byte, dev.Size())
+		dev.Load(0, got)
+		tdev.Load(0, want)
+		if !bytes.Equal(got, want) {
+			t.Fatal("backing content differs between runs and single stores")
+		}
+		for node := 0; node < dev.NodeCount(); node++ {
+			if *dev.NodeStats(node) != *tdev.NodeStats(node) {
+				t.Fatalf("node %d stats: runs %+v, single stores %+v", node, *dev.NodeStats(node), *tdev.NodeStats(node))
 			}
+		}
+		if dev.Stats != tdev.Stats {
+			t.Fatalf("device stats: runs %+v, single stores %+v", dev.Stats, tdev.Stats)
+		}
+		if th.Now() != tth.Now() || !reflect.DeepEqual(th.Rows(), tth.Rows()) {
+			t.Fatalf("runs: clock %d, rows %v; single stores: clock %d, rows %v", th.Now(), th.Rows(), tth.Now(), tth.Rows())
 		}
 	})
 }

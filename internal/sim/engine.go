@@ -298,8 +298,8 @@ func (e *Engine) Stopped() bool { return e.stopping }
 // for paths no class names.
 const NumClasses = 4
 
-// Tally is a running total of local charges (Charge and ChargeAs, never
-// AddRemote); Classes splits them by path class. What was charged between
+// Tally is a running total of local charges (Charge, ChargeAs and their
+// batch forms, never AddRemote); Classes splits them by path class. What was charged between
 // two readings is their difference.
 type Tally struct {
 	Local   uint64
@@ -433,17 +433,34 @@ func (t *Thread) AttrPath() string {
 
 // Charge advances the thread's clock by c cycles of local work, booked
 // against the current attribution frame.
-func (t *Thread) Charge(c uint64) {
-	id := unattributedID
-	if n := len(t.attr); n > 0 {
-		id = t.attr[n-1]
-	}
-	t.e.book(t, id, c)
-}
+func (t *Thread) Charge(c uint64) { t.ChargeN(c, 1) }
 
 // ChargeAs books c under a one-shot child of the current frame — the cheap
 // way to label leaf costs (walk kinds, nt-stores) without stack churn.
-func (t *Thread) ChargeAs(label string, c uint64) { t.e.book(t, t.e.join(t.attrID(), label), c) }
+func (t *Thread) ChargeAs(label string, c uint64) { t.ChargeAsN(label, c, 1) }
+
+// ChargeN books n charges of c cycles each against the current frame:
+// exactly what n Charge(c) calls book, in one add.
+func (t *Thread) ChargeN(c, n uint64) {
+	if n == 0 {
+		return
+	}
+	id := unattributedID
+	if k := len(t.attr); k > 0 {
+		id = t.attr[k-1]
+	}
+	t.e.book(t, id, c, n)
+}
+
+// ChargeAsN books n charges of c cycles each under label: exactly what n
+// ChargeAs(label, c) calls book. With n == 0 it books nothing and interns
+// no path.
+func (t *Thread) ChargeAsN(label string, c, n uint64) {
+	if n == 0 {
+		return
+	}
+	t.e.book(t, t.e.join(t.attrID(), label), c, n)
+}
 
 // AddRemote is used by remote-charge mechanisms (IPIs): the running thread
 // books c onto this (target) thread's timeline and table, attributed to
@@ -451,32 +468,33 @@ func (t *Thread) ChargeAs(label string, c uint64) { t.e.book(t, t.e.join(t.attrI
 // in no tally.
 func (t *Thread) AddRemote(path string, c uint64) {
 	t.clock += c
-	t.add(t.e.join(noParent, path), c)
+	t.add(t.e.join(noParent, path), c, 1)
 	t.e.charged += c
 	t.e.events++
 }
 
-// book charges t c cycles of local work on path id: its clock, its tally
-// and its table.
-func (e *Engine) book(t *Thread, id int, c uint64) {
+// book charges t n charges of c cycles of local work on path id: its
+// clock, its tally and its table.
+func (e *Engine) book(t *Thread, id int, c, n uint64) {
+	c *= n
 	t.clock += c
 	t.tally.Local += c
 	t.tally.Classes[e.class[id]] += c
-	t.add(id, c)
+	t.add(id, c, n)
 	e.charged += c
-	e.events++
+	e.events += n
 }
 
-// add books one charge of c cycles into row id of t's table, first
+// add books n charges totalling c cycles into row id of t's table, first
 // growing the table to every path the engine has interned if it is short.
-func (t *Thread) add(id int, c uint64) {
+func (t *Thread) add(id int, c, n uint64) {
 	if id >= len(t.rows) {
 		//lint:ignore hotalloc amortized: a table grows only when its engine has interned a new path
 		t.rows = append(t.rows, make([]Row, len(t.e.paths)-len(t.rows))...)
 	}
 	r := &t.rows[id]
 	r.Cycles += c
-	r.Count++
+	r.Count += n
 }
 
 // Yield is a synchronization point: the thread re-enters the ready queue at

@@ -360,6 +360,85 @@ func TestChargeTables(t *testing.T) {
 	}
 }
 
+// TestBatchChargesMatchSingleCharges books one script of charges twice,
+// on engines with a classifier: through ChargeN and ChargeAsN, and as
+// that many Charge and ChargeAs calls. The two must agree on clock, rows,
+// tally, TotalCharged, Events and interned paths; a batch of n == 0
+// books nothing and interns no path.
+func TestBatchChargesMatchSingleCharges(t *testing.T) {
+	steps := []struct {
+		frame, label string // frame "" charges outside any; label "" charges the frame
+		c, n         uint64
+	}{
+		{"", "", 5, 3},
+		{"app", "", 7, 4},
+		{"app", "store", 2, 6},
+		{"app", "zero", 9, 0}, // interns no app.zero
+		{"", "", 11, 0},
+		{"app", "store", 0, 5}, // zero-cycle charges still count
+		{"", "stall", 3, 2},
+		{"app", "stall", 4, 1},
+	}
+	play := func(batch bool) (*Engine, *Thread) {
+		e := New()
+		e.SetClassifier(func(path string) uint8 {
+			switch {
+			case strings.HasSuffix(path, "stall"):
+				return 2
+			case strings.HasPrefix(path, "app"):
+				return 1
+			}
+			return 0
+		})
+		th := e.Go("t", 0, 0, func(th *Thread) {
+			for _, s := range steps {
+				if s.frame != "" {
+					th.PushAttr(s.frame)
+				}
+				switch {
+				case batch && s.label == "":
+					th.ChargeN(s.c, s.n)
+				case batch:
+					th.ChargeAsN(s.label, s.c, s.n)
+				default:
+					for i := uint64(0); i < s.n; i++ {
+						if s.label == "" {
+							th.Charge(s.c)
+						} else {
+							th.ChargeAs(s.label, s.c)
+						}
+					}
+				}
+				if s.frame != "" {
+					th.PopAttr()
+				}
+			}
+			th.ChargeAs("last", 1) // its id shows what was interned before it
+		})
+		e.Run()
+		return e, th
+	}
+	be, bt := play(true)
+	se, st := play(false)
+	if bt.Now() != st.Now() || bt.Tally() != st.Tally() {
+		t.Errorf("batched: clock %d, tally %+v; single: clock %d, tally %+v", bt.Now(), bt.Tally(), st.Now(), st.Tally())
+	}
+	if !reflect.DeepEqual(bt.Rows(), st.Rows()) {
+		t.Errorf("batched rows %v, single rows %v", bt.Rows(), st.Rows())
+	}
+	if be.TotalCharged() != se.TotalCharged() || be.Events() != se.Events() {
+		t.Errorf("batched: charged %d, events %d; single: charged %d, events %d", be.TotalCharged(), be.Events(), se.TotalCharged(), se.Events())
+	}
+	for id := range st.Rows() {
+		if be.Path(id) != se.Path(id) {
+			t.Errorf("path %d: batched %q, single %q", id, be.Path(id), se.Path(id))
+		}
+	}
+	if _, ok := be.ids["app.zero"]; ok {
+		t.Error("ChargeAsN with n == 0 interned its path")
+	}
+}
+
 func TestTotalChargedCountsEveryCharge(t *testing.T) {
 	// TotalCharged must equal the sum of all Charge/ChargeAs/AddRemote
 	// amounts — idle time (Sleep) and lock waits are excluded because

@@ -20,10 +20,10 @@ func wired() (*sim.Engine, *obs.CycleAccount) {
 }
 
 // TestChargeZeroAlloc pins the booking path at zero allocations on an
-// engine attached to an account and a collector: Charge, warm ChargeAs
-// (the joined path is already interned) and AddRemote onto another
-// thread each add into a charge table that already has the row, and the
-// account sees every cycle.
+// engine attached to an account and a collector: Charge, ChargeN, warm
+// ChargeAs and ChargeAsN (the joined path is already interned) and
+// AddRemote onto another thread each add into a charge table that
+// already has the row, and the account sees every cycle.
 func TestChargeZeroAlloc(t *testing.T) {
 	e, acct := wired()
 	var allocs float64
@@ -35,6 +35,8 @@ func TestChargeZeroAlloc(t *testing.T) {
 		allocs = testing.AllocsPerRun(200, func() {
 			th.Charge(1)
 			th.ChargeAs("copy", 1)
+			th.ChargeN(1, 8)
+			th.ChargeAsN("copy", 1, 8)
 			peer.AddRemote("shootdown.ipi_handler", 1)
 		})
 		th.PopAttr()

@@ -5,7 +5,8 @@
 // analyzer flags additive arithmetic and comparisons that mix
 // cycle-valued expressions with ns/byte/page-valued ones (conversions go
 // through multiplication by a rate, or cost.Cycles), non-cycle arguments
-// to the charging APIs (Thread.Charge/ChargeAs/AddRemote/Sleep), and
+// to the charging APIs (Thread.Charge/ChargeAs/ChargeN/ChargeAsN/
+// AddRemote/Sleep), time-valued counts to the batch charges, and
 // non-nanosecond arguments to cost.Cycles.
 //
 // Constants declared in package cost are cycle-valued by default — the
@@ -74,14 +75,20 @@ var unitSuffixes = []struct {
 	{"Lat", cycles},
 }
 
-// chargeArg maps sim.Thread methods to the index of their cycle-valued
-// argument.
-var chargeArg = map[string]int{
-	"Charge":     0,
-	"ChargeAs":   1,
-	"AddRemote":  1,
-	"Sleep":      0,
-	"SleepUntil": 0,
+// chargeArgs names the arguments of a sim.Thread charging method: the
+// index of its cycle-valued argument and of its charge count (-1 when it
+// takes none).
+type chargeArgs struct{ cycles, count int }
+
+// chargeArg maps sim.Thread methods to their cycle and count arguments.
+var chargeArg = map[string]chargeArgs{
+	"Charge":     {0, -1},
+	"ChargeAs":   {1, -1},
+	"ChargeN":    {0, 1},
+	"ChargeAsN":  {1, 2},
+	"AddRemote":  {1, -1},
+	"Sleep":      {0, -1},
+	"SleepUntil": {0, -1},
 }
 
 func run(pass *ana.Pass) error {
@@ -146,12 +153,20 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 	}
 	switch {
 	case fn.Pkg().Name() == "sim":
-		idx, ok := chargeArg[sel.Sel.Name]
-		if !ok || idx >= len(call.Args) {
+		args, ok := chargeArg[sel.Sel.Name]
+		if !ok || args.cycles >= len(call.Args) || args.count >= len(call.Args) {
 			return
 		}
-		if u := c.unitOf(call.Args[idx]); u != unknown && u != cycles {
-			c.pass.Reportf(call.Args[idx].Pos(), "%s expects cycles, got a %s-valued expression", sel.Sel.Name, u)
+		if u := c.unitOf(call.Args[args.cycles]); u != unknown && u != cycles {
+			c.pass.Reportf(call.Args[args.cycles].Pos(), "%s expects cycles, got a %s-valued expression", sel.Sel.Name, u)
+		}
+		// A count of pages or bytes can be a count of charges; a time
+		// cannot, and one there is most likely a swapped argument.
+		if args.count < 0 {
+			return
+		}
+		if u := c.unitOf(call.Args[args.count]); u == cycles || u == nanos {
+			c.pass.Reportf(call.Args[args.count].Pos(), "%s expects a count of charges, got a %s-valued expression", sel.Sel.Name, u)
 		}
 	case fn.Pkg().Name() == "cost" && sel.Sel.Name == "Cycles":
 		if len(call.Args) != 1 {

@@ -29,6 +29,15 @@ func chargeWrongUnit(t *sim.Thread, copyBytes uint64) {
 	t.ChargeAs("flush", cost.ClwbCost+cost.FenceCost)
 }
 
+func batchChargeUnits(t *sim.Thread, copyBytes, numPages, waitCycles, delayNS uint64) {
+	t.ChargeN(copyBytes, 4)                       // want `ChargeN expects cycles, got a bytes-valued expression`
+	t.ChargeN(cost.FenceCost, waitCycles)         // want `ChargeN expects a count of charges, got a cycles-valued expression`
+	t.ChargeAsN("store", delayNS, 8)              // want `ChargeAsN expects cycles, got a nanoseconds-valued expression`
+	t.ChargeAsN("store", cost.ClwbCost, delayNS)  // want `ChargeAsN expects a count of charges, got a nanoseconds-valued expression`
+	t.ChargeN(cost.PTESetPerPage/4, numPages)     // one charge per page: fine
+	t.ChargeAsN("store", cost.ClwbCost, numPages) // fine
+}
+
 func sleepWrongUnit(t *sim.Thread, periodNS uint64) {
 	t.Sleep(periodNS) // want `Sleep expects cycles, got a nanoseconds-valued expression`
 	t.Sleep(cost.SchedWakeup)

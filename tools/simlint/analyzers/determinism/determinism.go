@@ -38,6 +38,9 @@ var wallClock = map[string]bool{
 	"After": true, "Tick": true, "NewTicker": true, "NewTimer": true, "AfterFunc": true,
 }
 
+// charges lists the sim.Thread methods that book cycles.
+var charges = map[string]bool{"Charge": true, "ChargeAs": true, "ChargeN": true, "ChargeAsN": true, "AddRemote": true}
+
 // hostSync lists the packages whose host-side synchronisation has nothing
 // to guard in the simulator.
 var hostSync = map[string]bool{"sync": true, "sync/atomic": true}
@@ -114,7 +117,7 @@ func checkMapRange(pass *ana.Pass, rng *ast.RangeStmt) {
 			return true
 		}
 		switch {
-		case fn.Pkg().Name() == "sim" && (fn.Name() == "Charge" || fn.Name() == "ChargeAs" || fn.Name() == "AddRemote"):
+		case fn.Pkg().Name() == "sim" && charges[fn.Name()]:
 			pass.Reportf(rng.Pos(), "map iteration order is randomized but the body charges cycles (%s); iterate a sorted key slice (obs.SortedKeys)", fn.Name())
 			return false
 		case fn.Pkg().Name() == "obs" && fn.Name() == "Emit":

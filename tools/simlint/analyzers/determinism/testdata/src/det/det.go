@@ -58,6 +58,15 @@ func chargingMapRange(t *sim.Thread, costs map[string]uint64) {
 	}
 }
 
+func batchChargingMapRange(t *sim.Thread, runs map[string]uint64) {
+	for _, n := range runs { // want `map iteration order is randomized but the body charges cycles \(ChargeN\)`
+		t.ChargeN(3, n)
+	}
+	for label, n := range runs { // want `map iteration order is randomized but the body charges cycles \(ChargeAsN\)`
+		t.ChargeAsN(label, 3, n)
+	}
+}
+
 func emittingMapRange(tr *obs.Tracer, costs map[string]uint64) {
 	for name, c := range costs { // want `map iteration order is randomized but the body emits trace events`
 		tr.Emit(name, 0, 0, c, "", 0)

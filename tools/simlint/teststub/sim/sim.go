@@ -7,14 +7,16 @@ package sim
 // Thread mirrors sim.Thread's charge/attribution surface.
 type Thread struct{}
 
-func (t *Thread) Charge(c uint64)                 { _ = c }
-func (t *Thread) ChargeAs(label string, c uint64) { _, _ = label, c }
-func (t *Thread) AddRemote(path string, c uint64) { _, _ = path, c }
-func (t *Thread) PushAttr(label string)           { _ = label }
-func (t *Thread) PopAttr()                        {}
-func (t *Thread) Now() uint64                     { return 0 }
-func (t *Thread) Sleep(d uint64)                  { _ = d }
-func (t *Thread) SleepUntil(tm uint64)            { _ = tm }
+func (t *Thread) Charge(c uint64)                     { _ = c }
+func (t *Thread) ChargeAs(label string, c uint64)     { _, _ = label, c }
+func (t *Thread) ChargeN(c, n uint64)                 { _, _ = c, n }
+func (t *Thread) ChargeAsN(label string, c, n uint64) { _, _, _ = label, c, n }
+func (t *Thread) AddRemote(path string, c uint64)     { _, _ = path, c }
+func (t *Thread) PushAttr(label string)               { _ = label }
+func (t *Thread) PopAttr()                            {}
+func (t *Thread) Now() uint64                         { return 0 }
+func (t *Thread) Sleep(d uint64)                      { _ = d }
+func (t *Thread) SleepUntil(tm uint64)                { _ = tm }
 
 // Engine mirrors the thread-spawning surface.
 type Engine struct{}
