@@ -45,13 +45,16 @@ race:
 # Explore every Fuzz* target beyond its committed corpus for FUZZTIME
 # each. Not part of ci: `go test` (and so `make test`) already replays
 # each target's corpus under testdata/fuzz/. A failing input is written
-# there; commit it so the finding replays on every run.
+# there; commit it so the finding replays on every run. Minimization of
+# each new interesting input is bounded at 2s: under Go's default (60s)
+# the fuzzer can spend most of a short budget minimizing and reports 0
+# execs/sec meanwhile.
 FUZZTIME ?= 30s
 fuzz:
 	@set -e; for file in $$(grep -rl --include='*_test.go' --exclude-dir=testdata --exclude-dir=.bench_build '^func Fuzz' .); do \
 		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$file"); do \
 			echo "fuzz: $$target in ./$$(dirname "$$file") for $(FUZZTIME)"; \
-			$(GO) test "./$$(dirname "$$file")" -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME); \
+			$(GO) test "./$$(dirname "$$file")" -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 2s; \
 		done; \
 	done
 

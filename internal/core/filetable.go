@@ -149,9 +149,13 @@ func (d *DaxVM) allocTableNode(t *sim.Thread, medium mem.Medium) *pt.Node {
 	return n
 }
 
-// freeTableNode returns the storage of a node allocTableNode took.
+// freeTableNode returns the storage of a node allocTableNode took. A PMem
+// page is discarded first, so a node built on the block later starts
+// from zero media, as its Go node does: recovery would otherwise read
+// the old node's entries back from slots the new one never wrote.
 func (d *DaxVM) freeTableNode(t *sim.Thread, n *pt.Node) {
 	if n.Loc.Medium == mem.PMem {
+		d.dev.Discard(n.BackAddr, mem.PageSize)
 		d.metaAlloc.Free(t, []alloc.Run{{Start: nodeBlock(n), Len: 1}})
 		d.Stats.PMemTableBytes -= mem.PageSize
 		return

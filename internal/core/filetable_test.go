@@ -359,3 +359,52 @@ func TestPopulateZeroAlloc(t *testing.T) {
 		t.Fatalf("warm Populate allocates %v times per run, want 0", allocs)
 	}
 }
+
+// TestReusedTableBlocksRecoverClean builds a persistent table whose one
+// node holds all 512 entries, destroys it, and builds a 3-block table on
+// the same two PMem blocks. The new node lands on the old node's block
+// and writes only its first 3 slots; recovery reads the whole page, so
+// the freed node's media must not still hold the other 509 entries.
+func TestReusedTableBlocksRecoverClean(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 16 << 20})
+	defer dev.Release()
+	const metaBlocks = 2
+	d := New(Config{}, dev, dram.New(16<<20), nil, alloc.New(1, metaBlocks, true), nil)
+	e := sim.New()
+	e.Go("t", 0, 0, func(th *sim.Thread) {
+		// Phys 4097 is not 2 MiB-aligned, so the full chunk stays a node.
+		old := &FileTable{Ino: 7, Persistent: true, d: d}
+		old.Populate(th, []vfs.Extent{{File: 0, Phys: 4097, Len: alloc.BlocksPerHuge}})
+		if c := &old.chunks[0]; c.huge || c.node.Live() != alloc.BlocksPerHuge {
+			t.Fatalf("old table: huge=%v, want a node of %d entries", c.huge, alloc.BlocksPerHuge)
+		}
+		oldNode := nodeBlock(old.chunks[0].node)
+		old.Destroy(th)
+
+		ft := &FileTable{Ino: 8, Persistent: true, d: d}
+		ft.Populate(th, []vfs.Extent{{File: 0, Phys: 8192, Len: 3}})
+		if got := nodeBlock(ft.chunks[0].node); got != oldNode {
+			t.Fatalf("new node on block %d, old node was on %d: the case tests nothing", got, oldNode)
+		}
+
+		got, err := RecoverFileTable(th, d, ft.Ino, nodeBlock(ft.desc))
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		extra := 0
+		for b := uint64(0); b < alloc.BlocksPerHuge; b++ {
+			pfn, ok := attachedPFN(got, b)
+			switch {
+			case b < 3 && (!ok || pfn != mem.PFN(8192+b)):
+				t.Errorf("block %d: recovered resolves=%v PFN %d, want PFN %d", b, ok, pfn, 8192+b)
+			case b >= 3 && ok:
+				extra++
+			}
+		}
+		if extra > 0 {
+			t.Errorf("recovered table resolves %d blocks the file never had", extra)
+		}
+		checkChunks(t, got)
+	})
+	e.Run()
+}

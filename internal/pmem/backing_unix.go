@@ -12,7 +12,7 @@ import (
 // device the arena a freed one left behind, and the runtime zeroes reused
 // arenas eagerly, touching every page: a second multi-GiB device in one
 // process would then cost its full size in resident memory. A fresh
-// mapping costs only the pages the simulation writes.
+// mapping costs only the frames the simulation takes (see Device.data).
 func newBacking(owner *Device, size uint64) []byte {
 	b, err := syscall.Mmap(-1, 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
 	if err != nil {

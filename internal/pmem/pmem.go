@@ -10,11 +10,15 @@
 // reads zero and holds no host memory. A page whose stores all fell in
 // one cache line keeps that line in a slab of 64-byte lines, so a record
 // stamp (an 8-byte key at the head of each record) costs a slab line,
-// not a 4 KiB host page. Any other store makes its pages dense: their
-// content lives in an anonymous mapping, and a sparse page's line moves
-// there. Zero clears only what a page holds, so zeroing a range nothing
-// wrote (fallocate, the pre-zero daemon) costs its simulated charge but
-// touches no host memory.
+// not a 4 KiB host page. Any other store makes its page dense: the page
+// takes a frame, a 4 KiB page of an anonymous mapping used as an arena,
+// and a sparse page's line moves there. A page that is zeroed whole, or
+// discarded (Discard, for storage the simulation has freed), gives its
+// frame back to a free list that later dense pages take from, so host
+// memory follows the pages live at once, not every page ever written.
+// Zero clears only what a page holds, so zeroing a range nothing wrote
+// (fallocate, the pre-zero daemon) costs its simulated charge but touches
+// no host memory.
 //
 // The physical address space is striped across per-NUMA-node banks (one
 // DIMM set per socket). Each bank has its own bandwidth token bucket, so
@@ -30,7 +34,6 @@ package pmem
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"daxvm/internal/cost"
 	"daxvm/internal/mem"
@@ -41,12 +44,18 @@ import (
 // Device is one simulated PMem module set, possibly spanning several
 // NUMA nodes.
 type Device struct {
-	size   uint64
-	data   []byte
-	mapped bool // data is a mapping newBacking made, not heap memory
-	// page holds each page's state: pageZero, pageDense, or 1 + the
-	// index in lines of the page's one written cache line. data holds
-	// the content of dense pages and reads zero everywhere else.
+	size uint64
+	// data is the arena of dense pages' frames: frame k is the 4 KiB at
+	// k*PageSize. frames counts the frames ever handed out; the rest were
+	// never touched and read zero. A free frame holds, in its first word,
+	// the free list's next link, and freeFrames is 1 + the list's head
+	// (0 when empty). A frame is cleared when it is taken again.
+	data       []byte
+	mapped     bool // data is a mapping newBacking made, not heap memory
+	frames     uint32
+	freeFrames uint32
+	// page holds each page's state: pageZero, 1 + the index in lines of
+	// the page's one written cache line, or pageFrame + the page's frame.
 	page []uint32
 	// lines is the slab of sparse pages' lines. Free slots form a list
 	// through sparseLine.line; freeLines is 1 + its head, 0 when empty.
@@ -69,10 +78,12 @@ type Device struct {
 	Stats Stats
 }
 
-// Page states (Device.page). Any other value is 1 + a slab index.
+// Page states (Device.page): pageZero, 1 + a slab index below
+// pageFrame, or pageFrame + a frame at or above it. A device has fewer
+// pages than pageFrame, so slab indices and frames both fit.
 const (
 	pageZero  = 0
-	pageDense = math.MaxUint32
+	pageFrame = 1 << 31
 )
 
 // sparseLine is the one cache line a sparsely written page holds; every
@@ -119,10 +130,11 @@ type Config struct {
 // New creates a device. Backing memory is allocated lazily by the host OS
 // (untouched pages cost nothing), so multi-GiB devices are cheap until
 // written, however many a process creates (see newBacking). Content is
-// sparse: a page holding one written cache line costs a slab line, and
-// Zero touches only what a page holds.
+// sparse: a page holding one written cache line costs a slab line, a
+// dense page costs one frame while it holds content, and Zero touches
+// only what a page holds.
 func New(cfg Config) *Device {
-	if cfg.Size == 0 || !mem.IsAligned(cfg.Size, mem.PageSize) || cfg.Size/mem.PageSize >= pageDense {
+	if cfg.Size == 0 || !mem.IsAligned(cfg.Size, mem.PageSize) || cfg.Size/mem.PageSize >= pageFrame {
 		panic(fmt.Sprintf("pmem: bad device size %d", cfg.Size))
 	}
 	nodes := 1
@@ -154,9 +166,9 @@ func New(cfg Config) *Device {
 // Release returns the device's host memory now rather than when the
 // device is collected. Mapped memory does not count toward the Go heap,
 // so a process that builds one machine after another would otherwise
-// keep each finished device's written pages until some later collection
-// ran its finalizer. Release drops the sparse-line slab too. The device
-// must not be read or written afterwards; its Stats stay readable.
+// keep each finished device's frames until some later collection ran its
+// finalizer. Release drops the sparse-line slab too. The device must not
+// be read or written afterwards; its Stats stay readable.
 func (d *Device) Release() {
 	d.releaseBacking()
 	d.page, d.lines, d.freeLines = nil, nil, 0
@@ -188,49 +200,107 @@ func (d *Device) NodeStats(node int) *Stats { return &d.banks[node].stats }
 
 func (d *Device) multi() bool { return len(d.banks) > 1 }
 
-// Bytes returns the bytes that hold [addr, addr+n), for the caller to
-// read or write through. A range within one cache line of a page that is
-// not dense is served from the page's slab line (a zero page gets one);
-// any other range makes the pages it touches dense. The caller is
-// responsible for charging access costs; use the typed accessors where
+// Bytes returns the bytes that hold [addr, addr+n), a range within one
+// page, for the caller to read or write through. A range within one cache
+// line of a page that is not dense is served from the page's slab line (a
+// zero page gets one); any other range makes its page dense. The caller
+// is responsible for charging access costs; use the typed accessors where
 // possible, and Load to read without creating device state. The slice is
-// valid only until the next call on d: a later store may move a slab
-// line into the mapping or grow the slab, and Release unmaps the mapping.
+// valid only until the next call on d: a later store may move a slab line
+// into a frame or grow the slab, a Zero or Discard may hand the frame to
+// another page, and Release unmaps the arena.
 func (d *Device) Bytes(addr mem.PhysAddr, n uint64) []byte {
 	d.check(addr, n)
+	if off := uint64(addr); n > 0 && off/mem.PageSize != (off+n-1)/mem.PageSize {
+		panic(fmt.Sprintf("pmem: Bytes [%#x,+%d) spans pages", addr, n))
+	}
 	return d.content(uint64(addr), n)
 }
 
 // Load copies the content at addr into buf, charging nothing and leaving
 // device state as it was: integrity checks read media through it without
-// giving an unwritten page a slab line or a host page.
+// giving an unwritten page a slab line or a frame.
 func (d *Device) Load(addr mem.PhysAddr, buf []byte) {
 	d.check(addr, uint64(len(buf)))
 	d.load(uint64(addr), buf)
 }
 
-// content returns the bytes that hold [off, off+n) for writing: the page's
-// slab line when the range fits in one cache line of a page that is zero
-// or holds that same line, else the mapping once every page the range
-// touches is dense.
+// Discard drops the content of [addr, addr+n) without a charge, as for
+// storage the simulation has freed: the range reads zero afterwards, a
+// page it covers whole gives back its frame or slab line, and its lines
+// leave the persistence-tracking sets, so a crash finds nothing there to
+// corrupt.
+func (d *Device) Discard(addr mem.PhysAddr, n uint64) {
+	d.check(addr, n)
+	d.zeroContent(uint64(addr), n)
+	if d.trackPersistence && n > 0 {
+		first, last := lineSpan(addr, n)
+		for l := first; l <= last; l++ {
+			delete(d.dirtyLines, l)
+			delete(d.flushedLines, l)
+		}
+	}
+}
+
+// store copies buf to [off, off+len(buf)) a page at a time.
+func (d *Device) store(off uint64, buf []byte) {
+	for len(buf) > 0 {
+		m := min(uint64(len(buf)), mem.PageSize-off%mem.PageSize)
+		copy(d.content(off, m), buf[:m])
+		buf = buf[m:]
+		off += m
+	}
+}
+
+// content returns the bytes that hold [off, off+n), a range within one
+// page, for writing: the page's slab line when the range fits in one
+// cache line of a page that is zero or holds that same line, else the
+// page's frame once the page is dense.
 func (d *Device) content(off, n uint64) []byte {
-	if n > 0 && off/mem.CacheLineSize == (off+n-1)/mem.CacheLineSize {
-		p, line := off/mem.PageSize, uint32(off%mem.PageSize/mem.CacheLineSize)
-		s := d.page[p]
+	if n == 0 {
+		return nil
+	}
+	p := off / mem.PageSize
+	if s := d.page[p]; s < pageFrame && off/mem.CacheLineSize == (off+n-1)/mem.CacheLineSize {
+		line := uint32(off % mem.PageSize / mem.CacheLineSize)
 		if s == pageZero {
 			s = d.newLine(line)
 			d.page[p] = s
-		}
-		if s == pageDense {
-			return d.data[off : off+n]
 		}
 		if d.lines[s-1].line == line {
 			o := off % mem.CacheLineSize
 			return d.lines[s-1].data[o : o+n]
 		}
 	}
-	d.promote(off, n)
-	return d.data[off : off+n]
+	o := off % mem.PageSize
+	return d.frame(d.promote(p))[o : o+n]
+}
+
+// frame returns the bytes of frame k.
+func (d *Device) frame(k uint32) []byte {
+	o := uint64(k) * mem.PageSize
+	return d.data[o : o+mem.PageSize : o+mem.PageSize]
+}
+
+// newFrame takes a zeroed frame: the free list's head, cleared, or else
+// the first frame never handed out.
+func (d *Device) newFrame() uint32 {
+	if i := d.freeFrames; i != 0 {
+		f := d.frame(i - 1)
+		d.freeFrames = binary.LittleEndian.Uint32(f)
+		clear(f)
+		return i - 1
+	}
+	d.frames++
+	return d.frames - 1
+}
+
+// freeFrame returns dense page p's frame to the free list; p reads zero.
+func (d *Device) freeFrame(p uint64) {
+	k := d.page[p] - pageFrame
+	binary.LittleEndian.PutUint32(d.frame(k), d.freeFrames)
+	d.freeFrames = k + 1
+	d.page[p] = pageZero
 }
 
 // newLine takes a zeroed slab slot for a page's line and returns the
@@ -259,34 +329,33 @@ func (d *Device) lineStart(p uint64, s uint32) uint64 {
 	return p*mem.PageSize + uint64(d.lines[s-1].line)*mem.CacheLineSize
 }
 
-// promote makes every page [off, off+n) touches dense, moving a sparse
-// page's line into the mapping and freeing its slab slot.
-func (d *Device) promote(off, n uint64) {
-	if n == 0 {
-		return
+// promote makes page p dense and returns its frame: a zero page takes a
+// zeroed frame, and a sparse page moves its line into one and frees its
+// slab slot.
+func (d *Device) promote(p uint64) uint32 {
+	s := d.page[p]
+	if s >= pageFrame {
+		return s - pageFrame
 	}
-	for p := off / mem.PageSize; p <= (off+n-1)/mem.PageSize; p++ {
-		switch s := d.page[p]; s {
-		case pageDense:
-			continue
-		case pageZero:
-		default:
-			copy(d.data[d.lineStart(p, s):], d.lines[s-1].data[:])
-			d.freeLine(p)
-		}
-		d.page[p] = pageDense
+	k := d.newFrame()
+	if s != pageZero {
+		copy(d.frame(k)[d.lines[s-1].line*mem.CacheLineSize:], d.lines[s-1].data[:])
+		d.freeLine(p)
 	}
+	d.page[p] = pageFrame + k
+	return k
 }
 
-// load copies [off, off+len(buf)) into buf: a dense page from the
-// mapping, any other page as zeroes with its slab line merged in.
+// load copies [off, off+len(buf)) into buf: a dense page from its frame,
+// any other page as zeroes with its slab line merged in.
 func (d *Device) load(off uint64, buf []byte) {
 	for end := off + uint64(len(buf)); off < end; {
 		p := off / mem.PageSize
 		next := min((p+1)*mem.PageSize, end)
-		switch s := d.page[p]; s {
-		case pageDense:
-			copy(buf, d.data[off:next])
+		switch s := d.page[p]; {
+		case s >= pageFrame:
+			o := off % mem.PageSize
+			copy(buf, d.frame(s - pageFrame)[o:o+next-off])
 		default:
 			clear(buf[:next-off])
 			if s != pageZero {
@@ -301,21 +370,24 @@ func (d *Device) load(off uint64, buf []byte) {
 	}
 }
 
-// zeroContent clears [off, off+n). A dense page is cleared in the mapping
-// and becomes zero when the range covers it whole; a sparse page frees
-// its line when the range covers the line whole and clears the overlap
-// otherwise; a zero page is skipped without touching host memory.
+// zeroContent clears [off, off+n). A dense page frees its frame when the
+// range covers it whole and clears the overlap in its frame otherwise; a
+// sparse page frees its line when the range covers the line whole and
+// clears the overlap otherwise; a zero page is skipped without touching
+// host memory.
 func (d *Device) zeroContent(off, n uint64) {
 	for end := off + n; off < end; {
 		p := off / mem.PageSize
 		next := min((p+1)*mem.PageSize, end)
-		switch s := d.page[p]; s {
-		case pageZero:
-		case pageDense:
-			clear(d.data[off:next])
+		switch s := d.page[p]; {
+		case s == pageZero:
+		case s >= pageFrame:
 			if next-off == mem.PageSize {
-				d.page[p] = pageZero
+				d.freeFrame(p)
+				break
 			}
+			o := off % mem.PageSize
+			clear(d.frame(s - pageFrame)[o : o+next-off])
 		default:
 			lo := d.lineStart(p, s)
 			a, b := max(off, lo), min(next, lo+mem.CacheLineSize)
@@ -385,7 +457,7 @@ func (d *Device) Read(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 func (d *Device) WriteNT(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 	n := uint64(len(buf))
 	d.check(addr, n)
-	copy(d.content(uint64(addr), n), buf)
+	d.store(uint64(addr), buf)
 	d.writeNTCommon(t, addr, n)
 }
 
@@ -434,7 +506,7 @@ func (d *Device) writeNTCommon(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 func (d *Device) WriteCached(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 	n := uint64(len(buf))
 	d.check(addr, n)
-	copy(d.content(uint64(addr), n), buf)
+	d.store(uint64(addr), buf)
 	node := d.NodeOf(addr)
 	d.Stats.BytesWritten += n
 	d.Stats.CachedStores++
@@ -450,9 +522,10 @@ func (d *Device) WriteCached(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 }
 
 // WriteCachedWords stores ws as consecutive 8-byte little-endian words
-// from addr with regular stores, the run's content written at once. It
-// books, counts and dirties exactly what one 8-byte WriteCached per word
-// would: a page-table node mirrors a run of entries through it.
+// from addr, which must be 8-byte aligned, with regular stores, each
+// page's share of the run written at once. It books, counts and dirties
+// exactly what one 8-byte WriteCached per word would: a page-table node
+// mirrors a run of entries through it.
 func WriteCachedWords[W ~uint64](d *Device, t *sim.Thread, addr mem.PhysAddr, ws []W) {
 	k := uint64(len(ws))
 	if k == 0 {
@@ -466,9 +539,18 @@ func WriteCachedWords[W ~uint64](d *Device, t *sim.Thread, addr mem.PhysAddr, ws
 	if d.NodeOf(addr+mem.PhysAddr(n-1)) != node {
 		panic("pmem: word run straddles a bank boundary")
 	}
-	b := d.content(uint64(addr), n)
-	for i, w := range ws {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(w))
+	if addr%8 != 0 {
+		panic("pmem: word run is not 8-byte aligned")
+	}
+	// An aligned word never straddles pages: the run goes in a page at a
+	// time.
+	for off, rest := uint64(addr), ws; len(rest) > 0; {
+		m := min(uint64(len(rest)), (mem.PageSize-off%mem.PageSize)/8)
+		b := d.content(off, 8*m)
+		for i, w := range rest[:m] {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(w))
+		}
+		off, rest = off+8*m, rest[m:]
 	}
 	d.Stats.BytesWritten += n
 	d.Stats.CachedStores += k

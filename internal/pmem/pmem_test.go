@@ -63,7 +63,8 @@ func TestZeroClears(t *testing.T) {
 	run(func(th *sim.Thread) {
 		d.WriteNT(th, 0, bytes.Repeat([]byte{0xAB}, 8192))
 		d.Zero(th, 0, 8192)
-		got := d.Bytes(0, 8192)
+		got := make([]byte, 8192)
+		d.Load(0, got)
 		for i, b := range got {
 			if b != 0 {
 				t.Fatalf("byte %d not zeroed: %#x", i, b)
@@ -203,8 +204,9 @@ func TestZeroAfterCrashClearsCorruption(t *testing.T) {
 // allocations with persistence tracking off, on an engine attached to a
 // cycle account, flat and across two nodes: once each charge path is
 // interned, Read, WriteNT, Zero and the bandwidth bucket allocate nothing,
-// and so do an 8-byte cached store to a page that holds one slab line, a
-// Read of that page and a run of 64 cached words.
+// and so do a Discard and a rewrite that takes the freed frame back, an
+// 8-byte cached store to a page that holds one slab line, a Read of that
+// page and a run of 64 cached words.
 func TestDeviceZeroAlloc(t *testing.T) {
 	for _, tp := range []*topo.Topology{nil, topo.New(2, 1)} {
 		d := New(Config{Size: 1 << 20, Topo: tp})
@@ -223,6 +225,7 @@ func TestDeviceZeroAlloc(t *testing.T) {
 				{"Read", func() { d.Read(th, 0, buf); d.Read(th, far, buf) }},
 				{"WriteNT", func() { d.WriteNT(th, 0, buf); d.WriteNT(th, far, buf) }},
 				{"Zero", func() { d.Zero(th, 0, mem.PageSize); d.Zero(th, far, 100) }},
+				{"Discard and rewrite", func() { d.Discard(0, mem.PageSize); d.WriteNT(th, 0, buf) }},
 				{"WriteCached sparse", func() { d.WriteCached(th, sparse, stamp) }},
 				{"Read sparse", func() { d.Read(th, sparse&^(mem.PageSize-1), buf) }},
 				{"WriteCachedWords", func() { WriteCachedWords(d, th, far+64, words) }},
@@ -241,12 +244,15 @@ func TestDeviceZeroAlloc(t *testing.T) {
 
 // FuzzDeviceMatchesReference drives a small device through random
 // stores, streams, raw-slice writes, unaligned page-spanning zeroes,
-// uncharged loads and cached word runs, and checks after every step that
-// its content matches a plain byte slice. Each step is six bytes: kind,
-// address (2), length (2), fill. Sub-line stores keep a page's one line in
-// the slab; wider stores and a second line make the page dense. A word
-// run (kind 6) stores the 8-byte words fill*0x0101010101010101 ^ i from
-// the address rounded down to 8, as many as the length covers. A twin
+// uncharged loads, cached word runs and discards, and checks after every
+// step that its content matches a plain byte slice. Each step is six
+// bytes: kind, address (2), length (2), fill. Sub-line stores keep a
+// page's one line in the slab; wider stores and a second line make the
+// page dense and give it a frame. Raw-slice writes (kind 3) go a page at
+// a time. A word run (kind 6) stores the 8-byte words
+// fill*0x0101010101010101 ^ i from the address rounded down to 8, as many
+// as the length covers. A discard (kind 7) drops every page the range
+// touches, and their frames go to later dense pages. A twin
 // device takes each run as one 8-byte WriteCached per word and must end
 // with the same content, Stats, dirty lines (what a crash corrupts) and
 // thread rows and clock.
@@ -274,6 +280,9 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 	f.Add([]byte{6, 0x30, 0x10, 0x1F, 0x00, 0x5B, 1, 0x00, 0x20, 0x07, 0x00, 0x21, 6, 0x08, 0x20, 0x0F, 0x00, 0x22, 6, 0x40, 0x20, 0x0F, 0x00, 0, 5, 0x00, 0x10, 0xFF, 0x1F, 0})
 	// A one-word run, and a whole-page run that ends at the device's end.
 	f.Add([]byte{6, 0x05, 0x50, 0x00, 0x00, 0x01, 6, 0x00, 0x70, 0xFF, 0x0F, 0xEE, 4, 0x00, 0x70, 0x00, 0x08, 0})
+	// A dense page discarded, its frame reused by a partly written page,
+	// then a sparse page discarded and both pages stored to again.
+	f.Add([]byte{0, 0x00, 0x10, 0xFF, 0x0F, 0xAA, 7, 0x20, 0x10, 0x00, 0x00, 0, 0, 0x10, 0x20, 0x7F, 0x00, 0xBB, 1, 0x08, 0x30, 0x07, 0x00, 0xCC, 7, 0x00, 0x30, 0x00, 0x00, 0, 1, 0x00, 0x10, 0x07, 0x00, 0xDD, 0, 0x00, 0x30, 0xFF, 0x01, 0xEE})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		play := func(wordRuns bool) (*Device, *sim.Thread) {
 			d := New(Config{Size: size, TrackPersistence: true})
@@ -286,7 +295,7 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 					addr := uint64(binary.LittleEndian.Uint16(op[1:])) % size
 					n := 1 + uint64(binary.LittleEndian.Uint16(op[3:]))%(size-addr)
 					fill := bytes.Repeat([]byte{op[5]}, int(n))
-					switch op[0] % 7 {
+					switch op[0] % 8 {
 					case 0:
 						d.WriteNT(th, mem.PhysAddr(addr), fill)
 						copy(ref[addr:], fill)
@@ -296,7 +305,11 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 					case 2:
 						d.StreamNT(th, mem.PhysAddr(addr), n)
 					case 3:
-						copy(d.Bytes(mem.PhysAddr(addr), n), fill)
+						for a := addr; a < addr+n; {
+							m := min(addr+n, (a/mem.PageSize+1)*mem.PageSize) - a
+							copy(d.Bytes(mem.PhysAddr(a), m), fill[:m])
+							a += m
+						}
 						copy(ref[addr:], fill)
 					case 4:
 						d.Zero(th, mem.PhysAddr(addr), n)
@@ -321,11 +334,16 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 						for j, w := range words {
 							d.WriteCached(th, mem.PhysAddr(addr+8*uint64(j)), binary.LittleEndian.AppendUint64(nil, w))
 						}
+					case 7:
+						lo := addr &^ (mem.PageSize - 1)
+						hi := (addr + n + mem.PageSize - 1) &^ (mem.PageSize - 1)
+						d.Discard(mem.PhysAddr(lo), hi-lo)
+						clear(ref[lo:hi])
 					}
 					// Read, not Bytes: Bytes would make every page dense.
 					d.Read(th, 0, got)
 					if !bytes.Equal(got, ref) {
-						t.Errorf("step %d (kind %d, [%#x,+%d)): device content differs from the reference", i/6, op[0]%7, addr, n)
+						t.Errorf("step %d (kind %d, [%#x,+%d)): device content differs from the reference", i/6, op[0]%8, addr, n)
 						return
 					}
 				}
@@ -357,4 +375,101 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 			t.Error("a crash corrupts different lines after word runs and after single stores")
 		}
 	})
+}
+
+// framesInUse counts the frames d's dense pages hold.
+func framesInUse(d *Device) int {
+	n := 0
+	for _, s := range d.page {
+		if s >= pageFrame {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFramesFollowLivePages pins that host memory follows the pages that
+// hold content: Discard and a whole-page Zero each give a page's frame
+// back, a later dense page takes a freed frame before a new one, and a
+// reused frame reads zero wherever the new page was not written.
+func TestFramesFollowLivePages(t *testing.T) {
+	d := New(Config{Size: 16 * mem.PageSize})
+	page := bytes.Repeat([]byte{0xAB}, mem.PageSize)
+	got := make([]byte, mem.PageSize)
+	run(func(th *sim.Thread) {
+		for p := mem.PhysAddr(0); p < 4; p++ {
+			d.WriteNT(th, p*mem.PageSize, page)
+		}
+		if n := framesInUse(d); n != 4 || d.frames != 4 {
+			t.Fatalf("4 written pages hold %d frames of %d taken, want 4 of 4", n, d.frames)
+		}
+		d.Discard(mem.PageSize, 2*mem.PageSize)
+		if n := framesInUse(d); n != 2 {
+			t.Fatalf("after discarding 2 of 4 pages, %d frames in use, want 2", n)
+		}
+		d.Zero(th, 0, mem.PageSize)
+		if n := framesInUse(d); n != 1 {
+			t.Fatalf("after zeroing a page whole, %d frames in use, want 1", n)
+		}
+		d.Zero(th, 3*mem.PageSize, mem.PageSize/2)
+		if n := framesInUse(d); n != 1 {
+			t.Fatalf("zeroing half a page freed its frame: %d frames in use, want 1", n)
+		}
+
+		// Three freed frames serve the next three dense pages, each read
+		// zero past the 128 bytes written; a fourth page takes a new one.
+		for p := mem.PhysAddr(8); p < 12; p++ {
+			d.WriteNT(th, p*mem.PageSize+64, page[:128])
+			d.Load(p*mem.PageSize, got)
+			for i, b := range got {
+				want := byte(0)
+				if i >= 64 && i < 192 {
+					want = 0xAB
+				}
+				if b != want {
+					t.Fatalf("page %d byte %d reads %#x, want %#x", p, i, b, want)
+				}
+			}
+		}
+		if n := framesInUse(d); n != 5 || d.frames != 5 {
+			t.Fatalf("after 4 more dense pages, %d frames in use of %d taken, want 5 of 5", n, d.frames)
+		}
+		for p := mem.PhysAddr(0); p < 3; p++ {
+			d.Load(p*mem.PageSize, got)
+			if i := bytes.IndexFunc(got, func(r rune) bool { return r != 0 }); i >= 0 {
+				t.Fatalf("freed page %d byte %d reads %#x, want 0", p, i, got[i])
+			}
+		}
+	})
+}
+
+// TestDiscardUntracksLines pins that discarded lines leave the
+// persistence-tracking sets, so a crash finds the range zero rather than
+// corrupted, and that Discard charges and counts nothing.
+func TestDiscardUntracksLines(t *testing.T) {
+	d := New(Config{Size: 4 * mem.PageSize, TrackPersistence: true})
+	got := make([]byte, mem.PageSize)
+	var before, after uint64
+	run(func(th *sim.Thread) {
+		d.WriteCached(th, mem.PageSize, bytes.Repeat([]byte{0x5A}, mem.PageSize))
+		d.Flush(th, mem.PageSize, 64)
+		stats := d.Stats
+		before = th.Now()
+		d.Discard(mem.PageSize, mem.PageSize)
+		after = th.Now()
+		if d.Stats != stats {
+			t.Errorf("Discard moved Stats: %+v, was %+v", d.Stats, stats)
+		}
+		if n := d.DirtyLineCount(); n != 0 {
+			t.Fatalf("%d dirty lines left after Discard, want 0", n)
+		}
+		d.Crash()
+		d.Load(mem.PageSize, got)
+	})
+	if after != before {
+		t.Errorf("Discard charged %d cycles, want 0", after-before)
+	}
+	if i := bytes.IndexFunc(got, func(r rune) bool { return r != 0 }); i >= 0 {
+		t.Fatalf("byte %d of a discarded page reads %#x after a crash, want 0", i, got[i])
+	}
 }

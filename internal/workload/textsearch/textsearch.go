@@ -58,6 +58,7 @@ func Run(k *kernel.Kernel, cfg Config) Result {
 		w := w
 		proc.Spawn("ag", w, 0, func(t *sim.Thread, c *cpu.Core) {
 			env := &wl.Env{Proc: proc, LATR: l}
+			var window []byte // fileContains' media window, taken on first use
 			// Static partitioning of the file list.
 			for i := w; i < len(tree.Paths); i += cfg.Threads {
 				path := tree.Paths[i]
@@ -89,7 +90,10 @@ func Run(k *kernel.Kernel, cfg Config) Result {
 				if err := proc.AccessMapped(t, c, va, size, kernel.KindSum); err != nil {
 					panic(err)
 				}
-				if fileContains(proc, t, fd, needle, size) {
+				if window == nil {
+					window = make([]byte, searchWindow)
+				}
+				if fileContains(proc, fd, needle, window, size) {
 					matches[w]++
 				}
 				switch {
@@ -124,9 +128,16 @@ func Run(k *kernel.Kernel, cfg Config) Result {
 	}
 }
 
+// searchWindow is the size of a worker's media window in fileContains.
+const searchWindow = 64 << 10
+
 // fileContains checks media content directly (the mapped data IS the
-// file), so matches verify the whole pipeline.
-func fileContains(p *kernel.Proc, t *sim.Thread, fd int, needle []byte, size uint64) bool {
+// file), so matches verify the whole pipeline. It looks for needle within
+// each extent, reading the extent through Load into window a window at a
+// time; consecutive windows overlap by len(needle)-1 bytes, so a needle
+// across a window boundary is still found. Load leaves the device as it
+// was: the search gives no page a slab line or a frame.
+func fileContains(p *kernel.Proc, fd int, needle, window []byte, size uint64) bool {
 	in := p.Inode(fd)
 	dev := p.K.Dev
 	for _, e := range p.K.FS.Extents(in) {
@@ -137,8 +148,18 @@ func fileContains(p *kernel.Proc, t *sim.Thread, fd int, needle []byte, size uin
 			}
 			n = size - off
 		}
-		if bytes.Contains(dev.Bytes(mem.PhysAddr(e.Phys*mem.PageSize), n), needle) {
-			return true
+		addr := mem.PhysAddr(e.Phys * mem.PageSize)
+		kept := 0 // bytes carried over from the previous window
+		for done := uint64(0); done < n; {
+			m := min(uint64(len(window)-kept), n-done)
+			dev.Load(addr+mem.PhysAddr(done), window[kept:kept+int(m)])
+			w := window[:kept+int(m)]
+			if bytes.Contains(w, needle) {
+				return true
+			}
+			done += m
+			kept = min(len(needle)-1, len(w))
+			copy(window, w[len(w)-kept:])
 		}
 	}
 	return false
