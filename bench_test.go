@@ -217,6 +217,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 // TestPublicAPIQuickstart exercises the facade end to end.
 func TestPublicAPIQuickstart(t *testing.T) {
 	sys := NewSystem(Config{Cores: 2, DeviceBytes: 256 << 20, EnableDaxVM: true})
+	t.Cleanup(sys.Close)
 	p := sys.NewProcess()
 	var daxCycles uint64
 	sys.Main(p, func(th *Thread, c *Core) {

@@ -263,10 +263,12 @@ type runner struct {
 	metricsDir  string
 	printCycles bool
 
-	// Per-run cumulative state: the obs hub accumulates across
-	// experiments, so each experiment's share is a delta.
+	// Per-run cumulative state: the cycle account and the engines'
+	// event counts accumulate across experiments, so each experiment's
+	// share is a delta. Counters and histograms need none: each
+	// experiment closes the previous one's machine and zeroes the
+	// histograms before it starts.
 	prevCycles obs.CycleSnapshot
-	prevReg    obs.Snapshot
 	prevEvents uint64
 }
 
@@ -291,16 +293,15 @@ func (r *runner) runOne(e bench.Experiment) {
 
 	o := r.opts.Obs
 	cycles := o.Cycles.Snapshot()
-	reg := o.Reg.Snapshot()
+	snap := o.Reg.Snapshot()
 	cycleDelta := cycles.Delta(r.prevCycles)
-	regDelta := reg.Delta(r.prevReg)
-	r.prevCycles, r.prevReg = cycles, reg
+	r.prevCycles = cycles
 
 	if r.printCycles {
 		fmt.Printf("-- cycle attribution (%s, top %d) --\n", e.ID, profileTopN)
 		cycleDelta.WriteTable(os.Stdout, profileTopN)
-		printLatency(regDelta, "cpu.walk_latency", "page walk")
-		printLatency(regDelta, "mm.fault_latency", "fault service")
+		printLatency(snap, "cpu.walk_latency", "page walk")
+		printLatency(snap, "mm.fault_latency", "fault service")
 		fmt.Println()
 		if seg, ok := r.opts.Spans.ExportSegment(e.ID); ok {
 			span.WriteTable(os.Stdout, seg)
@@ -312,7 +313,6 @@ func (r *runner) runOne(e bench.Experiment) {
 	if r.metricsDir == "" {
 		return
 	}
-	snap := o.Reg.Snapshot()
 	art := bench.NewArtifact(res, r.opts, &snap, &cycleDelta)
 	art.Host = &bench.HostTelemetry{WallSeconds: wall.Seconds(), Events: events, EventsPerSec: eps}
 	path := filepath.Join(r.metricsDir, "BENCH_"+e.ID+".json")
@@ -348,9 +348,9 @@ func printSaturation(w io.Writer, o bench.Options, id string) {
 	}
 }
 
-// printLatency prints the p50/p99 of one latency histogram's delta.
-func printLatency(d obs.Snapshot, name, label string) {
-	h, ok := d.Hists[name]
+// printLatency prints the p50/p99 of one latency histogram.
+func printLatency(s obs.Snapshot, name, label string) {
+	h, ok := s.Hists[name]
 	if !ok || h.Count == 0 {
 		return
 	}

@@ -152,6 +152,11 @@ func NewSystem(cfg Config) *System {
 	return &System{K: k}
 }
 
+// Close ends the machine (kernel.Kernel.Close): it returns the PMem
+// device's host memory, which nothing else gives back before the process
+// exits. Snapshot and WriteTrace stay usable; Run and Setup do not.
+func (s *System) Close() { s.K.Close() }
+
 // NewProcess creates a process.
 func (s *System) NewProcess() *Process { return s.K.NewProc() }
 

@@ -36,6 +36,7 @@ func main() {
 			DaxVM:       v.iface.DaxVM,
 		})
 		r := predis.Run(k, c)
+		k.Close()
 		fmt.Printf("  %-16s boot %6.2f ms | ops/s per slice:", v.name,
 			float64(r.SetupCycles)/2_700_000)
 		for _, b := range r.Bucket {

@@ -15,6 +15,7 @@ func main() {
 		DeviceBytes: 512 << 20,
 		EnableDaxVM: true,
 	})
+	defer sys.Close()
 	p := sys.NewProcess()
 
 	sys.Main(p, func(t *daxvm.Thread, c *daxvm.Core) {

@@ -27,6 +27,7 @@ func main() {
 			DaxVM:       iface.DaxVM,
 		})
 		r := textsearch.Run(k, textsearch.Config{Threads: 8, Tree: tree, Iface: iface})
+		k.Close()
 		fmt.Printf("  %-12s %8.1f MB/s scanned, %d matches\n", iface.Name, r.Throughput, r.Matches)
 	}
 }

@@ -28,6 +28,7 @@ func main() {
 			Iface:             iface,
 			Seed:              1,
 		})
+		k.Close()
 		fmt.Printf("  %-12s %8.0f requests/s  (mmap_sem write contention: %.0f%%)\n",
 			iface.Name, r.Throughput, 0.0)
 	}

@@ -22,8 +22,10 @@ type Options struct {
 	// Log receives progress lines (may be nil).
 	Log io.Writer
 	// Obs, when set, is wired into every kernel the experiment boots:
-	// counters and histograms reflect the most recent boot, the trace
-	// ring accumulates across boots.
+	// counters read the most recent boot (each machine is closed before
+	// the next boots, removing its readers), histograms span the current
+	// experiment (zeroed before it starts), and the trace ring
+	// accumulates across boots.
 	Obs *obs.Obs
 	// Timeline, when set, samples interval deltas from every kernel the
 	// experiment boots. Each experiment records into its own segment
@@ -97,12 +99,18 @@ type Experiment struct {
 
 var registry []Experiment
 
-// withSegment opens a fresh timeline and span segment named after the
-// experiment before it runs, so every caller (CLI, tests) gets
-// per-experiment segments without remembering to start one. Nil-safe
-// via Timeline/Spans.
+// withSegment closes the last machine of the previous experiment, zeroes
+// the hub's histograms and opens a fresh timeline and span segment named
+// after the experiment before it runs, so every caller (CLI, tests) gets
+// per-experiment segments and an artifact that depends only on its own
+// experiment. The last machine stays open after Run returns, for the
+// caller to snapshot. Nil-safe via Timeline/Spans.
 func withSegment(id string, run func(o Options) *Result) func(o Options) *Result {
 	return func(o Options) *Result {
+		closeLive()
+		if o.Obs != nil {
+			o.Obs.Reg.ZeroHistograms()
+		}
 		o.Timeline.StartSegment(id)
 		o.Spans.StartSegment(id)
 		return run(o)

@@ -50,20 +50,29 @@ func boot(o Options, iface wl.Iface, cores int, aged bool, fs kernel.FSKind, mod
 // live is the machine bootMachine built last.
 var live *kernel.Kernel
 
-// bootMachine boots cfg after releasing the previous machine's device;
-// that machine's counters stay readable. Experiments run their cells one
-// after another, and a cell is done with its machine by the time it boots
-// the next. Left to its finalizer, a finished device's written pages
-// outlive it until some later collection, and device memory does not
-// count toward the Go heap: a quick run of every experiment then peaked
-// anywhere from about 390 to 660 MB, depending on whether fig9b's 2 GiB
-// devices overlapped.
+// bootMachine boots cfg after closing the previous machine. Experiments
+// run their cells one after another, and a cell is done with its machine
+// by the time it boots the next. The previous machine's own Stats stay
+// readable, but no hub export reads it any more. Left open, a finished
+// device's written pages would stay mapped until the process exits:
+// device memory does not count toward the Go heap, and nothing else
+// returns it.
 func bootMachine(cfg kernel.Config) *kernel.Kernel {
-	if live != nil {
-		live.Dev.Release()
-	}
+	closeLive()
 	live = kernel.Boot(cfg)
 	return live
+}
+
+// closeMachine ends a finished machine. Tests wrap it to read each
+// machine's final counters just before it ends.
+var closeMachine = (*kernel.Kernel).Close
+
+// closeLive closes the machine bootMachine built last, if any.
+func closeLive() {
+	if live != nil {
+		closeMachine(live)
+		live = nil
+	}
 }
 
 // consumeOnce measures open->touch->close over the paths, threads-wide.

@@ -29,9 +29,10 @@ type env struct {
 	engine *sim.Engine
 }
 
-func newEnv(devMB int, ncores int, cfg Config) *env {
+func newEnv(t testing.TB, devMB int, ncores int, cfg Config) *env {
 	ev := &env{}
 	ev.dev = pmem.New(pmem.Config{Size: uint64(devMB) << 20})
+	t.Cleanup(ev.dev.Release)
 	ev.cpus = cpu.NewSet(ncores)
 	pool := dram.New(4 << 30)
 
@@ -75,7 +76,7 @@ func TestO1MmapLatencyIndependentOfSize(t *testing.T) {
 	// The headline property: daxvm_mmap latency must be near-constant in
 	// file size, while baseline MAP_POPULATE scales linearly.
 	mmapCost := func(size uint64, daxvm bool) uint64 {
-		ev := newEnv(512, 1, Config{})
+		ev := newEnv(t, 512, 1, Config{})
 		// Level the field: compare pure paging cost, not huge-page luck
 		// on a fresh image (the paper's aged image rarely has it).
 		ev.mm.HugePagesEnabled = false
@@ -115,7 +116,7 @@ func TestO1MmapLatencyIndependentOfSize(t *testing.T) {
 }
 
 func TestDaxVMAccessNoFaults(t *testing.T) {
-	ev := newEnv(128, 1, Config{})
+	ev := newEnv(t, 128, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		in := ev.mkFile(th, "f", 256<<10)
 		core := ev.cpus.Cores[0]
@@ -134,7 +135,7 @@ func TestDaxVMAccessNoFaults(t *testing.T) {
 }
 
 func TestReturnedVAHonorsOffsetRounding(t *testing.T) {
-	ev := newEnv(128, 1, Config{})
+	ev := newEnv(t, 128, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		in := ev.mkFile(th, "f", 8<<20)
 		core := ev.cpus.Cores[0]
@@ -161,7 +162,7 @@ func TestReturnedVAHonorsOffsetRounding(t *testing.T) {
 }
 
 func TestPerProcessPermissions(t *testing.T) {
-	ev := newEnv(128, 2, Config{})
+	ev := newEnv(t, 128, 2, Config{})
 	// Second process sharing the same DaxVM manager and FS.
 	m2 := mm.New(dram.New(1<<30), ev.fs, ev.cpus)
 	m2.RunOn(ev.cpus.Cores[1])
@@ -202,7 +203,7 @@ func TestPerProcessPermissions(t *testing.T) {
 }
 
 func TestVolatilePersistentThresholdAndUpgrade(t *testing.T) {
-	ev := newEnv(128, 1, Config{})
+	ev := newEnv(t, 128, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		small := ev.mkFile(th, "small", 16<<10)
 		ftS := ev.d.TableOf(small)
@@ -228,7 +229,7 @@ func TestVolatilePersistentThresholdAndUpgrade(t *testing.T) {
 }
 
 func TestEvictionDestroysVolatileKeepsPersistent(t *testing.T) {
-	ev := newEnv(128, 1, Config{})
+	ev := newEnv(t, 128, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		small := ev.mkFile(th, "small", 8<<10)
 		big := ev.mkFile(th, "big", 1<<20)
@@ -254,7 +255,7 @@ func TestEvictionDestroysVolatileKeepsPersistent(t *testing.T) {
 }
 
 func TestWPFaultAt2MGranularity(t *testing.T) {
-	ev := newEnv(256, 1, Config{})
+	ev := newEnv(t, 256, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		in := ev.mkFile(th, "f", 8<<20)
 		core := ev.cpus.Cores[0]
@@ -279,7 +280,7 @@ func TestWPFaultAt2MGranularity(t *testing.T) {
 }
 
 func TestNoSyncDropsAllTracking(t *testing.T) {
-	ev := newEnv(256, 1, Config{})
+	ev := newEnv(t, 256, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		in := ev.mkFile(th, "f", 8<<20)
 		core := ev.cpus.Cores[0]
@@ -302,7 +303,7 @@ func TestNoSyncDropsAllTracking(t *testing.T) {
 }
 
 func TestAsyncUnmapBatching(t *testing.T) {
-	ev := newEnv(256, 2, Config{AsyncBatchPages: 64})
+	ev := newEnv(t, 256, 2, Config{AsyncBatchPages: 64})
 	ev.run(func(th *sim.Thread) {
 		core := ev.cpus.Cores[0]
 		core.Bind(th)
@@ -349,7 +350,7 @@ func TestAsyncUnmapBatching(t *testing.T) {
 }
 
 func TestTruncateForcesZombieUnmap(t *testing.T) {
-	ev := newEnv(128, 1, Config{AsyncBatchPages: 10000})
+	ev := newEnv(t, 128, 1, Config{AsyncBatchPages: 10000})
 	ev.run(func(th *sim.Thread) {
 		core := ev.cpus.Cores[0]
 		core.Bind(th)
@@ -377,7 +378,7 @@ func TestTruncateForcesZombieUnmap(t *testing.T) {
 }
 
 func TestEphemeralHeapReuseAndNoVMATreeGrowth(t *testing.T) {
-	ev := newEnv(256, 1, Config{})
+	ev := newEnv(t, 256, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		core := ev.cpus.Cores[0]
 		core.Bind(th)
@@ -412,7 +413,7 @@ func TestEphemeralHeapReuseAndNoVMATreeGrowth(t *testing.T) {
 }
 
 func TestEphemeralRejectsMprotect(t *testing.T) {
-	ev := newEnv(128, 1, Config{})
+	ev := newEnv(t, 128, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		core := ev.cpus.Cores[0]
 		core.Bind(th)
@@ -425,7 +426,7 @@ func TestEphemeralRejectsMprotect(t *testing.T) {
 }
 
 func TestPrezeroPipelineAndSecurity(t *testing.T) {
-	ev := newEnv(128, 2, Config{PrezeroBandwidthMBps: 8192})
+	ev := newEnv(t, 128, 2, Config{PrezeroBandwidthMBps: 8192})
 	ev.d.StartPrezero(ev.engine, 1)
 	ev.fs.SetTrustZeroed(true)
 	ev.run(func(th *sim.Thread) {
@@ -471,7 +472,7 @@ func TestPrezeroPipelineAndSecurity(t *testing.T) {
 }
 
 func TestHugeChunkPromotionOnFreshImage(t *testing.T) {
-	ev := newEnv(256, 1, Config{})
+	ev := newEnv(t, 256, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		in, _ := ev.icache.Create(th, "big")
 		if err := ev.fs.Fallocate(th, in, 0, 16<<20); err != nil {
@@ -505,6 +506,7 @@ func TestHugeChunkPromotionOnFreshImage(t *testing.T) {
 
 func TestPersistentTableCrashRecovery(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 128 << 20, TrackPersistence: true})
+	t.Cleanup(dev.Release)
 	cpus := cpu.NewSet(1)
 	pool := dram.New(1 << 30)
 	fs := ext4.Mkfs(ext4.Config{Dev: dev, JournalBytes: 8 << 20})
@@ -568,7 +570,7 @@ func TestPersistentTableCrashRecovery(t *testing.T) {
 }
 
 func TestMonitorMigratesHotPMemTables(t *testing.T) {
-	ev := newEnv(256, 1, Config{})
+	ev := newEnv(t, 256, 1, Config{})
 	NewMonitor(ev.proc, ev.engine, 0)
 	ev.run(func(th *sim.Thread) {
 		// Interleave a padding file so the big file's chunks are never
@@ -624,7 +626,7 @@ func TestMonitorMigratesHotPMemTables(t *testing.T) {
 // cache line of entries; a node holding the whole 512-entry table
 // whatever it populates breaks the bound.
 func TestAgedFileTableNodesHoldPopulatedEntries(t *testing.T) {
-	ev := newEnv(256, 1, Config{})
+	ev := newEnv(t, 256, 1, Config{})
 	// Volatile tables hang off the inodes aging creates: note each one.
 	hooks := ev.d.Hooks(false)
 	inodes := map[*vfs.Inode]bool{}

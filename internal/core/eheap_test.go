@@ -14,11 +14,12 @@ import (
 	"daxvm/internal/sim"
 )
 
-func newHeap() *EphemeralHeap {
+// newHeap returns a heap over a fresh device and the device's Release.
+func newHeap() (*EphemeralHeap, func()) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20})
 	f := ext4.Mkfs(ext4.Config{Dev: dev, JournalBytes: 8 << 20})
 	m := mm.New(dram.New(1<<30), f, cpu.NewSet(1))
-	return NewEphemeralHeap(m)
+	return NewEphemeralHeap(m), dev.Release
 }
 
 // Property: across any interleaving of allocations and frees, live ranges
@@ -26,7 +27,8 @@ func newHeap() *EphemeralHeap {
 func TestQuickEphemeralHeapNoOverlap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := newHeap()
+		h, release := newHeap()
+		defer release()
 		ok := true
 		e := sim.New()
 		e.Go("t", 0, 0, func(th *sim.Thread) {
@@ -70,7 +72,8 @@ func TestQuickEphemeralHeapNoOverlap(t *testing.T) {
 }
 
 func TestEphemeralHeapLookupInteriorAddresses(t *testing.T) {
-	h := newHeap()
+	h, release := newHeap()
+	t.Cleanup(release)
 	e := sim.New()
 	e.Go("t", 0, 0, func(th *sim.Thread) {
 		va := h.Alloc(th, 4*mem.HugeSize)

@@ -60,7 +60,7 @@ func checkChunks(t *testing.T, ft *FileTable) {
 // what a mapping attaches, so it must lose the cut entries with the PMem
 // node: a fresh daxvm_mmap resolves the kept 100 KiB and nothing past it.
 func TestClearAfterMigrationTrimsShadow(t *testing.T) {
-	ev := newEnv(256, 1, Config{})
+	ev := newEnv(t, 256, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		// A padding file between appends keeps every chunk fragmented,
 		// so no chunk is promoted huge and all three get PMem nodes.
@@ -123,7 +123,7 @@ func TestClearAfterMigrationTrimsShadow(t *testing.T) {
 // promoted to a PMD leaf. The leaf would keep mapping the freed half, so
 // the kept blocks go back into a PTE node.
 func TestTruncateSplitsHugeChunk(t *testing.T) {
-	ev := newEnv(256, 1, Config{})
+	ev := newEnv(t, 256, 1, Config{})
 	ev.run(func(th *sim.Thread) {
 		in, _ := ev.icache.Create(th, "big")
 		if err := ev.fs.Fallocate(th, in, 0, 4<<20); err != nil {

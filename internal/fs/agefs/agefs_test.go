@@ -10,6 +10,7 @@ import (
 
 func TestAgeFragmentsImage(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 512 << 20})
+	t.Cleanup(dev.Release)
 	f := ext4.Mkfs(ext4.Config{Dev: dev, JournalBytes: 8 << 20})
 
 	var rep Report
@@ -56,6 +57,7 @@ func TestAgeFragmentsImage(t *testing.T) {
 func TestAgeDeterministic(t *testing.T) {
 	mk := func() Report {
 		dev := pmem.New(pmem.Config{Size: 256 << 20})
+		defer dev.Release()
 		f := ext4.Mkfs(ext4.Config{Dev: dev, JournalBytes: 8 << 20})
 		var rep Report
 		e := sim.New()

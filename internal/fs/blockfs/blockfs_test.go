@@ -30,8 +30,12 @@ type model struct {
 // models mounts both file systems on small devices, so the allocator's
 // cursor wraps within a run and freed blocks, still holding old bytes,
 // get reused.
-func models() []model {
-	newDev := func() *pmem.Device { return pmem.New(pmem.Config{Size: 4 << 20}) }
+func models(t *testing.T) []model {
+	newDev := func() *pmem.Device {
+		dev := pmem.New(pmem.Config{Size: 4 << 20})
+		t.Cleanup(dev.Release)
+		return dev
+	}
 	e := ext4.Mkfs(ext4.Config{Dev: newDev(), JournalBytes: 512 << 10})
 	n := nova.Mkfs(nova.Config{Dev: newDev()})
 	return []model{{"ext4-dax", e, e.Core, true}, {"nova", n, n.Core, false}}
@@ -116,7 +120,7 @@ func (r *refFile) check(th *sim.Thread, fs vfs.FS) error {
 // ext4-DAX and NOVA and, after every step, compares each file with a
 // byte-slice reference and checks the extent-map invariant.
 func TestModelsAgreeWithReference(t *testing.T) {
-	for _, m := range models() {
+	for _, m := range models(t) {
 		t.Run(m.name, func(t *testing.T) {
 			run(func(th *sim.Thread) {
 				if err := replay(th, m, rand.New(rand.NewSource(16)), 1000); err != nil {
@@ -229,7 +233,7 @@ func replay(th *sim.Thread, m model, rng *rand.Rand, steps int) error {
 // unlinked file that never got a block is forgotten on its last put, so a
 // cold open cannot resurrect it.
 func TestUnlinkedEmptyInodeIsDropped(t *testing.T) {
-	for _, m := range models() {
+	for _, m := range models(t) {
 		run(func(th *sim.Thread) {
 			in, err := m.fs.Create(th, "empty")
 			if err != nil {
@@ -252,7 +256,7 @@ func TestUnlinkedEmptyInodeIsDropped(t *testing.T) {
 // TestTruncateZeroesTheCutTail pins that bytes past EOF in a partially
 // kept block read zero when a later grow exposes them.
 func TestTruncateZeroesTheCutTail(t *testing.T) {
-	for _, m := range models() {
+	for _, m := range models(t) {
 		run(func(th *sim.Thread) {
 			in, _ := m.fs.Create(th, "tail")
 			m.fs.Append(th, in, bytes.Repeat([]byte{0xAB}, 3*mem.PageSize))

@@ -9,8 +9,9 @@ import (
 	"daxvm/internal/sim"
 )
 
-func newFS(sizeMB int) *FS {
+func newFS(t *testing.T, sizeMB int) *FS {
 	dev := pmem.New(pmem.Config{Size: uint64(sizeMB) << 20})
+	t.Cleanup(dev.Release)
 	return Mkfs(Config{Dev: dev, JournalBytes: 8 << 20})
 }
 
@@ -21,7 +22,7 @@ func run(fn func(t *sim.Thread)) {
 }
 
 func TestCreateWriteRead(t *testing.T) {
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, err := f.Create(th, "a/b")
 		if err != nil {
@@ -54,7 +55,7 @@ func TestCreateWriteRead(t *testing.T) {
 }
 
 func TestLookupAndLoad(t *testing.T) {
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "x")
 		f.Append(th, in, make([]byte, 10000))
@@ -75,7 +76,7 @@ func TestLookupAndLoad(t *testing.T) {
 func TestAppendZeroesNewBlocksConservatively(t *testing.T) {
 	// ext4-DAX zeroes new blocks even on the write path (paper §V-B):
 	// zeroed bytes must roughly match appended bytes.
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "z")
 		f.Append(th, in, make([]byte, 1<<20))
@@ -86,7 +87,7 @@ func TestAppendZeroesNewBlocksConservatively(t *testing.T) {
 }
 
 func TestTrustZeroedSkipsRedundantZeroing(t *testing.T) {
-	f := newFS(64)
+	f := newFS(t, 64)
 	f.SetTrustZeroed(true)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "z")
@@ -98,7 +99,7 @@ func TestTrustZeroedSkipsRedundantZeroing(t *testing.T) {
 }
 
 func TestMetaDirtyAndSync(t *testing.T) {
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "m")
 		f.Append(th, in, make([]byte, 8192))
@@ -119,7 +120,7 @@ func TestMetaDirtyAndSync(t *testing.T) {
 }
 
 func TestTruncateFreesAndUnlinkReclaims(t *testing.T) {
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "t")
 		f.Append(th, in, make([]byte, 1<<20))
@@ -146,7 +147,7 @@ func TestTruncateFreesAndUnlinkReclaims(t *testing.T) {
 }
 
 func TestBlockOf(t *testing.T) {
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "b")
 		f.Append(th, in, make([]byte, 64<<10))
@@ -177,7 +178,7 @@ func TestBlockOf(t *testing.T) {
 }
 
 func TestFreshImageGivesContiguousExtents(t *testing.T) {
-	f := newFS(256)
+	f := newFS(t, 256)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "big")
 		f.Fallocate(th, in, 0, 32<<20)
@@ -190,6 +191,7 @@ func TestFreshImageGivesContiguousExtents(t *testing.T) {
 
 func TestOnFreeHookInterceptsBlocks(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 64 << 20})
+	t.Cleanup(dev.Release)
 	var intercepted uint64
 	hooks := &vfs.Hooks{
 		OnFree: func(_ *sim.Thread, ext []vfs.Extent) bool {

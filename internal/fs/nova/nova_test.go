@@ -9,8 +9,10 @@ import (
 	"daxvm/internal/sim"
 )
 
-func newFS(sizeMB int) *FS {
-	return Mkfs(Config{Dev: pmem.New(pmem.Config{Size: uint64(sizeMB) << 20})})
+func newFS(t *testing.T, sizeMB int) *FS {
+	dev := pmem.New(pmem.Config{Size: uint64(sizeMB) << 20})
+	t.Cleanup(dev.Release)
+	return Mkfs(Config{Dev: dev})
 }
 
 func run(fn func(t *sim.Thread)) {
@@ -22,7 +24,7 @@ func run(fn func(t *sim.Thread)) {
 func TestWritePathDoesNotZero(t *testing.T) {
 	// NOVA's write(2) initializes blocks with the payload itself; no
 	// security zeroing on that path (the Fig. 7 asymmetry).
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "w")
 		if err := f.Append(th, in, make([]byte, 1<<20)); err != nil {
@@ -35,7 +37,7 @@ func TestWritePathDoesNotZero(t *testing.T) {
 }
 
 func TestFallocateZeroes(t *testing.T) {
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "fa")
 		// Dirty the free space first so zeroing is observable.
@@ -66,7 +68,7 @@ func TestFallocateZeroes(t *testing.T) {
 func TestMetadataSynchronous(t *testing.T) {
 	// NOVA commits metadata at operation time: MAP_SYNC faults are no-ops
 	// and MetaDirty never sets.
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "m")
 		f.Append(th, in, make([]byte, 64<<10))
@@ -83,7 +85,7 @@ func TestMetadataSynchronous(t *testing.T) {
 }
 
 func TestReadBack(t *testing.T) {
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "rb")
 		payload := bytes.Repeat([]byte("nova-relaxed"), 2000)
@@ -100,7 +102,7 @@ func TestReadBack(t *testing.T) {
 }
 
 func TestTruncateAndReclaim(t *testing.T) {
-	f := newFS(64)
+	f := newFS(t, 64)
 	run(func(th *sim.Thread) {
 		in, _ := f.Create(th, "t")
 		f.Append(th, in, make([]byte, 1<<20))

@@ -10,8 +10,10 @@ import (
 	"daxvm/internal/sim"
 )
 
-func newCache(capacity int, hooks *vfs.Hooks) (*vfs.ICache, *ext4.FS) {
-	f := ext4.Mkfs(ext4.Config{Dev: pmem.New(pmem.Config{Size: 128 << 20}), JournalBytes: 8 << 20})
+func newCache(t *testing.T, capacity int, hooks *vfs.Hooks) (*vfs.ICache, *ext4.FS) {
+	dev := pmem.New(pmem.Config{Size: 128 << 20})
+	t.Cleanup(dev.Release)
+	f := ext4.Mkfs(ext4.Config{Dev: dev, JournalBytes: 8 << 20})
 	return vfs.NewICache(f, capacity, hooks), f
 }
 
@@ -22,7 +24,7 @@ func run(fn func(t *sim.Thread)) {
 }
 
 func TestOpenHitAndColdLoad(t *testing.T) {
-	c, _ := newCache(16, nil)
+	c, _ := newCache(t, 16, nil)
 	run(func(th *sim.Thread) {
 		in, err := c.Create(th, "a")
 		if err != nil {
@@ -48,7 +50,7 @@ func TestOpenHitAndColdLoad(t *testing.T) {
 func TestEvictionLRUAndHook(t *testing.T) {
 	var evicted []vfs.Ino
 	hooks := &vfs.Hooks{OnEvict: func(_ *sim.Thread, in *vfs.Inode) { evicted = append(evicted, in.Ino) }}
-	c, _ := newCache(8, hooks)
+	c, _ := newCache(t, 8, hooks)
 	run(func(th *sim.Thread) {
 		var first *vfs.Inode
 		for i := 0; i < 20; i++ {
@@ -86,7 +88,7 @@ func TestEvictionLRUAndHook(t *testing.T) {
 }
 
 func TestReferencedInodesNotEvicted(t *testing.T) {
-	c, _ := newCache(4, nil)
+	c, _ := newCache(t, 4, nil)
 	run(func(th *sim.Thread) {
 		pinned, _ := c.Create(th, "pinned") // ref held
 		for i := 0; i < 12; i++ {
@@ -107,7 +109,7 @@ func TestDeletedInodeDestroyedOnLastPut(t *testing.T) {
 			destroyed++
 		}
 	}}
-	c, f := newCache(8, hooks)
+	c, f := newCache(t, 8, hooks)
 	run(func(th *sim.Thread) {
 		in, _ := c.Create(th, "doomed")
 		f.Append(th, in, make([]byte, 64<<10))

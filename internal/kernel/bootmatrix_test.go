@@ -56,7 +56,7 @@ func TestBootMatrix(t *testing.T) {
 // bootMatrixWorkload runs the trivial workload: write a file through the
 // syscall path, read it back, then touch it through a mapping.
 func bootMatrixWorkload(t *testing.T, cfg Config) {
-	k := Boot(cfg)
+	k := bootTest(t, cfg)
 	p := k.NewProc()
 	const size = 128 << 10
 	p.Spawn("matrix", 0, 0, func(th *sim.Thread, c *cpu.Core) {

@@ -76,14 +76,17 @@ type Config struct {
 	// Obs, when set, receives every subsystem's counters and latency
 	// histograms; its tracer receives one slice per closed span, so
 	// per-operation trace events need Spans too. May be shared across
-	// sequentially booted kernels (counter readers are re-registered; the
-	// trace ring accumulates).
+	// sequentially booted kernels, each closed before the next boots:
+	// Close removes the kernel's counter readers, the histograms and the
+	// trace ring accumulate.
 	Obs *obs.Obs
 	// Timeline, when set, rides a zero-cost sampler daemon on every
 	// engine this kernel runs (aging, setup, measured) and brackets each
 	// run with a flush, so per-interval cycle deltas reconcile exactly
 	// against the engines' TotalCharged. Shared across sequentially
-	// booted kernels the same way Obs is.
+	// booted kernels the same way Obs is: Close removes the kernel's
+	// saturation gauges and rebaselines the timeline, so the next
+	// kernel's counters count from zero.
 	Timeline *timeline.Timeline
 	// Spans, when set, opens a causal span per top-level operation
 	// (syscalls, faults, data-path accesses, journal commits, NOVA log
@@ -152,6 +155,12 @@ type Kernel struct {
 	// shared latency histograms (registered once, fed by every core/proc)
 	walkHist  *obs.Histogram
 	faultHist *obs.Histogram
+
+	// names of the counter readers and gauges this kernel registered in
+	// the hub, for Close to remove
+	counters []string
+	gauges   []string
+	closed   bool
 }
 
 // Boot builds the machine, formats (and optionally ages) the image, and
@@ -211,7 +220,7 @@ func Boot(cfg Config) *Kernel {
 		k.attachEngine(k.Engine)
 	}
 	if cfg.Timeline != nil {
-		k.registerGauges(cfg.Timeline)
+		k.registerGauges()
 	}
 
 	if cfg.Age {
@@ -233,6 +242,27 @@ func Boot(cfg Config) *Kernel {
 		k.Dev.ResetTiming()
 	}
 	return k
+}
+
+// Close ends the machine; it is the only way a booted kernel ends. It
+// releases the PMem device's host memory, removes from a shared hub the
+// counter readers and saturation gauges this kernel registered, and
+// rebaselines the timeline, so a kernel booted next on the same hub
+// counts from zero and no export reads this one. The kernel must not run
+// afterwards; its subsystems' Stats stay readable. Closing twice is a
+// no-op.
+func (k *Kernel) Close() {
+	if k.closed {
+		return
+	}
+	k.closed = true
+	k.Dev.Release()
+	if k.Obs != nil {
+		k.Obs.Reg.Remove(k.counters...)
+	}
+	tl := k.Cfg.Timeline
+	tl.RemoveGauges(k.gauges...)
+	tl.Rebaseline()
 }
 
 // Setup runs fn on a dedicated setup engine thread (corpus creation etc.)

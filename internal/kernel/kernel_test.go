@@ -11,8 +11,16 @@ import (
 	"daxvm/internal/sim"
 )
 
+// bootTest boots cfg and closes the kernel when the test ends: nothing
+// else returns its device's host memory.
+func bootTest(t testing.TB, cfg Config) *Kernel {
+	k := Boot(cfg)
+	t.Cleanup(k.Close)
+	return k
+}
+
 func TestBootAndBasicSyscalls(t *testing.T) {
-	k := Boot(Config{Cores: 2, DeviceBytes: 512 << 20})
+	k := bootTest(t, Config{Cores: 2, DeviceBytes: 512 << 20})
 	p := k.NewProc()
 	payload := bytes.Repeat([]byte("integration"), 5000)
 	p.Spawn("main", 0, 0, func(th *sim.Thread, c *cpu.Core) {
@@ -56,7 +64,7 @@ func TestBootAndBasicSyscalls(t *testing.T) {
 }
 
 func TestMmapDataPathEndToEnd(t *testing.T) {
-	k := Boot(Config{Cores: 1, DeviceBytes: 256 << 20, DaxVM: true})
+	k := bootTest(t, Config{Cores: 1, DeviceBytes: 256 << 20, DaxVM: true})
 	p := k.NewProc()
 	p.Spawn("main", 0, 0, func(th *sim.Thread, c *cpu.Core) {
 		fd, _ := p.Create(th, "m")
@@ -99,7 +107,7 @@ func TestMmapDataPathEndToEnd(t *testing.T) {
 func TestDaxvmPosixSemanticsDiffer(t *testing.T) {
 	// §IV-F: partial mprotect fails on DaxVM mappings, works on POSIX;
 	// mprotect on ephemeral mappings always fails.
-	k := Boot(Config{Cores: 1, DeviceBytes: 256 << 20, DaxVM: true})
+	k := bootTest(t, Config{Cores: 1, DeviceBytes: 256 << 20, DaxVM: true})
 	p := k.NewProc()
 	p.Spawn("main", 0, 0, func(th *sim.Thread, c *cpu.Core) {
 		fd, _ := p.Create(th, "sem")
@@ -131,7 +139,7 @@ func TestDaxvmPosixSemanticsDiffer(t *testing.T) {
 }
 
 func TestNovaBoot(t *testing.T) {
-	k := Boot(Config{Cores: 1, DeviceBytes: 256 << 20, FS: Nova, DaxVM: true, Prezero: true})
+	k := bootTest(t, Config{Cores: 1, DeviceBytes: 256 << 20, FS: Nova, DaxVM: true, Prezero: true})
 	p := k.NewProc()
 	p.Spawn("main", 0, 0, func(th *sim.Thread, c *cpu.Core) {
 		fd, err := p.Create(th, "n")
@@ -158,7 +166,7 @@ func TestNovaBoot(t *testing.T) {
 }
 
 func TestAgedBootReport(t *testing.T) {
-	k := Boot(Config{Cores: 1, DeviceBytes: 1 << 30, Age: true})
+	k := bootTest(t, Config{Cores: 1, DeviceBytes: 1 << 30, Age: true})
 	if k.AgeReport.Utilization < 0.6 || k.AgeReport.FreeExtents < 100 {
 		t.Fatalf("age report %+v", k.AgeReport)
 	}

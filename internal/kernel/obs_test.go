@@ -68,7 +68,7 @@ func runObsWorkload(t *testing.T, k *Kernel) *Proc {
 // values the per-subsystem Stats structs report.
 func TestSnapshotMatchesLegacyStats(t *testing.T) {
 	o := obs.New(0)
-	k := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o})
+	k := bootTest(t, Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o})
 	before := o.Reg.Snapshot()
 	p := runObsWorkload(t, k)
 	after := o.Reg.Snapshot()
@@ -149,7 +149,7 @@ func TestSnapshotMatchesLegacyStats(t *testing.T) {
 func TestTraceEventsAcrossCores(t *testing.T) {
 	o := obs.New(0)
 	sp := span.New(0)
-	k := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o, Spans: sp})
+	k := bootTest(t, Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o, Spans: sp})
 	runObsWorkload(t, k)
 	if o.Trace.Dropped() != 0 {
 		t.Fatalf("ring wrapped (%d dropped): counts cannot be compared", o.Trace.Dropped())
@@ -203,12 +203,13 @@ func TestTraceEventsAcrossCores(t *testing.T) {
 }
 
 // TestObsSharedAcrossBoots locks in the multi-kernel contract: when one
-// hub is reused (as bench does), counter readers follow the most recent
-// boot while the trace ring keeps accumulating.
+// hub is reused (as bench does) and each kernel is closed before the next
+// boots, counter readers follow the most recent boot while the trace ring
+// keeps accumulating.
 func TestObsSharedAcrossBoots(t *testing.T) {
 	o := obs.New(0)
 	sp := span.New(0)
-	k1 := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o, Spans: sp})
+	k1 := bootTest(t, Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o, Spans: sp})
 	runObsWorkload(t, k1)
 	if o.Reg.Snapshot().Get("mm.mmaps") == 0 {
 		t.Fatal("first kernel registered nothing")
@@ -218,7 +219,8 @@ func TestObsSharedAcrossBoots(t *testing.T) {
 		t.Fatal("first kernel traced nothing")
 	}
 
-	Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o, Spans: sp})
+	k1.Close()
+	bootTest(t, Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Obs: o, Spans: sp})
 	if got := o.Reg.Snapshot().Get("mm.mmaps"); got != 0 {
 		t.Errorf("after reboot mm.mmaps = %d, want 0 (readers must follow the new kernel)", got)
 	}
@@ -234,7 +236,7 @@ func TestObsSharedAcrossBoots(t *testing.T) {
 func TestDaemonSpans(t *testing.T) {
 	o := obs.New(0)
 	sp := span.New(1)
-	k := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Prezero: true, Monitor: true, Obs: o, Spans: sp})
+	k := bootTest(t, Config{Cores: 2, DeviceBytes: 512 << 20, DaxVM: true, Prezero: true, Monitor: true, Obs: o, Spans: sp})
 	p := k.NewProc()
 	p.Spawn("w", 0, 0, func(th *sim.Thread, c *cpu.Core) {
 		// Freed blocks feed the pre-zero daemon.
@@ -322,7 +324,7 @@ func TestDaemonSpans(t *testing.T) {
 func TestCutSpansEndAtEngineStop(t *testing.T) {
 	o := obs.New(0)
 	sp := span.New(1)
-	k := Boot(Config{Cores: 2, DeviceBytes: 512 << 20, Obs: o, Spans: sp})
+	k := bootTest(t, Config{Cores: 2, DeviceBytes: 512 << 20, Obs: o, Spans: sp})
 	daemon := k.Engine.GoDaemon("cut", 1, 0, func(th *sim.Thread) {
 		th.PushAttr("daemon.cut")
 		sp.Begin(th, "daemon.cut")

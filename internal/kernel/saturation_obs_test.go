@@ -62,7 +62,7 @@ func runContendedWorkload(t *testing.T, k *Kernel) *Proc {
 func TestWaitTotalsReconcile(t *testing.T) {
 	o := obs.New(0)
 	sp := span.New(3)
-	k := Boot(Config{Cores: 4, DeviceBytes: 512 << 20, Obs: o, Spans: sp})
+	k := bootTest(t, Config{Cores: 4, DeviceBytes: 512 << 20, Obs: o, Spans: sp})
 	// Boot-time mkfs stalls land in the collector's default segment;
 	// measure from a fresh segment and against counter deltas.
 	sp.StartSegment("measured")
@@ -106,7 +106,7 @@ func TestGaugeSamplingIsFree(t *testing.T) {
 			cfg.Obs = o
 			cfg.Timeline = timeline.New(o.Reg, o.Cycles, timeline.Config{})
 		}
-		k := Boot(cfg)
+		k := bootTest(t, cfg)
 		p := k.NewProc()
 		for w := 0; w < 4; w++ {
 			w := w
@@ -144,7 +144,7 @@ func TestMultiNodeGaugeDeterminism(t *testing.T) {
 	run := func() []byte {
 		o := obs.New(0)
 		tl := timeline.New(o.Reg, o.Cycles, timeline.Config{})
-		k := Boot(Config{Cores: 4, Nodes: 2, DeviceBytes: 512 << 20, Obs: o, Timeline: tl})
+		k := bootTest(t, Config{Cores: 4, Nodes: 2, DeviceBytes: 512 << 20, Obs: o, Timeline: tl})
 		runContendedWorkload(t, k)
 		b, err := json.Marshal(tl.Export())
 		if err != nil {

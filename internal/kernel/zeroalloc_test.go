@@ -14,7 +14,7 @@ import (
 // pread books its attribution frame, span and crossings without
 // allocating.
 func TestSyscallZeroAlloc(t *testing.T) {
-	k := Boot(Config{Cores: 1, DeviceBytes: 512 << 20, Obs: obs.New(0), Spans: span.New(0)})
+	k := bootTest(t, Config{Cores: 1, DeviceBytes: 512 << 20, Obs: obs.New(0), Spans: span.New(0)})
 	p := k.NewProc()
 	var allocs float64
 	p.Spawn("reader", 0, 0, func(th *sim.Thread, c *cpu.Core) {

@@ -20,8 +20,9 @@ type env struct {
 	cpus *cpu.Set
 }
 
-func newEnv(devMB int, ncores int) *env {
+func newEnv(t testing.TB, devMB int, ncores int) *env {
 	dev := pmem.New(pmem.Config{Size: uint64(devMB) << 20})
+	t.Cleanup(dev.Release)
 	f := ext4.Mkfs(ext4.Config{Dev: dev, JournalBytes: 8 << 20})
 	cpus := cpu.NewSet(ncores)
 	m := New(dram.New(1<<30), f, cpus)
@@ -49,7 +50,7 @@ func (ev *env) mkFile(t *sim.Thread, path string, size int) *vfs.Inode {
 }
 
 func TestMmapAccessMunmap(t *testing.T) {
-	ev := newEnv(64, 1)
+	ev := newEnv(t, 64, 1)
 	run(func(th *sim.Thread) {
 		in := ev.mkFile(th, "f", 64<<10)
 		core := ev.cpus.Cores[0]
@@ -78,7 +79,7 @@ func TestMmapAccessMunmap(t *testing.T) {
 }
 
 func TestLazyVsPopulate(t *testing.T) {
-	ev := newEnv(64, 1)
+	ev := newEnv(t, 64, 1)
 	run(func(th *sim.Thread) {
 		in := ev.mkFile(th, "f", 256<<10)
 		core := ev.cpus.Cores[0]
@@ -110,7 +111,7 @@ func countDirty(s *vfs.DirtySet) int {
 }
 
 func TestDirtyTrackingWriteProtectCycle(t *testing.T) {
-	ev := newEnv(64, 1)
+	ev := newEnv(t, 64, 1)
 	run(func(th *sim.Thread) {
 		in := ev.mkFile(th, "f", 64<<10)
 		core := ev.cpus.Cores[0]
@@ -152,7 +153,7 @@ func TestMsyncEveryNWritesCausesMoreFaults(t *testing.T) {
 	// Paper §III-A4: one msync per 10 writes causes ~2.8x more faults
 	// than no sync. Shape check: sync-every-10 >> no-sync fault count.
 	faults := func(syncEvery int) uint64 {
-		ev := newEnv(128, 1)
+		ev := newEnv(t, 128, 1)
 		var n uint64
 		run(func(th *sim.Thread) {
 			in := ev.mkFile(th, "f", 4<<20)
@@ -180,7 +181,7 @@ func TestMsyncEveryNWritesCausesMoreFaults(t *testing.T) {
 }
 
 func TestHugePageMappingOnFreshImage(t *testing.T) {
-	ev := newEnv(128, 1)
+	ev := newEnv(t, 128, 1)
 	run(func(th *sim.Thread) {
 		in, _ := ev.fs.Create(th, "big")
 		if err := ev.fs.Fallocate(th, in, 0, 8<<20); err != nil {
@@ -202,6 +203,7 @@ func TestHugePageMappingOnFreshImage(t *testing.T) {
 
 func TestAgedImageBreaksHugePages(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 512 << 20})
+	t.Cleanup(dev.Release)
 	f := ext4.Mkfs(ext4.Config{Dev: dev, JournalBytes: 8 << 20})
 	cpus := cpu.NewSet(1)
 	m := New(dram.New(1<<30), f, cpus)
@@ -227,7 +229,7 @@ func TestAgedImageBreaksHugePages(t *testing.T) {
 }
 
 func TestMunmapBatchedInvalidation(t *testing.T) {
-	ev := newEnv(64, 2)
+	ev := newEnv(t, 64, 2)
 	run(func(th *sim.Thread) {
 		core := ev.cpus.Cores[0]
 		core.Bind(th)
@@ -249,7 +251,7 @@ func TestMunmapBatchedInvalidation(t *testing.T) {
 }
 
 func TestPartialMunmapSplitsVMA(t *testing.T) {
-	ev := newEnv(64, 1)
+	ev := newEnv(t, 64, 1)
 	run(func(th *sim.Thread) {
 		in := ev.mkFile(th, "f", 64<<10)
 		core := ev.cpus.Cores[0]
@@ -280,7 +282,7 @@ func TestPartialMunmapSplitsVMA(t *testing.T) {
 }
 
 func TestTruncateForcesUnmap(t *testing.T) {
-	ev := newEnv(64, 1)
+	ev := newEnv(t, 64, 1)
 	run(func(th *sim.Thread) {
 		in := ev.mkFile(th, "f", 64<<10)
 		core := ev.cpus.Cores[0]
@@ -304,7 +306,7 @@ func TestMmapSemContentionAcrossThreads(t *testing.T) {
 	// N threads doing mmap/munmap serialize on mmap_sem: per-op latency
 	// must grow with thread count.
 	latency := func(nthreads int) uint64 {
-		ev := newEnv(256, nthreads)
+		ev := newEnv(t, 256, nthreads)
 		e := sim.New()
 		var maxClock uint64
 		setup := sim.New()

@@ -13,7 +13,7 @@ import (
 // nothing once warm, and a fault that needs a new leaf node allocates
 // exactly that node.
 func TestPageFaultZeroAlloc(t *testing.T) {
-	ev := newEnv(64, 1)
+	ev := newEnv(t, 64, 1)
 	ev.mm.HugePagesEnabled = false // 4 KiB faults only
 	const size = 4 << 20
 	allocs := map[string]float64{}

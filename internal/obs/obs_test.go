@@ -37,15 +37,48 @@ func TestRegistryGaugeClamp(t *testing.T) {
 	}
 }
 
-func TestRegistryReplace(t *testing.T) {
+// TestRegistryOneReaderPerName pins that a name has one reader at a
+// time: registering it again panics until its owner removes it, and a
+// removed name may be registered afresh.
+func TestRegistryOneReaderPerName(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c", func() uint64 { return 1 })
+	r.Counter("d", func() uint64 { return 3 })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("registering a name that has a reader did not panic")
+			}
+		}()
+		r.Counter("c", func() uint64 { return 2 })
+	}()
+	if got := r.Snapshot().Get("c"); got != 1 {
+		t.Fatalf("the rejected reader replaced the first: c = %d", got)
+	}
+	r.Remove("c", "absent")
+	if n := r.Names(); len(n) != 1 || n[0] != "d" {
+		t.Fatalf("names after Remove: %v", n)
+	}
 	r.Counter("c", func() uint64 { return 2 })
 	if got := r.Snapshot().Get("c"); got != 2 {
-		t.Fatalf("re-registration did not replace: %d", got)
+		t.Fatalf("re-registered c = %d, want 2", got)
 	}
-	if n := r.Names(); len(n) != 1 || n[0] != "c" {
-		t.Fatalf("names: %v", n)
+}
+
+// TestZeroHistograms pins that zeroing empties each histogram in place:
+// an observer holding one goes on feeding the one the registry reads.
+func TestZeroHistograms(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat")
+	h.Observe(5)
+	h.Observe(9)
+	r.ZeroHistograms()
+	if s := r.Snapshot().Hists["lat"]; s.Count != 0 || s.Sum != 0 || len(s.Buckets) != 0 {
+		t.Fatalf("after ZeroHistograms: %+v", s)
+	}
+	h.Observe(7)
+	if s := r.Snapshot().Hists["lat"]; s.Count != 1 || s.Sum != 7 {
+		t.Fatalf("an observation after zeroing reads %+v", s)
 	}
 }
 
@@ -90,6 +123,8 @@ func TestNilSafety(t *testing.T) {
 	}
 	var r *Registry
 	r.Counter("x", func() uint64 { return 1 })
+	r.Remove("x")
+	r.ZeroHistograms()
 	if r.Histogram("h") != nil {
 		t.Fatal("nil registry returned histogram")
 	}

@@ -6,8 +6,9 @@ package obs
 //
 // Names follow `subsystem.metric` (e.g. "tlb.misses") with further dots
 // for sub-components ("mm.lock.wait_cycles", "ext4.journal.commits").
-// Re-registering a name replaces the reader — when several machines share
-// one registry (an experiment sweep), the latest boot wins.
+// A name has one reader at a time: several machines may share one
+// registry (an experiment sweep), each removing its readers when it ends,
+// so a snapshot reads only live state.
 type Registry struct {
 	counters map[string]func() uint64
 	hists    map[string]*Histogram
@@ -23,12 +24,27 @@ func NewRegistry() *Registry {
 
 // Counter registers a named counter read through fn at snapshot time.
 // Gauges (values that can shrink, e.g. dram.used_bytes) register the same
-// way; Delta clamps them at zero.
+// way; Delta clamps them at zero. Registering a name that already has a
+// reader panics: its owner has not removed it.
 func (r *Registry) Counter(name string, fn func() uint64) {
 	if r == nil {
 		return
 	}
+	if _, dup := r.counters[name]; dup {
+		panic("obs: counter " + name + " is already registered")
+	}
 	r.counters[name] = fn
+}
+
+// Remove drops the named counters' readers; names without one are
+// ignored.
+func (r *Registry) Remove(names ...string) {
+	if r == nil {
+		return
+	}
+	for _, name := range names {
+		delete(r.counters, name)
+	}
 }
 
 // Histogram registers (or returns the existing) named log2 histogram.
@@ -42,6 +58,17 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h := &Histogram{}
 	r.hists[name] = h
 	return h
+}
+
+// ZeroHistograms empties every registered histogram in place, so the
+// observers holding them go on feeding the same ones.
+func (r *Registry) ZeroHistograms() {
+	if r == nil {
+		return
+	}
+	for _, h := range r.hists {
+		*h = Histogram{}
+	}
 }
 
 // Names lists registered counter names, sorted.

@@ -22,6 +22,7 @@
 package timeline
 
 import (
+	"slices"
 	"sort"
 
 	"daxvm/internal/obs"
@@ -100,24 +101,40 @@ func New(reg *obs.Registry, cyc *obs.CycleAccount, cfg Config) *Timeline {
 // Gauge registers a named saturation gauge: fn is read at every sampler
 // wake with the engine-local virtual time and must be a pure snapshot —
 // no cycle charges, no simulated-state mutation, no allocation (gauge
-// readers are simlint hotalloc roots). Registering an existing name
-// replaces its reader, mirroring Registry.Counter, so sequentially
-// booted kernels sharing one timeline always sample live state. Gauges
+// readers are simlint hotalloc roots). A name has one reader at a time,
+// as in Registry.Counter: registering a name that has one panics, and a
+// kernel sharing the timeline removes its gauges when it ends. Gauges
 // are sampled in name order for deterministic trace emission.
 func (tl *Timeline) Gauge(name string, fn func(now uint64) uint64) {
 	if tl == nil {
 		return
 	}
-	e := gaugeEntry{name: name, track: "gauge." + name, fn: fn}
-	for i := range tl.gauges {
-		if tl.gauges[i].name == name {
-			tl.gauges[i] = e
-			return
-		}
+	i := sort.Search(len(tl.gauges), func(i int) bool { return tl.gauges[i].name >= name })
+	if i < len(tl.gauges) && tl.gauges[i].name == name {
+		panic("timeline: gauge " + name + " is already registered")
 	}
-	tl.gauges = append(tl.gauges, e)
-	sort.Slice(tl.gauges, func(i, j int) bool { return tl.gauges[i].name < tl.gauges[j].name })
+	tl.gauges = slices.Insert(tl.gauges, i, gaugeEntry{name: name, track: "gauge." + name, fn: fn})
 	tl.gaugeVals = make([]uint64, len(tl.gauges))
+}
+
+// RemoveGauges drops the named gauges; names without one are ignored.
+func (tl *Timeline) RemoveGauges(names ...string) {
+	if tl == nil {
+		return
+	}
+	tl.gauges = slices.DeleteFunc(tl.gauges, func(g gaugeEntry) bool { return slices.Contains(names, g.name) })
+	tl.gaugeVals = tl.gaugeVals[:len(tl.gauges)]
+}
+
+// Rebaseline takes the current segment's delta baseline afresh from the
+// registry. A kernel that ends removes its counters first, so the next
+// kernel's counters of the same names count from zero instead of from
+// the ended kernel's final values.
+func (tl *Timeline) Rebaseline() {
+	if tl == nil || tl.cur == nil {
+		return
+	}
+	tl.cur.prevReg = tl.reg.Snapshot()
 }
 
 // StartSegment finishes the current segment (if it recorded anything) and

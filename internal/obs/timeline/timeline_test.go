@@ -310,3 +310,55 @@ func TestExportedIntervalsStable(t *testing.T) {
 		t.Fatalf("segment did not coalesce: %+v", now[0])
 	}
 }
+
+// TestGaugeOwnershipAndRebaseline pins the hand-over between two owners
+// of the same names on one timeline: a gauge name has one reader at a
+// time, removed gauges are no longer sampled, and after the first owner
+// removes its counter and the timeline rebaselines, the second owner's
+// counter of the same name counts from zero rather than from the first
+// owner's final value.
+func TestGaugeOwnershipAndRebaseline(t *testing.T) {
+	reg := obs.NewRegistry()
+	cyc := obs.NewCycleAccount()
+	tl := New(reg, cyc, Config{BaseInterval: 16})
+	tl.StartSegment("s")
+	first := uint64(100)
+	reg.Counter("test.ops", func() uint64 { return first })
+	tl.Gauge("test.queue", func(uint64) uint64 { return 1 })
+	tl.Gauge("test.other", func(uint64) uint64 { return 4 })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("registering a gauge name that has a reader did not panic")
+			}
+		}()
+		tl.Gauge("test.queue", func(uint64) uint64 { return 2 })
+	}()
+	cyc.Charge(0, "app.x", 1)
+	tl.FlushRun("first", 16)
+
+	reg.Remove("test.ops")
+	tl.RemoveGauges("test.queue", "test.other")
+	tl.Rebaseline()
+	second := uint64(0)
+	reg.Counter("test.ops", func() uint64 { return second })
+	tl.Gauge("test.queue", func(uint64) uint64 { return 3 })
+	second = 7
+	cyc.Charge(0, "app.x", 1)
+	tl.Sample(8)
+	tl.FlushRun("second", 16)
+
+	ivs := tl.Export()[0].Intervals
+	if len(ivs) != 2 {
+		t.Fatalf("intervals = %d, want 2: %+v", len(ivs), ivs)
+	}
+	if got := ivs[0].Counters["test.ops"]; got != 100 {
+		t.Errorf("first owner's interval books test.ops %d, want 100", got)
+	}
+	if got := ivs[1].Counters["test.ops"]; got != 7 {
+		t.Errorf("second owner's interval books test.ops %d, want 7 (counted from zero)", got)
+	}
+	if g := ivs[1].Gauges; len(g) != 1 || g["test.queue"].Max != 3 {
+		t.Errorf("second owner's gauges = %+v, want only its test.queue = 3", g)
+	}
+}

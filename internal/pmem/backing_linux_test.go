@@ -31,7 +31,7 @@ func residentBytes(t *testing.T, b []byte) uint64 {
 // dense must carry the stamp into the mapping.
 func TestSparseStoresStayOffTheMapping(t *testing.T) {
 	const size, pages = 256 << 20, 16384
-	d := New(Config{Size: size})
+	d := newDevice(t, Config{Size: size})
 	if !d.mapped {
 		t.Skip("device memory is not a mapping")
 	}

@@ -31,14 +31,16 @@ func residentMB(t *testing.T) int {
 }
 
 // TestDeviceBackingStaysSparse pins that a device made after an earlier
-// one was dropped costs only the pages written, not its size: the Go heap
-// would hand it the dropped device's arena and zero all of it.
+// one was released costs only the pages written, not its size: the Go
+// heap would hand it the released device's arena and zero all of it.
 func TestDeviceBackingStaysSparse(t *testing.T) {
 	const size = 256 << 20
-	New(Config{Size: size}).Bytes(0, 1)[0] = 1
+	first := newDevice(t, Config{Size: size})
+	first.Bytes(0, 1)[0] = 1
+	first.Release()
 	runtime.GC()
 	before := residentMB(t)
-	d := New(Config{Size: size})
+	d := newDevice(t, Config{Size: size})
 	d.Bytes(0, 1)[0] = 1
 	if grew := residentMB(t) - before; grew > size>>20/4 {
 		t.Fatalf("a new %d MiB device raised resident memory by %d MiB", size>>20, grew)
@@ -51,7 +53,7 @@ func TestDeviceBackingStaysSparse(t *testing.T) {
 // blocks) charges its cost without faulting in host memory.
 func TestZeroLeavesUnwrittenPagesUntouched(t *testing.T) {
 	const size = 256 << 20
-	d := New(Config{Size: size})
+	d := newDevice(t, Config{Size: size})
 	runtime.GC()
 	before := residentMB(t)
 	run(func(th *sim.Thread) { d.Zero(th, 0, size) })
@@ -65,13 +67,14 @@ func TestZeroLeavesUnwrittenPagesUntouched(t *testing.T) {
 }
 
 // TestReleaseReturnsMemoryAtOnce pins that Release gives a device's
-// written pages back without waiting for a collection to run the
-// finalizer, and that the released device refuses further access. It
+// written pages back at once (there is no finalizer to wait for: Release
+// is the only way they go back), and that the released device refuses
+// further access. It
 // writes whole pages: a smaller store would sit in a slab line and leave
 // the mapping untouched.
 func TestReleaseReturnsMemoryAtOnce(t *testing.T) {
 	const size, written = 256 << 20, 64 << 20
-	d := New(Config{Size: size})
+	d := newDevice(t, Config{Size: size})
 	for off := mem.PhysAddr(0); off < written; off += mem.PageSize {
 		page := d.Bytes(off, mem.PageSize)
 		for i := range page {

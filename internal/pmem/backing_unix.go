@@ -2,13 +2,10 @@
 
 package pmem
 
-import (
-	"runtime"
-	"syscall"
-)
+import "syscall"
 
 // newBacking returns size zeroed bytes of anonymous memory mapped outside
-// the Go heap, unmapped by owner's Release or once owner is garbage. The heap would hand a new
+// the Go heap, unmapped by owner's Release. The heap would hand a new
 // device the arena a freed one left behind, and the runtime zeroes reused
 // arenas eagerly, touching every page: a second multi-GiB device in one
 // process would then cost its full size in resident memory. A fresh
@@ -20,7 +17,6 @@ func newBacking(owner *Device, size uint64) []byte {
 		return make([]byte, size)
 	}
 	owner.mapped = true
-	runtime.SetFinalizer(owner, (*Device).releaseBacking)
 	return b
 }
 
@@ -28,9 +24,8 @@ func newBacking(owner *Device, size uint64) []byte {
 // fallback is left to the collector.
 func (d *Device) releaseBacking() {
 	if d.mapped {
-		runtime.SetFinalizer(d, nil)
 		// Munmap fails only on a range that is not this mapping, and
-		// neither Release nor a finalizer has a caller to report to.
+		// Release has no caller to report to.
 		_ = syscall.Munmap(d.data)
 		d.mapped = false
 	}

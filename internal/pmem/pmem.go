@@ -163,12 +163,12 @@ func New(cfg Config) *Device {
 	return d
 }
 
-// Release returns the device's host memory now rather than when the
-// device is collected. Mapped memory does not count toward the Go heap,
-// so a process that builds one machine after another would otherwise
-// keep each finished device's frames until some later collection ran its
-// finalizer. Release drops the sparse-line slab too. The device must not
-// be read or written afterwards; its Stats stay readable.
+// Release returns the device's host memory: the mapping and the
+// sparse-line slab. It is the only way a mapped device's frames go back;
+// no finalizer does it, and mapped memory does not count toward the Go
+// heap, so a process that builds one machine after another must release
+// each finished device (kernel.Kernel.Close does). The device must not be
+// read or written afterwards; its Stats stay readable.
 func (d *Device) Release() {
 	d.releaseBacking()
 	d.page, d.lines, d.freeLines = nil, nil, 0

@@ -12,6 +12,14 @@ import (
 	"daxvm/internal/topo"
 )
 
+// newDevice makes a device and releases it when the test ends: nothing
+// else unmaps its backing.
+func newDevice(t testing.TB, cfg Config) *Device {
+	d := New(cfg)
+	t.Cleanup(d.Release)
+	return d
+}
+
 // run executes fn on a single sim thread.
 func run(fn func(t *sim.Thread)) uint64 {
 	e := sim.New()
@@ -20,7 +28,7 @@ func run(fn func(t *sim.Thread)) uint64 {
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
-	d := New(Config{Size: 1 << 20})
+	d := newDevice(t, Config{Size: 1 << 20})
 	run(func(th *sim.Thread) {
 		src := []byte("persistent memory payload")
 		d.WriteNT(th, 4096, src)
@@ -36,7 +44,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 }
 
 func TestOutOfBoundsPanics(t *testing.T) {
-	d := New(Config{Size: 1 << 16})
+	d := newDevice(t, Config{Size: 1 << 16})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -48,10 +56,10 @@ func TestOutOfBoundsPanics(t *testing.T) {
 }
 
 func TestNTStoreCostsMoreThanRead(t *testing.T) {
-	d := New(Config{Size: 1 << 22})
+	d := newDevice(t, Config{Size: 1 << 22})
 	buf := make([]byte, 1<<20)
 	wr := run(func(th *sim.Thread) { d.WriteNT(th, 0, buf) })
-	d2 := New(Config{Size: 1 << 22})
+	d2 := newDevice(t, Config{Size: 1 << 22})
 	rd := run(func(th *sim.Thread) { d2.Read(th, 0, buf) })
 	if wr <= rd {
 		t.Fatalf("nt-store (%d cycles) should cost more than read (%d): Optane write bandwidth is lower", wr, rd)
@@ -59,7 +67,7 @@ func TestNTStoreCostsMoreThanRead(t *testing.T) {
 }
 
 func TestZeroClears(t *testing.T) {
-	d := New(Config{Size: 1 << 20})
+	d := newDevice(t, Config{Size: 1 << 20})
 	run(func(th *sim.Thread) {
 		d.WriteNT(th, 0, bytes.Repeat([]byte{0xAB}, 8192))
 		d.Zero(th, 0, 8192)
@@ -75,7 +83,7 @@ func TestZeroClears(t *testing.T) {
 }
 
 func TestPersistenceTracking(t *testing.T) {
-	d := New(Config{Size: 1 << 20, TrackPersistence: true})
+	d := newDevice(t, Config{Size: 1 << 20, TrackPersistence: true})
 	run(func(th *sim.Thread) {
 		payload := bytes.Repeat([]byte{0x5A}, 128)
 
@@ -109,7 +117,7 @@ func TestPersistenceTracking(t *testing.T) {
 }
 
 func TestFlushWithoutFenceUnsafe(t *testing.T) {
-	d := New(Config{Size: 1 << 20, TrackPersistence: true})
+	d := newDevice(t, Config{Size: 1 << 20, TrackPersistence: true})
 	run(func(th *sim.Thread) {
 		d.WriteCached(th, 0, []byte{1, 2, 3, 4})
 		d.Flush(th, 0, 4)
@@ -124,7 +132,7 @@ func TestFlushWithoutFenceUnsafe(t *testing.T) {
 func TestBandwidthNoSelfInterference(t *testing.T) {
 	// A single thread can never outrun the device: its own per-thread
 	// bandwidth is below the device bandwidth, so it must see no stall.
-	d := New(Config{Size: 1 << 26})
+	d := newDevice(t, Config{Size: 1 << 26})
 	run(func(th *sim.Thread) {
 		for i := 0; i < 64; i++ {
 			d.WriteNT(th, mem.PhysAddr(i*65536), make([]byte, 65536))
@@ -138,7 +146,7 @@ func TestBandwidthNoSelfInterference(t *testing.T) {
 func TestBandwidthInterference(t *testing.T) {
 	// Eight concurrent writers demand ~8×2.3 GB/s, above the ~13 GB/s
 	// device write budget: some must stall on the shared channel.
-	d := New(Config{Size: 1 << 26})
+	d := newDevice(t, Config{Size: 1 << 26})
 	e := sim.New()
 	for w := 0; w < 8; w++ {
 		base := mem.PhysAddr(w * (4 << 20))
@@ -181,7 +189,7 @@ func TestZeroAfterCrashClearsCorruption(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := New(Config{Size: 4 * mem.PageSize, TrackPersistence: true})
+			d := newDevice(t, Config{Size: 4 * mem.PageSize, TrackPersistence: true})
 			got := make([]byte, mem.PageSize)
 			run(func(th *sim.Thread) {
 				tc.before(th, d)
@@ -209,7 +217,7 @@ func TestZeroAfterCrashClearsCorruption(t *testing.T) {
 // page and a run of 64 cached words.
 func TestDeviceZeroAlloc(t *testing.T) {
 	for _, tp := range []*topo.Topology{nil, topo.New(2, 1)} {
-		d := New(Config{Size: 1 << 20, Topo: tp})
+		d := newDevice(t, Config{Size: 1 << 20, Topo: tp})
 		e := sim.New()
 		obs.New(64).Attach(e)
 		e.Go("t", 1, 0, func(th *sim.Thread) {
@@ -285,7 +293,7 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0x00, 0x10, 0xFF, 0x0F, 0xAA, 7, 0x20, 0x10, 0x00, 0x00, 0, 0, 0x10, 0x20, 0x7F, 0x00, 0xBB, 1, 0x08, 0x30, 0x07, 0x00, 0xCC, 7, 0x00, 0x30, 0x00, 0x00, 0, 1, 0x00, 0x10, 0x07, 0x00, 0xDD, 0, 0x00, 0x30, 0xFF, 0x01, 0xEE})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		play := func(wordRuns bool) (*Device, *sim.Thread) {
-			d := New(Config{Size: size, TrackPersistence: true})
+			d := newDevice(t, Config{Size: size, TrackPersistence: true})
 			ref := make([]byte, size)
 			got := make([]byte, size)
 			e := sim.New()
@@ -393,7 +401,7 @@ func framesInUse(d *Device) int {
 // back, a later dense page takes a freed frame before a new one, and a
 // reused frame reads zero wherever the new page was not written.
 func TestFramesFollowLivePages(t *testing.T) {
-	d := New(Config{Size: 16 * mem.PageSize})
+	d := newDevice(t, Config{Size: 16 * mem.PageSize})
 	page := bytes.Repeat([]byte{0xAB}, mem.PageSize)
 	got := make([]byte, mem.PageSize)
 	run(func(th *sim.Thread) {
@@ -447,7 +455,7 @@ func TestFramesFollowLivePages(t *testing.T) {
 // persistence-tracking sets, so a crash finds the range zero rather than
 // corrupted, and that Discard charges and counts nothing.
 func TestDiscardUntracksLines(t *testing.T) {
-	d := New(Config{Size: 4 * mem.PageSize, TrackPersistence: true})
+	d := newDevice(t, Config{Size: 4 * mem.PageSize, TrackPersistence: true})
 	got := make([]byte, mem.PageSize)
 	var before, after uint64
 	run(func(th *sim.Thread) {

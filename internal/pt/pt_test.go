@@ -177,6 +177,7 @@ func TestClearRangeDetachesFragments(t *testing.T) {
 
 func TestPMemBackingMirror(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 1 << 20})
+	t.Cleanup(dev.Release)
 	n := NewNode(LevelPTE, mem.Loc{Medium: mem.PMem})
 	n.Backing = dev
 	n.BackAddr = 0x4000
@@ -403,6 +404,7 @@ func FuzzNodeEntries(f *testing.F) {
 				n = NewNode(LevelPMD, mem.Loc{Medium: mem.PMem})
 			}
 			dev := pmem.New(pmem.Config{Size: 2 * mem.PageSize, Topo: tp})
+			t.Cleanup(dev.Release)
 			n.Backing, n.BackAddr = dev, mem.PageSize
 			e := sim.New()
 			th := e.Go("fuzz", 0, 0, func(th *sim.Thread) {
