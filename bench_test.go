@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -274,6 +277,44 @@ func TestRunExperimentAPI(t *testing.T) {
 	}
 	if _, err := RunExperiment("nope", true, io.Discard, nil); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// residentMB reads this process's resident set size from /proc.
+func residentMB(t *testing.T) int {
+	raw, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		t.Skipf("no /proc/self/status: %v", err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "VmRSS:" {
+			kb, err := strconv.Atoi(f[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return kb / 1024
+		}
+	}
+	t.Skip("no VmRSS line")
+	return 0
+}
+
+// TestRunExperimentReleasesMachines pins that RunExperiment ends every
+// machine it boots: after the call and a GC, resident memory is back near
+// its level before the call. fig9b's quick machines write hundreds of MiB
+// of device memory, which only Kernel.Close gives back.
+func TestRunExperimentReleasesMachines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	runtime.GC()
+	before := residentMB(t)
+	if _, err := RunExperiment("fig9b", true, io.Discard, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if grew := residentMB(t) - before; grew > 64 {
+		t.Fatalf("resident memory grew %d MiB over RunExperiment (from %d MiB): its last machine is still open", grew, before)
 	}
 }
 

@@ -191,7 +191,9 @@ func Experiments() []string { return bench.IDs() }
 
 // RunExperiment regenerates one paper table/figure, rendering the result
 // to w. quick shrinks working sets for CI. log, when non-nil, receives
-// per-configuration progress lines as the experiment runs.
+// per-configuration progress lines as the experiment runs. It closes the
+// experiment's last machine before it returns, so no device memory
+// outlives the call.
 func RunExperiment(id string, quick bool, w, log io.Writer) (map[string]float64, error) {
 	e, ok := bench.ByID(id)
 	if !ok {
@@ -199,6 +201,7 @@ func RunExperiment(id string, quick bool, w, log io.Writer) (map[string]float64,
 	}
 	r := e.Run(bench.Options{Quick: quick, Log: log})
 	bench.Render(w, r)
+	bench.CloseLast()
 	return r.Metrics, nil
 }
 

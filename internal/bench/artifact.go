@@ -97,19 +97,15 @@ func NewArtifact(r *Result, o Options, snap *obs.Snapshot, cycles *obs.CycleSnap
 			}
 			a.Timeline = append(a.Timeline, ex)
 			var sp *span.SegmentExport
-			if o.Spans != nil {
-				if seg, ok := o.Spans.ExportSegment(ex.Segment); ok {
-					sp = &seg
-				}
+			if seg, ok := o.Spans.ExportSegment(ex.Segment); ok {
+				sp = &seg
 			}
 			a.Saturation = append(a.Saturation, bottleneck.Analyze(ex, sp))
 		}
 	}
-	if o.Spans != nil {
-		if seg, ok := o.Spans.ExportSegment(r.ID); ok {
-			a.CriticalPath = seg.Classes
-			a.Exemplars = seg.Exemplars
-		}
+	if seg, ok := o.Spans.ExportSegment(r.ID); ok {
+		a.CriticalPath = seg.Classes
+		a.Exemplars = seg.Exemplars
 	}
 	return a
 }

@@ -20,7 +20,7 @@ func TestArtifactSmoke(t *testing.T) {
 	o := obs.New(0)
 	tl := timeline.New(o.Reg, o.Cycles, timeline.Config{})
 	opts := Options{Quick: true, Obs: o, Timeline: tl, Spans: span.New(3)}
-	t.Cleanup(closeLive)
+	t.Cleanup(CloseLast)
 	r := e.Run(opts)
 	if len(r.Metrics) == 0 {
 		t.Fatal("experiment produced no metrics")

@@ -107,7 +107,7 @@ var registry []Experiment
 // caller to snapshot. Nil-safe via Timeline/Spans.
 func withSegment(id string, run func(o Options) *Result) func(o Options) *Result {
 	return func(o Options) *Result {
-		closeLive()
+		CloseLast()
 		if o.Obs != nil {
 			o.Obs.Reg.ZeroHistograms()
 		}

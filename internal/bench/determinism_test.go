@@ -26,7 +26,7 @@ func TestRunDeterminism(t *testing.T) {
 		tl := timeline.New(o.Reg, o.Cycles, timeline.Config{})
 		sp := span.New(3)
 		opts := Options{Quick: true, Obs: o, Timeline: tl, Spans: sp}
-		t.Cleanup(closeLive)
+		t.Cleanup(CloseLast)
 		res := e.Run(opts)
 		snap := o.Reg.Snapshot()
 		cycles := o.Cycles.Snapshot()

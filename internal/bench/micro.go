@@ -58,7 +58,7 @@ var live *kernel.Kernel
 // device memory does not count toward the Go heap, and nothing else
 // returns it.
 func bootMachine(cfg kernel.Config) *kernel.Kernel {
-	closeLive()
+	CloseLast()
 	live = kernel.Boot(cfg)
 	return live
 }
@@ -67,8 +67,9 @@ func bootMachine(cfg kernel.Config) *kernel.Kernel {
 // machine's final counters just before it ends.
 var closeMachine = (*kernel.Kernel).Close
 
-// closeLive closes the machine bootMachine built last, if any.
-func closeLive() {
+// CloseLast closes the machine bootMachine built last, if any: the one
+// an experiment's Run leaves open for its caller to snapshot.
+func CloseLast() {
 	if live != nil {
 		closeMachine(live)
 		live = nil

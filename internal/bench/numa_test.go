@@ -32,7 +32,7 @@ func TestNumaPlacementShape(t *testing.T) {
 	if !ok {
 		t.Fatal("numa not registered")
 	}
-	t.Cleanup(closeLive)
+	t.Cleanup(CloseLast)
 	res := e.Run(Options{Quick: true})
 	for _, path := range []string{"read", "paging"} {
 		local := res.Metrics[path+"/local"]

@@ -24,7 +24,7 @@ func TestCycleReconciliation(t *testing.T) {
 			o := obs.New(0)
 			tl := timeline.New(o.Reg, o.Cycles, timeline.Config{})
 			sp := span.New(3)
-			t.Cleanup(closeLive)
+			t.Cleanup(CloseLast)
 			e.Run(Options{Quick: true, Obs: o, Timeline: tl, Spans: sp})
 			attributed := o.Cycles.Total()
 			charged := o.EnginesTotal()
@@ -101,7 +101,7 @@ func TestSpanSelfTimeMatchesAttribution(t *testing.T) {
 			}
 			o := obs.New(0)
 			sp := span.New(3)
-			t.Cleanup(closeLive)
+			t.Cleanup(CloseLast)
 			e.Run(Options{Quick: true, Obs: o, Spans: sp})
 			snap := o.Cycles.Snapshot()
 

@@ -40,7 +40,7 @@ func (h *hub) run(t *testing.T, id string) []byte {
 	if !ok {
 		t.Fatalf("%s not registered", id)
 	}
-	t.Cleanup(closeLive)
+	t.Cleanup(CloseLast)
 	res := e.Run(h.opts)
 	snap := h.opts.Obs.Reg.Snapshot()
 	cycles := h.opts.Obs.Cycles.Snapshot()
@@ -101,7 +101,7 @@ func TestTimelineAgreesWithKernels(t *testing.T) {
 	names := []string{"mm.minor_faults", "cpu.walks", "dram.allocs", "mm.mmaps"}
 	for _, id := range []string{"fig7", "fig4"} {
 		t.Run(id, func(t *testing.T) {
-			closeLive()
+			CloseLast()
 			h := newHub()
 			final := map[string]uint64{}
 			machines := 0
@@ -116,7 +116,7 @@ func TestTimelineAgreesWithKernels(t *testing.T) {
 			}
 			t.Cleanup(func() { closeMachine = saved })
 			h.run(t, id)
-			closeLive()
+			CloseLast()
 			if machines < 2 {
 				t.Fatalf("%s booted %d machines, want several", id, machines)
 			}

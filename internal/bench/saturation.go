@@ -102,10 +102,8 @@ func analyzeSegment(o Options, seg string) (bottleneck.Report, bool) {
 			continue
 		}
 		var sp *span.SegmentExport
-		if o.Spans != nil {
-			if s, ok := o.Spans.ExportSegment(seg); ok {
-				sp = &s
-			}
+		if s, ok := o.Spans.ExportSegment(seg); ok {
+			sp = &s
 		}
 		return bottleneck.Analyze(ex, sp), true
 	}

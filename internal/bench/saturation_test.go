@@ -23,7 +23,7 @@ func runSaturationOnce(t *testing.T) (*Result, *Artifact) {
 	o := obs.New(0)
 	tl := timeline.New(o.Reg, o.Cycles, timeline.Config{})
 	opts := Options{Quick: true, Obs: o, Timeline: tl, Spans: span.New(3)}
-	t.Cleanup(closeLive)
+	t.Cleanup(CloseLast)
 	res := e.Run(opts)
 	snap := o.Reg.Snapshot()
 	cycles := o.Cycles.Snapshot()

@@ -22,7 +22,7 @@ func TestTimelineCSVDeterminism(t *testing.T) {
 		}
 		o := obs.New(0)
 		tl := timeline.New(o.Reg, o.Cycles, timeline.Config{})
-		t.Cleanup(closeLive)
+		t.Cleanup(CloseLast)
 		e.Run(Options{Quick: true, Obs: o, Timeline: tl})
 		var buf bytes.Buffer
 		if err := timeline.WriteCSV(&buf, tl.Export()); err != nil {

@@ -107,10 +107,6 @@ type DaxVM struct {
 	placement topo.Policy
 	ileave    uint64
 
-	// Spans opens a causal span per zombie flush, pre-zero quantum and
-	// monitor migration; nil = disabled.
-	Spans *span.Collector
-
 	Stats Stats
 
 	// descBuf stages one file-table descriptor block for writeDescriptor
@@ -568,8 +564,8 @@ func (p *Proc) flushZombies(t *sim.Thread, core *cpu.Core) {
 	if len(zs) == 0 {
 		return
 	}
-	p.d.Spans.Begin(t, "zombie_flush")
-	defer p.d.Spans.End(t)
+	span.Of(t).Begin(t, "zombie_flush")
+	defer span.Of(t).End(t)
 	for _, v := range zs {
 		if v.Ephemeral {
 			p.Heap.Unregister(t, v)

@@ -5,6 +5,7 @@ import (
 	"daxvm/internal/cpu"
 	"daxvm/internal/mem"
 	"daxvm/internal/obs"
+	"daxvm/internal/obs/span"
 	"daxvm/internal/pt"
 	"daxvm/internal/sim"
 )
@@ -89,8 +90,8 @@ func (m *Monitor) migrate(t *sim.Thread) {
 	defer t.PopAttr()
 	p := m.p
 	d := p.d
-	d.Spans.Begin(t, "daemon.monitor.migrate")
-	defer d.Spans.End(t)
+	span.Of(t).Begin(t, "daemon.monitor.migrate")
+	defer span.Of(t).End(t)
 	migratedAny := false
 	p.MM.Sem.Lock(t, cost.SemAcquireFast)
 	for _, ino := range obs.SortedKeys(d.tables) {

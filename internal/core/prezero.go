@@ -4,6 +4,7 @@ import (
 	"daxvm/internal/cost"
 	"daxvm/internal/fs/vfs"
 	"daxvm/internal/mem"
+	"daxvm/internal/obs/span"
 	"daxvm/internal/sim"
 )
 
@@ -71,7 +72,7 @@ func (p *Prezeroer) run(t *sim.Thread) {
 	}
 	for {
 		t.Sleep(zeroQuantum)
-		p.d.Spans.Begin(t, "daemon.prezero")
+		span.Of(t).Begin(t, "daemon.prezero")
 		zeroedBefore := p.Stats.Zeroed
 		budget := bytesPerQuantum
 		for c := range p.perCore {
@@ -105,7 +106,7 @@ func (p *Prezeroer) run(t *sim.Thread) {
 		if p.Stats.Zeroed > zeroedBefore {
 			p.Stats.Batches++
 		}
-		p.d.Spans.End(t)
+		span.Of(t).End(t)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"daxvm/internal/cost"
 	"daxvm/internal/mem"
 	"daxvm/internal/obs"
-	"daxvm/internal/obs/span"
 	"daxvm/internal/pt"
 	"daxvm/internal/sim"
 	"daxvm/internal/tlb"
@@ -29,10 +28,6 @@ type Set struct {
 
 	// Topo is the machine's NUMA layout (nil = flat single-node).
 	Topo *topo.Topology
-
-	// Spans opens a causal span per shootdown with its IPI cost typed as
-	// wait. Nil = disabled.
-	Spans *span.Collector
 
 	// In-flight IPI window: ipiInflight remote IPIs have acknowledgement
 	// deadlines no earlier than ipiInflightUntil. Overlapping shootdowns
@@ -338,10 +333,8 @@ const (
 // DaxVM's asynchronous batched unmapping amortizes.
 func (s *Set) Shootdown(t *sim.Thread, initiator *Core, targets []*Core, kind ShootdownKind, pages []mem.VirtAddr, start, end mem.VirtAddr) {
 	t.Yield() // synchronization point: remote clocks are examined
-	t.PushAttr("shootdown")
-	defer t.PopAttr()
-	s.Spans.Begin(t, "shootdown")
-	defer s.Spans.End(t)
+	t.Enter("shootdown")
+	defer t.Leave()
 	// Local invalidation.
 	applyInval(initiator.TLB, kind, pages, start, end)
 	switch kind {

@@ -224,7 +224,6 @@ func TestShootdownZeroAlloc(t *testing.T) {
 	o := obs.New(64)
 	spans := span.New(4)
 	spans.SetTracer(o.Trace)
-	s.Spans = spans
 	e := sim.New()
 	o.Attach(e)
 	spans.Attach(e)

@@ -22,10 +22,6 @@ type Journal struct {
 
 	pendingBlocks uint64
 
-	// Spans opens a causal span per commit (see SetSpans). Nil =
-	// disabled.
-	Spans *span.Collector
-
 	Stats JournalStats
 }
 
@@ -37,8 +33,12 @@ type JournalStats struct {
 }
 
 // NewJournal creates a journal whose log area is [head, head+size) on dev.
+// Time parked on the contended commit lock books as journal_flush wait
+// inside the parked thread's "journal.commit" span.
 func NewJournal(dev *pmem.Device, head mem.PhysAddr, size uint64) *Journal {
-	return &Journal{dev: dev, mu: sim.NewMutex(cost.SchedWakeup), logHead: head, logSize: size}
+	mu := sim.NewMutex(cost.SchedWakeup)
+	mu.OnContended = func(t *sim.Thread, blocked uint64) { span.Of(t).Wait(t, span.WaitJournal, blocked) }
+	return &Journal{dev: dev, mu: mu, logHead: head, logSize: size}
 }
 
 // WaitQueueDepth reports how many threads are parked on the commit lock.
@@ -58,28 +58,12 @@ func (j *Journal) AddMeta(t *sim.Thread, n uint64) {
 	t.ChargeAs("journal.add_meta", cost.JournalAddPerBlock*n)
 }
 
-// SetSpans attaches the span collector: every commit opens a
-// "journal.commit" span, and time parked on the contended commit lock
-// books as journal_flush wait inside it. Nil detaches cleanly.
-func (j *Journal) SetSpans(sp *span.Collector) {
-	j.Spans = sp
-	if sp == nil {
-		j.mu.OnContended = nil
-		return
-	}
-	j.mu.OnContended = func(t *sim.Thread, blocked uint64) {
-		sp.Wait(t, span.WaitJournal, blocked)
-	}
-}
-
 // Commit forces the running transaction to media. It serializes on the
 // journal lock, writes the pending metadata blocks to the log with
 // nt-stores and fences.
 func (j *Journal) Commit(t *sim.Thread) {
-	t.PushAttr("journal.commit")
-	defer t.PopAttr()
-	j.Spans.Begin(t, span.ClassJournalCommit)
-	defer j.Spans.End(t)
+	t.Enter(span.ClassJournalCommit)
+	defer t.Leave()
 	j.mu.Lock(t, cost.SemAcquireFast)
 	n := j.pendingBlocks
 	j.pendingBlocks = 0

@@ -30,10 +30,6 @@ type Config struct {
 type FS struct {
 	*blockfs.Core
 
-	// Spans, when set, opens a causal span per synchronous log append
-	// (nil = disabled).
-	Spans *span.Collector
-
 	logArea mem.PhysAddr
 	logOff  uint64
 	logCap  uint64
@@ -69,8 +65,8 @@ func (f *FS) Name() string { return "nova" }
 // logAppend models one synchronous metadata log entry: an nt-stored,
 // fenced record. This is why NOVA needs no MAP_SYNC faults.
 func (f *FS) logAppend(t *sim.Thread) {
-	f.Spans.Begin(t, "nova.log_append")
-	defer f.Spans.End(t)
+	span.Of(t).Begin(t, "nova.log_append")
+	defer span.Of(t).End(t)
 	f.Stats.LogAppends++
 	t.ChargeAs("log_append", cost.NovaLogAppend)
 	if f.logOff+mem.CacheLineSize > f.logCap {

@@ -71,7 +71,8 @@ type Config struct {
 	Monitor bool
 	// TrackPersistence enables crash simulation.
 	TrackPersistence bool
-	// HugePages toggles baseline DAX huge-page support (default on).
+	// HugePagesOff turns baseline DAX huge-page support off (it is on by
+	// default).
 	HugePagesOff bool
 	// Obs, when set, receives every subsystem's counters and latency
 	// histograms; its tracer receives one slice per closed span, so
@@ -95,7 +96,7 @@ type Config struct {
 	// that reconciles exactly against the cycle account. Spans are the
 	// only per-operation record: with Obs set, each closed span is also
 	// written to Obs.Trace. Shared across sequentially booted kernels the
-	// same way Obs is.
+	// same way Obs is. The layers reach it through the thread's engine.
 	Spans *span.Collector
 }
 
@@ -178,17 +179,12 @@ func Boot(cfg Config) *Kernel {
 	}
 	k.Cpus.SetTopology(tp)
 	k.placement = topo.MustParsePolicy(cfg.Placement)
-	k.Cpus.Spans = cfg.Spans
 
 	switch cfg.FS {
 	case Nova:
-		f := nova.Mkfs(nova.Config{Dev: k.Dev})
-		f.Spans = cfg.Spans
-		k.FS = f
+		k.FS = nova.Mkfs(nova.Config{Dev: k.Dev})
 	default:
-		f := ext4.Mkfs(ext4.Config{Dev: k.Dev, JournalBytes: 128 << 20})
-		f.Journal().SetSpans(cfg.Spans)
-		k.FS = f
+		k.FS = ext4.Mkfs(ext4.Config{Dev: k.Dev, JournalBytes: 128 << 20})
 	}
 
 	if tp.Multi() {
@@ -200,7 +196,6 @@ func Boot(cfg Config) *Kernel {
 	var hooks *vfs.Hooks
 	if cfg.DaxVM {
 		k.Dax = core.New(cfg.DaxVMConfig, k.Dev, k.Pool, k.Cpus, k.FS.Allocator(), k.FS)
-		k.Dax.Spans = cfg.Spans
 		if tp.Multi() {
 			k.Dax.SetPlacement(topo.MustParsePolicy(cfg.MountPlacement))
 		}
@@ -282,8 +277,8 @@ func (k *Kernel) Setup(fn func(t *sim.Thread)) {
 
 // attachEngine wires an engine into the hub (the cycle account reads its
 // threads' charge tables; path ids are per engine) and the span
-// collector (which reads its tallies), and rides the timeline sampler
-// daemon on it.
+// collector (which the engine carries, and which reads its tallies),
+// and rides the timeline sampler daemon on it.
 func (k *Kernel) attachEngine(e *sim.Engine) {
 	k.engines = append(k.engines, e)
 	k.Obs.Attach(e)
@@ -300,12 +295,11 @@ func (k *Kernel) attachEngine(e *sim.Engine) {
 // it at the thread's clock books its cycles to its class.
 func (k *Kernel) runEngine(label string, e *sim.Engine) uint64 {
 	end := e.Run()
-	if sp := k.Cfg.Spans; sp != nil {
-		for _, t := range e.Threads() {
-			for n := sp.OpenSpans(t); n > 0; n-- {
-				//lint:ignore spanbalance ends a span the torn-down thread opened and never reached the End of
-				sp.End(t)
-			}
+	sp := k.Cfg.Spans
+	for _, t := range e.Threads() {
+		for n := sp.OpenSpans(t); n > 0; n-- {
+			//lint:ignore spanbalance ends a span the torn-down thread opened and never reached the End of
+			sp.End(t)
 		}
 	}
 	if tl := k.Cfg.Timeline; tl != nil {
@@ -356,12 +350,6 @@ func (k *Kernel) NewProc() *Proc {
 	if k.Obs != nil {
 		p.MM.FaultHist = k.faultHist
 	}
-	if sp := k.Cfg.Spans; sp != nil {
-		p.MM.Spans = sp
-		p.MM.Sem.OnContended = func(t *sim.Thread, blocked uint64) {
-			sp.Wait(t, span.WaitMmapSem, blocked)
-		}
-	}
 	k.procs = append(k.procs, p)
 	return p
 }
@@ -387,8 +375,7 @@ func (p *Proc) Spawn(name string, coreID int, start uint64, fn func(t *sim.Threa
 //	p.sysEnter(t, "syscall.open")
 //	defer p.sysExit(t)
 func (p *Proc) sysEnter(t *sim.Thread, cls string) {
-	t.PushAttr(cls)
-	p.K.Cfg.Spans.Begin(t, cls)
+	t.Enter(cls)
 	t.Charge(cost.UserKernelCrossing + cost.SyscallDispatch)
 }
 
@@ -396,8 +383,7 @@ func (p *Proc) sysEnter(t *sim.Thread, cls string) {
 // sysEnter opened.
 func (p *Proc) sysExit(t *sim.Thread) {
 	t.Charge(cost.UserKernelCrossing)
-	p.K.Cfg.Spans.End(t)
-	t.PopAttr()
+	t.Leave()
 }
 
 // Open opens an existing file.
@@ -679,11 +665,8 @@ func (k AccessKind) isWrite() bool { return k == KindNTWrite || k == KindCachedW
 // occupancy (DAX loads/stores cross the DIMM channel even without a
 // kernel copy).
 func (p *Proc) AccessMapped(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, n uint64, kind AccessKind) error {
-	t.PushAttr("access")
-	defer t.PopAttr()
-	sp := p.K.Cfg.Spans
-	sp.Begin(t, "access")
-	defer sp.End(t)
+	t.Enter("access")
+	defer t.Leave()
 	if err := p.MM.Access(t, c, va, n, kind.isWrite(), kind.perPage()); err != nil {
 		return err
 	}

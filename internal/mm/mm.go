@@ -58,7 +58,8 @@ func (v *VMA) Len() uint64 { return uint64(v.End - v.Start) }
 
 // MM is one process's memory manager.
 type MM struct {
-	// Sem is mmap_sem. Everything in Table IV of the paper queues here.
+	// Sem is mmap_sem. Everything in Table IV of the paper queues here;
+	// time parked on it books as mmap_sem wait in the parked thread's span.
 	Sem *sim.RWSem
 	// AS is the process page-table tree.
 	AS *pt.AddressSpace
@@ -90,11 +91,9 @@ type MM struct {
 	// 2 MiB-grained. Set by internal/core.
 	DaxWPFault func(t *sim.Thread, core *cpu.Core, v *VMA, va mem.VirtAddr) error
 
-	// FaultHist records end-to-end fault service latency; Spans opens a
-	// causal span per fault with its wait decomposition. Both nil =
-	// disabled.
+	// FaultHist records end-to-end fault service latency (nil =
+	// disabled).
 	FaultHist *obs.Histogram
-	Spans     *span.Collector
 
 	Stats Stats
 }
@@ -147,6 +146,7 @@ func New(pool *dram.Pool, fs vfs.FS, cpus *cpu.Set) *MM {
 			}
 		},
 	)
+	m.Sem.OnContended = func(t *sim.Thread, blocked uint64) { span.Of(t).Wait(t, span.WaitMmapSem, blocked) }
 	return m
 }
 
@@ -356,11 +356,9 @@ func (m *MM) tryHuge(t *sim.Thread, v *VMA, va, end mem.VirtAddr, chargeFault bo
 // Linux's shared-file write fault.
 func (m *MM) PageFault(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, write bool) error {
 	began := t.Now()
-	t.PushAttr("fault.minor")
-	m.Spans.Begin(t, "fault.minor")
+	t.Enter("fault.minor")
 	err := m.pageFault(t, core, va, write)
-	m.Spans.End(t)
-	t.PopAttr()
+	t.Leave()
 	m.FaultHist.Observe(t.Now() - began)
 	return err
 }
@@ -432,11 +430,9 @@ func (m *MM) installPTE(t *sim.Thread, va mem.VirtAddr, phys uint64, perm mem.Pe
 // MAP_SYNC metadata commit.
 func (m *MM) WPFault(t *sim.Thread, core *cpu.Core, va mem.VirtAddr) error {
 	began := t.Now()
-	t.PushAttr("fault.wp")
-	m.Spans.Begin(t, "fault.wp")
+	t.Enter("fault.wp")
 	err := m.wpFault(t, core, va)
-	m.Spans.End(t)
-	t.PopAttr()
+	t.Leave()
 	m.FaultHist.Observe(t.Now() - began)
 	return err
 }

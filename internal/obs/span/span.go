@@ -20,7 +20,7 @@
 // are AddRemote bookings (IPI handler work), which advance the target
 // thread's clock without being work the target's current operation
 // initiated, so they belong to no span. Consequently, for a span class
-// whose Begin/End window coincides with an attribution frame (e.g.
+// opened with its attribution frame by sim.Thread.Enter (e.g.
 // "fault.minor"), the class's summed tree self-time equals the cycles
 // the profiler attributed under that frame.
 //
@@ -112,10 +112,11 @@ func (n *node) treeWaits() [numWaitKinds]uint64 {
 	return w
 }
 
-// tstate is the per-thread open-span stack. Spans nest strictly (the
-// instrumented layers bracket with Begin/defer End), so a stack is the
-// whole story.
+// tstate is the per-thread open-span stack, kept in sim.Thread.SpanState.
+// Spans nest strictly (the instrumented layers bracket with Enter/defer
+// Leave or Begin/defer End), so a stack is the whole story.
 type tstate struct {
+	c        *Collector // the collector the state belongs to
 	stack    []*node
 	attached bool      // the thread's engine is attached: Begin and End book its tally
 	last     sim.Tally // the thread's tally at its last Begin or End
@@ -203,9 +204,6 @@ type Collector struct {
 	local   uint64 // local charges folded in or observed, span or not
 	charged uint64 // local plus AddRemote bookings (never in a span)
 
-	threads map[*sim.Thread]*tstate
-	lastT   *sim.Thread // single-entry state cache: consecutive
-	lastS   *tstate     // calls come from the running thread
 	engines []*attachedEngine
 
 	cur  *segment
@@ -220,9 +218,8 @@ type Collector struct {
 // class per segment (k <= 0 disables exemplars; stats are still kept).
 func New(k int) *Collector {
 	return &Collector{
-		k:       k,
-		threads: map[*sim.Thread]*tstate{},
-		cur:     &segment{classes: map[string]*classStats{}},
+		k:   k,
+		cur: &segment{classes: map[string]*classStats{}},
 	}
 }
 
@@ -237,22 +234,23 @@ func (c *Collector) SetTracer(tr *obs.Tracer) {
 	c.tr = tr
 }
 
+// Of returns the collector t's engine carries (Attach), or nil: how an
+// instrumented layer reaches the collector without holding one.
+func Of(t *sim.Thread) *Collector {
+	c, _ := t.Engine().Spans().(*Collector)
+	return c
+}
+
+// state returns t's span state, made on first use.
 func (c *Collector) state(t *sim.Thread) *tstate {
-	if t == c.lastT {
-		return c.lastS
-	}
-	ts := c.threads[t]
+	ts, _ := t.SpanState.(*tstate)
 	if ts == nil {
-		//lint:ignore hotalloc once per thread; steady state hits the one-slot cache or the map
-		ts = &tstate{}
-		for _, a := range c.engines {
-			if a.e == t.Engine() {
-				ts.attached = true
-			}
-		}
-		c.threads[t] = ts
+		//lint:ignore hotalloc once per thread; later calls read the thread's slot
+		ts = &tstate{c: c, attached: Of(t) == c}
+		t.SpanState = ts
+	} else if ts.c != c {
+		panic("span: the thread already carries another collector's spans")
 	}
-	c.lastT, c.lastS = t, ts
 	return ts
 }
 
@@ -281,7 +279,8 @@ func (c *Collector) recycle(n *node) {
 
 // Begin opens a span of the given class on t at its current virtual
 // time. Classes mirror the attribution labels of the operation they
-// wrap ("fault.minor", "syscall.append", ...).
+// wrap ("fault.minor", "syscall.append", ...); sim.Thread.Enter opens
+// the frame and a span of its label in one call.
 func (c *Collector) Begin(t *sim.Thread, class string) {
 	if c == nil {
 		return
@@ -317,10 +316,7 @@ func (c *Collector) End(t *sim.Thread) {
 
 // OpenSpans reports how many spans t has open.
 func (c *Collector) OpenSpans(t *sim.Thread) int {
-	if c == nil {
-		return 0
-	}
-	if ts := c.threads[t]; ts != nil {
+	if ts, _ := t.SpanState.(*tstate); ts != nil && ts.c == c {
 		return len(ts.stack)
 	}
 	return 0
@@ -443,14 +439,14 @@ func (c *Collector) Observe(t *sim.Thread, path string, cycles uint64, remote bo
 	}
 }
 
-// Attach makes the collector read engine e's tallies, with e's path
-// classes set to the wait kinds their leaf labels name. Attach before e
-// runs.
+// Attach makes the collector the one e carries (for Enter, Leave and Of)
+// and makes it read e's tallies, with e's path classes set to the wait
+// kinds their leaf labels name. Attach before e runs.
 func (c *Collector) Attach(e *sim.Engine) {
 	if c == nil {
 		return
 	}
-	e.SetClassifier(classify)
+	e.SetSpans(c, classify)
 	c.engines = append(c.engines, &attachedEngine{e: e, tally: e.Tally(), charged: e.TotalCharged()})
 }
 
@@ -471,7 +467,7 @@ func (c *Collector) fold() {
 
 // classify maps a charge path's leaf label to its class, the value of
 // the charged wait kind it names, or 0 for none; Attach registers it as
-// the engine classifier. The labels
+// the engine's classifier. The labels
 // are the attribution contract of the instrumented layers: pmem books
 // bandwidth stalls as "bw_stall" and cross-socket surcharges as
 // "remote_read"/"remote_write", the kernel data path books remote

@@ -2,6 +2,8 @@ package span
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -254,6 +256,103 @@ func TestNilCollector(t *testing.T) {
 	}
 	if _, ok := c.ExportSegment("x"); ok {
 		t.Fatal("nil collector must have no segments")
+	}
+}
+
+// TestEnterWithoutCollector: on an engine that carries no collector,
+// Enter and Leave only push and pop the attribution frame: Of finds no
+// collector and a collector the engine does not carry sees no span.
+func TestEnterWithoutCollector(t *testing.T) {
+	c := New(1)
+	e := sim.New()
+	var path, after string
+	var open int
+	var of *Collector
+	e.Go("t0", 0, 0, func(th *sim.Thread) {
+		th.Enter("fault.minor")
+		th.Charge(10)
+		path, open, of = th.AttrPath(), c.OpenSpans(th), Of(th)
+		th.Leave()
+		after = th.AttrPath()
+	})
+	e.Run()
+	if path != "fault.minor" || after != sim.Unattributed {
+		t.Errorf("frame inside/after = %q/%q, want fault.minor/%s", path, after, sim.Unattributed)
+	}
+	if open != 0 || of != nil {
+		t.Errorf("OpenSpans = %d, Of = %p: want 0 and nil on an engine with no collector", open, of)
+	}
+	if c.BookedCycles() != 0 || len(c.Export()) != 0 {
+		t.Errorf("unattached collector saw spans: booked %d, export %+v", c.BookedCycles(), c.Export())
+	}
+}
+
+// TestEnterMatchesPushAttrBegin: two engines share one collector, the way
+// Boot's ager, setup and main engines do, and on each two threads
+// interleave operations nested three deep under a root frame. Opening
+// them with Enter and Leave gives the same segments (class stats, waits
+// and exemplar trees) as opening them with explicit PushAttr and Begin
+// and closing them with End and PopAttr.
+func TestEnterMatchesPushAttrBegin(t *testing.T) {
+	type (
+		enterFn func(c *Collector, th *sim.Thread, label string)
+		leaveFn func(c *Collector, th *sim.Thread)
+	)
+	run := func(enter enterFn, leave leaveFn) []SegmentExport {
+		c := New(2)
+		for i := 0; i < 2; i++ {
+			c.StartSegment(fmt.Sprintf("e%d", i))
+			e := sim.New()
+			c.Attach(e)
+			for w := uint64(0); w < 2; w++ {
+				e.Go(fmt.Sprintf("w%d", w), int(w), 0, func(th *sim.Thread) {
+					th.PushAttr("app")
+					for r := uint64(0); r < 4; r++ {
+						enter(c, th, "syscall.read")
+						th.Charge(100 + 10*w)
+						th.Yield()
+						enter(c, th, "fault.minor")
+						th.ChargeAs("bw_stall", 5*r)
+						enter(c, th, "shootdown")
+						th.ChargeAs("ipi_send", 7)
+						th.Sleep(3 + w + r)
+						leave(c, th)
+						th.Yield()
+						leave(c, th)
+						th.Charge(20)
+						leave(c, th)
+					}
+					th.PopAttr()
+				})
+			}
+			e.Run()
+		}
+		return c.Export()
+	}
+	got := run(func(_ *Collector, th *sim.Thread, label string) { th.Enter(label) },
+		func(_ *Collector, th *sim.Thread) { th.Leave() })
+	want := run(func(c *Collector, th *sim.Thread, label string) {
+		th.PushAttr(label)
+		c.Begin(th, label)
+	}, func(c *Collector, th *sim.Thread) {
+		c.End(th)
+		th.PopAttr()
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Enter/Leave export differs from PushAttr+Begin:\n got %+v\nwant %+v", got, want)
+	}
+	if len(got) != 2 {
+		t.Fatalf("exported %d segments, want 2", len(got))
+	}
+	for _, seg := range got {
+		if len(seg.Classes) != 3 || len(seg.Exemplars["shootdown"]) != 2 {
+			t.Fatalf("segment %s: classes %+v, shootdown exemplars %d: want 3 classes and 2 exemplars", seg.Segment, seg.Classes, len(seg.Exemplars["shootdown"]))
+		}
+		for _, ce := range seg.Classes {
+			if ce.Count != 8 {
+				t.Errorf("segment %s class %s: %d spans, want 8", seg.Segment, ce.Class, ce.Count)
+			}
+		}
 	}
 }
 

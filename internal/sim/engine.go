@@ -17,8 +17,9 @@
 // a unique push stamp, so dispatch order is total. Every charge is one
 // add into a table the charged thread keeps, a Row of cycles and count
 // per attribution path id (Rows), and the thread's local charges also add
-// to a running tally by path class (SetClassifier). Readers read the
-// tables, so a handoff does no bookkeeping for them. Usable
+// to a running tally by path class (SetSpans). Readers read the
+// tables, so a handoff does no bookkeeping for them. Enter and Leave
+// open and close an operation's frame and span. Usable
 // lookahead between cores is zero (shared PMem token buckets,
 // zero-latency SpinLock handoff), so model execution cannot be spread
 // across host cores (DESIGN.md §4b).
@@ -51,6 +52,7 @@ type Engine struct {
 	// simulated behaviour.
 	events   uint64
 	classify func(path string) uint8
+	spans    Spans
 
 	// paths interns attribution paths: id i names paths[i], and each
 	// distinct path has exactly one id. Id 0 is Unattributed. kids[i]
@@ -113,6 +115,10 @@ type Thread struct {
 	attr  []int
 	rows  []Row // by path id: what was charged onto the thread
 	tally Tally // the thread's local charges
+
+	// SpanState is the one slot where the engine's span collector keeps
+	// its state for the thread.
+	SpanState any
 
 	// blockedOn is a human-readable tag for deadlock dumps.
 	blockedOn string
@@ -306,15 +312,25 @@ type Tally struct {
 	Classes [NumClasses]uint64
 }
 
-// SetClassifier registers fn to give every path its class in [0,
-// NumClasses), once: now for the paths interned so far, on interning for
-// later ones. Set it before the engine runs.
-func (e *Engine) SetClassifier(fn func(path string) uint8) {
-	e.classify = fn
+// Spans is the span collector an engine carries (SetSpans).
+type Spans interface {
+	Begin(t *Thread, class string)
+	End(t *Thread)
+}
+
+// SetSpans registers the engine's span collector s (nil for none) and
+// classify, which gives every path its class in [0, NumClasses), once:
+// now for the paths interned so far, on interning for later ones. Set
+// them before the engine runs.
+func (e *Engine) SetSpans(s Spans, classify func(path string) uint8) {
+	e.spans, e.classify = s, classify
 	for id, p := range e.paths {
-		e.class[id] = fn(p)
+		e.class[id] = classify(p)
 	}
 }
+
+// Spans returns the span collector SetSpans registered, or nil.
+func (e *Engine) Spans() Spans { return e.spans }
 
 // Tally returns the thread's running tally. Read it on its engine's
 // running thread or once the engine has stopped.
@@ -422,6 +438,23 @@ func (t *Thread) PushAttr(label string) {
 
 // PopAttr closes the innermost attribution frame.
 func (t *Thread) PopAttr() { t.attr = t.attr[:len(t.attr)-1] }
+
+// Enter opens an operation: it pushes the attribution frame label and
+// begins a span of class label on the engine's span collector, if any.
+func (t *Thread) Enter(label string) {
+	t.PushAttr(label)
+	if s := t.e.spans; s != nil {
+		s.Begin(t, label)
+	}
+}
+
+// Leave closes the operation Enter opened: the span, then the frame.
+func (t *Thread) Leave() {
+	if s := t.e.spans; s != nil {
+		s.End(t)
+	}
+	t.PopAttr()
+}
 
 // AttrPath returns the innermost frame's full dotted path.
 func (t *Thread) AttrPath() string {

@@ -381,7 +381,7 @@ func TestBatchChargesMatchSingleCharges(t *testing.T) {
 	}
 	play := func(batch bool) (*Engine, *Thread) {
 		e := New()
-		e.SetClassifier(func(path string) uint8 {
+		e.SetSpans(nil, func(path string) uint8 {
 			switch {
 			case strings.HasSuffix(path, "stall"):
 				return 2
@@ -551,7 +551,7 @@ func TestDumpIncludesAttr(t *testing.T) {
 // TestTallies pins the running tallies: a thread's Local counts its
 // Charge and ChargeAs cycles and never AddRemote, Classes splits them by
 // the classifier's class of each path (paths interned before
-// SetClassifier included), and the engine's tally sums its threads'.
+// SetSpans included), and the engine's tally sums its threads'.
 func TestTallies(t *testing.T) {
 	e := New()
 	e.join(noParent, "app") // interned before the classifier is set
@@ -574,7 +574,7 @@ func TestTallies(t *testing.T) {
 	e.Go("c", 2, 0, func(th *Thread) {
 		b.AddRemote("app", 100)
 	})
-	e.SetClassifier(func(path string) uint8 {
+	e.SetSpans(nil, func(path string) uint8 {
 		switch {
 		case strings.HasSuffix(path, "stall"):
 			return 2

@@ -21,23 +21,34 @@ func wired() (*sim.Engine, *obs.CycleAccount) {
 
 // TestChargeZeroAlloc pins the booking path at zero allocations on an
 // engine attached to an account and a collector: Charge, ChargeN, warm
-// ChargeAs and ChargeAsN (the joined path is already interned) and
-// AddRemote onto another thread each add into a charge table that
-// already has the row, and the account sees every cycle.
+// ChargeAs and ChargeAsN (the joined path is already interned), AddRemote
+// onto another thread and a warm Enter/Leave pair (its path interned, its
+// span class, node and stack slots already made) each add into a charge
+// table that already has the row, the account sees every cycle and the
+// collector every span.
 func TestChargeZeroAlloc(t *testing.T) {
 	e, acct := wired()
 	var allocs float64
+	var sp *span.Collector
 	peer := e.GoDaemon("peer", 1, 0, func(th *sim.Thread) { th.Block("never") })
 	e.Go("t0", 0, 0, func(th *sim.Thread) {
+		sp = span.Of(th)
 		th.PushAttr("app")
 		th.ChargeAs("copy", 1)                     // warm the interned "app.copy" path
 		peer.AddRemote("shootdown.ipi_handler", 1) // and grow peer's table
+		op := func() {
+			th.Enter("fault.minor")
+			th.Charge(1)
+			th.Leave()
+		}
+		op() // warm the operation's path and span state
 		allocs = testing.AllocsPerRun(200, func() {
 			th.Charge(1)
 			th.ChargeAs("copy", 1)
 			th.ChargeN(1, 8)
 			th.ChargeAsN("copy", 1, 8)
 			peer.AddRemote("shootdown.ipi_handler", 1)
+			op()
 		})
 		th.PopAttr()
 	})
@@ -47,6 +58,10 @@ func TestChargeZeroAlloc(t *testing.T) {
 	}
 	if got := acct.Total(); got != e.TotalCharged() {
 		t.Fatalf("account holds %d cycles, engine charged %d: it must see every charge", got, e.TotalCharged())
+	}
+	// One warm-up op, AllocsPerRun's own warm-up run and its 200 runs.
+	if seg, ok := sp.ExportSegment(""); !ok || len(seg.Classes) != 1 || seg.Classes[0].Count != 202 {
+		t.Fatalf("collector segment = %+v, want 202 fault.minor spans", seg)
 	}
 }
 

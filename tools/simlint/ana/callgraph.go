@@ -139,20 +139,7 @@ type CallGraph struct {
 	Out   map[string][]CGEdge // sorted by (Pos, Callee, Kind)
 	In    map[string][]CGEdge
 
-	funcID map[*types.Func]string
-	litID  map[*ast.FuncLit]string
-}
-
-// FuncNode resolves a declared function object to its node (nil when
-// the function has no body in the program).
-func (g *CallGraph) FuncNode(fn *types.Func) *CGNode {
-	if fn == nil {
-		return nil
-	}
-	if id, ok := g.funcID[origin(fn)]; ok {
-		return g.Nodes[id]
-	}
-	return nil
+	litID map[*ast.FuncLit]string
 }
 
 // LitNode resolves a function literal to its node.
@@ -171,26 +158,6 @@ func (g *CallGraph) SortedIDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// Callees returns the traversal out-edges of id (EdgeSig excluded).
-func (g *CallGraph) Callees(id string) []CGEdge {
-	return filterTraversal(g.Out[id])
-}
-
-// Callers returns the traversal in-edges of id (EdgeSig excluded).
-func (g *CallGraph) Callers(id string) []CGEdge {
-	return filterTraversal(g.In[id])
-}
-
-func filterTraversal(edges []CGEdge) []CGEdge {
-	out := make([]CGEdge, 0, len(edges))
-	for _, e := range edges {
-		if e.Kind.Traversal() {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 func origin(fn *types.Func) *types.Func {
@@ -212,6 +179,7 @@ type dynCall struct {
 type ifaceCall struct {
 	caller string
 	iface  *types.Interface
+	decl   *types.Named // the interface's named type, nil if it has none
 	method string
 	pos    token.Pos
 }
@@ -244,11 +212,10 @@ func buildCallGraph(prog *Program) *CallGraph {
 	b := &cgBuilder{
 		prog: prog,
 		g: &CallGraph{
-			Nodes:  map[string]*CGNode{},
-			Out:    map[string][]CGEdge{},
-			In:     map[string][]CGEdge{},
-			funcID: map[*types.Func]string{},
-			litID:  map[*ast.FuncLit]string{},
+			Nodes: map[string]*CGNode{},
+			Out:   map[string][]CGEdge{},
+			In:    map[string][]CGEdge{},
+			litID: map[*ast.FuncLit]string{},
 		},
 		bindings:    map[string]map[string]bool{},
 		paramFields: map[string][]paramFieldLink{},
@@ -283,7 +250,6 @@ func (b *cgBuilder) registerPackage(pkg *Package) {
 				}
 				id := fn.FullName()
 				b.g.Nodes[id] = &CGNode{ID: id, Fn: fn, Decl: d, Pkg: pkg, Pos: d.Pos()}
-				b.g.funcID[origin(fn)] = id
 				if d.Body != nil {
 					b.registerLits(pkg, id, d.Body)
 				}
@@ -417,7 +383,8 @@ func (b *cgBuilder) collectCall(pkg *Package, cur *CGNode, call *ast.CallExpr) {
 		sig, _ := o.Type().(*types.Signature)
 		if sig != nil && sig.Recv() != nil {
 			if it, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-				b.ifaceCalls = append(b.ifaceCalls, ifaceCall{caller: cur.ID, iface: it, method: o.Name(), pos: call.Pos()})
+				decl, _ := sig.Recv().Type().(*types.Named)
+				b.ifaceCalls = append(b.ifaceCalls, ifaceCall{caller: cur.ID, iface: it, decl: decl, method: o.Name(), pos: call.Pos()})
 				return
 			}
 		}
@@ -912,7 +879,7 @@ func (b *cgBuilder) resolveIfaceCalls() {
 		key := implKey{ic.iface, ic.method}
 		targets, ok := cache[key]
 		if !ok {
-			targets = b.implementers(ic.iface, ic.method)
+			targets = b.implementers(ic.iface, ic.decl, ic.method)
 			cache[key] = targets
 		}
 		for _, id := range targets {
@@ -922,10 +889,11 @@ func (b *cgBuilder) resolveIfaceCalls() {
 }
 
 // implementers finds every in-program concrete method implementing
-// iface.method, in deterministic order.
-func (b *cgBuilder) implementers(iface *types.Interface, method string) []string {
+// iface.method, in deterministic order; decl is iface's named type.
+func (b *cgBuilder) implementers(iface *types.Interface, decl *types.Named, method string) []string {
 	var out []string
 	for _, pkg := range b.prog.Packages {
+		want := importedIface(pkg.Types, iface, decl)
 		scope := pkg.Types.Scope()
 		names := scope.Names()
 		sort.Strings(names)
@@ -942,7 +910,7 @@ func (b *cgBuilder) implementers(iface *types.Interface, method string) []string
 				continue
 			}
 			ptr := types.NewPointer(named)
-			if !types.Implements(ptr, iface) && !types.Implements(named, iface) {
+			if !types.Implements(ptr, want) && !types.Implements(named, want) {
 				continue
 			}
 			obj, _, _ := types.LookupFieldOrMethod(ptr, true, pkg.Types, method)
@@ -958,6 +926,20 @@ func (b *cgBuilder) implementers(iface *types.Interface, method string) []string
 	}
 	sort.Strings(out)
 	return out
+}
+
+// importedIface returns iface as pkg imports it, or iface if pkg does
+// not: pkg is type-checked against its imports' export data, so only its
+// own copy of the interface matches its method signatures.
+func importedIface(pkg *types.Package, iface *types.Interface, decl *types.Named) *types.Interface {
+	for _, imp := range pkg.Imports() {
+		if decl != nil && decl.Obj().Pkg() != nil && imp.Path() == decl.Obj().Pkg().Path() {
+			if obj := imp.Scope().Lookup(decl.Obj().Name()); obj != nil {
+				return obj.Type().Underlying().(*types.Interface)
+			}
+		}
+	}
+	return iface
 }
 
 func (b *cgBuilder) addEdge(e CGEdge) {

@@ -147,6 +147,44 @@ func daemonLoop(t *sim.Thread) {
 	}
 }
 
+// enterLeak: Enter pushes a frame that nothing pops.
+func enterLeak(t *sim.Thread) {
+	t.Enter("fault.minor") // want `Enter frame is still open when the function returns`
+	t.Charge(10)
+}
+
+func enterEarlyReturn(t *sim.Thread, err error) error {
+	t.Enter("syscall.read")
+	if err != nil {
+		return err // want `return leaves 1 attribution frame\(s\) open \(Enter without Leave`
+	}
+	t.Leave()
+	return nil
+}
+
+// enterDeferLeave is the accepted idiom: the deferred Leave pops the
+// frame on every path out.
+func enterDeferLeave(t *sim.Thread, err error) error {
+	t.Enter("access")
+	defer t.Leave()
+	if err != nil {
+		return err
+	}
+	t.Charge(1)
+	return nil
+}
+
+// leaveAfterPush mixes the pairs: each pair is checked on its own
+// balance, so the push leaks and the Leave closes nothing.
+func leaveAfterPush(t *sim.Thread) {
+	t.PushAttr("x") // want `PushAttr frame is still open when the function returns`
+	t.Leave()       // want `Leave without an open Enter frame`
+}
+
+func leaveWithoutEnter(t *sim.Thread) {
+	t.Leave() // want `Leave without an open Enter frame`
+}
+
 func suppressedLeak(t *sim.Thread) {
 	//lint:ignore attrbalance frame intentionally spans the thread's life
 	t.PushAttr("root")

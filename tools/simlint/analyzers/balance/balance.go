@@ -3,7 +3,9 @@
 // (span.Collector.Begin/End). Both invariants have the same shape —
 // every open must be matched by a close on all paths out of the
 // function — and the same accepted idioms: a dominating `defer close`,
-// or an explicit close before each return.
+// or an explicit close before each return. sim.Thread.Enter/Leave
+// opens and closes both a frame and a span, so both analyzers check it
+// as a second pair, on its own balance.
 //
 // An unexported function whose body is only straight-line opens (or
 // only straight-line closes), with no return or defer, is a helper when
@@ -34,16 +36,22 @@ import (
 type Config struct {
 	Name string // analyzer name
 	Doc  string
-	// ImplPkg is the package (by name) that implements the pair; it is
-	// skipped entirely — the implementation maintains the stack, it does
-	// not use it.
-	ImplPkg string
-	// Open and Close are the method names forming the pair; calls match
-	// when the method is defined in a package named ImplPkg.
-	Open, Close string
+	// Pairs are checked one at a time, each on its own balance.
+	Pairs []Pair
 	// Noun names the tracked thing in diagnostics ("attribution frame",
 	// "span").
 	Noun string
+}
+
+// Pair is one open/close pair.
+type Pair struct {
+	// Pkg is the package (by name) that implements the pair; it is
+	// skipped entirely — the implementation maintains the stack, it does
+	// not use it.
+	Pkg string
+	// Open and Close are the method names forming the pair; calls match
+	// when the method is defined in a package named Pkg.
+	Open, Close string
 }
 
 // New builds a pairing analyzer from the config.
@@ -52,7 +60,10 @@ func New(cfg Config) *ana.Analyzer {
 		Name: cfg.Name,
 		Doc:  cfg.Doc,
 		Run: func(pass *ana.Pass) error {
-			return run(pass, cfg)
+			for _, p := range cfg.Pairs {
+				run(pass, p, cfg.Noun)
+			}
+			return nil
 		},
 	}
 }
@@ -61,11 +72,11 @@ func New(cfg Config) *ana.Analyzer {
 // thread body and may therefore open a root pair it never closes.
 var threadSpawners = map[string]bool{"Go": true, "GoDaemon": true, "Spawn": true}
 
-func run(pass *ana.Pass, cfg Config) error {
-	if pass.Pkg.Name() == cfg.ImplPkg {
-		return nil
+func run(pass *ana.Pass, cfg Pair, noun string) {
+	if pass.Pkg.Name() == cfg.Pkg {
+		return
 	}
-	v := &visitor{pass: pass, cfg: cfg, helpers: map[*types.Func]int{}}
+	v := &visitor{pass: pass, cfg: cfg, noun: noun, helpers: map[*types.Func]int{}}
 	v.findHelpers()
 	for _, f := range pass.Files {
 		v.classifyLits(f)
@@ -76,12 +87,12 @@ func run(pass *ana.Pass, cfg Config) error {
 			}
 		}
 	}
-	return nil
 }
 
 type visitor struct {
 	pass *ana.Pass
-	cfg  Config
+	cfg  Pair
+	noun string
 	// rootLit marks func literals passed directly to a thread spawner.
 	rootLit map[*ast.FuncLit]bool
 	// helpers maps each open or close helper of the package to the net
@@ -288,11 +299,11 @@ func (v *visitor) checkStmt(s ast.Stmt, st *state) {
 		if n := v.effect(s.Call); n < 0 {
 			st.deferred -= n
 		} else if n > 0 {
-			v.pass.Reportf(s.Pos(), "%s in a defer opens a %s after the function body ran", v.cfg.Open, v.cfg.Noun)
+			v.pass.Reportf(s.Pos(), "%s in a defer opens a %s after the function body ran", v.cfg.Open, v.noun)
 		}
 	case *ast.ReturnStmt:
 		if open := st.open - st.deferred; open > 0 {
-			v.pass.Reportf(s.Pos(), "return leaves %d %s(s) open (%s without %s on this path)", open, v.cfg.Noun, v.cfg.Open, v.cfg.Close)
+			v.pass.Reportf(s.Pos(), "return leaves %d %s(s) open (%s without %s on this path)", open, v.noun, v.cfg.Open, v.cfg.Close)
 		}
 	case *ast.IfStmt:
 		v.branch(s.Body.List, st, s.Body.Pos())
@@ -346,7 +357,7 @@ func (v *visitor) branch(stmts []ast.Stmt, st *state, pos token.Pos) {
 	// `if x { open(); defer close() }` — closes on every path out of the
 	// function and is sound.
 	if st.open-st.deferred != saved.open-saved.deferred {
-		v.pass.Reportf(pos, "%s opened or closed on only one side of a branch", v.cfg.Noun)
+		v.pass.Reportf(pos, "%s opened or closed on only one side of a branch", v.noun)
 		*st = saved
 	}
 }
@@ -356,17 +367,17 @@ func (v *visitor) loop(stmts []ast.Stmt, st *state, pos token.Pos) {
 	saved := st.clone()
 	v.checkStmts(stmts, st)
 	if !ana.Terminates(stmts) && st.open != saved.open {
-		v.pass.Reportf(pos, "loop iteration changes the %s balance", v.cfg.Noun)
+		v.pass.Reportf(pos, "loop iteration changes the %s balance", v.noun)
 	}
 	*st = saved
 }
 
-// isPairCall reports whether call invokes ImplPkg's name method.
+// isPairCall reports whether call invokes Pkg's name method.
 func (v *visitor) isPairCall(call *ast.CallExpr, name string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != name {
 		return false
 	}
 	fn, _ := v.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == v.cfg.ImplPkg
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == v.cfg.Pkg
 }

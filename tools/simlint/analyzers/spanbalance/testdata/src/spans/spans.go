@@ -129,6 +129,77 @@ func waitsAreNotOpens(t *sim.Thread, sp *span.Collector) {
 	sp.End(t)
 }
 
+// enterLeak: Enter opens a span that nothing ends.
+func enterLeak(t *sim.Thread) {
+	t.Enter("fault.minor") // want `Enter frame is still open when the function returns`
+	t.Charge(10)
+}
+
+func enterEarlyReturn(t *sim.Thread, err error) error {
+	t.Enter("syscall.read")
+	if err != nil {
+		return err // want `return leaves 1 span\(s\) open \(Enter without Leave`
+	}
+	t.Leave()
+	return nil
+}
+
+// enterDeferLeave is the accepted idiom: the deferred Leave ends the
+// span on every path out.
+func enterDeferLeave(t *sim.Thread, err error) error {
+	t.Enter("access")
+	defer t.Leave()
+	if err != nil {
+		return err
+	}
+	t.Charge(1)
+	return nil
+}
+
+// leaveAfterPush: PushAttr opens no span, so the Leave ends none.
+func leaveAfterPush(t *sim.Thread) {
+	t.PushAttr("x")
+	t.Leave() // want `Leave without an open Enter frame`
+}
+
+// spanOnly is the span-only idiom of the layers: the collector comes
+// from the thread, and the End is a direct deferred call.
+func spanOnly(t *sim.Thread, err error) error {
+	span.Of(t).Begin(t, "nova.log_append")
+	defer span.Of(t).End(t)
+	if err != nil {
+		return err
+	}
+	return nil
+}
+
+func spanOnlyEarlyReturn(t *sim.Thread, err error) error {
+	span.Of(t).Begin(t, "zombie_flush")
+	if err != nil {
+		return err // want `return leaves 1 span\(s\) open \(Begin without End`
+	}
+	span.Of(t).End(t)
+	return nil
+}
+
+// spanOnlyWrappedEnd: an End inside a deferred closure is not a direct
+// defer. The analyzer reports the Begin as leaked, and the closure, which
+// it checks as a function of its own, as ending a span it never began.
+func spanOnlyWrappedEnd(t *sim.Thread) {
+	span.Of(t).Begin(t, "daemon.prezero") // want `Begin frame is still open when the function returns`
+	defer func() { span.Of(t).End(t) }()  // want `End without an open Begin frame`
+}
+
+// spanOnlyLoop mirrors the pre-zero daemon: one span per iteration.
+func spanOnlyLoop(t *sim.Thread) {
+	for {
+		t.Sleep(100)
+		span.Of(t).Begin(t, "daemon.prezero")
+		t.Charge(1)
+		span.Of(t).End(t)
+	}
+}
+
 func suppressedLeak(t *sim.Thread, sp *span.Collector) {
 	//lint:ignore spanbalance span intentionally spans the thread's life
 	sp.Begin(t, "root")

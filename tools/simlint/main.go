@@ -83,7 +83,7 @@ var suite = []check{
 	{determinism.Analyzer, underAny("daxvm/internal/"), "daxvm/internal/..."},
 	{chargeunits.Analyzer, underAny("daxvm/internal/", "daxvm/cmd/"), "daxvm/internal/..., daxvm/cmd/..."},
 	{attrbalance.Analyzer, everywhere, "everywhere (skips package sim)"},
-	{spanbalance.Analyzer, everywhere, "everywhere (skips package span)"},
+	{spanbalance.Analyzer, everywhere, "everywhere (skips packages span and sim)"},
 	{lockdiscipline.Analyzer, everywhere, "everywhere (skips package sim)"},
 	{detmap.Analyzer, everywhere, "everywhere"},
 	{suppaudit.Analyzer, everywhere, "everywhere"},

@@ -14,6 +14,8 @@ func (t *Thread) ChargeAsN(label string, c, n uint64) { _, _, _ = label, c, n }
 func (t *Thread) AddRemote(path string, c uint64)     { _, _ = path, c }
 func (t *Thread) PushAttr(label string)               { _ = label }
 func (t *Thread) PopAttr()                            {}
+func (t *Thread) Enter(label string)                  { _ = label }
+func (t *Thread) Leave()                              {}
 func (t *Thread) Now() uint64                         { return 0 }
 func (t *Thread) Sleep(d uint64)                      { _ = d }
 func (t *Thread) SleepUntil(tm uint64)                { _ = tm }

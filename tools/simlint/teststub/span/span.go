@@ -17,6 +17,9 @@ const WaitMmapSem WaitKind = 0
 // Collector mirrors the span collector's instrumentation surface.
 type Collector struct{}
 
+// Of mirrors the lookup of the collector a thread's engine carries.
+func Of(t *sim.Thread) *Collector { _ = t; return &Collector{} }
+
 func (c *Collector) Begin(t *sim.Thread, class string)         { _, _ = t, class }
 func (c *Collector) End(t *sim.Thread)                         { _ = t }
 func (c *Collector) Wait(t *sim.Thread, k WaitKind, cy uint64) { _, _, _ = t, k, cy }
