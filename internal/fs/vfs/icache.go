@@ -26,11 +26,13 @@ type ICacheStats struct {
 }
 
 // NewICache creates a cache over fs holding at most capacity inodes.
+// Capacity bounds the entries, not the storage: the map starts empty and
+// grows with what is cached, so a large bound costs nothing until used.
 func NewICache(fs FS, capacity int, hooks *Hooks) *ICache {
 	return &ICache{
 		fs:       fs,
 		capacity: capacity,
-		inodes:   make(map[Ino]*Inode, capacity),
+		inodes:   map[Ino]*Inode{},
 		hooks:    hooks,
 	}
 }

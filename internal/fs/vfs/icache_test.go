@@ -2,6 +2,7 @@ package vfs_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"daxvm/internal/fs/ext4"
@@ -127,4 +128,19 @@ func TestDeletedInodeDestroyedOnLastPut(t *testing.T) {
 			t.Error("deleted inode still cached")
 		}
 	})
+}
+
+// TestNewICacheGrowsOnUse: a cache bounded at 65,536 inodes, the
+// kernel's bound, costs almost nothing until inodes are cached. A map
+// pre-sized for the bound would allocate 2.25 MiB up front.
+func TestNewICacheGrowsOnUse(t *testing.T) {
+	_, f := newCache(t, 1, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := vfs.NewICache(f, 1<<16, nil)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("NewICache allocated %d KiB, want under 64 KiB", got>>10)
+	}
 }

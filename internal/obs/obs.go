@@ -6,6 +6,12 @@
 // event tracer exportable as Chrome trace-event JSON (one track per
 // simulated core, viewable in Perfetto).
 //
+// The tracer's ring holds 32-byte records with no pointers, 2 MiB at
+// DefaultTraceCap, which the garbage collector never scans. Each event
+// name is stored once, in a table the tracer owns: a writer interns its
+// names once (Tracer.Intern) and emits by id, and Events and the Chrome
+// export rebuild whole Event values.
+//
 // The package imports only the sim engine, whose threads' charge tables
 // the cycle account reads (Obs.Attach), so every layer above the engine
 // can import it without cycles. The tracer's writers (the span collector, one slice
@@ -22,8 +28,8 @@ package obs
 import "daxvm/internal/sim"
 
 // DefaultTraceCap bounds the event ring when the caller does not choose:
-// large enough to hold the tail of any experiment, small enough that an
-// always-on tracer is free.
+// large enough to hold the tail of any experiment, small enough (2 MiB
+// of 32-byte records) that an always-on tracer is cheap.
 const DefaultTraceCap = 1 << 16
 
 // Obs bundles the registry, tracer and cycle account one machine (or one

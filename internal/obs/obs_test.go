@@ -112,7 +112,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	tr.Emit("mmap", 0, 0, 0, "", 0) // must not panic
+	tr.Emit(tr.Intern("mmap", ""), 0, 0, 0, 0) // must not panic
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer not inert")
 	}
@@ -132,8 +132,9 @@ func TestNilSafety(t *testing.T) {
 
 func TestTracerRing(t *testing.T) {
 	tr := NewTracer(4)
+	pf := tr.Intern("page_fault", "")
 	for i := 0; i < 6; i++ {
-		tr.Emit("page_fault", i, uint64(i)*10, 1, "", 0)
+		tr.Emit(pf, i, uint64(i)*10, 1, 0)
 	}
 	if tr.Len() != 4 || tr.Dropped() != 2 {
 		t.Fatalf("len=%d dropped=%d", tr.Len(), tr.Dropped())
@@ -159,8 +160,8 @@ type chromeTrace struct {
 
 func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTracer(16)
-	tr.Emit("mmap", 0, 2700, 2700, "", 16)
-	tr.Emit("tlb_shootdown", 1, 5400, 0, "full", 0)
+	tr.Emit(tr.Intern("mmap", ""), 0, 2700, 2700, 16)
+	tr.Emit(tr.Intern("tlb_shootdown", "full"), 1, 5400, 0, 0)
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -225,7 +226,7 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full")
 // TestChromeWriterError: a failed write surfaces from the export.
 func TestChromeWriterError(t *testing.T) {
 	tr := NewTracer(4)
-	tr.Emit("mmap", 0, 2700, 2700, "", 16)
+	tr.Emit(tr.Intern("mmap", ""), 0, 2700, 2700, 16)
 	if err := tr.WriteChromeTrace(failWriter{}); err == nil || err.Error() != "disk full" {
 		t.Fatalf("export to a failing writer returned %v, want disk full", err)
 	}

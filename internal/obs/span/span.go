@@ -130,6 +130,7 @@ type classStats struct {
 	waits     [numWaitKinds]uint64
 	hist      obs.Histogram
 	top       []exemplar // ascending by (dur, seq), len ≤ collector K
+	trace     obs.NameID // the class's name in the collector's tracer
 }
 
 // exemplar is a retained slow-op record: the full span tree plus the
@@ -170,13 +171,20 @@ func (s *segment) empty() bool {
 	return true
 }
 
-func (s *segment) class(name string) *classStats {
-	st := s.classes[name]
-	if st == nil {
-		//lint:ignore hotalloc once per new span class in a segment; steady state hits the map
-		st = &classStats{}
-		s.classes[name] = st
+// class returns the current segment's stats for a span class, made on
+// first use, when the class's name is interned in the tracer. The miss
+// path is its own function so that the hit path inlines into End.
+func (c *Collector) class(name string) *classStats {
+	if st := c.cur.classes[name]; st != nil {
+		return st
 	}
+	return c.newClass(name)
+}
+
+func (c *Collector) newClass(name string) *classStats {
+	//lint:ignore hotalloc once per new span class in a segment; steady state hits the map
+	st := &classStats{trace: c.tr.Intern(name, "")}
+	c.cur.classes[name] = st
 	return st
 }
 
@@ -232,6 +240,9 @@ func (c *Collector) SetTracer(tr *obs.Tracer) {
 		return
 	}
 	c.tr = tr
+	for _, name := range obs.SortedKeys(c.cur.classes) {
+		c.cur.classes[name].trace = tr.Intern(name, "")
+	}
 }
 
 // Of returns the collector t's engine carries (Attach), or nil: how an
@@ -310,8 +321,9 @@ func (c *Collector) End(t *sim.Thread) {
 	n := ts.stack[len(ts.stack)-1]
 	ts.stack = ts.stack[:len(ts.stack)-1]
 	n.dur = t.Now() - n.start
-	c.tr.Emit(n.class, n.core, n.start, n.dur, "", n.treeSelf())
-	c.finish(n, ts)
+	st := c.class(n.class)
+	c.tr.Emit(st.trace, n.core, n.start, n.dur, n.treeSelf())
+	c.finish(n, ts, st)
 }
 
 // OpenSpans reports how many spans t has open.
@@ -322,10 +334,9 @@ func (c *Collector) OpenSpans(t *sim.Thread) int {
 	return 0
 }
 
-// finish folds a closed span into its segment's class stats and either
+// finish folds a closed span into its class's stats st and either
 // attaches it to its parent or recycles the finished root tree.
-func (c *Collector) finish(n *node, ts *tstate) {
-	st := c.cur.class(n.class)
+func (c *Collector) finish(n *node, ts *tstate, st *classStats) {
 	st.count++
 	st.totalDur += n.dur
 	tSelf := n.treeSelf()

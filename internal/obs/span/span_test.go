@@ -434,6 +434,31 @@ func TestEndEmitsSlice(t *testing.T) {
 	}
 }
 
+// TestSetTracerAfterFirstSpans: a class first seen with no tracer, or
+// with another one, keeps its name when a tracer is attached later.
+func TestSetTracerAfterFirstSpans(t *testing.T) {
+	c := New(0)
+	other := obs.NewTracer(4)
+	c.SetTracer(other)
+	runOne(c, func(th *sim.Thread) {
+		c.Begin(th, "early")
+		c.End(th)
+	})
+	tr := obs.NewTracer(4)
+	tr.Intern("taken", "") // id 0 here means another name
+	c.SetTracer(tr)
+	runOne(c, func(th *sim.Thread) {
+		c.Begin(th, "early")
+		th.Charge(2)
+		c.End(th)
+	})
+	got := tr.Events()
+	want := []obs.Event{{TS: 0, Dur: 2, Type: "early", Arg: 2}}
+	if len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("slices = %+v, want %+v", got, want)
+	}
+}
+
 // TestSpanPathZeroAllocWithTracer pins the warm Begin/Observe/End path at
 // zero allocations with a tracer attached whose ring has wrapped, so the
 // End-to-Emit hand-off is checked at run time, not only by hotalloc.

@@ -65,13 +65,18 @@ type Timeline struct {
 	cur       *segment
 	gauges    []gaugeEntry // sorted by name
 	gaugeVals []uint64     // per-sample scratch, len(gauges); avoids per-sample allocation
+
+	// The counter tracks' names in cfg.Tracer: "cycles", then one per
+	// cfg.TrackCounters entry.
+	cyclesTrack   obs.NameID
+	counterTracks []obs.NameID
 }
 
 // gaugeEntry is one registered saturation gauge. The Perfetto track name
-// is interned at registration so sampling never concatenates strings.
+// is interned at registration so sampling never builds or hashes strings.
 type gaugeEntry struct {
 	name  string
-	track string // "gauge." + name
+	track obs.NameID // "gauge." + name in cfg.Tracer
 	fn    func(now uint64) uint64
 }
 
@@ -95,7 +100,12 @@ func New(reg *obs.Registry, cyc *obs.CycleAccount, cfg Config) *Timeline {
 	if cfg.MaxIntervals == 0 {
 		cfg.MaxIntervals = DefaultMaxIntervals
 	}
-	return &Timeline{reg: reg, cyc: cyc, cfg: cfg}
+	tl := &Timeline{reg: reg, cyc: cyc, cfg: cfg}
+	tl.cyclesTrack = cfg.Tracer.Intern(obs.EvCounter, "cycles")
+	for _, name := range cfg.TrackCounters {
+		tl.counterTracks = append(tl.counterTracks, cfg.Tracer.Intern(obs.EvCounter, name))
+	}
+	return tl
 }
 
 // Gauge registers a named saturation gauge: fn is read at every sampler
@@ -113,7 +123,7 @@ func (tl *Timeline) Gauge(name string, fn func(now uint64) uint64) {
 	if i < len(tl.gauges) && tl.gauges[i].name == name {
 		panic("timeline: gauge " + name + " is already registered")
 	}
-	tl.gauges = slices.Insert(tl.gauges, i, gaugeEntry{name: name, track: "gauge." + name, fn: fn})
+	tl.gauges = slices.Insert(tl.gauges, i, gaugeEntry{name: name, track: tl.cfg.Tracer.Intern(obs.EvCounter, "gauge."+name), fn: fn})
 	tl.gaugeVals = make([]uint64, len(tl.gauges))
 }
 
@@ -292,15 +302,15 @@ func (tl *Timeline) emitTracks(local, cycles uint64, counters map[string]uint64,
 	if tr == nil {
 		return
 	}
-	tr.Emit(obs.EvCounter, 0, local, 0, "cycles", cycles)
-	for _, name := range tl.cfg.TrackCounters {
+	tr.Emit(tl.cyclesTrack, 0, local, 0, cycles)
+	for i, name := range tl.cfg.TrackCounters {
 		if v, ok := counters[name]; ok {
-			tr.Emit(obs.EvCounter, 0, local, 0, name, v)
+			tr.Emit(tl.counterTracks[i], 0, local, 0, v)
 		}
 	}
 	if sampledGauges {
 		for i := range tl.gauges {
-			tr.Emit(obs.EvCounter, 0, local, 0, tl.gauges[i].track, tl.gaugeVals[i])
+			tr.Emit(tl.gauges[i].track, 0, local, 0, tl.gaugeVals[i])
 		}
 	}
 }

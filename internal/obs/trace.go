@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -13,7 +14,8 @@ import (
 // span class, emitted by span.Collector.End.
 const EvCounter = "counter"
 
-// Event is one traced occurrence in virtual time.
+// Event is one traced occurrence in virtual time, as Events and the
+// Chrome export present it.
 type Event struct {
 	TS   uint64 // virtual start time, cycles
 	Dur  uint64 // duration in cycles (0 = instant)
@@ -23,15 +25,35 @@ type Event struct {
 	Arg  uint64 // span tree self-cycles, or the counter value
 }
 
+// NameID is an event name interned in one tracer (Tracer.Intern): an
+// index into its name table, which holds each distinct (Type, Tag) pair
+// once. Callers intern a name once and emit by id, so the per-event path
+// neither hashes nor stores a string.
+type NameID uint16
+
+// eventName is one name-table entry.
+type eventName struct{ typ, tag string }
+
+// record is one retained event: 32 bytes and no pointers, so the ring is
+// never scanned by the garbage collector. Events rebuilds the Event.
+type record struct {
+	ts, dur, arg uint64
+	core         int32
+	name         NameID
+}
+
 // Tracer is a bounded ring of events. When full it overwrites the oldest,
 // keeping the tail of the run and counting what it dropped; an always-on
 // tracer therefore has fixed memory cost. Like every obs object it has a
 // single owner (see the package doc), so Emit takes no lock.
 type Tracer struct {
-	buf     []Event
+	buf     []record
 	next    int
 	wrapped bool
 	dropped uint64
+
+	names []eventName          // indexed by NameID
+	ids   map[eventName]NameID // the inverse of names
 
 	// CyclesPerUsec converts virtual cycles to trace microseconds on
 	// export (default 2700, the simulator's 2.7 GHz clock).
@@ -43,21 +65,46 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Tracer{buf: make([]Event, 0, capacity), CyclesPerUsec: 2700}
+	return &Tracer{buf: make([]record, 0, capacity), ids: map[eventName]NameID{}, CyclesPerUsec: 2700}
 }
 
-// Emit records one event. Nil-safe: unwired subsystems pay one branch.
-func (tr *Tracer) Emit(typ string, core int, ts, dur uint64, tag string, arg uint64) {
+// Intern returns the id of the event name (typ, tag), adding it to the
+// name table on first use: typ is a span class or EvCounter, tag the
+// counter series (empty on span slices). Ids belong to this tracer. A
+// nil tracer returns 0, which its Emit ignores.
+func (tr *Tracer) Intern(typ, tag string) NameID {
+	if tr == nil {
+		return 0
+	}
+	k := eventName{typ, tag}
+	if id, ok := tr.ids[k]; ok {
+		return id
+	}
+	if len(tr.names) > math.MaxUint16 {
+		panic("obs: more than 65536 distinct trace event names")
+	}
+	id := NameID(len(tr.names))
+	//lint:ignore hotalloc grows once per distinct event name; callers keep the id and later calls hit the map
+	tr.names = append(tr.names, k)
+	tr.ids[k] = id
+	return id
+}
+
+// Emit records one event named by an id from Intern. Nil-safe: unwired
+// subsystems pay one branch.
+func (tr *Tracer) Emit(name NameID, core int, ts, dur, arg uint64) {
 	if tr == nil {
 		return
 	}
-	e := Event{TS: ts, Dur: dur, Core: core, Type: typ, Tag: tag, Arg: arg}
+	r := record{ts: ts, dur: dur, arg: arg, core: int32(core), name: name}
 	if len(tr.buf) < cap(tr.buf) {
 		//lint:ignore hotalloc ring fill phase: the append stays within the preallocated cap
-		tr.buf = append(tr.buf, e)
+		tr.buf = append(tr.buf, r)
 	} else {
-		tr.buf[tr.next] = e
-		tr.next = (tr.next + 1) % cap(tr.buf)
+		tr.buf[tr.next] = r
+		if tr.next++; tr.next == len(tr.buf) {
+			tr.next = 0
+		}
 		tr.wrapped = true
 		tr.dropped++
 	}
@@ -70,10 +117,17 @@ func (tr *Tracer) Events() []Event {
 	}
 	out := make([]Event, 0, len(tr.buf))
 	if tr.wrapped {
-		out = append(out, tr.buf[tr.next:]...)
-		out = append(out, tr.buf[:tr.next]...)
-	} else {
-		out = append(out, tr.buf...)
+		out = tr.appendEvents(out, tr.buf[tr.next:])
+		return tr.appendEvents(out, tr.buf[:tr.next])
+	}
+	return tr.appendEvents(out, tr.buf)
+}
+
+// appendEvents rebuilds the Event each record stands for.
+func (tr *Tracer) appendEvents(out []Event, rs []record) []Event {
+	for _, r := range rs {
+		n := tr.names[r.name]
+		out = append(out, Event{TS: r.ts, Dur: r.dur, Core: int(r.core), Type: n.typ, Tag: n.tag, Arg: r.arg})
 	}
 	return out
 }

@@ -15,9 +15,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // three events, so exactly one was dropped.
 func goldenTracer() *Tracer {
 	tr := NewTracer(2)
-	tr.Emit("mmap", 0, 2700, 2700, "", 16)
-	tr.Emit("tlb_shootdown", 1, 5400, 0, "full", 3)
-	tr.Emit("journal_commit", 0, 8100, 1350, "", 2)
+	tr.Emit(tr.Intern("mmap", ""), 0, 2700, 2700, 16)
+	tr.Emit(tr.Intern("tlb_shootdown", "full"), 1, 5400, 0, 3)
+	tr.Emit(tr.Intern("journal_commit", ""), 0, 8100, 1350, 2)
 	return tr
 }
 

@@ -69,7 +69,7 @@ func batchChargingMapRange(t *sim.Thread, runs map[string]uint64) {
 
 func emittingMapRange(tr *obs.Tracer, costs map[string]uint64) {
 	for name, c := range costs { // want `map iteration order is randomized but the body emits trace events`
-		tr.Emit(name, 0, 0, c, "", 0)
+		tr.Emit(tr.Intern(name, ""), 0, 0, c, 0)
 	}
 }
 

@@ -25,7 +25,7 @@ func builderUnsorted(m map[string]uint64) string {
 
 func traceUnsorted(tr *obs.Tracer, m map[string]uint64) {
 	for tag, v := range m { // want `map iteration order is random but the body writes output \(Emit\)`
-		tr.Emit("export", 0, 0, 0, tag, v)
+		tr.Emit(tr.Intern("export", tag), 0, 0, 0, v)
 	}
 }
 

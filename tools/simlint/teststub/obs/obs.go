@@ -7,11 +7,19 @@ import (
 	"slices"
 )
 
+// NameID mirrors obs.NameID.
+type NameID uint16
+
 // Tracer mirrors obs.Tracer's emit surface.
 type Tracer struct{}
 
-func (tr *Tracer) Emit(typ string, core int, ts, dur uint64, tag string, arg uint64) {
-	_, _, _, _, _, _ = typ, core, ts, dur, tag, arg
+func (tr *Tracer) Intern(typ, tag string) NameID {
+	_, _ = typ, tag
+	return 0
+}
+
+func (tr *Tracer) Emit(name NameID, core int, ts, dur, arg uint64) {
+	_, _, _, _, _ = name, core, ts, dur, arg
 }
 
 // SortedKeys mirrors the deterministic-iteration helper.
