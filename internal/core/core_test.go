@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"daxvm/internal/cpu"
@@ -647,7 +648,7 @@ func TestAgedFileTableNodesHoldPopulatedEntries(t *testing.T) {
 		tables[ft] = true
 	}
 	for in := range inodes {
-		if ft := ev.d.lookup(in); ft != nil && !in.Deleted {
+		if ft := ev.d.table(in); ft != nil && !in.Deleted {
 			tables[ft] = true
 		}
 	}
@@ -676,4 +677,49 @@ func TestAgedFileTableNodesHoldPopulatedEntries(t *testing.T) {
 	if bound := 2*pages + mem.PTEsPerCacheLine*nodes; held > bound {
 		t.Errorf("%d live file-table nodes populate %d slots and hold %d, want at most %d", nodes, pages, held, bound)
 	}
+}
+
+// TestVMAsOfInAddressOrder: vmasOf lists the VMA tree's mappings of an
+// inode, then the ephemeral heap's, each in ascending start, and leaves
+// out other inodes' mappings. The monitor's reattach visits them in this
+// order.
+func TestVMAsOfInAddressOrder(t *testing.T) {
+	ev := newEnv(t, 256, 1, Config{})
+	ev.run(func(th *sim.Thread) {
+		core := ev.cpus.Cores[0]
+		in := ev.mkFile(th, "f", 8<<20)
+		other := ev.mkFile(th, "g", 8<<20)
+		var tree, heap []mem.VirtAddr
+		for i := 0; i < 12; i++ {
+			target, flags := in, Flags(0)
+			if i%3 == 0 {
+				flags = FlagEphemeral
+			}
+			if i%4 == 3 {
+				target = other
+			}
+			va, err := ev.proc.Mmap(th, core, target, uint64(i%4)*mem.HugeSize, mem.HugeSize, mem.PermRead, flags)
+			if err != nil {
+				t.Errorf("Mmap %d: %v", i, err)
+				return
+			}
+			if target != in {
+				continue
+			}
+			if flags&FlagEphemeral != 0 {
+				heap = append(heap, va)
+			} else {
+				tree = append(tree, va)
+			}
+		}
+		slices.Sort(tree)
+		slices.Sort(heap)
+		var got []mem.VirtAddr
+		for _, v := range ev.proc.vmasOf(in.Ino) {
+			got = append(got, v.Start)
+		}
+		if want := append(tree, heap...); !slices.Equal(got, want) {
+			t.Errorf("vmasOf starts = %#x, want tree then heap, ascending: %#x", got, want)
+		}
+	})
 }

@@ -100,7 +100,8 @@ type DaxVM struct {
 	tables map[vfs.Ino]*FileTable
 
 	prezero *Prezeroer
-	procs   []*Proc
+	// procs are the processes whose zombies a truncate forces out.
+	procs []*Proc
 
 	// placement chooses the node for volatile file-table nodes and
 	// monitor-migrated DRAM shadows; ileave is its interleave cursor.
@@ -191,33 +192,47 @@ func (d *DaxVM) DrainPrezero(t *sim.Thread) {
 // Prezero exposes the daemon state (stats, tests).
 func (d *DaxVM) Prezero() *Prezeroer { return d.prezero }
 
-// tableFor returns (building if needed) the file table for an inode.
-func (d *DaxVM) tableFor(t *sim.Thread, in *vfs.Inode, fs vfs.FS) *FileTable {
+// table returns the inode's file table, or nil: a persistent table
+// lives in d.tables (it outlives the inode cache), a volatile one in
+// in.FileTable.
+func (d *DaxVM) table(in *vfs.Inode) *FileTable {
 	if ft, ok := d.tables[in.Ino]; ok {
 		return ft
 	}
-	if ft, ok := in.FileTable.(*FileTable); ok && ft != nil {
+	ft, _ := in.FileTable.(*FileTable)
+	return ft
+}
+
+// setTable makes ft the inode's file table, in the place its medium
+// keeps it; nil drops the inode's table from both places.
+func (d *DaxVM) setTable(in *vfs.Inode, ft *FileTable) {
+	delete(d.tables, in.Ino)
+	in.FileTable = nil
+	switch {
+	case ft == nil:
+	case ft.Persistent:
+		d.tables[in.Ino] = ft
+	default:
+		in.FileTable = ft
+	}
+}
+
+// tableFor returns (building if needed) the file table for an inode.
+func (d *DaxVM) tableFor(t *sim.Thread, in *vfs.Inode, fs vfs.FS) *FileTable {
+	if ft := d.table(in); ft != nil {
 		return ft
 	}
 	// Cold build from the extent map.
-	persistent := in.Size > d.cfg.VolatileThreshold
-	ft := &FileTable{Ino: in.Ino, Persistent: persistent, d: d}
+	ft := &FileTable{Ino: in.Ino, Persistent: in.Size > d.cfg.VolatileThreshold, d: d}
 	ft.Populate(t, fs.Extents(in))
 	d.Stats.ColdBuilds++
-	if persistent {
-		d.tables[in.Ino] = ft
-	} else {
-		in.FileTable = ft
-	}
+	d.setTable(in, ft)
 	return ft
 }
 
 // onAlloc maintains tables as the FS allocates blocks.
 func (d *DaxVM) onAlloc(t *sim.Thread, in *vfs.Inode, ext []vfs.Extent) {
-	ft, ok := d.tables[in.Ino]
-	if !ok {
-		ft, _ = in.FileTable.(*FileTable)
-	}
+	ft := d.table(in)
 	if ft == nil {
 		// Decide the medium by the size the file will have after this
 		// allocation, so large files start persistent directly.
@@ -225,13 +240,8 @@ func (d *DaxVM) onAlloc(t *sim.Thread, in *vfs.Inode, ext []vfs.Extent) {
 		for _, e := range ext {
 			adding += e.Len * mem.PageSize
 		}
-		persistent := in.Size+adding > d.cfg.VolatileThreshold
-		ft = &FileTable{Ino: in.Ino, Persistent: persistent, d: d}
-		if persistent {
-			d.tables[in.Ino] = ft
-		} else {
-			in.FileTable = ft
-		}
+		ft = &FileTable{Ino: in.Ino, Persistent: in.Size+adding > d.cfg.VolatileThreshold, d: d}
+		d.setTable(in, ft)
 	}
 	ft.Populate(t, ext)
 	// Volatile table outgrew the threshold: upgrade to persistent.
@@ -254,18 +264,16 @@ func (d *DaxVM) upgrade(t *sim.Thread, in *vfs.Inode, ft *FileTable) {
 		d.freeTableNode(t, old)
 	}
 	ft.writeDescriptor(t)
-	in.FileTable = nil
-	d.tables[in.Ino] = ft
+	d.setTable(in, ft)
 }
 
 // onShrink trims table coverage after truncate.
 func (d *DaxVM) onShrink(t *sim.Thread, in *vfs.Inode, keepBlocks uint64) {
-	if ft := d.lookup(in); ft != nil {
+	if ft := d.table(in); ft != nil {
 		ft.Clear(t, keepBlocks)
 		if keepBlocks == 0 {
 			ft.Destroy(t)
-			delete(d.tables, in.Ino)
-			in.FileTable = nil
+			d.setTable(in, nil)
 		}
 	}
 }
@@ -281,30 +289,14 @@ func (d *DaxVM) onTruncate(t *sim.Thread, in *vfs.Inode) {
 // onEvict destroys volatile tables with the inode-cache entry; persistent
 // tables survive unless the file is deleted.
 func (d *DaxVM) onEvict(t *sim.Thread, in *vfs.Inode) {
-	if ft, ok := in.FileTable.(*FileTable); ok && ft != nil && !ft.Persistent {
+	if ft := d.table(in); ft != nil && (!ft.Persistent || in.Deleted) {
 		ft.Destroy(t)
-		in.FileTable = nil
+		d.setTable(in, nil)
 	}
-	if in.Deleted {
-		if ft, ok := d.tables[in.Ino]; ok {
-			ft.Destroy(t)
-			delete(d.tables, in.Ino)
-		}
-	}
-}
-
-func (d *DaxVM) lookup(in *vfs.Inode) *FileTable {
-	if ft, ok := d.tables[in.Ino]; ok {
-		return ft
-	}
-	if ft, ok := in.FileTable.(*FileTable); ok {
-		return ft
-	}
-	return nil
 }
 
 // TableOf exposes the table for inspection (tests, storage accounting).
-func (d *DaxVM) TableOf(in *vfs.Inode) *FileTable { return d.lookup(in) }
+func (d *DaxVM) TableOf(in *vfs.Inode) *FileTable { return d.table(in) }
 
 // --- per-process state -------------------------------------------------------
 
@@ -317,9 +309,6 @@ type Proc struct {
 	zombies     []*mm.VMA
 	zombiePages uint64
 }
-
-// procs tracked for zombie forcing on truncate.
-// (field on DaxVM; declared here to keep the per-proc code together)
 
 // NewProc wires DaxVM into a process: installs the fault handlers and the
 // ephemeral-VMA lookup.
@@ -387,12 +376,12 @@ func (p *Proc) Mmap(t *sim.Thread, core *cpu.Core, in *vfs.Inode, fileOff, lengt
 
 	if ephemeral {
 		p.Heap.Register(t, v)
-		in.Mappers[v] = func(ft2 *sim.Thread) { p.forceUnmap(ft2, v) }
+		in.AddMapper(v, func(t *sim.Thread) { p.forceUnmap(t, v) })
 		//lint:ignore lockdiscipline acquired in the matching branch above
 		m.Sem.RUnlock(t, cost.SemReleaseFast)
 	} else {
 		m.InsertVMA(t, v)
-		in.Mappers[v] = func(ft2 *sim.Thread) { p.forceUnmap(ft2, v) }
+		in.AddMapper(v, func(t *sim.Thread) { p.forceUnmap(t, v) })
 		//lint:ignore lockdiscipline acquired in the matching branch above
 		m.Sem.Unlock(t, cost.SemReleaseFast)
 	}
@@ -412,15 +401,10 @@ func attachPerm(v *mm.VMA) mem.Perm {
 // attachRange splices the table fragments covering the VMA.
 func (p *Proc) attachRange(t *sim.Thread, v *mm.VMA, ft *FileTable) {
 	perm := attachPerm(v)
-	c0 := int(v.FileOff / mem.HugeSize)
-	n := int(uint64(v.End-v.Start) / mem.HugeSize)
-	for i := 0; i < n; i++ {
-		ci := c0 + i
-		if ci >= len(ft.chunks) {
-			break
-		}
+	cs := ft.chunksUnder(v)
+	for i := range cs {
 		va := v.Start + mem.VirtAddr(uint64(i)*mem.HugeSize)
-		c := &ft.chunks[ci]
+		c := &cs[i]
 		switch {
 		case c.huge:
 			p.MM.AS.Map(t, va, pt.MakeEntry(c.hugePFN, perm, true, true), pt.LevelPMD)
@@ -494,7 +478,7 @@ func (p *Proc) detachEntries(t *sim.Thread, core *cpu.Core, v *mm.VMA, invalidat
 	p.MM.AS.ClearRange(t, v.Start, v.End)
 	nChunks := uint64(v.End-v.Start) / mem.HugeSize
 	t.ChargeAs("detach", cost.AttachEntry*nChunks)
-	delete(v.Inode.Mappers, v)
+	v.Inode.RemoveMapper(v)
 	p.d.Stats.DetachOps++
 	if invalidate && pages > 0 {
 		targets := p.MM.Cores()
@@ -510,20 +494,15 @@ func (p *Proc) detachEntries(t *sim.Thread, core *cpu.Core, v *mm.VMA, invalidat
 // populatedVAsIn lists the virtual pages of the mapping that have live
 // translations (bounded by limit).
 func (p *Proc) populatedVAsIn(v *mm.VMA, limit uint64) []mem.VirtAddr {
-	ft := p.d.lookup(v.Inode)
+	ft := p.d.table(v.Inode)
 	var vas []mem.VirtAddr
 	if ft == nil {
 		return vas
 	}
-	c0 := int(v.FileOff / mem.HugeSize)
-	n := int(uint64(v.End-v.Start) / mem.HugeSize)
-	for i := 0; i < n; i++ {
-		ci := c0 + i
-		if ci >= len(ft.chunks) {
-			break
-		}
+	cs := ft.chunksUnder(v)
+	for i := range cs {
 		base := v.Start + mem.VirtAddr(uint64(i)*mem.HugeSize)
-		cnt := ft.chunks[ci].pages()
+		cnt := cs[i].pages()
 		for pg := 0; pg < cnt; pg++ {
 			vas = append(vas, base+mem.VirtAddr(pg*mem.PageSize))
 			if uint64(len(vas)) >= limit {
@@ -537,15 +516,14 @@ func (p *Proc) populatedVAsIn(v *mm.VMA, limit uint64) []mem.VirtAddr {
 // populatedPagesIn estimates live PTEs under the mapping (for
 // invalidation policy).
 func (p *Proc) populatedPagesIn(v *mm.VMA) uint64 {
-	ft := p.d.lookup(v.Inode)
+	ft := p.d.table(v.Inode)
 	if ft == nil {
 		return uint64(v.End-v.Start) / mem.PageSize
 	}
-	c0 := int(v.FileOff / mem.HugeSize)
-	c1 := c0 + int(uint64(v.End-v.Start)/mem.HugeSize)
+	cs := ft.chunksUnder(v)
 	var pages uint64
-	for ci := c0; ci < c1 && ci < len(ft.chunks); ci++ {
-		pages += uint64(ft.chunks[ci].pages())
+	for i := range cs {
+		pages += uint64(cs[i].pages())
 	}
 	return pages
 }
@@ -566,13 +544,7 @@ func (p *Proc) flushZombies(t *sim.Thread, core *cpu.Core) {
 	}
 	span.Of(t).Begin(t, "zombie_flush")
 	defer span.Of(t).End(t)
-	for _, v := range zs {
-		if v.Ephemeral {
-			p.Heap.Unregister(t, v)
-		}
-		p.detachEntries(t, core, v, false)
-	}
-	p.d.cpus.Shootdown(t, core, p.MM.Cores(), cpu.ShootFull, nil, 0, 0)
+	p.detachZombies(t, core, zs, false)
 	p.d.Stats.ZombieBatches++
 	p.d.Stats.ZombiePages += pages
 }
@@ -594,13 +566,21 @@ func (p *Proc) flushZombiesOf(t *sim.Thread, in *vfs.Inode) {
 	if len(mine) == 0 {
 		return
 	}
-	core := p.anyCore()
-	for _, v := range mine {
+	p.detachZombies(t, p.MM.AnyCore(), mine, true)
+}
+
+// detachZombies detaches each zombie in zs, counting it as a forced
+// unmap if forced (truncate race), then flushes every core of the
+// process once, from core; a nil core skips the flush.
+func (p *Proc) detachZombies(t *sim.Thread, core *cpu.Core, zs []*mm.VMA, forced bool) {
+	for _, v := range zs {
 		if v.Ephemeral {
 			p.Heap.Unregister(t, v)
 		}
 		p.detachEntries(t, core, v, false)
-		p.d.Stats.ForcedUnmaps++
+		if forced {
+			p.d.Stats.ForcedUnmaps++
+		}
 	}
 	if core != nil {
 		p.d.cpus.Shootdown(t, core, p.MM.Cores(), cpu.ShootFull, nil, 0, 0)
@@ -616,15 +596,8 @@ func (p *Proc) forceUnmap(t *sim.Thread, v *mm.VMA) {
 		p.MM.EraseVMA(t, v)
 		p.MM.Sem.Unlock(t, cost.SemReleaseFast)
 	}
-	p.detachEntries(t, p.anyCore(), v, true)
+	p.detachEntries(t, p.MM.AnyCore(), v, true)
 	p.d.Stats.ForcedUnmaps++
-}
-
-func (p *Proc) anyCore() *cpu.Core {
-	for _, c := range p.MM.Cores() {
-		return c
-	}
-	return nil
 }
 
 // wpFault is the DaxVM write-protect fault path: dirty tracking at the
@@ -686,8 +659,9 @@ func (p *Proc) Mprotect(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length u
 // accounting).
 func (p *Proc) ZombieCount() int { return len(p.zombies) }
 
-// vmasOf collects the process's live DaxVM VMAs mapping the given inode
-// (tree + ephemeral heap). Caller holds Sem.
+// vmasOf collects the process's live DaxVM VMAs mapping the given inode:
+// the VMA tree's, then the ephemeral heap's, each in address order.
+// Caller holds Sem.
 func (p *Proc) vmasOf(ino vfs.Ino) []*mm.VMA {
 	var out []*mm.VMA
 	p.MM.EachVMA(func(v *mm.VMA) {
@@ -695,10 +669,11 @@ func (p *Proc) vmasOf(ino vfs.Ino) []*mm.VMA {
 			out = append(out, v)
 		}
 	})
-	for _, v := range p.Heap.vmas {
+	p.Heap.vmas.All(func(_ uint64, v *mm.VMA) bool {
 		if v.Inode != nil && v.Inode.Ino == ino {
 			out = append(out, v)
 		}
-	}
+		return true
+	})
 	return out
 }

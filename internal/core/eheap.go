@@ -4,6 +4,7 @@ import (
 	"daxvm/internal/cost"
 	"daxvm/internal/mem"
 	"daxvm/internal/mm"
+	"daxvm/internal/rbtree"
 	"daxvm/internal/sim"
 )
 
@@ -22,10 +23,11 @@ type EphemeralHeap struct {
 	lock    sim.SpinLock
 	regions []*heapRegion
 
-	// vmas tracks live ephemeral mappings, ordered by start (the paper's
-	// per-heap list; a slice with binary search keeps lookups cheap in
-	// the simulator).
-	vmas map[mem.VirtAddr]*mm.VMA
+	// vmas holds the live ephemeral mappings keyed by start (the
+	// paper's per-heap VMA list, under lock): a red-black tree, as the
+	// process VMA tree is, so an interior address resolves with one
+	// Floor and walks visit mappings in address order.
+	vmas rbtree.Tree[*mm.VMA]
 
 	Stats EphemeralStats
 }
@@ -46,7 +48,7 @@ type heapRegion struct {
 
 // NewEphemeralHeap creates the heap for one process.
 func NewEphemeralHeap(m *mm.MM) *EphemeralHeap {
-	return &EphemeralHeap{m: m, vmas: make(map[mem.VirtAddr]*mm.VMA)}
+	return &EphemeralHeap{m: m}
 }
 
 // Alloc returns a 2 MiB-aligned virtual range of vlen bytes. The caller
@@ -87,7 +89,7 @@ func (h *EphemeralHeap) grow(t *sim.Thread) *heapRegion {
 // Register records a live ephemeral VMA (caller holds Sem as reader).
 func (h *EphemeralHeap) Register(t *sim.Thread, v *mm.VMA) {
 	h.lock.Lock(t, cost.SpinLockAcquire)
-	h.vmas[v.Start] = v
+	h.vmas.Insert(uint64(v.Start), v)
 	h.lock.Unlock(t, cost.SpinLockRelease)
 }
 
@@ -96,8 +98,7 @@ func (h *EphemeralHeap) Register(t *sim.Thread, v *mm.VMA) {
 func (h *EphemeralHeap) Unregister(t *sim.Thread, v *mm.VMA) {
 	h.lock.Lock(t, cost.SpinLockAcquire)
 	t.Charge(cost.EphemeralFree)
-	if _, ok := h.vmas[v.Start]; ok {
-		delete(h.vmas, v.Start)
+	if h.vmas.Delete(uint64(v.Start)) {
 		h.Stats.Frees++
 		for _, r := range h.regions {
 			if v.Start >= r.base && v.Start < r.base+regionSize {
@@ -116,28 +117,11 @@ func (h *EphemeralHeap) Unregister(t *sim.Thread, v *mm.VMA) {
 // Lookup resolves va to a live ephemeral VMA (no locking cost: used by
 // the fault path under Sem-read, where the DES serializes access).
 func (h *EphemeralHeap) Lookup(va mem.VirtAddr) *mm.VMA {
-	if v, ok := h.vmas[va]; ok {
+	if _, v, ok := h.vmas.Floor(uint64(va)); ok && va < v.End {
 		return v
-	}
-	// The fault address is usually interior; scan regions first to
-	// bail out fast for non-heap addresses.
-	inHeap := false
-	for _, r := range h.regions {
-		if va >= r.base && va < r.base+regionSize {
-			inHeap = true
-			break
-		}
-	}
-	if !inHeap {
-		return nil
-	}
-	for _, v := range h.vmas {
-		if va >= v.Start && va < v.End {
-			return v
-		}
 	}
 	return nil
 }
 
 // Live reports live ephemeral mappings.
-func (h *EphemeralHeap) Live() int { return len(h.vmas) }
+func (h *EphemeralHeap) Live() int { return h.vmas.Len() }

@@ -95,3 +95,65 @@ func TestEphemeralHeapLookupInteriorAddresses(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestEphemeralHeapLookupMatchesLinearScan drives random Register,
+// Unregister and Lookup calls and checks every lookup, interior and
+// outside addresses alike, against a linear scan of the live mappings.
+func TestEphemeralHeapLookupMatchesLinearScan(t *testing.T) {
+	h, release := newHeap()
+	t.Cleanup(release)
+	rng := rand.New(rand.NewSource(7))
+	e := sim.New()
+	e.Go("t", 0, 0, func(th *sim.Thread) {
+		var lives []*mm.VMA
+		scan := func(va mem.VirtAddr) *mm.VMA {
+			for _, v := range lives {
+				if va >= v.Start && va < v.End {
+					return v
+				}
+			}
+			return nil
+		}
+		var lo, hi mem.VirtAddr // span of every address the heap handed out
+		lookups := 0
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 4 || len(lives) == 0:
+				vlen := uint64(1+rng.Intn(4)) * mem.HugeSize
+				va := h.Alloc(th, vlen)
+				v := &mm.VMA{Start: va, End: va + mem.VirtAddr(vlen), Ephemeral: true}
+				h.Register(th, v)
+				lives = append(lives, v)
+				if lo == 0 || va < lo {
+					lo = va
+				}
+				hi = max(hi, v.End)
+			case r < 7:
+				i := rng.Intn(len(lives))
+				h.Unregister(th, lives[i])
+				lives = append(lives[:i], lives[i+1:]...)
+			default:
+				var va mem.VirtAddr
+				if rng.Intn(2) == 0 && len(lives) > 0 {
+					v := lives[rng.Intn(len(lives))]
+					va = v.Start + mem.VirtAddr(rng.Int63n(int64(v.End-v.Start)))
+				} else {
+					va = lo - mem.HugeSize + mem.VirtAddr(rng.Int63n(int64(hi-lo)+2*mem.HugeSize))
+				}
+				if got, want := h.Lookup(va), scan(va); got != want {
+					t.Errorf("op %d: Lookup(%#x) = %v, linear scan = %v", op, va, got, want)
+					return
+				}
+				lookups++
+			}
+			if h.Live() != len(lives) {
+				t.Errorf("op %d: Live() = %d, want %d", op, h.Live(), len(lives))
+				return
+			}
+		}
+		if lookups < 500 {
+			t.Errorf("only %d lookups checked", lookups)
+		}
+	})
+	e.Run()
+}

@@ -13,6 +13,7 @@ import (
 	"daxvm/internal/fs/alloc"
 	"daxvm/internal/fs/vfs"
 	"daxvm/internal/mem"
+	"daxvm/internal/mm"
 	"daxvm/internal/pt"
 	"daxvm/internal/sim"
 )
@@ -114,6 +115,18 @@ func (ft *FileTable) populatedPages() uint64 {
 		n += uint64(ft.chunks[i].pages())
 	}
 	return n
+}
+
+// chunksUnder returns the chunks under DaxVM mapping v, clipped to the
+// table's end. Chunk i of the result is attached at v.Start + i*HugeSize
+// (a DaxVM mapping starts on a chunk boundary of the file).
+func (ft *FileTable) chunksUnder(v *mm.VMA) []chunk {
+	c0 := int(v.FileOff / mem.HugeSize)
+	c1 := min(c0+int(v.Len()/mem.HugeSize), len(ft.chunks))
+	if c0 >= c1 {
+		return nil
+	}
+	return ft.chunks[c0:c1]
 }
 
 // nodeBlock returns the PMem block backing a persistent node.

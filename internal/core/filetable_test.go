@@ -7,6 +7,7 @@ import (
 	"daxvm/internal/fs/alloc"
 	"daxvm/internal/fs/vfs"
 	"daxvm/internal/mem"
+	"daxvm/internal/mm"
 	"daxvm/internal/pmem"
 	"daxvm/internal/pt"
 	"daxvm/internal/sim"
@@ -407,4 +408,48 @@ func TestReusedTableBlocksRecoverClean(t *testing.T) {
 		checkChunks(t, got)
 	})
 	e.Run()
+}
+
+// TestChunksUnderClipsToMappingAndTable: the chunk walk shared by attach,
+// the invalidation counts and reattach yields exactly the chunks under
+// the mapping, cut at the table's end.
+func TestChunksUnderClipsToMappingAndTable(t *testing.T) {
+	ft := &FileTable{chunks: make([]chunk, 4)}
+	for _, tc := range []struct {
+		off, n uint64 // mapping start and length, in chunks
+		lo, hi int    // expected chunks [lo, hi)
+	}{
+		{0, 2, 0, 2},
+		{1, 1, 1, 2},
+		{2, 4, 2, 4}, // past the table's end
+		{4, 1, 0, 0},
+		{6, 2, 0, 0},
+	} {
+		v := &mm.VMA{Start: 1 << 40, End: 1<<40 + mem.VirtAddr(tc.n*mem.HugeSize), FileOff: tc.off * mem.HugeSize}
+		cs := ft.chunksUnder(v)
+		if len(cs) != tc.hi-tc.lo || len(cs) > 0 && &cs[0] != &ft.chunks[tc.lo] {
+			t.Errorf("mapping of chunks [%d, %d): got %d chunks, want chunks [%d, %d)", tc.off, tc.off+tc.n, len(cs), tc.lo, tc.hi)
+		}
+	}
+}
+
+// TestSetTableKeepsOnePlace: an inode's table lives in exactly one place
+// for its medium, moves when it turns persistent, and nil drops it.
+func TestSetTableKeepsOnePlace(t *testing.T) {
+	d := &DaxVM{tables: map[vfs.Ino]*FileTable{}}
+	in := &vfs.Inode{Ino: 7}
+	ft := &FileTable{Ino: 7, d: d}
+	d.setTable(in, ft)
+	if d.table(in) != ft || in.FileTable != ft || len(d.tables) != 0 {
+		t.Fatalf("volatile table: table %p, in.FileTable %v, %d persistent", d.table(in), in.FileTable, len(d.tables))
+	}
+	ft.Persistent = true
+	d.setTable(in, ft)
+	if d.table(in) != ft || in.FileTable != nil || d.tables[7] != ft {
+		t.Fatalf("persistent table: table %p, in.FileTable %v, tables %v", d.table(in), in.FileTable, d.tables)
+	}
+	d.setTable(in, nil)
+	if d.table(in) != nil || in.FileTable != nil || len(d.tables) != 0 {
+		t.Fatalf("dropped table: table %p, in.FileTable %v, %d persistent", d.table(in), in.FileTable, len(d.tables))
+	}
 }

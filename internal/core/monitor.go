@@ -106,8 +106,7 @@ func (m *Monitor) migrate(t *sim.Thread) {
 		m.Stats.Triggers++
 		d.Stats.Migrations++
 		// Stale translations and PTE-line state die with one flush.
-		core := p.anyCore()
-		if core != nil {
+		if core := p.MM.AnyCore(); core != nil {
 			d.cpus.Shootdown(t, core, p.MM.Cores(), cpu.ShootFull, nil, 0, 0)
 		}
 		for _, c := range p.MM.Cores() {
@@ -138,14 +137,9 @@ func (ft *FileTable) shadowNodes(t *sim.Thread) bool {
 func (m *Monitor) reattach(t *sim.Thread, ft *FileTable) {
 	p := m.p
 	for _, v := range p.vmasOf(ft.Ino) {
-		c0 := int(v.FileOff / mem.HugeSize)
-		n := int(uint64(v.End-v.Start) / mem.HugeSize)
-		for i := 0; i < n; i++ {
-			ci := c0 + i
-			if ci >= len(ft.chunks) {
-				break
-			}
-			c := &ft.chunks[ci]
+		cs := ft.chunksUnder(v)
+		for i := range cs {
+			c := &cs[i]
 			if c.shadow == nil {
 				continue
 			}

@@ -184,22 +184,19 @@ const (
 // amortize to ~170 ns/line; DRAM ~80 ns. Per-thread bandwidths: DRAM copy
 // ~11 GB/s, PMem read ~6.5 GB/s, nt-store ~2.3 GB/s, store+clwb ~1.2 GB/s.
 const (
-	DRAMLoadLatency  = 216 // 80 ns
 	PMemLoadLatency  = 824 // 305 ns random
 	PMemSeqLoadLat   = 460 // 170 ns streaming
 	CacheHitLatency  = 40  // L2/LLC-ish hit for recently-touched lines
 	ClwbCost         = 90  // issue clwb for one line (throughput view)
 	FenceCost        = 120 // sfence drain
 	NTStoreLineCost  = 70  // issue one 64 B non-temporal store line
-	AtomicRMWCost    = 60
-	SpinLockAcquire  = 80 // uncontended spinlock cycle cost
+	SpinLockAcquire  = 80  // uncontended spinlock cycle cost
 	SpinLockRelease  = 40
 	SemAcquireFast   = 140 // uncontended rwsem acquire
 	SemReleaseFast   = 100
 	SchedWakeup      = 2_200 // blocking wakeup path (sleep+wake)
 	KernelListOp     = 70
 	RadixTreeTag     = 420 // page-cache radix tag set/clear with lock
-	RadixTreeLookup  = 180
 	PerfCounterRead  = 250
 	InodeCacheLookup = 380
 	PathLookupPerCmp = 160 // per path component
@@ -225,10 +222,6 @@ const (
 	// NTStorePMemPerPage: DRAM->PMem with non-temporal stores at
 	// ~2.3 GB/s (write syscall path, user-space nt-store path).
 	NTStorePMemPerPage = 4_800
-
-	// StoreClwbPMemPerPage: cached stores + clwb flush at ~1.2 GB/s
-	// (kernel msync/fsync flushing path).
-	StoreClwbPMemPerPage = 9_200
 
 	// ZeroPMemPerPage: zeroing with nt-stores, same engine as NTStore.
 	ZeroPMemPerPage = 4_800
@@ -275,10 +268,6 @@ const (
 
 	// FsyncFixed is the fixed fsync/msync path cost.
 	FsyncFixed = 2_600
-
-	// FileTablePTEFlushPerLine: flushing one cache line of persistent
-	// file-table PTEs (clwb; the fence rides on the journal commit).
-	FileTablePTEFlushPerLine = ClwbCost
 )
 
 // Cross-socket (remote NUMA node) penalties. [fast20 §3.2] A remote
@@ -299,10 +288,6 @@ const (
 	// RemotePMemWriteExtraPerPage: local nt-store ~2.3 GB/s vs remote
 	// ~0.8 GB/s; also applied to remote zeroing.
 	RemotePMemWriteExtraPerPage = 9_600
-
-	// RemoteDRAMExtraPerPage: UPI hop on a streamed DRAM page
-	// (~11 GB/s local vs ~8 GB/s remote).
-	RemoteDRAMExtraPerPage = 650
 
 	// RemotePMemWalkExtra: one remote Optane leaf-PTE fetch pays the
 	// UPI round trip on top of the media latency (~170 ns).

@@ -160,11 +160,10 @@ func (c *Core) Load(ino vfs.Ino) (*vfs.Inode, error) {
 
 func (c *Core) vfsInode(fi *Inode, path string) *vfs.Inode {
 	return &vfs.Inode{
-		Ino:     fi.ino,
-		Path:    path,
-		Size:    fi.size,
-		Priv:    fi,
-		Mappers: make(map[any]func(*sim.Thread)),
+		Ino:  fi.ino,
+		Path: path,
+		Size: fi.size,
+		Priv: fi,
 	}
 }
 

@@ -1,6 +1,8 @@
 package vfs
 
 import (
+	"container/list"
+
 	"daxvm/internal/cost"
 	"daxvm/internal/sim"
 )
@@ -11,9 +13,12 @@ import (
 type ICache struct {
 	fs       FS
 	capacity int
-	inodes   map[Ino]*Inode
-	lru      []Ino // approximate LRU: most-recent at the back
-	hooks    *Hooks
+	// inodes maps each cached inode number to its element of lru, which
+	// holds the cached *Inode values ordered by last use, least recent
+	// at the front: an exact LRU, one element per cached inode.
+	inodes map[Ino]*list.Element
+	lru    list.List
+	hooks  *Hooks
 
 	Stats ICacheStats
 }
@@ -32,7 +37,7 @@ func NewICache(fs FS, capacity int, hooks *Hooks) *ICache {
 	return &ICache{
 		fs:       fs,
 		capacity: capacity,
-		inodes:   map[Ino]*Inode{},
+		inodes:   map[Ino]*list.Element{},
 		hooks:    hooks,
 	}
 }
@@ -45,10 +50,11 @@ func (c *ICache) Open(t *sim.Thread, path string) (*Inode, error) {
 		return nil, err
 	}
 	t.Charge(cost.InodeCacheLookup)
-	if in, ok := c.inodes[ino]; ok {
+	if e, ok := c.inodes[ino]; ok {
 		c.Stats.Hits++
+		c.lru.MoveToBack(e)
+		in := e.Value.(*Inode)
 		in.Refs++
-		c.touch(ino)
 		return in, nil
 	}
 	c.Stats.ColdLoads++
@@ -89,64 +95,43 @@ func (c *ICache) Put(t *sim.Thread, in *Inode) {
 
 // Get returns the cached inode without loading.
 func (c *ICache) Get(ino Ino) (*Inode, bool) {
-	in, ok := c.inodes[ino]
-	return in, ok
+	if e, ok := c.inodes[ino]; ok {
+		return e.Value.(*Inode), true
+	}
+	return nil, false
 }
 
 // Len reports cached inode count.
 func (c *ICache) Len() int { return len(c.inodes) }
 
+// insert caches in as the most recently used inode, first evicting
+// unreferenced inodes while the cache is full.
 func (c *ICache) insert(t *sim.Thread, in *Inode) {
 	for len(c.inodes) >= c.capacity {
 		if !c.evictOne(t) {
 			break // everything referenced
 		}
 	}
-	c.inodes[in.Ino] = in
-	c.lru = append(c.lru, in.Ino)
+	c.inodes[in.Ino] = c.lru.PushBack(in)
 }
 
-func (c *ICache) touch(ino Ino) {
-	// Cheap approximate LRU: append; duplicates resolved at eviction.
-	c.lru = append(c.lru, ino)
-	if len(c.lru) > 8*c.capacity {
-		c.compactLRU()
+// remove forgets the inode cached under ino, if any.
+func (c *ICache) remove(ino Ino) {
+	if e, ok := c.inodes[ino]; ok {
+		c.lru.Remove(e)
+		delete(c.inodes, ino)
 	}
 }
 
-func (c *ICache) compactLRU() {
-	seen := make(map[Ino]bool, len(c.inodes))
-	out := make([]Ino, 0, len(c.inodes))
-	for i := len(c.lru) - 1; i >= 0; i-- {
-		ino := c.lru[i]
-		if seen[ino] {
-			continue
-		}
-		if _, ok := c.inodes[ino]; !ok {
-			continue
-		}
-		seen[ino] = true
-		out = append(out, ino)
-	}
-	// out is most-recent-first; reverse to match ring convention.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	c.lru = out
-}
-
+// evictOne evicts the least recently used unreferenced inode, reporting
+// false when every cached inode is referenced.
 func (c *ICache) evictOne(t *sim.Thread) bool {
-	c.compactLRU()
-	for i, ino := range c.lru {
-		in, ok := c.inodes[ino]
-		if !ok {
-			continue
-		}
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		in := e.Value.(*Inode)
 		if in.Refs > 0 {
 			continue
 		}
-		c.lru = append(c.lru[:i:i], c.lru[i+1:]...)
-		delete(c.inodes, ino)
+		c.remove(in.Ino)
 		c.Stats.Evictions++
 		if c.hooks != nil && c.hooks.OnEvict != nil {
 			c.hooks.OnEvict(t, in)
@@ -157,7 +142,7 @@ func (c *ICache) evictOne(t *sim.Thread) bool {
 }
 
 func (c *ICache) drop(t *sim.Thread, in *Inode) {
-	delete(c.inodes, in.Ino)
+	c.remove(in.Ino)
 	if c.hooks != nil && c.hooks.OnEvict != nil {
 		c.hooks.OnEvict(t, in)
 	}

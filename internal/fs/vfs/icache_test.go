@@ -2,7 +2,9 @@ package vfs_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"daxvm/internal/fs/ext4"
@@ -142,5 +144,150 @@ func TestNewICacheGrowsOnUse(t *testing.T) {
 	runtime.KeepAlive(c)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 		t.Fatalf("NewICache allocated %d KiB, want under 64 KiB", got>>10)
+	}
+}
+
+// TestLRUHoldsOneEntryPerInode: repeated hits move an inode within the
+// LRU list instead of adding to it. 48,000 opens over 8 cached inodes
+// (a webserve cell's icache hits) leave 8 entries.
+func TestLRUHoldsOneEntryPerInode(t *testing.T) {
+	c, _ := newCache(t, 1<<16, nil)
+	run(func(th *sim.Thread) {
+		for i := 0; i < 8; i++ {
+			in, err := c.Create(th, fmt.Sprintf("f%d", i))
+			if err != nil {
+				t.Errorf("Create: %v", err)
+				return
+			}
+			c.Put(th, in)
+		}
+		for i := 0; i < 48000; i++ {
+			in, err := c.Open(th, fmt.Sprintf("f%d", i%8))
+			if err != nil {
+				t.Errorf("Open: %v", err)
+				return
+			}
+			c.Put(th, in)
+		}
+	})
+	if c.Stats.Hits != 48000 {
+		t.Errorf("hits = %d, want 48000", c.Stats.Hits)
+	}
+	if n := c.LRULen(); n != 8 {
+		t.Errorf("LRU holds %d entries for 8 cached inodes", n)
+	}
+}
+
+// TestEvictionMatchesReferenceLRU drives a capacity-4 cache with random
+// creates, opens, puts and unlinks (the kernel's unlink: mark the cached
+// inode deleted, drop it now if unreferenced) and checks every OnEvict
+// call against a reference LRU that evicts the least recently used
+// unreferenced inode.
+func TestEvictionMatchesReferenceLRU(t *testing.T) {
+	type evict struct {
+		ino     vfs.Ino
+		deleted bool
+	}
+	var got []evict
+	hooks := &vfs.Hooks{OnEvict: func(_ *sim.Thread, in *vfs.Inode) {
+		got = append(got, evict{in.Ino, in.Deleted})
+	}}
+	const capacity = 4
+	c, f := newCache(t, capacity, hooks)
+
+	// The reference: cached inode numbers, least recent first, and the
+	// references and deleted marks of each.
+	var order []vfs.Ino
+	refs := map[vfs.Ino]int{}
+	deleted := map[vfs.Ino]bool{}
+	var want []evict
+	forget := func(ino vfs.Ino, i int) {
+		order = append(order[:i], order[i+1:]...)
+		want = append(want, evict{ino, deleted[ino]})
+	}
+	use := func(ino vfs.Ino) {
+		if i := slices.Index(order, ino); i >= 0 {
+			order = append(order[:i], order[i+1:]...)
+		} else {
+			for len(order) >= capacity {
+				i := slices.IndexFunc(order, func(o vfs.Ino) bool { return refs[o] == 0 })
+				if i < 0 {
+					break
+				}
+				forget(order[i], i)
+			}
+		}
+		order = append(order, ino)
+		refs[ino]++
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	paths := map[string]vfs.Ino{}
+	var live []string
+	var held []*vfs.Inode
+	run(func(th *sim.Thread) {
+		for op, next := 0, 0; op < 3000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 2 || len(live) == 0:
+				path := fmt.Sprintf("f%d", next)
+				next++
+				in, err := c.Create(th, path)
+				if err != nil {
+					t.Errorf("Create: %v", err)
+					return
+				}
+				paths[path] = in.Ino
+				live = append(live, path)
+				held = append(held, in)
+				use(in.Ino)
+			case r < 5:
+				in, err := c.Open(th, live[rng.Intn(len(live))])
+				if err != nil {
+					t.Errorf("Open: %v", err)
+					return
+				}
+				held = append(held, in)
+				use(in.Ino)
+			case r < 9:
+				if len(held) == 0 {
+					continue
+				}
+				i := rng.Intn(len(held))
+				in := held[i]
+				held = append(held[:i], held[i+1:]...)
+				c.Put(th, in)
+				if refs[in.Ino]--; refs[in.Ino] == 0 && deleted[in.Ino] {
+					forget(in.Ino, slices.Index(order, in.Ino))
+				}
+			default:
+				i := rng.Intn(len(live))
+				path := live[i]
+				live = append(live[:i], live[i+1:]...)
+				if err := f.Unlink(th, path); err != nil {
+					t.Errorf("Unlink: %v", err)
+					return
+				}
+				ino := paths[path]
+				if in, ok := c.Get(ino); ok {
+					in.Deleted = true
+					deleted[ino] = true
+					if in.Refs == 0 {
+						in.Refs = 1
+						c.Put(th, in)
+						forget(ino, slices.Index(order, ino))
+					}
+				}
+			}
+			if c.Len() != len(order) || c.LRULen() != len(order) {
+				t.Errorf("op %d: cache holds %d inodes, LRU %d entries, reference %d", op, c.Len(), c.LRULen(), len(order))
+				return
+			}
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("evictions differ from the reference LRU:\n got  %v\n want %v", got, want)
+	}
+	if len(want) < 200 {
+		t.Errorf("only %d evictions exercised", len(want))
 	}
 }

@@ -6,6 +6,7 @@ package vfs
 
 import (
 	"errors"
+	"slices"
 
 	"daxvm/internal/mem"
 	"daxvm/internal/pmem"
@@ -62,10 +63,11 @@ type Inode struct {
 	// transaction carries (more fragmentation -> bigger commits).
 	MetaDirtyBlocks uint64
 
-	// Mappers is the address_space->i_mmap analogue: callbacks to force
-	// unmapping when blocks are reclaimed (truncate/unlink vs deferred
-	// unmap races). Keyed by an opaque owner.
-	Mappers map[any]func(t *sim.Thread)
+	// mappers is the address_space->i_mmap analogue: one callback per
+	// mapping that forces it out when blocks are reclaimed (truncate vs
+	// deferred unmap races), in registration order (AddMapper,
+	// RemoveMapper, ForceUnmapAll).
+	mappers []mapper
 
 	// Refs counts open file descriptions + mappings; the icache may only
 	// evict at zero.
@@ -146,11 +148,35 @@ type Hooks struct {
 	OnEvict func(t *sim.Thread, ino *Inode)
 }
 
-// ForceUnmapAll invokes every registered mapper callback (truncate race
-// path).
+// mapper is one mapping's force-unmap callback, keyed by an opaque owner
+// (the mapping's VMA).
+type mapper struct {
+	owner any
+	fn    func(t *sim.Thread)
+}
+
+// AddMapper registers owner's force-unmap callback after the others.
+func (in *Inode) AddMapper(owner any, fn func(t *sim.Thread)) {
+	in.mappers = append(in.mappers, mapper{owner, fn})
+}
+
+// RemoveMapper drops owner's callback, if registered, keeping the order
+// of the rest.
+func (in *Inode) RemoveMapper(owner any) {
+	for i := range in.mappers {
+		if in.mappers[i].owner == owner {
+			in.mappers = slices.Delete(in.mappers, i, i+1)
+			return
+		}
+	}
+}
+
+// ForceUnmapAll invokes every registered mapper callback in registration
+// order (truncate race path). Each callback takes mmap_sem, a yield
+// point, and removes its own entry, so it walks a copy.
 func ForceUnmapAll(t *sim.Thread, ino *Inode) {
-	for _, fn := range ino.Mappers {
-		fn(t)
+	for _, m := range slices.Clone(ino.mappers) {
+		m.fn(t)
 	}
 }
 

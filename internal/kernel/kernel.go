@@ -423,13 +423,23 @@ func (p *Proc) Close(t *sim.Thread, fd int) error {
 	p.sysEnter(t, "syscall.close")
 	defer p.sysExit(t)
 	t.Charge(cost.CloseFixed)
-	f, ok := p.fds[fd]
-	if !ok {
-		return fmt.Errorf("kernel: bad fd %d", fd)
+	f, err := p.file(fd)
+	if err != nil {
+		return err
 	}
 	delete(p.fds, fd)
 	p.K.ICache.Put(t, f.In)
 	return nil
+}
+
+// file returns the open file behind fd, or the bad-fd error every
+// syscall reports.
+func (p *Proc) file(fd int) (*FileDesc, error) {
+	f, ok := p.fds[fd]
+	if !ok {
+		return nil, fmt.Errorf("kernel: bad fd %d", fd)
+	}
+	return f, nil
 }
 
 // Inode returns the inode behind fd (workload plumbing).
@@ -440,9 +450,9 @@ func (p *Proc) Read(t *sim.Thread, fd int, buf []byte) (uint64, error) {
 	p.sysEnter(t, "syscall.read")
 	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
-	f, ok := p.fds[fd]
-	if !ok {
-		return 0, fmt.Errorf("kernel: bad fd %d", fd)
+	f, err := p.file(fd)
+	if err != nil {
+		return 0, err
 	}
 	n, err := p.K.FS.ReadAt(t, f.In, f.Pos, buf)
 	f.Pos += n
@@ -454,9 +464,9 @@ func (p *Proc) ReadAt(t *sim.Thread, fd int, off uint64, buf []byte) (uint64, er
 	p.sysEnter(t, "syscall.pread")
 	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
-	f, ok := p.fds[fd]
-	if !ok {
-		return 0, fmt.Errorf("kernel: bad fd %d", fd)
+	f, err := p.file(fd)
+	if err != nil {
+		return 0, err
 	}
 	return p.K.FS.ReadAt(t, f.In, off, buf)
 }
@@ -466,9 +476,9 @@ func (p *Proc) Append(t *sim.Thread, fd int, data []byte) error {
 	p.sysEnter(t, "syscall.append")
 	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
-	f, ok := p.fds[fd]
-	if !ok {
-		return fmt.Errorf("kernel: bad fd %d", fd)
+	f, err := p.file(fd)
+	if err != nil {
+		return err
 	}
 	return p.K.FS.Append(t, f.In, data)
 }
@@ -478,9 +488,9 @@ func (p *Proc) WriteAt(t *sim.Thread, fd int, off uint64, data []byte) error {
 	p.sysEnter(t, "syscall.pwrite")
 	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
-	f, ok := p.fds[fd]
-	if !ok {
-		return fmt.Errorf("kernel: bad fd %d", fd)
+	f, err := p.file(fd)
+	if err != nil {
+		return err
 	}
 	return p.K.FS.WriteAt(t, f.In, off, data)
 }
@@ -489,9 +499,9 @@ func (p *Proc) WriteAt(t *sim.Thread, fd int, off uint64, data []byte) error {
 func (p *Proc) Fallocate(t *sim.Thread, fd int, off, n uint64) error {
 	p.sysEnter(t, "syscall.fallocate")
 	defer p.sysExit(t)
-	f, ok := p.fds[fd]
-	if !ok {
-		return fmt.Errorf("kernel: bad fd %d", fd)
+	f, err := p.file(fd)
+	if err != nil {
+		return err
 	}
 	return p.K.FS.Fallocate(t, f.In, off, n)
 }
@@ -500,9 +510,9 @@ func (p *Proc) Fallocate(t *sim.Thread, fd int, off, n uint64) error {
 func (p *Proc) Ftruncate(t *sim.Thread, fd int, size uint64) error {
 	p.sysEnter(t, "syscall.ftruncate")
 	defer p.sysExit(t)
-	f, ok := p.fds[fd]
-	if !ok {
-		return fmt.Errorf("kernel: bad fd %d", fd)
+	f, err := p.file(fd)
+	if err != nil {
+		return err
 	}
 	return p.K.FS.Truncate(t, f.In, size)
 }
@@ -511,9 +521,9 @@ func (p *Proc) Ftruncate(t *sim.Thread, fd int, size uint64) error {
 func (p *Proc) Fsync(t *sim.Thread, fd int) error {
 	p.sysEnter(t, "syscall.fsync")
 	defer p.sysExit(t)
-	f, ok := p.fds[fd]
-	if !ok {
-		return fmt.Errorf("kernel: bad fd %d", fd)
+	f, err := p.file(fd)
+	if err != nil {
+		return err
 	}
 	p.K.FS.Fsync(t, f.In)
 	return nil
@@ -545,9 +555,9 @@ func (p *Proc) Unlink(t *sim.Thread, path string) error {
 func (p *Proc) Mmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64, perm mem.Perm, flags mm.MapFlags) (mem.VirtAddr, error) {
 	p.sysEnter(t, "syscall.mmap")
 	defer p.sysExit(t)
-	f, ok := p.fds[fd]
-	if !ok {
-		return 0, fmt.Errorf("kernel: bad fd %d", fd)
+	f, err := p.file(fd)
+	if err != nil {
+		return 0, err
 	}
 	f.In.Refs++ // the mapping holds the inode
 	va, err := p.MM.Mmap(t, c, f.In, off, length, perm, flags)
@@ -601,9 +611,9 @@ func (p *Proc) DaxvmMmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64,
 	if p.Dax == nil {
 		return 0, fmt.Errorf("kernel: DaxVM not enabled")
 	}
-	f, ok := p.fds[fd]
-	if !ok {
-		return 0, fmt.Errorf("kernel: bad fd %d", fd)
+	f, err := p.file(fd)
+	if err != nil {
+		return 0, err
 	}
 	f.In.Refs++
 	va, err := p.Dax.Mmap(t, c, f.In, off, length, perm, flags)

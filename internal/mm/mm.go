@@ -268,7 +268,7 @@ func (m *MM) Mmap(t *sim.Thread, core *cpu.Core, in *vfs.Inode, fileOff, length 
 		Perm: perm, Flags: flags, Inode: in, FileOff: fileOff,
 	}
 	m.InsertVMA(t, v)
-	in.Mappers[v] = func(ft *sim.Thread) { m.forceUnmapLocked(ft, v) }
+	in.AddMapper(v, func(ft *sim.Thread) { m.forceUnmapLocked(ft, v) })
 	m.Stats.Mmaps++
 	if flags&MapPopulate != 0 {
 		m.populateRange(t, core, v, v.Start, v.End)
@@ -542,20 +542,20 @@ func (m *MM) munmapRange(t *sim.Thread, core *cpu.Core, va, end mem.VirtAddr, in
 	}
 	for _, v := range overlapping {
 		m.EraseVMA(t, v)
-		delete(v.Inode.Mappers, v)
+		v.Inode.RemoveMapper(v)
 		// Splits for partial coverage.
 		if v.Start < va {
 			left := *v
 			left.End = va
 			m.InsertVMA(t, &left)
-			v.Inode.Mappers[&left] = func(ft *sim.Thread) { m.forceUnmapLocked(ft, &left) }
+			v.Inode.AddMapper(&left, func(ft *sim.Thread) { m.forceUnmapLocked(ft, &left) })
 		}
 		if v.End > end {
 			right := *v
 			right.Start = end
 			right.FileOff = v.FileOff + uint64(end-v.Start)
 			m.InsertVMA(t, &right)
-			v.Inode.Mappers[&right] = func(ft *sim.Thread) { m.forceUnmapLocked(ft, &right) }
+			v.Inode.AddMapper(&right, func(ft *sim.Thread) { m.forceUnmapLocked(ft, &right) })
 		}
 	}
 	lo := overlapping[0].Start
@@ -599,20 +599,24 @@ func (m *MM) forceUnmapLocked(t *sim.Thread, v *VMA) {
 	m.Sem.Lock(t, cost.SemAcquireFast)
 	if _, ok := m.vmas.Get(uint64(v.Start)); ok {
 		m.EraseVMA(t, v)
-		delete(v.Inode.Mappers, v)
+		v.Inode.RemoveMapper(v)
 		cleared := m.AS.ClearRange(t, v.Start, v.End)
 		m.Stats.PagesCleared += cleared
-		core := m.anyCore()
-		if core != nil {
+		if core := m.AnyCore(); core != nil {
 			m.invalidate(t, core, v.Start, v.End, cleared)
 		}
 	}
 	m.Sem.Unlock(t, cost.SemReleaseFast)
 }
 
-func (m *MM) anyCore() *cpu.Core {
-	for _, c := range m.Cores() {
-		return c
+// AnyCore returns the lowest-numbered core the process runs on, or nil:
+// the initiator of shootdowns no running thread asked for (forced
+// unmaps, monitor migration).
+func (m *MM) AnyCore() *cpu.Core {
+	for i := range m.cpus.Cores {
+		if c, ok := m.cores[i]; ok {
+			return c
+		}
 	}
 	return nil
 }
@@ -630,12 +634,12 @@ func (m *MM) Mprotect(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, length uin
 	// Split off the affected range.
 	if v.Start < va || v.End > end {
 		m.EraseVMA(t, v)
-		delete(v.Inode.Mappers, v)
+		v.Inode.RemoveMapper(v)
 		mkseg := func(s, e mem.VirtAddr, off uint64, p mem.Perm) {
 			seg := *v
 			seg.Start, seg.End, seg.FileOff, seg.Perm = s, e, off, p
 			m.InsertVMA(t, &seg)
-			v.Inode.Mappers[&seg] = func(ft *sim.Thread) { m.forceUnmapLocked(ft, &seg) }
+			v.Inode.AddMapper(&seg, func(ft *sim.Thread) { m.forceUnmapLocked(ft, &seg) })
 		}
 		if v.Start < va {
 			mkseg(v.Start, va, v.FileOff, v.Perm)

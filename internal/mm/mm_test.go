@@ -343,3 +343,19 @@ func TestMmapSemContentionAcrossThreads(t *testing.T) {
 		t.Fatalf("8-thread per-op latency %d not much worse than 1-thread %d; mmap_sem contention missing", l8, l1)
 	}
 }
+
+// TestAnyCoreIsLowestRunningCore: AnyCore, the initiator of shootdowns
+// no running thread asked for, is the lowest-numbered core the process
+// runs on (the first of Cores), or nil before it runs anywhere.
+func TestAnyCoreIsLowestRunningCore(t *testing.T) {
+	cpus := cpu.NewSet(4)
+	m := New(dram.New(1<<30), nil, cpus)
+	if c := m.AnyCore(); c != nil {
+		t.Fatalf("AnyCore = core %d on a process that runs nowhere", c.ID)
+	}
+	m.RunOn(cpus.Cores[3])
+	m.RunOn(cpus.Cores[1])
+	if c := m.AnyCore(); c != cpus.Cores[1] || c != m.Cores()[0] {
+		t.Fatalf("AnyCore = core %d, want core 1", c.ID)
+	}
+}

@@ -1,8 +1,9 @@
 // Package determinism forbids wall-clock time, the unseeded global
 // math/rand source, raw goroutines, scheduler-nondeterministic selects,
-// and map iteration that charges cycles or emits trace events. The
-// simulator's perf gate compares artifacts byte-for-byte; any of these
-// constructs can silently perturb the numbers between runs. It also
+// and map iteration that charges cycles, emits trace events or hands a
+// simulated thread to a call. The simulator's perf gate compares
+// artifacts byte-for-byte; any of these constructs can silently perturb
+// the numbers between runs. It also
 // forbids importing sync and sync/atomic: simulated threads are
 // coroutines the engine's driver resumes one at a time, so simulator
 // state has a single owner and a host lock only hides a broken rule.
@@ -21,7 +22,7 @@ import (
 var Analyzer = &ana.Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock time, unseeded math/rand, raw go statements, " +
-		"multi-case selects, map iteration that charges cycles or emits trace events, " +
+		"multi-case selects, map iteration that charges cycles, emits trace events or passes a *sim.Thread to a call, " +
 		"and sync or sync/atomic imports",
 	Run: run,
 }
@@ -97,8 +98,11 @@ func checkCall(pass *ana.Pass, call *ast.CallExpr) {
 }
 
 // checkMapRange flags `for ... := range m` over a map whose body books
-// cycles or emits trace events: both are order-sensitive, and Go map
-// iteration order is deliberately randomized.
+// cycles, emits trace events or passes a *sim.Thread to any call: all
+// are order-sensitive, and Go map iteration order is deliberately
+// randomized. A call that takes the thread may charge, yield or block
+// behind it, even through a func value (a callback registry), where no
+// direct charge call is in sight.
 func checkMapRange(pass *ana.Pass, rng *ast.RangeStmt) {
 	tv, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
@@ -112,20 +116,40 @@ func checkMapRange(pass *ana.Pass, rng *ast.RangeStmt) {
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass, call)
-		if fn == nil || fn.Pkg() == nil {
-			return true
+		var pkg, name string
+		if fn := calleeFunc(pass, call); fn != nil && fn.Pkg() != nil {
+			pkg, name = fn.Pkg().Name(), fn.Name()
 		}
 		switch {
-		case fn.Pkg().Name() == "sim" && charges[fn.Name()]:
-			pass.Reportf(rng.Pos(), "map iteration order is randomized but the body charges cycles (%s); iterate a sorted key slice (obs.SortedKeys)", fn.Name())
+		case pkg == "sim" && charges[name]:
+			pass.Reportf(rng.Pos(), "map iteration order is randomized but the body charges cycles (%s); iterate a sorted key slice (obs.SortedKeys)", name)
 			return false
-		case fn.Pkg().Name() == "obs" && fn.Name() == "Emit":
+		case pkg == "obs" && name == "Emit":
 			pass.Reportf(rng.Pos(), "map iteration order is randomized but the body emits trace events; iterate a sorted key slice (obs.SortedKeys)")
+			return false
+		case passesThread(pass, call):
+			pass.Reportf(rng.Pos(), "map iteration order is randomized but the body passes a *sim.Thread to a call; iterate a sorted key slice (obs.SortedKeys) or an ordered slice")
 			return false
 		}
 		return true
 	})
+}
+
+// passesThread reports whether one of call's arguments is a *sim.Thread.
+func passesThread(pass *ana.Pass, call *ast.CallExpr) bool {
+	for _, arg := range call.Args {
+		ptr, ok := pass.TypesInfo.TypeOf(arg).(*types.Pointer)
+		if !ok {
+			continue
+		}
+		if named, ok := ptr.Elem().(*types.Named); ok {
+			obj := named.Obj()
+			if obj.Name() == "Thread" && obj.Pkg() != nil && obj.Pkg().Name() == "sim" {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // calleeFunc resolves a call's target to a *types.Func (methods and

@@ -1,6 +1,6 @@
 // Package det exercises the determinism analyzer: wall clocks, the
-// global rand source, raw goroutines, selects, charging map ranges, and
-// sync imports.
+// global rand source, raw goroutines, selects, map ranges that charge,
+// emit or pass the thread to a call, and sync imports.
 package det
 
 import (
@@ -71,6 +71,26 @@ func emittingMapRange(tr *obs.Tracer, costs map[string]uint64) {
 	for name, c := range costs { // want `map iteration order is randomized but the body emits trace events`
 		tr.Emit(tr.Intern(name, ""), 0, 0, c, 0)
 	}
+}
+
+func callbackMapRange(t *sim.Thread, callbacks map[string]func(*sim.Thread)) {
+	for _, fn := range callbacks { // want `map iteration order is randomized but the body passes a \*sim\.Thread to a call`
+		fn(t)
+	}
+}
+
+func threadArgMapRange(t *sim.Thread, mu map[string]*sim.Mutex) {
+	for _, m := range mu { // want `map iteration order is randomized but the body passes a \*sim\.Thread to a call`
+		m.Lock(t, 0)
+	}
+}
+
+func aggregatingMapRangeOK(t *sim.Thread, costs map[string]uint64) {
+	var total uint64
+	for _, c := range costs {
+		total += c
+	}
+	t.Charge(total)
 }
 
 func sortedMapRangeOK(t *sim.Thread, costs map[string]uint64) {
