@@ -542,7 +542,34 @@ func TestPersistentTableCrashRecovery(t *testing.T) {
 			t.Errorf("recover: %v", err)
 			return
 		}
-		// Every file block must resolve through the recovered table.
+		// Every file block must resolve through the recovered table, and
+		// each recovered node must count exactly the file's blocks in its
+		// chunk and read 0 everywhere else.
+		inFile := map[uint64]bool{}
+		for _, ext := range wantExtents {
+			for b := uint64(0); b < ext.Len; b++ {
+				inFile[ext.File+b] = true
+			}
+		}
+		for ci := range ft.chunks {
+			n := ft.chunks[ci].node
+			if n == nil {
+				continue
+			}
+			live := 0
+			for idx := 0; idx < mem.PTEsPerTable; idx++ {
+				switch fb := uint64(ci*mem.PTEsPerTable + idx); {
+				case inFile[fb]:
+					live++
+				case n.Entry(idx) != 0:
+					t.Errorf("chunk %d slot %d reads %#x past the file's blocks", ci, idx, uint64(n.Entry(idx)))
+					return
+				}
+			}
+			if n.Live() != live {
+				t.Errorf("chunk %d: recovered node counts %d entries, want %d", ci, n.Live(), live)
+			}
+		}
 		for _, ext := range wantExtents {
 			for b := uint64(0); b < ext.Len; b++ {
 				fb := ext.File + b
@@ -625,7 +652,8 @@ func TestMonitorMigratesHotPMemTables(t *testing.T) {
 // the host slots held by every live file-table node (primary nodes and
 // DRAM shadows). Each node may hold twice its populated slots plus one
 // cache line of entries; a node holding the whole 512-entry table
-// whatever it populates breaks the bound.
+// whatever it populates breaks the bound. A persistent node holds none:
+// its entries are on its PMem page only.
 func TestAgedFileTableNodesHoldPopulatedEntries(t *testing.T) {
 	ev := newEnv(t, 256, 1, Config{})
 	// Volatile tables hang off the inodes aging creates: note each one.
@@ -652,7 +680,7 @@ func TestAgedFileTableNodesHoldPopulatedEntries(t *testing.T) {
 			tables[ft] = true
 		}
 	}
-	var nodes, pages, held, volatile int
+	var nodes, pages, held, volatile, persistent, persistentHeld int
 	for ft := range tables {
 		if !ft.Persistent {
 			volatile++
@@ -666,6 +694,10 @@ func TestAgedFileTableNodesHoldPopulatedEntries(t *testing.T) {
 				nodes++
 				pages += c.pages()
 				held += n.Len()
+				if n.Loc.Medium == mem.PMem {
+					persistent++
+					persistentHeld += n.Len()
+				}
 			}
 		}
 		checkChunks(t, ft)
@@ -673,7 +705,10 @@ func TestAgedFileTableNodesHoldPopulatedEntries(t *testing.T) {
 	if volatile == 0 || volatile == len(tables) {
 		t.Fatalf("aged image has %d volatile of %d live tables, want both kinds", volatile, len(tables))
 	}
-	t.Logf("%d tables, %d volatile, %d nodes, %d pages, %d held", len(tables), volatile, nodes, pages, held)
+	t.Logf("%d tables, %d volatile, %d nodes (%d persistent), %d pages, %d held", len(tables), volatile, nodes, persistent, pages, held)
+	if persistent == 0 || persistentHeld != 0 {
+		t.Errorf("%d persistent file-table nodes hold %d host slots, want some nodes and 0 slots", persistent, persistentHeld)
+	}
 	if bound := 2*pages + mem.PTEsPerCacheLine*nodes; held > bound {
 		t.Errorf("%d live file-table nodes populate %d slots and hold %d, want at most %d", nodes, pages, held, bound)
 	}

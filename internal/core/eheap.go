@@ -40,8 +40,11 @@ type EphemeralStats struct {
 	RegionResets uint64
 }
 
+// heapRegion is one reservation: regionSize bytes, or one mapping's
+// length when a mapping is longer.
 type heapRegion struct {
 	base mem.VirtAddr
+	size uint64
 	used uint64
 	live int
 }
@@ -60,12 +63,12 @@ func (h *EphemeralHeap) Alloc(t *sim.Thread, vlen uint64) mem.VirtAddr {
 	var r *heapRegion
 	if n := len(h.regions); n > 0 {
 		r = h.regions[n-1]
-		if r.used+vlen > regionSize {
+		if r.used+vlen > r.size {
 			r = nil
 		}
 	}
 	if r == nil {
-		r = h.grow(t)
+		r = h.grow(t, vlen)
 	}
 	va := r.base + mem.VirtAddr(r.used)
 	r.used += vlen
@@ -75,12 +78,14 @@ func (h *EphemeralHeap) Alloc(t *sim.Thread, vlen uint64) mem.VirtAddr {
 	return va
 }
 
-// grow reserves a new 1 GiB region. The reservation itself needs the VA
-// cursor, which GetUnmappedArea owns; growth is rare so the extra cost is
-// amortized away.
-func (h *EphemeralHeap) grow(t *sim.Thread) *heapRegion {
-	va := h.m.GetUnmappedArea(t, regionSize, mem.HugeSize)
-	r := &heapRegion{base: va}
+// grow reserves a new region for a vlen-byte mapping: 1 GiB, or vlen if
+// that is longer. The reservation itself needs the VA cursor, which
+// GetUnmappedArea owns; growth is rare so the extra cost is amortized
+// away.
+func (h *EphemeralHeap) grow(t *sim.Thread, vlen uint64) *heapRegion {
+	size := max(regionSize, vlen)
+	va := h.m.GetUnmappedArea(t, size, mem.HugeSize)
+	r := &heapRegion{base: va, size: size}
 	h.regions = append(h.regions, r)
 	h.Stats.RegionGrows++
 	return r
@@ -101,7 +106,7 @@ func (h *EphemeralHeap) Unregister(t *sim.Thread, v *mm.VMA) {
 	if h.vmas.Delete(uint64(v.Start)) {
 		h.Stats.Frees++
 		for _, r := range h.regions {
-			if v.Start >= r.base && v.Start < r.base+regionSize {
+			if v.Start >= r.base && v.Start < r.base+mem.VirtAddr(r.size) {
 				r.live--
 				if r.live == 0 {
 					r.used = 0

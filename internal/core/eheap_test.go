@@ -157,3 +157,47 @@ func TestEphemeralHeapLookupMatchesLinearScan(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestEphemeralHeapLongMappingStaysInItsRegion: a mapping longer than a
+// region gets a reservation of its own length, so the process's VA
+// allocator hands out no address inside it. Once it drains, the
+// reservation takes later mappings up to its whole length, each freed
+// against it wherever it starts, and an allocation past it takes a new
+// region outside it.
+func TestEphemeralHeapLongMappingStaysInItsRegion(t *testing.T) {
+	h, release := newHeap()
+	t.Cleanup(release)
+	e := sim.New()
+	e.Go("t", 0, 0, func(th *sim.Thread) {
+		const long = 3 << 30
+		mapping := func(vlen uint64) *mm.VMA {
+			va := h.Alloc(th, vlen)
+			v := &mm.VMA{Start: va, End: va + mem.VirtAddr(vlen), Ephemeral: true}
+			h.Register(th, v)
+			return v
+		}
+		v := mapping(long)
+		base, end := v.Start, v.End
+		inside := func(a mem.VirtAddr) bool { return a+mem.HugeSize > base && a < end }
+		if a := h.m.GetUnmappedArea(th, mem.HugeSize, mem.HugeSize); inside(a) {
+			t.Errorf("GetUnmappedArea returned %#x, inside the mapping [%#x,%#x)", a, base, end)
+		}
+		h.Unregister(th, v)
+		r := h.regions[0]
+		if r.size != long || r.used != 0 || r.live != 0 {
+			t.Fatalf("the long mapping's region after unmap: size %#x, used %#x, live %d; want size %#x, empty", r.size, r.used, r.live, uint64(long))
+		}
+		a, b := mapping(2<<30), mapping(512<<20)
+		if a.Start != base || b.Start != base+2<<30 {
+			t.Fatalf("mappings at %#x and %#x, want %#x and %#x in the drained region", a.Start, b.Start, base, base+2<<30)
+		}
+		h.Unregister(th, b)
+		if r.live != 1 {
+			t.Errorf("after freeing the mapping 2 GiB into the region, it counts %d live, want 1", r.live)
+		}
+		if c := mapping(1 << 30); inside(c.Start) || len(h.regions) != 2 {
+			t.Errorf("a mapping past the region's end got %#x (%d regions), want a new region outside [%#x,%#x)", c.Start, len(h.regions), base, end)
+		}
+	})
+	e.Run()
+}

@@ -63,9 +63,10 @@ func presentRun(es []pt.Entry, from int) (lo, hi int) {
 	return lo, hi
 }
 
-// entries copies n's held slots into the DaxVM's run buffer.
+// entries copies n's 512 slots into the DaxVM's run buffer: a persistent
+// node's from media.
 func (d *DaxVM) entries(n *pt.Node) []pt.Entry {
-	buf := d.runBuf[:n.Len()]
+	buf := d.runBuf[:]
 	for i := range buf {
 		buf[i] = n.Entry(i)
 	}
@@ -132,14 +133,15 @@ func (ft *FileTable) chunksUnder(v *mm.VMA) []chunk {
 // nodeBlock returns the PMem block backing a persistent node.
 func nodeBlock(n *pt.Node) uint64 { return uint64(n.BackAddr) / mem.PageSize }
 
-// pmemNode returns a file-table node backed by PMem block blk, on the
-// PMem node that holds the block.
-func (d *DaxVM) pmemNode(blk uint64) *pt.Node {
+// emptyPMemNode returns a file-table node whose entries are PMem block
+// blk, with the block's old content dropped. The block may have held file
+// data or an older node, and its words are the new node's slots, which
+// must start at zero. The drop is not charged: the model charges no
+// zeroing of a fresh table page.
+func (d *DaxVM) emptyPMemNode(blk uint64) *pt.Node {
 	addr := mem.PhysAddr(blk * mem.PageSize)
-	n := pt.NewFileTableNode(mem.Loc{Medium: mem.PMem, Node: d.dev.NodeOf(addr)})
-	n.Backing = d.dev
-	n.BackAddr = addr
-	return n
+	d.dev.Discard(addr, mem.PageSize)
+	return pt.NewPersistentNode(d.dev, addr)
 }
 
 // allocTableNode takes one file-table page on medium and books it in
@@ -153,7 +155,7 @@ func (d *DaxVM) allocTableNode(t *sim.Thread, medium mem.Medium) *pt.Node {
 			panic("daxvm: out of PMem for file tables")
 		}
 		d.Stats.PMemTableBytes += mem.PageSize
-		return d.pmemNode(runs[0].Start)
+		return d.emptyPMemNode(runs[0].Start)
 	}
 	node := d.pickNode(t)
 	n := pt.NewFileTableNode(mem.Loc{Medium: mem.DRAM, Node: node})
@@ -163,9 +165,8 @@ func (d *DaxVM) allocTableNode(t *sim.Thread, medium mem.Medium) *pt.Node {
 }
 
 // freeTableNode returns the storage of a node allocTableNode took. A PMem
-// page is discarded first, so a node built on the block later starts
-// from zero media, as its Go node does: recovery would otherwise read
-// the old node's entries back from slots the new one never wrote.
+// page is discarded first: its host frame goes back at once, and a crash
+// finds none of its lines to corrupt.
 func (d *DaxVM) freeTableNode(t *sim.Thread, n *pt.Node) {
 	if n.Loc.Medium == mem.PMem {
 		d.dev.Discard(n.BackAddr, mem.PageSize)
@@ -201,7 +202,7 @@ func (ft *FileTable) medium() mem.Medium {
 
 // Populate extends the table with freshly allocated extents (the FS
 // OnAlloc hook), one run of entries per extent and chunk. Persistent-node
-// PTE stores are mirrored to media and flushed in cache-line batches; the
+// PTE stores go to media and are flushed in cache-line batches; the
 // fence rides on the FS journal/log commit (crash consistency, §IV-A1).
 func (ft *FileTable) Populate(t *sim.Thread, ext []vfs.Extent) {
 	for _, e := range ext {
@@ -385,8 +386,10 @@ func (ft *FileTable) writeDescriptor(t *sim.Thread) {
 }
 
 // RecoverFileTable rebuilds a persistent file table from media after a
-// crash: the descriptor block gives per-chunk node locations; node
-// contents are read back from their mirrored PMem blocks.
+// crash: the descriptor block gives per-chunk node locations, and each
+// node is rebuilt on its block from the present entries read back from
+// it. A crash leaves garbage in the lines it corrupted; the rebuild drops
+// it with the rest of the block's old content.
 func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*FileTable, error) {
 	dev := d.dev
 	addr := mem.PhysAddr(descBlock * mem.PageSize)
@@ -395,14 +398,14 @@ func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*
 	if binary.LittleEndian.Uint64(word[:])&^uint64(0xFFFFFF) != descMagic {
 		return nil, fmt.Errorf("daxvm: bad file-table descriptor at block %d", descBlock)
 	}
-	ft := &FileTable{Ino: ino, Persistent: true, desc: d.pmemNode(descBlock), d: d}
+	ft := &FileTable{Ino: ino, Persistent: true, desc: pt.NewPersistentNode(dev, addr), d: d}
 	dev.Read(t, addr+8, word[:])
 	count := int(binary.LittleEndian.Uint64(word[:]))
 	if count > mem.PageSize/8-2 {
 		return nil, fmt.Errorf("daxvm: corrupt descriptor chunk count %d", count)
 	}
-	// The node pages are copied out with Load: setRun below stores to
-	// the page being scanned, which voids a slice Bytes returned.
+	// The node pages are copied out with Load: the block is emptied
+	// before setRun stores the present entries back.
 	raw := make([]byte, mem.PageSize)
 	for i := 0; i < count; i++ {
 		dev.Read(t, addr+mem.PhysAddr(8*(2+i)), word[:])
@@ -413,8 +416,8 @@ func RecoverFileTable(t *sim.Thread, d *DaxVM, ino vfs.Ino, descBlock uint64) (*
 			c.huge = true
 			c.hugePFN = mem.PFN(v &^ descHugeBit)
 		case v != 0:
-			c.node = d.pmemNode(v)
-			dev.Load(c.node.BackAddr, raw)
+			dev.Load(mem.PhysAddr(v*mem.PageSize), raw)
+			c.node = d.emptyPMemNode(v)
 			es := d.runBuf[:]
 			for i := range es {
 				es[i] = pt.Entry(binary.LittleEndian.Uint64(raw[i*8:]))

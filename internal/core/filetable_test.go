@@ -363,9 +363,11 @@ func TestPopulateZeroAlloc(t *testing.T) {
 
 // TestReusedTableBlocksRecoverClean builds a persistent table whose one
 // node holds all 512 entries, destroys it, and builds a 3-block table on
-// the same two PMem blocks. The new node lands on the old node's block
-// and writes only its first 3 slots; recovery reads the whole page, so
-// the freed node's media must not still hold the other 509 entries.
+// the same two PMem blocks. The freed node's page reads zero at once. The
+// new node lands on the old node's block and writes only its first 3
+// slots: its other 509 slots, which are words of the same page, read 0
+// through Entry, and recovery, which reads the whole page, finds only
+// the 3 entries.
 func TestReusedTableBlocksRecoverClean(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 16 << 20})
 	defer dev.Release()
@@ -381,11 +383,21 @@ func TestReusedTableBlocksRecoverClean(t *testing.T) {
 		}
 		oldNode := nodeBlock(old.chunks[0].node)
 		old.Destroy(th)
+		for i := 0; i < mem.PTEsPerTable; i++ {
+			if w := dev.Word(mem.PhysAddr(oldNode*mem.PageSize + 8*uint64(i))); w != 0 {
+				t.Fatalf("freed node's block word %d reads %#x, want 0", i, w)
+			}
+		}
 
 		ft := &FileTable{Ino: 8, Persistent: true, d: d}
 		ft.Populate(th, []vfs.Extent{{File: 0, Phys: 8192, Len: 3}})
 		if got := nodeBlock(ft.chunks[0].node); got != oldNode {
 			t.Fatalf("new node on block %d, old node was on %d: the case tests nothing", got, oldNode)
+		}
+		for i, n := 3, ft.chunks[0].node; i < mem.PTEsPerTable; i++ {
+			if e := n.Entry(i); e != 0 {
+				t.Fatalf("new node's slot %d reads %#x, want 0", i, uint64(e))
+			}
 		}
 
 		got, err := RecoverFileTable(th, d, ft.Ino, nodeBlock(ft.desc))
@@ -404,6 +416,50 @@ func TestReusedTableBlocksRecoverClean(t *testing.T) {
 		}
 		if extra > 0 {
 			t.Errorf("recovered table resolves %d blocks the file never had", extra)
+		}
+		checkChunks(t, got)
+	})
+	e.Run()
+}
+
+// TestTableNodeOnUsedDataBlockStartsEmpty gives a persistent table the
+// two PMem blocks of an allocator that does not vouch for them, after
+// they held file data whose every word has the present bit. The node's
+// slots are the block's words, so the ones the table never populated
+// must read 0, the node must count only its own entries, and recovery
+// must resolve only the file's blocks.
+func TestTableNodeOnUsedDataBlockStartsEmpty(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 16 << 20})
+	defer dev.Release()
+	d := New(Config{}, dev, dram.New(16<<20), nil, alloc.New(1, 2, false), nil)
+	e := sim.New()
+	e.Go("t", 0, 0, func(th *sim.Thread) {
+		data := make([]byte, mem.PageSize)
+		for i := range data {
+			data[i] = 0xFF
+		}
+		dev.WriteNT(th, mem.PageSize, data)
+		dev.WriteNT(th, 2*mem.PageSize, data)
+		ft := &FileTable{Ino: 9, Persistent: true, d: d}
+		ft.Populate(th, []vfs.Extent{{File: 0, Phys: 8192, Len: 3}})
+		n := ft.chunks[0].node
+		if n.Live() != 3 {
+			t.Errorf("node counts %d entries, want 3", n.Live())
+		}
+		for i := 3; i < mem.PTEsPerTable; i++ {
+			if e := n.Entry(i); e != 0 {
+				t.Fatalf("slot %d reads %#x left by file data, want 0", i, uint64(e))
+			}
+		}
+		got, err := RecoverFileTable(th, d, ft.Ino, nodeBlock(ft.desc))
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		for b := uint64(0); b < alloc.BlocksPerHuge; b++ {
+			pfn, ok := attachedPFN(got, b)
+			if want := b < 3; ok != want || ok && pfn != mem.PFN(8192+b) {
+				t.Fatalf("block %d: recovered resolves=%v PFN %d, want resolves=%v PFN %d", b, ok, pfn, want, 8192+b)
+			}
 		}
 		checkChunks(t, got)
 	})

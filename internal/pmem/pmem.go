@@ -225,6 +225,26 @@ func (d *Device) Load(addr mem.PhysAddr, buf []byte) {
 	d.load(uint64(addr), buf)
 }
 
+// Word returns the 8-byte little-endian word at addr, which must be
+// 8-byte aligned, from a page's frame, its slab line or a zero page. Like
+// Load it charges nothing and leaves device state as it was, and it
+// allocates nothing: a persistent page-table node reads its entries
+// through it.
+func (d *Device) Word(addr mem.PhysAddr) uint64 {
+	d.check(addr, 8)
+	if addr%8 != 0 {
+		panic("pmem: word is not 8-byte aligned")
+	}
+	off := uint64(addr)
+	switch s := d.page[off/mem.PageSize]; {
+	case s >= pageFrame:
+		return binary.LittleEndian.Uint64(d.frame(s - pageFrame)[off%mem.PageSize:])
+	case s != pageZero && d.lines[s-1].line == uint32(off%mem.PageSize/mem.CacheLineSize):
+		return binary.LittleEndian.Uint64(d.lines[s-1].data[off%mem.CacheLineSize:])
+	}
+	return 0
+}
+
 // Discard drops the content of [addr, addr+n) without a charge, as for
 // storage the simulation has freed: the range reads zero afterwards, a
 // page it covers whole gives back its frame or slab line, and its lines
@@ -525,7 +545,7 @@ func (d *Device) WriteCached(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 // from addr, which must be 8-byte aligned, with regular stores, each
 // page's share of the run written at once. It books, counts and dirties
 // exactly what one 8-byte WriteCached per word would: a page-table node
-// mirrors a run of entries through it.
+// stores a run of entries through it.
 func WriteCachedWords[W ~uint64](d *Device, t *sim.Thread, addr mem.PhysAddr, ws []W) {
 	k := uint64(len(ws))
 	if k == 0 {

@@ -214,7 +214,8 @@ func TestZeroAfterCrashClearsCorruption(t *testing.T) {
 // interned, Read, WriteNT, Zero and the bandwidth bucket allocate nothing,
 // and so do a Discard and a rewrite that takes the freed frame back, an
 // 8-byte cached store to a page that holds one slab line, a Read of that
-// page and a run of 64 cached words.
+// page, a run of 64 cached words, and a Word read from a dense page, a
+// slab line and a zero page.
 func TestDeviceZeroAlloc(t *testing.T) {
 	for _, tp := range []*topo.Topology{nil, topo.New(2, 1)} {
 		d := newDevice(t, Config{Size: 1 << 20, Topo: tp})
@@ -237,6 +238,7 @@ func TestDeviceZeroAlloc(t *testing.T) {
 				{"WriteCached sparse", func() { d.WriteCached(th, sparse, stamp) }},
 				{"Read sparse", func() { d.Read(th, sparse&^(mem.PageSize-1), buf) }},
 				{"WriteCachedWords", func() { WriteCachedWords(d, th, far+64, words) }},
+				{"Word", func() { _, _, _ = d.Word(0), d.Word(sparse&^7), d.Word(8*mem.PageSize) }},
 				{"BWReadOn", func() { d.BWReadOn(th, d.NodeOf(far), mem.PageSize) }},
 				{"BWWriteOn", func() { d.BWWriteOn(th, d.NodeOf(far), mem.PageSize) }},
 			} {
@@ -260,7 +262,9 @@ func TestDeviceZeroAlloc(t *testing.T) {
 // a time. A word run (kind 6) stores the 8-byte words
 // fill*0x0101010101010101 ^ i from the address rounded down to 8, as many
 // as the length covers. A discard (kind 7) drops every page the range
-// touches, and their frames go to later dense pages. A twin
+// touches, and their frames go to later dense pages. A word read (kind 8)
+// reads the word at the address rounded down to 8 and must match the
+// reference without changing any page's state or the slab. A twin
 // device takes each run as one 8-byte WriteCached per word and must end
 // with the same content, Stats, dirty lines (what a crash corrupts) and
 // thread rows and clock.
@@ -291,6 +295,9 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 	// A dense page discarded, its frame reused by a partly written page,
 	// then a sparse page discarded and both pages stored to again.
 	f.Add([]byte{0, 0x00, 0x10, 0xFF, 0x0F, 0xAA, 7, 0x20, 0x10, 0x00, 0x00, 0, 0, 0x10, 0x20, 0x7F, 0x00, 0xBB, 1, 0x08, 0x30, 0x07, 0x00, 0xCC, 7, 0x00, 0x30, 0x00, 0x00, 0, 1, 0x00, 0x10, 0x07, 0x00, 0xDD, 0, 0x00, 0x30, 0xFF, 0x01, 0xEE})
+	// Word reads of a zero page, a sparse page's own line and another
+	// line of it, then of the page once dense.
+	f.Add([]byte{8, 0x08, 0x10, 0, 0, 0, 1, 0x48, 0x10, 0x07, 0x00, 0x3C, 8, 0x48, 0x10, 0, 0, 0, 8, 0x08, 0x10, 0, 0, 0, 0, 0x00, 0x10, 0x0F, 0x02, 0x3D, 8, 0x48, 0x10, 0, 0, 0, 8, 0xF8, 0x1F, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		play := func(wordRuns bool) (*Device, *sim.Thread) {
 			d := newDevice(t, Config{Size: size, TrackPersistence: true})
@@ -303,7 +310,7 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 					addr := uint64(binary.LittleEndian.Uint16(op[1:])) % size
 					n := 1 + uint64(binary.LittleEndian.Uint16(op[3:]))%(size-addr)
 					fill := bytes.Repeat([]byte{op[5]}, int(n))
-					switch op[0] % 8 {
+					switch op[0] % 9 {
 					case 0:
 						d.WriteNT(th, mem.PhysAddr(addr), fill)
 						copy(ref[addr:], fill)
@@ -347,11 +354,22 @@ func FuzzDeviceMatchesReference(f *testing.F) {
 						hi := (addr + n + mem.PageSize - 1) &^ (mem.PageSize - 1)
 						d.Discard(mem.PhysAddr(lo), hi-lo)
 						clear(ref[lo:hi])
+					case 8:
+						addr &^= 7
+						p, lines := d.page[addr/mem.PageSize], len(d.lines)
+						if got, want := d.Word(mem.PhysAddr(addr)), binary.LittleEndian.Uint64(ref[addr:]); got != want {
+							t.Errorf("step %d: Word(%#x) = %#x, want %#x", i/6, addr, got, want)
+							return
+						}
+						if d.page[addr/mem.PageSize] != p || len(d.lines) != lines {
+							t.Errorf("step %d: Word(%#x) changed device state", i/6, addr)
+							return
+						}
 					}
 					// Read, not Bytes: Bytes would make every page dense.
 					d.Read(th, 0, got)
 					if !bytes.Equal(got, ref) {
-						t.Errorf("step %d (kind %d, [%#x,+%d)): device content differs from the reference", i/6, op[0]%8, addr, n)
+						t.Errorf("step %d (kind %d, [%#x,+%d)): device content differs from the reference", i/6, op[0]%9, addr, n)
 						return
 					}
 				}

@@ -4,11 +4,14 @@
 // leaf entries carry PFN + architectural bits (present/write/accessed/
 // dirty/PS). Interior entries are mirrored by Go child pointers so the
 // simulator can descend without a physical address space for DRAM nodes.
-// Host storage is a separate matter from that simulated size: a process
-// node holds all 512 entries, while a DaxVM file-table node holds only
-// the prefix it has populated, grown from one cache line of entries by
-// doubling, and reads zero past it. Charges and table-byte accounting follow the simulated
-// page either way.
+// Host storage is a separate matter from that simulated size. A process
+// node holds all 512 entries in DRAM. A DaxVM file-table node in DRAM (a
+// volatile table or a DRAM shadow) holds only the prefix it has
+// populated, grown from one cache line of entries by doubling, and reads
+// zero past it. A persistent file-table node holds no entries on the
+// host: its 512 slots are the words of its PMem page, which the walker
+// reads as the hardware does. Charges and table-byte accounting follow
+// the simulated page in every case.
 //
 // Two properties matter for DaxVM:
 //
@@ -119,9 +122,11 @@ const NoFrame = ^mem.PFN(0)
 // Node is one 512-entry table. Entry reads a slot and SetEntries is the
 // only writer.
 type Node struct {
-	// entries holds a prefix of the table's slots; slots past its end
+	// entries holds a prefix of a DRAM node's slots; slots past its end
 	// read 0. Process nodes hold all 512 (in the node's own allocation);
-	// file-table nodes start empty and grow as SetEntries populates them.
+	// DRAM file-table nodes start empty and grow as SetEntries populates
+	// them. A persistent node (Backing set) keeps it empty: its entries
+	// are on its PMem page only.
 	entries []Entry
 	// children mirrors interior entries with Go pointers. Only interior
 	// nodes own the array: a PTE-level node (every DaxVM file-table node
@@ -145,8 +150,10 @@ type Node struct {
 	// reclamation, irrelevant for DAX).
 	NoAD bool
 
-	// Backing mirrors entries into simulated PMem for persistent file
-	// tables, so crash tests can rebuild them from media.
+	// Backing is the device whose page at BackAddr holds a persistent
+	// file-table node's entries, the only copy of them: Entry reads the
+	// page's words and SetEntries stores them. NewPersistentNode sets
+	// both; nil on every other node.
 	Backing  *pmem.Device
 	BackAddr mem.PhysAddr
 
@@ -199,6 +206,16 @@ func NewFileTableNode(loc mem.Loc) *Node {
 	return &Node{Level: LevelPTE, Loc: loc, Frame: NoFrame, Shared: true, NoAD: true, serial: nodeSerials}
 }
 
+// NewPersistentNode allocates a file-table node whose entries are the
+// words of dev's page at addr, on the PMem node whose DIMMs hold it. The
+// node counts its populated slots from 0, so the page must read zero when
+// SetEntries first stores to it.
+func NewPersistentNode(dev *pmem.Device, addr mem.PhysAddr) *Node {
+	n := NewFileTableNode(mem.Loc{Medium: mem.PMem, Node: dev.NodeOf(addr)})
+	n.Backing, n.BackAddr = dev, addr
+	return n
+}
+
 // Serial returns the node's allocation serial. It is a hash input for
 // tables keyed by node (the walker's PTE-line cache): identity is still
 // the node pointer, and the serial carries no simulated meaning.
@@ -207,16 +224,33 @@ func (n *Node) Serial() uint64 { return n.serial }
 // Live returns the number of populated slots.
 func (n *Node) Live() int { return n.live }
 
-// Entry returns the entry in slot idx.
+// Entry returns the entry in slot idx: a persistent node's from its
+// page on media.
 func (n *Node) Entry(idx int) Entry {
 	if idx < len(n.entries) {
 		return n.entries[idx]
 	}
-	return 0
+	return n.unheld(idx)
 }
 
-// Len returns how many slots the node holds on the host; every slot at
-// or past it reads 0.
+// unheld reads a slot the node does not hold on the host: a persistent
+// node's word on media, else 0. It is out of line so that Entry, which
+// every walk calls on process nodes, stays inlinable.
+//
+//go:noinline
+func (n *Node) unheld(idx int) Entry {
+	if n.Backing == nil {
+		return 0
+	}
+	return Entry(n.Backing.Word(n.slotAddr(idx)))
+}
+
+// slotAddr returns the media address of a persistent node's slot idx.
+func (n *Node) slotAddr(idx int) mem.PhysAddr { return n.BackAddr + mem.PhysAddr(8*idx) }
+
+// Len returns how many slots the node holds on the host: 0 for a
+// persistent node, whose slots are on media. A DRAM node's slots at or
+// past it read 0.
 func (n *Node) Len() int { return len(n.entries) }
 
 // SetEntry writes a leaf/interior entry value: SetEntries of one entry.
@@ -225,13 +259,21 @@ func (n *Node) SetEntry(t *sim.Thread, idx int, e Entry) {
 	n.SetEntries(t, idx, one[:])
 }
 
-// SetEntries writes es to slots lo, lo+1, ..., mirroring the run to PMem
-// backing if present (cached stores; the caller batches Flush via
-// FlushEntries). It is the node's only writer, and it books, counts and
-// stores exactly what one SetEntry per slot would. A nonzero store past
-// the held slots grows them, once for the run; a zero store there
-// changes nothing held but is still mirrored.
+// SetEntries writes es to slots lo, lo+1, .... It is the node's only
+// writer, and it books, counts and stores exactly what one SetEntry per
+// slot would. A persistent node stores the run on its page with cached
+// stores (the caller batches Flush via FlushEntries) and holds nothing on
+// the host. A DRAM node stores into its held slots: a nonzero store past
+// them grows them, once for the run, and a zero store there changes
+// nothing.
 func (n *Node) SetEntries(t *sim.Thread, lo int, es []Entry) {
+	if n.Backing != nil {
+		for i, e := range es {
+			n.count(Entry(n.Backing.Word(n.slotAddr(lo+i))), e)
+		}
+		pmem.WriteCachedWords(n.Backing, t, n.slotAddr(lo), es)
+		return
+	}
 	for i := len(es) - 1; i >= 0 && lo+i >= len(n.entries); i-- {
 		if es[i] != 0 {
 			n.grow(lo + i)
@@ -243,28 +285,29 @@ func (n *Node) SetEntries(t *sim.Thread, lo int, es []Entry) {
 		if idx >= len(n.entries) {
 			break // the rest are zero stores past the held slots
 		}
-		old := n.entries[idx]
+		n.count(n.entries[idx], e)
 		n.entries[idx] = e
-		switch {
-		case old == 0 && e != 0:
-			n.live++
-		case old != 0 && e == 0:
-			n.live--
-		}
-	}
-	if n.Backing != nil {
-		pmem.WriteCachedWords(n.Backing, t, n.BackAddr+mem.PhysAddr(lo*8), es)
 	}
 }
 
-// grow extends the held slots past idx: from one cache line of entries,
-// doubling, up to the full table.
+// count books a slot's store of e over old in the live count.
+func (n *Node) count(old, e Entry) {
+	switch {
+	case old == 0 && e != 0:
+		n.live++
+	case old != 0 && e == 0:
+		n.live--
+	}
+}
+
+// grow extends a DRAM node's held slots past idx: from one cache line of
+// entries, doubling, up to the full table.
 func (n *Node) grow(idx int) {
 	size := max(mem.PTEsPerCacheLine, 2*len(n.entries))
 	for size <= idx {
 		size *= 2
 	}
-	//lint:ignore hotalloc only file-table nodes grow, a few times each as files allocate blocks; fault and A/D stores hit process nodes, which hold every slot
+	//lint:ignore hotalloc only DRAM file-table nodes grow (volatile tables and shadows), a few times each as files allocate blocks; fault and A/D stores hit process nodes, which hold every slot, and persistent nodes hold none
 	grown := make([]Entry, min(size, mem.PTEsPerTable))
 	copy(grown, n.entries)
 	n.entries = grown

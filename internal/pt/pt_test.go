@@ -178,9 +178,7 @@ func TestClearRangeDetachesFragments(t *testing.T) {
 func TestPMemBackingMirror(t *testing.T) {
 	dev := pmem.New(pmem.Config{Size: 1 << 20})
 	t.Cleanup(dev.Release)
-	n := NewNode(LevelPTE, mem.Loc{Medium: mem.PMem})
-	n.Backing = dev
-	n.BackAddr = 0x4000
+	n := NewPersistentNode(dev, 0x4000)
 	run(func(th *sim.Thread) {
 		e := MakeEntry(77, mem.PermRead|mem.PermWrite, true, false)
 		n.SetEntry(th, 5, e)
@@ -191,6 +189,52 @@ func TestPMemBackingMirror(t *testing.T) {
 			t.Errorf("mirrored entry = %#x, want %#x", got, uint64(e))
 		}
 	})
+}
+
+// TestPersistentNodeEntriesAreMediaWords: a persistent node's slots are
+// its page's words. After sparse stores, a run and a clear, every slot's
+// Entry equals Device.Word at the slot's address, the node holds no host
+// slots, Live counts the nonzero words, and a word stored to the page
+// without the node reads back through Entry.
+func TestPersistentNodeEntriesAreMediaWords(t *testing.T) {
+	dev := pmem.New(pmem.Config{Size: 4 * mem.PageSize, Topo: topo.New(2, 1)})
+	t.Cleanup(dev.Release)
+	addr := mem.PhysAddr(3 * mem.PageSize)
+	n := NewPersistentNode(dev, addr)
+	if n.Loc != (mem.Loc{Medium: mem.PMem, Node: 1}) || !n.Shared || !n.NoAD || n.Level != LevelPTE {
+		t.Fatalf("persistent node: loc %+v, shared %v, noAD %v, level %d", n.Loc, n.Shared, n.NoAD, n.Level)
+	}
+	run(func(th *sim.Thread) {
+		rw := mem.PermRead | mem.PermWrite
+		n.SetEntry(th, 0, MakeEntry(10, rw, true, false))
+		n.SetEntry(th, 511, MakeEntry(11, rw, true, false))
+		run := make([]Entry, 100)
+		for i := range run {
+			run[i] = MakeEntry(mem.PFN(200+i), rw, true, false)
+		}
+		n.SetEntries(th, 300, run)
+		n.ClearSlot(th, 350)
+		pmem.WriteCachedWords(dev, th, addr+8*7, []uint64{uint64(MakeEntry(12, rw, true, false))})
+	})
+	live := 0
+	for i := 0; i < mem.PTEsPerTable; i++ {
+		w := dev.Word(addr + mem.PhysAddr(8*i))
+		if got := n.Entry(i); uint64(got) != w {
+			t.Fatalf("slot %d: Entry %#x, device word %#x", i, uint64(got), w)
+		}
+		if w != 0 {
+			live++
+		}
+	}
+	if live != 102 || n.Entry(7).PFN() != 12 || n.Entry(350) != 0 {
+		t.Errorf("page holds %d nonzero words, slot 7 PFN %d, slot 350 %#x; want 102, 12, 0", live, n.Entry(7).PFN(), uint64(n.Entry(350)))
+	}
+	if n.Live() != 101 { // the word stored past the node is not counted
+		t.Errorf("Live = %d, want 101", n.Live())
+	}
+	if n.Len() != 0 {
+		t.Errorf("persistent node holds %d host slots, want 0", n.Len())
+	}
 }
 
 // Property: Map then Lookup is the identity for arbitrary page-aligned
@@ -250,9 +294,10 @@ func TestClearRangePrunesNodes(t *testing.T) {
 
 // TestNodeFootprint pins the host size of table nodes. A process leaf
 // is one allocation: a small header and the 4 KiB of entries, with no
-// child array (every interior level owns one). A file-table node starts
-// empty and holds a populated prefix of k entries in at most max(8, 2k)
-// slots, rounded up to a cache line of entries. A round trip through all
+// child array (every interior level owns one). A DRAM file-table node
+// starts empty and holds a populated prefix of k entries in at most
+// max(8, 2k) slots, rounded up to a cache line of entries; a persistent
+// one holds none, however many it populates. A round trip through all
 // four levels checks that the tree still works: Map at PTE and PMD level,
 // Attach at PMD and PUD level, Resolve, Detach and ClearRange.
 func TestNodeFootprint(t *testing.T) {
@@ -273,7 +318,7 @@ func TestNodeFootprint(t *testing.T) {
 			t.Errorf("level-%d node holds %d entries, child array %v", lvl, n.Len(), n.children != nil)
 		}
 	}
-	ft := NewFileTableNode(mem.Loc{Medium: mem.PMem})
+	ft := NewFileTableNode(mem.Loc{Medium: mem.DRAM})
 	if ft.Len() != 0 || ft.Level != LevelPTE || !ft.Shared || !ft.NoAD {
 		t.Errorf("new file-table node: %d entries, level %d, shared %v, noAD %v", ft.Len(), ft.Level, ft.Shared, ft.NoAD)
 	}
@@ -282,6 +327,17 @@ func TestNodeFootprint(t *testing.T) {
 		if got, bound := ft.Len(), heldBound(k); got < k || got > bound {
 			t.Fatalf("file-table node with %d entries holds %d, want %d..%d", k, got, k, bound)
 		}
+	}
+	dev := pmem.New(pmem.Config{Size: mem.PageSize})
+	t.Cleanup(dev.Release)
+	pn := NewPersistentNode(dev, 0)
+	run(func(th *sim.Thread) {
+		for k := 1; k <= mem.PTEsPerTable; k++ {
+			pn.SetEntry(th, k-1, MakeEntry(mem.PFN(k), mem.PermRead, true, false))
+		}
+	})
+	if pn.Len() != 0 || pn.Live() != mem.PTEsPerTable {
+		t.Errorf("full persistent node holds %d host slots and %d live entries, want 0 and %d", pn.Len(), pn.Live(), mem.PTEsPerTable)
 	}
 
 	freed := 0
@@ -369,21 +425,24 @@ func heldBound(k int) int {
 // one node and checks every read against a plain 512-entry table and a
 // live count. A twin node takes the same steps with each SetEntries run
 // stored one SetEntry per slot, and must end with the same entries, live
-// count and held slots, the same content and Stats on its PMem backing,
-// and the same rows and clock on its thread.
+// count and held slots, the same content and Stats on its PMem page, and
+// the same rows and clock on its thread.
 //
-// The first byte picks the node: byte%3 gives a file-table node (grows
-// as slots are stored), a process leaf or a process PMD node (both hold
-// all 512). Bit 0 of byte/3 backs both nodes with the second bank of a
-// two-node device instead of a flat one. Each step is three bytes b0, b1,
-// b2; the slot is b1 | (b2&1)<<8. When b2>>1 is 0 the step stores one
-// entry: bit 0 of b0 picks ClearSlot, the rest of it is the stored PFN
-// (0 stores a zero entry). Otherwise it is a SetEntries run of b2>>1
-// slots, cut at the table's end: zero entries if bit 0 of b0 is set, else
-// entry i has PFN (b0>>1 + i) % 128, a zero entry when that is 0. A
-// file-table node holds nothing until a nonzero store; only a nonzero
-// store at or past its end grows it, to at most heldBound slots, a whole
-// number of cache lines; a zero store there leaves it as it is.
+// The first byte picks the node: byte%3 gives a file-table node, a
+// process leaf or a process PMD node (both hold all 512). Bit 0 of byte/3
+// puts the device on two nodes instead of one. A file-table node is
+// persistent, its entries on the device's second page (the second bank
+// of a two-node device), unless bit 1 of byte/3 makes it a DRAM node that
+// grows as slots are stored. Each step is three bytes b0, b1, b2; the
+// slot is b1 | (b2&1)<<8. When b2>>1 is 0 the step stores one entry: bit
+// 0 of b0 picks ClearSlot, the rest of it is the stored PFN (0 stores a
+// zero entry). Otherwise it is a SetEntries run of b2>>1 slots, cut at the
+// table's end: zero entries if bit 0 of b0 is set, else entry i has PFN
+// (b0>>1 + i) % 128, a zero entry when that is 0. A persistent node holds
+// no host slots, and its page must read the reference after every step.
+// A DRAM file-table node holds nothing until a nonzero store; only a
+// nonzero store at or past its end grows it, to at most heldBound slots,
+// a whole number of cache lines; a zero store there leaves it as it is.
 func FuzzNodeEntries(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -393,19 +452,21 @@ func FuzzNodeEntries(f *testing.F) {
 		if data[0]/3&1 == 1 {
 			tp = topo.New(2, 1)
 		}
-		play := func(perSlot bool, check func(step, idx, held, top int, es []Entry, n *Node)) (*Node, *pmem.Device, *sim.Thread) {
-			var n *Node
-			switch data[0] % 3 {
-			case 0:
-				n = NewFileTableNode(mem.Loc{Medium: mem.PMem})
-			case 1:
-				n = NewNode(LevelPTE, mem.Loc{Medium: mem.PMem})
-			default:
-				n = NewNode(LevelPMD, mem.Loc{Medium: mem.PMem})
-			}
+		persistent := data[0]%3 == 0 && data[0]/3&2 == 0
+		play := func(perSlot bool, check func(step, idx, held, top int, es []Entry, n *Node, dev *pmem.Device)) (*Node, *pmem.Device, *sim.Thread) {
 			dev := pmem.New(pmem.Config{Size: 2 * mem.PageSize, Topo: tp})
 			t.Cleanup(dev.Release)
-			n.Backing, n.BackAddr = dev, mem.PageSize
+			var n *Node
+			switch {
+			case persistent:
+				n = NewPersistentNode(dev, mem.PageSize)
+			case data[0]%3 == 0:
+				n = NewFileTableNode(mem.Loc{Medium: mem.DRAM})
+			case data[0]%3 == 1:
+				n = NewNode(LevelPTE, mem.Loc{Medium: mem.DRAM})
+			default:
+				n = NewNode(LevelPMD, mem.Loc{Medium: mem.DRAM})
+			}
 			e := sim.New()
 			th := e.Go("fuzz", 0, 0, func(th *sim.Thread) {
 				var run [mem.PTEsPerTable]Entry
@@ -436,7 +497,7 @@ func FuzzNodeEntries(f *testing.F) {
 						n.SetEntries(th, idx, es)
 					}
 					if check != nil {
-						check(s, idx, held, top, es, n)
+						check(s, idx, held, top, es, n, dev)
 					}
 				}
 			})
@@ -446,7 +507,8 @@ func FuzzNodeEntries(f *testing.F) {
 
 		var ref [mem.PTEsPerTable]Entry
 		live := 0
-		n, dev, th := play(false, func(step, idx, held, top int, es []Entry, n *Node) {
+		page := make([]byte, mem.PageSize)
+		n, dev, th := play(false, func(step, idx, held, top int, es []Entry, n *Node, dev *pmem.Device) {
 			for i, e := range es {
 				switch {
 				case ref[idx+i] == 0 && e != 0:
@@ -460,6 +522,16 @@ func FuzzNodeEntries(f *testing.F) {
 				t.Fatalf("step %d: Live = %d, want %d", step, n.Live(), live)
 			}
 			switch got := n.Len(); {
+			case persistent:
+				if got != 0 {
+					t.Fatalf("step %d: a persistent node holds %d host slots, want 0", step, got)
+				}
+				dev.Load(n.BackAddr, page)
+				for i := range ref {
+					if w := Entry(binary.LittleEndian.Uint64(page[8*i:])); w != ref[i] {
+						t.Fatalf("step %d: slot %d holds %#x on media, want %#x", step, i, w, ref[i])
+					}
+				}
 			case top >= held:
 				if got <= top || got > heldBound(top+1) || got%mem.PTEsPerCacheLine != 0 {
 					t.Fatalf("step %d: storing up to slot %d grew %d slots to %d, want %d..%d whole lines", step, top, held, got, top+1, heldBound(top+1))
