@@ -33,6 +33,13 @@ const (
 	FlagNoMsync
 )
 
+// Attachment attribution labels; "zombie_flush" is also a span class.
+var (
+	labelAttach      = sim.NewLabel("attach")
+	labelDetach      = sim.NewLabel("detach")
+	labelZombieFlush = sim.NewLabel("zombie_flush")
+)
+
 // Config tunes DaxVM.
 type Config struct {
 	// VolatileThreshold: files at or below this size use DRAM-only file
@@ -413,7 +420,7 @@ func (p *Proc) attachRange(t *sim.Thread, v *mm.VMA, ft *FileTable) {
 		default:
 			continue // hole
 		}
-		t.ChargeAs("attach", cost.AttachEntry)
+		t.ChargeAs(labelAttach, cost.AttachEntry)
 		p.d.Stats.AttachedChunks++
 	}
 }
@@ -477,7 +484,7 @@ func (p *Proc) detachEntries(t *sim.Thread, core *cpu.Core, v *mm.VMA, invalidat
 	pages := p.populatedPagesIn(v)
 	p.MM.AS.ClearRange(t, v.Start, v.End)
 	nChunks := uint64(v.End-v.Start) / mem.HugeSize
-	t.ChargeAs("detach", cost.AttachEntry*nChunks)
+	t.ChargeAs(labelDetach, cost.AttachEntry*nChunks)
 	v.Inode.RemoveMapper(v)
 	p.d.Stats.DetachOps++
 	if invalidate && pages > 0 {
@@ -531,7 +538,7 @@ func (p *Proc) populatedPagesIn(v *mm.VMA) uint64 {
 // flushZombies detaches every zombie with ONE full TLB flush across the
 // process's cores (§IV-C).
 func (p *Proc) flushZombies(t *sim.Thread, core *cpu.Core) {
-	t.PushAttr("zombie_flush")
+	t.PushAttr(labelZombieFlush)
 	defer t.PopAttr()
 	p.Heap.lock.Lock(t, cost.SpinLockAcquire)
 	zs := p.zombies
@@ -542,7 +549,7 @@ func (p *Proc) flushZombies(t *sim.Thread, core *cpu.Core) {
 	if len(zs) == 0 {
 		return
 	}
-	span.Of(t).Begin(t, "zombie_flush")
+	span.Of(t).Open(t, labelZombieFlush)
 	defer span.Of(t).End(t)
 	p.detachZombies(t, core, zs, false)
 	p.d.Stats.ZombieBatches++

@@ -25,6 +25,16 @@ type Monitor struct {
 	Stats MonitorStats
 }
 
+// Monitor attribution labels and span class.
+var (
+	labelMonitor     = sim.NewLabel("daemon.monitor")
+	labelSample      = sim.NewLabel("sample")
+	labelMigrate     = sim.NewLabel("migrate")
+	labelMigrateSpan = sim.NewLabel("daemon.monitor.migrate")
+	labelTableCopy   = sim.NewLabel("table_copy")
+	labelReattach    = sim.NewLabel("reattach")
+)
+
 // MonitorStats records monitor decisions.
 type MonitorStats struct {
 	Samples       uint64
@@ -50,10 +60,10 @@ func NewMonitor(p *Proc, e *sim.Engine, coreID int) *Monitor {
 }
 
 func (m *Monitor) run(t *sim.Thread) {
-	t.PushAttr("daemon.monitor")
+	t.PushAttr(labelMonitor)
 	for {
 		t.Sleep(monitorQuantum)
-		t.ChargeAs("sample", cost.PerfCounterRead*uint64(len(m.cores)))
+		t.ChargeAs(labelSample, cost.PerfCounterRead*uint64(len(m.cores)))
 		m.Stats.Samples++
 		var dWalkCycles, dWalks, dBusy uint64
 		for i, c := range m.cores {
@@ -86,11 +96,11 @@ func (m *Monitor) run(t *sim.Thread) {
 // asynchronously volatile tables and walks the process tables to detach
 // the persistent fragments and attach the new volatile").
 func (m *Monitor) migrate(t *sim.Thread) {
-	t.PushAttr("migrate")
+	t.PushAttr(labelMigrate)
 	defer t.PopAttr()
 	p := m.p
 	d := p.d
-	span.Of(t).Begin(t, "daemon.monitor.migrate")
+	span.Of(t).Open(t, labelMigrateSpan)
 	defer span.Of(t).End(t)
 	migratedAny := false
 	p.MM.Sem.Lock(t, cost.SemAcquireFast)
@@ -125,7 +135,7 @@ func (ft *FileTable) shadowNodes(t *sim.Thread) bool {
 			continue
 		}
 		// Copy cost: streaming read of one PMem page + DRAM stores.
-		t.ChargeAs("table_copy", cost.CopyFromPMemPerPage)
+		t.ChargeAs(labelTableCopy, cost.CopyFromPMemPerPage)
 		c.shadow = ft.d.copyTableNode(t, c.node, mem.DRAM)
 		ft.Migrated = true
 	}
@@ -146,7 +156,7 @@ func (m *Monitor) reattach(t *sim.Thread, ft *FileTable) {
 			va := v.Start + mem.VirtAddr(uint64(i)*mem.HugeSize)
 			if old := p.MM.AS.Detach(t, va, pt.LevelPMD); old != nil {
 				p.MM.AS.Attach(t, va, pt.LevelPMD, c.attached(), attachPerm(v))
-				t.ChargeAs("reattach", cost.AttachEntry*2)
+				t.ChargeAs(labelReattach, cost.AttachEntry*2)
 			}
 		}
 	}

@@ -25,6 +25,9 @@ type Prezeroer struct {
 	Stats PrezeroStats
 }
 
+// labelPrezero is the pre-zeroing daemon's root frame and span class.
+var labelPrezero = sim.NewLabel("daemon.prezero")
+
 // PrezeroStats counts daemon activity.
 type PrezeroStats struct {
 	Intercepted uint64 // blocks taken off the free path
@@ -65,14 +68,14 @@ func (p *Prezeroer) Intercept(t *sim.Thread, ext []vfs.Extent) bool {
 // run is the daemon loop: every quantum, zero up to the bandwidth budget
 // and release the blocks to the allocator as known-zeroed.
 func (p *Prezeroer) run(t *sim.Thread) {
-	t.PushAttr("daemon.prezero")
+	t.PushAttr(labelPrezero)
 	bytesPerQuantum := p.d.cfg.PrezeroBandwidthMBps << 20 * zeroQuantum / cost.CyclesPerSecond
 	if bytesPerQuantum < mem.PageSize {
 		bytesPerQuantum = mem.PageSize
 	}
 	for {
 		t.Sleep(zeroQuantum)
-		span.Of(t).Begin(t, "daemon.prezero")
+		span.Of(t).Open(t, labelPrezero)
 		zeroedBefore := p.Stats.Zeroed
 		budget := bytesPerQuantum
 		for c := range p.perCore {

@@ -172,17 +172,27 @@ func (c *Core) Translate(t *sim.Thread, as *pt.AddressSpace, va mem.VirtAddr, wr
 	return entry, TransOK
 }
 
-// Walk attribution labels, precomposed so the per-walk charge path never
-// builds a string.
-const (
-	walkAborted        = "walk.aborted"
-	walkHugeLabel      = "walk.huge"
-	walkPTECachedDRAM  = "walk.pte_cached_dram"
-	walkPTECachedPMem  = "walk.pte_cached_pmem"
-	walkPTEMissDRAM    = "walk.pte_miss_dram"
-	walkPTEMissDRAMRem = "walk.pte_miss_dram_remote"
-	walkPTEMissPMem    = "walk.pte_miss_pmem"
-	walkPTEMissPMemRem = "walk.pte_miss_pmem_remote"
+// Walk attribution labels, minted once so the per-walk charge path
+// compares label ids.
+var (
+	walkAborted        = sim.NewLabel("walk.aborted")
+	walkHugeLabel      = sim.NewLabel("walk.huge")
+	walkPTECachedDRAM  = sim.NewLabel("walk.pte_cached_dram")
+	walkPTECachedPMem  = sim.NewLabel("walk.pte_cached_pmem")
+	walkPTEMissDRAM    = sim.NewLabel("walk.pte_miss_dram")
+	walkPTEMissDRAMRem = sim.NewLabel("walk.pte_miss_dram_remote")
+	walkPTEMissPMem    = sim.NewLabel("walk.pte_miss_pmem")
+	walkPTEMissPMemRem = sim.NewLabel("walk.pte_miss_pmem_remote")
+)
+
+// Shootdown attribution labels. "ipi_send" and "ipi_wait" double as the
+// span layer's ipi wait kind.
+var (
+	labelShootdown  = sim.NewLabel("shootdown")
+	labelInval      = sim.NewLabel("inval")
+	labelIPISend    = sim.NewLabel("ipi_send")
+	labelIPIWait    = sim.NewLabel("ipi_wait")
+	labelIPIHandler = sim.NewLabel("shootdown.ipi_handler")
 )
 
 // chargeWalk books one walk ending at leaf: the cycles go to the cycle
@@ -199,7 +209,7 @@ func (c *Core) chargeWalk(t *sim.Thread, leaf pt.Leaf) {
 // walkCost computes the cycle cost of a walk ending at leaf, using the
 // leaf node's medium and the PTE-line reuse cache, and names the walk
 // kind for cycle attribution.
-func (c *Core) walkCost(leaf pt.Leaf) (uint64, string) {
+func (c *Core) walkCost(leaf pt.Leaf) (uint64, sim.Label) {
 	if leaf.Node == nil {
 		// Aborted walk; upper levels only.
 		return cost.WalkUpperLevels + cost.WalkPTECachedDRAM, walkAborted
@@ -333,23 +343,23 @@ const (
 // DaxVM's asynchronous batched unmapping amortizes.
 func (s *Set) Shootdown(t *sim.Thread, initiator *Core, targets []*Core, kind ShootdownKind, pages []mem.VirtAddr, start, end mem.VirtAddr) {
 	t.Yield() // synchronization point: remote clocks are examined
-	t.Enter("shootdown")
+	t.Enter(labelShootdown)
 	defer t.Leave()
 	// Local invalidation.
 	applyInval(initiator.TLB, kind, pages, start, end)
 	switch kind {
 	case ShootPages:
-		t.ChargeAs("inval", cost.TLBInvlpgLocal*uint64(len(pages)))
+		t.ChargeAs(labelInval, cost.TLBInvlpgLocal*uint64(len(pages)))
 	case ShootRange:
-		t.ChargeAs("inval", cost.TLBInvlpgLocal*uint64((end-start)/mem.PageSize))
+		t.ChargeAs(labelInval, cost.TLBInvlpgLocal*uint64((end-start)/mem.PageSize))
 	case ShootFull:
-		t.ChargeAs("inval", cost.TLBFlushLocal)
+		t.ChargeAs(labelInval, cost.TLBFlushLocal)
 	}
 	if len(targets) == 0 {
 		return
 	}
 	initiator.Stats.IPIsSent++
-	t.ChargeAs("ipi_send", cost.IPIBase+cost.IPIPerTarget*uint64(len(targets)))
+	t.ChargeAs(labelIPISend, cost.IPIBase+cost.IPIPerTarget*uint64(len(targets)))
 	if initiator.multiNode {
 		// Cross-socket IPIs pay the interconnect round trip per
 		// other-node target (delivery + acknowledgement cross UPI).
@@ -360,7 +370,7 @@ func (s *Set) Shootdown(t *sim.Thread, initiator *Core, targets []*Core, kind Sh
 			}
 		}
 		if crossSocket > 0 {
-			t.ChargeAs("ipi_send", cost.IPICrossSocketPerTarget*crossSocket)
+			t.ChargeAs(labelIPISend, cost.IPICrossSocketPerTarget*crossSocket)
 		}
 	}
 	remote := 0
@@ -377,7 +387,7 @@ func (s *Set) Shootdown(t *sim.Thread, initiator *Core, targets []*Core, kind Sh
 			// wait is modeled by the fixed acknowledgement latency
 			// below — NOT by the target's (possibly far-ahead) clock,
 			// which in the DES only reflects locally-buffered progress.
-			b.AddRemote("shootdown.ipi_handler", cost.IPITargetHandler)
+			b.AddRemote(labelIPIHandler, cost.IPITargetHandler)
 		}
 	}
 	if remote > 0 {
@@ -388,7 +398,7 @@ func (s *Set) Shootdown(t *sim.Thread, initiator *Core, targets []*Core, kind Sh
 		}
 		s.ipiInflightUntil = t.Now() + cost.IPIAckLatency
 		initiator.Stats.ShootdownWait += cost.IPIAckLatency
-		t.ChargeAs("ipi_wait", cost.IPIAckLatency)
+		t.ChargeAs(labelIPIWait, cost.IPIAckLatency)
 	}
 }
 

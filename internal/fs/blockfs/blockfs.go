@@ -22,6 +22,9 @@ import (
 	"daxvm/internal/sim"
 )
 
+// labelExtentLookup attributes an extent-map search.
+var labelExtentLookup = sim.NewLabel("extent_lookup")
+
 // Inode is the on-media per-file state, kept in vfs.Inode.Priv.
 type Inode struct {
 	ino  vfs.Ino
@@ -179,7 +182,7 @@ func (c *Core) Extents(in *vfs.Inode) []vfs.Extent {
 
 // BlockOf implements vfs.FS.
 func (c *Core) BlockOf(t *sim.Thread, in *vfs.Inode, fileBlock uint64) (uint64, bool) {
-	t.ChargeAs("extent_lookup", cost.ExtentLookup)
+	t.ChargeAs(labelExtentLookup, cost.ExtentLookup)
 	fi := Of(in)
 	i := fi.find(fileBlock)
 	if i == len(fi.extents) || fi.extents[i].File > fileBlock {

@@ -19,6 +19,14 @@ import (
 	"daxvm/internal/sim"
 )
 
+// Metadata attribution labels.
+var (
+	labelInodeUpdate = sim.NewLabel("inode_update")
+	labelPathLookup  = sim.NewLabel("path_lookup")
+	labelInodeLoad   = sim.NewLabel("inode_load")
+	labelFsyncFixed  = sim.NewLabel("fsync_fixed")
+)
+
 // Config controls mkfs.
 type Config struct {
 	// Dev is the backing device.
@@ -79,7 +87,7 @@ func (f *FS) Create(t *sim.Thread, path string) (*vfs.Inode, error) {
 		return nil, err
 	}
 	f.Stats.Creates++
-	t.ChargeAs("inode_update", cost.InodeUpdate)
+	t.ChargeAs(labelInodeUpdate, cost.InodeUpdate)
 	f.journal.Begin(t)
 	f.journal.AddMeta(t, 1)
 	return in, nil
@@ -88,7 +96,7 @@ func (f *FS) Create(t *sim.Thread, path string) (*vfs.Inode, error) {
 // LookupPath implements vfs.FS: one directory lookup per path component.
 func (f *FS) LookupPath(t *sim.Thread, path string) (vfs.Ino, error) {
 	comps := uint64(1 + strings.Count(path, "/"))
-	t.ChargeAs("path_lookup", cost.PathLookupPerCmp*comps)
+	t.ChargeAs(labelPathLookup, cost.PathLookupPerCmp*comps)
 	return f.Lookup(path)
 }
 
@@ -101,7 +109,7 @@ func (f *FS) LoadInode(t *sim.Thread, ino vfs.Ino) (*vfs.Inode, error) {
 	}
 	// Inode block + one media access per 64 extents (340 fit a 4 KiB
 	// extent-tree block; be conservative).
-	t.ChargeAs("inode_load", cost.PMemLoadLatency+cost.PMemSeqLoadLat*uint64(1+blockfs.Of(in).ExtentCount()/64))
+	t.ChargeAs(labelInodeLoad, cost.PMemLoadLatency+cost.PMemSeqLoadLat*uint64(1+blockfs.Of(in).ExtentCount()/64))
 	return in, nil
 }
 
@@ -113,7 +121,7 @@ func (f *FS) Unlink(t *sim.Thread, path string) error {
 	f.Stats.Unlinks++
 	f.journal.Begin(t)
 	f.journal.AddMeta(t, 1)
-	t.ChargeAs("inode_update", cost.InodeUpdate)
+	t.ChargeAs(labelInodeUpdate, cost.InodeUpdate)
 	return nil
 }
 
@@ -154,7 +162,7 @@ func (f *FS) Append(t *sim.Thread, in *vfs.Inode, data []byte) error {
 		return err
 	}
 	f.AppendData(t, in, data)
-	t.ChargeAs("inode_update", cost.InodeUpdate)
+	t.ChargeAs(labelInodeUpdate, cost.InodeUpdate)
 	f.journal.AddMeta(t, 1)
 	f.Stats.Appends++
 	return nil
@@ -164,7 +172,7 @@ func (f *FS) Append(t *sim.Thread, in *vfs.Inode, data []byte) error {
 func (f *FS) WriteAt(t *sim.Thread, in *vfs.Inode, off uint64, data []byte) error {
 	grew, err := f.Overwrite(t, in, off, data)
 	if grew {
-		t.ChargeAs("inode_update", cost.InodeUpdate)
+		t.ChargeAs(labelInodeUpdate, cost.InodeUpdate)
 	}
 	return err
 }
@@ -178,7 +186,7 @@ func (f *FS) Fallocate(t *sim.Thread, in *vfs.Inode, off, n uint64) error {
 		return err
 	}
 	if f.Extend(in, off+n) {
-		t.ChargeAs("inode_update", cost.InodeUpdate)
+		t.ChargeAs(labelInodeUpdate, cost.InodeUpdate)
 		f.journal.AddMeta(t, 1)
 	}
 	return nil
@@ -204,7 +212,7 @@ func (f *FS) Truncate(t *sim.Thread, in *vfs.Inode, size uint64) error {
 // Fsync implements vfs.FS (metadata part; mapped-data flushing is the
 // mm layer's job).
 func (f *FS) Fsync(t *sim.Thread, in *vfs.Inode) {
-	t.ChargeAs("fsync_fixed", cost.FsyncFixed)
+	t.ChargeAs(labelFsyncFixed, cost.FsyncFixed)
 	if in.MetaDirty {
 		f.journal.Commit(t)
 		in.MetaDirty = false

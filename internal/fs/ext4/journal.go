@@ -25,6 +25,12 @@ type Journal struct {
 	Stats JournalStats
 }
 
+// Journal attribution labels.
+var (
+	labelJournalBegin   = sim.NewLabel("journal.begin")
+	labelJournalAddMeta = sim.NewLabel("journal.add_meta")
+)
+
 // JournalStats counts journal activity.
 type JournalStats struct {
 	Begins  uint64
@@ -48,21 +54,21 @@ func (j *Journal) WaitQueueDepth() int { return j.mu.WaitQueueDepth() }
 // Begin starts (or joins) the running transaction.
 func (j *Journal) Begin(t *sim.Thread) {
 	j.Stats.Begins++
-	t.ChargeAs("journal.begin", cost.JournalBegin)
+	t.ChargeAs(labelJournalBegin, cost.JournalBegin)
 }
 
 // AddMeta records n dirty metadata blocks in the running transaction.
 func (j *Journal) AddMeta(t *sim.Thread, n uint64) {
 	j.pendingBlocks += n
 	j.Stats.Blocks += n
-	t.ChargeAs("journal.add_meta", cost.JournalAddPerBlock*n)
+	t.ChargeAs(labelJournalAddMeta, cost.JournalAddPerBlock*n)
 }
 
 // Commit forces the running transaction to media. It serializes on the
 // journal lock, writes the pending metadata blocks to the log with
 // nt-stores and fences.
 func (j *Journal) Commit(t *sim.Thread) {
-	t.Enter(span.ClassJournalCommit)
+	t.Enter(span.JournalCommit)
 	defer t.Leave()
 	j.mu.Lock(t, cost.SemAcquireFast)
 	n := j.pendingBlocks

@@ -18,6 +18,16 @@ import (
 	"daxvm/internal/sim"
 )
 
+// Log and metadata attribution labels; "nova.log_append" is a span
+// class.
+var (
+	labelLogAppendSpan = sim.NewLabel("nova.log_append")
+	labelLogAppend     = sim.NewLabel("log_append")
+	labelPathLookup    = sim.NewLabel("path_lookup")
+	labelInodeLoad     = sim.NewLabel("inode_load")
+	labelFsyncFixed    = sim.NewLabel("fsync_fixed")
+)
+
 // Config controls mkfs.
 type Config struct {
 	Dev *pmem.Device
@@ -65,10 +75,10 @@ func (f *FS) Name() string { return "nova" }
 // logAppend models one synchronous metadata log entry: an nt-stored,
 // fenced record. This is why NOVA needs no MAP_SYNC faults.
 func (f *FS) logAppend(t *sim.Thread) {
-	span.Of(t).Begin(t, "nova.log_append")
+	span.Of(t).Open(t, labelLogAppendSpan)
 	defer span.Of(t).End(t)
 	f.Stats.LogAppends++
-	t.ChargeAs("log_append", cost.NovaLogAppend)
+	t.ChargeAs(labelLogAppend, cost.NovaLogAppend)
 	if f.logOff+mem.CacheLineSize > f.logCap {
 		f.logOff = 0
 	}
@@ -90,7 +100,7 @@ func (f *FS) Create(t *sim.Thread, path string) (*vfs.Inode, error) {
 
 // LookupPath implements vfs.FS: one flat directory lookup.
 func (f *FS) LookupPath(t *sim.Thread, path string) (vfs.Ino, error) {
-	t.ChargeAs("path_lookup", cost.PathLookupPerCmp)
+	t.ChargeAs(labelPathLookup, cost.PathLookupPerCmp)
 	return f.Lookup(path)
 }
 
@@ -100,7 +110,7 @@ func (f *FS) LoadInode(t *sim.Thread, ino vfs.Ino) (*vfs.Inode, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.ChargeAs("inode_load", cost.PMemLoadLatency+cost.PMemSeqLoadLat*uint64(1+blockfs.Of(in).ExtentCount()/32))
+	t.ChargeAs(labelInodeLoad, cost.PMemLoadLatency+cost.PMemSeqLoadLat*uint64(1+blockfs.Of(in).ExtentCount()/32))
 	return in, nil
 }
 
@@ -190,7 +200,7 @@ func (f *FS) Truncate(t *sim.Thread, in *vfs.Inode, size uint64) error {
 
 // Fsync implements vfs.FS: metadata is already durable; only a fixed cost.
 func (f *FS) Fsync(t *sim.Thread, in *vfs.Inode) {
-	t.ChargeAs("fsync_fixed", cost.FsyncFixed)
+	t.ChargeAs(labelFsyncFixed, cost.FsyncFixed)
 }
 
 // SyncMetaIfDirty implements vfs.FS: a no-op — NOVA commits synchronously,

@@ -226,7 +226,7 @@ func Boot(cfg Config) *Kernel {
 		setup := sim.New()
 		k.attachEngine(setup)
 		setup.Go("ager", 0, 0, func(t *sim.Thread) {
-			t.PushAttr("setup.age")
+			t.PushAttr(labelSetupAge)
 			rep, err := agefs.Age(t, k.FS, ac)
 			if err != nil {
 				panic(err)
@@ -268,7 +268,7 @@ func (k *Kernel) Setup(fn func(t *sim.Thread)) {
 	e := sim.New()
 	k.attachEngine(e)
 	e.Go("setup", 0, 0, func(t *sim.Thread) {
-		t.PushAttr("setup")
+		t.PushAttr(labelSetup)
 		fn(t)
 	})
 	k.runEngine("setup", e)
@@ -359,11 +359,38 @@ func (k *Kernel) NewProc() *Proc {
 func (p *Proc) Spawn(name string, coreID int, start uint64, fn func(t *sim.Thread, c *cpu.Core)) {
 	c := p.K.Cpus.Cores[coreID]
 	p.K.Engine.Go(name, coreID, start, func(t *sim.Thread) {
-		t.PushAttr("app")
+		t.PushAttr(labelApp)
 		c.Bind(t)
 		fn(t, c)
 	})
 }
+
+// Attribution labels: the syscall classes (each a span class too), the
+// setup and app roots, mapped access and buffer consumption.
+var (
+	labelSysAppend      = sim.NewLabel("syscall.append")
+	labelSysClose       = sim.NewLabel("syscall.close")
+	labelSysCreate      = sim.NewLabel("syscall.create")
+	labelSysDaxVMMmap   = sim.NewLabel("syscall.daxvm_mmap")
+	labelSysDaxVMMunmap = sim.NewLabel("syscall.daxvm_munmap")
+	labelSysFallocate   = sim.NewLabel("syscall.fallocate")
+	labelSysFsync       = sim.NewLabel("syscall.fsync")
+	labelSysFtruncate   = sim.NewLabel("syscall.ftruncate")
+	labelSysMmap        = sim.NewLabel("syscall.mmap")
+	labelSysMprotect    = sim.NewLabel("syscall.mprotect")
+	labelSysMsync       = sim.NewLabel("syscall.msync")
+	labelSysMunmap      = sim.NewLabel("syscall.munmap")
+	labelSysOpen        = sim.NewLabel("syscall.open")
+	labelSysPread       = sim.NewLabel("syscall.pread")
+	labelSysPwrite      = sim.NewLabel("syscall.pwrite")
+	labelSysRead        = sim.NewLabel("syscall.read")
+	labelSysUnlink      = sim.NewLabel("syscall.unlink")
+	labelSetupAge       = sim.NewLabel("setup.age")
+	labelSetup          = sim.NewLabel("setup")
+	labelApp            = sim.NewLabel("app")
+	labelAccess         = sim.NewLabel("access")
+	labelConsume        = sim.NewLabel("consume")
+)
 
 // --- system calls -----------------------------------------------------------
 
@@ -372,9 +399,9 @@ func (p *Proc) Spawn(name string, coreID int, start uint64, fn func(t *sim.Threa
 // charges the entry crossing. Every syscall pairs it with a deferred
 // sysExit:
 //
-//	p.sysEnter(t, "syscall.open")
+//	p.sysEnter(t, labelSysOpen)
 //	defer p.sysExit(t)
-func (p *Proc) sysEnter(t *sim.Thread, cls string) {
+func (p *Proc) sysEnter(t *sim.Thread, cls sim.Label) {
 	t.Enter(cls)
 	t.Charge(cost.UserKernelCrossing + cost.SyscallDispatch)
 }
@@ -388,7 +415,7 @@ func (p *Proc) sysExit(t *sim.Thread) {
 
 // Open opens an existing file.
 func (p *Proc) Open(t *sim.Thread, path string) (int, error) {
-	p.sysEnter(t, "syscall.open")
+	p.sysEnter(t, labelSysOpen)
 	defer p.sysExit(t)
 	t.Charge(cost.OpenPath)
 	in, err := p.K.ICache.Open(t, path)
@@ -404,7 +431,7 @@ func (p *Proc) Open(t *sim.Thread, path string) (int, error) {
 
 // Create makes and opens a new file.
 func (p *Proc) Create(t *sim.Thread, path string) (int, error) {
-	p.sysEnter(t, "syscall.create")
+	p.sysEnter(t, labelSysCreate)
 	defer p.sysExit(t)
 	t.Charge(cost.OpenPath)
 	in, err := p.K.ICache.Create(t, path)
@@ -420,7 +447,7 @@ func (p *Proc) Create(t *sim.Thread, path string) (int, error) {
 
 // Close drops the descriptor.
 func (p *Proc) Close(t *sim.Thread, fd int) error {
-	p.sysEnter(t, "syscall.close")
+	p.sysEnter(t, labelSysClose)
 	defer p.sysExit(t)
 	t.Charge(cost.CloseFixed)
 	f, err := p.file(fd)
@@ -447,7 +474,7 @@ func (p *Proc) Inode(fd int) *vfs.Inode { return p.fds[fd].In }
 
 // Read reads from the current position.
 func (p *Proc) Read(t *sim.Thread, fd int, buf []byte) (uint64, error) {
-	p.sysEnter(t, "syscall.read")
+	p.sysEnter(t, labelSysRead)
 	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
 	f, err := p.file(fd)
@@ -461,7 +488,7 @@ func (p *Proc) Read(t *sim.Thread, fd int, buf []byte) (uint64, error) {
 
 // ReadAt reads at an absolute offset.
 func (p *Proc) ReadAt(t *sim.Thread, fd int, off uint64, buf []byte) (uint64, error) {
-	p.sysEnter(t, "syscall.pread")
+	p.sysEnter(t, labelSysPread)
 	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
 	f, err := p.file(fd)
@@ -473,7 +500,7 @@ func (p *Proc) ReadAt(t *sim.Thread, fd int, off uint64, buf []byte) (uint64, er
 
 // Append writes at end of file.
 func (p *Proc) Append(t *sim.Thread, fd int, data []byte) error {
-	p.sysEnter(t, "syscall.append")
+	p.sysEnter(t, labelSysAppend)
 	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
 	f, err := p.file(fd)
@@ -485,7 +512,7 @@ func (p *Proc) Append(t *sim.Thread, fd int, data []byte) error {
 
 // WriteAt overwrites existing bytes.
 func (p *Proc) WriteAt(t *sim.Thread, fd int, off uint64, data []byte) error {
-	p.sysEnter(t, "syscall.pwrite")
+	p.sysEnter(t, labelSysPwrite)
 	defer p.sysExit(t)
 	t.Charge(cost.ReadWriteFixed)
 	f, err := p.file(fd)
@@ -497,7 +524,7 @@ func (p *Proc) WriteAt(t *sim.Thread, fd int, off uint64, data []byte) error {
 
 // Fallocate reserves blocks.
 func (p *Proc) Fallocate(t *sim.Thread, fd int, off, n uint64) error {
-	p.sysEnter(t, "syscall.fallocate")
+	p.sysEnter(t, labelSysFallocate)
 	defer p.sysExit(t)
 	f, err := p.file(fd)
 	if err != nil {
@@ -508,7 +535,7 @@ func (p *Proc) Fallocate(t *sim.Thread, fd int, off, n uint64) error {
 
 // Ftruncate resizes.
 func (p *Proc) Ftruncate(t *sim.Thread, fd int, size uint64) error {
-	p.sysEnter(t, "syscall.ftruncate")
+	p.sysEnter(t, labelSysFtruncate)
 	defer p.sysExit(t)
 	f, err := p.file(fd)
 	if err != nil {
@@ -519,7 +546,7 @@ func (p *Proc) Ftruncate(t *sim.Thread, fd int, size uint64) error {
 
 // Fsync commits the file.
 func (p *Proc) Fsync(t *sim.Thread, fd int) error {
-	p.sysEnter(t, "syscall.fsync")
+	p.sysEnter(t, labelSysFsync)
 	defer p.sysExit(t)
 	f, err := p.file(fd)
 	if err != nil {
@@ -531,7 +558,7 @@ func (p *Proc) Fsync(t *sim.Thread, fd int) error {
 
 // Unlink removes a file.
 func (p *Proc) Unlink(t *sim.Thread, path string) error {
-	p.sysEnter(t, "syscall.unlink")
+	p.sysEnter(t, labelSysUnlink)
 	defer p.sysExit(t)
 	ino, err := p.K.FS.LookupPath(t, path)
 	if err != nil {
@@ -553,7 +580,7 @@ func (p *Proc) Unlink(t *sim.Thread, path string) error {
 
 // Mmap is the POSIX mmap(2) path.
 func (p *Proc) Mmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64, perm mem.Perm, flags mm.MapFlags) (mem.VirtAddr, error) {
-	p.sysEnter(t, "syscall.mmap")
+	p.sysEnter(t, labelSysMmap)
 	defer p.sysExit(t)
 	f, err := p.file(fd)
 	if err != nil {
@@ -569,7 +596,7 @@ func (p *Proc) Mmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64, perm
 
 // Munmap is munmap(2).
 func (p *Proc) Munmap(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64) error {
-	p.sysEnter(t, "syscall.munmap")
+	p.sysEnter(t, labelSysMunmap)
 	defer p.sysExit(t)
 	// Identify the inode to drop the mapping reference.
 	p.MM.Sem.RLock(t, 0)
@@ -584,14 +611,14 @@ func (p *Proc) Munmap(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64
 
 // Msync is msync(2).
 func (p *Proc) Msync(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64) error {
-	p.sysEnter(t, "syscall.msync")
+	p.sysEnter(t, labelSysMsync)
 	defer p.sysExit(t)
 	return p.MM.Msync(t, c, va, length)
 }
 
 // Mprotect is mprotect(2).
 func (p *Proc) Mprotect(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint64, perm mem.Perm) error {
-	p.sysEnter(t, "syscall.mprotect")
+	p.sysEnter(t, labelSysMprotect)
 	defer p.sysExit(t)
 	if p.Dax != nil {
 		p.MM.Sem.RLock(t, 0)
@@ -606,7 +633,7 @@ func (p *Proc) Mprotect(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, length uint
 
 // DaxvmMmap is daxvm_mmap(2).
 func (p *Proc) DaxvmMmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64, perm mem.Perm, flags core.Flags) (mem.VirtAddr, error) {
-	p.sysEnter(t, "syscall.daxvm_mmap")
+	p.sysEnter(t, labelSysDaxVMMmap)
 	defer p.sysExit(t)
 	if p.Dax == nil {
 		return 0, fmt.Errorf("kernel: DaxVM not enabled")
@@ -625,7 +652,7 @@ func (p *Proc) DaxvmMmap(t *sim.Thread, c *cpu.Core, fd int, off, length uint64,
 
 // DaxvmMunmap is daxvm_munmap(2).
 func (p *Proc) DaxvmMunmap(t *sim.Thread, c *cpu.Core, va mem.VirtAddr) error {
-	p.sysEnter(t, "syscall.daxvm_munmap")
+	p.sysEnter(t, labelSysDaxVMMunmap)
 	defer p.sysExit(t)
 	p.MM.Sem.RLock(t, 0)
 	v := p.MM.FindVMA(t, va)
@@ -675,7 +702,7 @@ func (k AccessKind) isWrite() bool { return k == KindNTWrite || k == KindCachedW
 // occupancy (DAX loads/stores cross the DIMM channel even without a
 // kernel copy).
 func (p *Proc) AccessMapped(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, n uint64, kind AccessKind) error {
-	t.Enter("access")
+	t.Enter(labelAccess)
 	defer t.Leave()
 	if err := p.MM.Access(t, c, va, n, kind.isWrite(), kind.perPage()); err != nil {
 		return err
@@ -714,5 +741,5 @@ func (p *Proc) AccessMapped(t *sim.Thread, c *cpu.Core, va mem.VirtAddr, n uint6
 // ConsumeBuffer models user code scanning an n-byte DRAM buffer it just
 // read() (hot in cache).
 func ConsumeBuffer(t *sim.Thread, n uint64) {
-	t.ChargeAs("consume", cost.UserLoadDRAMPerPage*(n+mem.PageSize-1)/mem.PageSize)
+	t.ChargeAs(labelConsume, cost.UserLoadDRAMPerPage*(n+mem.PageSize-1)/mem.PageSize)
 }

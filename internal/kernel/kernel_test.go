@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"daxvm/internal/cpu"
@@ -173,3 +174,27 @@ func TestAgedBootReport(t *testing.T) {
 }
 
 func mapSharedSync() mm.MapFlags { return mm.MapShared | mm.MapSync }
+
+// TestConcurrentMultiNodeBoots boots multi-node kernels on two
+// goroutines at once (run it under -race): their devices mint their
+// per-node frame labels at the same time. Only the boots overlap: two
+// processes' page tables would share pt's node serial counter.
+func TestConcurrentMultiNodeBoots(t *testing.T) {
+	var wg sync.WaitGroup
+	ks := make([]*Kernel, 2)
+	for g, nodes := range []int{2, 4} {
+		wg.Add(1)
+		go func(g, nodes int) {
+			defer wg.Done()
+			ks[g] = Boot(Config{Cores: 4, Nodes: nodes, DeviceBytes: 256 << 20, DRAMBytes: 256 << 20,
+				Placement: "interleave", MountPlacement: "interleave"})
+		}(g, nodes)
+	}
+	wg.Wait()
+	for g, nodes := range []int{2, 4} {
+		if got := ks[g].Dev.NodeCount(); got != nodes {
+			t.Errorf("kernel %d: %d device nodes, want %d", g, got, nodes)
+		}
+		ks[g].Close()
+	}
+}

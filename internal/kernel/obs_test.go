@@ -326,10 +326,10 @@ func TestCutSpansEndAtEngineStop(t *testing.T) {
 	sp := span.New(1)
 	k := bootTest(t, Config{Cores: 2, DeviceBytes: 512 << 20, Obs: o, Spans: sp})
 	daemon := k.Engine.GoDaemon("cut", 1, 0, func(th *sim.Thread) {
-		th.PushAttr("daemon.cut")
+		th.PushAttr(sim.NewLabel("daemon.cut"))
 		sp.Begin(th, "daemon.cut")
 		th.Charge(300)
-		th.PushAttr("zero")
+		th.PushAttr(sim.NewLabel("zero"))
 		sp.Begin(th, "zero")
 		th.Charge(200)
 		th.Sleep(1 << 40) // parked here when the workload exits

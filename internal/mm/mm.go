@@ -114,6 +114,16 @@ type Stats struct {
 	MsyncPages   uint64
 }
 
+// Fault and data-path attribution labels. "data_remote" doubles as the
+// span layer's remote_numa wait kind.
+var (
+	labelFaultMinor = sim.NewLabel("fault.minor")
+	labelFaultWP    = sim.NewLabel("fault.wp")
+	labelHuge       = sim.NewLabel("huge")
+	labelData       = sim.NewLabel("data")
+	labelDataRemote = sim.NewLabel("data_remote")
+)
+
 // mmBase is where file mappings start in the simulated address space.
 const mmBase mem.VirtAddr = 0x7f00_0000_0000
 
@@ -344,7 +354,7 @@ func (m *MM) tryHuge(t *sim.Thread, v *VMA, va, end mem.VirtAddr, chargeFault bo
 	e := pt.MakeEntry(mem.PFN(phys), m.initialPerm(v), true, true)
 	m.AS.Map(t, va, e, pt.LevelPMD)
 	if chargeFault {
-		t.ChargeAs("huge", cost.HugeFaultService)
+		t.ChargeAs(labelHuge, cost.HugeFaultService)
 	} else {
 		t.Charge(cost.PTESetPerPage * 8)
 	}
@@ -356,7 +366,7 @@ func (m *MM) tryHuge(t *sim.Thread, v *VMA, va, end mem.VirtAddr, chargeFault bo
 // Linux's shared-file write fault.
 func (m *MM) PageFault(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, write bool) error {
 	began := t.Now()
-	t.Enter("fault.minor")
+	t.Enter(labelFaultMinor)
 	err := m.pageFault(t, core, va, write)
 	t.Leave()
 	m.FaultHist.Observe(t.Now() - began)
@@ -430,7 +440,7 @@ func (m *MM) installPTE(t *sim.Thread, va mem.VirtAddr, phys uint64, perm mem.Pe
 // MAP_SYNC metadata commit.
 func (m *MM) WPFault(t *sim.Thread, core *cpu.Core, va mem.VirtAddr) error {
 	began := t.Now()
-	t.Enter("fault.wp")
+	t.Enter(labelFaultWP)
 	err := m.wpFault(t, core, va)
 	t.Leave()
 	m.FaultHist.Observe(t.Now() - began)
@@ -745,7 +755,7 @@ func (m *MM) Access(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, n uint64, wr
 		if end < hi {
 			hi = end
 		}
-		t.ChargeAs("data", dataPerPage*uint64(hi-lo)/mem.PageSize)
+		t.ChargeAs(labelData, dataPerPage*uint64(hi-lo)/mem.PageSize)
 		if multi && e.OnPMem() {
 			// Data touched on another socket's DIMMs pays the FAST '20
 			// remote-Optane deficit on top of the local rate.
@@ -754,7 +764,7 @@ func (m *MM) Access(t *sim.Thread, core *cpu.Core, va mem.VirtAddr, n uint64, wr
 				if write {
 					rate = cost.RemotePMemWriteExtraPerPage
 				}
-				t.ChargeAs("data_remote", rate*uint64(hi-lo)/mem.PageSize)
+				t.ChargeAs(labelDataRemote, rate*uint64(hi-lo)/mem.PageSize)
 			}
 		}
 	}

@@ -143,9 +143,9 @@ func TestAccountReadsEveryCharge(t *testing.T) {
 		check("sampler")
 	})
 	body := func(th *sim.Thread) {
-		th.PushAttr("app")
+		th.PushAttr(sim.NewLabel("app"))
 		for i := 0; i < 600; i++ {
-			th.ChargeAs("copy", uint64(i%3)*10)
+			th.ChargeAs(sim.NewLabel("copy"), uint64(i%3)*10)
 			if i%100 == 0 {
 				check(th.Name)
 				th.Sleep(50)
@@ -184,16 +184,16 @@ func TestAccountFoldsStoppedEngines(t *testing.T) {
 		var beforeRoots map[string]uint64
 		var ta *sim.Thread
 		ta = e.Go("a", 2, 0, func(th *sim.Thread) {
-			th.PushAttr("setup")
+			th.PushAttr(sim.NewLabel("setup"))
 			th.Charge(5)
-			th.ChargeAs("zero", 0)
+			th.ChargeAs(sim.NewLabel("zero"), 0)
 			th.PopAttr()
 		})
 		e.Go("b", 5, 1, func(th *sim.Thread) {
-			th.PushAttr("setup")
+			th.PushAttr(sim.NewLabel("setup"))
 			th.Charge(7)
 			th.PopAttr()
-			ta.AddRemote("ipi", 3)
+			ta.AddRemote(sim.NewLabel("ipi"), 3)
 			before, beforeTotal, beforeRoots = a.Snapshot(), a.Total(), a.RootCycles()
 		})
 		e.Run()

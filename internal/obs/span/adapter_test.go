@@ -27,23 +27,23 @@ func TestAdapterChargeZeroAlloc(t *testing.T) {
 	var allocs float64
 	var t0 *sim.Thread
 	t0 = e.Go("t0", 5, 0, func(th *sim.Thread) {
-		th.PushAttr("app")
+		th.PushAttr(sim.NewLabel("app"))
 		step := func() {
 			c.Wait(th, WaitMmapSem, 1) // outside any span: segment only
 			c.Begin(th, "op")
 			th.Charge(1)
-			th.ChargeAs("bw_stall", 1)
-			th.AddRemote("shootdown.ipi_handler", 1)
-			th.PushAttr("syscall.read")
+			th.ChargeAs(sim.NewLabel("bw_stall"), 1)
+			th.AddRemote(sim.NewLabel("shootdown.ipi_handler"), 1)
+			th.PushAttr(sim.NewLabel("syscall.read"))
 			c.Begin(th, "syscall.read")
-			th.ChargeAs("remote_read", 1)
+			th.ChargeAs(sim.NewLabel("remote_read"), 1)
 			th.Charge(1)
 			c.Wait(th, WaitMmapSem, 1)
 			c.End(th)
 			th.PopAttr()
 			th.Charge(1)
 			th.Yield() // hands the token to t1, which hands it back
-			th.ChargeAs("ipi_send", 1)
+			th.ChargeAs(sim.NewLabel("ipi_send"), 1)
 			c.End(th)
 		}
 		step() // intern the paths, grow the charge tables and pools
@@ -144,16 +144,16 @@ func replay(progs [2][][]simtest.Op, w wiring) replayRun {
 		}
 		stacks := map[*sim.Thread][]openSpan{}
 		boundary := func(t *sim.Thread, mark string) {
-			t.ChargeAs(mark, 0)
+			t.ChargeAs(sim.NewLabel(mark), 0)
 			r.marks++
 			if w == fed {
 				feed(t)
 			}
 		}
 		hooks := simtest.Hooks{
-			Push: func(t *sim.Thread, label string) {
+			Push: func(t *sim.Thread, label sim.Label) {
 				boundary(t, markBegin)
-				r.col.Begin(t, label)
+				r.col.Open(t, label)
 				own, remote := ownCycles(e, t)
 				stacks[t] = append(stacks[t], openSpan{others: e.TotalCharged() - own, remote: remote})
 			},
@@ -290,9 +290,9 @@ func isMark(path string) bool {
 // opens one span holding 300 classified charges.
 func TestAdapterEquivalence(t *testing.T) {
 	const nthreads, nops = 8, 60
-	long := []simtest.Op{{Kind: simtest.OpPush, Label: "copy"}}
+	long := []simtest.Op{{Kind: simtest.OpPush, Label: sim.NewLabel("copy")}}
 	for i := 0; i < 300; i++ {
-		long = append(long, simtest.Op{Kind: simtest.OpChargeAs, Label: "bw_stall", Cycles: 3})
+		long = append(long, simtest.Op{Kind: simtest.OpChargeAs, Label: sim.NewLabel("bw_stall"), Cycles: 3})
 	}
 	long = append(long, simtest.Op{Kind: simtest.OpPop})
 	var zeroEntries int

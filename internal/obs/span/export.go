@@ -69,7 +69,7 @@ type SegmentExport struct {
 // snapshot deep-copies a finished node tree into the export form.
 func snapshot(n *node) Span {
 	s := Span{
-		Class:    n.class,
+		Class:    n.class.String(),
 		Core:     n.core,
 		Start:    n.start,
 		Dur:      n.dur,
@@ -137,8 +137,8 @@ func (c *Collector) ExportSegment(id string) (SegmentExport, bool) {
 
 func exportSegment(s *segment) SegmentExport {
 	out := SegmentExport{Segment: s.id, WaitTotals: waitMap(s.waits)}
-	for _, name := range obs.SortedKeys(s.classes) {
-		st := s.classes[name]
+	for _, st := range s.byName() {
+		name := st.class.String()
 		snap := st.hist.Snapshot()
 		ce := ClassExport{
 			Class:       name,

@@ -33,14 +33,20 @@
 // Spans are the simulator's only per-operation record: with a tracer
 // attached (SetTracer), End writes each closed span to it as one
 // Chrome-trace slice, so the Perfetto timeline and the critical-path
-// tables come from the same Begin/End pair and cannot disagree.
+// tables come from the same Open/End pair and cannot disagree.
+//
+// Span classes are sim.Labels: the collector keeps each segment's class
+// stats in a slice indexed by label id and reads a class's name only when
+// the class first appears in a segment and when it exports.
 //
 // Everything here is deterministic: spans live in virtual time, the
 // exemplar reservoir breaks ties by arrival order, and exports sort by
-// class name — two runs of the same binary serialize byte-identically.
+// class name, not by label id — two runs of the same binary serialize
+// byte-identically, whatever order their labels were minted in.
 package span
 
 import (
+	"sort"
 	"strings"
 
 	"daxvm/internal/obs"
@@ -77,6 +83,9 @@ const (
 // WaitJournal rather than propagating their internal waits.
 const ClassJournalCommit = "journal.commit"
 
+// JournalCommit is ClassJournalCommit's label.
+var JournalCommit = sim.NewLabel(ClassJournalCommit)
+
 var waitNames = [numWaitKinds]string{"mmap_sem", "pmem_bw", "remote_numa", "ipi", "journal_flush"}
 
 // String returns the stable serialized name of the wait kind.
@@ -90,10 +99,10 @@ func (k WaitKind) String() string {
 // node is one live span. Nodes are pooled: a finished root tree is
 // recycled unless an exemplar snapshot kept a deep copy.
 type node struct {
-	class      string
+	class      sim.Label
 	core       int
 	seq        uint64 // global arrival order, the deterministic tiebreak
-	start      uint64 // virtual cycles at Begin
+	start      uint64 // virtual cycles at Open
 	dur        uint64 // set at End
 	self       uint64 // cycles this thread charged while innermost here
 	childSelf  uint64 // Σ finished children's tree self
@@ -112,14 +121,15 @@ func (n *node) treeWaits() [numWaitKinds]uint64 {
 	return w
 }
 
-// tstate is the per-thread open-span stack, kept in sim.Thread.SpanState.
-// Spans nest strictly (the instrumented layers bracket with Enter/defer
-// Leave or Begin/defer End), so a stack is the whole story.
+// tstate is the per-thread open-span stack; sim.Thread.SpanSlot holds
+// its index in the collector's threads, plus one. Spans nest strictly
+// (the instrumented layers bracket with Enter/defer Leave or Open/defer
+// End), so a stack is the whole story.
 type tstate struct {
-	c        *Collector // the collector the state belongs to
+	t        *sim.Thread // the thread the state belongs to
 	stack    []*node
-	attached bool      // the thread's engine is attached: Begin and End book its tally
-	last     sim.Tally // the thread's tally at its last Begin or End
+	attached bool      // the thread's engine is attached: Open and End book its tally
+	last     sim.Tally // the thread's tally at its last Open or End
 }
 
 // classStats aggregates finished spans of one class within a segment.
@@ -131,6 +141,7 @@ type classStats struct {
 	hist      obs.Histogram
 	top       []exemplar // ascending by (dur, seq), len ≤ collector K
 	trace     obs.NameID // the class's name in the collector's tracer
+	class     sim.Label
 }
 
 // exemplar is a retained slow-op record: the full span tree plus the
@@ -151,10 +162,13 @@ type exemplar struct {
 // nesting depth (finish propagates tree waits to parents), so these
 // totals — not the class sums — are what reconcile against the resource
 // models' own stall counters and what the bottleneck analyzer
-// cross-checks saturation scores against.
+// cross-checks saturation scores against. classes is indexed by class
+// label; an entry with count 0 is a class the segment has not seen. It
+// grows only when a class is first seen, and End, which adds a class,
+// holds its entry's address only until it has counted the span.
 type segment struct {
 	id      string
-	classes map[string]*classStats
+	classes []classStats
 	waits   [numWaitKinds]uint64
 }
 
@@ -171,20 +185,35 @@ func (s *segment) empty() bool {
 	return true
 }
 
-// class returns the current segment's stats for a span class, made on
-// first use, when the class's name is interned in the tracer. The miss
-// path is its own function so that the hit path inlines into End.
-func (c *Collector) class(name string) *classStats {
-	if st := c.cur.classes[name]; st != nil {
-		return st
+// byName returns the segment's class stats sorted by class name.
+func (s *segment) byName() []*classStats {
+	var out []*classStats
+	for i := range s.classes {
+		if s.classes[i].count > 0 {
+			out = append(out, &s.classes[i])
+		}
 	}
-	return c.newClass(name)
+	sort.Slice(out, func(i, j int) bool { return out[i].class.String() < out[j].class.String() })
+	return out
 }
 
-func (c *Collector) newClass(name string) *classStats {
-	//lint:ignore hotalloc once per new span class in a segment; steady state hits the map
-	st := &classStats{trace: c.tr.Intern(name, "")}
-	c.cur.classes[name] = st
+// class returns the current segment's stats for a span class, made on
+// first use, when the class's name is interned in the tracer.
+func (c *Collector) class(l sim.Label) *classStats {
+	if cs := c.cur.classes; int(l) < len(cs) && cs[l].count > 0 {
+		return &cs[l]
+	}
+	return c.newClass(l)
+}
+
+func (c *Collector) newClass(l sim.Label) *classStats {
+	s := c.cur
+	if n := int(l) + 1; n > len(s.classes) {
+		//lint:ignore hotalloc once per new span class in a segment; the table grows to the largest class label
+		s.classes = append(s.classes, make([]classStats, n-len(s.classes))...)
+	}
+	st := &s.classes[l]
+	st.class, st.trace = l, c.tr.Intern(l.String(), "")
 	return st
 }
 
@@ -206,13 +235,14 @@ type attachedEngine struct {
 // subsystems pay one branch, mirroring the tracer and profiler.
 type Collector struct {
 	k   int    // exemplars kept per class
-	seq uint64 // Begin arrival counter
+	seq uint64 // Open arrival counter
 
 	booked  uint64 // local charges landed in an open span
 	local   uint64 // local charges folded in or observed, span or not
 	charged uint64 // local plus AddRemote bookings (never in a span)
 
 	engines []*attachedEngine
+	threads []*tstate // by sim.Thread.SpanSlot − 1
 
 	cur  *segment
 	done []*segment
@@ -225,10 +255,7 @@ type Collector struct {
 // New creates a collector keeping at most k exemplar span trees per op
 // class per segment (k <= 0 disables exemplars; stats are still kept).
 func New(k int) *Collector {
-	return &Collector{
-		k:   k,
-		cur: &segment{classes: map[string]*classStats{}},
-	}
+	return &Collector{k: k, cur: &segment{}}
 }
 
 // SetTracer attaches the Perfetto ring that End writes every closed span
@@ -240,8 +267,8 @@ func (c *Collector) SetTracer(tr *obs.Tracer) {
 		return
 	}
 	c.tr = tr
-	for _, name := range obs.SortedKeys(c.cur.classes) {
-		c.cur.classes[name].trace = tr.Intern(name, "")
+	for _, st := range c.cur.byName() {
+		st.trace = tr.Intern(st.class.String(), "")
 	}
 }
 
@@ -254,15 +281,30 @@ func Of(t *sim.Thread) *Collector {
 
 // state returns t's span state, made on first use.
 func (c *Collector) state(t *sim.Thread) *tstate {
-	ts, _ := t.SpanState.(*tstate)
-	if ts == nil {
-		//lint:ignore hotalloc once per thread; later calls read the thread's slot
-		ts = &tstate{c: c, attached: Of(t) == c}
-		t.SpanState = ts
-	} else if ts.c != c {
+	if ts := c.lookup(t); ts != nil {
+		return ts
+	}
+	return c.newState(t)
+}
+
+// lookup returns t's span state, or nil if the collector has none.
+func (c *Collector) lookup(t *sim.Thread) *tstate {
+	if i := t.SpanSlot - 1; i >= 0 && i < len(c.threads) {
+		if ts := c.threads[i]; ts.t == t {
+			return ts
+		}
+	}
+	return nil
+}
+
+func (c *Collector) newState(t *sim.Thread) *tstate {
+	if t.SpanSlot != 0 {
 		panic("span: the thread already carries another collector's spans")
 	}
-	return ts
+	//lint:ignore hotalloc once per thread; later calls read the thread's slot
+	c.threads = append(c.threads, &tstate{t: t, attached: Of(t) == c})
+	t.SpanSlot = len(c.threads)
+	return c.threads[len(c.threads)-1]
 }
 
 func (c *Collector) newNode() *node {
@@ -288,11 +330,21 @@ func (c *Collector) recycle(n *node) {
 	c.free = append(c.free, n)
 }
 
-// Begin opens a span of the given class on t at its current virtual
+// Begin opens a span of the class named class on t: Open with the
+// class's label, minted on the call. Instrumented layers mint their
+// labels once and call Open.
+func (c *Collector) Begin(t *sim.Thread, class string) {
+	if c == nil {
+		return
+	}
+	c.Open(t, sim.NewLabel(class))
+}
+
+// Open opens a span of the given class on t at its current virtual
 // time. Classes mirror the attribution labels of the operation they
 // wrap ("fault.minor", "syscall.append", ...); sim.Thread.Enter opens
 // the frame and a span of its label in one call.
-func (c *Collector) Begin(t *sim.Thread, class string) {
+func (c *Collector) Open(t *sim.Thread, class sim.Label) {
 	if c == nil {
 		return
 	}
@@ -328,7 +380,10 @@ func (c *Collector) End(t *sim.Thread) {
 
 // OpenSpans reports how many spans t has open.
 func (c *Collector) OpenSpans(t *sim.Thread) int {
-	if ts, _ := t.SpanState.(*tstate); ts != nil && ts.c == c {
+	if c == nil {
+		return 0
+	}
+	if ts := c.lookup(t); ts != nil {
 		return len(ts.stack)
 	}
 	return 0
@@ -350,7 +405,7 @@ func (c *Collector) finish(n *node, ts *tstate, st *classStats) {
 	if len(ts.stack) > 0 {
 		p := ts.stack[len(ts.stack)-1]
 		p.childSelf += tSelf
-		if n.class == ClassJournalCommit {
+		if n.class == JournalCommit {
 			// From the enclosing op's point of view the commit is one
 			// opaque flush: book its whole duration as journal wait and
 			// drop its internal decomposition (avoids double counting
@@ -395,9 +450,9 @@ func (c *Collector) consider(st *classStats, n *node, tSelf uint64, tw [numWaitK
 	st.top[i] = ex
 }
 
-// sync books the cycles t charged since its last Begin or End into its
+// sync books the cycles t charged since its last Open or End into its
 // innermost open span, with their charged waits; with no span open they
-// stay outside. Only Begin and End move the stack, so every cycle lands
+// stay outside. Only Open and End move the stack, so every cycle lands
 // in the span that was innermost when it was charged. Callers run on
 // t's engine's running thread or once that engine has stopped.
 func (c *Collector) sync(t *sim.Thread) *tstate {
@@ -529,7 +584,7 @@ func (c *Collector) StartSegment(id string) {
 	if !c.cur.empty() {
 		c.done = append(c.done, c.cur)
 	}
-	c.cur = &segment{id: id, classes: map[string]*classStats{}}
+	c.cur = &segment{id: id}
 }
 
 // BookedCycles reports charges booked as span self-time.

@@ -81,9 +81,9 @@ func TestWaitClassification(t *testing.T) {
 	c := New(1)
 	runOne(c, func(th *sim.Thread) {
 		c.Begin(th, "op")
-		th.ChargeAs("bw_stall", 40)
-		th.ChargeAs("remote_read", 10)
-		th.ChargeAs("ipi_send", 5)
+		th.ChargeAs(sim.NewLabel("bw_stall"), 40)
+		th.ChargeAs(sim.NewLabel("remote_read"), 10)
+		th.ChargeAs(sim.NewLabel("ipi_send"), 5)
 		th.Charge(45) // plain work, no wait kind
 		th.Sleep(30)  // uncharged gap: blocked time
 		c.Wait(th, WaitMmapSem, 30)
@@ -121,7 +121,7 @@ func TestJournalChildRule(t *testing.T) {
 		c.Begin(th, "syscall.append")
 		th.Charge(20)
 		c.Begin(th, ClassJournalCommit)
-		th.ChargeAs("bw_stall", 30)
+		th.ChargeAs(sim.NewLabel("bw_stall"), 30)
 		th.Charge(20)
 		c.End(th)
 		c.End(th)
@@ -163,7 +163,7 @@ func TestRemoteChargesStayOutsideSpans(t *testing.T) {
 		c.End(th)
 	})
 	e.Go("ipi", 1, 120, func(th *sim.Thread) {
-		victim.AddRemote("shootdown.ipi_handler", 25)
+		victim.AddRemote(sim.NewLabel("shootdown.ipi_handler"), 25)
 	})
 	e.Run()
 	if got := c.RemoteCycles(); got != 25 {
@@ -269,7 +269,7 @@ func TestEnterWithoutCollector(t *testing.T) {
 	var open int
 	var of *Collector
 	e.Go("t0", 0, 0, func(th *sim.Thread) {
-		th.Enter("fault.minor")
+		th.Enter(sim.NewLabel("fault.minor"))
 		th.Charge(10)
 		path, open, of = th.AttrPath(), c.OpenSpans(th), Of(th)
 		th.Leave()
@@ -306,15 +306,15 @@ func TestEnterMatchesPushAttrBegin(t *testing.T) {
 			c.Attach(e)
 			for w := uint64(0); w < 2; w++ {
 				e.Go(fmt.Sprintf("w%d", w), int(w), 0, func(th *sim.Thread) {
-					th.PushAttr("app")
+					th.PushAttr(sim.NewLabel("app"))
 					for r := uint64(0); r < 4; r++ {
 						enter(c, th, "syscall.read")
 						th.Charge(100 + 10*w)
 						th.Yield()
 						enter(c, th, "fault.minor")
-						th.ChargeAs("bw_stall", 5*r)
+						th.ChargeAs(sim.NewLabel("bw_stall"), 5*r)
 						enter(c, th, "shootdown")
-						th.ChargeAs("ipi_send", 7)
+						th.ChargeAs(sim.NewLabel("ipi_send"), 7)
 						th.Sleep(3 + w + r)
 						leave(c, th)
 						th.Yield()
@@ -329,10 +329,10 @@ func TestEnterMatchesPushAttrBegin(t *testing.T) {
 		}
 		return c.Export()
 	}
-	got := run(func(_ *Collector, th *sim.Thread, label string) { th.Enter(label) },
+	got := run(func(_ *Collector, th *sim.Thread, label string) { th.Enter(sim.NewLabel(label)) },
 		func(_ *Collector, th *sim.Thread) { th.Leave() })
 	want := run(func(c *Collector, th *sim.Thread, label string) {
-		th.PushAttr(label)
+		th.PushAttr(sim.NewLabel(label))
 		c.Begin(th, label)
 	}, func(c *Collector, th *sim.Thread) {
 		c.End(th)
@@ -468,7 +468,7 @@ func TestSpanPathZeroAllocWithTracer(t *testing.T) {
 	c.SetTracer(tr)
 	op := func(th *sim.Thread) {
 		c.Begin(th, "op")
-		th.ChargeAs("bw_stall", 1)
+		th.ChargeAs(sim.NewLabel("bw_stall"), 1)
 		c.Begin(th, "inner")
 		th.Charge(1)
 		c.End(th)
@@ -476,7 +476,7 @@ func TestSpanPathZeroAllocWithTracer(t *testing.T) {
 	}
 	var allocs float64
 	runOne(c, func(th *sim.Thread) {
-		th.PushAttr("app")
+		th.PushAttr(sim.NewLabel("app"))
 		for i := 0; i < 4; i++ {
 			op(th) // warm: class stats, node pool, interned paths, full ring
 		}
@@ -503,7 +503,7 @@ func BenchmarkSpanBeginEnd(b *testing.B) {
 		c.End(th)
 	}
 	runOne(c, func(th *sim.Thread) {
-		th.PushAttr("app")
+		th.PushAttr(sim.NewLabel("app"))
 		for i := 0; i < 8; i++ {
 			op(th) // warm: class stats, node pool, interned paths, full ring
 		}
@@ -515,4 +515,51 @@ func BenchmarkSpanBeginEnd(b *testing.B) {
 		b.StopTimer()
 		th.PopAttr()
 	})
+}
+
+// TestExportSortsClassesByName: classes whose labels were minted in
+// reverse name order still export, trace and render by name, with the
+// tracer's slices named after their classes.
+func TestExportSortsClassesByName(t *testing.T) {
+	names := []string{"sort_test.zz", "sort_test.mm", "sort_test.aa"}
+	labels := make([]sim.Label, len(names))
+	for i, name := range names {
+		labels[i] = sim.NewLabel(name) // zz gets the smallest id
+	}
+	if !(labels[0] < labels[1] && labels[1] < labels[2]) {
+		t.Fatalf("labels %v not minted in order", labels)
+	}
+	c := New(1)
+	tr := obs.NewTracer(64)
+	c.SetTracer(tr)
+	runOne(c, func(th *sim.Thread) {
+		for _, l := range labels {
+			c.Open(th, l)
+			th.Charge(10)
+			c.End(th)
+		}
+	})
+	exs := c.Export()
+	if len(exs) != 1 {
+		t.Fatalf("exported %d segments, want 1", len(exs))
+	}
+	var got []string
+	for _, ce := range exs[0].Classes {
+		got = append(got, ce.Class)
+	}
+	if want := []string{"sort_test.aa", "sort_test.mm", "sort_test.zz"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("classes %v, want %v", got, want)
+	}
+	for _, name := range names {
+		if trees := exs[0].Exemplars[name]; len(trees) != 1 || trees[0].Class != name {
+			t.Errorf("exemplars of %s: %+v", name, trees)
+		}
+	}
+	var slices []string
+	for _, ev := range tr.Events() {
+		slices = append(slices, ev.Type)
+	}
+	if !reflect.DeepEqual(slices, names) {
+		t.Errorf("trace slices %v, want %v in span order", slices, names)
+	}
 }

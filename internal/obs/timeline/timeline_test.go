@@ -86,7 +86,7 @@ func TestEngineSamplerReconciles(t *testing.T) {
 			e.GoSampler("timeline", 0, tl.NextWake, tl.Sample)
 		}
 		e.Go("worker", 0, 0, func(th *sim.Thread) {
-			th.PushAttr("app")
+			th.PushAttr(sim.NewLabel("app"))
 			for i := 0; i < 500; i++ {
 				th.Charge(13)
 				th.Yield()
@@ -130,7 +130,7 @@ func TestBufferedSinkMatchesDirect(t *testing.T) {
 		e.Go("worker", 0, 0, func(th *sim.Thread) {
 			for i := 0; i < 300; i++ {
 				root := []string{"app", "setup", "daemon"}[i%3]
-				th.PushAttr(root)
+				th.PushAttr(sim.NewLabel(root))
 				th.Charge(uint64(5 + i%11))
 				if !buffered {
 					cyc.Charge(th.Core, root, uint64(5+i%11))

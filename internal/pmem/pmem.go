@@ -73,10 +73,25 @@ type Device struct {
 	tp       *topo.Topology
 	bankSize uint64
 	banks    []bank
-	attrs    []string // "pmem.node0", ... attribution frames (multi-node only)
+	attrs    []sim.Label // "pmem.node0", ... attribution frames (multi-node only)
 
 	Stats Stats
 }
+
+// Charge labels of the device's data and persistence paths.
+// "remote_read"/"remote_write" double as the span layer's remote_numa
+// wait kind and "bw_stall" as its pmem_bw one.
+var (
+	labelPMemRead    = sim.NewLabel("pmem_read")
+	labelNTStore     = sim.NewLabel("ntstore")
+	labelCachedStore = sim.NewLabel("cached_store")
+	labelZero        = sim.NewLabel("zero")
+	labelClwb        = sim.NewLabel("clwb")
+	labelFence       = sim.NewLabel("fence")
+	labelRemoteRead  = sim.NewLabel("remote_read")
+	labelRemoteWrite = sim.NewLabel("remote_write")
+	labelBWStall     = sim.NewLabel("bw_stall")
+)
 
 // Page states (Device.page): pageZero, 1 + a slab index below
 // pageFrame, or pageFrame + a frame at or above it. A device has fewer
@@ -151,9 +166,9 @@ func New(cfg Config) *Device {
 	}
 	d.data = newBacking(d, cfg.Size)
 	if nodes > 1 {
-		d.attrs = make([]string, nodes)
+		d.attrs = make([]sim.Label, nodes)
 		for i := range d.attrs {
-			d.attrs[i] = fmt.Sprintf("pmem.node%d", i)
+			d.attrs[i] = sim.NewLabel(fmt.Sprintf("pmem.node%d", i))
 		}
 	}
 	if cfg.TrackPersistence {
@@ -465,10 +480,10 @@ func (d *Device) Read(t *sim.Thread, addr mem.PhysAddr, buf []byte) {
 		if extra := d.remoteExtra(t, node, cost.RemotePMemReadExtraPerPage, n); extra > 0 {
 			// "remote_read"/"remote_write" labels double as the span
 			// layer's remote_numa wait kind.
-			t.ChargeAs("remote_read", extra)
+			t.ChargeAs(labelRemoteRead, extra)
 		}
 	}
-	t.ChargeAs("pmem_read", c)
+	t.ChargeAs(labelPMemRead, c)
 	d.consumeRead(t, node, n)
 }
 
@@ -512,10 +527,10 @@ func (d *Device) writeNTCommon(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 		t.PushAttr(d.attrs[node])
 		defer t.PopAttr()
 		if extra := d.remoteExtra(t, node, cost.RemotePMemWriteExtraPerPage, n); extra > 0 {
-			t.ChargeAs("remote_write", extra)
+			t.ChargeAs(labelRemoteWrite, extra)
 		}
 	}
-	t.ChargeAs("ntstore", c)
+	t.ChargeAs(labelNTStore, c)
 	d.consumeWrite(t, node, n)
 }
 
@@ -594,7 +609,7 @@ func (d *Device) chargeCached(t *sim.Thread, node mem.NodeID, n, k uint64) {
 		t.PushAttr(d.attrs[node])
 		defer t.PopAttr()
 	}
-	t.ChargeAsN("cached_store", c, k)
+	t.ChargeAsN(labelCachedStore, c, k)
 }
 
 // Zero zeroes [addr, addr+n) with non-temporal stores (security zeroing of
@@ -624,10 +639,10 @@ func (d *Device) Zero(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 		t.PushAttr(d.attrs[node])
 		defer t.PopAttr()
 		if extra := d.remoteExtra(t, node, cost.RemotePMemWriteExtraPerPage, n); extra > 0 {
-			t.ChargeAs("remote_write", extra)
+			t.ChargeAs(labelRemoteWrite, extra)
 		}
 	}
-	t.ChargeAs("zero", c)
+	t.ChargeAs(labelZero, c)
 	d.consumeWrite(t, node, n)
 }
 
@@ -652,7 +667,7 @@ func (d *Device) Flush(t *sim.Thread, addr mem.PhysAddr, n uint64) {
 		t.PushAttr(d.attrs[node])
 		defer t.PopAttr()
 	}
-	t.ChargeAs("clwb", cost.ClwbCost*lines)
+	t.ChargeAs(labelClwb, cost.ClwbCost*lines)
 	d.consumeWrite(t, node, lines*mem.CacheLineSize)
 }
 
@@ -667,7 +682,7 @@ func (d *Device) Fence(t *sim.Thread) {
 			delete(d.dirtyLines, l)
 		}
 	}
-	t.ChargeAs("fence", cost.FenceCost)
+	t.ChargeAs(labelFence, cost.FenceCost)
 }
 
 // lineSpan returns the first and last cache-line indices covering
@@ -820,7 +835,7 @@ func consume(t *sim.Thread, busyUntil *uint64, n uint64, rate float64) (busy, st
 	*busyUntil = finish
 	if finish > now {
 		stall = finish - now
-		t.ChargeAs("bw_stall", stall)
+		t.ChargeAs(labelBWStall, stall)
 	}
 	return dur, stall
 }

@@ -499,3 +499,22 @@ func TestDiscardUntracksLines(t *testing.T) {
 		t.Fatalf("byte %d of a discarded page reads %#x after a crash, want 0", i, got[i])
 	}
 }
+
+// TestNodeLabelsMintedOnce: a multi-node device mints its pmem.node<i>
+// frame labels when it is built, once per name, so twenty more boots of
+// a 2-node device leave the process's label count where the first left
+// it.
+func TestNodeLabelsMintedOnce(t *testing.T) {
+	boot := func() {
+		d := New(Config{Size: 1 << 20, Topo: topo.New(2, 1)})
+		d.Release()
+	}
+	boot()
+	n := sim.NumLabels()
+	for i := 0; i < 20; i++ {
+		boot()
+	}
+	if got := sim.NumLabels(); got != n {
+		t.Fatalf("twenty more 2-node devices grew the label table from %d to %d", n, got)
+	}
+}

@@ -323,18 +323,18 @@ func TestChargeTables(t *testing.T) {
 	var t1 *Thread
 	t0 := e.Go("t0", 3, 0, func(th *Thread) {
 		th.Charge(10) // empty stack -> unattributed
-		th.PushAttr("app")
+		th.PushAttr(NewLabel("app"))
 		th.Charge(20)
-		th.PushAttr("syscall.read") // nests -> app.syscall.read
-		th.ChargeAs("copy", 30)     // one-shot child
+		th.PushAttr(NewLabel("syscall.read")) // nests -> app.syscall.read
+		th.ChargeAs(NewLabel("copy"), 30)     // one-shot child
 		th.PopAttr()
-		t1.AddRemote("shootdown.ipi_handler", 40) // absolute, ignores stack, books onto t1
-		th.PushAttr("syscall")                    // app.syscall: a new id, never charged
-		th.ChargeAs("read", 50)                   // same path as the frame above: same id
-		th.ChargeAs("read", 0)                    // zero cycles, still a charge
+		t1.AddRemote(NewLabel("shootdown.ipi_handler"), 40) // absolute, ignores stack, books onto t1
+		th.PushAttr(NewLabel("syscall"))                    // app.syscall: a new id, never charged
+		th.ChargeAs(NewLabel("read"), 50)                   // same path as the frame above: same id
+		th.ChargeAs(NewLabel("read"), 0)                    // zero cycles, still a charge
 		th.PopAttr()
 		th.PopAttr()
-		th.AddRemote("app", 60) // a root reached from no frame: same id
+		th.AddRemote(NewLabel("app"), 60) // a root reached from no frame: same id
 	})
 	t1 = e.Go("t1", 4, 1000, func(th *Thread) {})
 	e.Run()
@@ -393,19 +393,19 @@ func TestBatchChargesMatchSingleCharges(t *testing.T) {
 		th := e.Go("t", 0, 0, func(th *Thread) {
 			for _, s := range steps {
 				if s.frame != "" {
-					th.PushAttr(s.frame)
+					th.PushAttr(NewLabel(s.frame))
 				}
 				switch {
 				case batch && s.label == "":
 					th.ChargeN(s.c, s.n)
 				case batch:
-					th.ChargeAsN(s.label, s.c, s.n)
+					th.ChargeAsN(NewLabel(s.label), s.c, s.n)
 				default:
 					for i := uint64(0); i < s.n; i++ {
 						if s.label == "" {
 							th.Charge(s.c)
 						} else {
-							th.ChargeAs(s.label, s.c)
+							th.ChargeAs(NewLabel(s.label), s.c)
 						}
 					}
 				}
@@ -413,7 +413,7 @@ func TestBatchChargesMatchSingleCharges(t *testing.T) {
 					th.PopAttr()
 				}
 			}
-			th.ChargeAs("last", 1) // its id shows what was interned before it
+			th.ChargeAs(NewLabel("last"), 1) // its id shows what was interned before it
 		})
 		e.Run()
 		return e, th
@@ -445,14 +445,14 @@ func TestTotalChargedCountsEveryCharge(t *testing.T) {
 	// dispatch advances clocks without charging.
 	e := New()
 	e.Go("a", 0, 0, func(th *Thread) {
-		th.PushAttr("app")
+		th.PushAttr(NewLabel("app"))
 		th.Charge(100)
 		th.Sleep(5000) // idle: not charged
-		th.ChargeAs("tail", 11)
+		th.ChargeAs(NewLabel("tail"), 11)
 	})
 	e.Go("b", 1, 0, func(th *Thread) {
 		th.Charge(7)
-		th.AddRemote("x.y", 3)
+		th.AddRemote(NewLabel("x.y"), 3)
 	})
 	e.Run()
 	if e.TotalCharged() != 121 {
@@ -530,7 +530,7 @@ func TestThreadsReturnsCopy(t *testing.T) {
 func TestDumpIncludesAttr(t *testing.T) {
 	e := New()
 	e.Go("stuck", 3, 0, func(t *Thread) {
-		t.PushAttr("fs.write")
+		t.PushAttr(NewLabel("fs.write"))
 		t.Block("nothing")
 	})
 	defer func() {
@@ -554,25 +554,25 @@ func TestDumpIncludesAttr(t *testing.T) {
 // SetSpans included), and the engine's tally sums its threads'.
 func TestTallies(t *testing.T) {
 	e := New()
-	e.join(noParent, "app") // interned before the classifier is set
+	e.join(noParent, NewLabel("app")) // interned before the classifier is set
 	e.Go("a", 0, 0, func(th *Thread) {
-		th.PushAttr("app")
+		th.PushAttr(NewLabel("app"))
 		th.Sleep(10) // idle: in no tally
 		th.Charge(5)
-		th.ChargeAs("stall", 7)
-		th.PushAttr("stall")
+		th.ChargeAs(NewLabel("stall"), 7)
+		th.PushAttr(NewLabel("stall"))
 		th.Charge(11)
 		th.PopAttr()
 		th.PopAttr()
 		th.Charge(2)
 	})
 	b := e.Go("b", 1, 0, func(th *Thread) {
-		th.PushAttr("app")
+		th.PushAttr(NewLabel("app"))
 		th.Charge(3)
 		th.PopAttr()
 	})
 	e.Go("c", 2, 0, func(th *Thread) {
-		b.AddRemote("app", 100)
+		b.AddRemote(NewLabel("app"), 100)
 	})
 	e.SetSpans(nil, func(path string) uint8 {
 		switch {

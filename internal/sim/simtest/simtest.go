@@ -16,7 +16,7 @@ import (
 type Op struct {
 	Kind   int
 	Cycles uint64
-	Label  string
+	Label  sim.Label
 	Target int // AddRemote target thread index
 }
 
@@ -38,12 +38,14 @@ const (
 )
 
 // labels are the frame and leaf labels programs draw from.
-var labels = []string{"walk", "bw_stall", "ipi_send", "copy"}
+var labels = []sim.Label{sim.NewLabel("walk"), sim.NewLabel("bw_stall"), sim.NewLabel("ipi_send"), sim.NewLabel("copy")}
 
 // RemotePath is the attribution path of every AddRemote booking; no local
 // frame can produce it. Its leaf is a label the span layer classifies as
 // a wait, so a reader that wrongly classified remote bookings shows it.
 const RemotePath = "shootdown.ipi_wait"
+
+var remoteLabel = sim.NewLabel(RemotePath)
 
 // Generate builds a randomized program for nthreads threads from seed.
 // About one op in eight carries zero cycles. The program is plain data,
@@ -89,7 +91,7 @@ func Generate(seed int64, nthreads, nops int) [][]Op {
 // Hooks, when set, run right after each PushAttr and right before each
 // PopAttr — where a test opens and closes spans that mirror the frames.
 type Hooks struct {
-	Push func(t *sim.Thread, label string)
+	Push func(t *sim.Thread, label sim.Label)
 	Pop  func(t *sim.Thread)
 }
 
@@ -171,7 +173,7 @@ func Run(e *sim.Engine, progs [][]Op, h Hooks) Result {
 					writersIn--
 					rw.Unlock(t, 40)
 				case OpRemote:
-					ths[o.Target].AddRemote(RemotePath, o.Cycles)
+					ths[o.Target].AddRemote(remoteLabel, o.Cycles)
 				case OpWaitEvent:
 					ev.Wait(t, "prog-event")
 				}

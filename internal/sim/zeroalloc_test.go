@@ -27,27 +27,29 @@ func wired() (*sim.Engine, *obs.CycleAccount) {
 // table that already has the row, the account sees every cycle and the
 // collector every span.
 func TestChargeZeroAlloc(t *testing.T) {
+	app, cp := sim.NewLabel("app"), sim.NewLabel("copy")
+	handler, fault := sim.NewLabel("shootdown.ipi_handler"), sim.NewLabel("fault.minor")
 	e, acct := wired()
 	var allocs float64
 	var sp *span.Collector
 	peer := e.GoDaemon("peer", 1, 0, func(th *sim.Thread) { th.Block("never") })
 	e.Go("t0", 0, 0, func(th *sim.Thread) {
 		sp = span.Of(th)
-		th.PushAttr("app")
-		th.ChargeAs("copy", 1)                     // warm the interned "app.copy" path
-		peer.AddRemote("shootdown.ipi_handler", 1) // and grow peer's table
+		th.PushAttr(app)
+		th.ChargeAs(cp, 1)         // warm the interned "app.copy" path
+		peer.AddRemote(handler, 1) // and grow peer's table
 		op := func() {
-			th.Enter("fault.minor")
+			th.Enter(fault)
 			th.Charge(1)
 			th.Leave()
 		}
 		op() // warm the operation's path and span state
 		allocs = testing.AllocsPerRun(200, func() {
 			th.Charge(1)
-			th.ChargeAs("copy", 1)
+			th.ChargeAs(cp, 1)
 			th.ChargeN(1, 8)
-			th.ChargeAsN("copy", 1, 8)
-			peer.AddRemote("shootdown.ipi_handler", 1)
+			th.ChargeAsN(cp, 1, 8)
+			peer.AddRemote(handler, 1)
 			op()
 		})
 		th.PopAttr()

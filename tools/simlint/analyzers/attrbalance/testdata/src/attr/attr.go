@@ -6,12 +6,12 @@ import (
 )
 
 func leakOnReturn(t *sim.Thread) {
-	t.PushAttr("fault") // want `PushAttr frame is still open when the function returns`
+	t.PushAttr(lFault) // want `PushAttr frame is still open when the function returns`
 	t.Charge(10)
 }
 
 func leakOnEarlyReturn(t *sim.Thread, err error) error {
-	t.PushAttr("syscall")
+	t.PushAttr(lSyscall)
 	if err != nil {
 		return err // want `return leaves 1 attribution frame\(s\) open`
 	}
@@ -20,13 +20,13 @@ func leakOnEarlyReturn(t *sim.Thread, err error) error {
 }
 
 func balancedLinear(t *sim.Thread) {
-	t.PushAttr("fault")
+	t.PushAttr(lFault)
 	t.Charge(10)
 	t.PopAttr()
 }
 
 func balancedDefer(t *sim.Thread, err error) error {
-	t.PushAttr("syscall")
+	t.PushAttr(lSyscall)
 	defer t.PopAttr()
 	if err != nil {
 		return err
@@ -40,7 +40,7 @@ func popWithoutPush(t *sim.Thread) {
 
 func oneSidedBranch(t *sim.Thread, b bool) {
 	if b { // want `attribution frame opened or closed on only one side of a branch`
-		t.PushAttr("maybe") // opened on one side only
+		t.PushAttr(lMaybe) // opened on one side only
 	}
 	t.Charge(1)
 }
@@ -50,29 +50,29 @@ func oneSidedBranch(t *sim.Thread, b bool) {
 // every path out of the function is balanced.
 func conditionalAttr(t *sim.Thread, multi bool) {
 	if multi {
-		t.PushAttr("pmem.node1")
+		t.PushAttr(lPmemNode1)
 		defer t.PopAttr()
 	}
-	t.ChargeAs("read", 100)
+	t.ChargeAs(lRead, 100)
 }
 
 // conditionalPushOnly still leaks: the deferred pop is missing.
 func conditionalPushOnly(t *sim.Thread, multi bool) {
 	if multi { // want `attribution frame opened or closed on only one side of a branch`
-		t.PushAttr("pmem.node1")
+		t.PushAttr(lPmemNode1)
 	}
-	t.ChargeAs("read", 100)
+	t.ChargeAs(lRead, 100)
 }
 
 func unbalancedLoop(t *sim.Thread, n int) {
 	for i := 0; i < n; i++ { // want `loop iteration changes the attribution frame balance`
-		t.PushAttr("iter")
+		t.PushAttr(lIter)
 	}
 }
 
 func balancedLoop(t *sim.Thread, n int) {
 	for i := 0; i < n; i++ {
-		t.PushAttr("iter")
+		t.PushAttr(lIter)
 		t.Charge(1)
 		t.PopAttr()
 	}
@@ -81,7 +81,7 @@ func balancedLoop(t *sim.Thread, n int) {
 // sysEnter and sysExit mirror the kernel's helper pair: one only opens,
 // the other only closes, so a call to either counts as that open or
 // close at its call site. The callers are checked, the helpers are not.
-func sysEnter(t *sim.Thread, cls string) {
+func sysEnter(t *sim.Thread, cls sim.Label) {
 	t.PushAttr(cls)
 	t.Charge(1000)
 }
@@ -92,7 +92,7 @@ func sysExit(t *sim.Thread) {
 }
 
 func syscallDeferred(t *sim.Thread, err error) error {
-	sysEnter(t, "syscall.open")
+	sysEnter(t, lSyscallOpen)
 	defer sysExit(t)
 	if err != nil {
 		return err
@@ -101,13 +101,13 @@ func syscallDeferred(t *sim.Thread, err error) error {
 }
 
 func syscallExplicit(t *sim.Thread) {
-	sysEnter(t, "syscall.read")
+	sysEnter(t, lSyscallRead)
 	t.Charge(1)
 	sysExit(t)
 }
 
 func syscallLeak(t *sim.Thread) {
-	sysEnter(t, "syscall.close") // want `PushAttr frame is still open when the function returns`
+	sysEnter(t, lSyscallClose) // want `PushAttr frame is still open when the function returns`
 	t.Charge(1)
 }
 
@@ -116,7 +116,7 @@ func syscallExitWithoutEnter(t *sim.Thread) {
 }
 
 func deferredEnter(t *sim.Thread) {
-	defer sysEnter(t, "syscall.late") // want `PushAttr in a defer opens a attribution frame after the function body ran`
+	defer sysEnter(t, lSyscallLate) // want `PushAttr in a defer opens a attribution frame after the function body ran`
 }
 
 // earlyOut may return before it pushes, so it is no helper: its body is
@@ -125,14 +125,14 @@ func earlyOut(t *sim.Thread, skip bool) {
 	if skip {
 		return
 	}
-	t.PushAttr("x") // want `PushAttr frame is still open when the function returns`
+	t.PushAttr(lX) // want `PushAttr frame is still open when the function returns`
 }
 
 // threadRoot mirrors Engine.Go(..., func(t){...}): the root frame stays
 // open for the thread's whole life.
 func threadRoot(e *sim.Engine) {
 	e.Go("app", 0, 0, func(t *sim.Thread) {
-		t.PushAttr("app")
+		t.PushAttr(lApp)
 		t.Charge(1)
 	})
 }
@@ -140,21 +140,21 @@ func threadRoot(e *sim.Engine) {
 // daemonLoop mirrors monitor/prezero daemons: a root frame followed by
 // an infinite loop.
 func daemonLoop(t *sim.Thread) {
-	t.PushAttr("daemon.monitor")
+	t.PushAttr(lDaemonMonitor)
 	for {
 		t.Sleep(100)
-		t.ChargeAs("sample", 10)
+		t.ChargeAs(lSample, 10)
 	}
 }
 
 // enterLeak: Enter pushes a frame that nothing pops.
 func enterLeak(t *sim.Thread) {
-	t.Enter("fault.minor") // want `Enter frame is still open when the function returns`
+	t.Enter(lFaultMinor) // want `Enter frame is still open when the function returns`
 	t.Charge(10)
 }
 
 func enterEarlyReturn(t *sim.Thread, err error) error {
-	t.Enter("syscall.read")
+	t.Enter(lSyscallRead)
 	if err != nil {
 		return err // want `return leaves 1 attribution frame\(s\) open \(Enter without Leave`
 	}
@@ -165,7 +165,7 @@ func enterEarlyReturn(t *sim.Thread, err error) error {
 // enterDeferLeave is the accepted idiom: the deferred Leave pops the
 // frame on every path out.
 func enterDeferLeave(t *sim.Thread, err error) error {
-	t.Enter("access")
+	t.Enter(lAccess)
 	defer t.Leave()
 	if err != nil {
 		return err
@@ -177,8 +177,8 @@ func enterDeferLeave(t *sim.Thread, err error) error {
 // leaveAfterPush mixes the pairs: each pair is checked on its own
 // balance, so the push leaks and the Leave closes nothing.
 func leaveAfterPush(t *sim.Thread) {
-	t.PushAttr("x") // want `PushAttr frame is still open when the function returns`
-	t.Leave()       // want `Leave without an open Enter frame`
+	t.PushAttr(lX) // want `PushAttr frame is still open when the function returns`
+	t.Leave()      // want `Leave without an open Enter frame`
 }
 
 func leaveWithoutEnter(t *sim.Thread) {
@@ -187,6 +187,27 @@ func leaveWithoutEnter(t *sim.Thread) {
 
 func suppressedLeak(t *sim.Thread) {
 	//lint:ignore attrbalance frame intentionally spans the thread's life
-	t.PushAttr("root")
+	t.PushAttr(lRoot)
 	t.Charge(1)
 }
+
+// Labels the fixture charges and opens, minted once at package level.
+var (
+	lFault         = sim.NewLabel("fault")
+	lSyscall       = sim.NewLabel("syscall")
+	lMaybe         = sim.NewLabel("maybe")
+	lPmemNode1     = sim.NewLabel("pmem.node1")
+	lRead          = sim.NewLabel("read")
+	lIter          = sim.NewLabel("iter")
+	lX             = sim.NewLabel("x")
+	lApp           = sim.NewLabel("app")
+	lDaemonMonitor = sim.NewLabel("daemon.monitor")
+	lSample        = sim.NewLabel("sample")
+	lFaultMinor    = sim.NewLabel("fault.minor")
+	lSyscallRead   = sim.NewLabel("syscall.read")
+	lAccess        = sim.NewLabel("access")
+	lRoot          = sim.NewLabel("root")
+	lSyscallOpen   = sim.NewLabel("syscall.open")
+	lSyscallClose  = sim.NewLabel("syscall.close")
+	lSyscallLate   = sim.NewLabel("syscall.late")
+)

@@ -52,6 +52,9 @@ type Pair struct {
 	// Open and Close are the method names forming the pair; calls match
 	// when the method is defined in a package named Pkg.
 	Open, Close string
+	// AltOpen, if set, names a second method that opens the pair and
+	// counts as Open (span.Collector.Open, Begin's label form).
+	AltOpen string
 }
 
 // New builds a pairing analyzer from the config.
@@ -210,7 +213,7 @@ func calleeIdent(call *ast.CallExpr) *ast.Ident {
 // and 0 for any other call.
 func (v *visitor) pairDelta(call *ast.CallExpr) int {
 	switch {
-	case v.isPairCall(call, v.cfg.Open):
+	case v.isPairCall(call, v.cfg.Open), v.cfg.AltOpen != "" && v.isPairCall(call, v.cfg.AltOpen):
 		return 1
 	case v.isPairCall(call, v.cfg.Close):
 		return -1

@@ -26,16 +26,16 @@ func mixedAssign(totalCycles uint64, deltaNS uint64) uint64 {
 func chargeWrongUnit(t *sim.Thread, copyBytes uint64) {
 	t.Charge(copyBytes) // want `Charge expects cycles, got a bytes-valued expression`
 	t.Charge(cost.ReadWriteFixed)
-	t.ChargeAs("flush", cost.ClwbCost+cost.FenceCost)
+	t.ChargeAs(lFlush, cost.ClwbCost+cost.FenceCost)
 }
 
 func batchChargeUnits(t *sim.Thread, copyBytes, numPages, waitCycles, delayNS uint64) {
-	t.ChargeN(copyBytes, 4)                       // want `ChargeN expects cycles, got a bytes-valued expression`
-	t.ChargeN(cost.FenceCost, waitCycles)         // want `ChargeN expects a count of charges, got a cycles-valued expression`
-	t.ChargeAsN("store", delayNS, 8)              // want `ChargeAsN expects cycles, got a nanoseconds-valued expression`
-	t.ChargeAsN("store", cost.ClwbCost, delayNS)  // want `ChargeAsN expects a count of charges, got a nanoseconds-valued expression`
-	t.ChargeN(cost.PTESetPerPage/4, numPages)     // one charge per page: fine
-	t.ChargeAsN("store", cost.ClwbCost, numPages) // fine
+	t.ChargeN(copyBytes, 4)                      // want `ChargeN expects cycles, got a bytes-valued expression`
+	t.ChargeN(cost.FenceCost, waitCycles)        // want `ChargeN expects a count of charges, got a cycles-valued expression`
+	t.ChargeAsN(lStore, delayNS, 8)              // want `ChargeAsN expects cycles, got a nanoseconds-valued expression`
+	t.ChargeAsN(lStore, cost.ClwbCost, delayNS)  // want `ChargeAsN expects a count of charges, got a nanoseconds-valued expression`
+	t.ChargeN(cost.PTESetPerPage/4, numPages)    // one charge per page: fine
+	t.ChargeAsN(lStore, cost.ClwbCost, numPages) // fine
 }
 
 func sleepWrongUnit(t *sim.Thread, periodNS uint64) {
@@ -62,7 +62,7 @@ func remoteRateOK(t *sim.Thread, numPages uint64) {
 	// Per<X>-named rates are untyped, so scaling by a count and charging
 	// the product is fine.
 	t.Charge(numPages * cost.RemotePMemReadExtraPerPage)
-	t.ChargeAs("ipi_send", 3*cost.IPICrossSocketPerTarget)
+	t.ChargeAs(lIpiSend, 3*cost.IPICrossSocketPerTarget)
 }
 
 func remoteMixedUnits(sizeBytes uint64) bool {
@@ -80,3 +80,10 @@ func suppressedMix(walkCycles, wallNS uint64) uint64 {
 	//lint:ignore chargeunits calibration scratch math, units checked by hand
 	return walkCycles + wallNS
 }
+
+// Labels the fixture charges and opens, minted once at package level.
+var (
+	lFlush   = sim.NewLabel("flush")
+	lStore   = sim.NewLabel("store")
+	lIpiSend = sim.NewLabel("ipi_send")
+)

@@ -58,7 +58,7 @@ func chargingMapRange(t *sim.Thread, costs map[string]uint64) {
 	}
 }
 
-func batchChargingMapRange(t *sim.Thread, runs map[string]uint64) {
+func batchChargingMapRange(t *sim.Thread, runs map[sim.Label]uint64) {
 	for _, n := range runs { // want `map iteration order is randomized but the body charges cycles \(ChargeN\)`
 		t.ChargeN(3, n)
 	}

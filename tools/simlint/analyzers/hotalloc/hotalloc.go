@@ -22,6 +22,8 @@
 //	concat          non-constant string concatenation
 //	byteconv        []byte <-> string conversion
 //	complit         composite-literal allocation (&T{...}, []T{...}, map lit)
+//	label           sim.NewLabel call: a locked name-table lookup that may
+//	                grow the table; mint labels into package-level vars
 //
 // Each diagnostic carries the shortest call trace from one root (and
 // the number of additional roots that also reach the site). Intentional
@@ -307,6 +309,13 @@ func classifyCall(info *types.Info, call *ast.CallExpr, add func(token.Pos, stri
 		}
 	}
 
+	// Label minting: sim.NewLabel locks the process-wide name table and
+	// may grow it, so hot code uses labels minted ahead of time.
+	if fn := calleeFunc(info, fun); fn != nil && fn.Name() == "NewLabel" && fn.Pkg() != nil && fn.Pkg().Name() == "sim" {
+		add(call.Pos(), "label", "sim.NewLabel mints a label; mint it once into a package-level var")
+		return
+	}
+
 	// Conversions: []byte(s) / string(b).
 	if tn := conversionType(info, fun); tn != nil && len(call.Args) == 1 {
 		argT := types.Default(info.TypeOf(call.Args[0]))
@@ -347,6 +356,24 @@ func classifyCall(info *types.Info, call *ast.CallExpr, add func(token.Pos, stri
 		}
 		add(arg.Pos(), "box", "concrete value boxed into interface parameter")
 	}
+}
+
+// calleeFunc returns the package-level function fun names, or nil.
+func calleeFunc(info *types.Info, fun ast.Expr) *types.Func {
+	var id *ast.Ident
+	switch f := fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	if fn == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return nil
+	}
+	return fn
 }
 
 // conversionType returns the target type when fun is a type conversion.

@@ -8,5 +8,5 @@ import (
 )
 
 func TestHotAlloc(t *testing.T) {
-	anatest.Run(t, "testdata", hotalloc.Analyzer, "hot", "cold", "suppressed")
+	anatest.Run(t, "testdata", hotalloc.Analyzer, "hot", "cold", "suppressed", "mint", "labelvar")
 }

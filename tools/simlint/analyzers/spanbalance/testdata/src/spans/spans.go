@@ -54,7 +54,7 @@ func conditionalSpan(t *sim.Thread, sp *span.Collector, on bool) {
 		sp.Begin(t, "access")
 		defer sp.End(t)
 	}
-	t.ChargeAs("read", 100)
+	t.ChargeAs(lRead, 100)
 }
 
 func unbalancedLoop(t *sim.Thread, sp *span.Collector, n int) {
@@ -116,7 +116,7 @@ func daemonLoop(t *sim.Thread, sp *span.Collector) {
 	sp.Begin(t, "daemon.monitor")
 	for {
 		t.Sleep(100)
-		t.ChargeAs("sample", 10)
+		t.ChargeAs(lSample, 10)
 	}
 }
 
@@ -131,12 +131,12 @@ func waitsAreNotOpens(t *sim.Thread, sp *span.Collector) {
 
 // enterLeak: Enter opens a span that nothing ends.
 func enterLeak(t *sim.Thread) {
-	t.Enter("fault.minor") // want `Enter frame is still open when the function returns`
+	t.Enter(lFaultMinor) // want `Enter frame is still open when the function returns`
 	t.Charge(10)
 }
 
 func enterEarlyReturn(t *sim.Thread, err error) error {
-	t.Enter("syscall.read")
+	t.Enter(lSyscallRead)
 	if err != nil {
 		return err // want `return leaves 1 span\(s\) open \(Enter without Leave`
 	}
@@ -147,7 +147,7 @@ func enterEarlyReturn(t *sim.Thread, err error) error {
 // enterDeferLeave is the accepted idiom: the deferred Leave ends the
 // span on every path out.
 func enterDeferLeave(t *sim.Thread, err error) error {
-	t.Enter("access")
+	t.Enter(lAccess)
 	defer t.Leave()
 	if err != nil {
 		return err
@@ -158,14 +158,15 @@ func enterDeferLeave(t *sim.Thread, err error) error {
 
 // leaveAfterPush: PushAttr opens no span, so the Leave ends none.
 func leaveAfterPush(t *sim.Thread) {
-	t.PushAttr("x")
+	t.PushAttr(lX)
 	t.Leave() // want `Leave without an open Enter frame`
 }
 
 // spanOnly is the span-only idiom of the layers: the collector comes
-// from the thread, and the End is a direct deferred call.
+// from the thread, Open takes a package-level label, and the End is a
+// direct deferred call.
 func spanOnly(t *sim.Thread, err error) error {
-	span.Of(t).Begin(t, "nova.log_append")
+	span.Of(t).Open(t, lNovaLogAppend)
 	defer span.Of(t).End(t)
 	if err != nil {
 		return err
@@ -174,7 +175,7 @@ func spanOnly(t *sim.Thread, err error) error {
 }
 
 func spanOnlyEarlyReturn(t *sim.Thread, err error) error {
-	span.Of(t).Begin(t, "zombie_flush")
+	span.Of(t).Open(t, lZombieFlush)
 	if err != nil {
 		return err // want `return leaves 1 span\(s\) open \(Begin without End`
 	}
@@ -186,15 +187,15 @@ func spanOnlyEarlyReturn(t *sim.Thread, err error) error {
 // defer. The analyzer reports the Begin as leaked, and the closure, which
 // it checks as a function of its own, as ending a span it never began.
 func spanOnlyWrappedEnd(t *sim.Thread) {
-	span.Of(t).Begin(t, "daemon.prezero") // want `Begin frame is still open when the function returns`
-	defer func() { span.Of(t).End(t) }()  // want `End without an open Begin frame`
+	span.Of(t).Open(t, lDaemonPrezero)   // want `Begin frame is still open when the function returns`
+	defer func() { span.Of(t).End(t) }() // want `End without an open Begin frame`
 }
 
 // spanOnlyLoop mirrors the pre-zero daemon: one span per iteration.
 func spanOnlyLoop(t *sim.Thread) {
 	for {
 		t.Sleep(100)
-		span.Of(t).Begin(t, "daemon.prezero")
+		span.Of(t).Open(t, lDaemonPrezero)
 		t.Charge(1)
 		span.Of(t).End(t)
 	}
@@ -205,3 +206,16 @@ func suppressedLeak(t *sim.Thread, sp *span.Collector) {
 	sp.Begin(t, "root")
 	t.Charge(1)
 }
+
+// Labels the fixture charges and opens, minted once at package level.
+var (
+	lRead          = sim.NewLabel("read")
+	lSample        = sim.NewLabel("sample")
+	lFaultMinor    = sim.NewLabel("fault.minor")
+	lSyscallRead   = sim.NewLabel("syscall.read")
+	lAccess        = sim.NewLabel("access")
+	lX             = sim.NewLabel("x")
+	lNovaLogAppend = sim.NewLabel("nova.log_append")
+	lZombieFlush   = sim.NewLabel("zombie_flush")
+	lDaemonPrezero = sim.NewLabel("daemon.prezero")
+)

@@ -4,21 +4,37 @@
 // stub instead of dragging the whole engine into testdata builds.
 package sim
 
+// Label mirrors the dense attribution-label id.
+type Label uint32
+
+// NewLabel mirrors the label minting call; its map insert is what the
+// hotalloc fixtures look for.
+func NewLabel(name string) Label {
+	if l, ok := labels[name]; ok {
+		return l
+	}
+	l := Label(len(labels))
+	labels[name] = l
+	return l
+}
+
+var labels = map[string]Label{}
+
 // Thread mirrors sim.Thread's charge/attribution surface.
 type Thread struct{}
 
-func (t *Thread) Charge(c uint64)                     { _ = c }
-func (t *Thread) ChargeAs(label string, c uint64)     { _, _ = label, c }
-func (t *Thread) ChargeN(c, n uint64)                 { _, _ = c, n }
-func (t *Thread) ChargeAsN(label string, c, n uint64) { _, _, _ = label, c, n }
-func (t *Thread) AddRemote(path string, c uint64)     { _, _ = path, c }
-func (t *Thread) PushAttr(label string)               { _ = label }
-func (t *Thread) PopAttr()                            {}
-func (t *Thread) Enter(label string)                  { _ = label }
-func (t *Thread) Leave()                              {}
-func (t *Thread) Now() uint64                         { return 0 }
-func (t *Thread) Sleep(d uint64)                      { _ = d }
-func (t *Thread) SleepUntil(tm uint64)                { _ = tm }
+func (t *Thread) Charge(c uint64)                    { _ = c }
+func (t *Thread) ChargeAs(label Label, c uint64)     { _, _ = label, c }
+func (t *Thread) ChargeN(c, n uint64)                { _, _ = c, n }
+func (t *Thread) ChargeAsN(label Label, c, n uint64) { _, _, _ = label, c, n }
+func (t *Thread) AddRemote(path Label, c uint64)     { _, _ = path, c }
+func (t *Thread) PushAttr(label Label)               { _ = label }
+func (t *Thread) PopAttr()                           {}
+func (t *Thread) Enter(label Label)                  { _ = label }
+func (t *Thread) Leave()                             {}
+func (t *Thread) Now() uint64                        { return 0 }
+func (t *Thread) Sleep(d uint64)                     { _ = d }
+func (t *Thread) SleepUntil(tm uint64)               { _ = tm }
 
 // Engine mirrors the thread-spawning surface.
 type Engine struct{}

@@ -21,6 +21,7 @@ type Collector struct{}
 func Of(t *sim.Thread) *Collector { _ = t; return &Collector{} }
 
 func (c *Collector) Begin(t *sim.Thread, class string)         { _, _ = t, class }
+func (c *Collector) Open(t *sim.Thread, class sim.Label)       { _, _ = t, class }
 func (c *Collector) End(t *sim.Thread)                         { _ = t }
 func (c *Collector) Wait(t *sim.Thread, k WaitKind, cy uint64) { _, _, _ = t, k, cy }
 func (c *Collector) StartSegment(id string)                    { _ = id }
